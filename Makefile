@@ -3,14 +3,16 @@
 #   make check       - tier-1 build+test plus vet/staticcheck, the
 #                      race-detector lane, faults, and fuzz-smoke
 #   make test        - tier-1: build everything, run every test
-#   make race        - race-detector lane over the concurrent packages
+#   make race        - race-detector lane over the concurrent packages, plus
+#                      the shared-stage differential and isolation tests
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
 #   make fuzz-smoke  - ~10s of coverage-guided fuzzing per target
 #   make bench       - serving-layer benchmarks (cache hit/miss, parallel load)
 #   make bench-smoke - short DIL-merge benchmark pass plus the merge
-#                      differential suite (fuzz seeds run in -run mode)
+#                      differential suite (fuzz seeds run in -run mode),
+#                      and one generation build at 200/800/3200 documents
 #   make bench-merge-report - regenerate BENCH_MERGE.json (full-length
 #                      merge benchmarks; several minutes)
 #   make shard       - sharded-serving lane: vet + the scatter-gather
@@ -91,6 +93,7 @@ race:
 		./internal/ingest/... ./internal/server/... ./internal/shard/... \
 		./internal/delta/... ./internal/peer/... ./internal/arena/... \
 		./cmd/xontoserve/...
+	$(GO) test -race -count=1 -run 'SharedStage' ./internal/dil ./internal/core
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -113,6 +116,7 @@ bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineLegacyMerge|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
 	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
+	$(GO) test . -run '^$$' -bench 'NewGeneration' -benchtime 1x
 
 bench-merge-report:
 	BENCH_MERGE=1 $(GO) test . -run TestWriteMergeBenchReport -count=1 -v

@@ -355,10 +355,12 @@ func (a *app) run(ctx context.Context) error {
 			pc.Close()
 		}
 	}()
+	start := time.Now()
 	corpus, coll, report, err := a.loadData(ctx)
 	if err != nil {
 		return err
 	}
+	loaded := time.Now()
 	stats := corpus.Stats()
 	a.logf("serving %d documents (%d elements, %d code nodes) across %d ontologies on %s",
 		stats.Documents, stats.Elements, stats.CodeNodes, coll.Len(), a.addr)
@@ -480,6 +482,8 @@ func (a *app) run(ctx context.Context) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
+	a.logf("ready in %v (ingest %v, index %v)", time.Since(start).Round(time.Millisecond),
+		loaded.Sub(start).Round(time.Millisecond), time.Since(loaded).Round(time.Millisecond))
 	a.readyOnce.Do(func() { close(a.ready) })
 
 	for {

@@ -96,16 +96,32 @@ func New(corpus *xmltree.Corpus, ont *ontology.Ontology, cfg Config) *System {
 // NewMulti prepares a system whose code nodes may reference any system
 // of the collection (the paper's O = {O1..Ok}).
 func NewMulti(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config) *System {
-	builder := dil.NewMultiBuilder(corpus, coll, cfg.Strategy, cfg.DIL)
-	index := dil.NewIndex()
-	return &System{
-		cfg:     cfg,
-		corpus:  corpus,
-		coll:    coll,
-		builder: builder,
-		index:   index,
-		engine:  query.NewEngine(index, builder, cfg.Query),
+	return NewSystems(corpus, coll, cfg, cfg.Strategy)[cfg.Strategy]
+}
+
+// NewSystems prepares one system per strategy (none given: all of
+// ontoscore.Strategies; cfg.Strategy is overridden in each) over a
+// single run of the full-text stage, which does not depend on the
+// strategy — see dil.NewBuilders. Everything that serves or compares
+// several strategies over one corpus builds through here.
+func NewSystems(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config, strategies ...ontoscore.Strategy) map[ontoscore.Strategy]*System {
+	if len(strategies) == 0 {
+		strategies = ontoscore.Strategies()
 	}
+	out := make(map[ontoscore.Strategy]*System, len(strategies))
+	for st, builder := range dil.NewBuilders(corpus, coll, strategies, cfg.DIL) {
+		cfg.Strategy = st
+		index := dil.NewIndex()
+		out[st] = &System{
+			cfg:     cfg,
+			corpus:  corpus,
+			coll:    coll,
+			builder: builder,
+			index:   index,
+			engine:  query.NewEngine(index, builder, cfg.Query),
+		}
+	}
+	return out
 }
 
 // Corpus returns the indexed corpus.

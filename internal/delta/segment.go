@@ -311,14 +311,13 @@ func (s *Segment) rebuildBuilders(st *segState) {
 	for _, e := range entries {
 		corpus.AddExisting(e.doc)
 	}
-	for _, strat := range s.cfg.Strategies {
-		b := dil.NewMultiBuilder(corpus, s.cfg.Coll, strat, s.cfg.DIL)
+	st.builders = dil.NewBuilders(corpus, s.cfg.Coll, s.cfg.Strategies, s.cfg.DIL)
+	for strat, b := range st.builders {
 		b.SetGlobalTextStatsView(stateStatsView{st})
 		if bp := s.baseProvider; bp != nil {
 			strat := strat
 			b.SetCalibrator(stateCalibrator{s: st, strategy: strat, base: func() *dil.Builder { return bp(strat) }})
 		}
-		st.builders[strat] = b
 	}
 }
 

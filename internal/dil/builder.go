@@ -87,28 +87,49 @@ type elemEntry struct {
 	node *xmltree.Node
 }
 
-// Builder is the Index Creation Module: it holds the full-text index of
-// the corpus (stage 1), computes OntoScores on demand or in bulk
-// (stage 2), and assembles XOnto-DILs (stage 3). Code nodes may
-// reference any ontology of the collection (the paper's ontological
-// systems collection O = {O1..Ok}).
-type Builder struct {
-	corpus   *xmltree.Corpus
-	coll     *ontology.Collection
-	strategy ontoscore.Strategy
-	params   Params
+// stage is the full-text stage (stage 1) of the Index Creation Module
+// over one corpus snapshot: everything index creation derives from the
+// corpus and the ontologies alone. The OntoScore strategy plays no part
+// in it, so one stage serves a Builder per strategy (NewBuilders). A
+// shared stage is never written after construction, which is what makes
+// its builders safe to use side by side.
+type stage struct {
+	corpus *xmltree.Corpus
+	coll   *ontology.Collection
+	params Params
 
-	elements  []elemEntry                     // DocKey -> node
-	textIx    *ir.Index                       // elements as documents (bag model, BM25 stats)
-	posIx     *ir.Positional                  // token positions for exact phrase tests
-	computers map[string]*ontoscore.Computer  // system id -> computer
-	byRef     map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
-	ranks     elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
-	ranksMax  float64                         // normalization factor for ranks
-	calib     Calibrator                      // nil unless this builder is a corpus partition
+	elements      []elemEntry                     // DocKey -> node
+	textBase      *ir.Index                       // elements as documents (bag model, BM25 stats)
+	posIx         *ir.Positional                  // token positions for exact phrase tests
+	computers     map[string]*ontoscore.Computer  // system id -> computer
+	byRef         map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
+	ranks         elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
+	localRanksMax float64                         // max of ranks
+
+	// shared: more than one Builder reads this stage.
+	shared bool
 
 	fullTextTime time.Duration
 	buildErr     error
+}
+
+// Builder is the Index Creation Module: a view, for one OntoScore
+// strategy, of the full-text index of the corpus (stage 1). It computes
+// OntoScores on demand or in bulk (stage 2) and assembles XOnto-DILs
+// (stage 3). Code nodes may reference any ontology of the collection
+// (the paper's ontological systems collection O = {O1..Ok}).
+//
+// What a partitioned or delta-overlaid deployment installs on a builder
+// — the statistics overlay, the Calibrator, the global ElemRank
+// normalizer — is state of the view, never of the stage: setting it on
+// one builder leaves the builders of the other strategies untouched.
+type Builder struct {
+	*stage
+	strategy ontoscore.Strategy
+
+	textIx   *ir.Index  // stage.textBase under this view's statistics overlay
+	ranksMax float64    // normalization factor for ranks (corpus-global when overridden)
+	calib    Calibrator // nil unless this builder is a corpus partition
 }
 
 // Calibrator supplies corpus-global score-calibration facts to a
@@ -210,6 +231,10 @@ func (b *Builder) RawTextMaxLive(keyword string, dead func(docID int32) bool) fl
 	return max
 }
 
+// FullTextTime is how long the builder's full-text stage took to run —
+// once, however many strategies' builders share it.
+func (b *Builder) FullTextTime() time.Duration { return b.fullTextTime }
+
 // Err reports a construction-time failure (ElemRank misconfiguration);
 // Build surfaces it, on-demand BuildKeyword treats ranks as absent.
 func (b *Builder) Err() error { return b.buildErr }
@@ -224,34 +249,52 @@ func NewBuilder(corpus *xmltree.Corpus, ont *ontology.Ontology, strategy ontosco
 // one OntoScore computer per ontological system. The corpus documents
 // must already carry Dewey IDs (xmltree.Corpus.Add assigns them).
 func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy ontoscore.Strategy, params Params) *Builder {
+	return NewBuilders(corpus, coll, []ontoscore.Strategy{strategy}, params)[strategy]
+}
+
+// NewBuilders runs the full-text stage once and returns one builder per
+// strategy over it. The stage is the expensive part and does not depend
+// on the strategy (the paper's three OntoScore methods differ in stage 2
+// only), so this is how every multi-strategy deployment — the server's
+// generations, shards, delta segments, the experiments — builds.
+func NewBuilders(corpus *xmltree.Corpus, coll *ontology.Collection, strategies []ontoscore.Strategy, params Params) map[ontoscore.Strategy]*Builder {
+	s := newStage(corpus, coll, params)
+	s.shared = len(strategies) > 1
+	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
+	for _, st := range strategies {
+		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil), ranksMax: s.localRanksMax}
+	}
+	return out
+}
+
+func newStage(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) *stage {
 	start := time.Now()
-	b := &Builder{
+	s := &stage{
 		corpus:    corpus,
 		coll:      coll,
-		strategy:  strategy,
 		params:    params,
-		textIx:    ir.NewIndex(),
+		textBase:  ir.NewIndex(),
 		posIx:     ir.NewPositional(),
 		computers: make(map[string]*ontoscore.Computer, coll.Len()),
 		byRef:     make(map[xmltree.OntoRef][]ir.DocKey),
 	}
 	for _, doc := range corpus.Docs() {
-		b.indexDocument(doc)
+		s.indexDocument(doc)
 	}
 	for _, ont := range coll.Ontologies() {
-		b.computers[ont.SystemID] = ontoscore.NewComputer(ont, params.Onto)
+		s.computers[ont.SystemID] = ontoscore.NewComputer(ont, params.Onto)
 	}
 	if params.ElemRank != nil {
 		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
 		if err != nil {
-			b.buildErr = err
+			s.buildErr = err
 		} else {
-			b.ranks = ranks
-			b.ranksMax = ranks.Max()
+			s.ranks = ranks
+			s.localRanksMax = ranks.Max()
 		}
 	}
-	b.fullTextTime = time.Since(start)
-	return b
+	s.fullTextTime = time.Since(start)
+	return s
 }
 
 // AddDocument extends the builder's full-text stage with one more
@@ -259,33 +302,51 @@ func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy
 // Previously built DILs do not cover the new document; callers must
 // rebuild or re-request the keywords they use (core.System.AddDocument
 // handles the invalidation).
+//
+// A builder from NewBuilders shares its stage, so the first AddDocument
+// is copy-on-write: the builder re-runs the full-text stage over the
+// corpus (which holds the new document) into a stage of its own, keeping
+// its overlays; the other strategies' builders go on reading the old
+// stage and never see the document. Later adds are incremental.
 func (b *Builder) AddDocument(doc *xmltree.Document) {
-	b.indexDocument(doc)
-	if b.params.ElemRank != nil && b.buildErr == nil {
-		ranks, err := elemrank.Compute(doc, *b.params.ElemRank)
+	if b.shared {
+		b.stage = newStage(b.corpus, b.coll, b.params)
+		b.textIx = b.textBase.Overlay(b.textIx.GlobalStatsView())
+	} else {
+		b.stage.addDocument(doc)
+	}
+	if b.localRanksMax > b.ranksMax {
+		b.ranksMax = b.localRanksMax
+	}
+}
+
+func (s *stage) addDocument(doc *xmltree.Document) {
+	s.indexDocument(doc)
+	if s.params.ElemRank != nil && s.buildErr == nil {
+		ranks, err := elemrank.Compute(doc, *s.params.ElemRank)
 		if err != nil {
-			b.buildErr = err
+			s.buildErr = err
 			return
 		}
 		for k, v := range ranks {
-			b.ranks[k] = v
-			if v > b.ranksMax {
-				b.ranksMax = v
+			s.ranks[k] = v
+			if v > s.localRanksMax {
+				s.localRanksMax = v
 			}
 		}
 	}
 }
 
-func (b *Builder) indexDocument(doc *xmltree.Document) {
+func (s *stage) indexDocument(doc *xmltree.Document) {
 	for _, n := range doc.Nodes() {
-		key := ir.DocKey(len(b.elements))
-		b.elements = append(b.elements, elemEntry{node: n})
-		tokens := xmltree.Tokenize(xmltree.TextDescription(n, b.params.Text))
-		b.textIx.Add(key, tokens)
-		b.posIx.Add(key, tokens)
+		key := ir.DocKey(len(s.elements))
+		s.elements = append(s.elements, elemEntry{node: n})
+		tokens := xmltree.Tokenize(xmltree.TextDescription(n, s.params.Text))
+		s.textBase.Add(key, tokens)
+		s.posIx.Add(key, tokens)
 		if ref, ok := n.OntoRef(); ok {
-			if _, inColl := b.coll.System(ref.System); inColl {
-				b.byRef[ref] = append(b.byRef[ref], key)
+			if _, inColl := s.coll.System(ref.System); inColl {
+				s.byRef[ref] = append(s.byRef[ref], key)
 			}
 		}
 	}

@@ -60,26 +60,20 @@ func DefaultParams() Params {
 // Engine answers queries by expansion over a corpus and ontology
 // collection.
 type Engine struct {
-	params    Params
-	baseline  *dil.Builder // StrategyNone: textual postings only
-	computers map[string]*ontoscore.Computer
-	cache     map[string]dil.List
+	params   Params
+	baseline *dil.Builder // StrategyNone: textual postings only; its computers select the terms
+	cache    map[string]dil.List
 }
 
 // New prepares an expansion engine.
 func New(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) *Engine {
 	dilParams := dil.DefaultParams()
 	dilParams.Onto = params.Onto
-	e := &Engine{
-		params:    params,
-		baseline:  dil.NewMultiBuilder(corpus, coll, ontoscore.StrategyNone, dilParams),
-		computers: make(map[string]*ontoscore.Computer, coll.Len()),
-		cache:     make(map[string]dil.List),
+	return &Engine{
+		params:   params,
+		baseline: dil.NewMultiBuilder(corpus, coll, ontoscore.StrategyNone, dilParams),
+		cache:    make(map[string]dil.List),
 	}
-	for _, ont := range coll.Ontologies() {
-		e.computers[ont.SystemID] = ontoscore.NewComputer(ont, params.Onto)
-	}
-	return e
 }
 
 // Expand computes the weighted expansion set of one keyword: the
@@ -93,9 +87,8 @@ func (e *Engine) Expand(keyword string) []WeightedTerm {
 	}
 	var cands []cand
 	seen := map[string]bool{keyword: true}
-	for _, c := range e.computers {
-		scores := c.Compute(e.params.Strategy, keyword)
-		ont := c.Ontology()
+	for _, ont := range e.baseline.Collection().Ontologies() {
+		scores := e.baseline.Computer(ont.SystemID).Compute(e.params.Strategy, keyword)
 		for id, w := range scores {
 			con := ont.Concept(id)
 			if con == nil || seen[con.Preferred] {

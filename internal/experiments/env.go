@@ -83,20 +83,15 @@ func newEnvWithDensity(scale Scale, relationshipsPerDisorder float64) (*Env, err
 	}
 	corpus.Add(fig1)
 
-	env := &Env{
+	cfg := core.DefaultConfig()
+	cfg.VocabularyHops = 2
+	return &Env{
 		Scale:   scale,
 		Ont:     ont,
 		Corpus:  corpus,
-		Systems: make(map[ontoscore.Strategy]*core.System, 4),
+		Systems: core.NewSystems(corpus, ontology.MustCollection(ont), cfg),
 		Oracle:  relevance.NewOracle(ont),
-	}
-	for _, s := range ontoscore.Strategies() {
-		cfg := core.DefaultConfig()
-		cfg.Strategy = s
-		cfg.VocabularyHops = 2
-		env.Systems[s] = core.New(corpus, ont, cfg)
-	}
-	return env, nil
+	}, nil
 }
 
 // Table1Queries are the evaluation workload mirroring the paper's

@@ -32,8 +32,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -153,9 +155,16 @@ type Reason struct {
 // Run ingests cfg.SourceDir: every .xml file is validated in
 // isolation, failures are quarantined, successes enter the returned
 // corpus, and each terminal outcome is checkpointed in the manifest
-// before the next file starts. Run itself fails only on environmental
-// errors — unreadable source directory, unwritable quarantine or
-// manifest, context cancellation — never on document content.
+// before the next file reaches its own. Run itself fails only on
+// environmental errors — unreadable source directory, unwritable
+// quarantine or manifest, context cancellation — never on document
+// content.
+//
+// Files are read, hashed and parsed ahead on a few goroutines
+// (parseAhead); everything with an effect — manifest, quarantine,
+// report, corpus — happens on this goroutine in sorted-name order, so
+// document IDs, the manifest's byte sequence and where a failing run
+// stops are those of a one-file-at-a-time loop.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	ctx, sp := obs.StartSpan(ctx, "ingest.run")
@@ -188,18 +197,31 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if report.TornManifest {
 		cfg.Logf("ingest: dropped torn trailing manifest record (crash artifact)")
 	}
+	// However Run returns, the read-ahead goroutines are gone by then.
+	ctx, cancel := context.WithCancel(ctx)
+	var readers sync.WaitGroup
+	defer func() { cancel(); readers.Wait() }()
+
 	corpus := xmltree.NewCorpus()
-	for _, name := range names {
+	for next := range parseAhead(ctx, cfg, names, &readers) {
+		var f parsedFile
+		select {
+		case f = <-next:
+		case <-ctx.Done():
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("ingest: %w", err)
 		}
-		doc, err := ingestOne(cfg, man, report, name)
+		doc, err := ingestOne(cfg, man, report, f)
 		if err != nil {
 			return nil, err
 		}
 		if doc != nil {
 			corpus.Add(doc)
 		}
+	}
+	if err := ctx.Err(); err != nil { // parseAhead stopped short
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	report.Duration = time.Since(start)
 	sp.SetAttr("total", report.Total)
@@ -209,30 +231,97 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return &Result{Corpus: corpus, Report: report}, nil
 }
 
+// parsedFile is the effect-free part of one file's ingestion.
+type parsedFile struct {
+	name    string
+	buf     []byte
+	readErr error
+	hash    string            // SHA-256 of buf, hex
+	doc     *xmltree.Document // guarded parse of buf ...
+	perr    error             // ... or why it failed
+}
+
+func parseFile(cfg Config, name string, readErr error) parsedFile {
+	f := parsedFile{name: name, readErr: readErr}
+	if f.readErr == nil {
+		f.buf, f.readErr = os.ReadFile(filepath.Join(cfg.SourceDir, name))
+	}
+	if f.readErr == nil {
+		sum := sha256.Sum256(f.buf)
+		f.hash = hex.EncodeToString(sum[:])
+		f.doc, f.perr = xmltree.ParseLimited(bytes.NewReader(f.buf), cfg.Limits)
+	}
+	return f
+}
+
+// parseAhead runs parseFile over names on GOMAXPROCS goroutines and
+// yields the results in names order, each as a one-shot channel; at
+// most twice that many files are parsed and not yet taken. The FPRead
+// failpoint is hit here, once per file in names order, so "fail the
+// Nth read" means the same as without read-ahead. The goroutines are
+// counted on wg and end when ctx does or the names run out.
+func parseAhead(ctx context.Context, cfg Config, names []string, wg *sync.WaitGroup) <-chan (<-chan parsedFile) {
+	type job struct {
+		name    string
+		readErr error
+		out     chan<- parsedFile
+	}
+	workers := runtime.GOMAXPROCS(0)
+	jobs := make(chan job)
+	// The buffer is the read-ahead window: room for every worker to be
+	// busy and as many results again waiting for the committer.
+	ordered := make(chan (<-chan parsedFile), 2*workers)
+	wg.Add(workers + 1)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				j.out <- parseFile(cfg, j.name, j.readErr)
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		defer close(ordered)
+		defer close(jobs)
+		for _, name := range names {
+			out := make(chan parsedFile, 1)
+			select {
+			case ordered <- out:
+			case <-ctx.Done():
+				return
+			}
+			select {
+			case jobs <- job{name, faultinject.Hit(FPRead), out}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return ordered
+}
+
 // ingestOne takes one file to a terminal state: (doc, nil) when it
 // enters the corpus, (nil, nil) when quarantined, (nil, err) on an
 // environmental failure that must abort the run.
-func ingestOne(cfg Config, man *Manifest, report *Report, name string) (*xmltree.Document, error) {
-	buf, err := readFile(filepath.Join(cfg.SourceDir, name))
-	if err != nil {
+func ingestOne(cfg Config, man *Manifest, report *Report, f parsedFile) (*xmltree.Document, error) {
+	name, buf, hash := f.name, f.buf, f.hash
+	if f.readErr != nil {
 		// An unreadable file cannot be hashed or moved; quarantine the
 		// record of it (reason file only) so the failure is visible, and
 		// keep going — the next run retries it.
-		return nil, quarantine(cfg, man, report, name, nil, "read", err)
+		return nil, quarantine(cfg, man, report, name, nil, "read", f.readErr)
 	}
-	sum := sha256.Sum256(buf)
-	hash := hex.EncodeToString(sum[:])
 
 	if prev, ok := man.Lookup(name); ok && prev.Hash == hash {
 		switch prev.Status {
 		case StatusOK:
-			// Checkpointed as validated and unchanged since: parse for the
-			// corpus without re-running validation.
-			doc, err := xmltree.ParseLimited(bytes.NewReader(buf), cfg.Limits)
-			if err == nil {
-				doc.Name = strings.TrimSuffix(name, ".xml")
+			// Checkpointed as validated and unchanged since: take the parse
+			// for the corpus without re-running validation.
+			if f.perr == nil {
+				f.doc.Name = strings.TrimSuffix(name, ".xml")
 				report.Resumed++
-				return doc, nil
+				return f.doc, nil
 			}
 			// The checkpoint lied (e.g. limits tightened since): fall
 			// through to full validation.
@@ -249,7 +338,7 @@ func ingestOne(cfg Config, man *Manifest, report *Report, name string) (*xmltree
 		}
 	}
 
-	doc, stage, verr := validate(cfg, buf)
+	doc, stage, verr := validate(cfg, f.doc, f.perr)
 	if verr != nil {
 		return nil, quarantine(cfg, man, report, name, buf, stage, verr)
 	}
@@ -261,22 +350,14 @@ func ingestOne(cfg Config, man *Manifest, report *Report, name string) (*xmltree
 	return doc, nil
 }
 
-func readFile(path string) ([]byte, error) {
-	if err := faultinject.Hit(FPRead); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(path)
-}
-
-// validate runs the guarded parse and structural checks, naming the
-// failed stage.
-func validate(cfg Config, buf []byte) (*xmltree.Document, string, error) {
+// validate checks the outcome of a document's guarded parse (doc, or
+// why it failed) and its structure, naming the failed stage.
+func validate(cfg Config, doc *xmltree.Document, perr error) (*xmltree.Document, string, error) {
 	if err := faultinject.Hit(FPValidate); err != nil {
 		return nil, "validate", err
 	}
-	doc, err := xmltree.ParseLimited(bytes.NewReader(buf), cfg.Limits)
-	if err != nil {
-		return nil, "parse", err
+	if perr != nil {
+		return nil, "parse", perr
 	}
 	if cfg.ValidateCDA {
 		if err := ValidateCDA(doc); err != nil {

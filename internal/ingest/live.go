@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -24,7 +25,9 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 // pipeline's stages, returning the parsed document, or the failed
 // stage name ("parse" or "validate") and the cause.
 func ValidateBytes(cfg Config, buf []byte) (*xmltree.Document, string, error) {
-	return validate(cfg.withDefaults(), buf)
+	cfg = cfg.withDefaults()
+	doc, perr := xmltree.ParseLimited(bytes.NewReader(buf), cfg.Limits)
+	return validate(cfg, doc, perr)
 }
 
 // QuarantineBytes records a rejected live-ingest body: the body is

@@ -7,6 +7,7 @@
 package ir
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -23,10 +24,10 @@ type Posting struct {
 
 // Index is an in-memory inverted index with the collection statistics
 // BM25 needs (document frequencies, document lengths, average length).
+// The postings live in a table that every Overlay of the index shares;
+// the statistics overlay is per Index value.
 type Index struct {
-	postings map[string][]Posting
-	docLen   map[DocKey]int
-	totalLen int64
+	*table
 
 	// global, when non-nil, overlays collection-wide statistics on a
 	// partition-local index so BM25-family scores match the unsharded
@@ -35,20 +36,39 @@ type Index struct {
 	global StatsView
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		postings: make(map[string][]Posting),
-		docLen:   make(map[DocKey]int),
-	}
+// table is the indexed data proper.
+type table struct {
+	postings map[string][]Posting
+	docLen   map[DocKey]int
+	totalLen int64
 }
 
-// Add indexes a document as a bag of tokens. Adding the same key twice
-// replaces nothing — callers must add each document once; a second Add
-// with the same key extends the previous one (tokens accumulate).
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	return &Index{table: &table{
+		postings: make(map[string][]Posting),
+		docLen:   make(map[DocKey]int),
+	}}
+}
+
+// Overlay returns an index over the same postings and document lengths
+// as ix (shared, not copied: an Add through either is seen by both)
+// that answers N, DF and AvgDocLen from v; nil means from the index
+// itself. ix's own overlay is not inherited, and setting one on the
+// result does not touch ix — this is how several scorers with
+// different global statistics read one full-text stage.
+func (ix *Index) Overlay(v StatsView) *Index {
+	return &Index{table: ix.table, global: v}
+}
+
+// Add indexes a document as a bag of tokens. Callers normally add each
+// document once; a second Add with the same key extends the first (its
+// tokens accumulate into the same postings and length, and the document
+// still counts once toward N and each term's DF).
 func (ix *Index) Add(doc DocKey, tokens []string) {
+	_, repeated := ix.docLen[doc]
 	if len(tokens) == 0 {
-		if _, ok := ix.docLen[doc]; !ok {
+		if !repeated {
 			ix.docLen[doc] = 0
 		}
 		return
@@ -59,20 +79,18 @@ func (ix *Index) Add(doc DocKey, tokens []string) {
 	}
 	for t, c := range counts {
 		list := ix.postings[t]
-		// Merge with an existing posting for this doc if Add is called
-		// twice for the same key.
-		merged := false
-		for i := range list {
-			if list[i].Doc == doc {
-				list[i].TF += int32(c)
-				merged = true
-				break
-			}
+		// Only a key seen before can already have a posting in the list;
+		// a new key appends without looking (the scan made bulk indexing
+		// quadratic in the posting-list length).
+		i := -1
+		if repeated {
+			i = slices.IndexFunc(list, func(p Posting) bool { return p.Doc == doc })
 		}
-		if !merged {
-			list = append(list, Posting{Doc: doc, TF: int32(c)})
+		if i >= 0 {
+			list[i].TF += int32(c)
+		} else {
+			ix.postings[t] = append(list, Posting{Doc: doc, TF: int32(c)})
 		}
-		ix.postings[t] = list
 	}
 	ix.docLen[doc] += len(tokens)
 	ix.totalLen += int64(len(tokens))

@@ -62,6 +62,91 @@ func TestIndexAddAccumulates(t *testing.T) {
 	}
 }
 
+// A second Add of a key extends the first. Every sequence below must
+// leave the index exactly as if each key had been added once with its
+// token lists concatenated — which takes only the new-key path of Add,
+// while the sequences with repeats take the repeated-key path too.
+func TestIndexReAddSemantics(t *testing.T) {
+	type add struct {
+		doc    DocKey
+		tokens []string
+	}
+	cases := []struct {
+		name string
+		adds []add
+	}{
+		{"no repeat", []add{{1, []string{"a", "b", "a"}}, {2, []string{"b"}}}},
+		{"adjacent repeat", []add{{1, []string{"a", "b"}}, {1, []string{"a", "c"}}, {2, []string{"a"}}}},
+		{"non-adjacent repeat", []add{{1, []string{"a", "b"}}, {2, []string{"a", "b", "b"}}, {1, []string{"b", "c"}}}},
+		{"empty then tokens", []add{{1, nil}, {2, []string{"a"}}, {1, []string{"a", "a"}}}},
+		{"tokens then empty", []add{{1, []string{"a"}}, {1, nil}, {2, nil}, {2, nil}}},
+		{"repeat after many", []add{{1, []string{"x"}}, {2, []string{"x"}}, {3, []string{"x"}}, {2, []string{"x", "y"}}, {3, []string{"y"}}, {1, []string{"x"}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := NewIndex(), NewIndex()
+			var order []DocKey
+			merged := map[DocKey][]string{}
+			for _, a := range tc.adds {
+				got.Add(a.doc, a.tokens)
+				if _, seen := merged[a.doc]; !seen {
+					order = append(order, a.doc)
+				}
+				merged[a.doc] = append(merged[a.doc], a.tokens...)
+			}
+			for _, doc := range order {
+				want.Add(doc, merged[doc])
+			}
+			if got.N() != want.N() || got.N() != len(order) {
+				t.Errorf("N = %d, want %d", got.N(), want.N())
+			}
+			if got.AvgDocLen() != want.AvgDocLen() {
+				t.Errorf("AvgDocLen = %v, want %v (total length double-counted?)", got.AvgDocLen(), want.AvgDocLen())
+			}
+			if !reflect.DeepEqual(got.LocalStats(), want.LocalStats()) {
+				t.Errorf("LocalStats = %+v, want %+v", got.LocalStats(), want.LocalStats())
+			}
+			if !reflect.DeepEqual(got.Vocabulary(), want.Vocabulary()) {
+				t.Fatalf("Vocabulary = %v, want %v", got.Vocabulary(), want.Vocabulary())
+			}
+			for _, term := range want.Vocabulary() {
+				if !reflect.DeepEqual(got.Postings(term), want.Postings(term)) {
+					t.Errorf("Postings(%q) = %v, want %v", term, got.Postings(term), want.Postings(term))
+				}
+			}
+			for _, doc := range order {
+				if got.DocLen(doc) != want.DocLen(doc) {
+					t.Errorf("DocLen(%d) = %d, want %d", doc, got.DocLen(doc), want.DocLen(doc))
+				}
+			}
+		})
+	}
+}
+
+// An Overlay shares the postings and keeps its statistics to itself.
+func TestOverlayIsolatesStatistics(t *testing.T) {
+	base := buildIndex()
+	a, b := base.Overlay(nil), base.Overlay(Stats{N: 100, TotalLen: 1000, DF: map[string]int{"asthma": 7}})
+	localN, localAvg, localDF := base.N(), base.AvgDocLen(), base.DF("asthma")
+	a.SetGlobalStats(Stats{N: 50, TotalLen: 100, DF: map[string]int{"asthma": 3}})
+	if base.N() != localN || base.AvgDocLen() != localAvg || base.DF("asthma") != localDF {
+		t.Errorf("an overlay's statistics leaked into its base: N=%d avg=%v", base.N(), base.AvgDocLen())
+	}
+	if a.N() != 50 || a.DF("asthma") != 3 || a.AvgDocLen() != 2 {
+		t.Errorf("a: N=%d DF=%d avg=%v", a.N(), a.DF("asthma"), a.AvgDocLen())
+	}
+	if b.N() != 100 || b.DF("asthma") != 7 || b.AvgDocLen() != 10 {
+		t.Errorf("b: N=%d DF=%d avg=%v", b.N(), b.DF("asthma"), b.AvgDocLen())
+	}
+	base.Add(99, []string{"asthma", "asthma"})
+	if a.TF("asthma", 99) != 2 || b.DocLen(99) != 2 {
+		t.Error("an Add through the base is not visible through its overlays")
+	}
+	if a.LocalStats().N != localN+1 {
+		t.Errorf("overlay LocalStats().N = %d, want %d", a.LocalStats().N, localN+1)
+	}
+}
+
 func TestPostingsSortedCopy(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(5, []string{"x"})

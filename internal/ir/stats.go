@@ -91,11 +91,6 @@ func (ix *Index) SetGlobalStats(s Stats) {
 // only, but the installed view may answer from live data.
 func (ix *Index) SetGlobalStatsView(v StatsView) { ix.global = v }
 
-// GlobalStats reports the plain snapshot installed by SetGlobalStats
-// (zero Stats when none, or when the overlay is a live view).
-func (ix *Index) GlobalStats() (Stats, bool) {
-	if s, ok := ix.global.(Stats); ok {
-		return s, true
-	}
-	return Stats{}, false
-}
+// GlobalStatsView reports the installed overlay, snapshot or live view
+// (nil when none).
+func (ix *Index) GlobalStatsView() StatsView { return ix.global }

@@ -40,6 +40,10 @@ type generation struct {
 	// pinned to the generation and are unmapped when the refcount drains.
 	arenas []*arena.Arena
 
+	// textTook is the one full-text stage the systems share, buildTook
+	// the whole of newGeneration (stage included).
+	textTook, buildTook time.Duration
+
 	// refs counts pins plus one for being (or having been) the active
 	// generation; 0 means drained.
 	refs      atomic.Int64
@@ -50,17 +54,15 @@ type generation struct {
 // snapshot. It touches no shared state, so it is safe to run while an
 // older generation serves traffic.
 func newGeneration(num uint64, corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Config) *generation {
+	start := time.Now()
 	g := &generation{
 		num:     num,
 		corpus:  corpus,
 		coll:    coll,
-		systems: make(map[ontoscore.Strategy]*core.System, 4),
+		systems: core.NewSystems(corpus, coll, cfg),
 	}
-	for _, st := range ontoscore.Strategies() {
-		c := cfg
-		c.Strategy = st
-		g.systems[st] = core.NewMulti(corpus, coll, c)
-	}
+	g.textTook = g.systems[ontoscore.StrategyNone].Builder().FullTextTime()
+	g.buildTook = time.Since(start)
 	g.refs.Store(1) // the active reference
 	return g
 }
@@ -180,6 +182,9 @@ type ReloadStatus struct {
 	// serving only); a shard whose swap failed carries its error and
 	// keeps serving its previous generation.
 	Shards []shard.ReloadResult `json:"shards,omitempty"`
+	// TextStageMS is the part of Took spent in the new generation's
+	// full-text stage (run once, shared by the four strategies).
+	TextStageMS int64 `json:"text_stage_ms"`
 	// Took is the off-line rebuild duration (old generation kept
 	// serving throughout).
 	Took time.Duration `json:"took"`
@@ -268,11 +273,12 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	sp.SetAttr("generation", next.num)
 	sp.SetAttr("documents", data.Corpus.Len())
 	status := &ReloadStatus{
-		Generation: next.num,
-		Documents:  data.Corpus.Len(),
-		Ingest:     data.Ingest,
-		Shards:     shardResults,
-		Took:       time.Since(start),
+		Generation:  next.num,
+		Documents:   data.Corpus.Len(),
+		Ingest:      data.Ingest,
+		Shards:      shardResults,
+		TextStageMS: next.textTook.Milliseconds(),
+		Took:        time.Since(start),
 	}
 	s.logf("server: generation %d active (%d documents, reload took %v); draining generation %d",
 		next.num, status.Documents, status.Took.Round(time.Millisecond), old.num)

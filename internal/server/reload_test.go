@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/ontology"
+	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
 
@@ -290,5 +292,39 @@ func TestReloadCacheIsolation(t *testing.T) {
 	// generation-1 cache entry.
 	if !hasFig1(get(t, s, q)) {
 		t.Fatal("post-reload search served the pre-reload answer: figure-1 missing")
+	}
+}
+
+// What the last generation swap cost is observable: the reload status
+// and /metrics both split the build into its one full-text stage and
+// the rest, and the four systems of a generation report the same stage.
+func TestReloadReportsBuildCost(t *testing.T) {
+	s, _, _ := reloadFixture(t)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/admin/reload = %d: %s", rec.Code, rec.Body.String())
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := body["text_stage_ms"].(float64); !ok {
+		t.Errorf("reload status has no text_stage_ms: %s", rec.Body.String())
+	}
+	metrics := get(t, s, "/metrics").Body.String()
+	for _, series := range []string{
+		`xontorank_generation_build_seconds{stage="text"} `,
+		`xontorank_generation_build_seconds{stage="systems"} `,
+	} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks %s", series)
+		}
+	}
+	text := s.System(ontoscore.StrategyNone).Builder().FullTextTime()
+	for _, st := range ontoscore.Strategies() {
+		if got := s.System(st).Builder().FullTextTime(); got != text || got <= 0 {
+			t.Errorf("%s ran a full-text stage of its own (%v, XRANK %v)", st, got, text)
+		}
 	}
 }

@@ -189,6 +189,13 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 	s.reg.GaugeFunc("xontorank_corpus_documents",
 		"Documents in the active corpus.",
 		func() float64 { return float64(s.gen.Load().corpus.Len()) })
+	const buildHelp = "Build time of the active generation: its one full-text stage, and the per-strategy systems over it."
+	s.reg.GaugeFunc("xontorank_generation_build_seconds", buildHelp,
+		func() float64 { return s.gen.Load().textTook.Seconds() },
+		obs.Label{Key: "stage", Value: "text"})
+	s.reg.GaugeFunc("xontorank_generation_build_seconds", buildHelp,
+		func() float64 { g := s.gen.Load(); return (g.buildTook - g.textTook).Seconds() },
+		obs.Label{Key: "stage", Value: "systems"})
 	s.reg.CounterFunc("query_merge_postings_total",
 		"Postings consumed by the fast DIL merge.",
 		func() float64 { return float64(query.MergeCountersSnapshot().Postings) })

@@ -333,13 +333,8 @@ func (c *Cluster) buildGen(id int, view *xmltree.Corpus) *shardGen {
 	g := &shardGen{
 		num:     c.genCounter.Add(1),
 		corpus:  view,
-		systems: make(map[ontoscore.Strategy]*core.System, 4),
+		systems: core.NewSystems(view, c.coll, c.cfg.Core),
 		shard:   id,
-	}
-	for _, st := range ontoscore.Strategies() {
-		cfg := c.cfg.Core
-		cfg.Strategy = st
-		g.systems[st] = core.NewMulti(view, c.coll, cfg)
 	}
 	elements := 0
 	for _, doc := range view.Docs() {
