@@ -11,10 +11,9 @@
 #   make fuzz-smoke  - ~10s of coverage-guided fuzzing per target
 #   make bench       - serving-layer benchmarks (cache hit/miss, parallel load)
 #   make bench-smoke - short DIL-merge benchmark pass plus the merge
-#                      differential suite (fuzz seeds run in -run mode),
-#                      and one generation build at 200/800/3200 documents
-#   make bench-merge-report - regenerate BENCH_MERGE.json (full-length
-#                      merge benchmarks; several minutes)
+#                      differential suite against the reference merge
+#                      (fuzz seeds run in -run mode), and one generation
+#                      build at 200/800/3200 documents
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
@@ -42,8 +41,8 @@
 #                      mmap vs decode-to-heap at three corpus sizes,
 #                      plus steady-state query latency parity)
 #   make obs         - observability lane: vet + race tests for internal/obs,
-#                      and the API guard (removed Search* variants must not
-#                      reappear on the public facade)
+#                      and the API guard (retired entry points and parallel
+#                      paths must not reappear in non-test code)
 #   make trace-demo  - generate a small corpus and print one traced search
 #                      (the span tree with per-stage durations)
 
@@ -70,7 +69,7 @@ FUZZ_TARGETS = \
 FUZZ_TIME ?= 10s
 
 .PHONY: check test race vet faults fuzz-smoke bench bench-smoke \
-	bench-merge-report shard bench-shard-report federation \
+	shard bench-shard-report federation \
 	bench-peer-report topk bench-topk-report arena bench-arena-report \
 	obs api-guard trace-demo
 
@@ -110,16 +109,15 @@ bench:
 	$(GO) test -run xxx -bench 'Serving' -benchmem .
 
 # Quick confidence pass over the fast merge: the differential suite
-# (including the fuzz seed corpus, replayed deterministically in -run
-# mode) and one short benchmark iteration of every merge shape.
+# against the reference merge (including the fuzz seed corpus, replayed
+# deterministically in -run mode, and the engine's default path on the
+# experiment corpora) and one short benchmark iteration of every merge
+# shape.
 bench-smoke:
-	$(GO) test ./internal/query -run 'TestMerge|TestEngineLegacyMerge|FuzzMergeEquivalence' -count=1
+	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
 	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
 	$(GO) test . -run '^$$' -bench 'NewGeneration' -benchtime 1x
-
-bench-merge-report:
-	BENCH_MERGE=1 $(GO) test . -run TestWriteMergeBenchReport -count=1 -v
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
@@ -127,7 +125,7 @@ bench-merge-report:
 # escape hatch), the sharded paging equivalence, and the fuzz seed
 # corpus replayed deterministically — all under the race detector.
 topk:
-	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|FuzzTopKEquivalence'
+	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|TestEngineMatchesReference|FuzzTopKEquivalence'
 	$(GO) test -race -count=1 ./internal/shard -run 'TestShardedPagingEquivalence'
 
 bench-topk-report:
@@ -200,15 +198,27 @@ obs: api-guard
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/...
 
-# The PR-4 consolidation replaced the SearchKeywords /
-# SearchKeywordsContext / SearchKeywordsInfo / SearchTopK family with
-# System.Query, and the top-k PR retired the remaining Search /
-# SearchContext shims; fail if any of them grows back on the public
-# facade.
+# Retired entry points and parallel paths must not grow back in
+# non-test code: the Search* variants on the System facade and on
+# query.Engine (Query is the single entry point of both), AddDocument
+# on System and dil.Builder (the full-text stage is immutable; live
+# writes go through internal/delta), the legacy-merge selectors and the
+# merge environment variables, RunHybrid, and the docstore and
+# graphsearch packages.
 api-guard:
-	@if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK)\(' \
-		internal/core/*.go xontorank.go 2>/dev/null; then \
-		echo "api-guard: removed Search* variant reappeared on the public facade (use Query)"; \
+	@fail=0; \
+	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
+		--exclude='*_test.go' internal/core/*.go xontorank.go; then fail=1; fi; \
+	if grep -nE 'func \(e \*Engine\) Search(Context|Info|Query|Ranked|RankedContext|RankedInfo)?\(' \
+		--exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
+	if grep -nE 'func \(b \*Builder\) AddDocument\(' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
+	if grep -rnE 'LegacyMerge|XONTORANK_MERGE|XONTORANK_TOPK|RunListsLegacy|RunHybrid' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	for d in internal/docstore internal/graphsearch; do \
+		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

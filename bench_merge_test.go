@@ -11,9 +11,8 @@ import (
 )
 
 // Merge microbenchmarks over synthetic posting lists with controlled
-// shape: the reference sort-merge (legacy), the loser-tree fast path
-// over plain lists (fast), and the fast path over block-compressed
-// lists with skip entries (compact). The skewed shapes — one rare
+// shape: the loser-tree merge over plain lists (fast) and over
+// block-compressed lists with skip entries (compact). The skewed shapes — one rare
 // keyword against common ones — are where document zig-zag skipping
 // pays; uniform shapes bound the loser tree's overhead when every
 // posting must be touched anyway.
@@ -79,15 +78,14 @@ func compactAll(lists []dil.List) []*dil.CompactList {
 	return cls
 }
 
-// BenchmarkDILMerge is the acceptance benchmark: skewed conjunctions
-// (a rare keyword and common ones) must run >= 2x faster on the fast
-// path than on the legacy merge.
+// BenchmarkDILMerge times the loser-tree merge alone on skewed
+// conjunctions (a rare keyword and common ones) and uniform ones.
 func BenchmarkDILMerge(b *testing.B) {
 	for _, k := range []int{2, 3, 5} {
 		for _, shape := range []string{"skewed", "uniform"} {
 			lists := mergeWorkload(k, shape == "skewed")
 			cls := compactAll(lists)
-			want := len(query.RunListsLegacy(lists, 0.5))
+			want := len(query.RunLists(lists, 0.5, 0))
 			run := func(name string, merge func() []query.Result) {
 				b.Run(fmt.Sprintf("keywords=%d/%s/%s", k, shape, name), func(b *testing.B) {
 					b.ReportAllocs()
@@ -98,7 +96,6 @@ func BenchmarkDILMerge(b *testing.B) {
 					}
 				})
 			}
-			run("legacy", func() []query.Result { return query.RunListsLegacy(lists, 0.5) })
 			run("fast", func() []query.Result { return query.RunLists(lists, 0.5, 0) })
 			run("compact", func() []query.Result { return query.RunCompactLists(cls, 0.5, 0) })
 		}
@@ -140,14 +137,6 @@ func BenchmarkDILMergeAllocs(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if len(query.RunCompactLists(cls, 0.5, 0)) != 0 {
-				b.Fatal("unexpected results")
-			}
-		}
-	})
-	b.Run("disjoint/legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(query.RunListsLegacy(disjoint, 0.5)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dil"
 	"repro/internal/experiments"
-	"repro/internal/graphsearch"
 	"repro/internal/ontoscore"
 	"repro/internal/query"
 	"repro/internal/serving"
@@ -128,29 +127,6 @@ func BenchmarkFigure11QueryTime(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkGraphSearch measures the ID-IDREF graph-search extension
-// (Section III's XKeyword-style generalization) against the tree
-// engine on the same query.
-func BenchmarkGraphSearch(b *testing.B) {
-	env := benchEnvironment(b)
-	sys := env.Systems[ontoscore.StrategyRelationships]
-	ge := graphsearch.NewEngine(env.Corpus, sys.Builder(), graphsearch.DefaultParams())
-	kws := query.ParseQuery(`"cardiac arrest" epinephrine`)
-	benchSearchKeywords(sys, kws, 10) // warm keyword DILs
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSearchKeywords(sys, kws, 10)
-		}
-	})
-	b.Run("graph", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(ge.Search(kws, 10)) == 0 {
-				b.Fatal("no results")
-			}
-		}
-	})
 }
 
 // BenchmarkAblationMergedBFS compares the Observation-1 merged

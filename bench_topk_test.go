@@ -23,8 +23,9 @@ import (
 // all-cold — that is the shape that makes block maxima selective;
 // under uniform per-posting scores every block's maximum sits near
 // the distribution maximum and no block-granular bound can exclude
-// anything, which is why BENCH_MERGE's uniform rows barely prune. "uniform" and "skewed" refer to the list shapes, as in
-// BENCH_MERGE: uniform is nkw equally long lists over a shared
+// anything, which is why BenchmarkDILMerge's uniform shapes barely
+// prune. "uniform" and "skewed" refer to the list shapes, as in
+// BenchmarkDILMerge: uniform is nkw equally long lists over a shared
 // document set; skewed adds a rare first keyword.
 func topkWorkload(nkw int, skewed bool) []dil.List {
 	const (
@@ -120,7 +121,7 @@ func TestWriteTopKBenchReport(t *testing.T) {
 	}{
 		Description: "Block-max top-k merge (WAND-style threshold pruning) vs the " +
 			"exhaustive fast merge over block-compressed lists, heavy-tailed " +
-			"per-document scores; shapes as in BENCH_MERGE (uniform: equal-length " +
+			"per-document scores; shapes as in BenchmarkDILMerge (uniform: equal-length " +
 			"shared-document lists; skewed: one rare keyword); " +
 			"regenerate with `make bench-topk-report`",
 		CPU:       runtime.GOARCH,
@@ -173,3 +174,6 @@ func TestWriteTopKBenchReport(t *testing.T) {
 	}
 	t.Logf("wrote BENCH_TOPK.json (%d rows)", len(report.TopK))
 }
+
+// round2 truncates a ratio to two decimals for the committed reports.
+func round2(f float64) float64 { return float64(int64(f*100)) / 100 }

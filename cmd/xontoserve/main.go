@@ -212,10 +212,8 @@ func newApp(fs *flag.FlagSet, args []string) *app {
 		"how long a tripped breaker stays open before probing the ontology path again")
 	fs.IntVar(&a.ccfg.Query.Retry.MaxAttempts, "retry-max", resilience.DefaultMaxAttempts,
 		"ontology-path build attempts (first call included) before a keyword degrades")
-	fs.BoolVar(&a.ccfg.Query.LegacyMerge, "legacy-merge", false,
-		"route DIL merges through the reference implementation instead of the loser-tree fast path (XONTORANK_MERGE=legacy does the same)")
 	fs.BoolVar(&a.ccfg.Query.ExhaustiveMerge, "no-topk-prune", false,
-		"disable block-max top-k pruning: the fast merge scores every posting before ranking (XONTORANK_TOPK=exhaustive does the same)")
+		"disable block-max top-k pruning: the fast merge scores every posting before ranking")
 	fs.Parse(args)
 	return a
 }

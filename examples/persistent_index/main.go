@@ -1,9 +1,7 @@
-// Persistent index: the full Figure-8 pipeline with durable storage.
-// The corpus and the XOnto-DILs are persisted into the embedded
-// key-value store; a second, fresh process-like phase reopens the
-// store, reloads the index, answers a query, and resolves the result
-// fragments through the Database Access Module (docstore) — nothing is
-// recomputed.
+// Persistent index: build the XOnto-DILs once, write them into a
+// single-file arena, then serve a fresh system zero-copy from the
+// memory-mapped file — nothing is rebuilt. This is the path
+// `xontorank index -arena` writes and `xontoserve -mmap-index` serves.
 package main
 
 import (
@@ -11,12 +9,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	xontorank "repro"
+	"repro/internal/arena"
 	"repro/internal/cda"
-	"repro/internal/docstore"
-	"repro/internal/store"
+	"repro/internal/core"
 )
 
 func main() {
@@ -26,7 +23,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// ---- Phase 1: generate, index, persist. ----
+	// ---- Phase 1: generate, index, write the arena. ----
 	ontCfg := xontorank.DefaultOntologyConfig()
 	ontCfg.ExtraConcepts = 300
 	ont, err := xontorank.GenerateOntology(ontCfg)
@@ -45,87 +42,41 @@ func main() {
 	}
 	corpus.Add(fig1)
 
-	kv, err := store.Open(filepath.Join(dir, "db"), store.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := docstore.Save(kv, corpus); err != nil {
-		log.Fatal(err)
-	}
-
 	sys := xontorank.New(corpus, ont, xontorank.DefaultConfig())
 	stats, err := sys.BuildIndex()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.SaveIndex(kv); err != nil {
+	path := arena.FileFor(dir, sys.Config().Strategy.String())
+	fp := core.CorpusFingerprint(corpus)
+	if err := sys.WriteArena(path, 1, fp); err != nil {
 		log.Fatal(err)
 	}
-	size, _ := kv.DiskSize()
-	fmt.Printf("phase 1: indexed %d keywords / %d postings; store holds %d keys, %.1f KB on disk\n",
-		stats.Keywords, stats.TotalPostings, kv.Len(), float64(size)/1024)
-	if err := kv.Close(); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("phase 1: indexed %d keywords / %d postings into %s\n",
+		stats.Keywords, stats.TotalPostings, path)
 
-	// Persist the ontology alongside (a real deployment would, too).
-	ontFile, err := os.Create(filepath.Join(dir, "ontology.json"))
+	// ---- Phase 2: a fresh system attaches the arena and serves. ----
+	a, err := arena.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ont.Save(ontFile); err != nil {
+	defer a.Close()
+	served := xontorank.New(corpus, ont, xontorank.DefaultConfig())
+	if err := served.ArenaCompatible(a, fp); err != nil {
 		log.Fatal(err)
 	}
-	ontFile.Close()
-
-	// ---- Phase 2: reopen everything cold and serve a query. ----
-	kv2, err := store.Open(filepath.Join(dir, "db"), store.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer kv2.Close()
-
-	ontFile2, err := os.Open(filepath.Join(dir, "ontology.json"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	ont2, err := xontorank.LoadOntology(ontFile2)
-	ontFile2.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	docs, err := docstore.Open(kv2, 16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	corpus2, err := docs.LoadCorpus()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys2 := xontorank.New(corpus2, ont2, xontorank.DefaultConfig())
-	if err := sys2.LoadIndex(kv2); err != nil {
-		log.Fatal(err)
-	}
+	served.UseArena(a)
+	fmt.Printf("phase 2: mapped %d keywords, %d bytes\n", a.Len(), a.MappedBytes())
 
 	const q = `"bronchial structure" theophylline`
-	results := search(sys2, q, 3)
-	fmt.Printf("phase 2: %d documents reloaded, query %s -> %d results\n",
-		docs.NumDocuments(), q, len(results))
+	results := search(served, q, 3)
+	fmt.Printf("query %s -> %d results\n", q, len(results))
 	for i, r := range results {
-		// Resolve the fragment through the Database Access Module.
-		frag, err := docs.Fragment(r.Root)
-		if err != nil {
-			log.Fatal(err)
-		}
-		doc, err := docs.Document(r.Root.DocID())
-		if err != nil {
-			log.Fatal(err)
-		}
+		doc := corpus.Doc(r.Root.DocID())
 		fmt.Printf("%d. score=%.4f doc=%s — %s\n", i+1, r.Score, r.Document, cda.Summary(doc))
 		if i == 0 {
 			fmt.Println("   fragment:")
-			fmt.Println("   " + frag)
+			fmt.Println("   " + served.Fragment(r))
 		}
 	}
 }

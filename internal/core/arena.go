@@ -89,13 +89,12 @@ func (s *System) ArenaCompatible(a *arena.Arena, globalFP uint64) error {
 // serve zero-copy from the mapping. The caller keeps ownership of the
 // arena's reference and must hold it for the system's serving
 // lifetime. Keywords the arena lacks still resolve through the
-// builder, and merge paths that need heap lists (RDIL, legacy, delta
-// overlays) materialize them through a bounded cache.
+// builder, and merge paths that need heap lists (RDIL, delta overlays)
+// materialize them through a bounded cache.
 func (s *System) UseArena(a *arena.Arena) {
 	s.index = dil.NewIndex()
 	s.engine.SetSource(&arenaSource{
 		arena: a,
-		local: s.index,
 		lists: serving.NewCache[dil.List](ArenaSourceCacheSize, 0),
 	})
 }
@@ -103,25 +102,15 @@ func (s *System) UseArena(a *arena.Arena) {
 // arenaSource adapts an arena to the engine's ListSource and
 // CompactSource faces. Compact is the hot path and is zero-copy; List
 // materializes (and caches) heap copies for the paths that walk plain
-// postings. The local index overrides the arena — AddDocument-style
-// mutations land there — though in steady state it stays empty.
+// postings.
 type arenaSource struct {
 	arena *arena.Arena
-	local *dil.Index
 	lists *serving.Cache[dil.List] // sharded LRU; safe for concurrent use
 }
 
-func (as *arenaSource) Compact(kw string) *dil.CompactList {
-	if c := as.local.Compact(kw); c != nil {
-		return c
-	}
-	return as.arena.Compact(kw)
-}
+func (as *arenaSource) Compact(kw string) *dil.CompactList { return as.arena.Compact(kw) }
 
 func (as *arenaSource) List(kw string) dil.List {
-	if l := as.local.List(kw); l != nil {
-		return l
-	}
 	if l, ok := as.lists.Get(kw); ok {
 		return l
 	}

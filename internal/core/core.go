@@ -167,22 +167,6 @@ func (s *System) BuildIndex() (*dil.BuildStats, error) {
 // BuildStats returns the statistics of the last BuildIndex (nil before).
 func (s *System) BuildStats() *dil.BuildStats { return s.stats }
 
-// AddDocument indexes one more document into a live system. The
-// document is added to the corpus (receiving its ID and Dewey
-// identifiers) and to the builder's full-text stage incrementally;
-// prebuilt and cached posting lists are dropped — correctness first:
-// stale lists would silently miss the new document — so subsequent
-// searches re-derive the keywords they touch (or call BuildIndex again
-// for a full rebuild).
-func (s *System) AddDocument(doc *xmltree.Document) *xmltree.Document {
-	added := s.corpus.Add(doc)
-	s.builder.AddDocument(added)
-	s.index = dil.NewIndex()
-	s.engine = query.NewEngine(s.index, s.builder, s.cfg.Query)
-	s.stats = nil
-	return added
-}
-
 // Breaker exposes the engine's ontology-path circuit breaker (for
 // readiness and metrics reporting).
 func (s *System) Breaker() *resilience.Breaker { return s.engine.Breaker() }

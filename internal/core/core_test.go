@@ -171,79 +171,6 @@ func mathAbs(x float64) float64 {
 	return x
 }
 
-func TestAddDocumentVisibleToSearch(t *testing.T) {
-	ont := ontology.Figure2Fragment()
-	corpus := xmltree.NewCorpus()
-	// Start with a corpus that cannot answer the intro query.
-	first, err := xontorankFigure1(ont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strip the theophylline entry so the query initially fails.
-	med := first.Root.Find(func(n *xmltree.Node) bool { return n.Tag == "SubstanceAdministration" })
-	if med == nil {
-		t.Fatal("no medication entry")
-	}
-	entry := med.Parent
-	sec := entry.Parent
-	kept := sec.Children[:0]
-	for _, c := range sec.Children {
-		if c != entry {
-			kept = append(kept, c)
-		}
-	}
-	sec.Children = kept
-	corpus.Add(first)
-
-	// XRANK baseline: only literal containment counts, so the stripped
-	// corpus cannot answer the query (under the ontology-aware
-	// strategies the Asthma code node alone would cover both keywords
-	// via the treated-by edge).
-	cfg := DefaultConfig()
-	cfg.Strategy = ontoscore.StrategyNone
-	sys := New(corpus, ont, cfg)
-	if _, err := sys.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if res := searchQ(t, sys, "theophylline asthma", 5); len(res) != 0 {
-		t.Fatalf("query answered before the document exists: %d results", len(res))
-	}
-
-	// Add the full figure-1 document live.
-	full, err := xontorankFigure1(ont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := sys.AddDocument(full)
-	if added.ID == first.ID {
-		t.Fatal("duplicate document id")
-	}
-	res := searchQ(t, sys, "theophylline asthma", 5)
-	if len(res) == 0 {
-		t.Fatal("added document invisible to search")
-	}
-	found := false
-	for _, r := range res {
-		if r.Root.DocID() == added.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("results do not include the added document")
-	}
-	// Rebuilding the bulk index still works after the addition.
-	if _, err := sys.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if res := searchQ(t, sys, "theophylline asthma", 5); len(res) == 0 {
-		t.Fatal("rebuilt index lost the added document")
-	}
-}
-
-func xontorankFigure1(ont *ontology.Ontology) (*xmltree.Document, error) {
-	return cda.GenerateFigure1(ont)
-}
-
 func TestConcurrentSearches(t *testing.T) {
 	s := buildSystem(t, ontoscore.StrategyRelationships)
 	queries := []string{

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cda"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/ontoscore"
@@ -54,55 +53,5 @@ func TestSharedStageSystemsMatchIndependentSystems(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// AddDocument on a system whose stage is shared is copy-on-write: that
-// system sees the new document (and then equals a system built fresh
-// over the extended corpus), the other three go on answering from the
-// old stage.
-func TestAddDocumentOnSharedStageIsCopyOnWrite(t *testing.T) {
-	env, err := experiments.NewEnv(experiments.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q, added = "asthma theophylline", ontoscore.StrategyRelationships
-	answers := func(s *core.System) []core.Result {
-		resp, err := s.Query(context.Background(), core.SearchRequest{Query: q, K: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Results
-	}
-	before := map[ontoscore.Strategy][]core.Result{}
-	for st, s := range env.Systems {
-		before[st] = answers(s)
-	}
-
-	for i := 0; i < 2; i++ { // the second add takes the incremental path
-		fig1, err := cda.GenerateFigure1(env.Ont)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc := env.Systems[added].AddDocument(fig1)
-		found := false
-		for _, r := range answers(env.Systems[added]) {
-			found = found || r.Root.DocID() == doc.ID
-		}
-		if !found {
-			t.Fatalf("add %d: the system the document was added to does not find it", i)
-		}
-	}
-	fresh := core.New(env.Corpus, env.Ont, env.Systems[added].Config())
-	if got, want := answers(env.Systems[added]), answers(fresh); !reflect.DeepEqual(got, want) {
-		t.Errorf("after AddDocument the system differs from one built over the extended corpus\n got %+v\nwant %+v", got, want)
-	}
-	for st, s := range env.Systems {
-		if st == added {
-			continue
-		}
-		if got := answers(s); !reflect.DeepEqual(got, before[st]) {
-			t.Errorf("%s moved when a document was added to %s", st, added)
-		}
 	}
 }

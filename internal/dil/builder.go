@@ -91,8 +91,8 @@ type elemEntry struct {
 // over one corpus snapshot: everything index creation derives from the
 // corpus and the ontologies alone. The OntoScore strategy plays no part
 // in it, so one stage serves a Builder per strategy (NewBuilders). A
-// shared stage is never written after construction, which is what makes
-// its builders safe to use side by side.
+// stage is never written after construction, which is what makes its
+// builders safe to use side by side.
 type stage struct {
 	corpus *xmltree.Corpus
 	coll   *ontology.Collection
@@ -105,9 +105,6 @@ type stage struct {
 	byRef         map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
 	ranks         elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
 	localRanksMax float64                         // max of ranks
-
-	// shared: more than one Builder reads this stage.
-	shared bool
 
 	fullTextTime time.Duration
 	buildErr     error
@@ -259,7 +256,6 @@ func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy
 // generations, shards, delta segments, the experiments — builds.
 func NewBuilders(corpus *xmltree.Corpus, coll *ontology.Collection, strategies []ontoscore.Strategy, params Params) map[ontoscore.Strategy]*Builder {
 	s := newStage(corpus, coll, params)
-	s.shared = len(strategies) > 1
 	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
 	for _, st := range strategies {
 		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil), ranksMax: s.localRanksMax}
@@ -295,46 +291,6 @@ func newStage(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) 
 	}
 	s.fullTextTime = time.Since(start)
 	return s
-}
-
-// AddDocument extends the builder's full-text stage with one more
-// document (already added to the corpus, so it carries Dewey IDs).
-// Previously built DILs do not cover the new document; callers must
-// rebuild or re-request the keywords they use (core.System.AddDocument
-// handles the invalidation).
-//
-// A builder from NewBuilders shares its stage, so the first AddDocument
-// is copy-on-write: the builder re-runs the full-text stage over the
-// corpus (which holds the new document) into a stage of its own, keeping
-// its overlays; the other strategies' builders go on reading the old
-// stage and never see the document. Later adds are incremental.
-func (b *Builder) AddDocument(doc *xmltree.Document) {
-	if b.shared {
-		b.stage = newStage(b.corpus, b.coll, b.params)
-		b.textIx = b.textBase.Overlay(b.textIx.GlobalStatsView())
-	} else {
-		b.stage.addDocument(doc)
-	}
-	if b.localRanksMax > b.ranksMax {
-		b.ranksMax = b.localRanksMax
-	}
-}
-
-func (s *stage) addDocument(doc *xmltree.Document) {
-	s.indexDocument(doc)
-	if s.params.ElemRank != nil && s.buildErr == nil {
-		ranks, err := elemrank.Compute(doc, *s.params.ElemRank)
-		if err != nil {
-			s.buildErr = err
-			return
-		}
-		for k, v := range ranks {
-			s.ranks[k] = v
-			if v > s.localRanksMax {
-				s.localRanksMax = v
-			}
-		}
-	}
 }
 
 func (s *stage) indexDocument(doc *xmltree.Document) {

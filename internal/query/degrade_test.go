@@ -83,7 +83,7 @@ func TestDegradedMatchesIRBaseline(t *testing.T) {
 	keywords := ParseQuery("asthma medications")
 
 	// Baseline first, before any fault is armed.
-	want, info, err := baseline.SearchInfo(context.Background(), keywords, 10)
+	want, info, err := searchReq(context.Background(), baseline, Request{Keywords: keywords, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestDegradedMatchesIRBaseline(t *testing.T) {
 	// Sanity: healthy ontology-enabled search is NOT identical to the
 	// baseline (the relationships strategy adds ontological matches), so
 	// equality below is meaningful.
-	healthy, _, err := degradeSetup(t, ontoscore.StrategyRelationships, clock).
-		SearchInfo(context.Background(), ParseQuery("theophylline"), 10)
+	healthy, _, err := searchReq(context.Background(), degradeSetup(t, ontoscore.StrategyRelationships, clock),
+		Request{Keywords: ParseQuery("theophylline"), K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDegradedMatchesIRBaseline(t *testing.T) {
 	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{})
 	defer faultinject.Disable(dil.FPOntoResolve)
 
-	got, info, err := e.SearchInfo(context.Background(), keywords, 10)
+	got, info, err := searchReq(context.Background(), e, Request{Keywords: keywords, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDegradedMatchesIRBaseline(t *testing.T) {
 	}
 
 	// Ranked access degrades identically.
-	gotRanked, info, err := e.SearchRankedInfo(context.Background(), keywords, 10)
+	gotRanked, info, err := searchReq(context.Background(), e, Request{Keywords: keywords, K: 10, Ranked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	// Threshold is 3; each query retries once (MaxAttempts 1) and records
 	// one failure.
 	for i := 0; i < 3; i++ {
-		_, info, err := e.SearchInfo(ctx, ParseQuery("asthma"), 5)
+		_, info, err := searchReq(ctx, e, Request{Keywords: ParseQuery("asthma"), K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	hitsAtOpen, _ := faultinject.Counts(dil.FPOntoResolve)
 
 	// Open breaker: the guarded call is not attempted at all.
-	if _, info, err := e.SearchInfo(ctx, ParseQuery("medications"), 5); err != nil || !info.Degraded {
+	if _, info, err := searchReq(ctx, e, Request{Keywords: ParseQuery("medications"), K: 5}); err != nil || !info.Degraded {
 		t.Fatalf("open-breaker query: info=%+v err=%v", info, err)
 	}
 	if n, _ := faultinject.Counts(dil.FPOntoResolve); n != hitsAtOpen {
@@ -177,13 +177,13 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	// Heal the dependency; before the cooldown the breaker still rejects.
 	faultinject.Disable(dil.FPOntoResolve)
 	clock.advance(5 * time.Second)
-	if _, info, _ := e.SearchInfo(ctx, ParseQuery("theophylline"), 5); !info.Degraded {
+	if _, info, _ := searchReq(ctx, e, Request{Keywords: ParseQuery("theophylline"), K: 5}); !info.Degraded {
 		t.Fatal("breaker admitted a call before cooldown elapsed")
 	}
 
 	// After the cooldown a probe goes through, succeeds, and re-closes.
 	clock.advance(6 * time.Second)
-	_, info, err := e.SearchInfo(ctx, ParseQuery("patient"), 5)
+	_, info, err := searchReq(ctx, e, Request{Keywords: ParseQuery("patient"), K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	}
 
 	// Fully recovered: ontology-enriched answers again.
-	res, info, err := e.SearchInfo(ctx, ParseQuery("theophylline"), 5)
+	res, info, err := searchReq(ctx, e, Request{Keywords: ParseQuery("theophylline"), K: 5})
 	if err != nil || info.Degraded {
 		t.Fatalf("post-recovery: info=%+v err=%v", info, err)
 	}
@@ -221,7 +221,7 @@ func TestDegradeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				kw := keywords[(g+i)%len(keywords)]
-				if _, _, err := e.SearchInfo(context.Background(), ParseQuery(kw), 5); err != nil {
+				if _, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery(kw), K: 5}); err != nil {
 					t.Errorf("query %q: %v", kw, err)
 					return
 				}
@@ -244,7 +244,7 @@ func TestDegradeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				kw := keywords[(g+i)%len(keywords)]
-				if _, _, err := e.SearchInfo(context.Background(), ParseQuery(kw), 5); err != nil {
+				if _, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery(kw), K: 5}); err != nil {
 					t.Errorf("query %q: %v", kw, err)
 					return
 				}
@@ -255,7 +255,7 @@ func TestDegradeConcurrent(t *testing.T) {
 	if st := e.Breaker().State(); st != resilience.Closed {
 		t.Fatalf("breaker %v after recovery traffic, want closed", st)
 	}
-	if _, info, err := e.SearchInfo(context.Background(), ParseQuery("theophylline"), 5); err != nil || info.Degraded {
+	if _, info, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("theophylline"), K: 5}); err != nil || info.Degraded {
 		t.Fatalf("post-recovery: info=%+v err=%v", info, err)
 	}
 }
@@ -274,13 +274,13 @@ func TestDegradedCacheNotServedAfterRecovery(t *testing.T) {
 	q := ParseQuery(`"bronchial structure"`)
 
 	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{Count: 1})
-	degradedRes, info, err := e.SearchInfo(ctx, q, 5)
+	degradedRes, info, err := searchReq(ctx, e, Request{Keywords: q, K: 5})
 	if err != nil || !info.Degraded {
 		t.Fatalf("first query: info=%+v err=%v", info, err)
 	}
 	faultinject.Disable(dil.FPOntoResolve)
 
-	fullRes, info, err := e.SearchInfo(ctx, q, 5)
+	fullRes, info, err := searchReq(ctx, e, Request{Keywords: q, K: 5})
 	if err != nil || info.Degraded {
 		t.Fatalf("second query: info=%+v err=%v", info, err)
 	}

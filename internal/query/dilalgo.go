@@ -8,10 +8,11 @@ import (
 )
 
 // The DIL merge. Postings of all keyword lists are consumed in one
-// global Dewey-order pass while a stack mirrors the root-to-node path
-// of the current position. Every stack entry accumulates, per keyword,
-// the best propagated score from its subtree (equations (2) and (3):
-// NS decayed by the containment distance, combined with max). When an
+// global Dewey-order pass (merge.go) while a stack mirrors the
+// root-to-node path of the current position. Every stack entry
+// accumulates, per keyword, the best propagated score from its subtree
+// (equations (2) and (3): NS decayed by the containment distance,
+// combined with max). When an
 // entry is popped — its subtree fully processed — it is emitted as a
 // result iff it is associated with all keywords and no descendant
 // already was (equation (1)'s most-specific condition); its scores then
@@ -38,43 +39,6 @@ type Result struct {
 	Matches []Match
 }
 
-type stackEntry struct {
-	component int32
-	scores    []float64 // propagated best per keyword at this element
-	matches   []Match
-	// childCovered marks that some descendant already covered all
-	// keywords, disqualifying this element (and its ancestors) from
-	// being results.
-	childCovered bool
-}
-
-// merger performs the multi-way Dewey-order traversal of the keyword
-// lists.
-type merger struct {
-	lists [][]dil.Posting
-	pos   []int
-}
-
-// next returns the smallest unconsumed posting (by Dewey order) with
-// its keyword index, or ok=false when all lists are drained.
-func (m *merger) next() (p dil.Posting, kw int, ok bool) {
-	best := -1
-	for i := range m.lists {
-		if m.pos[i] >= len(m.lists[i]) {
-			continue
-		}
-		cand := m.lists[i][m.pos[i]]
-		if best < 0 || cand.ID.Compare(p.ID) < 0 {
-			best, p = i, cand
-		}
-	}
-	if best < 0 {
-		return dil.Posting{}, 0, false
-	}
-	m.pos[best]++
-	return p, best, true
-}
-
 // RunLists merges per-keyword Dewey lists per equation (1), scored per
 // equations (2)-(4). It is the core merge step Engine.Query builds on,
 // exported for alternative front-ends (e.g. the query-expansion
@@ -83,27 +47,10 @@ func (m *merger) next() (p dil.Posting, kw int, ok bool) {
 // k > 0 returns the exact top-k, sorted by descending score with
 // ascending-Dewey tie-break, computed with block-max top-k pruning
 // (byte-identical to sorting and truncating the exhaustive output).
-// k <= 0 returns every result, unranked — the historical exhaustive
-// contract. XONTORANK_MERGE=legacy routes through the reference
-// implementation below; XONTORANK_TOPK=exhaustive keeps the fast merge
-// but disables pruning.
+// k <= 0 returns every result, unranked.
 func RunLists(lists []dil.List, decay float64, k int) []Result {
-	if legacyMergeEnv {
-		return rankTruncate(runDIL(lists, decay), k)
-	}
-	if exhaustiveTopKEnv {
-		res, _ := runFast(lists, nil, decay, 0)
-		return rankTruncate(res, k)
-	}
 	res, _ := runFast(lists, nil, decay, k)
 	return res
-}
-
-// RunListsLegacy always runs the reference sort-merge implementation —
-// the baseline the differential tests and merge benchmarks compare the
-// fast path against. It returns every result, unranked.
-func RunListsLegacy(lists []dil.List, decay float64) []Result {
-	return runDIL(lists, decay)
 }
 
 // RunCompactLists merges block-structured lists directly, decoding
@@ -111,10 +58,6 @@ func RunListsLegacy(lists []dil.List, decay float64) []Result {
 // RunLists: k > 0 is the exact sorted top-k with block-max pruning,
 // k <= 0 every result unranked.
 func RunCompactLists(cls []*dil.CompactList, decay float64, k int) []Result {
-	if exhaustiveTopKEnv {
-		res, _ := runFast(nil, cls, decay, 0)
-		return rankTruncate(res, k)
-	}
 	res, _ := runFast(nil, cls, decay, k)
 	return res
 }
@@ -131,7 +74,7 @@ func sortResults(results []Result) {
 }
 
 // rankTruncate converts an unranked exhaustive result set into the
-// sorted top-k (k <= 0: unranked pass-through, the legacy contract).
+// sorted top-k (k <= 0: unranked pass-through, the exhaustive contract).
 func rankTruncate(results []Result, k int) []Result {
 	if k <= 0 {
 		return results
@@ -139,111 +82,6 @@ func rankTruncate(results []Result, k int) []Result {
 	sortResults(results)
 	if len(results) > k {
 		results = results[:k]
-	}
-	return results
-}
-
-// runDIL merges the per-keyword lists and returns every result element
-// per equation (1), scored per equations (2)-(4).
-func runDIL(lists []dil.List, decay float64) []Result {
-	n := len(lists)
-	if n == 0 {
-		return nil
-	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return nil // conjunctive semantics: a keyword with no
-			// associations means no results
-		}
-	}
-	m := &merger{lists: make([][]dil.Posting, n), pos: make([]int, n)}
-	for i, l := range lists {
-		m.lists[i] = l
-	}
-
-	var results []Result
-	var stack []stackEntry
-	var path xmltree.Dewey // Dewey of the deepest stack entry
-
-	newEntry := func(comp int32) stackEntry {
-		return stackEntry{
-			component: comp,
-			scores:    make([]float64, n),
-			matches:   make([]Match, n),
-		}
-	}
-
-	coversAll := func(e *stackEntry) bool {
-		for _, s := range e.scores {
-			if s <= 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	// pop finalizes the deepest entry: emit if it is a most-specific
-	// cover, then propagate into the parent.
-	pop := func() {
-		top := len(stack) - 1
-		e := &stack[top]
-		all := coversAll(e)
-		if all && !e.childCovered {
-			r := Result{
-				Root:       path.Clone(),
-				PerKeyword: append([]float64(nil), e.scores...),
-				Matches:    append([]Match(nil), e.matches...),
-			}
-			for _, s := range e.scores {
-				r.Score += s
-			}
-			results = append(results, r)
-		}
-		if top > 0 {
-			parent := &stack[top-1]
-			if all || e.childCovered {
-				parent.childCovered = true
-			}
-			for i := range e.scores {
-				propagated := e.scores[i] * decay
-				if propagated > parent.scores[i] {
-					parent.scores[i] = propagated
-					parent.matches[i] = e.matches[i]
-				}
-			}
-		}
-		stack = stack[:top]
-		path = path[:len(path)-1]
-	}
-
-	for {
-		p, kw, ok := m.next()
-		if !ok {
-			break
-		}
-		// Pop to the longest common prefix of path and p.ID.
-		lcp := 0
-		for lcp < len(path) && lcp < len(p.ID) && path[lcp] == p.ID[lcp] {
-			lcp++
-		}
-		for len(stack) > lcp {
-			pop()
-		}
-		// Push the remaining components of p.ID.
-		for len(path) < len(p.ID) {
-			comp := p.ID[len(path)]
-			stack = append(stack, newEntry(comp))
-			path = append(path, comp)
-		}
-		// Apply the posting at the node itself (distance 0 => no decay).
-		e := &stack[len(stack)-1]
-		if p.Score > e.scores[kw] {
-			e.scores[kw] = p.Score
-			e.matches[kw] = Match{ID: p.ID.Clone(), Score: p.Score}
-		}
-	}
-	for len(stack) > 0 {
-		pop()
 	}
 	return results
 }

@@ -113,16 +113,11 @@ type Params struct {
 	// Breaker tunes the circuit breaker guarding the ontology path
 	// (zero value: resilience defaults).
 	Breaker resilience.BreakerConfig
-	// LegacyMerge routes the DIL merge through the reference
-	// implementation (runDIL) instead of the loser-tree fast path —
-	// the same escape hatch as XONTORANK_MERGE=legacy, per engine.
-	LegacyMerge bool
 	// ExhaustiveMerge keeps the fast merge but disables block-max top-k
 	// pruning: every aligned document is scored and the top-k is taken
-	// by sort+truncate. The same escape hatch as
-	// XONTORANK_TOPK=exhaustive (xontoserve -no-topk-prune), per
-	// engine, so a suspected pruning regression can be bisected in
-	// production without giving up the loser-tree merge.
+	// by sort+truncate (xontoserve -no-topk-prune), so a suspected
+	// pruning regression can be bisected in production without giving
+	// up the loser-tree merge.
 	ExhaustiveMerge bool
 }
 
@@ -413,8 +408,8 @@ type Request struct {
 }
 
 // PruneStats reports the block-max top-k pruning work of one query's
-// merge (zero-valued for the legacy and RDIL paths, which have their
-// own access patterns). Under sharded serving the per-shard stats are
+// merge (zero-valued for the RDIL path, which has its own access
+// pattern). Under sharded serving the per-shard stats are
 // summed.
 type PruneStats struct {
 	// PostingsScored is how many postings the merge consumed.
@@ -460,8 +455,7 @@ type Response struct {
 	Pruning PruneStats
 }
 
-// Query is the single query-phase entry point; the Search* family
-// below are thin shims over it. The only possible error is the
+// Query is the single query-phase entry point. The only possible error is the
 // context's. The whole run is a "query.search" span: keyword
 // resolution (with per-keyword and build-stage children) followed by a
 // "query.dil_merge" span for the DIL (or RDIL) list merge.
@@ -487,11 +481,10 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if e.overlay != nil {
 		ov = e.overlay.Acquire()
 	}
-	// Every merge path except the default fast one walks materialized
-	// lists: RDIL's ranked access, the legacy reference merge, and the
-	// delta overlay's combine. Only when none of them is in play may a
-	// keyword resolve compact-only and stream zero-copy.
-	needList := req.Ranked || e.params.LegacyMerge || legacyMergeEnv || ov != nil
+	// RDIL's ranked access and the delta overlay's combine walk
+	// materialized lists. Only when neither is in play may a keyword
+	// resolve compact-only and stream zero-copy.
+	needList := req.Ranked || ov != nil
 	res, degraded, err := e.resolve(ctx, req.Keywords, ov, needList)
 	if err != nil {
 		return nil, err
@@ -522,22 +515,16 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		resp.Results = page(RunRanked(lists, e.params.Decay, n), offset)
 	} else {
 		var results []Result
-		switch {
-		case e.params.LegacyMerge || legacyMergeEnv:
-			msp.SetAttr("merge", "legacy")
-			results = rankTruncate(runDIL(lists, e.params.Decay), n)
-		case e.params.ExhaustiveMerge || exhaustiveTopKEnv:
+		var mc MergeCounters
+		if e.params.ExhaustiveMerge {
 			msp.SetAttr("merge", "fast-exhaustive")
-			var mc MergeCounters
 			results, mc = runFast(lists, compact, e.params.Decay, 0)
-			resp.Pruning = pruneStats(mc)
 			results = rankTruncate(results, n)
-		default:
+		} else {
 			msp.SetAttr("merge", "topk")
-			var mc MergeCounters
 			results, mc = runFast(lists, compact, e.params.Decay, n)
-			resp.Pruning = pruneStats(mc)
 		}
+		resp.Pruning = pruneStats(mc)
 		msp.SetAttr("postings", resp.Pruning.PostingsScored)
 		msp.SetAttr("blocks_skipped", resp.Pruning.BlocksSkipped)
 		msp.SetAttr("docs_skipped", resp.Pruning.DocsSkipped)
@@ -561,75 +548,6 @@ func page(results []Result, offset int) []Result {
 		return nil
 	}
 	return results[offset:]
-}
-
-// Search runs the query and returns up to k results ranked by
-// descending score (k <= 0 uses the engine default). Ties break by
-// Dewey order for determinism.
-//
-// Deprecated: one-line delegate kept for convenience in tests and
-// baselines; new code calls Query.
-func (e *Engine) Search(keywords []Keyword, k int) []Result {
-	res, _ := e.SearchContext(context.Background(), keywords, k)
-	return res
-}
-
-// SearchContext is Search with cancellation and deadline support: the
-// only possible error is the context's, in which case results are nil.
-//
-// Deprecated: one-line delegate over Query; new code calls Query.
-func (e *Engine) SearchContext(ctx context.Context, keywords []Keyword, k int) ([]Result, error) {
-	res, _, err := e.SearchInfo(ctx, keywords, k)
-	return res, err
-}
-
-// SearchInfo is SearchContext plus degradation info: whether any
-// keyword was answered IR-only because the ontology path was down.
-//
-// Deprecated: delegate over Query; new code calls Query.
-func (e *Engine) SearchInfo(ctx context.Context, keywords []Keyword, k int) ([]Result, Info, error) {
-	resp, err := e.Query(ctx, Request{Keywords: keywords, K: k})
-	if err != nil {
-		return nil, Info{}, err
-	}
-	return resp.Results, resp.Info, nil
-}
-
-// SearchQuery parses a query string and runs it.
-//
-// Deprecated: delegate over Query; new code calls Query.
-func (e *Engine) SearchQuery(q string, k int) []Result {
-	return e.Search(ParseQuery(q), k)
-}
-
-// SearchRanked answers the query with XRANK's RDIL ranked-access
-// algorithm: identical results to Search, but with early termination —
-// for small k on large posting lists only a fraction of the postings
-// are consumed (see RunRankedStats).
-//
-// Deprecated: delegate over Query (Ranked: true); new code calls Query.
-func (e *Engine) SearchRanked(keywords []Keyword, k int) []Result {
-	res, _ := e.SearchRankedContext(context.Background(), keywords, k)
-	return res
-}
-
-// SearchRankedContext is SearchRanked with cancellation support.
-//
-// Deprecated: delegate over Query (Ranked: true); new code calls Query.
-func (e *Engine) SearchRankedContext(ctx context.Context, keywords []Keyword, k int) ([]Result, error) {
-	res, _, err := e.SearchRankedInfo(ctx, keywords, k)
-	return res, err
-}
-
-// SearchRankedInfo is SearchRankedContext plus degradation info.
-//
-// Deprecated: delegate over Query (Ranked: true); new code calls Query.
-func (e *Engine) SearchRankedInfo(ctx context.Context, keywords []Keyword, k int) ([]Result, Info, error) {
-	resp, err := e.Query(ctx, Request{Keywords: keywords, K: k, Ranked: true})
-	if err != nil {
-		return nil, Info{}, err
-	}
-	return resp.Results, resp.Info, nil
 }
 
 // ResultNode resolves a result's root element in the corpus.

@@ -28,8 +28,8 @@ func (b *slowBuilder) BuildKeyword(kw string) dil.List {
 	return dil.List{{ID: xmltree.Dewey{0, 1}, Score: 1}}
 }
 
-// Parallel resolution must return the same results as the sequential
-// baseline did: every keyword's list in its slot, same ranking.
+// Parallel resolution must return the same results as a sequential
+// baseline: every keyword's list in its slot, same ranking.
 func TestSearchContextMatchesSearch(t *testing.T) {
 	e, _ := figure1Setup(t, ontoscore.StrategyGraph)
 	queries := []string{
@@ -39,8 +39,16 @@ func TestSearchContextMatchesSearch(t *testing.T) {
 	}
 	for _, q := range queries {
 		kws := ParseQuery(q)
-		plain := e.Search(kws, 10)
-		ctxed, err := e.SearchContext(context.Background(), kws, 10)
+		lists := make([]dil.List, len(kws))
+		for i, kw := range kws {
+			r, _, err := e.list(context.Background(), string(kw), nil, true)
+			if err != nil {
+				t.Fatalf("q %q keyword %q: %v", q, kw, err)
+			}
+			lists[i] = r.list
+		}
+		plain := RunLists(lists, DefaultParams().Decay, 10)
+		ctxed, _, err := searchReq(context.Background(), e, Request{Keywords: kws, K: 10})
 		if err != nil {
 			t.Fatalf("q %q: %v", q, err)
 		}
@@ -60,7 +68,7 @@ func TestSearchContextCanceled(t *testing.T) {
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := e.SearchContext(ctx, ParseQuery("foo bar"), 5); err == nil || res != nil {
+	if res, _, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err == nil || res != nil {
 		t.Fatalf("canceled search = (%v, %v), want ctx error", res, err)
 	}
 }
@@ -73,7 +81,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.SearchContext(ctx, ParseQuery("foo bar"), 5); err != context.DeadlineExceeded {
+	if _, _, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > time.Second {
@@ -82,7 +90,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	close(b.gate) // background builds finish and populate the cache
 	deadline := time.Now().Add(time.Second)
 	for {
-		res, err := e.SearchContext(context.Background(), ParseQuery("foo bar"), 5)
+		res, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar"), K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +115,7 @@ func TestEngineConcurrentBuildDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if res, err := e.SearchContext(context.Background(), ParseQuery("foo bar baz"), 5); err != nil || len(res) == 0 {
+			if res, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar baz"), K: 5}); err != nil || len(res) == 0 {
 				t.Errorf("search = (%v, %v)", res, err)
 			}
 		}()
@@ -132,7 +140,7 @@ func TestEngineKeywordCacheBounded(t *testing.T) {
 	params.CacheSize = 16
 	e := NewEngine(dil.NewIndex(), b, params)
 	for i := 0; i < 200; i++ {
-		e.SearchQuery(fmt.Sprintf("keyword%03d", i), 1)
+		search(e, ParseQuery(fmt.Sprintf("keyword%03d", i)), 1)
 	}
 	m := e.CacheMetrics()
 	if m.Entries > 16 {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,6 +14,23 @@ import (
 	"repro/internal/store"
 	"repro/internal/xmltree"
 )
+
+// searchReq is the package's test shorthand for Engine.Query: the
+// results and degradation info, or the context's error.
+func searchReq(ctx context.Context, e *Engine, req Request) ([]Result, Info, error) {
+	resp, err := e.Query(ctx, req)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	return resp.Results, resp.Info, nil
+}
+
+// search returns the top-k results for keywords under a background
+// context (k <= 0 uses the engine default).
+func search(e *Engine, kws []Keyword, k int) []Result {
+	res, _, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k})
+	return res
+}
 
 func figure1Setup(t *testing.T, strategy ontoscore.Strategy) (*Engine, *xmltree.Corpus) {
 	t.Helper()
@@ -32,7 +50,7 @@ func figure1Setup(t *testing.T, strategy ontoscore.Strategy) (*Engine, *xmltree.
 // Medications code and the Asthma value.
 func TestFigure4AsthmaMedications(t *testing.T) {
 	e, corpus := figure1Setup(t, ontoscore.StrategyNone)
-	res := e.SearchQuery("asthma medications", 5)
+	res := search(e, ParseQuery("asthma medications"), 5)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -56,12 +74,12 @@ func TestFigure4AsthmaMedications(t *testing.T) {
 // Theophylline entry.
 func TestIntroExampleBronchialStructure(t *testing.T) {
 	baseline, _ := figure1Setup(t, ontoscore.StrategyNone)
-	if res := baseline.SearchQuery(`"bronchial structure" theophylline`, 5); len(res) != 0 {
+	if res := search(baseline, ParseQuery(`"bronchial structure" theophylline`), 5); len(res) != 0 {
 		t.Fatalf("baseline returned %d results", len(res))
 	}
 	for _, s := range []ontoscore.Strategy{ontoscore.StrategyGraph, ontoscore.StrategyRelationships} {
 		e, corpus := figure1Setup(t, s)
-		res := e.SearchQuery(`"bronchial structure" theophylline`, 5)
+		res := search(e, ParseQuery(`"bronchial structure" theophylline`), 5)
 		if len(res) == 0 {
 			t.Fatalf("%v returned no results", s)
 		}
@@ -103,7 +121,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyGraph, dil.DefaultParams())
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 
-	all := e.SearchQuery("cardiac arrest", 1000)
+	all := search(e, ParseQuery("cardiac arrest"), 1000)
 	if len(all) == 0 {
 		t.Fatal("no results for common clinical terms")
 	}
@@ -115,7 +133,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 			t.Fatal("tie-break not deterministic")
 		}
 	}
-	top3 := e.SearchQuery("cardiac arrest", 3)
+	top3 := search(e, ParseQuery("cardiac arrest"), 3)
 	if len(top3) > 3 {
 		t.Errorf("k=3 returned %d", len(top3))
 	}
@@ -125,7 +143,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 		}
 	}
 	// Default k when k <= 0.
-	def := e.SearchQuery("cardiac arrest", 0)
+	def := search(e, ParseQuery("cardiac arrest"), 0)
 	if len(def) > DefaultParams().K {
 		t.Errorf("default k exceeded: %d", len(def))
 	}
@@ -133,10 +151,10 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 
 func TestEngineEmptyQueryAndUnknownKeyword(t *testing.T) {
 	e, _ := figure1Setup(t, ontoscore.StrategyGraph)
-	if res := e.Search(nil, 5); res != nil {
+	if res := search(e, nil, 5); res != nil {
 		t.Error("empty query returned results")
 	}
-	if res := e.SearchQuery("zzzzz theophylline", 5); len(res) != 0 {
+	if res := search(e, ParseQuery("zzzzz theophylline"), 5); len(res) != 0 {
 		t.Error("unknown keyword should produce no results")
 	}
 }
@@ -144,8 +162,8 @@ func TestEngineEmptyQueryAndUnknownKeyword(t *testing.T) {
 func TestEngineCachesOnDemandKeywords(t *testing.T) {
 	counting := &countingBuilder{}
 	e := NewEngine(dil.NewIndex(), counting, DefaultParams())
-	e.SearchQuery("foo", 1)
-	e.SearchQuery("foo", 1)
+	search(e, ParseQuery("foo"), 1)
+	search(e, ParseQuery("foo"), 1)
 	if counting.calls != 1 {
 		t.Errorf("builder called %d times, want 1 (cached)", counting.calls)
 	}
@@ -278,8 +296,8 @@ func TestEngineOverPersistentIndex(t *testing.T) {
 	mem := NewEngine(ix, nil, DefaultParams())
 	disk := NewEngine(src, nil, DefaultParams())
 	for _, q := range []string{"asthma medications", "theophylline", "bronchitis albuterol"} {
-		a := mem.SearchQuery(q, 10)
-		c := disk.SearchQuery(q, 10)
+		a := search(mem, ParseQuery(q), 10)
+		c := search(disk, ParseQuery(q), 10)
 		if len(a) != len(c) {
 			t.Fatalf("q %q: %d vs %d results", q, len(a), len(c))
 		}

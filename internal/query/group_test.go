@@ -28,7 +28,7 @@ func TestGroupResultsCollapsesStructure(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyGraph, dil.DefaultParams())
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 	kws := ParseQuery("cardiac arrest")
-	results := e.Search(kws, 50)
+	results := search(e, kws, 50)
 	if len(results) < 5 {
 		t.Fatalf("only %d results; workload too sparse for grouping test", len(results))
 	}

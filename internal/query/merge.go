@@ -3,7 +3,6 @@ package query
 import (
 	"container/heap"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -11,8 +10,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// The fast DIL merge. Same contract as runDIL (dilalgo.go), different
-// machinery, built for the cache-miss hot path (DESIGN.md §12):
+// The fast DIL merge. Same contract as the reference runDIL
+// (reference_test.go), different machinery, built for the cache-miss
+// hot path (DESIGN.md §12):
 //
 //   - The next posting in global Dewey order comes from a loser tree
 //     over per-list cursors: O(log k) comparisons per posting instead
@@ -33,22 +33,9 @@ import (
 //     merges. Steady-state merging allocates only the results it
 //     returns.
 //
-// runDIL remains the reference implementation; TestMergeEquivalence
-// and FuzzMergeEquivalence in merge_test.go hold the two to identical
-// output, and the XONTORANK_MERGE=legacy environment variable (or
-// Params.LegacyMerge) routes production traffic back to it.
-
-// legacyMergeEnv routes every merge through the reference runDIL when
-// the process was started with XONTORANK_MERGE=legacy — the escape
-// hatch if the fast path ever misbehaves in the field.
-var legacyMergeEnv = os.Getenv("XONTORANK_MERGE") == "legacy"
-
-// exhaustiveTopKEnv disables block-max top-k pruning process-wide when
-// the process was started with XONTORANK_TOPK=exhaustive: merges score
-// every aligned document and the top-k is taken by sort+truncate, the
-// pre-pruning behavior. The per-engine equivalent is
-// Params.ExhaustiveMerge; xontoserve exposes it as -no-topk-prune.
-var exhaustiveTopKEnv = os.Getenv("XONTORANK_TOPK") == "exhaustive"
+// runDIL (reference_test.go) remains the reference implementation;
+// TestMergeEquivalence and FuzzMergeEquivalence in merge_test.go hold
+// the two to identical output.
 
 // MergeCounters count the work of one fast merge — and, summed into the
 // process-wide totals, back the query_merge_* series on /metrics.
@@ -84,10 +71,10 @@ func MergeCountersSnapshot() MergeCounters {
 	}
 }
 
-// fastEntry is one stack element of the pooled merge. Unlike
-// stackEntry, its score/match buffers (including each Match's Dewey
-// slice) are owned by the entry and reused across pushes; identifiers
-// are copied in and out rather than aliased.
+// fastEntry is one stack element of the pooled merge. Unlike the
+// reference merge's stackEntry, its score/match buffers (including
+// each Match's Dewey slice) are owned by the entry and reused across
+// pushes; identifiers are copied in and out rather than aliased.
 type fastEntry struct {
 	component    int32
 	childCovered bool
@@ -152,7 +139,7 @@ func (m *mergeRun) reset(k, limit int) {
 
 // less orders cursors by current posting: Dewey order, exhausted
 // cursors last, ties by cursor index (the order lists were given in,
-// matching the legacy merger's scan).
+// matching the reference merger's scan).
 func (m *mergeRun) less(a, b int) bool {
 	ca, cb := &m.cursors[a], &m.cursors[b]
 	av, bv := ca.Valid(), cb.Valid()

@@ -98,7 +98,7 @@ func resultsEqual(t *testing.T, tag string, want, got []Result) {
 // document order, as does the fast path, so no re-sorting is needed.
 func checkEquivalence(t *testing.T, tag string, lists []dil.List, decay float64) {
 	t.Helper()
-	want := RunListsLegacy(lists, decay)
+	want := runDIL(lists, decay)
 	got := RunLists(lists, decay, 0)
 	resultsEqual(t, tag+"/plain", want, got)
 	cls := make([]*dil.CompactList, len(lists))
@@ -206,33 +206,12 @@ func TestMergeCountersAndSkipping(t *testing.T) {
 	cls := []*dil.CompactList{dil.Compact(rare), dil.Compact(common)}
 	got := RunCompactLists(cls, 0.5, 0)
 	after := MergeCountersSnapshot()
-	resultsEqual(t, "skewed", RunListsLegacy(lists, 0.5), got)
+	resultsEqual(t, "skewed", runDIL(lists, 0.5), got)
 	merged := after.Postings - before.Postings
 	if merged <= 0 || merged >= int64(len(common)) {
 		t.Errorf("fast merge consumed %d postings; want >0 and well below %d", merged, len(common))
 	}
 	if skipped := after.BlocksSkipped - before.BlocksSkipped; skipped == 0 {
 		t.Error("no blocks skipped on a 2-document rare list against a 4000-document common list")
-	}
-}
-
-// Params.LegacyMerge must route the engine through the reference merge
-// and still produce identical results.
-func TestEngineLegacyMergeParam(t *testing.T) {
-	ix := dil.NewIndex()
-	ix.Set("alpha", dil.List{
-		{ID: xmltree.Dewey{0, 1}, Score: 0.5}, {ID: xmltree.Dewey{1, 0}, Score: 0.25}})
-	ix.Set("beta", dil.List{
-		{ID: xmltree.Dewey{0, 2}, Score: 0.75}, {ID: xmltree.Dewey{1, 0, 1}, Score: 0.5}})
-	fast := NewEngine(ix, nil, DefaultParams())
-	p := DefaultParams()
-	p.LegacyMerge = true
-	legacy := NewEngine(ix, nil, p)
-	kws := []Keyword{"alpha", "beta"}
-	fr := fast.Search(kws, 10)
-	lr := legacy.Search(kws, 10)
-	resultsEqual(t, "engine", lr, fr)
-	if len(fr) == 0 {
-		t.Fatal("no results")
 	}
 }

@@ -18,10 +18,10 @@ import (
 
 // topKReference is the trusted answer: the reference merge's full
 // result set, ranked and truncated (rankTruncate is also what the
-// legacy/exhaustive escape hatches run, so this pins all three
-// implementations to one definition of "the top k").
+// exhaustive escape hatch runs, so this pins every implementation to
+// one definition of "the top k").
 func topKReference(lists []dil.List, decay float64, k int) []Result {
-	return rankTruncate(RunListsLegacy(lists, decay), k)
+	return rankTruncate(runDIL(lists, decay), k)
 }
 
 // genScoredLists is genLists with a controllable per-doc score scale:

@@ -47,60 +47,18 @@ func RunRanked(lists []dil.List, decay float64, k int) []Result {
 	return res
 }
 
-// RunHybrid is XRANK's HDIL strategy: start with ranked access (best
-// for small k on skewed lists) but fall back to the exhaustive
-// Dewey-order merge once more than switchRatio of the postings have
-// been consumed — ranked access degrades below the plain merge when it
-// cannot terminate early (flat score distributions, large k). Results
-// are identical to RunRanked and to ranking RunLists.
-func RunHybrid(lists []dil.List, decay float64, k int, switchRatio float64) []Result {
-	if switchRatio <= 0 || switchRatio >= 1 {
-		switchRatio = 0.2
-	}
-	res, stats, complete := runRankedBounded(lists, decay, k, switchRatio)
-	if complete {
-		return res
-	}
-	_ = stats
-	// Fallback: exhaustive merge.
-	all := runDIL(lists, decay)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Root.Compare(all[j].Root) < 0
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
 // RunRankedStats is RunRanked, additionally reporting access statistics.
 func RunRankedStats(lists []dil.List, decay float64, k int) ([]Result, RankedStats) {
-	res, stats, _ := runRankedBounded(lists, decay, k, 1)
-	return res, stats
-}
-
-// runRankedBounded is the ranked-access core. maxConsumeRatio < 1 gives
-// up (complete = false) once that fraction of the postings has been
-// consumed without reaching the termination bound — the HDIL switch
-// point.
-func runRankedBounded(lists []dil.List, decay float64, k int, maxConsumeRatio float64) ([]Result, RankedStats, bool) {
 	var stats RankedStats
 	n := len(lists)
 	if n == 0 || k <= 0 {
-		return nil, stats, true
+		return nil, stats
 	}
 	for _, l := range lists {
 		if len(l) == 0 {
-			return nil, stats, true
+			return nil, stats
 		}
 		stats.PostingsTotal += len(l)
-	}
-	budget := stats.PostingsTotal
-	if maxConsumeRatio < 1 {
-		budget = int(maxConsumeRatio * float64(stats.PostingsTotal))
 	}
 
 	r := &ranked{lists: lists, decay: decay}
@@ -125,9 +83,6 @@ func runRankedBounded(lists []dil.List, decay float64, k int, maxConsumeRatio fl
 			if bound < top[0].Score {
 				break
 			}
-		}
-		if stats.PostingsConsumed >= budget {
-			return nil, stats, false // HDIL switch point
 		}
 		p := r.pop(j)
 		stats.PostingsConsumed++
@@ -157,7 +112,7 @@ func runRankedBounded(lists []dil.List, decay float64, k int, maxConsumeRatio fl
 	for i := len(top) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(&top).(Result)
 	}
-	return out, stats, true
+	return out, stats
 }
 
 // topKHeap is a min-heap on (score, reverse Dewey) so the weakest

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -199,11 +200,15 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 	corpus.Add(doc)
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
+	ranked := func(kws []Keyword, k int) []Result {
+		res, _, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k, Ranked: true})
+		return res
+	}
 	for _, q := range []string{"asthma medications", `"bronchial structure" theophylline`, "theophylline"} {
 		kws := ParseQuery(q)
 		for _, k := range []int{1, 3, 10} {
-			want := e.Search(kws, k)
-			got := e.SearchRanked(kws, k)
+			want := search(e, kws, k)
+			got := ranked(kws, k)
 			if len(want) != len(got) {
 				t.Fatalf("q=%q k=%d: %d vs %d results", q, k, len(want), len(got))
 			}
@@ -214,21 +219,21 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 			}
 		}
 	}
-	if got := e.SearchRanked(nil, 5); got != nil {
+	if got := ranked(nil, 5); got != nil {
 		t.Error("empty ranked query answered")
 	}
-	if got := e.SearchRanked(ParseQuery("zzznothing"), 5); got != nil {
+	if got := ranked(ParseQuery("zzznothing"), 5); got != nil {
 		t.Error("unknown keyword ranked query answered")
 	}
 	// Default k path.
-	if got := e.SearchRanked(ParseQuery("asthma"), 0); len(got) > DefaultParams().K {
+	if got := ranked(ParseQuery("asthma"), 0); len(got) > DefaultParams().K {
 		t.Error("default k exceeded")
 	}
 }
 
-func TestRunHybridMatchesReference(t *testing.T) {
-	// Flat scores defeat ranked termination; hybrid must still return
-	// the exact answer via the fallback merge.
+func TestRunRankedFlatScoresMatchReference(t *testing.T) {
+	// Flat scores defeat ranked termination; the ranked merge must then
+	// drain the lists and still return the exact answer.
 	var lists []dil.List
 	for kw := 0; kw < 2; kw++ {
 		var l dil.List
@@ -243,10 +248,14 @@ func TestRunHybridMatchesReference(t *testing.T) {
 	}
 	for _, k := range []int{1, 5, 100} {
 		want := rankViaDIL(lists, 0.5, k)
-		got := RunHybrid(lists, 0.5, k, 0.2)
+		got, stats := RunRankedStats(lists, 0.5, k)
 		assertSameResults(t, want, got)
+		if k < 40 && stats.PostingsConsumed < stats.PostingsTotal-1 {
+			t.Errorf("k=%d: flat scores terminated early after %d of %d postings",
+				k, stats.PostingsConsumed, stats.PostingsTotal)
+		}
 	}
-	// Skewed scores: hybrid stays on the ranked path and still matches.
+	// Skewed scores: the ranked path terminates early and still matches.
 	skewed := []dil.List{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("1.0"), Score: 0.1}, {ID: d("2.0"), Score: 0.05}},
 		{{ID: d("0.0.1"), Score: 0.9}, {ID: d("1.1"), Score: 0.1}, {ID: d("2.1"), Score: 0.05}},
@@ -254,9 +263,5 @@ func TestRunHybridMatchesReference(t *testing.T) {
 	for _, l := range skewed {
 		l.Sort()
 	}
-	want := rankViaDIL(skewed, 0.5, 1)
-	got := RunHybrid(skewed, 0.5, 1, 0.5)
-	assertSameResults(t, want, got)
-	// Degenerate ratio falls back to the default.
-	assertSameResults(t, want, RunHybrid(skewed, 0.5, 1, -1))
+	assertSameResults(t, rankViaDIL(skewed, 0.5, 1), RunRanked(skewed, 0.5, 1))
 }

@@ -28,7 +28,7 @@ func TestSnippetLiteralMatch(t *testing.T) {
 	// The XRANK baseline guarantees both matches are literal.
 	e, corpus := snippetFixture(t, ontoscore.StrategyNone)
 	kws := ParseQuery("asthma medications")
-	res := e.Search(kws, 1)
+	res := search(e, kws, 1)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -48,7 +48,7 @@ func TestSnippetLiteralMatch(t *testing.T) {
 func TestSnippetOntologicalAnnotation(t *testing.T) {
 	e, corpus := snippetFixture(t, ontoscore.StrategyRelationships)
 	kws := ParseQuery(`"bronchial structure" theophylline`)
-	res := e.Search(kws, 3)
+	res := search(e, kws, 3)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}

@@ -1,6 +1,7 @@
 package relevance
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cda"
@@ -42,12 +43,22 @@ func genOntology(t *testing.T) *ontology.Ontology {
 	return ont
 }
 
+// topK answers a parsed query through Engine.Query.
+func topK(t *testing.T, e *query.Engine, kws []query.Keyword, k int) []query.Result {
+	t.Helper()
+	resp, err := e.Query(context.Background(), query.Request{Keywords: kws, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results
+}
+
 func searchWith(t *testing.T, corpus *xmltree.Corpus, ont *ontology.Ontology, strategy ontoscore.Strategy, q string) ([]query.Keyword, []query.Result) {
 	t.Helper()
 	b := dil.NewBuilder(corpus, ont, strategy, dil.DefaultParams())
 	e := query.NewEngine(dil.NewIndex(), b, query.DefaultParams())
 	kws := query.ParseQuery(q)
-	return kws, e.Search(kws, 5)
+	return kws, topK(t, e, kws, 5)
 }
 
 func TestLiteralMatchesRelevant(t *testing.T) {
@@ -125,7 +136,7 @@ func TestDirectRelationshipRelevant(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
 	e := query.NewEngine(dil.NewIndex(), b, query.DefaultParams())
 	kws := query.ParseQuery(`"bronchial structure" theophylline`)
-	res := e.Search(kws, 5)
+	res := topK(t, e, kws, 5)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
