@@ -89,7 +89,7 @@ vet:
 
 race:
 	$(GO) test -race ./internal/serving/... ./internal/query/... \
-		./internal/ingest/... ./internal/server/... ./internal/shard/... \
+		./internal/ingest/... ./internal/gen/... ./internal/server/... ./internal/shard/... \
 		./internal/delta/... ./internal/peer/... ./internal/arena/... \
 		./cmd/xontoserve/...
 	$(GO) test -race -count=1 -run 'SharedStage' ./internal/dil ./internal/core
@@ -204,7 +204,10 @@ obs: api-guard
 # on System and dil.Builder (the full-text stage is immutable; live
 # writes go through internal/delta), the legacy-merge selectors and the
 # merge environment variables, RunHybrid, and the docstore and
-# graphsearch packages.
+# graphsearch packages. The generation lifecycle lives only in
+# internal/gen: no second refcount (pin/acquire/CAS) on a serving
+# snapshot, and no second arena open→check→rebuild path.
+# (internal/arena's own mapping refcount is a separate lifecycle.)
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -214,11 +217,14 @@ api-guard:
 	if grep -nE 'func \(b \*Builder\) AddDocument\(' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -rnE 'LegacyMerge|XONTORANK_MERGE|XONTORANK_TOPK|RunListsLegacy|RunHybrid' \
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if grep -rnE 'func \(g \*generation\) acquire|func \(g \*shardGen\) acquire|func \(sl \*slot\) pin|refs\.CompareAndSwap' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=gen --exclude-dir=arena internal; then fail=1; fi; \
+	if grep -rnE 'func (\([^)]*\) )?openCompatibleArena\(' --include='*.go' . | grep -v '^./internal/gen/gen.go:'; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -157,6 +157,9 @@ type Calibrator interface {
 // synchronized with concurrent builds.
 func (b *Builder) SetCalibrator(c Calibrator) { b.calib = c }
 
+// Calibrator returns the installed calibrator (nil when none).
+func (b *Builder) Calibrator() Calibrator { return b.calib }
+
 // LocalTextStats snapshots the partition-local statistics of the
 // full-text stage (stage 1), for merging into corpus-global statistics
 // with ir.MergeStats.

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -16,15 +15,11 @@ import (
 // instead of a full index decode, and the corpus can exceed RAM — the
 // kernel pages hot posting blocks in and out on demand.
 //
-// Lifecycle: arenas are attached to a generation before it starts
-// serving and owned by it; the mapping is unmapped when the
-// generation's refcount drains, so a query pinned across a reload
-// keeps reading valid memory. On reload (and delta compaction, which
-// folds through the reload path) the new corpus carries a new
-// fingerprint: stale files are refused by the fingerprint check and —
-// with Rebuild on — fresh arenas are built, written atomically, and
-// mapped for the incoming generation. Every failure on this path
-// degrades to heap serving for that strategy, never to an error.
+// Lifecycle: arenas attach to a generation before it serves and are
+// unmapped when it drains (internal/gen). A reload or compaction
+// brings a new corpus fingerprint, so stale files are refused and —
+// with Rebuild on — rewritten for the incoming generation. Every
+// failure degrades to heap serving for that strategy, never an error.
 
 // ArenaConfig configures memory-mapped index serving.
 type ArenaConfig struct {
@@ -60,14 +55,14 @@ func (s *Server) EnableArena(cfg ArenaConfig) error {
 		"Bytes of index arena currently memory-mapped by the active generation.",
 		func() float64 {
 			total := 0
-			for _, a := range s.gen.Load().arenas {
+			for _, a := range s.gen.Load().Arenas() {
 				total += a.MappedBytes()
 			}
 			return float64(total)
 		})
 	s.reg.GaugeFunc("xontorank_arena_mapped_files",
 		"Index arena files mapped by the active generation.",
-		func() float64 { return float64(len(s.gen.Load().arenas)) })
+		func() float64 { return float64(len(s.gen.Load().Arenas())) })
 	return nil
 }
 
@@ -83,10 +78,10 @@ type ArenaStatus struct {
 // ArenaStatuses reports the active generation's mapped arenas (empty
 // without EnableArena, or when every attach fell back to heap).
 func (s *Server) ArenaStatuses() []ArenaStatus {
-	g := s.pin()
-	defer g.release()
-	out := make([]ArenaStatus, 0, len(g.arenas))
-	for _, a := range g.arenas {
+	g := s.gen.Pin()
+	defer s.gen.Release(g)
+	out := make([]ArenaStatus, 0, len(g.Arenas()))
+	for _, a := range g.Arenas() {
 		out = append(out, ArenaStatus{
 			Path:   a.Path(),
 			Mapped: a.Mapped(),
@@ -99,58 +94,25 @@ func (s *Server) ArenaStatuses() []ArenaStatus {
 }
 
 // attachArenas attaches one arena per strategy to a generation that is
-// not serving yet: open the file, verify its fingerprints against the
-// generation's corpus and configuration, and repoint the system's
-// engine at the mapping. With Rebuild, a missing or incompatible file
-// is rebuilt from this generation's index. Failures log and fall back
-// to heap serving — a bad file must never take search down.
+// not serving yet (gen.Snapshot.AttachArena: open, fingerprint-check,
+// rebuild with Rebuild on). Failures log and fall back to heap
+// serving — a bad file must never take search down.
 func (s *Server) attachArenas(g *generation) {
 	if s.acfg.Dir == "" {
 		return
 	}
 	globalFP := core.CorpusFingerprint(g.corpus)
 	for _, st := range ontoscore.Strategies() {
-		sys := g.systems[st]
 		path := arena.FileFor(s.acfg.Dir, st.String())
-		a, err := openCompatibleArena(sys, path, globalFP)
-		if err != nil && s.acfg.Rebuild {
-			s.logf("server: arena %s: %v; rebuilding", path, err)
-			a, err = rebuildArena(sys, path, g.num, globalFP)
+		a, stale, err := g.AttachArena(g.systems[st], path, globalFP, s.acfg.Rebuild)
+		if stale != nil {
+			s.logf("server: arena %s: %v; rebuilding", path, stale)
 		}
 		if err != nil {
 			s.logf("server: arena %s unavailable, serving %s from heap: %v", path, st, err)
 			continue
 		}
-		sys.UseArena(a)
-		g.arenas = append(g.arenas, a)
 		s.logf("server: arena %s mapped for %s: %d keywords, %d postings, %d bytes",
 			path, st, a.Len(), a.Postings(), a.MappedBytes())
 	}
-}
-
-// openCompatibleArena opens and fingerprint-checks one arena file; on
-// any failure the mapping is released and the error returned.
-func openCompatibleArena(sys *core.System, path string, globalFP uint64) (*arena.Arena, error) {
-	a, err := arena.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.ArenaCompatible(a, globalFP); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
-// rebuildArena materializes a fresh arena for one system: full index
-// build, atomic single-file write, then map and re-verify the result.
-func rebuildArena(sys *core.System, path string, generation, globalFP uint64) (*arena.Arena, error) {
-	start := time.Now()
-	if _, err := sys.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("building index: %w", err)
-	}
-	if err := sys.WriteArena(path, generation, globalFP); err != nil {
-		return nil, fmt.Errorf("writing (built in %v): %w", time.Since(start), err)
-	}
-	return openCompatibleArena(sys, path, globalFP)
 }

@@ -143,8 +143,8 @@ func TestArenaReloadSwapsAndDrains(t *testing.T) {
 	s, docs, ont, _ := arenaFixture(t)
 
 	// Pin the serving generation, as an in-flight request would.
-	old := s.pin()
-	oldArenas := old.arenas
+	old := s.gen.Pin()
+	oldArenas := old.Arenas()
 	if len(oldArenas) == 0 {
 		t.Fatal("no arenas on the active generation")
 	}
@@ -180,7 +180,7 @@ func TestArenaReloadSwapsAndDrains(t *testing.T) {
 	}
 
 	// Dropping the pin drains the old generation; its arenas unmap.
-	old.release()
+	s.gen.Release(old)
 	for _, a := range oldArenas {
 		if a.Mapped() || a.MappedBytes() != 0 {
 			t.Fatalf("old arena %s still mapped after drain", a.Path())

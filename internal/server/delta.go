@@ -226,9 +226,9 @@ func (s *Server) CloseDelta() {
 // can never survive a mutation they predate.
 func (s *Server) epoch(g *generation) uint64 {
 	if s.seg == nil {
-		return g.num
+		return g.Num
 	}
-	return g.num<<32 | (s.seg.Version() & 0xffffffff)
+	return g.Num<<32 | (s.seg.Version() & 0xffffffff)
 }
 
 // purgeKeywordCaches drops every live system's on-demand keyword cache
@@ -236,11 +236,11 @@ func (s *Server) epoch(g *generation) uint64 {
 // keys are tagged with the overlay version — so this is memory
 // hygiene, not correctness.
 func (s *Server) purgeKeywordCaches() {
-	g := s.pin()
+	g := s.gen.Pin()
 	for _, sys := range g.systems {
 		sys.PurgeKeywordCache()
 	}
-	g.release()
+	s.gen.Release(g)
 	if s.cluster != nil {
 		s.cluster.PurgeKeywordCaches()
 	}

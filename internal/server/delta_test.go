@@ -210,8 +210,8 @@ func TestLiveIngestLifecycle(t *testing.T) {
 // seeds, so the document must be generated per server).
 func figure1ForFixture(t *testing.T, s *Server) []byte {
 	t.Helper()
-	g := s.pin()
-	defer g.release()
+	g := s.gen.Pin()
+	defer s.gen.Release(g)
 	fig1, err := cda.GenerateFigure1(g.coll.Ontologies()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +321,9 @@ func TestDeltaWALRecovery(t *testing.T) {
 
 	s1 := build()
 	body := figure1ForFixture(t, s1)
-	g := s1.pin()
+	g := s1.gen.Pin()
 	victim := g.corpus.Docs()[2].Name
-	g.release()
+	s1.gen.Release(g)
 	mustIngest(t, s1, http.MethodPost, "zz-a", body)
 	mustIngest(t, s1, http.MethodDelete, victim, nil)
 	mustIngest(t, s1, http.MethodPost, "zz-a", body) // replace
@@ -437,10 +437,10 @@ func TestShardedDeltaDifferential(t *testing.T) {
 
 	ref := build(0)
 	body := figure1ForFixture(t, ref)
-	g := ref.pin()
+	g := ref.gen.Pin()
 	victim := g.corpus.Docs()[3].Name
 	extra := renderXML(t, g.corpus.Docs()[1]) // replace content for zz-b
-	g.release()
+	ref.gen.Release(g)
 
 	script := func(s *Server) {
 		mustIngest(t, s, http.MethodPost, "zz-a", body)

@@ -21,12 +21,12 @@ import (
 type genSource struct{ s *Server }
 
 func (gs genSource) Acquire() (peer.Snapshot, error) {
-	g := gs.s.pin()
+	g := gs.s.gen.Pin()
 	return peer.Snapshot{
 		Systems:    systemsByName(g.systems),
-		Generation: g.num,
+		Generation: g.Num,
 		Documents:  g.corpus.Len(),
-		Release:    g.release,
+		Release:    func() { gs.s.gen.Release(g) },
 	}, nil
 }
 

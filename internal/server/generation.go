@@ -3,11 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/ontology"
@@ -18,36 +17,20 @@ import (
 
 // A generation is one immutable serving snapshot: a corpus, its
 // ontology collection, and the per-strategy systems built over them.
-// The server holds an atomic pointer to the active generation; a
-// reload builds the next generation completely off-line and flips the
-// pointer, so queries never observe a half-built index.
-//
-// Generations are reference-counted for draining: every request pins
-// the generation it started on and releases it when done, so a swap
-// never pulls a corpus out from under an in-flight search. The swap
-// drops the "active" reference; when the last in-flight request
-// finishes, the generation is drained and the release hook fires
-// (tests and logs observe old generations being freed).
+// The server's gen.Cell holds the active generation; a reload builds
+// the next generation completely off-line and swaps it in, so queries
+// never observe a half-built index. Every request pins the generation
+// it started on (internal/gen owns the refcount, the drain, and the
+// unmapping of the generation's arenas).
 type generation struct {
-	num     uint64
+	gen.Snapshot
 	corpus  *xmltree.Corpus
 	coll    *ontology.Collection
 	systems map[ontoscore.Strategy]*core.System
 
-	// arenas are the memory-mapped index files this generation's systems
-	// serve postings from (EnableArena; empty otherwise). The generation
-	// owns their references: the mappings stay valid for every request
-	// pinned to the generation and are unmapped when the refcount drains.
-	arenas []*arena.Arena
-
 	// textTook is the one full-text stage the systems share, buildTook
 	// the whole of newGeneration (stage included).
 	textTook, buildTook time.Duration
-
-	// refs counts pins plus one for being (or having been) the active
-	// generation; 0 means drained.
-	refs      atomic.Int64
-	onRelease func(num uint64)
 }
 
 // newGeneration builds the per-strategy systems over one corpus
@@ -56,58 +39,17 @@ type generation struct {
 func newGeneration(num uint64, corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Config) *generation {
 	start := time.Now()
 	g := &generation{
-		num:     num,
-		corpus:  corpus,
-		coll:    coll,
-		systems: core.NewSystems(corpus, coll, cfg),
+		Snapshot: gen.Snapshot{Num: num},
+		corpus:   corpus,
+		coll:     coll,
+		systems:  core.NewSystems(corpus, coll, cfg),
 	}
 	g.textTook = g.systems[ontoscore.StrategyNone].Builder().FullTextTime()
 	g.buildTook = time.Since(start)
-	g.refs.Store(1) // the active reference
 	return g
 }
 
-// acquire pins the generation; false means it was already drained (the
-// caller must reload the pointer and retry).
-func (g *generation) acquire() bool {
-	for {
-		n := g.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if g.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// release unpins; the last release marks the generation drained,
-// unmaps its arenas (no pinned request can still be reading them), and
-// fires the hook.
-func (g *generation) release() {
-	if g.refs.Add(-1) == 0 {
-		for _, a := range g.arenas {
-			a.Close()
-		}
-		if g.onRelease != nil {
-			g.onRelease(g.num)
-		}
-	}
-}
-
 type genCtxKey struct{}
-
-// pin returns the active generation with a reference held. The retry
-// loop covers the race where the loaded generation drains between the
-// load and the acquire.
-func (s *Server) pin() *generation {
-	for {
-		g := s.gen.Load()
-		if g.acquire() {
-			return g
-		}
-	}
-}
 
 // generationFrom recovers the generation pinned by ServeHTTP. The
 // serving layer's singleflight detaches cancellation but preserves
@@ -139,24 +81,21 @@ func (s *Server) SetReloader(fn ReloadFunc) { s.reloader = fn }
 
 // SetReleaseHook registers fn to run whenever a superseded generation
 // fully drains (its number is passed). Tests use it to assert
-// zero-downtime swaps actually release the old corpus.
-func (s *Server) SetReleaseHook(fn func(num uint64)) {
-	s.releaseHook = fn
-	// The active generation was created before the hook existed.
-	if g := s.gen.Load(); g != nil {
-		g.onRelease = s.fireRelease
-	}
-}
+// zero-downtime swaps actually release the old corpus. Call before
+// serving traffic.
+func (s *Server) SetReleaseHook(fn func(num uint64)) { s.releaseHook = fn }
 
-func (s *Server) fireRelease(num uint64) {
-	s.logf("server: generation %d drained and released", num)
+// drained is the generation cell's drain hook: every generation, the
+// boot one included, logs its drain.
+func (s *Server) drained(g *generation) {
+	s.logf("server: generation %d drained and released", g.Num)
 	if s.releaseHook != nil {
-		s.releaseHook(num)
+		s.releaseHook(g.Num)
 	}
 }
 
 // GenerationNum reports the active generation.
-func (s *Server) GenerationNum() uint64 { return s.gen.Load().num }
+func (s *Server) GenerationNum() uint64 { return s.gen.Load().Num }
 
 // LastIngest reports the most recent ingestion report (nil when the
 // corpus never went through the pipeline).
@@ -226,8 +165,7 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	if data == nil || data.Corpus == nil || data.Collection == nil {
 		return nil, fmt.Errorf("reload: reloader returned no data")
 	}
-	next := newGeneration(s.gen.Load().num+1, data.Corpus, data.Collection, s.cfg)
-	next.onRelease = s.fireRelease
+	next := newGeneration(s.gen.Load().Num+1, data.Corpus, data.Collection, s.cfg)
 	if s.peerAPI != nil {
 		// Serving as a federation peer: the new generation's builders must
 		// answer with coordinator-pinned norms and the last installed
@@ -269,11 +207,10 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	if data.Ingest != nil {
 		s.lastIngest.Store(data.Ingest)
 	}
-	old.release()
-	sp.SetAttr("generation", next.num)
+	sp.SetAttr("generation", next.Num)
 	sp.SetAttr("documents", data.Corpus.Len())
 	status := &ReloadStatus{
-		Generation:  next.num,
+		Generation:  next.Num,
 		Documents:   data.Corpus.Len(),
 		Ingest:      data.Ingest,
 		Shards:      shardResults,
@@ -281,7 +218,7 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 		Took:        time.Since(start),
 	}
 	s.logf("server: generation %d active (%d documents, reload took %v); draining generation %d",
-		next.num, status.Documents, status.Took.Round(time.Millisecond), old.num)
+		next.Num, status.Documents, status.Took.Round(time.Millisecond), old.Num)
 	return status, nil
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -96,6 +97,14 @@ func readyz(t *testing.T, s *Server) ReadyResponse {
 // ingest summary.
 func TestReloadAdvancesGeneration(t *testing.T) {
 	s, docs, ont := reloadFixture(t)
+	// No release hook: the boot generation's drain is still logged.
+	var logMu sync.Mutex
+	var logs []string
+	s.SetLogf(func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	})
 	before := readyz(t, s)
 	if before.Generation != 1 || before.Documents != 6 {
 		t.Fatalf("before = %+v", before)
@@ -133,6 +142,14 @@ func TestReloadAdvancesGeneration(t *testing.T) {
 	after := readyz(t, s)
 	if after.Generation != 2 || after.Documents != 7 {
 		t.Fatalf("after = %+v", after)
+	}
+	// The reload request itself pinned generation 1, so it has drained
+	// by the time ServeHTTP returned.
+	logMu.Lock()
+	drained := strings.Contains(strings.Join(logs, "\n"), "server: generation 1 drained and released")
+	logMu.Unlock()
+	if !drained {
+		t.Fatalf("generation 1 drain not logged: %q", logs)
 	}
 	if after.LastIngest == nil || after.LastIngest.Quarantined != 1 {
 		t.Fatalf("lastIngest = %+v", after.LastIngest)

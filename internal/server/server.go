@@ -57,6 +57,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/faultinject"
+	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/ontology"
@@ -110,7 +111,7 @@ type Searcher interface {
 // system per strategy — swappable at runtime via Reload.
 type Server struct {
 	cfg    core.Config
-	gen    atomic.Pointer[generation]
+	gen    gen.Cell[generation, *generation]
 	svc    *serving.Service[SearchOutcome]
 	mux    *http.ServeMux
 	logf   func(format string, args ...any)
@@ -179,13 +180,13 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 		reg:    obs.NewRegistry(),
 		admin:  make(chan struct{}, 1),
 	}
-	s.gen.Store(newGeneration(1, corpus, coll, cfg))
+	s.gen.Start(newGeneration(1, corpus, coll, cfg), s.drained)
 	s.svc = serving.NewService(scfg, s.execSearch)
 	s.svc.SetCacheFilter(func(o SearchOutcome) bool { return !o.Degraded && !o.Partial })
 	s.svc.Instrument(s.reg, "xontorank_search")
 	s.reg.GaugeFunc("xontorank_generation",
 		"Active data-plane generation number (advances on each hot reload).",
-		func() float64 { return float64(s.gen.Load().num) })
+		func() float64 { return float64(s.gen.Load().Num) })
 	s.reg.GaugeFunc("xontorank_corpus_documents",
 		"Documents in the active corpus.",
 		func() float64 { return float64(s.gen.Load().corpus.Len()) })
@@ -312,8 +313,8 @@ func (s *Server) execSearch(ctx context.Context, req serving.Request) (SearchOut
 	if !ok {
 		// Direct serving-layer callers (benchmarks, tests) bypass
 		// ServeHTTP; serve them from the active generation.
-		g = s.pin()
-		defer g.release()
+		g = s.gen.Pin()
+		defer s.gen.Release(g)
 	}
 	resp, err := s.searcher(g, st).Query(ctx, core.SearchRequest{Query: req.Query, K: req.K, Offset: req.Offset})
 	if err != nil {
@@ -370,8 +371,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // trace-correlated).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	g := s.pin()
-	defer g.release()
+	g := s.gen.Pin()
+	defer s.gen.Release(g)
 	ctx := context.WithValue(r.Context(), genCtxKey{}, g)
 	ctx, root := s.tracer.StartRoot(ctx, "http.request")
 	root.SetAttr("method", r.Method)
@@ -978,7 +979,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	g := s.reqGen(r)
 	resp := ReadyResponse{
 		Ready:      true,
-		Generation: g.num,
+		Generation: g.Num,
 		Documents:  g.corpus.Len(),
 		Checks:     make(map[string]string),
 		Breakers:   make(map[string]resilience.BreakerMetrics, len(g.systems)),

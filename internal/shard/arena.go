@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/core"
 	"repro/internal/ontoscore"
 )
 
@@ -50,12 +49,7 @@ func (cal *genCalibrator) KeywordNorm(keyword string) float64 {
 	if v, ok := cal.cache[keyword]; ok {
 		return v
 	}
-	max := 0.0
-	for _, g := range cal.gens {
-		if m := g.systems[cal.st].Builder().RawTextMax(keyword); m > max {
-			max = m
-		}
-	}
+	max := keywordMax(cal.gens, cal.st, keyword)
 	cal.cache[keyword] = max
 	return max
 }
@@ -88,25 +82,20 @@ func (c *Cluster) wireArenas(gens []*shardGen, globalFP uint64) {
 		for _, st := range ontoscore.Strategies() {
 			sys := g.systems[st]
 			path := arena.FileFor(dir, st.String())
-			a, err := openCompatibleArena(sys, path, globalFP)
-			if err != nil && c.cfg.ArenaRebuild {
-				// Rebuild with calibration pinned to the incoming
-				// generations, then hand the builder back to the cluster
-				// calibrator for live serving.
-				sys.Builder().SetCalibrator(genCals[st])
-				a, err = rebuildArena(sys, path, g.num, globalFP)
-				sys.Builder().SetCalibrator(c.calibs[st])
-			}
+			// A rebuild calibrates against the incoming generations; the
+			// builder gets its serving calibrator back afterwards.
+			b := sys.Builder()
+			prev := b.Calibrator()
+			b.SetCalibrator(genCals[st])
+			_, _, err := g.AttachArena(sys, path, globalFP, c.cfg.ArenaRebuild)
+			b.SetCalibrator(prev)
 			if err != nil {
 				c.cfg.Logf("shard: shard %d arena %s unavailable, serving %s from heap: %v",
 					g.shard, path, st, err)
-				continue
 			}
-			sys.UseArena(a)
-			g.arenas = append(g.arenas, a)
 		}
-		if n := len(g.arenas); n > 0 {
-			c.cfg.Logf("shard: shard %d generation %d mapped %d arenas from %s", g.shard, g.num, n, dir)
+		if n := len(g.Arenas()); n > 0 {
+			c.cfg.Logf("shard: shard %d generation %d mapped %d arenas from %s", g.shard, g.Num, n, dir)
 		}
 	}
 }
@@ -115,37 +104,12 @@ func (c *Cluster) wireArenas(gens []*shardGen, globalFP uint64) {
 // shard generations (0 without ArenaDir).
 func (c *Cluster) MappedArenaBytes() int {
 	total := 0
-	for _, sl := range c.slots {
-		if sl.remote != nil {
-			continue
-		}
-		g := sl.pin()
-		for _, a := range g.arenas {
+	live := c.pinLocal()
+	for _, g := range live {
+		for _, a := range g.Arenas() {
 			total += a.MappedBytes()
 		}
-		g.release()
 	}
+	c.unpinLocal(live)
 	return total
-}
-
-func openCompatibleArena(sys *core.System, path string, globalFP uint64) (*arena.Arena, error) {
-	a, err := arena.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.ArenaCompatible(a, globalFP); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
-func rebuildArena(sys *core.System, path string, generation, globalFP uint64) (*arena.Arena, error) {
-	if _, err := sys.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("building index: %w", err)
-	}
-	if err := sys.WriteArena(path, generation, globalFP); err != nil {
-		return nil, err
-	}
-	return openCompatibleArena(sys, path, globalFP)
 }

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/ontoscore"
 	"repro/internal/peer"
 )
@@ -70,8 +75,8 @@ func TestShardedArenaReload(t *testing.T) {
 	c := testCluster(t, corpus, coll, Config{Shards: 2, ArenaDir: dir, ArenaRebuild: true})
 
 	// Pin shard 0's generation, as an in-flight scatter-gather leg would.
-	g := c.slots[0].pin()
-	oldArenas := g.arenas
+	g := c.slots[0].gen.Pin()
+	oldArenas := g.Arenas()
 	if len(oldArenas) == 0 {
 		t.Fatal("no arenas on the live shard generation")
 	}
@@ -90,7 +95,7 @@ func TestShardedArenaReload(t *testing.T) {
 			t.Fatalf("old arena %s unmapped while its generation is pinned", a.Path())
 		}
 	}
-	g.release()
+	c.slots[0].gen.Release(g)
 	for _, a := range oldArenas {
 		if a.Mapped() {
 			t.Fatalf("old arena %s still mapped after drain", a.Path())
@@ -112,6 +117,41 @@ func TestShardedArenaReload(t *testing.T) {
 		}
 		assertSameResults(t, q, want, got)
 	}
+}
+
+// TestShardedArenaFailedSwapDrains: a shard whose swap fails never
+// serves the generation built for it, so that generation — and the
+// arenas the rebuild mapped for it — must drain at once instead of
+// staying mapped until the process exits.
+func TestShardedArenaFailedSwapDrains(t *testing.T) {
+	corpus, coll := testCorpus(t, 10, 9)
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	c := testCluster(t, corpus, coll, Config{Shards: 2, ArenaDir: t.TempDir(), ArenaRebuild: true, Logf: logf})
+	kept := c.Statuses()[1].Generation
+
+	corpus2, coll2 := testCorpus(t, 14, 10)
+	faultinject.Enable(FPReload, faultinject.Spec{Mode: faultinject.ModeError, After: 1, Count: 1})
+	results := c.Reload(context.Background(), corpus2, coll2)
+	faultinject.DisableAll()
+	if results[1].Error == "" || results[1].Generation != kept {
+		t.Fatalf("shard 1 reload = %+v, want a failed swap keeping generation %d", results[1], kept)
+	}
+
+	drained := regexp.MustCompile(`^shard: shard 1 generation (\d+) drained`)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logs {
+		if m := drained.FindStringSubmatch(line); m != nil && m[1] != strconv.FormatUint(kept, 10) {
+			return
+		}
+	}
+	t.Fatalf("the generation built for shard 1 never drained; logs:\n%s", strings.Join(logs, "\n"))
 }
 
 // TestShardedArenaStaleRefused: files written for one corpus must not

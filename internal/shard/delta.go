@@ -101,14 +101,11 @@ func shardOfName(name string, n int) int {
 // entries are already unreachable via version-tagged keys; this frees
 // the memory).
 func (c *Cluster) PurgeKeywordCaches() {
-	for _, sl := range c.slots {
-		if sl.remote != nil {
-			continue
-		}
-		g := sl.pin()
+	live := c.pinLocal()
+	for _, g := range live {
 		for _, sys := range g.systems {
 			sys.PurgeKeywordCache()
 		}
-		g.release()
 	}
+	c.unpinLocal(live)
 }

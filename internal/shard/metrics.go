@@ -56,7 +56,7 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		}
 		reg.GaugeFunc("shard_generation",
 			"Active generation number by shard (advances on each shard swap).",
-			func() float64 { return float64(sl.gen.Load().num) }, label)
+			func() float64 { return float64(sl.gen.Load().Num) }, label)
 		reg.GaugeFunc("shard_documents",
 			"Documents served by shard.",
 			func() float64 { return float64(sl.gen.Load().corpus.Len()) }, label)

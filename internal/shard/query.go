@@ -252,9 +252,9 @@ func (s *Sharded) queryShard(ctx context.Context, sl *slot, req core.SearchReque
 		ch <- answer{id: sl.id, stat: stat}
 		return
 	}
-	g := sl.pin()
-	defer g.release()
-	stat.Generation = g.num
+	g := sl.gen.Pin()
+	defer sl.gen.Release(g)
+	stat.Generation = g.Num
 	sctx, cancel := context.WithTimeout(ctx, s.c.cfg.Timeout)
 	defer cancel()
 	sctx, sp := obs.StartSpan(sctx, "shard.search")
@@ -318,8 +318,8 @@ func (s *Sharded) Snippet(r core.Result) string {
 	if sl.remote != nil {
 		return s.remoteHydrate(sl, r, true, false).Snippet
 	}
-	g := sl.pin()
-	defer g.release()
+	g := sl.gen.Pin()
+	defer sl.gen.Release(g)
 	return g.systems[s.st].Snippet(r)
 }
 
@@ -333,8 +333,8 @@ func (s *Sharded) Fragment(r core.Result) string {
 	if sl.remote != nil {
 		return s.remoteHydrate(sl, r, false, true).Fragment
 	}
-	g := sl.pin()
-	defer g.release()
+	g := sl.gen.Pin()
+	defer sl.gen.Release(g)
 	return g.systems[s.st].Fragment(r)
 }
 
@@ -355,15 +355,11 @@ func (s *Sharded) slotFor(docID int32) *slot {
 	}
 	// Transient miss across a partial reload: fall back to scanning the
 	// live local generations.
-	for _, sl := range s.c.slots {
-		if sl.remote != nil {
-			continue
-		}
-		g := sl.pin()
-		ok := g.corpus.Doc(docID) != nil
-		g.release()
-		if ok {
-			return sl
+	live := s.c.pinLocal()
+	defer s.c.unpinLocal(live)
+	for i, g := range live {
+		if g.corpus.Doc(docID) != nil {
+			return s.c.slots[i]
 		}
 	}
 	return nil
@@ -373,8 +369,9 @@ func (s *Sharded) slotFor(docID int32) *slot {
 // ontology-side computations (OntoScore explanations) are
 // corpus-independent, so any shard's builder answers them identically.
 func (s *Sharded) Builder() *dil.Builder {
-	g := s.c.slots[0].pin()
-	defer g.release()
+	sl := s.c.slots[0]
+	g := sl.gen.Pin()
+	defer sl.gen.Release(g)
 	return g.systems[s.st].Builder()
 }
 
@@ -382,13 +379,10 @@ func (s *Sharded) Builder() *dil.Builder {
 // counters of the local shards (peers report their own).
 func (s *Sharded) KeywordCacheMetrics() serving.CacheMetrics {
 	var out serving.CacheMetrics
-	for _, sl := range s.c.slots {
-		if sl.remote != nil {
-			continue
-		}
-		g := sl.pin()
+	live := s.c.pinLocal()
+	defer s.c.unpinLocal(live)
+	for _, g := range live {
 		m := g.systems[s.st].KeywordCacheMetrics()
-		g.release()
 		out.Hits += m.Hits
 		out.Misses += m.Misses
 		out.Evictions += m.Evictions

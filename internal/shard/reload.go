@@ -49,7 +49,7 @@ func (c *Cluster) Reload(ctx context.Context, corpus *xmltree.Corpus, coll *onto
 	if coll != nil {
 		c.coll = coll
 	}
-	local := len(c.slots) - len(c.cfg.Peers)
+	local := c.cfg.Shards
 	gens := c.buildGens(partition(corpus, local))
 	c.exchangeStats(gens)
 	c.installCalibrators(gens)
@@ -62,33 +62,30 @@ func (c *Cluster) Reload(ctx context.Context, corpus *xmltree.Corpus, coll *onto
 
 	results := make([]ReloadResult, 0, local)
 	swapped := 0
-	for i, sl := range c.slots {
-		if sl.remote != nil {
-			// Peers reload themselves; the federated statistics exchange
-			// above already refreshed their snapshot and re-pushed the
-			// merged globals.
-			continue
-		}
+	// Peers reload themselves; the federated statistics exchange above
+	// already refreshed their snapshot and re-pushed the merged globals.
+	for i, sl := range c.slots[:local] {
 		res := ReloadResult{Shard: i, TookUS: buildUS}
 		err := ctx.Err()
 		if err == nil {
 			err = faultinject.Hit(FPReload)
 		}
 		if err != nil {
+			// The unswapped generation never serves: drop its only
+			// reference so it drains (and unmaps its arenas) now.
+			sl.gen.Release(gens[i])
 			old := sl.gen.Load()
-			res.Generation = old.num
+			res.Generation = old.Num
 			res.Documents = old.corpus.Len()
-			res.Error = fmt.Sprintf("swap failed, keeping generation %d: %v", old.num, err)
-			c.cfg.Logf("shard: shard %d reload failed mid-swap, keeping generation %d: %v", i, old.num, err)
+			res.Error = fmt.Sprintf("swap failed, keeping generation %d: %v", old.Num, err)
+			c.cfg.Logf("shard: shard %d reload failed mid-swap, keeping generation %d: %v", i, old.Num, err)
 			results = append(results, res)
 			continue
 		}
 		next := gens[i]
-		next.onRelease = c.fireRelease
-		old := sl.gen.Swap(next)
-		old.release()
+		sl.gen.Swap(next)
 		swapped++
-		res.Generation = next.num
+		res.Generation = next.Num
 		res.Documents = next.corpus.Len()
 		results = append(results, res)
 	}
@@ -96,18 +93,15 @@ func (c *Cluster) Reload(ctx context.Context, corpus *xmltree.Corpus, coll *onto
 	// Routing and calibration follow whatever mix of generations is now
 	// live.
 	owners := make(map[int32]int, corpus.Len())
-	for _, sl := range c.slots {
-		if sl.remote != nil {
-			continue
-		}
-		g := sl.pin()
+	live := c.pinLocal()
+	for i, g := range live {
 		for _, doc := range g.corpus.Docs() {
 			if _, taken := owners[doc.ID]; !taken {
-				owners[doc.ID] = sl.id
+				owners[doc.ID] = i
 			}
 		}
-		g.release()
 	}
+	c.unpinLocal(live)
 	c.owners.Store(&owners)
 	c.purgeRemoteOwners()
 	for _, cal := range c.calibs {

@@ -42,9 +42,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/dil"
+	"repro/internal/gen"
 	"repro/internal/ir"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
@@ -135,58 +135,25 @@ type Manifest struct {
 }
 
 // shardGen is one immutable serving snapshot of a single shard: its
-// partition-view corpus and one prepared system per strategy,
-// reference-counted exactly like the server's generations so a reload
+// partition-view corpus and one prepared system per strategy, with the
+// same internal/gen lifecycle as the server's generations so a reload
 // never pulls a corpus out from under an in-flight scatter-gather leg.
 type shardGen struct {
-	num      uint64
+	gen.Snapshot
 	corpus   *xmltree.Corpus
 	systems  map[ontoscore.Strategy]*core.System
 	manifest Manifest
-
-	// arenas are the memory-mapped index files this shard generation
-	// serves from (Config.ArenaDir; empty otherwise), unmapped when the
-	// generation drains.
-	arenas []*arena.Arena
-
-	// refs counts pins plus one for being (or having been) the slot's
-	// active generation; 0 means drained.
-	refs      atomic.Int64
-	onRelease func(shard int, num uint64)
-	shard     int
+	shard    int
 }
 
-func (g *shardGen) acquire() bool {
-	for {
-		n := g.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if g.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (g *shardGen) release() {
-	if g.refs.Add(-1) == 0 {
-		for _, a := range g.arenas {
-			a.Close()
-		}
-		if g.onRelease != nil {
-			g.onRelease(g.shard, g.num)
-		}
-	}
-}
-
-// slot is one shard's long-lived identity. A local slot holds an
-// atomic generation pointer queries pin; a remote slot holds a peer
-// client instead (gen stays nil) and shares the client's breaker so
+// slot is one shard's long-lived identity. A local slot holds the
+// generation cell queries pin; a remote slot holds a peer client
+// instead (gen stays empty) and shares the client's breaker so
 // readiness and quorum see the same failure record the transport
 // feeds.
 type slot struct {
 	id      int
-	gen     atomic.Pointer[shardGen]
+	gen     gen.Cell[shardGen, *shardGen]
 	breaker *resilience.Breaker
 
 	// remote, when non-nil, marks this slot as served by a peer node.
@@ -194,16 +161,6 @@ type slot struct {
 	// peerStats caches the peer's last-fetched statistics snapshot
 	// (documents, generation) for statuses and gauges.
 	peerStats atomic.Pointer[peer.StatsWire]
-}
-
-// pin returns the slot's active generation with a reference held.
-func (sl *slot) pin() *shardGen {
-	for {
-		g := sl.gen.Load()
-		if g.acquire() {
-			return g
-		}
-	}
 }
 
 // Cluster owns the shard slots and the per-strategy scatter-gather
@@ -290,8 +247,7 @@ func New(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config) *Cluster
 	c.exchangeStats(gens)
 	owners := make(map[int32]int, corpus.Len())
 	for i, g := range gens {
-		g.onRelease = c.fireRelease
-		c.slots[i].gen.Store(g)
+		c.slots[i].gen.Start(g, c.drained)
 		for _, doc := range g.corpus.Docs() {
 			owners[doc.ID] = i
 		}
@@ -331,10 +287,10 @@ func (c *Cluster) buildGens(views []*xmltree.Corpus) []*shardGen {
 func (c *Cluster) buildGen(id int, view *xmltree.Corpus) *shardGen {
 	start := time.Now()
 	g := &shardGen{
-		num:     c.genCounter.Add(1),
-		corpus:  view,
-		systems: core.NewSystems(view, c.coll, c.cfg.Core),
-		shard:   id,
+		Snapshot: gen.Snapshot{Num: c.genCounter.Add(1)},
+		corpus:   view,
+		systems:  core.NewSystems(view, c.coll, c.cfg.Core),
+		shard:    id,
 	}
 	elements := 0
 	for _, doc := range view.Docs() {
@@ -342,12 +298,11 @@ func (c *Cluster) buildGen(id int, view *xmltree.Corpus) *shardGen {
 	}
 	g.manifest = Manifest{
 		Shard:      id,
-		Generation: g.num,
+		Generation: g.Num,
 		Documents:  view.Len(),
 		Elements:   elements,
 		BuildUS:    time.Since(start).Microseconds(),
 	}
-	g.refs.Store(1) // the active reference
 	return g
 }
 
@@ -401,8 +356,38 @@ func (c *Cluster) installCalibrators(gens []*shardGen) {
 	}
 }
 
-func (c *Cluster) fireRelease(shard int, num uint64) {
-	c.cfg.Logf("shard: shard %d generation %d drained and released", shard, num)
+// drained is every local slot's drain hook.
+func (c *Cluster) drained(g *shardGen) {
+	c.cfg.Logf("shard: shard %d generation %d drained and released", g.shard, g.Num)
+}
+
+// pinLocal pins the active generation of every local slot (the local
+// slots come first, peers after); unpinLocal releases them.
+func (c *Cluster) pinLocal() []*shardGen {
+	gens := make([]*shardGen, 0, c.cfg.Shards)
+	for _, sl := range c.slots[:c.cfg.Shards] {
+		gens = append(gens, sl.gen.Pin())
+	}
+	return gens
+}
+
+func (c *Cluster) unpinLocal(gens []*shardGen) {
+	for i, g := range gens {
+		c.slots[i].gen.Release(g)
+	}
+}
+
+// keywordMax is the per-keyword normalization maximum over a set of
+// shard generations: the largest local max raw BM25 of keyword under
+// strategy st.
+func keywordMax(gens []*shardGen, st ontoscore.Strategy, keyword string) float64 {
+	max := 0.0
+	for _, g := range gens {
+		if m := g.systems[st].Builder().RawTextMax(keyword); m > max {
+			max = m
+		}
+	}
+	return max
 }
 
 // Config returns the normalized cluster configuration.
@@ -465,23 +450,17 @@ func (cal *calibrator) resolve(ctx context.Context, keyword string) float64 {
 	if ok {
 		return v
 	}
-	max := 0.0
+	local := cal.c.pinLocal()
+	max := keywordMax(local, cal.st, keyword)
+	cal.c.unpinLocal(local)
 	complete := true
-	for _, sl := range cal.c.slots {
-		if sl.remote != nil {
-			m, ok := cal.c.remoteKeywordMax(ctx, sl, keyword, cal.st)
-			if !ok {
-				complete = false
-			} else if m > max {
-				max = m
-			}
-			continue
-		}
-		g := sl.pin()
-		if m := g.systems[cal.st].Builder().RawTextMax(keyword); m > max {
+	for _, sl := range cal.c.slots[cal.c.cfg.Shards:] {
+		m, ok := cal.c.remoteKeywordMax(ctx, sl, keyword, cal.st)
+		if !ok {
+			complete = false
+		} else if m > max {
 			max = m
 		}
-		g.release()
 	}
 	if complete {
 		cal.mu.Lock()
@@ -535,16 +514,16 @@ func (c *Cluster) Statuses() []Status {
 			out = append(out, st)
 			continue
 		}
-		g := sl.pin()
+		g := sl.gen.Pin()
 		out = append(out, Status{
 			Shard:      sl.id,
-			Generation: g.num,
+			Generation: g.Num,
 			Documents:  g.corpus.Len(),
 			Breaker:    m,
 			Ready:      m.State != resilience.Open.String(),
 			Manifest:   g.manifest,
 		})
-		g.release()
+		sl.gen.Release(g)
 	}
 	return out
 }
@@ -563,17 +542,16 @@ func (c *Cluster) Ready() (ready, quorum int, ok bool) {
 // come from the last fetched statistics snapshot.
 func (c *Cluster) Documents() int {
 	total := 0
-	for _, sl := range c.slots {
-		if sl.remote != nil {
-			if sw := sl.peerStats.Load(); sw != nil {
-				total += sw.Documents
-			}
-			continue
+	for _, sl := range c.slots[c.cfg.Shards:] {
+		if sw := sl.peerStats.Load(); sw != nil {
+			total += sw.Documents
 		}
-		g := sl.pin()
-		total += g.corpus.Len()
-		g.release()
 	}
+	live := c.pinLocal()
+	for _, g := range live {
+		total += g.corpus.Len()
+	}
+	c.unpinLocal(live)
 	return total
 }
 
