@@ -5,6 +5,7 @@
 #   make test        - tier-1: build everything, run every test
 #   make race        - race-detector lane over the concurrent packages, plus
 #                      the shared-stage differential and isolation tests
+#                      and concurrent builds over one shared ontology side
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -12,8 +13,10 @@
 #   make bench       - serving-layer benchmarks (cache hit/miss, parallel load)
 #   make bench-smoke - short DIL-merge benchmark pass plus the merge
 #                      differential suite against the reference merge
-#                      (fuzz seeds run in -run mode), and one generation
-#                      build at 200/800/3200 documents
+#                      (fuzz seeds run in -run mode), one generation
+#                      build at 200/800/3200 documents, and the keyword
+#                      build against its map-based reference plus one
+#                      cold build
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
@@ -92,7 +95,7 @@ race:
 		./internal/ingest/... ./internal/gen/... ./internal/server/... ./internal/shard/... \
 		./internal/delta/... ./internal/peer/... ./internal/arena/... \
 		./cmd/xontoserve/...
-	$(GO) test -race -count=1 -run 'SharedStage' ./internal/dil ./internal/core
+	$(GO) test -race -count=1 -run 'SharedStage|SharedSide' ./internal/dil ./internal/core
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -112,12 +115,15 @@ bench:
 # against the reference merge (including the fuzz seed corpus, replayed
 # deterministically in -run mode, and the engine's default path on the
 # experiment corpora) and one short benchmark iteration of every merge
-# shape.
+# shape; then the XOnto-DIL keyword build against its map-based
+# reference and one cold build at 800 documents.
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
 	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
 	$(GO) test . -run '^$$' -bench 'NewGeneration' -benchtime 1x
+	$(GO) test ./internal/dil -run 'TestAssembleMatchesReference|TestBuildMatchesReference' -count=1
+	$(GO) test ./internal/dil -run '^$$' -bench 'BuildKeyword' -benchtime 1x -benchmem
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
@@ -208,6 +214,10 @@ obs: api-guard
 # internal/gen: no second refcount (pin/acquire/CAS) on a serving
 # snapshot, and no second arena open→check→rebuild path.
 # (internal/arena's own mapping refcount is a separate lifecycle.)
+# OntoScore computers are built in one place, ontoscore.NewSide, once
+# per ontology collection, and traverse only the frozen snapshot: no
+# NewComputer call elsewhere, no Computer.Frozen, no Graph interface
+# the map-backed ontology could satisfy.
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -220,11 +230,15 @@ api-guard:
 	if grep -rnE 'func \(g \*generation\) acquire|func \(g \*shardGen\) acquire|func \(sl \*slot\) pin|refs\.CompareAndSwap' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=gen --exclude-dir=arena internal; then fail=1; fi; \
 	if grep -rnE 'func (\([^)]*\) )?openCompatibleArena\(' --include='*.go' . | grep -v '^./internal/gen/gen.go:'; then fail=1; fi; \
+	if grep -rnE 'ontoscore\.NewComputer\(' --include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if grep -nE 'NewComputer\(' --exclude='*_test.go' internal/ontoscore/*.go | grep -vE '^internal/ontoscore/side\.go:|func NewComputer\('; then fail=1; fi; \
+	if grep -rnE 'func \(c \*Computer\) Frozen\(|Graph interface|\(\*ontology\.Ontology\)\(nil\)' \
+		--include='*.go' --exclude='*_test.go' internal/ontoscore; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

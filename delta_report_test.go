@@ -67,8 +67,8 @@ func (e *deltaBenchEnv) liveSystem(tb testing.TB, dir string) (*core.System, *de
 	cfg := core.DefaultConfig()
 	cfg.Strategy = ontoscore.StrategyRelationships
 	sys := core.NewMulti(e.corpus, e.coll, cfg)
-	seg := delta.NewSegment(e.corpus, sys.Builder().LocalTextStats(), delta.Config{
-		Coll: e.coll, Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL,
+	seg := delta.NewSegment(e.corpus, sys.Builder().LocalTextStats(), sys.Builder().Side(), delta.Config{
+		Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL,
 	})
 	seg.InstallBase(cfg.Strategy, func() *dil.Builder { return sys.Builder() })
 	seg.SetBaseProvider(func(ontoscore.Strategy) *dil.Builder { return sys.Builder() })
@@ -206,7 +206,7 @@ func TestWriteDeltaBenchReport(t *testing.T) {
 			}
 		}
 		t0 := time.Now()
-		if err := seg.Rebase(env.corpus, sys.Builder().LocalTextStats(), wal.Ops()); err != nil {
+		if err := seg.Rebase(env.corpus, sys.Builder().LocalTextStats(), sys.Builder().Side(), wal.Ops()); err != nil {
 			t.Fatal(err)
 		}
 		rebase := time.Since(t0)

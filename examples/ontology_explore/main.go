@@ -63,7 +63,7 @@ func main() {
 	// three strategies (Section IV / VI). The keyword seeds the
 	// Bronchial Structure concept; authority flows outward by
 	// strategy-specific rules.
-	computer := ontoscore.NewComputer(ont, ontoscore.DefaultParams())
+	computer := ontoscore.NewSide(ontology.MustCollection(ont), ontoscore.DefaultParams()).Computer(ont.SystemID)
 	const keyword = "bronchial structure"
 	fmt.Printf("OntoScores for keyword %q (decay=0.5, beta=0.5, threshold=0.1):\n", keyword)
 	for _, s := range []ontoscore.Strategy{

@@ -94,22 +94,26 @@ func New(corpus *xmltree.Corpus, ont *ontology.Ontology, cfg Config) *System {
 }
 
 // NewMulti prepares a system whose code nodes may reference any system
-// of the collection (the paper's O = {O1..Ok}).
+// of the collection (the paper's O = {O1..Ok}), with an ontology side
+// of its own.
 func NewMulti(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config) *System {
-	return NewSystems(corpus, coll, cfg, cfg.Strategy)[cfg.Strategy]
+	return NewSystems(corpus, ontoscore.NewSide(coll, cfg.DIL.Onto), cfg, cfg.Strategy)[cfg.Strategy]
 }
 
 // NewSystems prepares one system per strategy (none given: all of
 // ontoscore.Strategies; cfg.Strategy is overridden in each) over a
 // single run of the full-text stage, which does not depend on the
-// strategy — see dil.NewBuilders. Everything that serves or compares
-// several strategies over one corpus builds through here.
-func NewSystems(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config, strategies ...ontoscore.Strategy) map[ontoscore.Strategy]*System {
+// strategy — see dil.NewBuilders — and over the given ontology side
+// (built with cfg.DIL.Onto), which does not depend on the corpus.
+// Everything that serves or compares several strategies over one
+// corpus builds through here.
+func NewSystems(corpus *xmltree.Corpus, side *ontoscore.Side, cfg Config, strategies ...ontoscore.Strategy) map[ontoscore.Strategy]*System {
 	if len(strategies) == 0 {
 		strategies = ontoscore.Strategies()
 	}
+	coll := side.Collection()
 	out := make(map[ontoscore.Strategy]*System, len(strategies))
-	for st, builder := range dil.NewBuilders(corpus, coll, strategies, cfg.DIL) {
+	for st, builder := range dil.NewBuilders(corpus, side, strategies, cfg.DIL) {
 		cfg.Strategy = st
 		index := dil.NewIndex()
 		out[st] = &System{

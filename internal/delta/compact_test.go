@@ -13,6 +13,7 @@ import (
 	"repro/internal/dil"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
+	"repro/internal/ontoscore"
 )
 
 // materializeFixture builds a source directory holding the base
@@ -37,7 +38,7 @@ func newMaterializeFixture(t *testing.T) *materializeFixture {
 		}
 	}
 	base := fx.baseCorpus(t, baseN)
-	seg := NewSegment(base, ir.Stats{}, Config{Coll: fx.coll, DIL: dil.DefaultParams()})
+	seg := NewSegment(base, ir.Stats{}, ontoscore.NewSide(fx.coll, dil.DefaultParams().Onto), Config{DIL: dil.DefaultParams()})
 	wal, err := OpenWAL(filepath.Join(t.TempDir(), "delta.wal"), t.Logf)
 	if err != nil {
 		t.Fatal(err)

@@ -166,25 +166,12 @@ func (v *segView) Dirty() bool {
 	return len(v.s.live) > 0 || len(v.s.dead) > 0
 }
 
+// Combine merges the delta's postings for keyword into base, dropping
+// tombstoned base postings in the same pass: one allocation, of exactly
+// the combined length. changed is false (and base is returned as is)
+// when the state neither suppresses a base posting nor adds one.
 func (v *segView) Combine(ctx context.Context, keyword string, base dil.List, irOnly bool) (dil.List, bool, error) {
 	st := v.s
-	// Drop tombstoned base postings (copy-on-first-drop).
-	filtered := base
-	dropped := false
-	if len(st.dead) > 0 {
-		for i, p := range base {
-			if st.dead[p.ID.DocID()] {
-				if !dropped {
-					filtered = append(dil.List{}, base[:i]...)
-					dropped = true
-				}
-				continue
-			}
-			if dropped {
-				filtered = append(filtered, p)
-			}
-		}
-	}
 	// Build the delta's postings for the keyword under the same NS
 	// function the base list used.
 	var deltaList dil.List
@@ -199,8 +186,9 @@ func (v *segView) Combine(ctx context.Context, keyword string, base dil.List, ir
 			}
 		}
 		// Suppress superseded delta versions and, on a shard slot,
-		// postings owned elsewhere.
-		kept := deltaList[:0:0]
+		// postings owned elsewhere (the builder's list is ours to filter
+		// in place).
+		kept := deltaList[:0]
 		for _, p := range deltaList {
 			id := p.ID.DocID()
 			if st.dead[id] {
@@ -215,30 +203,49 @@ func (v *segView) Combine(ctx context.Context, keyword string, base dil.List, ir
 		}
 		deltaList = kept
 	}
-	if !dropped && len(deltaList) == 0 {
-		return base, false, nil
-	}
-	if len(deltaList) == 0 {
-		return filtered, true, nil
-	}
-	return mergeDewey(filtered, deltaList), true, nil
-}
-
-// mergeDewey merges two Dewey-ordered lists; base and delta documents
-// are disjoint, so no key appears twice.
-func mergeDewey(a, b dil.List) dil.List {
-	out := make(dil.List, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].ID.Compare(b[j].ID) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+	// Count the live base postings. Postings run in document order, so
+	// the tombstone set is asked once per document, not per posting.
+	live := len(base)
+	if len(st.dead) > 0 {
+		live = 0
+		dead := baseFilter{doc: -1}
+		for _, p := range base {
+			if !dead.is(st, p.ID.DocID()) {
+				live++
+			}
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	if live == len(base) && len(deltaList) == 0 {
+		return base, false, nil
+	}
+	out := make(dil.List, 0, live+len(deltaList))
+	dead := baseFilter{doc: -1}
+	j := 0
+	for _, p := range base {
+		if live < len(base) && dead.is(st, p.ID.DocID()) {
+			continue
+		}
+		// Base and delta documents are disjoint, so no key is in both.
+		for j < len(deltaList) && deltaList[j].ID.Compare(p.ID) < 0 {
+			out = append(out, deltaList[j])
+			j++
+		}
+		out = append(out, p)
+	}
+	return append(out, deltaList[j:]...), true, nil
+}
+
+// baseFilter answers "is this document tombstoned?" over a run of
+// document-ordered postings, looking each document up once. Start it
+// at doc -1, which no document has.
+type baseFilter struct {
+	doc  int32
+	dead bool
+}
+
+func (f *baseFilter) is(st *segState, doc int32) bool {
+	if doc != f.doc {
+		f.doc, f.dead = doc, st.dead[doc]
+	}
+	return f.dead
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dil"
 	"repro/internal/ir"
-	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
@@ -17,8 +16,6 @@ import (
 // Config fixes a segment's indexing parameters; they must match the
 // base generation's so base and delta postings score identically.
 type Config struct {
-	// Coll is the ontological-systems collection.
-	Coll *ontology.Collection
 	// Strategies lists the OntoScore strategies served (one delta
 	// builder each).
 	Strategies []ontoscore.Strategy
@@ -85,6 +82,7 @@ type segState struct {
 
 	base      *xmltree.Corpus
 	baseStats ir.Stats
+	side      *ontoscore.Side // the base generation's ontology side
 
 	builders map[ontoscore.Strategy]*dil.Builder
 	live     map[string]*docEntry // live delta documents by name
@@ -113,24 +111,28 @@ type Segment struct {
 	baseProvider func(ontoscore.Strategy) *dil.Builder
 }
 
-// NewSegment returns an empty segment over the base corpus and its
+// NewSegment returns an empty segment over the base corpus, its
 // collection-statistics snapshot (the base builders' LocalTextStats —
 // identical across strategies, since the full-text stage is
-// strategy-independent).
-func NewSegment(base *xmltree.Corpus, baseStats ir.Stats, cfg Config) *Segment {
+// strategy-independent) and its ontology side: the collection and its
+// OntoScore computers, shared by every delta state. Only the live
+// state holds the side, so a Rebase onto the next generation's side
+// releases this one.
+func NewSegment(base *xmltree.Corpus, baseStats ir.Stats, side *ontoscore.Side, cfg Config) *Segment {
 	if cfg.Limits == (xmltree.Limits{}) {
 		cfg.Limits = xmltree.DefaultLimits()
 	}
 	s := &Segment{cfg: cfg}
-	s.state.Store(emptyState(base, baseStats, cfg, 1))
+	s.state.Store(emptyState(base, baseStats, side, 1))
 	return s
 }
 
-func emptyState(base *xmltree.Corpus, baseStats ir.Stats, cfg Config, version uint64) *segState {
+func emptyState(base *xmltree.Corpus, baseStats ir.Stats, side *ontoscore.Side, version uint64) *segState {
 	return &segState{
 		version:   version,
 		base:      base,
 		baseStats: baseStats,
+		side:      side,
 		builders:  map[ontoscore.Strategy]*dil.Builder{},
 		live:      map[string]*docEntry{},
 		byID:      map[int32]*docEntry{},
@@ -216,6 +218,7 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 		seq:       op.Seq,
 		base:      cur.base,
 		baseStats: cur.baseStats,
+		side:      cur.side,
 		live:      make(map[string]*docEntry, len(cur.live)+1),
 		byID:      make(map[int32]*docEntry, len(cur.byID)+1),
 		dead:      make(map[int32]bool, len(cur.dead)+1),
@@ -294,7 +297,9 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 }
 
 // rebuildBuilders reindexes the live delta documents into fresh
-// per-strategy builders. Each builder gets a statistics view and a
+// per-strategy builders over the state's ontology side — an applied
+// write runs the full-text stage over the delta documents and builds
+// no OntoScore computer. Each builder gets a statistics view and a
 // calibrator pinned to this state, so postings it produces are scored
 // against the state's own global picture.
 func (s *Segment) rebuildBuilders(st *segState) {
@@ -311,7 +316,7 @@ func (s *Segment) rebuildBuilders(st *segState) {
 	for _, e := range entries {
 		corpus.AddExisting(e.doc)
 	}
-	st.builders = dil.NewBuilders(corpus, s.cfg.Coll, s.cfg.Strategies, s.cfg.DIL)
+	st.builders = dil.NewBuilders(corpus, st.side, s.cfg.Strategies, s.cfg.DIL)
 	for strat, b := range st.builders {
 		b.SetGlobalTextStatsView(stateStatsView{st})
 		if bp := s.baseProvider; bp != nil {
@@ -322,14 +327,16 @@ func (s *Segment) rebuildBuilders(st *segState) {
 }
 
 // Rebase rebuilds the segment over a new base generation (after a
-// reload or compaction), replaying ops — the WAL's current records —
-// through the same apply path. The version keeps counting so
-// result-cache epochs never repeat.
-func (s *Segment) Rebase(base *xmltree.Corpus, baseStats ir.Stats, ops []Op) error {
+// reload or compaction) and that generation's ontology side, replaying
+// ops — the WAL's current records — through the same apply path, so
+// pending documents score against the same ontologies as the base they
+// overlay. The version keeps counting so result-cache epochs never
+// repeat.
+func (s *Segment) Rebase(base *xmltree.Corpus, baseStats ir.Stats, side *ontoscore.Side, ops []Op) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	cur := s.state.Load()
-	next := emptyState(base, baseStats, s.cfg, cur.version+1)
+	next := emptyState(base, baseStats, side, cur.version+1)
 	for _, op := range ops {
 		n, err := s.applyToState(next, op)
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 // provider for the delta builders' calibration, overlay on the query
 // engine, auxiliary documents for hydration.
 func wireSegment(sys *core.System, strat ontoscore.Strategy, cfg Config) *Segment {
-	seg := NewSegment(sys.Corpus(), sys.Builder().LocalTextStats(), cfg)
+	seg := NewSegment(sys.Corpus(), sys.Builder().LocalTextStats(), sys.Builder().Side(), cfg)
 	seg.InstallBase(strat, func() *dil.Builder { return sys.Builder() })
 	seg.SetBaseProvider(func(ontoscore.Strategy) *dil.Builder { return sys.Builder() })
 	sys.SetOverlay(seg.Overlay(strat, -1))
@@ -169,9 +169,7 @@ func TestDifferentialBaseDeltaVsRebuild(t *testing.T) {
 			cfg.Strategy = strat
 			base := fx.baseCorpus(t, baseN)
 			sys := core.NewMulti(base, fx.coll, cfg)
-			seg := wireSegment(sys, strat, Config{
-				Coll: fx.coll, Strategies: []ontoscore.Strategy{strat}, DIL: cfg.DIL,
-			})
+			seg := wireSegment(sys, strat, Config{Strategies: []ontoscore.Strategy{strat}, DIL: cfg.DIL})
 
 			// A clean overlay must not perturb anything.
 			plain := core.NewMulti(fx.baseCorpus(t, baseN), fx.coll, cfg)
@@ -207,9 +205,7 @@ func TestDifferentialAfterRebase(t *testing.T) {
 
 	base := fx.baseCorpus(t, baseN)
 	sys := core.NewMulti(base, fx.coll, cfg)
-	seg := wireSegment(sys, strat, Config{
-		Coll: fx.coll, Strategies: []ontoscore.Strategy{strat}, DIL: cfg.DIL,
-	})
+	seg := wireSegment(sys, strat, Config{Strategies: []ontoscore.Strategy{strat}, DIL: cfg.DIL})
 
 	script := differentialScript(fx)
 	ops := make([]Op, 0, len(script))
@@ -221,7 +217,7 @@ func TestDifferentialAfterRebase(t *testing.T) {
 		ops = append(ops, op)
 	}
 	before := seg.Version()
-	if err := seg.Rebase(base, sys.Builder().LocalTextStats(), ops); err != nil {
+	if err := seg.Rebase(base, sys.Builder().LocalTextStats(), sys.Builder().Side(), ops); err != nil {
 		t.Fatal(err)
 	}
 	if seg.Version() <= before {
@@ -232,4 +228,43 @@ func TestDifferentialAfterRebase(t *testing.T) {
 	ref := referenceCorpus(t, fx, base, live, deltaID)
 	refSys := core.NewMulti(ref, fx.coll, cfg)
 	compareSearches(t, "after rebase", sys, refSys)
+}
+
+// An applied write re-indexes only the delta documents: every state's
+// builders read the base generation's ontology side — the very
+// computers, never copies — so an acknowledged ingest constructs no
+// OntoScore computer. A rebase onto another generation's side moves
+// every builder to that side.
+func TestApplyBuildsNoComputer(t *testing.T) {
+	fx := newFixture(t, 9, 7)
+	cfg := core.DefaultConfig()
+	base := fx.baseCorpus(t, 6)
+	sys := core.NewMulti(base, fx.coll, cfg)
+	side := sys.Builder().Side()
+	seg := wireSegment(sys, cfg.Strategy, Config{Strategies: ontoscore.Strategies(), DIL: cfg.DIL})
+	sameSide := func(want *ontoscore.Side) {
+		t.Helper()
+		st := seg.state.Load()
+		if len(st.builders) != len(ontoscore.Strategies()) {
+			t.Fatalf("%d delta builders, want one per strategy", len(st.builders))
+		}
+		for strat, b := range st.builders {
+			for _, ont := range fx.coll.Ontologies() {
+				if b.Side() != want || b.Computer(ont.SystemID) != want.Computer(ont.SystemID) {
+					t.Fatalf("%s delta builder holds a computer of its own for %s", strat, ont.SystemID)
+				}
+			}
+		}
+	}
+	for i, name := range fx.names[6:] {
+		if err := seg.Apply(Op{Seq: uint64(i + 1), Kind: OpPut, Name: name, Body: fx.bodies[name]}); err != nil {
+			t.Fatal(err)
+		}
+		sameSide(side)
+	}
+	next := ontoscore.NewSide(fx.coll, cfg.DIL.Onto)
+	if err := seg.Rebase(base, sys.Builder().LocalTextStats(), next, []Op{{Seq: 1, Kind: OpPut, Name: fx.names[6], Body: fx.bodies[fx.names[6]]}}); err != nil {
+		t.Fatal(err)
+	}
+	sameSide(next)
 }

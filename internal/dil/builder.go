@@ -1,9 +1,12 @@
 package dil
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -82,29 +85,34 @@ func (s *BuildStats) AvgBytes() float64 {
 	return float64(s.TotalBytes) / float64(s.Keywords)
 }
 
-// elemEntry pairs a node with its corpus-wide IR document key.
-type elemEntry struct {
-	node *xmltree.Node
-}
-
 // stage is the full-text stage (stage 1) of the Index Creation Module
 // over one corpus snapshot: everything index creation derives from the
-// corpus and the ontologies alone. The OntoScore strategy plays no part
-// in it, so one stage serves a Builder per strategy (NewBuilders). A
-// stage is never written after construction, which is what makes its
-// builders safe to use side by side.
+// corpus alone, plus the collection's ontology side (the OntoScore
+// computers, built once per collection and shared with every other
+// stage over it). The OntoScore strategy plays no part in it, so one
+// stage serves a Builder per strategy (NewBuilders). A stage is never
+// written after construction (its scratch pool hands each build memory
+// of its own), which is what makes its builders safe to use side by
+// side.
+//
+// Element keys are assigned in Dewey order: documents in ascending ID,
+// each document's nodes in document order. Every key-ordered sequence
+// the stage produces — a term's postings, a concept's referencing
+// elements — is therefore already a Dewey-ordered posting sequence.
 type stage struct {
 	corpus *xmltree.Corpus
-	coll   *ontology.Collection
+	side   *ontoscore.Side
 	params Params
 
-	elements      []elemEntry                     // DocKey -> node
-	textBase      *ir.Index                       // elements as documents (bag model, BM25 stats)
-	posIx         *ir.Positional                  // token positions for exact phrase tests
-	computers     map[string]*ontoscore.Computer  // system id -> computer
-	byRef         map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
-	ranks         elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
-	localRanksMax float64                         // max of ranks
+	nodes         []*xmltree.Node // DocKey -> node
+	textBase      *ir.Index       // elements as documents (bag model, BM25 stats)
+	posIx         *ir.Positional  // token positions: phrase tests and term frequencies
+	slot0         []int           // per system (side order): the system's first concept slot
+	refs          [][]ir.DocKey   // per concept slot: referencing element keys, in key order
+	slotOf        []int32         // DocKey -> the concept slot it references, -1 if none
+	ranks         []float64       // DocKey -> raw ElemRank; nil unless Params.ElemRank set
+	localRanksMax float64         // max of ranks
+	scratch       sync.Pool       // *scratch: per-build working memory
 
 	fullTextTime time.Duration
 	buildErr     error
@@ -193,42 +201,47 @@ func (b *Builder) SetRanksMax(max float64) {
 // contribution to the global normalization divisor a Calibrator
 // aggregates. Returns 0 when no local element contains the keyword.
 func (b *Builder) RawTextMax(keyword string) float64 {
-	terms := xmltree.Tokenize(keyword)
-	if len(terms) == 0 {
-		return 0
-	}
+	return b.RawTextMaxLive(keyword, nil)
+}
+
+// RawTextMaxLive is RawTextMax restricted to live documents: elements
+// whose document the dead predicate reports true for are excluded from
+// the containing set (nil: every document is live). A delta segment
+// passes its tombstone set so the normalization divisor tracks
+// deletions before compaction folds them into a fresh base.
+func (b *Builder) RawTextMaxLive(keyword string, dead func(docID int32) bool) float64 {
 	max := 0.0
-	for _, key := range b.posIx.PhraseDocs(terms) {
-		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
-			max = s
+	lastDoc, lastDead := int32(-1), false
+	for _, sd := range b.rawTextScores(keyword) {
+		if dead != nil {
+			// Keys run in Dewey order, so one document's elements are
+			// adjacent: ask once per document.
+			if doc := b.nodes[sd.Doc].ID.DocID(); doc != lastDoc {
+				lastDoc, lastDead = doc, dead(doc)
+			}
+			if lastDead {
+				continue
+			}
+		}
+		if sd.Score > max {
+			max = sd.Score
 		}
 	}
 	return max
 }
 
-// RawTextMaxLive is RawTextMax restricted to live documents: elements
-// whose document the dead predicate reports true for are excluded from
-// the containing set. A delta segment passes its tombstone set so the
-// normalization divisor tracks deletions before compaction folds them
-// into a fresh base.
-func (b *Builder) RawTextMaxLive(keyword string, dead func(docID int32) bool) float64 {
-	if dead == nil {
-		return b.RawTextMax(keyword)
-	}
+// rawTextScores is every element containing the keyword (as a
+// contiguous phrase), in key order, with its raw BM25 score. Candidates
+// and term frequencies both come from the positional index, which saw
+// the exact token streams the builder indexed (re-tokenizing the nodes
+// under default options would diverge when custom TextOptions are
+// configured).
+func (b *Builder) rawTextScores(keyword string) []ir.Scored {
 	terms := xmltree.Tokenize(keyword)
 	if len(terms) == 0 {
-		return 0
+		return nil
 	}
-	max := 0.0
-	for _, key := range b.posIx.PhraseDocs(terms) {
-		if dead(b.node(key).ID.DocID()) {
-			continue
-		}
-		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
-			max = s
-		}
-	}
-	return max
+	return b.textIx.PhraseBM25(b.params.Onto.BM25, b.posIx, terms)
 }
 
 // FullTextTime is how long the builder's full-text stage took to run —
@@ -245,20 +258,27 @@ func NewBuilder(corpus *xmltree.Corpus, ont *ontology.Ontology, strategy ontosco
 	return NewMultiBuilder(corpus, ontology.MustCollection(ont), strategy, params)
 }
 
-// NewMultiBuilder runs the full-text stage over the corpus and prepares
-// one OntoScore computer per ontological system. The corpus documents
-// must already carry Dewey IDs (xmltree.Corpus.Add assigns them).
+// NewMultiBuilder runs the full-text stage over the corpus with an
+// ontology side of its own — for one-off builders; deployments that
+// build more than one stage over a collection share one side through
+// NewBuilders. The corpus documents must already carry Dewey IDs
+// (xmltree.Corpus.Add assigns them).
 func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy ontoscore.Strategy, params Params) *Builder {
-	return NewBuilders(corpus, coll, []ontoscore.Strategy{strategy}, params)[strategy]
+	side := ontoscore.NewSide(coll, params.Onto)
+	return NewBuilders(corpus, side, []ontoscore.Strategy{strategy}, params)[strategy]
 }
 
 // NewBuilders runs the full-text stage once and returns one builder per
 // strategy over it. The stage is the expensive part and does not depend
 // on the strategy (the paper's three OntoScore methods differ in stage 2
 // only), so this is how every multi-strategy deployment — the server's
-// generations, shards, delta segments, the experiments — builds.
-func NewBuilders(corpus *xmltree.Corpus, coll *ontology.Collection, strategies []ontoscore.Strategy, params Params) map[ontoscore.Strategy]*Builder {
-	s := newStage(corpus, coll, params)
+// generations, shards, delta segments, the experiments — builds. The
+// ontology side is the caller's and is shared, never copied: a stage
+// builds no OntoScore computer, and scores with the side's OntoScore
+// parameters (params.Onto is ignored).
+func NewBuilders(corpus *xmltree.Corpus, side *ontoscore.Side, strategies []ontoscore.Strategy, params Params) map[ontoscore.Strategy]*Builder {
+	params.Onto = side.Params()
+	s := newStage(corpus, side, params)
 	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
 	for _, st := range strategies {
 		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil), ranksMax: s.localRanksMax}
@@ -266,65 +286,96 @@ func NewBuilders(corpus *xmltree.Corpus, coll *ontology.Collection, strategies [
 	return out
 }
 
-func newStage(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) *stage {
+func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stage {
 	start := time.Now()
 	s := &stage{
-		corpus:    corpus,
-		coll:      coll,
-		params:    params,
-		textBase:  ir.NewIndex(),
-		posIx:     ir.NewPositional(),
-		computers: make(map[string]*ontoscore.Computer, coll.Len()),
-		byRef:     make(map[xmltree.OntoRef][]ir.DocKey),
+		corpus:   corpus,
+		side:     side,
+		params:   params,
+		textBase: ir.NewIndex(),
+		posIx:    ir.NewPositional(),
 	}
-	for _, doc := range corpus.Docs() {
+	// Concept slots number the concepts of all systems densely, system
+	// after system, so one table covers the collection.
+	slots := 0
+	for _, c := range side.Computers() {
+		s.slot0 = append(s.slot0, slots)
+		slots += c.Concepts()
+	}
+	s.refs = make([][]ir.DocKey, slots)
+	docs := slices.Clone(corpus.Docs())
+	slices.SortFunc(docs, func(a, b *xmltree.Document) int { return cmp.Compare(a.ID, b.ID) })
+	for _, doc := range docs {
 		s.indexDocument(doc)
-	}
-	for _, ont := range coll.Ontologies() {
-		s.computers[ont.SystemID] = ontoscore.NewComputer(ont, params.Onto)
 	}
 	if params.ElemRank != nil {
 		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
 		if err != nil {
 			s.buildErr = err
 		} else {
-			s.ranks = ranks
+			s.ranks = make([]float64, len(s.nodes))
+			for key, n := range s.nodes {
+				s.ranks[key] = ranks.Rank(n.ID)
+			}
 			s.localRanksMax = ranks.Max()
 		}
 	}
+	s.scratch.New = s.newScratch
 	s.fullTextTime = time.Since(start)
 	return s
 }
 
+// indexDocument appends one document's elements, in document order, to
+// the stage: text postings, positions, and — for code nodes naming a
+// concept of the collection — the concept's referencing keys.
 func (s *stage) indexDocument(doc *xmltree.Document) {
 	for _, n := range doc.Nodes() {
-		key := ir.DocKey(len(s.elements))
-		s.elements = append(s.elements, elemEntry{node: n})
+		key := ir.DocKey(len(s.nodes))
+		s.nodes = append(s.nodes, n)
 		tokens := xmltree.Tokenize(xmltree.TextDescription(n, s.params.Text))
 		s.textBase.Add(key, tokens)
 		s.posIx.Add(key, tokens)
-		if ref, ok := n.OntoRef(); ok {
-			if _, inColl := s.coll.System(ref.System); inColl {
-				s.byRef[ref] = append(s.byRef[ref], key)
+		s.slotOf = append(s.slotOf, s.conceptSlot(n))
+		if slot := s.slotOf[key]; slot >= 0 {
+			s.refs[slot] = append(s.refs[slot], key)
+		}
+	}
+}
+
+// conceptSlot resolves a code node to the slot of the concept it names,
+// -1 when it is not a code node or names no concept of the collection.
+func (s *stage) conceptSlot(n *xmltree.Node) int32 {
+	ref, ok := n.OntoRef()
+	if !ok {
+		return -1
+	}
+	for i, c := range s.side.Computers() {
+		if c.Ontology().SystemID != ref.System {
+			continue
+		}
+		if con, ok := c.Ontology().ByCode(ref.Code); ok {
+			if d, ok := c.Dense(con.ID); ok {
+				return int32(s.slot0[i] + d)
 			}
 		}
 	}
+	return -1
 }
 
 // Strategy returns the OntoScore strategy the builder indexes with.
 func (b *Builder) Strategy() ontoscore.Strategy { return b.strategy }
 
 // Collection returns the ontological-systems collection.
-func (b *Builder) Collection() *ontology.Collection { return b.coll }
+func (b *Builder) Collection() *ontology.Collection { return b.side.Collection() }
+
+// Side returns the ontology side the stage shares.
+func (b *Builder) Side() *ontoscore.Side { return b.side }
 
 // Computer returns the OntoScore computer for one ontological system
 // (nil if the system is not in the collection).
 func (b *Builder) Computer(systemID string) *ontoscore.Computer {
-	return b.computers[systemID]
+	return b.side.Computer(systemID)
 }
-
-// node resolves an element key.
-func (b *Builder) node(key ir.DocKey) *xmltree.Node { return b.elements[key].node }
 
 // Vocabulary assembles the keyword universe to index: every token of
 // the corpus plus every token of ontology concepts within the given
@@ -333,12 +384,12 @@ func (b *Builder) node(key ir.DocKey) *xmltree.Node { return b.elements[key].nod
 // per ontological system.
 func (b *Builder) Vocabulary(hops int) []string {
 	set := make(map[string]bool)
-	for _, e := range b.elements {
-		for _, tok := range xmltree.Tokenize(xmltree.TextDescription(e.node, b.params.Text)) {
+	for _, n := range b.nodes {
+		for _, tok := range xmltree.Tokenize(xmltree.TextDescription(n, b.params.Text)) {
 			set[tok] = true
 		}
 	}
-	for _, ont := range b.coll.Ontologies() {
+	for _, ont := range b.Collection().Ontologies() {
 		for _, tok := range b.systemNeighborhoodTokens(ont, hops) {
 			set[tok] = true
 		}
@@ -353,12 +404,11 @@ func (b *Builder) Vocabulary(hops int) []string {
 
 func (b *Builder) systemNeighborhoodTokens(ont *ontology.Ontology, hops int) []string {
 	frontier := make(map[ontology.ConceptID]bool)
-	for ref := range b.byRef {
-		if ref.System != ont.SystemID {
-			continue
-		}
-		if c, ok := ont.ByCode(ref.Code); ok {
-			frontier[c.ID] = true
+	for _, n := range b.nodes {
+		if ref, ok := n.OntoRef(); ok && ref.System == ont.SystemID {
+			if c, ok := ont.ByCode(ref.Code); ok {
+				frontier[c.ID] = true
+			}
 		}
 	}
 	visited := make(map[ontology.ConceptID]bool, len(frontier))
@@ -386,28 +436,17 @@ func (b *Builder) systemNeighborhoodTokens(ont *ontology.Ontology, hops int) []s
 
 // textScores computes the normalized IR branch of NS for one keyword:
 // every element whose textual description contains the keyword (as a
-// contiguous phrase), scored by BM25 normalized over the containing
-// set.
-func (b *Builder) textScores(keyword string) map[ir.DocKey]float64 {
-	terms := xmltree.Tokenize(keyword)
-	if len(terms) == 0 {
+// contiguous phrase), in key order, scored by BM25 normalized over the
+// containing set.
+func (b *Builder) textScores(keyword string) []ir.Scored {
+	raw := b.rawTextScores(keyword)
+	if len(raw) == 0 {
 		return nil
 	}
-	// Phrase candidates come from the positional index, which saw the
-	// exact token streams the builder indexed (the node-walking test
-	// would re-tokenize under default options and diverge when custom
-	// TextOptions are configured).
-	candidates := b.posIx.PhraseDocs(terms)
-	if len(candidates) == 0 {
-		return nil
-	}
-	raw := make(map[ir.DocKey]float64, len(candidates))
 	max := 0.0
-	for _, key := range candidates {
-		s := b.textIx.BM25(b.params.Onto.BM25, key, terms)
-		raw[key] = s
-		if s > max {
-			max = s
+	for _, sd := range raw {
+		if sd.Score > max {
+			max = sd.Score
 		}
 	}
 	// When this builder's view differs from the live corpus, the
@@ -421,14 +460,12 @@ func (b *Builder) textScores(keyword string) map[ir.DocKey]float64 {
 			max = g
 		}
 	}
-	if max == 0 {
-		for k := range raw {
-			raw[k] = 1
+	for i := range raw {
+		if max == 0 {
+			raw[i].Score = 1
+		} else {
+			raw[i].Score /= max
 		}
-		return raw
-	}
-	for k, s := range raw {
-		raw[k] = s / max
 	}
 	return raw
 }
@@ -453,7 +490,7 @@ func (b *Builder) BuildKeyword(keyword string) List {
 func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
-	l := b.assemble(keyword, b.textScoresCtx(ctx, keyword), b.ontoScoresCtx(ctx, keyword))
+	l := b.assemble(b.textScoresCtx(ctx, keyword), b.ontoScoresCtx(ctx, keyword))
 	sp.SetAttr("postings", len(l))
 	sp.End()
 	return l
@@ -476,7 +513,7 @@ func (b *Builder) BuildKeywordECtx(ctx context.Context, keyword string) (List, e
 		sp.SetAttr("error", err.Error())
 		return nil, err
 	}
-	l := b.assemble(keyword, b.textScoresCtx(ctx, keyword), onto)
+	l := b.assemble(b.textScoresCtx(ctx, keyword), onto)
 	sp.SetAttr("postings", len(l))
 	return l, nil
 }
@@ -496,89 +533,151 @@ func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
 	sp.SetAttr("ir_only", true)
-	l := b.assemble(keyword, b.textScoresCtx(ctx, keyword), nil)
+	l := b.assemble(b.textScoresCtx(ctx, keyword), nil)
 	sp.SetAttr("postings", len(l))
 	sp.End()
 	return l
 }
 
 // textScoresCtx wraps textScores in a "dil.text_scores" span.
-func (b *Builder) textScoresCtx(ctx context.Context, keyword string) map[ir.DocKey]float64 {
+func (b *Builder) textScoresCtx(ctx context.Context, keyword string) []ir.Scored {
 	_, sp := obs.StartSpan(ctx, "dil.text_scores")
 	sp.SetAttr("keyword", keyword)
-	m := b.textScores(keyword)
-	sp.SetAttr("elements", len(m))
+	text := b.textScores(keyword)
+	sp.SetAttr("elements", len(text))
 	sp.End()
-	return m
+	return text
 }
 
-// ontoScoresCtx is ontoScores with per-system propagation spans.
-func (b *Builder) ontoScoresCtx(ctx context.Context, keyword string) map[string]ontoscore.Scores {
-	out := make(map[string]ontoscore.Scores, len(b.computers))
-	for sys, c := range b.computers {
-		if s := c.ComputeCtx(ctx, b.strategy, keyword); len(s) > 0 {
-			out[sys] = s
-		}
+// ontoScoresCtx evaluates the builder's strategy against every system
+// of the ontology side, in side order, with per-system propagation
+// spans.
+func (b *Builder) ontoScoresCtx(ctx context.Context, keyword string) []ontoscore.Scores {
+	out := make([]ontoscore.Scores, len(b.slot0))
+	for i, c := range b.side.Computers() {
+		out[i] = c.ComputeCtx(ctx, b.strategy, keyword)
 	}
 	return out
 }
 
-// ontoScoresECtx is ontoScoresE with per-system propagation spans.
-func (b *Builder) ontoScoresECtx(ctx context.Context, keyword string) (map[string]ontoscore.Scores, error) {
-	out := make(map[string]ontoscore.Scores, len(b.computers))
-	for sys, c := range b.computers {
+// ontoScoresECtx is ontoScoresCtx with the FPOntoResolve failpoint hit
+// before each system.
+func (b *Builder) ontoScoresECtx(ctx context.Context, keyword string) ([]ontoscore.Scores, error) {
+	out := make([]ontoscore.Scores, len(b.slot0))
+	for i, c := range b.side.Computers() {
 		if err := faultinject.Hit(FPOntoResolve); err != nil {
-			return nil, fmt.Errorf("dil: resolving %q against system %s: %w", keyword, sys, err)
+			return nil, fmt.Errorf("dil: resolving %q against system %s: %w", keyword, c.Ontology().SystemID, err)
 		}
-		if s := c.ComputeCtx(ctx, b.strategy, keyword); len(s) > 0 {
-			out[sys] = s
-		}
+		out[i] = c.ComputeCtx(ctx, b.strategy, keyword)
 	}
 	return out, nil
 }
 
-// assemble merges one keyword's text scores with alpha-scaled
-// OntoScore postings into the final sorted list.
-func (b *Builder) assemble(keyword string, text map[ir.DocKey]float64, onto map[string]ontoscore.Scores) List {
-	scores := make(map[ir.DocKey]float64)
-	for key, s := range text {
-		scores[key] = s
-	}
-	for sys, perConcept := range onto {
-		ont, ok := b.coll.System(sys)
-		if !ok {
-			continue
-		}
-		for id, os := range perConcept {
-			c := ont.Concept(id)
-			if c == nil {
+// assemble merges one keyword's text scores (in key order) with
+// alpha-scaled OntoScore postings (onto[i] for system i of the side)
+// into the final Dewey-ordered list: NS = max of the branches per
+// element, times the normalized ElemRank when configured, elements
+// scoring <= 0 dropped.
+//
+// Keys are Dewey-ordered by construction (see stage), so this is one
+// merge of two key-ordered sequences — the text postings and the code
+// elements of the scored concepts — with no map, no Dewey comparison
+// and no sort. The code elements come out of a bitset over the keys:
+// each scored concept marks the keys that reference it (resolved when
+// the stage was built), and reading the set back word by word yields
+// them in key order.
+func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Scores) List {
+	sc := b.scratch.Get().(*scratch)
+	defer b.scratch.Put(sc)
+	for i, scores := range onto {
+		c := b.side.Computers()[i]
+		for id, os := range scores {
+			d, ok := c.Dense(id)
+			if !ok {
 				continue
 			}
-			v := b.params.Alpha * os
-			ref := xmltree.OntoRef{System: sys, Code: c.Code}
-			for _, key := range b.byRef[ref] {
-				if v > scores[key] {
-					scores[key] = v
-				}
+			slot := b.slot0[i] + d
+			sc.score[slot] = b.params.Alpha * os
+			for _, key := range b.refs[slot] {
+				sc.seen[key>>6] |= 1 << (key & 63)
 			}
 		}
 	}
-	if len(scores) == 0 {
+	n := 0
+	b.merge(text, sc, false, func(ir.DocKey, float64) { n++ })
+	if n == 0 {
+		clear(sc.seen)
 		return nil
 	}
-	out := make(List, 0, len(scores))
-	for key, s := range scores {
-		id := b.node(key).ID
-		if b.ranks != nil && b.ranksMax > 0 {
-			s *= b.ranks.Rank(id) / b.ranksMax
-		}
-		if s <= 0 {
-			continue
-		}
-		out = append(out, Posting{ID: id, Score: s})
-	}
-	out.Sort()
+	// Exact length: lists are retained (the keyword cache keeps them),
+	// so spare capacity would be resident memory.
+	out := make(List, 0, n)
+	b.merge(text, sc, true, func(key ir.DocKey, s float64) {
+		out = append(out, Posting{ID: b.nodes[key].ID, Score: s})
+	})
 	return out
+}
+
+// scratch is one build's working memory over a stage, pooled per
+// stage: the bitset of element keys an ontology posting lands on, and
+// alpha * OntoScore per concept slot (read only for slots whose keys
+// are marked, so it is never cleared).
+type scratch struct {
+	seen  []uint64
+	score []float64
+}
+
+func (s *stage) newScratch() any {
+	return &scratch{seen: make([]uint64, (len(s.nodes)+63)/64), score: make([]float64, len(s.refs))}
+}
+
+// merge walks the union of the text postings and the marked code
+// elements in key order, calling emit with every key's final node
+// score when it is positive. With drain set it clears the bitset as it
+// goes, leaving the scratch ready for the next build.
+func (b *Builder) merge(text []ir.Scored, sc *scratch, drain bool, emit func(ir.DocKey, float64)) {
+	w, bits := -1, uint64(0)
+	next := func() (ir.DocKey, bool) {
+		for bits == 0 {
+			if w++; w == len(sc.seen) {
+				return 0, false
+			}
+			bits = sc.seen[w]
+			if drain {
+				sc.seen[w] = 0
+			}
+		}
+		key := ir.DocKey(w<<6 + mathbits.TrailingZeros64(bits))
+		bits &= bits - 1
+		return key, true
+	}
+	code, more := next()
+	i := 0
+	for i < len(text) || more {
+		var key ir.DocKey
+		var s float64
+		switch {
+		case !more || (i < len(text) && text[i].Doc < code):
+			key, s = text[i].Doc, text[i].Score
+			i++
+		case i == len(text) || code < text[i].Doc:
+			key, s = code, sc.score[b.slotOf[code]]
+			code, more = next()
+		default:
+			key, s = code, text[i].Score
+			if v := sc.score[b.slotOf[code]]; v > s {
+				s = v
+			}
+			i++
+			code, more = next()
+		}
+		if b.ranks != nil && b.ranksMax > 0 {
+			s *= b.ranks[key] / b.ranksMax
+		}
+		if s > 0 {
+			emit(key, s)
+		}
+	}
 }
 
 // Build runs the OntoScore and DIL stages for an entire vocabulary,
@@ -592,11 +691,10 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 	stats := &BuildStats{Strategy: b.strategy, FullTextTime: b.fullTextTime}
 
 	ontoStart := time.Now()
-	maps := make(map[string]*ontoscore.Map, len(b.computers))
-	for sys, c := range b.computers {
-		m := ontoscore.BuildMap(c, b.strategy, vocabulary)
-		maps[sys] = m
-		stats.OntoMapEntries += m.Entries()
+	maps := make([]*ontoscore.Map, len(b.slot0))
+	for i, c := range b.side.Computers() {
+		maps[i] = ontoscore.BuildMap(c, b.strategy, vocabulary)
+		stats.OntoMapEntries += maps[i].Entries()
 	}
 	stats.OntoScoreTime = time.Since(ontoStart)
 
@@ -620,13 +718,11 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 			for i := range in {
 				kw := vocabulary[i]
 				start := time.Now()
-				onto := make(map[string]ontoscore.Scores, len(maps))
-				for sys, m := range maps {
-					if s := m.ScoresFor(kw); len(s) > 0 {
-						onto[sys] = s
-					}
+				onto := make([]ontoscore.Scores, len(maps))
+				for i, m := range maps {
+					onto[i] = m.ScoresFor(kw)
 				}
-				list := b.assemble(kw, b.textScores(kw), onto)
+				list := b.assemble(b.textScores(kw), onto)
 				out <- result{
 					i: i,
 					stat: KeywordStats{

@@ -1,0 +1,380 @@
+package dil
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/cda"
+	"repro/internal/elemrank"
+	"repro/internal/ir"
+	"repro/internal/ontology"
+	"repro/internal/ontoscore"
+	"repro/internal/xmltree"
+)
+
+// reference is the map-based XOnto-DIL build the kernel replaced, kept
+// as its oracle: text candidates scored one at a time with
+// ir.Index.BM25 (term frequencies scanned off the bag index), the
+// ontology branch resolved per concept through string-keyed
+// (system, code) references collected from the corpus, everything
+// accumulated in a map keyed by Dewey identifier, ElemRank looked up by
+// identifier, and the result put in Dewey order with List.Sort. It
+// shares nothing with the kernel beyond the builder's indexes,
+// statistics overlay, calibrator and OntoScore computers. It holds what
+// it derives from the corpus alone: the code nodes by (system, code)
+// reference, and ElemRank by identifier.
+type reference struct {
+	byRef map[xmltree.OntoRef][]xmltree.Dewey
+	ranks elemrank.Ranks
+}
+
+func newReference(corpus *xmltree.Corpus, params Params) *reference {
+	r := &reference{byRef: map[xmltree.OntoRef][]xmltree.Dewey{}}
+	for _, doc := range corpus.Docs() {
+		for _, n := range doc.Nodes() {
+			if ref, ok := n.OntoRef(); ok {
+				r.byRef[ref] = append(r.byRef[ref], n.ID)
+			}
+		}
+	}
+	if params.ElemRank != nil {
+		r.ranks, _ = elemrank.ComputeCorpus(corpus, *params.ElemRank)
+	}
+	return r
+}
+
+func (r *reference) build(b *Builder, keyword string, irOnly bool) List {
+	scores := map[string]float64{}
+	ids := map[string]xmltree.Dewey{}
+	if terms := xmltree.Tokenize(keyword); len(terms) > 0 {
+		raw := map[ir.DocKey]float64{}
+		max := 0.0
+		for _, key := range b.posIx.PhraseDocs(terms) {
+			s := b.textIx.BM25(b.params.Onto.BM25, key, terms)
+			raw[key] = s
+			if s > max {
+				max = s
+			}
+		}
+		if b.calib != nil {
+			if g := b.calib.KeywordNorm(keyword); g > 0 {
+				max = g
+			}
+		}
+		for key, s := range raw {
+			if max == 0 {
+				s = 1
+			} else {
+				s /= max
+			}
+			id := b.nodes[key].ID
+			scores[id.String()] = s
+			ids[id.String()] = id
+		}
+	}
+	if !irOnly {
+		for _, ont := range b.Collection().Ontologies() {
+			for id, os := range b.Computer(ont.SystemID).Compute(b.strategy, keyword) {
+				v := b.params.Alpha * os
+				for _, d := range r.byRef[xmltree.OntoRef{System: ont.SystemID, Code: ont.Concept(id).Code}] {
+					if v > scores[d.String()] {
+						scores[d.String()] = v
+						ids[d.String()] = d
+					}
+				}
+			}
+		}
+	}
+	var out List
+	for k, s := range scores {
+		if r.ranks != nil && b.ranksMax > 0 {
+			s *= r.ranks.Rank(ids[k]) / b.ranksMax
+		}
+		if s > 0 {
+			out = append(out, Posting{ID: ids[k], Score: s})
+		}
+	}
+	out.Sort()
+	return out
+}
+
+// referenceRawTextMaxLive is RawTextMaxLive the way it used to be
+// computed: BM25 per phrase document, tombstones asked per element.
+func referenceRawTextMaxLive(b *Builder, keyword string, dead func(int32) bool) float64 {
+	terms := xmltree.Tokenize(keyword)
+	if len(terms) == 0 {
+		return 0
+	}
+	max := 0.0
+	for _, key := range b.posIx.PhraseDocs(terms) {
+		if dead != nil && dead(b.nodes[key].ID.DocID()) {
+			continue
+		}
+		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
+			max = s
+		}
+	}
+	return max
+}
+
+func sameList(a, b List) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].ID.Equal(b[i].ID) || a[i].Score != b[i].Score {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceCorpus generates one of the experiment environments'
+// corpora (internal/experiments Small and Medium: same generator
+// settings, Figure 1 appended) over its ontology collection.
+func referenceCorpus(t testing.TB, extra, docs int) (*xmltree.Corpus, *ontology.Collection) {
+	t.Helper()
+	ont, err := ontology.Generate(ontology.GenConfig{
+		Seed: 42, ExtraConcepts: extra, SynonymProb: 0.4,
+		MultiParentProb: 0.15, RelationshipsPerDisorder: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cda.NewGenerator(cda.GenConfig{
+		Seed: 42, NumDocuments: docs, ProblemsPerPatient: 4,
+		MedicationsPerPatient: 4, ProceduresPerPatient: 2,
+	}, ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := g.GenerateCorpus()
+	fig1, err := cda.GenerateFigure1(ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.Add(fig1)
+	return corpus, ontology.MustCollection(ont, ontology.LOINCFragment())
+}
+
+// descending re-registers the corpus's documents, under their own IDs,
+// in descending ID order — the insertion order the stage must not
+// depend on.
+func descending(c *xmltree.Corpus) *xmltree.Corpus {
+	out := xmltree.NewCorpus()
+	docs := c.Docs()
+	for i := len(docs) - 1; i >= 0; i-- {
+		out.AddExisting(docs[i])
+	}
+	return out
+}
+
+// referenceKeywords samples the keyword space of a builder: every
+// stride-th corpus token, ontology-only tokens, two-token phrases taken
+// from element texts, an absent keyword and one that tokenizes to
+// nothing.
+func referenceKeywords(b *Builder, stride int) []string {
+	var out []string
+	for i, kw := range b.Vocabulary(0) {
+		if i%stride == 0 {
+			out = append(out, kw)
+		}
+	}
+	for i, kw := range b.Collection().Vocabulary() {
+		if i%(4*stride) == 0 {
+			out = append(out, kw)
+		}
+	}
+	phrases := 0
+	for key := 0; key < len(b.nodes) && phrases < 8; key += len(b.nodes)/16 + 1 {
+		if toks := xmltree.Tokenize(xmltree.TextDescription(b.nodes[key], b.params.Text)); len(toks) >= 2 {
+			out = append(out, toks[0]+" "+toks[1])
+			phrases++
+		}
+	}
+	return append(out, "asthma medications", "bronchial structure", "zzznothing", "!!!")
+}
+
+// tombstones is a delta segment's dead-document predicate over every
+// third document.
+func tombstones(c *xmltree.Corpus) func(int32) bool {
+	dead := map[int32]bool{}
+	for i, d := range c.Docs() {
+		if i%3 == 0 {
+			dead[d.ID] = true
+		}
+	}
+	return func(id int32) bool { return dead[id] }
+}
+
+// freshView is a second, unwired view of b's strategy over b's stage.
+func freshView(b *Builder) *Builder {
+	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(nil), ranksMax: b.localRanksMax}
+}
+
+// liveNorm is the calibrator a delta segment installs: the maximum raw
+// score over the live (non-tombstoned) containing set.
+type liveNorm struct {
+	b    *Builder
+	dead func(int32) bool
+}
+
+func (c liveNorm) KeywordNorm(kw string) float64 { return c.b.RawTextMaxLive(kw, c.dead) }
+
+// The kernel build — positional term frequencies, concept references
+// resolved per stage, one merge of key-ordered sequences — is the
+// map-based reference posting for posting, float for float: on the
+// experiment corpora (one of them registered in descending document
+// order), for the four strategies, single terms, phrases and absent
+// keywords, full and IR-only builds, with ElemRank off and on, and on
+// builders wired the way a shard (calibrator) and a delta segment
+// (global statistics view, tombstone-aware calibrator) wire them.
+func TestAssembleMatchesReference(t *testing.T) {
+	small, smallColl := referenceCorpus(t, 300, 40)
+	medium, mediumColl := referenceCorpus(t, 2000, 300)
+	corpora := []struct {
+		name   string
+		corpus *xmltree.Corpus
+		coll   *ontology.Collection
+		stride int
+	}{
+		{"small", small, smallColl, 6},
+		{"small-descending", descending(small), smallColl, 6},
+		{"medium", medium, mediumColl, 90},
+	}
+	for _, cp := range corpora {
+		for _, withRank := range []bool{false, true} {
+			params := DefaultParams()
+			if withRank {
+				er := elemrank.DefaultParams()
+				params.ElemRank = &er
+			}
+			side := ontoscore.NewSide(cp.coll, params.Onto)
+			builders := NewBuilders(cp.corpus, side, ontoscore.Strategies(), params)
+			keywords := referenceKeywords(builders[ontoscore.StrategyNone], cp.stride)
+			ref := newReference(cp.corpus, params)
+			dead := tombstones(cp.corpus)
+			global := builders[ontoscore.StrategyNone].LocalTextStats()
+			global.N += 97
+			global.TotalLen += 1234
+			for _, st := range ontoscore.Strategies() {
+				wirings := map[string]func() *Builder{
+					"plain": func() *Builder { return builders[st] },
+					"shard": func() *Builder {
+						b := freshView(builders[st])
+						b.SetCalibrator(constCalibrator(17.5))
+						return b
+					},
+					"delta": func() *Builder {
+						b := freshView(builders[st])
+						b.SetGlobalTextStats(global)
+						b.SetCalibrator(liveNorm{b: b, dead: dead})
+						return b
+					},
+				}
+				for wiring, mk := range wirings {
+					b := mk()
+					name := fmt.Sprintf("%s/rank=%v/%s/%s", cp.name, withRank, st, wiring)
+					for _, kw := range keywords {
+						if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(got, want) {
+							t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
+						}
+						if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(got, want) {
+							t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
+						}
+						if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
+							t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Builder.Build — the Table III path, OntoScore maps built up front —
+// assembles through the same kernel and lands on the same lists.
+func TestBuildMatchesReference(t *testing.T) {
+	corpus, coll := referenceCorpus(t, 300, 40)
+	b := NewMultiBuilder(descending(corpus), coll, ontoscore.StrategyRelationships, DefaultParams())
+	vocab := referenceKeywords(b, 3)
+	ix, _, err := b.Build(vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference(b.corpus, b.params)
+	for _, kw := range vocab {
+		if got, want := ix.List(kw), ref.build(b, kw, false); !sameList(got, want) {
+			t.Fatalf("%q: Build list differs from reference", kw)
+		}
+	}
+}
+
+// One ontology side serves the base stage, a shard's stage and a delta
+// state at once: cold keywords built concurrently on all three (run
+// under -race) equal the same builds done one at a time, and every
+// stage reads the side's computers rather than building its own.
+func TestSharedSideConcurrentBuilds(t *testing.T) {
+	corpus, coll := referenceCorpus(t, 300, 40)
+	params := DefaultParams()
+	side := ontoscore.NewSide(coll, params.Onto)
+	shardView, deltaDocs := xmltree.NewCorpus(), xmltree.NewCorpus()
+	for i, d := range corpus.Docs() {
+		if i%2 == 0 {
+			shardView.AddExisting(d)
+		}
+		if i%10 == 0 {
+			deltaDocs.AddExisting(d)
+		}
+	}
+	stages := []map[ontoscore.Strategy]*Builder{
+		NewBuilders(corpus, side, ontoscore.Strategies(), params),
+		NewBuilders(shardView, side, ontoscore.Strategies(), params),
+		NewBuilders(deltaDocs, side, ontoscore.Strategies(), params),
+	}
+	for _, bs := range stages {
+		for _, b := range bs {
+			for _, ont := range coll.Ontologies() {
+				if b.Computer(ont.SystemID) != side.Computer(ont.SystemID) {
+					t.Fatalf("a stage holds a computer of its own for %s", ont.SystemID)
+				}
+			}
+		}
+	}
+	keywords := referenceKeywords(stages[0][ontoscore.StrategyNone], 8)
+	type job struct {
+		stage int
+		st    ontoscore.Strategy
+		kw    string
+	}
+	want := map[job]List{}
+	var jobs []job
+	for i, bs := range stages {
+		for st, b := range bs {
+			for _, kw := range keywords {
+				j := job{i, st, kw}
+				want[j] = b.BuildKeyword(kw)
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	got := make([]List, len(jobs))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(jobs); i += 4 {
+				j := jobs[i]
+				got[i] = stages[j.stage][j.st].BuildKeyword(j.kw)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if !sameList(got[i], want[j]) {
+			t.Fatalf("stage %d %s %q: concurrent build differs from serial", j.stage, j.st, j.kw)
+		}
+	}
+}

@@ -23,7 +23,7 @@ func sharedBuilders(t *testing.T) (map[ontoscore.Strategy]*Builder, Params) {
 	params := DefaultParams()
 	er := elemrank.DefaultParams()
 	params.ElemRank = &er
-	return NewBuilders(corpus, ontology.MustCollection(ont), ontoscore.Strategies(), params), params
+	return NewBuilders(corpus, ontoscore.NewSide(ontology.MustCollection(ont), params.Onto), ontoscore.Strategies(), params), params
 }
 
 // Builders from NewBuilders share the full-text stage and nothing a
@@ -99,7 +99,7 @@ func TestSharedStageOverlaysArePerBuilder(t *testing.T) {
 func TestSharedStageMatchesPrivateStage(t *testing.T) {
 	builders, params := sharedBuilders(t)
 	for st, shared := range builders {
-		private := NewMultiBuilder(shared.corpus, shared.coll, st, params)
+		private := NewMultiBuilder(shared.corpus, shared.Collection(), st, params)
 		if private.stage == shared.stage {
 			t.Fatalf("%s: a private builder reads the shared stage", st)
 		}

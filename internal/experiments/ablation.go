@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 )
 
@@ -26,8 +27,7 @@ type MergedBFSAblationRow struct {
 // best-first expansion versus one expansion per seed. Results are
 // verified identical by the ontoscore tests; here only cost is compared.
 func (e *Env) MergedBFSAblation(keywords []string, repeats int) []MergedBFSAblationRow {
-	params := ontoscore.DefaultParams()
-	c := ontoscore.NewComputer(e.Ont, params)
+	c := e.computer(ontoscore.DefaultParams())
 	var rows []MergedBFSAblationRow
 	for _, kw := range keywords {
 		seeds := c.Seeds(kw)
@@ -64,7 +64,7 @@ func (e *Env) ThresholdAblation(keywords []string, thresholds []float64) []Thres
 	for _, th := range thresholds {
 		params := ontoscore.DefaultParams()
 		params.Threshold = th
-		c := ontoscore.NewComputer(e.Ont, params)
+		c := e.computer(params)
 		m := ontoscore.BuildMap(c, ontoscore.StrategyRelationships, keywords)
 		rows = append(rows, ThresholdAblationRow{
 			Threshold:     th,
@@ -88,11 +88,18 @@ func (e *Env) DecayAblation(keywords []string, decays []float64) []DecayAblation
 	for _, d := range decays {
 		params := ontoscore.DefaultParams()
 		params.Decay = d
-		c := ontoscore.NewComputer(e.Ont, params)
+		c := e.computer(params)
 		m := ontoscore.BuildMap(c, ontoscore.StrategyGraph, keywords)
 		rows = append(rows, DecayAblationRow{Decay: d, OntoEntries: m.Entries()})
 	}
 	return rows
+}
+
+// computer returns an OntoScore computer over the environment's
+// ontology under params, through the ontology side like every other
+// caller.
+func (e *Env) computer(params ontoscore.Params) *ontoscore.Computer {
+	return ontoscore.NewSide(ontology.MustCollection(e.Ont), params).Computer(e.Ont.SystemID)
 }
 
 // AblationKeywords is the default keyword sample for the ablations.

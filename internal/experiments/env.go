@@ -89,7 +89,7 @@ func newEnvWithDensity(scale Scale, relationshipsPerDisorder float64) (*Env, err
 		Scale:   scale,
 		Ont:     ont,
 		Corpus:  corpus,
-		Systems: core.NewSystems(corpus, ontology.MustCollection(ont), cfg),
+		Systems: core.NewSystems(corpus, ontoscore.NewSide(ontology.MustCollection(ont), cfg.DIL.Onto), cfg),
 		Oracle:  relevance.NewOracle(ont),
 	}, nil
 }

@@ -23,6 +23,13 @@ func (ix *Index) idf(term string) float64 {
 	return math.Log(1 + (n-df+0.5)/(df+0.5))
 }
 
+// weight is one term's BM25 contribution: idf times the saturated,
+// length-normalized term frequency. Every scorer of this package sums
+// these in query-term order, so their results are bit-identical.
+func (p BM25Params) weight(idf, tf, dl, avg float64) float64 {
+	return idf * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
+}
+
 // BM25 scores one document against a bag of query terms.
 func (ix *Index) BM25(p BM25Params, doc DocKey, terms []string) float64 {
 	dl := float64(ix.DocLen(doc))
@@ -36,9 +43,84 @@ func (ix *Index) BM25(p BM25Params, doc DocKey, terms []string) float64 {
 		if tf == 0 {
 			continue
 		}
-		score += ix.idf(t) * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
+		score += p.weight(ix.idf(t), tf, dl, avg)
 	}
 	return score
+}
+
+// Scored is one document with its raw (unnormalized) score.
+type Scored struct {
+	Doc   DocKey
+	Score float64
+}
+
+// PhraseBM25 scores every document of px containing the phrase
+// contiguously, in ascending key order, with BM25 against the phrase's
+// terms under ix's statistics — bit-identical to BM25 on each of
+// px.PhraseDocs(phrase). Term frequencies come off px's positions, so
+// ix and px must have indexed the same token streams. A single term
+// walks its positional postings once and reads tf as the number of
+// positions: O(DF), where BM25's per-document TF scan makes a keyword
+// O(DF²).
+func (ix *Index) PhraseBM25(p BM25Params, px *Positional, phrase []string) []Scored {
+	if len(phrase) != 1 {
+		return ix.BM25Positional(p, px, px.PhraseDocs(phrase), phrase)
+	}
+	list := px.postings[phrase[0]]
+	if len(list) == 0 {
+		return nil
+	}
+	out := make([]Scored, len(list))
+	avg := ix.AvgDocLen()
+	if avg == 0 {
+		for i, pp := range list {
+			out[i].Doc = pp.Doc
+		}
+		return out
+	}
+	idf := ix.idf(phrase[0])
+	for i, pp := range list {
+		score := 0.0
+		score += p.weight(idf, float64(len(pp.Positions)), float64(ix.docLen[pp.Doc]), avg)
+		out[i] = Scored{Doc: pp.Doc, Score: score}
+	}
+	return out
+}
+
+// BM25Positional scores the given documents, in the given order,
+// against terms — bit-identical to BM25 on each — reading each term's
+// frequency off px's positions (a binary search per term and document)
+// instead of scanning ix's posting lists. ix and px must have indexed
+// the same token streams.
+func (ix *Index) BM25Positional(p BM25Params, px *Positional, docs []DocKey, terms []string) []Scored {
+	if len(docs) == 0 {
+		return nil
+	}
+	out := make([]Scored, len(docs))
+	avg := ix.AvgDocLen()
+	if avg == 0 {
+		for i, d := range docs {
+			out[i].Doc = d
+		}
+		return out
+	}
+	idf := make([]float64, len(terms))
+	for j, t := range terms {
+		idf[j] = ix.idf(t)
+	}
+	for i, d := range docs {
+		dl := float64(ix.docLen[d])
+		score := 0.0
+		for j, t := range terms {
+			tf := float64(len(px.positionsIn(t, d)))
+			if tf == 0 {
+				continue
+			}
+			score += p.weight(idf[j], tf, dl, avg)
+		}
+		out[i] = Scored{Doc: d, Score: score}
+	}
+	return out
 }
 
 // BM25All computes the BM25 score of every document containing at least
@@ -57,7 +139,7 @@ func (ix *Index) BM25All(p BM25Params, terms []string) map[DocKey]float64 {
 		for _, post := range ix.postings[t] {
 			tf := float64(post.TF)
 			dl := float64(ix.DocLen(post.Doc))
-			out[post.Doc] += idf * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
+			out[post.Doc] += p.weight(idf, tf, dl, avg)
 		}
 	}
 	return out

@@ -9,8 +9,15 @@ import "sort"
 // test sees precisely the tokens that were indexed.
 type Positional struct {
 	postings map[string][]PosPosting
-	docs     map[DocKey]bool
+	docs     int
+	// slab is the backing store a new posting's first position is carved
+	// from (capacity one, so a second occurrence in the document moves
+	// the posting's positions out): one allocation per slabSize postings
+	// instead of one per posting.
+	slab []int32
 }
+
+const slabSize = 1024
 
 // PosPosting records one document's occurrence positions for a term,
 // ascending.
@@ -21,10 +28,7 @@ type PosPosting struct {
 
 // NewPositional returns an empty index.
 func NewPositional() *Positional {
-	return &Positional{
-		postings: make(map[string][]PosPosting),
-		docs:     make(map[DocKey]bool),
-	}
+	return &Positional{postings: make(map[string][]PosPosting)}
 }
 
 // Add indexes a document's token sequence. Documents must be added
@@ -33,23 +37,28 @@ func NewPositional() *Positional {
 // searches silently). The index builder satisfies this by assigning
 // dense sequential keys.
 func (px *Positional) Add(doc DocKey, tokens []string) {
-	px.docs[doc] = true
+	px.docs++
 	for pos, t := range tokens {
 		list := px.postings[t]
-		if n := len(list); n > 0 && list[n-1].Doc == doc {
+		n := len(list)
+		if n > 0 && list[n-1].Doc == doc {
 			list[n-1].Positions = append(list[n-1].Positions, int32(pos))
-		} else {
-			if n > 0 && list[n-1].Doc > doc {
-				panic("ir: Positional.Add called with out-of-order document key")
-			}
-			list = append(list, PosPosting{Doc: doc, Positions: []int32{int32(pos)}})
+			continue
 		}
-		px.postings[t] = list
+		if n > 0 && list[n-1].Doc > doc {
+			panic("ir: Positional.Add called with out-of-order document key")
+		}
+		if len(px.slab) == cap(px.slab) {
+			px.slab = make([]int32, 0, slabSize)
+		}
+		i := len(px.slab)
+		px.slab = append(px.slab, int32(pos))
+		px.postings[t] = append(list, PosPosting{Doc: doc, Positions: px.slab[i : i+1 : i+1]})
 	}
 }
 
 // N is the number of indexed documents.
-func (px *Positional) N() int { return len(px.docs) }
+func (px *Positional) N() int { return px.docs }
 
 // DF is the document frequency of a term.
 func (px *Positional) DF(term string) int { return len(px.postings[term]) }
@@ -99,8 +108,9 @@ func containsPos(positions []int32, want int32) bool {
 	return i < len(positions) && positions[i] == want
 }
 
-// PhraseDocs returns the documents containing the phrase, sorted. For a
-// single-token phrase this is the term's posting documents.
+// PhraseDocs returns the documents containing the phrase, sorted (the
+// rarest term's postings are, by construction). For a single-token
+// phrase this is the term's posting documents.
 func (px *Positional) PhraseDocs(phrase []string) []DocKey {
 	if len(phrase) == 0 {
 		return nil
@@ -118,6 +128,5 @@ func (px *Positional) PhraseDocs(phrase []string) []DocKey {
 			out = append(out, p.Doc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

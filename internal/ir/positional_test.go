@@ -124,6 +124,53 @@ func TestQuickPhraseAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// Property: PhraseBM25 returns exactly px.PhraseDocs, in order, each
+// with the score BM25 gives it — bit for bit, with and without a
+// statistics overlay, for single terms (tf read as the position count)
+// and phrases (tf read per term off the positions), repeated terms
+// included; BM25Positional agrees on any document list.
+func TestQuickPhraseBM25MatchesBM25(t *testing.T) {
+	words := []string{"a", "b", "c", "d", "e"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ix, px := NewIndex(), NewPositional()
+		for d := 0; d < 1+r.Intn(30); d++ {
+			toks := make([]string, r.Intn(10))
+			for i := range toks {
+				toks[i] = words[r.Intn(len(words))]
+			}
+			ix.Add(DocKey(d), toks)
+			px.Add(DocKey(d), toks)
+		}
+		if r.Intn(2) == 0 {
+			s := ix.LocalStats()
+			s.N += r.Intn(50)
+			s.TotalLen += int64(r.Intn(200))
+			s.DF["a"] += r.Intn(5)
+			ix = ix.Overlay(s)
+		}
+		phrase := make([]string, 1+r.Intn(3))
+		for i := range phrase {
+			phrase[i] = words[r.Intn(len(words))]
+		}
+		p := DefaultBM25()
+		docs := px.PhraseDocs(phrase)
+		got := ix.PhraseBM25(p, px, phrase)
+		if len(got) != len(docs) {
+			return false
+		}
+		for i, sd := range got {
+			if sd.Doc != docs[i] || sd.Score != ix.BM25(p, sd.Doc, phrase) {
+				return false
+			}
+		}
+		return reflect.DeepEqual(ix.BM25Positional(p, px, docs, phrase), got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func bruteContains(toks, phrase []string) bool {
 	if len(phrase) == 0 || len(toks) < len(phrase) {
 		return false

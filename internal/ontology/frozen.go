@@ -1,6 +1,9 @@
 package ontology
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Frozen is an immutable, cache-friendly snapshot of an ontology's
 // graph structure — the "in-memory representations of the ontology
@@ -12,12 +15,12 @@ import "sort"
 //
 // Frozen implements the same traversal accessors as *Ontology
 // (Neighbors, Superclasses, Subclasses, NumSubclasses, Out, In,
-// InDegree), so the OntoScore computer can run against either.
+// InDegree); the OntoScore computer traverses nothing else.
 type Frozen struct {
 	ont *Ontology
 
-	ids   []ConceptID         // dense index -> concept id
-	dense map[ConceptID]int32 // concept id -> dense index
+	ids   []ConceptID // dense index -> concept id
+	dense []int32     // concept id -> dense index (-1: not a concept)
 
 	nbrArena []ConceptID
 	nbrStart []int32
@@ -45,54 +48,75 @@ func Freeze(o *Ontology) *Frozen {
 	f := &Frozen{
 		ont:      o,
 		ids:      ids,
-		dense:    make(map[ConceptID]int32, len(ids)),
 		inDegree: make(map[RelType][]int32),
+	}
+	// Concept IDs are assigned sequentially from 1 (AddConcept), so the
+	// id -> dense table is as long as the ontology.
+	if n := len(ids); n > 0 {
+		f.dense = make([]int32, ids[n-1]+1)
+	}
+	for i := range f.dense {
+		f.dense[i] = -1
 	}
 	for i, id := range ids {
 		f.dense[id] = int32(i)
 	}
 	n := len(ids)
+	edges := 0
+	for _, id := range ids {
+		edges += len(o.out[id])
+	}
+	f.nbrArena = make([]ConceptID, 0, 2*edges)
+	f.outArena = make([]Edge, 0, edges)
+	f.inArena = make([]Edge, 0, edges)
 	f.nbrStart = make([]int32, n+1)
 	f.supStart = make([]int32, n+1)
 	f.subStart = make([]int32, n+1)
 	f.outStart = make([]int32, n+1)
 	f.inStart = make([]int32, n+1)
 
+	byTarget := func(a, b Edge) int {
+		if c := cmp.Compare(a.To, b.To); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Type, b.Type)
+	}
 	for i, id := range ids {
-		f.nbrArena = append(f.nbrArena, o.Neighbors(id)...)
+		// Neighbors: out and in targets, ascending, each once (what
+		// Ontology.Neighbors returns, without its per-call map).
+		start := len(f.nbrArena)
+		for _, e := range o.out[id] {
+			f.nbrArena = append(f.nbrArena, e.To)
+		}
+		for _, e := range o.in[id] {
+			f.nbrArena = append(f.nbrArena, e.To)
+		}
+		nbrs := f.nbrArena[start:]
+		slices.Sort(nbrs)
+		f.nbrArena = f.nbrArena[:start+len(slices.Compact(nbrs))]
 		f.nbrStart[i+1] = int32(len(f.nbrArena))
 
-		sup := o.Superclasses(id)
-		sort.Slice(sup, func(a, b int) bool { return sup[a] < sup[b] })
-		f.supArena = append(f.supArena, sup...)
+		start = len(f.supArena)
+		f.supArena = append(f.supArena, o.Superclasses(id)...)
+		slices.Sort(f.supArena[start:])
 		f.supStart[i+1] = int32(len(f.supArena))
 
-		sub := o.Subclasses(id)
-		sort.Slice(sub, func(a, b int) bool { return sub[a] < sub[b] })
-		f.subArena = append(f.subArena, sub...)
+		start = len(f.subArena)
+		f.subArena = append(f.subArena, o.Subclasses(id)...)
+		slices.Sort(f.subArena[start:])
 		f.subStart[i+1] = int32(len(f.subArena))
 
-		out := append([]Edge(nil), o.Out(id)...)
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].To != out[b].To {
-				return out[a].To < out[b].To
-			}
-			return out[a].Type < out[b].Type
-		})
-		f.outArena = append(f.outArena, out...)
+		start = len(f.outArena)
+		f.outArena = append(f.outArena, o.out[id]...)
+		slices.SortFunc(f.outArena[start:], byTarget)
 		f.outStart[i+1] = int32(len(f.outArena))
 
-		in := append([]Edge(nil), o.In(id)...)
-		sort.Slice(in, func(a, b int) bool {
-			if in[a].To != in[b].To {
-				return in[a].To < in[b].To
-			}
-			return in[a].Type < in[b].Type
-		})
-		f.inArena = append(f.inArena, in...)
+		start = len(f.inArena)
+		f.inArena = append(f.inArena, o.in[id]...)
+		slices.SortFunc(f.inArena[start:], byTarget)
 		f.inStart[i+1] = int32(len(f.inArena))
 
-		for _, e := range in {
+		for _, e := range o.in[id] {
 			counts, ok := f.inDegree[e.Type]
 			if !ok {
 				counts = make([]int32, n)
@@ -111,8 +135,18 @@ func (f *Frozen) Ontology() *Ontology { return f.ont }
 func (f *Frozen) Len() int { return len(f.ids) }
 
 func (f *Frozen) idx(c ConceptID) (int32, bool) {
-	i, ok := f.dense[c]
-	return i, ok
+	if c < 0 || c >= ConceptID(len(f.dense)) || f.dense[c] < 0 {
+		return 0, false
+	}
+	return f.dense[c], true
+}
+
+// Dense returns c's dense index in [0, Len()) — a slice subscript for
+// per-concept tables built over the snapshot — and whether c is a
+// concept of it.
+func (f *Frozen) Dense(c ConceptID) (int, bool) {
+	i, ok := f.idx(c)
+	return int(i), ok
 }
 
 // Neighbors returns the undirected, unlabeled adjacency of c. The

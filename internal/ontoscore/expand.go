@@ -1,8 +1,6 @@
 package ontoscore
 
 import (
-	"container/heap"
-
 	"repro/internal/ontology"
 )
 
@@ -24,32 +22,63 @@ type transition struct {
 	factor float64
 }
 
-// expandFn enumerates the transitions leaving a concept under a
-// strategy.
-type expandFn func(ontology.ConceptID) []transition
+// expandFn appends the transitions leaving a concept under a strategy
+// to buf and returns it; the expansion reuses one buffer for every
+// concept it settles.
+type expandFn func(id ontology.ConceptID, buf []transition) []transition
 
 type scoreItem struct {
 	id    ontology.ConceptID
 	score float64
 }
 
+// scoreHeap is a max-heap on score with a deterministic id tie-break,
+// kept by hand rather than through container/heap so pushes and pops
+// neither box items nor go through an interface.
 type scoreHeap []scoreItem
 
-func (h scoreHeap) Len() int      { return len(h) }
-func (h scoreHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h scoreHeap) Less(i, j int) bool {
+func (h scoreHeap) less(i, j int) bool {
 	if h[i].score != h[j].score {
-		return h[i].score > h[j].score // max-heap on score
+		return h[i].score > h[j].score
 	}
-	return h[i].id < h[j].id // deterministic tie-break
+	return h[i].id < h[j].id
 }
-func (h *scoreHeap) Push(x any) { *h = append(*h, x.(scoreItem)) }
-func (h *scoreHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *scoreHeap) push(it scoreItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *scoreHeap) pop() scoreItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && s.less(l, m) {
+			m = l
+		}
+		if r < n && s.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // expand runs the merged best-first expansion from the seeds, pruning
@@ -60,17 +89,18 @@ func expand(seeds Scores, threshold float64, next expandFn) Scores {
 	h := make(scoreHeap, 0, len(seeds))
 	for id, s := range seeds {
 		if s >= threshold {
-			h = append(h, scoreItem{id: id, score: s})
+			h.push(scoreItem{id: id, score: s})
 		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(scoreItem)
+	var buf []transition
+	for len(h) > 0 {
+		it := h.pop()
 		if _, done := out[it.id]; done {
 			continue // already finalized at a >= score
 		}
 		out[it.id] = it.score
-		for _, tr := range next(it.id) {
+		buf = next(it.id, buf[:0])
+		for _, tr := range buf {
 			if tr.factor <= 0 {
 				continue
 			}
@@ -81,7 +111,7 @@ func expand(seeds Scores, threshold float64, next expandFn) Scores {
 			if _, done := out[tr.to]; done {
 				continue
 			}
-			heap.Push(&h, scoreItem{id: tr.to, score: s})
+			h.push(scoreItem{id: tr.to, score: s})
 		}
 	}
 	return out

@@ -95,57 +95,43 @@ func DefaultParams() Params {
 // Scores maps concepts to their OntoScore for one keyword.
 type Scores map[ontology.ConceptID]float64
 
-// Graph abstracts the traversal operations the strategies need, so the
-// expansion can run against either the mutable map-backed
-// ontology.Ontology or the frozen CSR snapshot ontology.Frozen (the
-// paper's future-work "in-memory representations of the ontology
-// graphs"; see BenchmarkFrozenOntology).
-type Graph interface {
-	Neighbors(ontology.ConceptID) []ontology.ConceptID
-	Superclasses(ontology.ConceptID) []ontology.ConceptID
-	Subclasses(ontology.ConceptID) []ontology.ConceptID
-	NumSubclasses(ontology.ConceptID) int
-	Out(ontology.ConceptID) []ontology.Edge
-	In(ontology.ConceptID) []ontology.Edge
-	InDegree(ontology.ConceptID, ontology.RelType) int
-}
-
-var (
-	_ Graph = (*ontology.Ontology)(nil)
-	_ Graph = (*ontology.Frozen)(nil)
-)
-
-// Computer evaluates OntoScores against one ontology. It precomputes
-// the concept-level IR index once; keyword evaluations are independent
-// and safe to run concurrently after construction.
+// Computer evaluates OntoScores against one ontology: the concept-level
+// IR index (terms as documents, with token positions) and the frozen
+// CSR snapshot of the graph, both built once; the expansion reads
+// nothing else. Keyword evaluations are independent and safe to run
+// concurrently after construction. Serving code gets its computers from
+// a Side, built once per ontology collection.
 type Computer struct {
 	ont    *ontology.Ontology
-	graph  Graph
+	graph  *ontology.Frozen
 	params Params
 	index  *ir.Index
+	pos    *ir.Positional
 }
 
-// NewComputer indexes the ontology's term texts and returns a ready
-// computer traversing the ontology directly.
+// NewComputer indexes the ontology's term texts, freezes its graph, and
+// returns a ready computer. Later mutations of the ontology are not
+// reflected.
 func NewComputer(ont *ontology.Ontology, params Params) *Computer {
-	c := &Computer{ont: ont, graph: ont, params: params, index: ir.NewIndex()}
+	c := &Computer{ont: ont, graph: ontology.Freeze(ont), params: params, index: ir.NewIndex(), pos: ir.NewPositional()}
 	for _, id := range ont.Concepts() {
-		c.index.Add(ir.DocKey(id), tokenize(ont.TermText(id)))
+		tokens := tokenize(ont.TermText(id))
+		c.index.Add(ir.DocKey(id), tokens)
+		c.pos.Add(ir.DocKey(id), tokens)
 	}
 	return c
 }
 
-// Frozen returns a computer identical to c but traversing the frozen
-// CSR snapshot of the ontology instead of the map-backed graph — same
-// scores, faster expansion (no per-call adjacency allocation).
-func (c *Computer) Frozen() *Computer {
-	out := *c
-	out.graph = ontology.Freeze(c.ont)
-	return &out
-}
-
 // Ontology returns the ontology the computer evaluates against.
 func (c *Computer) Ontology() *ontology.Ontology { return c.ont }
+
+// Concepts is the number of concepts of the computer's snapshot.
+func (c *Computer) Concepts() int { return c.graph.Len() }
+
+// Dense returns a concept's index in [0, Concepts()) — the subscript of
+// per-concept tables built over this computer — and whether the
+// concept exists.
+func (c *Computer) Dense(id ontology.ConceptID) (int, bool) { return c.graph.Dense(id) }
 
 // Params returns the computation parameters.
 func (c *Computer) Params() Params { return c.params }
@@ -159,14 +145,16 @@ func (c *Computer) Seeds(keyword string) Scores {
 	if len(containing) == 0 {
 		return nil
 	}
-	terms := tokenize(keyword)
+	keys := make([]ir.DocKey, len(containing))
+	for i, id := range containing {
+		keys[i] = ir.DocKey(id)
+	}
 	raw := make(Scores, len(containing))
 	max := 0.0
-	for _, id := range containing {
-		s := c.index.BM25(c.params.BM25, ir.DocKey(id), terms)
-		raw[id] = s
-		if s > max {
-			max = s
+	for _, sd := range c.index.BM25Positional(c.params.BM25, c.pos, keys, tokenize(keyword)) {
+		raw[ontology.ConceptID(sd.Doc)] = sd.Score
+		if sd.Score > max {
+			max = sd.Score
 		}
 	}
 	if max == 0 {

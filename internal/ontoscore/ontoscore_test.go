@@ -254,11 +254,10 @@ func TestRelationshipsMatchesELView(t *testing.T) {
 	}
 	isRestriction := func(id ontology.ConceptID) bool { return id >= base }
 
-	next := func(id ontology.ConceptID) []transition {
+	next := func(id ontology.ConceptID, out []transition) []transition {
 		if isRestriction(id) {
 			rid := ontology.RestrictionID(id - base)
 			r, _ := view.Restriction(rid)
-			var out []transition
 			// Restriction <-> filler link is free.
 			out = append(out, transition{to: r.Filler, factor: 1})
 			// Dotted links down to the subjects carry beta, split by the
@@ -269,7 +268,7 @@ func TestRelationshipsMatchesELView(t *testing.T) {
 			}
 			return out
 		}
-		out := c.taxonomyTransitions(id)
+		out = c.taxonomyTransitions(id, out)
 		for _, rid := range view.RestrictionsOf(id) {
 			// Subject up into its restriction: the dotted link, beta.
 			out = append(out, transition{to: encodeR(rid), factor: params.Beta})

@@ -12,15 +12,7 @@ func (c *Computer) Graph(keyword string) Scores {
 	if len(seeds) == 0 {
 		return nil
 	}
-	d := c.params.Decay
-	return expand(seeds, c.params.Threshold, func(id ontology.ConceptID) []transition {
-		nbs := c.graph.Neighbors(id)
-		out := make([]transition, 0, len(nbs))
-		for _, nb := range nbs {
-			out = append(out, transition{to: nb, factor: d})
-		}
-		return out
-	})
+	return expand(seeds, c.params.Threshold, c.graphTransitions)
 }
 
 // GraphNaive is Graph computed with one independent expansion per seed
@@ -31,15 +23,16 @@ func (c *Computer) GraphNaive(keyword string) Scores {
 	if len(seeds) == 0 {
 		return nil
 	}
-	d := c.params.Decay
-	return expandNaive(seeds, c.params.Threshold, func(id ontology.ConceptID) []transition {
-		nbs := c.graph.Neighbors(id)
-		out := make([]transition, 0, len(nbs))
-		for _, nb := range nbs {
-			out = append(out, transition{to: nb, factor: d})
-		}
-		return out
-	})
+	return expandNaive(seeds, c.params.Threshold, c.graphTransitions)
+}
+
+// graphTransitions enumerates the Graph strategy's flow steps: every
+// neighbor, regardless of edge type or direction, at factor Decay.
+func (c *Computer) graphTransitions(id ontology.ConceptID, out []transition) []transition {
+	for _, nb := range c.graph.Neighbors(id) {
+		out = append(out, transition{to: nb, factor: c.params.Decay})
+	}
+	return out
 }
 
 // taxonomyTransitions enumerates the is-a flow steps shared by the
@@ -52,14 +45,12 @@ func (c *Computer) GraphNaive(keyword string) Scores {
 //     ObjectRank-style split of authority among the children
 //     (Section IV-B's partial-satisfaction heuristic; the worked example
 //     divides by the parent's 26 direct subclasses).
-func (c *Computer) taxonomyTransitions(id ontology.ConceptID) []transition {
-	sup := c.graph.Superclasses(id)
-	sub := c.graph.Subclasses(id)
-	out := make([]transition, 0, len(sup)+len(sub))
-	for _, p := range sup {
+func (c *Computer) taxonomyTransitions(id ontology.ConceptID, out []transition) []transition {
+	for _, p := range c.graph.Superclasses(id) {
 		out = append(out, transition{to: p, factor: 1})
 	}
-	if n := len(sub); n > 0 {
+	if sub := c.graph.Subclasses(id); len(sub) > 0 {
+		n := len(sub)
 		f := 1 / float64(n)
 		for _, s := range sub {
 			out = append(out, transition{to: s, factor: f})
@@ -101,28 +92,33 @@ func (c *Computer) Relationships(keyword string) Scores {
 	if len(seeds) == 0 {
 		return nil
 	}
+	return expand(seeds, c.params.Threshold, c.relationshipTransitions)
+}
+
+// relationshipTransitions enumerates the Relationships strategy's flow
+// steps: the is-a steps of Taxonomy plus both directions of every
+// attribute relationship (see Relationships).
+func (c *Computer) relationshipTransitions(id ontology.ConceptID, out []transition) []transition {
 	b := c.params.Beta
-	return expand(seeds, c.params.Threshold, func(id ontology.ConceptID) []transition {
-		out := c.taxonomyTransitions(id)
-		for _, e := range c.graph.Out(id) {
-			if e.Type == ontology.IsA {
-				continue
-			}
-			// id --r--> e.To: id is the subject, e.To the filler.
-			out = append(out, transition{to: e.To, factor: b})
+	out = c.taxonomyTransitions(id, out)
+	for _, e := range c.graph.Out(id) {
+		if e.Type == ontology.IsA {
+			continue
 		}
-		for _, e := range c.graph.In(id) {
-			if e.Type == ontology.IsA {
-				continue
-			}
-			// e.To --r--> id: id is the filler; flow splits among the
-			// subjects of Exists r.id.
-			n := c.graph.InDegree(id, e.Type)
-			if n == 0 {
-				continue
-			}
-			out = append(out, transition{to: e.To, factor: b / float64(n)})
+		// id --r--> e.To: id is the subject, e.To the filler.
+		out = append(out, transition{to: e.To, factor: b})
+	}
+	for _, e := range c.graph.In(id) {
+		if e.Type == ontology.IsA {
+			continue
 		}
-		return out
-	})
+		// e.To --r--> id: id is the filler; flow splits among the
+		// subjects of Exists r.id.
+		n := c.graph.InDegree(id, e.Type)
+		if n == 0 {
+			continue
+		}
+		out = append(out, transition{to: e.To, factor: b / float64(n)})
+	}
+	return out
 }

@@ -98,8 +98,7 @@ func (s *Server) EnableDelta(cfg DeltaConfig) error {
 	// The base statistics snapshot is the full-text stage over the full
 	// corpus — strategy-independent, so any system's builder answers.
 	first := ontoscore.Strategies()[0]
-	seg := delta.NewSegment(g.corpus, g.systems[first].Builder().LocalTextStats(), delta.Config{
-		Coll:       g.coll,
+	seg := delta.NewSegment(g.corpus, g.systems[first].Builder().LocalTextStats(), g.side, delta.Config{
 		Strategies: ontoscore.Strategies(),
 		DIL:        s.cfg.DIL,
 		Limits:     cfg.Ingest.Limits,
@@ -231,11 +230,14 @@ func (s *Server) epoch(g *generation) uint64 {
 	return g.Num<<32 | (s.seg.Version() & 0xffffffff)
 }
 
-// purgeKeywordCaches drops every live system's on-demand keyword cache
-// after an applied ingest. Stale entries are already unreachable —
-// keys are tagged with the overlay version — so this is memory
-// hygiene, not correctness.
-func (s *Server) purgeKeywordCaches() {
+// purgeCaches drops the result cache and every live system's on-demand
+// keyword cache after an applied ingest. Stale entries are already
+// unreachable — result keys carry the epoch, keyword keys the overlay
+// version, and an applied ingest moves both — so this is memory
+// hygiene, not correctness: without it superseded entries stay resident
+// until the LRUs evict them.
+func (s *Server) purgeCaches() {
+	s.svc.Cache().Purge()
 	g := s.gen.Pin()
 	for _, sys := range g.systems {
 		sys.PurgeKeywordCache()
@@ -384,7 +386,7 @@ func (s *Server) handleAdminIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "operation logged but not applied: %v", err)
 		return
 	}
-	s.purgeKeywordCaches()
+	s.purgeCaches()
 	s.ingestCounter(kind.String(), "ok")
 	s.compactor.MaybeKick()
 	sp.SetAttr("seq", op.Seq)

@@ -10,13 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cda"
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
@@ -212,7 +215,7 @@ func figure1ForFixture(t *testing.T, s *Server) []byte {
 	t.Helper()
 	g := s.gen.Pin()
 	defer s.gen.Release(g)
-	fig1, err := cda.GenerateFigure1(g.coll.Ontologies()[0])
+	fig1, err := cda.GenerateFigure1(g.side.Collection().Ontologies()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,4 +542,126 @@ func TestReloadWithPendingWALDifferential(t *testing.T) {
 			t.Errorf("%s: scores changed across compaction after reload\n got: %v\nwant: %v", q, got, before[i])
 		}
 	}
+}
+
+// A reload that changes the ontologies rescores the pending delta with
+// them: the segment rebases onto the new generation's ontology side, so
+// base+delta still equals a full rebuild. The edit here adds a concept
+// "zebrafrog" under a concept the pending document references; under
+// Taxonomy its authority flows up to that concept unpenalized, so the
+// pending document answers the new keyword only if the delta scores
+// against the new ontology.
+func TestReloadWithChangedOntologyRescoresDelta(t *testing.T) {
+	base := t.TempDir()
+	docs := filepath.Join(base, "docs")
+	if err := os.Mkdir(docs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ont, err := ontology.Generate(ontology.GenConfig{Seed: 11, ExtraConcepts: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cda.NewGenerator(cda.GenConfig{Seed: 11, NumDocuments: 6, ProblemsPerPatient: 2,
+		MedicationsPerPatient: 2, ProceduresPerPatient: 1}, ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range g.GenerateCorpus().Docs() {
+		writeDoc(t, docs, doc)
+	}
+	load := func(ctx context.Context) (*ingest.Result, error) {
+		return ingest.Run(ctx, ingest.Config{SourceDir: docs, ValidateCDA: true, Logf: t.Logf})
+	}
+	res, err := load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := ontology.MustCollection(ont, ontology.LOINCFragment())
+	s := New(res.Corpus, coll, core.DefaultConfig())
+	s.SetLogf(t.Logf)
+	s.SetReloader(func(ctx context.Context) (*ReloadData, error) {
+		r, err := load(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &ReloadData{Corpus: r.Corpus, Collection: coll, Ingest: r.Report}, nil
+	})
+	if err := s.EnableDelta(DeltaConfig{
+		WALPath: filepath.Join(base, "delta.wal"),
+		Ingest:  ingest.Config{SourceDir: docs, ValidateCDA: true, Logf: t.Logf},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.CloseDelta)
+
+	fig1, err := cda.GenerateFigure1(ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, s, http.MethodPost, "zz-live", renderXML(t, fig1))
+
+	// The edited ontology: a copy of the served one (as a reload would
+	// read an edited ontology.json) with the new concept under the first
+	// concept the pending document references.
+	var buf bytes.Buffer
+	if err := ont.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := ontology.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent *ontology.Concept
+	fig1.Root.Walk(func(n *xmltree.Node) bool {
+		if ref, ok := n.OntoRef(); ok && parent == nil && ref.System == ont.SystemID {
+			parent, _ = edited.ByCode(ref.Code)
+		}
+		return parent == nil
+	})
+	if parent == nil {
+		t.Fatal("the pending document references no concept")
+	}
+	edited.MustAddRelationship(edited.MustAddConcept("zz-zebrafrog", "zebrafrog"), parent.ID, ontology.IsA)
+	coll = ontology.MustCollection(edited, ontology.LOINCFragment())
+
+	bootReleased := make(chan struct{})
+	runtime.SetFinalizer(s.gen.Load().side, func(*ontoscore.Side) { close(bootReleased) })
+	if _, err := s.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Once the boot generation drains, nothing — the rebased segment
+	// included — still pins the boot ontology side.
+	if !collected(bootReleased) {
+		t.Error("the boot ontology side is still reachable after the reload")
+	}
+	const q = "/search?q=zebrafrog&k=50&strategy=Taxonomy"
+	got := scoreProjection(searchResults(t, s, q))
+
+	// The full rebuild over the new ontology: compaction folds the delta
+	// into a fresh base generation.
+	if err := s.compactCycle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := scoreProjection(searchResults(t, s, q))
+	if !strings.Contains(strings.Join(want, " "), "zz-live=") {
+		t.Fatalf("rebuild does not reach the pending document: %v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("base+delta after an ontology-changing reload differs from the rebuild\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// collected runs the garbage collector until done closes (a finalizer
+// fired) or a second has passed, and reports which.
+func collected(done <-chan struct{}) bool {
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }

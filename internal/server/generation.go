@@ -15,8 +15,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// A generation is one immutable serving snapshot: a corpus, its
-// ontology collection, and the per-strategy systems built over them.
+// A generation is one immutable serving snapshot: a corpus, the
+// ontology side of its collection, and the per-strategy systems built
+// over them.
 // The server's gen.Cell holds the active generation; a reload builds
 // the next generation completely off-line and swaps it in, so queries
 // never observe a half-built index. Every request pins the generation
@@ -25,7 +26,7 @@ import (
 type generation struct {
 	gen.Snapshot
 	corpus  *xmltree.Corpus
-	coll    *ontology.Collection
+	side    *ontoscore.Side
 	systems map[ontoscore.Strategy]*core.System
 
 	// textTook is the one full-text stage the systems share, buildTook
@@ -33,16 +34,19 @@ type generation struct {
 	textTook, buildTook time.Duration
 }
 
-// newGeneration builds the per-strategy systems over one corpus
-// snapshot. It touches no shared state, so it is safe to run while an
-// older generation serves traffic.
+// newGeneration builds the ontology side of the collection — once per
+// generation; its full-text stage, every shard's and every delta state
+// over the generation share it — and the per-strategy systems over one
+// corpus snapshot. It touches no shared state, so it is safe to run
+// while an older generation serves traffic.
 func newGeneration(num uint64, corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Config) *generation {
 	start := time.Now()
+	side := ontoscore.NewSide(coll, cfg.DIL.Onto)
 	g := &generation{
 		Snapshot: gen.Snapshot{Num: num},
 		corpus:   corpus,
-		coll:     coll,
-		systems:  core.NewSystems(corpus, coll, cfg),
+		side:     side,
+		systems:  core.NewSystems(corpus, side, cfg),
 	}
 	g.textTook = g.systems[ontoscore.StrategyNone].Builder().FullTextTime()
 	g.buildTook = time.Since(start)
@@ -165,7 +169,8 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	if data == nil || data.Corpus == nil || data.Collection == nil {
 		return nil, fmt.Errorf("reload: reloader returned no data")
 	}
-	next := newGeneration(s.gen.Load().Num+1, data.Corpus, data.Collection, s.cfg)
+	cur := s.gen.Load()
+	next := newGeneration(cur.Num+1, data.Corpus, data.Collection, s.cfg)
 	if s.peerAPI != nil {
 		// Serving as a federation peer: the new generation's builders must
 		// answer with coordinator-pinned norms and the last installed
@@ -175,15 +180,17 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	}
 	if s.seg != nil {
 		// Live ingestion: attach the segment to the cold generation,
-		// then rebase it over the new corpus, replaying whatever the WAL
-		// still holds (empty after a compaction; the live delta after a
-		// plain reload — acknowledged ingests survive the reload). The
-		// rebase runs before the swap so a failure aborts cleanly with
-		// the old generation and old segment state intact.
+		// then rebase it over the new corpus and the new generation's
+		// ontology side, replaying whatever the WAL still holds (empty
+		// after a compaction; the live delta after a plain reload —
+		// acknowledged ingests survive the reload and are rescored
+		// against the reloaded ontologies, exactly as a rebuild would).
+		// The rebase runs before the swap so a failure aborts cleanly
+		// with the old generation and old segment state intact.
 		s.wireGeneration(next)
 		first := ontoscore.Strategies()[0]
 		stats := next.systems[first].Builder().LocalTextStats()
-		if err := s.seg.Rebase(data.Corpus, stats, s.wal.Ops()); err != nil {
+		if err := s.seg.Rebase(data.Corpus, stats, next.side, s.wal.Ops()); err != nil {
 			return nil, fmt.Errorf("reload: rebasing delta segment: %w", err)
 		}
 	}
@@ -198,7 +205,7 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadStatus, error) {
 	// previous partition while the rest advance with the new corpus.
 	var shardResults []shard.ReloadResult
 	if s.cluster != nil {
-		shardResults = s.cluster.Reload(ctx, data.Corpus, data.Collection)
+		shardResults = s.cluster.Reload(ctx, data.Corpus, next.side)
 	}
 	old := s.gen.Swap(next)
 	// Epoch-keyed entries for the old generation are unreachable by new

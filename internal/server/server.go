@@ -279,7 +279,7 @@ func (s *Server) EnableSharding(cfg shard.Config) *shard.Cluster {
 	if cfg.Logf == nil {
 		cfg.Logf = func(format string, args ...any) { s.logf(format, args...) }
 	}
-	s.cluster = shard.New(g.corpus, g.coll, cfg)
+	s.cluster = shard.New(g.corpus, g.side, cfg)
 	s.cluster.Instrument(s.reg)
 	s.instrumentPeers(cfg.Peers)
 	return s.cluster
@@ -766,7 +766,7 @@ func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
 	}
 	systemFilter := r.URL.Query().Get("system")
 	var out []ConceptInfo
-	for _, ont := range s.reqGen(r).coll.Ontologies() {
+	for _, ont := range s.reqGen(r).side.Collection().Ontologies() {
 		if systemFilter != "" && ont.SystemID != systemFilter {
 			continue
 		}
@@ -833,7 +833,7 @@ func (s *Server) handleOntoScore(w http.ResponseWriter, r *http.Request) {
 	systemFilter := r.URL.Query().Get("system")
 	builder := g.systems[strategy].Builder()
 	var out []OntoScoreEntry
-	for _, ont := range g.coll.Ontologies() {
+	for _, ont := range g.side.Collection().Ontologies() {
 		if systemFilter != "" && ont.SystemID != systemFilter {
 			continue
 		}
@@ -895,7 +895,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AvgElements:   cs.AvgElems,
 		AvgReferences: cs.AvgCodeRef,
 	}
-	for _, ont := range g.coll.Ontologies() {
+	for _, ont := range g.side.Collection().Ontologies() {
 		resp.Systems = append(resp.Systems, struct {
 			System        string `json:"system"`
 			Name          string `json:"name"`

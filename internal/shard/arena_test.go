@@ -82,7 +82,7 @@ func TestShardedArenaReload(t *testing.T) {
 	}
 
 	corpus2, coll2 := testCorpus(t, 14, 10)
-	for _, res := range c.Reload(context.Background(), corpus2, coll2) {
+	for _, res := range c.Reload(context.Background(), corpus2, testSide(coll2)) {
 		if res.Error != "" {
 			t.Fatalf("shard %d reload: %s", res.Shard, res.Error)
 		}
@@ -137,7 +137,7 @@ func TestShardedArenaFailedSwapDrains(t *testing.T) {
 
 	corpus2, coll2 := testCorpus(t, 14, 10)
 	faultinject.Enable(FPReload, faultinject.Spec{Mode: faultinject.ModeError, After: 1, Count: 1})
-	results := c.Reload(context.Background(), corpus2, coll2)
+	results := c.Reload(context.Background(), corpus2, testSide(coll2))
 	faultinject.DisableAll()
 	if results[1].Error == "" || results[1].Generation != kept {
 		t.Fatalf("shard 1 reload = %+v, want a failed swap keeping generation %d", results[1], kept)

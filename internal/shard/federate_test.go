@@ -60,7 +60,7 @@ func newFederation(t *testing.T, corpus *xmltree.Corpus, coll *ontology.Collecti
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
-	return New(views[0], coll, cfg), views[0]
+	return New(views[0], testSide(coll), cfg), views[0]
 }
 
 // The acceptance bar for federated serving: with zero faults, a

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cda"
 	"repro/internal/core"
 	"repro/internal/ontology"
+	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
 
@@ -54,5 +55,15 @@ func testCluster(t *testing.T, corpus *xmltree.Corpus, coll *ontology.Collection
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
-	return New(corpus, coll, cfg)
+	return New(corpus, testSide(coll), cfg)
+}
+
+// testSide builds the collection's ontology side under the default
+// OntoScore parameters (nil for a nil collection: Reload keeps the
+// current side).
+func testSide(coll *ontology.Collection) *ontoscore.Side {
+	if coll == nil {
+		return nil
+	}
+	return ontoscore.NewSide(coll, core.DefaultConfig().DIL.Onto)
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/ontology"
+	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
 
@@ -27,7 +27,8 @@ type ReloadResult struct {
 	TookUS int64 `json:"took_us"`
 }
 
-// Reload rolls the cluster onto a new corpus snapshot, shard by shard:
+// Reload rolls the cluster onto a new corpus snapshot and ontology side
+// (nil keeps the current one), shard by shard:
 // every shard's next generation is built completely offline (with the
 // cluster-wide statistics exchange run over the full new partition
 // set), then each shard swaps independently. A swap that fails — the
@@ -42,12 +43,12 @@ type ReloadResult struct {
 // old — now slightly stale — global statistics overlay. Rankings
 // remain well-formed; exact single-node equivalence resumes once all
 // shards are on the same snapshot.
-func (c *Cluster) Reload(ctx context.Context, corpus *xmltree.Corpus, coll *ontology.Collection) []ReloadResult {
+func (c *Cluster) Reload(ctx context.Context, corpus *xmltree.Corpus, side *ontoscore.Side) []ReloadResult {
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
 	start := time.Now()
-	if coll != nil {
-		c.coll = coll
+	if side != nil {
+		c.side = side
 	}
 	local := c.cfg.Shards
 	gens := c.buildGens(partition(corpus, local))

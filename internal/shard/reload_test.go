@@ -18,7 +18,7 @@ func TestReloadEquivalence(t *testing.T) {
 	corpus, coll := testCorpus(t, 8, 21)
 	cluster := testCluster(t, corpus, coll, Config{Shards: 4})
 	next, nextColl := testCorpus(t, 14, 22)
-	results := cluster.Reload(context.Background(), next, nextColl)
+	results := cluster.Reload(context.Background(), next, testSide(nextColl))
 	for _, r := range results {
 		if r.Error != "" {
 			t.Fatalf("shard %d reload failed: %s", r.Shard, r.Error)
@@ -55,7 +55,7 @@ func TestReloadMidSwapFailure(t *testing.T) {
 	// Fail exactly the second shard's swap (FPReload fires in shard
 	// order): shard 0 passes, shard 1 trips, shards 2-3 pass.
 	faultinject.Enable(FPReload, faultinject.Spec{Mode: faultinject.ModeError, After: 1, Count: 1})
-	results := cluster.Reload(context.Background(), next, nextColl)
+	results := cluster.Reload(context.Background(), next, testSide(nextColl))
 	faultinject.DisableAll()
 
 	for _, r := range results {
@@ -87,7 +87,7 @@ func TestReloadMidSwapFailure(t *testing.T) {
 
 	// A clean reload converges: all shards advance and single-node
 	// equivalence over the new corpus is restored.
-	for _, r := range cluster.Reload(context.Background(), next, nextColl) {
+	for _, r := range cluster.Reload(context.Background(), next, testSide(nextColl)) {
 		if r.Error != "" {
 			t.Fatalf("convergence reload: shard %d: %s", r.Shard, r.Error)
 		}
@@ -161,7 +161,7 @@ func TestConcurrentReloadRace(t *testing.T) {
 			// queries are in flight.
 			faultinject.Enable(FPReload, faultinject.Spec{Mode: faultinject.ModeError, After: 2, Count: 1})
 		}
-		cluster.Reload(context.Background(), corpus, coll)
+		cluster.Reload(context.Background(), corpus, testSide(coll))
 		if i == 3 {
 			faultinject.DisableAll()
 		}

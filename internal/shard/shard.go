@@ -46,7 +46,6 @@ import (
 	"repro/internal/dil"
 	"repro/internal/gen"
 	"repro/internal/ir"
-	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/peer"
 	"repro/internal/resilience"
@@ -168,7 +167,7 @@ type slot struct {
 // shards reload independently through Reload.
 type Cluster struct {
 	cfg   Config
-	coll  *ontology.Collection
+	side  *ontoscore.Side // the collection's ontology side, shared by every shard's stage
 	slots []*slot
 
 	genCounter atomic.Uint64
@@ -223,15 +222,16 @@ func partition(corpus *xmltree.Corpus, n int) []*xmltree.Corpus {
 }
 
 // New partitions the local corpus across the local shard slots,
-// builds every shard's first generation in parallel, appends one slot
-// per configured peer, and runs the (federated, when peers are
-// present) statistics exchange so each shard — local or remote —
-// scores with collection-global BM25 statistics.
-func New(corpus *xmltree.Corpus, coll *ontology.Collection, cfg Config) *Cluster {
+// builds every shard's first generation in parallel over the one
+// ontology side (built with cfg.Core.DIL.Onto), appends one slot per
+// configured peer, and runs the (federated, when peers are present)
+// statistics exchange so each shard — local or remote — scores with
+// collection-global BM25 statistics.
+func New(corpus *xmltree.Corpus, side *ontoscore.Side, cfg Config) *Cluster {
 	cfg = cfg.normalized()
 	c := &Cluster{
 		cfg:       cfg,
-		coll:      coll,
+		side:      side,
 		slots:     make([]*slot, 0, cfg.Shards+len(cfg.Peers)),
 		systems:   make(map[ontoscore.Strategy]*Sharded, 4),
 		calibs:    make(map[ontoscore.Strategy]*calibrator, 4),
@@ -289,7 +289,7 @@ func (c *Cluster) buildGen(id int, view *xmltree.Corpus) *shardGen {
 	g := &shardGen{
 		Snapshot: gen.Snapshot{Num: c.genCounter.Add(1)},
 		corpus:   view,
-		systems:  core.NewSystems(view, c.coll, c.cfg.Core),
+		systems:  core.NewSystems(view, c.side, c.cfg.Core),
 		shard:    id,
 	}
 	elements := 0

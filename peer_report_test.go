@@ -62,7 +62,7 @@ func peerBenchFederation(tb testing.TB, env *experiments.Env, hedgeAfter time.Du
 		tb.Cleanup(c.Close)
 		clients = append(clients, c)
 	}
-	cluster := shard.New(views[0], coll, shard.Config{
+	cluster := shard.New(views[0], ontoscore.NewSide(coll, core.DefaultConfig().DIL.Onto), shard.Config{
 		Shards: 1,
 		Peers:  clients,
 		Core:   core.DefaultConfig(),

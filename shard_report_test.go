@@ -24,7 +24,7 @@ import (
 // keyword caches, like the serving benches do.
 func shardBenchCluster(tb testing.TB, env *experiments.Env, n int) (*shard.Sharded, []core.SearchRequest) {
 	tb.Helper()
-	cluster := shard.New(env.Corpus, ontology.MustCollection(env.Ont), shard.Config{
+	cluster := shard.New(env.Corpus, ontoscore.NewSide(ontology.MustCollection(env.Ont), core.DefaultConfig().DIL.Onto), shard.Config{
 		Shards: n,
 		Core:   core.DefaultConfig(),
 	})
