@@ -4,8 +4,9 @@
 #                      race-detector lane, faults, and fuzz-smoke
 #   make test        - tier-1: build everything, run every test
 #   make race        - race-detector lane over the concurrent packages, plus
-#                      the shared-stage differential and isolation tests
-#                      and concurrent builds over one shared ontology side
+#                      the shared-stage differential and isolation tests,
+#                      concurrent builds over one shared ontology side,
+#                      and the shard metrics test repeated 50 times
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -16,7 +17,8 @@
 #                      (fuzz seeds run in -run mode), one generation
 #                      build at 200/800/3200 documents, and the keyword
 #                      build against its map-based reference plus one
-#                      cold build
+#                      cold build, and one /search cache hit through
+#                      ServeHTTP
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
@@ -96,6 +98,7 @@ race:
 		./internal/delta/... ./internal/peer/... ./internal/arena/... \
 		./cmd/xontoserve/...
 	$(GO) test -race -count=1 -run 'SharedStage|SharedSide' ./internal/dil ./internal/core
+	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -116,7 +119,8 @@ bench:
 # deterministically in -run mode, and the engine's default path on the
 # experiment corpora) and one short benchmark iteration of every merge
 # shape; then the XOnto-DIL keyword build against its map-based
-# reference and one cold build at 800 documents.
+# reference and one cold build at 800 documents; then one /search
+# cache hit through ServeHTTP, with its allocations.
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
@@ -124,6 +128,7 @@ bench-smoke:
 	$(GO) test . -run '^$$' -bench 'NewGeneration' -benchtime 1x
 	$(GO) test ./internal/dil -run 'TestAssembleMatchesReference|TestBuildMatchesReference' -count=1
 	$(GO) test ./internal/dil -run '^$$' -bench 'BuildKeyword' -benchtime 1x -benchmem
+	$(GO) test ./internal/server -run '^$$' -bench '^BenchmarkSearchHit$$' -benchtime 1x -benchmem
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
@@ -217,7 +222,9 @@ obs: api-guard
 # OntoScore computers are built in one place, ontoscore.NewSide, once
 # per ontology collection, and traverse only the frozen snapshot: no
 # NewComputer call elsewhere, no Computer.Frozen, no Graph interface
-# the map-backed ontology could satisfy.
+# the map-backed ontology could satisfy. Server responses are compact
+# JSON (no indenting encoder in internal/server), and the discard logger
+# is disabled rather than formatting into io.Discard.
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -234,11 +241,13 @@ api-guard:
 	if grep -nE 'NewComputer\(' --exclude='*_test.go' internal/ontoscore/*.go | grep -vE '^internal/ontoscore/side\.go:|func NewComputer\('; then fail=1; fi; \
 	if grep -rnE 'func \(c \*Computer\) Frozen\(|Graph interface|\(\*ontology\.Ontology\)\(nil\)' \
 		--include='*.go' --exclude='*_test.go' internal/ontoscore; then fail=1; fi; \
+	if grep -nE 'SetIndent\(|MarshalIndent\(' --exclude='*_test.go' internal/server/*.go; then fail=1; fi; \
+	if grep -nF 'slog.NewJSONHandler(io.Discard' --exclude='*_test.go' internal/obs/*.go; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; responses are compact; the discard logger is disabled)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

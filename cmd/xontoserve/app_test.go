@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/cda"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/server"
 	"repro/internal/xmltree"
@@ -327,4 +330,87 @@ func TestGenerateModeReloadNotConfigured(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitExit(t, done)
+}
+
+// syncBuffer is a bytes.Buffer safe to write from server goroutines
+// while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// With -json-log every request is logged once, as the server's
+// structured "request" record; the plain logging line is not added on
+// top of it.
+func TestJSONLogOneAccessLinePerRequest(t *testing.T) {
+	defer obs.SetDefault(nil)
+	fs := flag.NewFlagSet("xontoserve-test", flag.PanicOnError)
+	a := newApp(fs, []string{"-addr", "127.0.0.1:0", "-generate", "-docs", "3", "-concepts", "30", "-json-log"})
+	var jsonOut syncBuffer
+	a.jsonLogOut = &jsonOut
+	var mu sync.Mutex
+	var plain []string
+	a.logf = func(format string, args ...any) {
+		mu.Lock()
+		plain = append(plain, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- a.run(ctx) }()
+	select {
+	case <-a.ready:
+	case err := <-done:
+		t.Fatalf("app exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("app not ready after 10s")
+	}
+
+	paths := []string{"/search?q=asthma&k=3", "/search?q=asthma&k=3", "/readyz", "/healthz", "/search"}
+	for _, p := range paths {
+		appGET(t, a, p)
+	}
+	// The record is written as the handler returns, which may trail the
+	// client's read of a flushed body by a moment.
+	countRecords := func() int {
+		n := 0
+		for _, line := range strings.Split(strings.TrimSpace(jsonOut.String()), "\n") {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "request" {
+				if _, ok := rec["trace_id"]; !ok {
+					t.Errorf("access record without trace_id: %s", line)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for countRecords() < len(paths) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	waitExit(t, done)
+	if n := countRecords(); n != len(paths) {
+		t.Errorf("%d structured access records for %d requests\n%s", n, len(paths), jsonOut.String())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range plain {
+		if strings.HasPrefix(line, "GET /") {
+			t.Errorf("plain access line under -json-log: %q", line)
+		}
+	}
 }

@@ -75,6 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
@@ -148,6 +149,9 @@ type app struct {
 	ccfg          core.Config
 	shutdownGrace time.Duration
 	logf          func(format string, args ...any)
+	// jsonLogOut receives the -json-log records (os.Stderr; tests
+	// capture it).
+	jsonLogOut io.Writer
 
 	// ready is closed once the listener is bound, signal handling is
 	// installed, and requests are being served; boundAddr then holds the
@@ -159,7 +163,7 @@ type app struct {
 
 func newApp(fs *flag.FlagSet, args []string) *app {
 	a := &app{scfg: serving.DefaultConfig(), ccfg: core.DefaultConfig(), logf: log.Printf,
-		ready: make(chan struct{})}
+		jsonLogOut: os.Stderr, ready: make(chan struct{})}
 	lim := xmltree.DefaultLimits()
 	fs.StringVar(&a.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&a.data, "data", "", "data directory written by xontorank gen")
@@ -415,7 +419,7 @@ func (a *app) run(ctx context.Context) error {
 		a.logf("debug: /debug/pprof/ enabled")
 	}
 	if a.jsonLog {
-		obs.SetDefault(obs.NewLogger(os.Stderr, slog.LevelInfo))
+		obs.SetDefault(obs.NewLogger(a.jsonLogOut, slog.LevelInfo))
 	}
 	if a.data != "" {
 		// Deep readiness: the data directory must stay reachable (it is
@@ -455,8 +459,14 @@ func (a *app) run(ctx context.Context) error {
 		a.logf("live ingest: wal=%s compact-interval=%v max-docs=%d max-tombstones=%d",
 			wal, a.compactInterval, a.compactMaxDocs, a.compactMaxTombs)
 	}
+	// One access line per request: the server's structured "request"
+	// record under -json-log, the plain logging line otherwise.
+	var handler http.Handler = h
+	if !a.jsonLog {
+		handler = logging(a.logf, h)
+	}
 	srv := &http.Server{
-		Handler:           logging(a.logf, h),
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		// WriteTimeout must cover the serving deadline plus response

@@ -38,11 +38,18 @@ func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return slog.New(traceHandler{inner: slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})})
 }
 
-// NewDiscardLogger returns a logger that drops everything (tests,
-// library defaults).
-func NewDiscardLogger() *slog.Logger {
-	return slog.New(traceHandler{inner: slog.NewJSONHandler(io.Discard, nil)})
-}
+// discardHandler is disabled at every level, so a logger over it
+// returns before a record is built or formatted.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
+// NewDiscardLogger returns a logger that is disabled at every level
+// (tests, library defaults).
+func NewDiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
 
 // defaultLogger is the process-wide fallback used by packages that are
 // not handed an explicit logger (e.g. the core facade's legacy Search

@@ -54,4 +54,29 @@ func TestDefaultLogger(t *testing.T) {
 	if Default() == nil {
 		t.Fatal("nil SetDefault should restore discard logger")
 	}
+	// The discard logger is disabled, not discarding: callers return
+	// before a record is built.
+	ctx := context.Background()
+	if NewDiscardLogger().Enabled(ctx, slog.LevelError) || Default().Enabled(ctx, slog.LevelError) {
+		t.Error("discard logger reports Enabled at LevelError")
+	}
+
+	// A real logger still writes the server's trace-correlated access
+	// record.
+	buf.Reset()
+	log := NewLogger(&buf, slog.LevelInfo)
+	tr := NewTracer(1)
+	ctx, root := tr.StartRoot(ctx, "http.request")
+	if !log.Enabled(ctx, slog.LevelInfo) {
+		t.Fatal("NewLogger not enabled at LevelInfo")
+	}
+	log.InfoContext(ctx, "request", "method", "GET", "path", "/search", "status", 200)
+	root.End()
+	var rec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("not JSON: %v (%q)", err, buf.String())
+	}
+	if rec["msg"] != "request" || rec["trace_id"] != root.TraceID() {
+		t.Errorf("access record = %v, want msg=request trace_id=%s", rec, root.TraceID())
+	}
 }

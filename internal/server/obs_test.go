@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -100,61 +102,101 @@ func TestSearchTraceIDAlways(t *testing.T) {
 }
 
 // Golden wire-format test: the exact top-level key set of a /search
-// response, its timing keys, and its per-result keys. A change here is
-// a wire-format change and must bump the "v" field.
+// response, its timing keys, and its per-result keys, for the plain
+// answer and each optional part. A change here is a wire-format change
+// and must bump the "v" field. Every body is compact JSON whose
+// Content-Length matches its length.
 func TestSearchWireFormat(t *testing.T) {
 	s, _ := testServer(t)
-	rec := get(t, s, `/search?q=asthma+medications&k=3`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
+	const base = "degraded,info,k,pruning,query,results,strategy,timing,trace_id,v"
+	const result = "document,id,matches,path,score"
+	for _, tc := range []struct {
+		name, params, top, result string
+	}{
+		{"plain", "", base, result},
+		{"snippets", "&snippets=1", base, "document,id,matches,path,score,snippet"},
+		{"fragments", "&fragments=1", base, "document,fragment,id,matches,path,score"},
+		{"group", "&group=1", "degraded,groups,info,k,pruning,query,results,strategy,timing,trace_id,v", result},
+		{"trace", "&debug=trace", "degraded,info,k,pruning,query,results,strategy,timing,trace,trace_id,v", result},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := get(t, s, `/search?q=asthma+medications&k=3`+tc.params)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
+			}
+			body := rec.Body.Bytes()
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+				t.Errorf("Content-Length = %q, body is %d bytes", cl, len(body))
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, body); err != nil {
+				t.Fatal(err)
+			}
+			if compact.Len() != len(body)-1 { // Encode's trailing newline
+				t.Errorf("body is not compact JSON: %d bytes, %d compacted", len(body), compact.Len())
+			}
+			var typed SearchResponse
+			if err := json.Unmarshal(body, &typed); err != nil {
+				t.Fatalf("body does not decode into SearchResponse: %v", err)
+			}
+			var raw map[string]json.RawMessage
+			if err := json.Unmarshal(body, &raw); err != nil {
+				t.Fatal(err)
+			}
+			if got := jsonKeys(raw); got != tc.top {
+				t.Errorf("top-level keys = %s, want %s", got, tc.top)
+			}
+			var pruning map[string]json.RawMessage
+			if err := json.Unmarshal(raw["pruning"], &pruning); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := jsonKeys(pruning), "blocks_skipped,docs_skipped,early_terminated,postings_scored"; got != want {
+				t.Errorf("pruning keys = %s, want %s", got, want)
+			}
+			var v int
+			if err := json.Unmarshal(raw["v"], &v); err != nil || v != 1 {
+				t.Errorf("v = %s, want 1", raw["v"])
+			}
+			var timing map[string]json.RawMessage
+			if err := json.Unmarshal(raw["timing"], &timing); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := jsonKeys(timing), "handler_us,hydrate_us,parse_us,search_us,total_us"; got != want {
+				t.Errorf("timing keys = %s, want %s", got, want)
+			}
+			var results []map[string]json.RawMessage
+			if err := json.Unmarshal(raw["results"], &results); err != nil {
+				t.Fatal(err)
+			}
+			if len(results) == 0 {
+				t.Fatal("no results to check the wire format of")
+			}
+			if got := jsonKeys(results[0]); got != tc.result {
+				t.Errorf("result keys = %s, want %s", got, tc.result)
+			}
+			var matches []map[string]json.RawMessage
+			if err := json.Unmarshal(results[0]["matches"], &matches); err != nil || len(matches) == 0 {
+				t.Fatalf("matches = %s", results[0]["matches"])
+			}
+			if got, want := jsonKeys(matches[0]), "id,keyword,path,score"; got != want {
+				t.Errorf("match keys = %s, want %s", got, want)
+			}
+			var total int64
+			if err := json.Unmarshal(timing["total_us"], &total); err != nil || total < 1 {
+				t.Errorf("total_us = %s, want >= 1", timing["total_us"])
+			}
+		})
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
+}
+
+// jsonKeys lists an object's keys, sorted and comma-joined.
+func jsonKeys(m map[string]json.RawMessage) string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	keys := func(m map[string]json.RawMessage) string {
-		out := make([]string, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		return strings.Join(out, ",")
-	}
-	if got, want := keys(raw), "degraded,info,k,pruning,query,results,strategy,timing,trace_id,v"; got != want {
-		t.Errorf("top-level keys = %s, want %s", got, want)
-	}
-	var pruning map[string]json.RawMessage
-	if err := json.Unmarshal(raw["pruning"], &pruning); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := keys(pruning), "blocks_skipped,docs_skipped,early_terminated,postings_scored"; got != want {
-		t.Errorf("pruning keys = %s, want %s", got, want)
-	}
-	var v int
-	if err := json.Unmarshal(raw["v"], &v); err != nil || v != 1 {
-		t.Errorf("v = %s, want 1", raw["v"])
-	}
-	var timing map[string]json.RawMessage
-	if err := json.Unmarshal(raw["timing"], &timing); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := keys(timing), "handler_us,hydrate_us,parse_us,search_us,total_us"; got != want {
-		t.Errorf("timing keys = %s, want %s", got, want)
-	}
-	var results []map[string]json.RawMessage
-	if err := json.Unmarshal(raw["results"], &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Fatal("no results to check the wire format of")
-	}
-	if got, want := keys(results[0]), "document,id,matches,path,score"; got != want {
-		t.Errorf("result keys = %s, want %s", got, want)
-	}
-	var total int64
-	if err := json.Unmarshal(timing["total_us"], &total); err != nil || total < 1 {
-		t.Errorf("total_us = %s, want >= 1", timing["total_us"])
-	}
+	sort.Strings(out)
+	return strings.Join(out, ",")
 }
 
 // Concurrent traced searches must never share identity: trace IDs are

@@ -39,13 +39,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -398,9 +401,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter("xontorank_http_requests_total", "HTTP requests by path and status.",
 			obs.Label{Key: "path", Value: metricPath(r.URL.Path)},
 			obs.Label{Key: "status", Value: strconv.Itoa(sw.status)}).Inc()
-		obs.Default().InfoContext(ctx, "request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"duration_us", time.Since(start).Microseconds())
+		if l := obs.Default(); l.Enabled(ctx, slog.LevelInfo) {
+			l.InfoContext(ctx, "request",
+				"method", r.Method, "path", r.URL.Path, "status", sw.status,
+				"duration_us", time.Since(start).Microseconds())
+		}
 	}()
 	s.mux.ServeHTTP(sw, r)
 }
@@ -434,14 +439,36 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// maxPooledBody bounds the response buffers respBufs keeps: a rare
+// large body (a deep /ontoscore, /stats over many ontologies) is
+// encoded once and left to the collector instead of pinning its
+// capacity in the pool.
+const maxPooledBody = 1 << 20
+
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers v as compact JSON in one length-prefixed write. The
+// body is encoded into a pooled buffer before any header goes out, so a
+// value encoding/json rejects (a NaN score) is answered with the JSON
+// 500 contract instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		// A struct of one string always encodes.
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encode response: " + err.Error()})
+		status = http.StatusInternalServerError
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	// Encoding errors after the header is written can only be logged by
-	// the transport; the value types here are all marshalable.
-	_ = enc.Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		respBufs.Put(buf)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -492,8 +519,8 @@ func capRequestBody(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (s *Server) strategyParam(r *http.Request) (ontoscore.Strategy, error) {
-	name := r.URL.Query().Get("strategy")
+func strategyParam(qv url.Values) (ontoscore.Strategy, error) {
+	name := qv.Get("strategy")
 	if name == "" {
 		return ontoscore.StrategyRelationships, nil
 	}
@@ -590,12 +617,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !capRequestBody(w, r) {
 		return
 	}
-	q := r.URL.Query().Get("q")
+	qv := r.URL.Query()
+	q := qv.Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
-	strategy, err := s.strategyParam(r)
+	strategy, err := strategyParam(qv)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -604,7 +632,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// friends): negative or malformed is a 400, zero means the
 	// configured default, and values past the documented caps clamp.
 	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := qv.Get("k"); ks != "" {
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 0 {
 			writeError(w, http.StatusBadRequest, "k must be a non-negative integer")
@@ -613,7 +641,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	k = query.ClampK(k, s.cfg.Query.K)
 	offset := 0
-	if os := r.URL.Query().Get("offset"); os != "" {
+	if os := qv.Get("offset"); os != "" {
 		offset, err = strconv.Atoi(os)
 		if err != nil || offset < 0 {
 			writeError(w, http.StatusBadRequest, "offset must be a non-negative integer")
@@ -621,10 +649,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	offset = query.ClampOffset(offset)
-	withFragments := r.URL.Query().Get("fragments") == "1"
-	withSnippets := r.URL.Query().Get("snippets") == "1"
-	withGroups := r.URL.Query().Get("group") == "1"
-	withTrace := r.URL.Query().Get("debug") == "trace"
+	withFragments := qv.Get("fragments") == "1"
+	withSnippets := qv.Get("snippets") == "1"
+	withGroups := qv.Get("group") == "1"
+	withTrace := qv.Get("debug") == "trace"
 
 	start := time.Now()
 	g := s.reqGen(r)
@@ -646,7 +674,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	results := out.Results
 	resp := SearchResponse{
 		V:     1,
-		Query: q, Strategy: strategy.String(), K: k, Offset: offset, Results: []SearchResult{},
+		Query: q, Strategy: strategy.String(), K: k, Offset: offset,
+		Results:  make([]SearchResult, 0, len(results)),
 		Pruning:  out.Pruning,
 		Degraded: out.Degraded || out.Partial, DegradedKeywords: out.DegradedKeywords,
 		Partial: out.Partial, Shards: out.Shards,
@@ -671,6 +700,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Score:    res.Score,
 			Document: res.Document,
 			Path:     res.Path,
+		}
+		// A result without matches keeps its nil slice ("matches": null).
+		if len(res.Matches) > 0 {
+			sr.Matches = make([]SearchMatch, 0, len(res.Matches))
 		}
 		for _, m := range res.Matches {
 			sr.Matches = append(sr.Matches, SearchMatch{
@@ -796,12 +829,13 @@ func (s *Server) handleOntoScore(w http.ResponseWriter, r *http.Request) {
 	if !capRequestBody(w, r) {
 		return
 	}
-	kw := r.URL.Query().Get("keyword")
+	qv := r.URL.Query()
+	kw := qv.Get("keyword")
 	if kw == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter keyword")
 		return
 	}
-	strategy, err := s.strategyParam(r)
+	strategy, err := strategyParam(qv)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -810,7 +844,7 @@ func (s *Server) handleOntoScore(w http.ResponseWriter, r *http.Request) {
 	// (or absent) keeps the historical every-concept answer, > MaxK
 	// clamps.
 	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := qv.Get("k"); ks != "" {
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 0 {
 			writeError(w, http.StatusBadRequest, "k must be a non-negative integer")
@@ -830,7 +864,7 @@ func (s *Server) handleOntoScore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	g := s.reqGen(r)
-	systemFilter := r.URL.Query().Get("system")
+	systemFilter := qv.Get("system")
 	builder := g.systems[strategy].Builder()
 	var out []OntoScoreEntry
 	for _, ont := range g.side.Collection().Ontologies() {

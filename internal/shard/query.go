@@ -241,15 +241,18 @@ gather:
 func (s *Sharded) queryShard(ctx context.Context, sl *slot, req core.SearchRequest, ch chan<- answer) {
 	start := time.Now()
 	stat := core.ShardStatus{Shard: sl.id}
-	defer func() {
+	// reply records the leg's metrics before answering: once the last
+	// leg has sent, the gather may return and /metrics be scraped.
+	reply := func(resp *core.SearchResponse) {
 		if s.c.metrics != nil {
 			s.c.metrics.record(sl.id, stat.State, time.Since(start))
 		}
-	}()
+		ch <- answer{id: sl.id, stat: stat, resp: resp}
+	}
 	if !sl.breaker.Allow() {
 		stat.State = "open"
 		stat.Error = "shard circuit breaker open"
-		ch <- answer{id: sl.id, stat: stat}
+		reply(nil)
 		return
 	}
 	g := sl.gen.Pin()
@@ -280,14 +283,14 @@ func (s *Sharded) queryShard(ctx context.Context, sl *slot, req core.SearchReque
 		}
 		stat.Error = err.Error()
 		sp.SetAttr("error", err.Error())
-		ch <- answer{id: sl.id, stat: stat}
+		reply(nil)
 		return
 	}
 	sl.breaker.Success()
 	stat.State = "ok"
 	stat.Results = len(resp.Results)
 	sp.SetAttr("results", len(resp.Results))
-	ch <- answer{id: sl.id, stat: stat, resp: resp}
+	reply(resp)
 }
 
 // mergeKeywords unions degraded-keyword lists preserving first-seen
