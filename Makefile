@@ -6,6 +6,7 @@
 #   make race        - race-detector lane over the concurrent packages, plus
 #                      the shared-stage differential and isolation tests,
 #                      concurrent builds over one shared ontology side,
+#                      the side's OntoScore memo under concurrent reads,
 #                      and the shard metrics test repeated 50 times
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
@@ -17,8 +18,10 @@
 #                      (fuzz seeds run in -run mode), one generation
 #                      build at 200/800/3200 documents, and the keyword
 #                      build against its map-based reference plus one
-#                      cold build, and one /search cache hit through
-#                      ServeHTTP
+#                      cold build, one /search cache hit through
+#                      ServeHTTP, the dense OntoScore kernel against its
+#                      map-based reference plus one propagation per
+#                      strategy, and one delta rebase
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
@@ -97,7 +100,7 @@ race:
 		./internal/ingest/... ./internal/gen/... ./internal/server/... ./internal/shard/... \
 		./internal/delta/... ./internal/peer/... ./internal/arena/... \
 		./cmd/xontoserve/...
-	$(GO) test -race -count=1 -run 'SharedStage|SharedSide' ./internal/dil ./internal/core
+	$(GO) test -race -count=1 -run 'SharedStage|SharedSide|SideMemo' ./internal/ontoscore ./internal/dil ./internal/core
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
 
 faults:
@@ -120,7 +123,9 @@ bench:
 # experiment corpora) and one short benchmark iteration of every merge
 # shape; then the XOnto-DIL keyword build against its map-based
 # reference and one cold build at 800 documents; then one /search
-# cache hit through ServeHTTP, with its allocations.
+# cache hit through ServeHTTP, with its allocations; then the dense
+# OntoScore kernel against its map-based reference and one propagation
+# per strategy, and one delta rebase at 1/8/32 pending documents.
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
@@ -129,6 +134,9 @@ bench-smoke:
 	$(GO) test ./internal/dil -run 'TestAssembleMatchesReference|TestBuildMatchesReference' -count=1
 	$(GO) test ./internal/dil -run '^$$' -bench 'BuildKeyword' -benchtime 1x -benchmem
 	$(GO) test ./internal/server -run '^$$' -bench '^BenchmarkSearchHit$$' -benchtime 1x -benchmem
+	$(GO) test ./internal/ontoscore -run 'TestDenseMatchesReference' -count=1
+	$(GO) test ./internal/ontoscore -run '^$$' -bench '^BenchmarkCompute$$' -benchtime 1x -benchmem
+	$(GO) test ./internal/delta -run '^$$' -bench '^BenchmarkRebase$$' -benchtime 1x -benchmem
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
@@ -222,7 +230,10 @@ obs: api-guard
 # OntoScore computers are built in one place, ontoscore.NewSide, once
 # per ontology collection, and traverse only the frozen snapshot: no
 # NewComputer call elsewhere, no Computer.Frozen, no Graph interface
-# the map-backed ontology could satisfy. Server responses are compact
+# the map-backed ontology could satisfy. The expansion is the dense
+# kernel (no map-based func expand outside tests), and index creation
+# reads OntoScores through the side's memo (no Compute/ComputeCtx call
+# in internal/dil outside tests). Server responses are compact
 # JSON (no indenting encoder in internal/server), and the discard logger
 # is disabled rather than formatting into io.Discard.
 api-guard:
@@ -241,13 +252,15 @@ api-guard:
 	if grep -nE 'NewComputer\(' --exclude='*_test.go' internal/ontoscore/*.go | grep -vE '^internal/ontoscore/side\.go:|func NewComputer\('; then fail=1; fi; \
 	if grep -rnE 'func \(c \*Computer\) Frozen\(|Graph interface|\(\*ontology\.Ontology\)\(nil\)' \
 		--include='*.go' --exclude='*_test.go' internal/ontoscore; then fail=1; fi; \
+	if grep -nE '^func expand\(' --exclude='*_test.go' internal/ontoscore/*.go; then fail=1; fi; \
+	if grep -nE '\.(Compute|ComputeCtx)\(' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nE 'SetIndent\(|MarshalIndent\(' --exclude='*_test.go' internal/server/*.go; then fail=1; fi; \
 	if grep -nF 'slog.NewJSONHandler(io.Discard' --exclude='*_test.go' internal/obs/*.go; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; responses are compact; the discard logger is disabled)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

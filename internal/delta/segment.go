@@ -73,9 +73,9 @@ func (a *adjustment) add(s ir.Stats, sign int) {
 // builds a fresh state and publishes it with an atomic pointer swap,
 // so the query path reads without locks and each query sees one
 // consistent state end to end. The delta builders are rebuilt per
-// apply — the delta is small by construction (the compactor folds it
-// into the base before it grows), so the rebuild is O(delta), never
-// O(corpus).
+// apply, and once per rebase — the delta is small by construction (the
+// compactor folds it into the base before it grows), so the rebuild is
+// O(delta), never O(corpus).
 type segState struct {
 	version uint64
 	seq     uint64 // last applied WAL sequence
@@ -203,19 +203,21 @@ func (s *Segment) Has(name string) bool {
 func (s *Segment) Apply(op Op) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	next, err := s.applyToState(s.state.Load(), op)
-	if err != nil {
+	next := s.state.Load().clone()
+	if err := s.applyOp(next, op); err != nil {
 		return err
 	}
+	s.rebuildBuilders(next)
 	s.state.Store(next)
 	return nil
 }
 
-// applyToState builds the successor state for one op.
-func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
+// clone copies a state's document bookkeeping into a fresh, not yet
+// published state (builders are rebuilt by the caller).
+func (cur *segState) clone() *segState {
 	next := &segState{
-		version:   cur.version + 1,
-		seq:       op.Seq,
+		version:   cur.version,
+		seq:       cur.seq,
 		base:      cur.base,
 		baseStats: cur.baseStats,
 		side:      cur.side,
@@ -238,7 +240,13 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 	for k, v := range cur.deadBase {
 		next.deadBase[k] = v
 	}
+	return next
+}
 
+// applyOp folds one op into an unpublished state in place, advancing
+// its version and sequence. On error the state is untouched: every
+// check runs before the first mutation.
+func (s *Segment) applyOp(next *segState, op Op) error {
 	// Tombstone whatever currently answers to the name.
 	supersede := func(name string) {
 		if e, ok := next.live[name]; ok {
@@ -258,7 +266,7 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 	case OpPut:
 		doc, err := xmltree.ParseLimited(bytes.NewReader(op.Body), s.cfg.Limits)
 		if err != nil {
-			return nil, fmt.Errorf("delta: apply seq %d (%s %q): %w", op.Seq, op.Kind, op.Name, err)
+			return fmt.Errorf("delta: apply seq %d (%s %q): %w", op.Seq, op.Kind, op.Name, err)
 		}
 		supersede(op.Name)
 		doc.Name = op.Name
@@ -284,16 +292,16 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 		if _, ok := next.live[op.Name]; !ok {
 			bd := next.base.DocByName(op.Name)
 			if bd == nil || next.dead[bd.ID] {
-				return nil, ErrUnknownDocument{Name: op.Name}
+				return ErrUnknownDocument{Name: op.Name}
 			}
 		}
 		supersede(op.Name)
 	default:
-		return nil, fmt.Errorf("delta: apply seq %d: unknown op kind %d", op.Seq, op.Kind)
+		return fmt.Errorf("delta: apply seq %d: unknown op kind %d", op.Seq, op.Kind)
 	}
-
-	s.rebuildBuilders(next)
-	return next, nil
+	next.version++
+	next.seq = op.Seq
+	return nil
 }
 
 // rebuildBuilders reindexes the live delta documents into fresh
@@ -328,25 +336,26 @@ func (s *Segment) rebuildBuilders(st *segState) {
 
 // Rebase rebuilds the segment over a new base generation (after a
 // reload or compaction) and that generation's ontology side, replaying
-// ops — the WAL's current records — through the same apply path, so
+// ops — the WAL's current records — through the same op path, so
 // pending documents score against the same ontologies as the base they
-// overlay. The version keeps counting so result-cache epochs never
+// overlay. All ops fold into one state and the delta builders are
+// built once, at the end: a replay costs one full-text stage over the
+// pending documents, not one per op. The version keeps counting (one
+// step per applied op, as Apply would) so result-cache epochs never
 // repeat.
 func (s *Segment) Rebase(base *xmltree.Corpus, baseStats ir.Stats, side *ontoscore.Side, ops []Op) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	cur := s.state.Load()
-	next := emptyState(base, baseStats, side, cur.version+1)
+	next := emptyState(base, baseStats, side, s.state.Load().version+1)
 	for _, op := range ops {
-		n, err := s.applyToState(next, op)
-		if err != nil {
+		if err := s.applyOp(next, op); err != nil {
 			if _, unknown := err.(ErrUnknownDocument); unknown {
 				continue // replayed delete already materialized by compaction
 			}
 			return err
 		}
-		next = n
 	}
+	s.rebuildBuilders(next)
 	s.state.Store(next)
 	return nil
 }

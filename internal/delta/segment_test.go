@@ -195,7 +195,9 @@ func TestDifferentialBaseDeltaVsRebuild(t *testing.T) {
 
 // TestDifferentialAfterRebase re-runs the comparison after a rebase
 // with pending ops — the crash-recovery shape, where a reload happens
-// while the WAL still holds unapplied records.
+// while the WAL still holds unapplied records. A rebase folds every op
+// into one state before building, so the second replay lands a put, a
+// re-put of the same name and a delete of it in one fold.
 func TestDifferentialAfterRebase(t *testing.T) {
 	fx := newFixture(t, 9, 7)
 	const baseN = 6
@@ -207,27 +209,41 @@ func TestDifferentialAfterRebase(t *testing.T) {
 	sys := core.NewMulti(base, fx.coll, cfg)
 	seg := wireSegment(sys, strat, Config{Strategies: []ontoscore.Strategy{strat}, DIL: cfg.DIL})
 
-	script := differentialScript(fx)
-	ops := make([]Op, 0, len(script))
-	for i, o := range script {
-		op := Op{Seq: uint64(i + 1), Kind: o.kind, Name: o.name}
-		if o.kind == OpPut {
-			op.Body = fx.bodies[o.body]
+	n := fx.names
+	scripts := map[string][]scriptOp{
+		"after rebase": differentialScript(fx),
+		"after put, re-put and delete in one replay": append(differentialScript(fx),
+			scriptOp{OpPut, n[8], n[8]},
+			scriptOp{OpPut, n[8], n[4]},
+			scriptOp{OpDelete, n[8], ""},
+		),
+	}
+	for _, label := range []string{"after rebase", "after put, re-put and delete in one replay"} {
+		script := scripts[label]
+		ops := make([]Op, 0, len(script))
+		for i, o := range script {
+			op := Op{Seq: uint64(i + 1), Kind: o.kind, Name: o.name}
+			if o.kind == OpPut {
+				op.Body = fx.bodies[o.body]
+			}
+			ops = append(ops, op)
 		}
-		ops = append(ops, op)
-	}
-	before := seg.Version()
-	if err := seg.Rebase(base, sys.Builder().LocalTextStats(), sys.Builder().Side(), ops); err != nil {
-		t.Fatal(err)
-	}
-	if seg.Version() <= before {
-		t.Fatalf("version did not advance across rebase: %d -> %d", before, seg.Version())
-	}
+		before := seg.Version()
+		if err := seg.Rebase(base, sys.Builder().LocalTextStats(), sys.Builder().Side(), ops); err != nil {
+			t.Fatal(err)
+		}
+		if seg.Version() <= before {
+			t.Fatalf("%s: version did not advance across rebase: %d -> %d", label, before, seg.Version())
+		}
+		if got, want := seg.AppliedSeq(), uint64(len(ops)); got != want {
+			t.Fatalf("%s: applied seq %d, want %d", label, got, want)
+		}
 
-	live, deltaID := trackScript(fx, baseN, script)
-	ref := referenceCorpus(t, fx, base, live, deltaID)
-	refSys := core.NewMulti(ref, fx.coll, cfg)
-	compareSearches(t, "after rebase", sys, refSys)
+		live, deltaID := trackScript(fx, baseN, script)
+		ref := referenceCorpus(t, fx, base, live, deltaID)
+		refSys := core.NewMulti(ref, fx.coll, cfg)
+		compareSearches(t, label, sys, refSys)
+	}
 }
 
 // An applied write re-indexes only the delta documents: every state's

@@ -486,13 +486,10 @@ func (b *Builder) BuildKeyword(keyword string) List {
 // carries an obs trace, the build is recorded as a "dil.build_keyword"
 // span with "dil.text_scores" and "ontoscore.propagate" children — the
 // per-stage attribution (DIL lookup vs OntoScore propagation) of the
-// paper's evaluation.
+// paper's evaluation. The span's onto attribute says whether the
+// OntoScores came from the side's memo or were propagated.
 func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
-	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
-	sp.SetAttr("keyword", keyword)
-	l := b.assemble(b.textScoresCtx(ctx, keyword), b.ontoScoresCtx(ctx, keyword))
-	sp.SetAttr("postings", len(l))
-	sp.End()
+	l, _ := b.buildKeyword(ctx, keyword, false)
 	return l
 }
 
@@ -505,13 +502,37 @@ func (b *Builder) BuildKeywordE(keyword string) (List, error) {
 // BuildKeywordECtx is BuildKeywordE with span instrumentation (see
 // BuildKeywordCtx).
 func (b *Builder) BuildKeywordECtx(ctx context.Context, keyword string) (List, error) {
+	return b.buildKeyword(ctx, keyword, true)
+}
+
+// buildKeyword is the one keyword build: the OntoScores of every system
+// of the side, then the text scores, assembled. fallible hits the
+// FPOntoResolve failpoint before each system's scores are read, memo
+// hit or not.
+func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible bool) (List, error) {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
 	defer sp.End()
-	onto, err := b.ontoScoresECtx(ctx, keyword)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return nil, err
+	onto := make([]ontoscore.Dense, len(b.slot0))
+	memo := true
+	for i, c := range b.side.Computers() {
+		if fallible {
+			if err := faultinject.Hit(FPOntoResolve); err != nil {
+				err = fmt.Errorf("dil: resolving %q against system %s: %w", keyword, c.Ontology().SystemID, err)
+				sp.SetAttr("error", err.Error())
+				return nil, err
+			}
+		}
+		var hit bool
+		onto[i], hit = b.side.Scores(ctx, i, b.strategy, keyword)
+		memo = memo && hit
+	}
+	switch {
+	case b.strategy == ontoscore.StrategyNone:
+	case memo:
+		sp.SetAttr("onto", "memo")
+	default:
+		sp.SetAttr("onto", "propagated")
 	}
 	l := b.assemble(b.textScoresCtx(ctx, keyword), onto)
 	sp.SetAttr("postings", len(l))
@@ -549,30 +570,6 @@ func (b *Builder) textScoresCtx(ctx context.Context, keyword string) []ir.Scored
 	return text
 }
 
-// ontoScoresCtx evaluates the builder's strategy against every system
-// of the ontology side, in side order, with per-system propagation
-// spans.
-func (b *Builder) ontoScoresCtx(ctx context.Context, keyword string) []ontoscore.Scores {
-	out := make([]ontoscore.Scores, len(b.slot0))
-	for i, c := range b.side.Computers() {
-		out[i] = c.ComputeCtx(ctx, b.strategy, keyword)
-	}
-	return out
-}
-
-// ontoScoresECtx is ontoScoresCtx with the FPOntoResolve failpoint hit
-// before each system.
-func (b *Builder) ontoScoresECtx(ctx context.Context, keyword string) ([]ontoscore.Scores, error) {
-	out := make([]ontoscore.Scores, len(b.slot0))
-	for i, c := range b.side.Computers() {
-		if err := faultinject.Hit(FPOntoResolve); err != nil {
-			return nil, fmt.Errorf("dil: resolving %q against system %s: %w", keyword, c.Ontology().SystemID, err)
-		}
-		out[i] = c.ComputeCtx(ctx, b.strategy, keyword)
-	}
-	return out, nil
-}
-
 // assemble merges one keyword's text scores (in key order) with
 // alpha-scaled OntoScore postings (onto[i] for system i of the side)
 // into the final Dewey-ordered list: NS = max of the branches per
@@ -583,21 +580,17 @@ func (b *Builder) ontoScoresECtx(ctx context.Context, keyword string) ([]ontosco
 // merge of two key-ordered sequences — the text postings and the code
 // elements of the scored concepts — with no map, no Dewey comparison
 // and no sort. The code elements come out of a bitset over the keys:
-// each scored concept marks the keys that reference it (resolved when
+// each scored concept — a dense index of its system, so its slot is
+// one addition away — marks the keys that reference it (resolved when
 // the stage was built), and reading the set back word by word yields
 // them in key order.
-func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Scores) List {
+func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense) List {
 	sc := b.scratch.Get().(*scratch)
 	defer b.scratch.Put(sc)
 	for i, scores := range onto {
-		c := b.side.Computers()[i]
-		for id, os := range scores {
-			d, ok := c.Dense(id)
-			if !ok {
-				continue
-			}
-			slot := b.slot0[i] + d
-			sc.score[slot] = b.params.Alpha * os
+		for j, d := range scores.Idx {
+			slot := b.slot0[i] + int(d)
+			sc.score[slot] = b.params.Alpha * scores.Score[j]
 			for _, key := range b.refs[slot] {
 				sc.seen[key>>6] |= 1 << (key & 63)
 			}
@@ -718,9 +711,9 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 			for i := range in {
 				kw := vocabulary[i]
 				start := time.Now()
-				onto := make([]ontoscore.Scores, len(maps))
+				onto := make([]ontoscore.Dense, len(maps))
 				for i, m := range maps {
-					onto[i] = m.ScoresFor(kw)
+					onto[i] = m.Dense(kw)
 				}
 				list := b.assemble(b.textScores(kw), onto)
 				out <- result{

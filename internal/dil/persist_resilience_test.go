@@ -1,6 +1,7 @@
 package dil
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cda"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/store"
@@ -366,6 +368,45 @@ func TestBuildKeywordE(t *testing.T) {
 	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
 	if l := b.BuildKeyword("asthma"); !reflect.DeepEqual(l, want) {
 		t.Fatal("BuildKeyword changed under an armed failpoint")
+	}
+	faultinject.Disable(FPOntoResolve)
+}
+
+// Builds read OntoScores through the side's memo: a keyword's third
+// build is a memo hit (the span says so), answers what the first
+// build did, and still hits FPOntoResolve — an armed failpoint fails
+// the fallible build on a memo hit exactly as on a propagation.
+func TestSideMemoFailpoint(t *testing.T) {
+	defer faultinject.DisableAll()
+	b := figure1Builder(t)
+	build := func() (List, string) {
+		t.Helper()
+		ctx, root := obs.NewTracer(4).StartRoot(context.Background(), "test")
+		l, err := b.BuildKeywordECtx(ctx, "asthma")
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		tree := root.Tree()
+		return l, fmt.Sprint(tree.Find("dil.build_keyword").Attrs["onto"])
+	}
+	want, src := build()
+	if src != "propagated" {
+		t.Fatalf("first build: onto=%s, want propagated", src)
+	}
+	if _, src = build(); src != "propagated" {
+		t.Fatalf("second build: onto=%s, want propagated (admitted, not yet served)", src)
+	}
+	got, src := build()
+	if src != "memo" {
+		t.Fatalf("third build: onto=%s, want memo", src)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("memo hit built a different list")
+	}
+	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
+	if _, err := b.BuildKeywordE("asthma"); err == nil {
+		t.Fatal("memo hit ignored the armed ontology failpoint")
 	}
 	faultinject.Disable(FPOntoResolve)
 }

@@ -149,6 +149,10 @@ func (f *Frozen) Dense(c ConceptID) (int, bool) {
 	return int(i), ok
 }
 
+// ID returns the concept at dense index i in [0, Len()) — the inverse
+// of Dense. Dense order is ConceptID order.
+func (f *Frozen) ID(i int) ConceptID { return f.ids[i] }
+
 // Neighbors returns the undirected, unlabeled adjacency of c. The
 // returned slice is shared; callers must not modify it.
 func (f *Frozen) Neighbors(c ConceptID) []ConceptID {

@@ -121,3 +121,20 @@ func benchComputer(b *testing.B) *Computer {
 	}
 	return NewComputer(ont, DefaultParams())
 }
+
+// BenchmarkCompute propagates a fixed keyword sample under each
+// strategy on a 5 000-concept ontology: one op is one keyword.
+func BenchmarkCompute(b *testing.B) {
+	c := NewComputer(generated(b, 7, 4931), DefaultParams())
+	keywords := []string{"asthma", "cardiac", "structure", "chronic", "stenosis", "aspirin", "disorder", "agent"}
+	for _, s := range []Strategy{StrategyGraph, StrategyTaxonomy, StrategyRelationships} {
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.Compute(s, keywords[i%len(keywords)]) == nil && i < len(keywords) {
+					b.Fatalf("%q reaches nothing", keywords[i%len(keywords)])
+				}
+			}
+		})
+	}
+}

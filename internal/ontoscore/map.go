@@ -10,18 +10,20 @@ import (
 
 // Map is the OntoScore hash map of Algorithm 1: for a fixed strategy it
 // stores OS(O, w, c) for every (keyword w, concept c) pair whose score
-// meets the threshold. It is the intermediate product of the index
-// creation module, consumed when the XOnto-DILs are assembled.
+// meets the threshold, over the computer's dense concept numbering. It
+// is the intermediate product of the index creation module, consumed
+// when the XOnto-DILs are assembled.
 type Map struct {
 	strategy Strategy
-	scores   map[string]Scores
+	c        *Computer
+	scores   map[string]Dense
 }
 
 // BuildMap evaluates the strategy over every keyword of the vocabulary.
 // Keywords are evaluated concurrently (the computer is read-only after
 // construction); the result is deterministic.
 func BuildMap(c *Computer, s Strategy, vocabulary []string) *Map {
-	m := &Map{strategy: s, scores: make(map[string]Scores, len(vocabulary))}
+	m := &Map{strategy: s, c: c, scores: make(map[string]Dense, len(vocabulary))}
 	if s == StrategyNone {
 		return m
 	}
@@ -34,7 +36,7 @@ func BuildMap(c *Computer, s Strategy, vocabulary []string) *Map {
 	}
 	type result struct {
 		kw     string
-		scores Scores
+		scores Dense
 	}
 	in := make(chan string)
 	out := make(chan result)
@@ -44,7 +46,7 @@ func BuildMap(c *Computer, s Strategy, vocabulary []string) *Map {
 		go func() {
 			defer wg.Done()
 			for kw := range in {
-				out <- result{kw: kw, scores: c.Compute(s, kw)}
+				out <- result{kw: kw, scores: c.propagate(s, kw)}
 			}
 		}()
 	}
@@ -57,7 +59,7 @@ func BuildMap(c *Computer, s Strategy, vocabulary []string) *Map {
 		close(out)
 	}()
 	for r := range out {
-		if len(r.scores) > 0 {
+		if r.scores.Len() > 0 {
 			m.scores[r.kw] = r.scores
 		}
 	}
@@ -69,17 +71,27 @@ func (m *Map) Strategy() Strategy { return m.strategy }
 
 // Get returns OS(O, keyword, concept) and whether it is recorded.
 func (m *Map) Get(keyword string, id ontology.ConceptID) (float64, bool) {
-	s, ok := m.scores[keyword]
+	d, ok := m.c.Dense(id)
 	if !ok {
 		return 0, false
 	}
-	v, ok := s[id]
-	return v, ok
+	scores := m.scores[keyword]
+	for i, idx := range scores.Idx {
+		if int(idx) == d {
+			return scores.Score[i], true
+		}
+	}
+	return 0, false
 }
 
-// ScoresFor returns every recorded concept score for the keyword. The
-// map is shared; callers must not modify it.
-func (m *Map) ScoresFor(keyword string) Scores { return m.scores[keyword] }
+// Dense returns the recorded concept scores of the keyword over the
+// computer's dense numbering. The slices are shared; callers must not
+// modify them.
+func (m *Map) Dense(keyword string) Dense { return m.scores[keyword] }
+
+// ScoresFor returns every recorded concept score for the keyword, keyed
+// by concept (a fresh map; nil when none is recorded).
+func (m *Map) ScoresFor(keyword string) Scores { return m.c.scoresOf(m.scores[keyword]) }
 
 // Keywords returns the keywords with at least one recorded score,
 // sorted.
@@ -96,7 +108,7 @@ func (m *Map) Keywords() []string {
 func (m *Map) Entries() int {
 	n := 0
 	for _, s := range m.scores {
-		n += len(s)
+		n += s.Len()
 	}
 	return n
 }

@@ -17,16 +17,17 @@
 //
 // All strategies share one engine: a merged best-first expansion from
 // every concept containing the keyword (the paper's Algorithm 1 with
-// the Observation-1 optimization), pruned below a score threshold.
+// the Observation-1 optimization), pruned below a score threshold, run
+// over precomputed per-strategy flow tables.
 // Seeds are scored by normalized BM25 over concepts-viewed-as-documents.
 package ontoscore
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/xmltree"
 )
@@ -96,22 +97,26 @@ func DefaultParams() Params {
 type Scores map[ontology.ConceptID]float64
 
 // Computer evaluates OntoScores against one ontology: the concept-level
-// IR index (terms as documents, with token positions) and the frozen
-// CSR snapshot of the graph, both built once; the expansion reads
-// nothing else. Keyword evaluations are independent and safe to run
-// concurrently after construction. Serving code gets its computers from
-// a Side, built once per ontology collection.
+// IR index (terms as documents, with token positions), the frozen CSR
+// snapshot of the graph and one flow table per strategy over it, all
+// built once; the expansion reads nothing else. Keyword evaluations are
+// independent and safe to run concurrently after construction. Serving
+// code gets its computers from a Side, built once per ontology
+// collection, and reads their scores through the side's memo.
 type Computer struct {
 	ont    *ontology.Ontology
 	graph  *ontology.Frozen
 	params Params
 	index  *ir.Index
 	pos    *ir.Positional
+
+	flows     [StrategyRelationships + 1]flow // by strategy; StrategyNone empty
+	expanders sync.Pool                       // *expander
 }
 
-// NewComputer indexes the ontology's term texts, freezes its graph, and
-// returns a ready computer. Later mutations of the ontology are not
-// reflected.
+// NewComputer indexes the ontology's term texts, freezes its graph,
+// tabulates each strategy's transitions, and returns a ready computer.
+// Later mutations of the ontology are not reflected.
 func NewComputer(ont *ontology.Ontology, params Params) *Computer {
 	c := &Computer{ont: ont, graph: ontology.Freeze(ont), params: params, index: ir.NewIndex(), pos: ir.NewPositional()}
 	for _, id := range ont.Concepts() {
@@ -119,6 +124,8 @@ func NewComputer(ont *ontology.Ontology, params Params) *Computer {
 		c.index.Add(ir.DocKey(id), tokens)
 		c.pos.Add(ir.DocKey(id), tokens)
 	}
+	c.buildFlows()
+	c.expanders.New = c.newExpander
 	return c
 }
 
@@ -141,6 +148,19 @@ func (c *Computer) Params() Params { return c.params }
 // (0, 1] over the containing set. These are the authority sources of
 // Algorithm 1.
 func (c *Computer) Seeds(keyword string) Scores {
+	seeds := c.denseSeeds(keyword)
+	if len(seeds) == 0 {
+		return nil
+	}
+	out := make(Scores, len(seeds))
+	for _, s := range seeds {
+		out[c.graph.ID(int(s.idx))] = s.score
+	}
+	return out
+}
+
+// denseSeeds is Seeds over the dense numbering, in ascending order.
+func (c *Computer) denseSeeds(keyword string) []denseItem {
 	containing := c.ont.ConceptsContaining(keyword)
 	if len(containing) == 0 {
 		return nil
@@ -149,60 +169,42 @@ func (c *Computer) Seeds(keyword string) Scores {
 	for i, id := range containing {
 		keys[i] = ir.DocKey(id)
 	}
-	raw := make(Scores, len(containing))
+	scored := c.index.BM25Positional(c.params.BM25, c.pos, keys, tokenize(keyword))
+	seeds := make([]denseItem, len(scored))
 	max := 0.0
-	for _, sd := range c.index.BM25Positional(c.params.BM25, c.pos, keys, tokenize(keyword)) {
-		raw[ontology.ConceptID(sd.Doc)] = sd.Score
+	for i, sd := range scored {
+		d, _ := c.graph.Dense(ontology.ConceptID(sd.Doc))
+		seeds[i] = denseItem{idx: int32(d), score: sd.Score}
 		if sd.Score > max {
 			max = sd.Score
 		}
 	}
-	if max == 0 {
-		// Degenerate (e.g. single-concept collection); treat containment
-		// as full relevance.
-		for id := range raw {
-			raw[id] = 1
+	for i := range seeds {
+		if max == 0 {
+			// Degenerate (e.g. single-concept collection); treat
+			// containment as full relevance.
+			seeds[i].score = 1
+		} else {
+			seeds[i].score /= max
 		}
-		return raw
 	}
-	for id, s := range raw {
-		raw[id] = s / max
-	}
-	return raw
+	return seeds
 }
 
 // Compute evaluates the strategy for one keyword, returning every
 // concept whose OntoScore meets the threshold. StrategyNone returns nil:
 // the baseline uses no ontological association.
 func (c *Computer) Compute(s Strategy, keyword string) Scores {
-	switch s {
-	case StrategyNone:
-		return nil
-	case StrategyGraph:
-		return c.Graph(keyword)
-	case StrategyTaxonomy:
-		return c.Taxonomy(keyword)
-	case StrategyRelationships:
-		return c.Relationships(keyword)
-	default:
-		return nil
-	}
+	return c.scoresOf(c.propagate(s, keyword))
 }
 
 // ComputeCtx is Compute under a context: when the context carries an
 // active obs trace, the propagation is recorded as an
 // "ontoscore.propagate" span with the system, strategy, keyword, and
-// result size — the paper's per-stage cost attribution (Table III's
-// OntoScore column) measured per query instead of per build.
+// result size. It always propagates; index creation reads scores
+// through Side.Scores instead.
 func (c *Computer) ComputeCtx(ctx context.Context, s Strategy, keyword string) Scores {
-	_, sp := obs.StartSpan(ctx, "ontoscore.propagate")
-	sp.SetAttr("system", c.ont.SystemID)
-	sp.SetAttr("strategy", s.String())
-	sp.SetAttr("keyword", keyword)
-	scores := c.Compute(s, keyword)
-	sp.SetAttr("concepts", len(scores))
-	sp.End()
-	return scores
+	return c.scoresOf(c.propagateCtx(ctx, s, keyword))
 }
 
 func tokenize(s string) []string { return xmltree.Tokenize(s) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/ontology"
@@ -68,31 +69,57 @@ func decodeScores(buf []byte) (Scores, error) {
 	return out, nil
 }
 
+// denseOf converts a concept-keyed map to the dense numbering, in
+// ascending index order.
+func (c *Computer) denseOf(s Scores) (Dense, error) {
+	if len(s) == 0 {
+		return Dense{}, nil
+	}
+	d := Dense{Idx: make([]int32, 0, len(s)), Score: make([]float64, 0, len(s))}
+	for id := range s {
+		i, ok := c.Dense(id)
+		if !ok {
+			return Dense{}, fmt.Errorf("ontoscore: concept %d not in the ontology", id)
+		}
+		d.Idx = append(d.Idx, int32(i))
+	}
+	slices.Sort(d.Idx)
+	for _, i := range d.Idx {
+		d.Score = append(d.Score, s[c.graph.ID(int(i))])
+	}
+	return d, nil
+}
+
 // SaveTo persists the map's entries under the prefix.
 func (m *Map) SaveTo(st *store.Store, prefix string) error {
 	base := prefix + "/" + m.strategy.String() + "/"
 	for _, kw := range m.Keywords() {
-		if err := st.Put(base+kw, appendScores(nil, m.scores[kw])); err != nil {
+		if err := st.Put(base+kw, appendScores(nil, m.ScoresFor(kw))); err != nil {
 			return fmt.Errorf("ontoscore: saving %q: %w", kw, err)
 		}
 	}
 	return st.Sync()
 }
 
-// LoadMap reads a map previously saved for the strategy.
-func LoadMap(st *store.Store, prefix string, strategy Strategy) (*Map, error) {
-	m := &Map{strategy: strategy, scores: make(map[string]Scores)}
+// LoadMap reads a map previously saved for the strategy against the
+// computer's ontology; a saved concept the ontology lacks is an error.
+func LoadMap(st *store.Store, prefix string, c *Computer, strategy Strategy) (*Map, error) {
+	m := &Map{strategy: strategy, c: c, scores: make(map[string]Dense)}
 	base := prefix + "/" + strategy.String() + "/"
 	var firstErr error
 	err := st.Scan(base, func(key string, val []byte) bool {
 		kw := strings.TrimPrefix(key, base)
+		var d Dense
 		s, err := decodeScores(val)
+		if err == nil {
+			d, err = c.denseOf(s)
+		}
 		if err != nil {
 			firstErr = fmt.Errorf("ontoscore: loading %q: %w", kw, err)
 			return false
 		}
-		if len(s) > 0 {
-			m.scores[kw] = s
+		if d.Len() > 0 {
+			m.scores[kw] = d
 		}
 		return true
 	})

@@ -31,7 +31,7 @@ func TestMapSaveLoadRoundTrip(t *testing.T) {
 	if err := m.SaveTo(st, "onto"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadMap(st, "onto", StrategyRelationships)
+	got, err := LoadMap(st, "onto", c, StrategyRelationships)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMapSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Loading a strategy with no saved entries yields an empty map.
-	empty, err := LoadMap(st, "onto", StrategyGraph)
+	empty, err := LoadMap(st, "onto", c, StrategyGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,8 @@ func TestLoadMapCorrupt(t *testing.T) {
 	if err := st.Put("onto/Graph/asthma", []byte{0xFF, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMap(st, "onto", StrategyGraph); err == nil {
+	c := NewComputer(ontology.Figure2Fragment(), DefaultParams())
+	if _, err := LoadMap(st, "onto", c, StrategyGraph); err == nil {
 		t.Error("corrupt scores loaded")
 	}
 }

@@ -23,12 +23,12 @@ import (
 // disjoint.
 const irCacheKey = "\x00ir\x1f"
 
-// versionTag namespaces cache and flight keys by delta-overlay state
-// version. Lists built while a delta is live are only valid for the
-// exact state they were scored against (collection statistics and
-// normalization divisors move on every ingest); tagging the key makes
-// entries from superseded states unreachable instead of relying on a
-// racy purge.
+// versionTag namespaces flight keys by delta-overlay state version.
+// Lists built while a delta is live are only valid for the exact state
+// they were scored against (collection statistics and normalization
+// divisors move on every ingest), so they are built per read and never
+// enter the keyword LRU; the tag only lets concurrent reads of one
+// state share a build. A non-empty tag is what marks a dirty read.
 func versionTag(v uint64) string {
 	return "\x00v" + strconv.FormatUint(v, 36) + "\x1f"
 }
@@ -44,7 +44,7 @@ func isContextErr(err error) bool {
 // with how the keyword was answered (cache, built).
 func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, fb FallibleKeywordBuilder) (dil.List, bool, error) {
 	ckey := tag + kw
-	if l, ok := e.cache.Get(ckey); ok {
+	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
 		return l, false, nil
 	}
@@ -56,7 +56,7 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 	}
 	sp.SetAttr("source", "built")
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
-		if l, ok := e.cache.Get(ckey); ok { // raced with another build
+		if l, ok := e.cached(tag, ckey); ok { // raced with another build
 			return l, nil
 		}
 		var built dil.List
@@ -72,7 +72,7 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 			return nil, rerr
 		}
 		e.breaker.Success()
-		e.cache.Set(ckey, built)
+		e.store(tag, ckey, built)
 		return built, nil
 	})
 	if err == nil {
@@ -89,24 +89,24 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 	return l, true, ferr
 }
 
-// listIR builds (and caches, under a separate key) the IR-only list of
-// a keyword. Builders without an IR fallback yield no list — the
-// keyword reads as absent, which is still not an error.
+// listIR builds (and, on a clean read, caches under a separate key) the
+// IR-only list of a keyword. Builders without an IR fallback yield no
+// list — the keyword reads as absent, which is still not an error.
 func (e *Engine) listIR(ctx context.Context, kw, tag string) (dil.List, error) {
 	irb, ok := e.builder.(IRKeywordBuilder)
 	if !ok {
 		return nil, nil
 	}
 	ckey := irCacheKey + tag + kw
-	if l, ok := e.cache.Get(ckey); ok {
+	if l, ok := e.cached(tag, ckey); ok {
 		return l, nil
 	}
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
-		if l, ok := e.cache.Get(ckey); ok {
+		if l, ok := e.cached(tag, ckey); ok {
 			return l, nil
 		}
 		l := e.buildIR(fctx, irb, kw)
-		e.cache.Set(ckey, l)
+		e.store(tag, ckey, l)
 		return l, nil
 	})
 	if err != nil && !isContextErr(err) {

@@ -269,9 +269,12 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 	}
 	// A dirty delta overlay invalidates prebuilt base lists: their
 	// baked-in scores predate the live collection statistics. Resolve
-	// through the builder instead, caching under a version-tagged key so
-	// lists built against a superseded state can never be served after
-	// the next ingest (the stale entries age out of the LRU).
+	// through the builder instead, per read: a list built against one
+	// overlay state is valid for that state alone, so it bypasses the
+	// keyword LRU, and its flight key carries the state's version so
+	// concurrent reads of one state still build once. (The OntoScores
+	// behind it do not depend on the corpus; the ontology side memoizes
+	// them.)
 	var tag string
 	if ov != nil && ov.Dirty() {
 		tag = versionTag(ov.Version())
@@ -306,20 +309,36 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 		return resolved{list: l}, degraded, err
 	}
 	ckey := tag + kw
-	if l, ok := e.cache.Get(ckey); ok {
+	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
 		return resolved{list: l}, false, nil
 	}
 	sp.SetAttr("source", "built")
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
-		if l, ok := e.cache.Get(ckey); ok { // raced with another build
+		if l, ok := e.cached(tag, ckey); ok { // raced with another build
 			return l, nil
 		}
 		l := e.buildPlain(fctx, kw)
-		e.cache.Set(ckey, l)
+		e.store(tag, ckey, l)
 		return l, nil
 	})
 	return resolved{list: l}, false, err
+}
+
+// cached looks a built list up in the keyword LRU. Lists built under a
+// dirty overlay (a non-empty version tag) are never cached.
+func (e *Engine) cached(tag, ckey string) (dil.List, bool) {
+	if tag != "" {
+		return nil, false
+	}
+	return e.cache.Get(ckey)
+}
+
+// store caches a built list unless it was built under a dirty overlay.
+func (e *Engine) store(tag, ckey string, l dil.List) {
+	if tag == "" {
+		e.cache.Set(ckey, l)
+	}
 }
 
 // resolve gathers every keyword's posting list, one goroutine per

@@ -53,6 +53,7 @@ func (e *Engine) SetOverlay(o Overlay) { e.overlay = o }
 
 // PurgeKeywordCache empties the on-demand keyword cache. The serving
 // layer calls it after every applied ingest: cached lists were scored
-// under the previous collection statistics and normalization divisors,
-// and both move when a document is added or tombstoned.
+// under the clean base statistics and normalization divisors, and both
+// move when a document is added or tombstoned (reads under the dirty
+// overlay build per read and cache nothing).
 func (e *Engine) PurgeKeywordCache() { e.cache.Purge() }

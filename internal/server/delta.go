@@ -232,10 +232,11 @@ func (s *Server) epoch(g *generation) uint64 {
 
 // purgeCaches drops the result cache and every live system's on-demand
 // keyword cache after an applied ingest. Stale entries are already
-// unreachable — result keys carry the epoch, keyword keys the overlay
-// version, and an applied ingest moves both — so this is memory
-// hygiene, not correctness: without it superseded entries stay resident
-// until the LRUs evict them.
+// unreachable — result keys carry the epoch, which an applied ingest
+// moves, and keyword lists are cached only on clean reads, which a
+// dirty overlay never makes (its lists are built per read) — so this is
+// memory hygiene, not correctness: without it superseded entries stay
+// resident until the LRUs evict them.
 func (s *Server) purgeCaches() {
 	s.svc.Cache().Purge()
 	g := s.gen.Pin()

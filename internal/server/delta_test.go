@@ -21,6 +21,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
+	"repro/internal/serving"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
@@ -359,7 +360,9 @@ func TestDeltaWALRecovery(t *testing.T) {
 // source directory, truncates the WAL, and folds everything into a
 // fresh generation — after which the delta is empty and every query
 // scores exactly as it did when the documents lived in the delta (the
-// rebuild differential, through HTTP).
+// rebuild differential, through HTTP). Reads under the dirty overlay
+// build their lists per read: fifty of them over twenty keywords leave
+// every keyword LRU as it was.
 func TestCompactionFoldsDelta(t *testing.T) {
 	s, docs := deltaFixture(t)
 	body := figure1ForFixture(t, s)
@@ -379,10 +382,35 @@ func TestCompactionFoldsDelta(t *testing.T) {
 		"/search?q=patient+problems&k=20&strategy=Taxonomy",
 		"/search?q=zzznothing",
 	}
+	// Fifty dirty reads over twenty keywords, each a result-cache miss
+	// (a distinct keyword and strategy), so every one resolves its list.
+	g := s.gen.Pin()
+	var keywords []string
+	for _, kw := range g.systems[ontoscore.StrategyNone].Builder().Vocabulary(0) {
+		if len(kw) >= 4 && len(keywords) < 20 {
+			keywords = append(keywords, kw)
+		}
+	}
+	lruMetrics := func() map[ontoscore.Strategy]serving.CacheMetrics {
+		out := map[ontoscore.Strategy]serving.CacheMetrics{}
+		for st, sys := range g.systems {
+			out[st] = sys.KeywordCacheMetrics()
+		}
+		return out
+	}
+	lruBefore := lruMetrics()
+	for i := 0; i < 50; i++ {
+		st := ontoscore.Strategies()[1+(i/len(keywords))%3]
+		queries = append(queries, "/search?q="+keywords[i%len(keywords)]+"&k=10&strategy="+st.String())
+	}
 	before := make([][]string, len(queries))
 	for i, q := range queries {
 		before[i] = scoreProjection(searchResults(t, s, q))
 	}
+	if got := lruMetrics(); !reflect.DeepEqual(got, lruBefore) {
+		t.Errorf("dirty reads changed the keyword LRUs: %v -> %v", lruBefore, got)
+	}
+	s.gen.Release(g)
 
 	if err := s.compactCycle(context.Background()); err != nil {
 		t.Fatal(err)

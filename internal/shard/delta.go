@@ -97,9 +97,9 @@ func shardOfName(name string, n int) int {
 }
 
 // PurgeKeywordCaches drops every live slot system's on-demand keyword
-// cache (the serving layer calls it after each applied ingest — stale
-// entries are already unreachable via version-tagged keys; this frees
-// the memory).
+// cache (the serving layer calls it after each applied ingest — the
+// cached lists are clean-state ones a dirty overlay never reads; this
+// frees the memory).
 func (c *Cluster) PurgeKeywordCaches() {
 	live := c.pinLocal()
 	for _, g := range live {
