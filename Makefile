@@ -13,7 +13,9 @@
 #                      check is enforced by each package's TestMain)
 #   make fuzz-smoke  - ~10s of coverage-guided fuzzing per target
 #   make bench       - serving-layer benchmarks (cache hit/miss, parallel load)
-#   make bench-smoke - short DIL-merge benchmark pass plus the merge
+#   make bench-smoke - short DIL-merge benchmark pass (deep served-like
+#                      shape included) and one System.Query merge over
+#                      the benchmark corpus, plus the merge
 #                      differential suite against the reference merge
 #                      (fuzz seeds run in -run mode), one generation
 #                      build at 200/800/3200 documents, and the keyword
@@ -36,8 +38,9 @@
 #                      injected slow-peer tail)
 #   make topk        - top-k pruning lane: the block-max differential
 #                      suite (equivalence, edge cases, unsafe decay,
-#                      paging windows, escape hatches) under -race, plus
-#                      the fuzz seed corpus replayed in -run mode
+#                      paging windows, escape hatches, window-sized
+#                      heap) under -race, plus both merge fuzzers'
+#                      decay-axis seed corpora replayed in -run mode
 #   make bench-topk-report - regenerate BENCH_TOPK.json (block-max top-k
 #                      vs exhaustive merge at k in {1,10,100}; enforces
 #                      the >=5x bar on uniform conjunctions at k=10)
@@ -121,8 +124,10 @@ bench:
 # against the reference merge (including the fuzz seed corpus, replayed
 # deterministically in -run mode, and the engine's default path on the
 # experiment corpora) and one short benchmark iteration of every merge
-# shape; then the XOnto-DIL keyword build against its map-based
-# reference and one cold build at 800 documents; then one /search
+# shape, with the deep (served-like) shape and one System.Query over the
+# 800-document benchmark corpus once more with allocations; then the
+# XOnto-DIL keyword build against its map-based reference and one cold
+# build at 800 documents; then one /search
 # cache hit through ServeHTTP, with its allocations; then the dense
 # OntoScore kernel against its map-based reference and one propagation
 # per strategy, and one delta rebase at 1/8/32 pending documents.
@@ -130,6 +135,8 @@ bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
 	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
+	$(GO) test . -run '^$$' -bench 'DILMerge/keywords=3/deep' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench '^BenchmarkQueryMerge$$' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'NewGeneration' -benchtime 1x
 	$(GO) test ./internal/dil -run 'TestAssembleMatchesReference|TestBuildMatchesReference' -count=1
 	$(GO) test ./internal/dil -run '^$$' -bench 'BuildKeyword' -benchtime 1x -benchmem
@@ -141,10 +148,12 @@ bench-smoke:
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
 # edge cases, unsafe decay, engine paging windows, the exhaustive-merge
-# escape hatch), the sharded paging equivalence, and the fuzz seed
-# corpus replayed deterministically — all under the race detector.
+# escape hatch, the heap not sized to the paging window), the sharded
+# paging equivalence, and both merge fuzzers' seed corpora (every decay
+# of the differential's decay axis) replayed deterministically — all
+# under the race detector.
 topk:
-	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|TestEngineMatchesReference|FuzzTopKEquivalence'
+	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|TestEngineMatchesReference|FuzzTopKEquivalence|FuzzMergeEquivalence'
 	$(GO) test -race -count=1 ./internal/shard -run 'TestShardedPagingEquivalence'
 
 bench-topk-report:
@@ -235,7 +244,10 @@ obs: api-guard
 # reads OntoScores through the side's memo (no Compute/ComputeCtx call
 # in internal/dil outside tests). Server responses are compact
 # JSON (no indenting encoder in internal/server), and the discard logger
-# is disabled rather than formatting into io.Discard.
+# is disabled rather than formatting into io.Discard. The DIL merge is
+# one sparse-stack path fed by document runs: no per-posting loser tree
+# (fastEntry, mergeRun.build/adjust/less) grows back beside it, and no
+# top-k heap is preallocated to the whole k+offset window.
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -256,11 +268,13 @@ api-guard:
 	if grep -nE '\.(Compute|ComputeCtx)\(' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nE 'SetIndent\(|MarshalIndent\(' --exclude='*_test.go' internal/server/*.go; then fail=1; fi; \
 	if grep -nF 'slog.NewJSONHandler(io.Discard' --exclude='*_test.go' internal/obs/*.go; then fail=1; fi; \
+	if grep -nE 'type fastEntry|func \(m \*mergeRun\) (build|adjust|less)\(' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
+	if grep -nF 'make(topKHeap, 0, limit+1)' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -11,32 +11,50 @@ import (
 )
 
 // Merge microbenchmarks over synthetic posting lists with controlled
-// shape: the loser-tree merge over plain lists (fast) and over
-// block-compressed lists with skip entries (compact). The skewed shapes — one rare
+// shape: the merge over plain lists (fast) and over block-compressed
+// lists with skip entries (compact). The skewed shapes — one rare
 // keyword against common ones — are where document zig-zag skipping
-// pays; uniform shapes bound the loser tree's overhead when every
-// posting must be touched anyway.
+// pays; uniform shapes bound the merge's overhead when every posting
+// must be touched anyway; the deep shape looks like served lists, where
+// the XRANK stack's per-posting cost dominates.
+
+// mergeShapes are the workload shapes of BenchmarkDILMerge.
+var mergeShapes = []string{"skewed", "uniform", "deep"}
 
 // mergeWorkload builds k Dewey-sorted lists over a shared document
 // range. Skewed workloads make list 0 rare (few documents) and the
-// rest dense; uniform workloads give every list the same density.
-func mergeWorkload(k int, skewed bool) []dil.List {
+// rest dense; uniform workloads give every list the same density with
+// 3-level identifiers; deep workloads give every list about 16
+// postings per document at ragged depths 6–10, the shape (postings per
+// document, mean depth ≈ 8) traced on the served merge workload.
+func mergeWorkload(k int, shape string) []dil.List {
 	const (
-		docs      = 5000
-		perDoc    = 4
-		rareDocs  = 20
-		uniDocs   = 500
-		uniPerDoc = 10
+		docs       = 5000
+		perDoc     = 4
+		rareDocs   = 20
+		uniDocs    = 500
+		uniPerDoc  = 10
+		deepDocs   = 400
+		deepPerDoc = 16
 	)
-	rng := rand.New(rand.NewSource(int64(k)*2 + int64(b2i(skewed))))
+	seed := int64(k)*2 + b2i(shape == "skewed")
+	if shape == "deep" {
+		seed += 1000
+	}
+	rng := rand.New(rand.NewSource(seed))
 	build := func(docSet []int32, perDoc int) dil.List {
 		l := make(dil.List, 0, len(docSet)*perDoc)
 		for _, doc := range docSet {
 			for j := 0; j < perDoc; j++ {
-				l = append(l, dil.Posting{
-					ID:    xmltree.Dewey{doc, int32(j % 3), int32(rng.Intn(4))},
-					Score: float64(1+rng.Intn(1000)) / 1000,
-				})
+				id := xmltree.Dewey{doc, int32(j % 3), int32(rng.Intn(4))}
+				if shape == "deep" {
+					id = make(xmltree.Dewey, 6+rng.Intn(5))
+					id[0] = doc
+					for d := 1; d < len(id); d++ {
+						id[d] = int32(rng.Intn(3))
+					}
+				}
+				l = append(l, dil.Posting{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
 			}
 		}
 		l.Sort()
@@ -50,12 +68,17 @@ func mergeWorkload(k int, skewed bool) []dil.List {
 		return set
 	}
 	lists := make([]dil.List, k)
-	if skewed {
+	switch shape {
+	case "skewed":
 		lists[0] = build(seq(rareDocs, docs), perDoc)
 		for i := 1; i < k; i++ {
 			lists[i] = build(seq(docs, docs), perDoc)
 		}
-	} else {
+	case "deep":
+		for i := range lists {
+			lists[i] = build(seq(deepDocs, deepDocs), deepPerDoc)
+		}
+	default:
 		for i := range lists {
 			lists[i] = build(seq(uniDocs, uniDocs), uniPerDoc)
 		}
@@ -78,12 +101,13 @@ func compactAll(lists []dil.List) []*dil.CompactList {
 	return cls
 }
 
-// BenchmarkDILMerge times the loser-tree merge alone on skewed
-// conjunctions (a rare keyword and common ones) and uniform ones.
+// BenchmarkDILMerge times the merge alone on skewed conjunctions (a
+// rare keyword and common ones), uniform ones, and deep served-like
+// ones.
 func BenchmarkDILMerge(b *testing.B) {
 	for _, k := range []int{2, 3, 5} {
-		for _, shape := range []string{"skewed", "uniform"} {
-			lists := mergeWorkload(k, shape == "skewed")
+		for _, shape := range mergeShapes {
+			lists := mergeWorkload(k, shape)
 			cls := compactAll(lists)
 			want := len(query.RunLists(lists, 0.5, 0))
 			run := func(name string, merge func() []query.Result) {

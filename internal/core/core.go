@@ -181,25 +181,61 @@ func (s *System) KeywordCacheMetrics() serving.CacheMetrics {
 	return s.engine.CacheMetrics()
 }
 
+// resolve hydrates one query result in a single walk: the root is
+// located from its document's root node while its tags are appended to
+// one buffer, which becomes Result.Path; each match — a descendant or
+// self of the root — continues from the root node along its remaining
+// components. Only an identifier that does not resolve under the root
+// falls back to a separate NodeAt(...).Path().
 func (s *System) resolve(keywords []query.Keyword, r query.Result) Result {
 	res := Result{Root: r.Root, Score: r.Score, raw: r}
+	var root *xmltree.Node
+	var buf []byte
 	if doc := s.docByID(r.Root.DocID()); doc != nil {
 		res.Document = doc.Name
+		if doc.Root != nil && len(r.Root) > 0 && r.Root[0] == doc.ID {
+			root, buf = walkPath(doc.Root, r.Root[1:], append(buf, doc.Root.Tag...))
+			if root != nil {
+				res.Path = string(buf)
+			}
+		}
 	}
-	if n := s.NodeAt(r.Root); n != nil {
-		res.Path = n.Path()
+	if len(r.Matches) > 0 {
+		res.Matches = make([]KeywordMatch, 0, len(r.Matches))
 	}
 	for i, m := range r.Matches {
 		km := KeywordMatch{ID: m.ID, Score: m.Score}
 		if i < len(keywords) {
 			km.Keyword = string(keywords[i])
 		}
-		if n := s.NodeAt(m.ID); n != nil {
-			km.Path = n.Path()
+		switch {
+		case root != nil && m.ID.Equal(r.Root):
+			km.Path = res.Path
+		case root != nil && r.Root.IsAncestorOf(m.ID):
+			if n, mb := walkPath(root, m.ID[len(r.Root):], buf); n != nil {
+				km.Path = string(mb)
+			}
+		default:
+			if n := s.NodeAt(m.ID); n != nil {
+				km.Path = n.Path()
+			}
 		}
 		res.Matches = append(res.Matches, km)
 	}
 	return res
+}
+
+// walkPath descends from n along the child ordinals in rel, appending
+// "/tag" per step to path. A nil node means rel leaves the tree.
+func walkPath(n *xmltree.Node, rel xmltree.Dewey, path []byte) (*xmltree.Node, []byte) {
+	for _, ord := range rel {
+		if uint(ord) >= uint(len(n.Children)) {
+			return nil, path
+		}
+		n = n.Children[ord]
+		path = append(append(path, '/'), n.Tag...)
+	}
+	return n, path
 }
 
 // Snippet builds a short text preview of a result: a window of each

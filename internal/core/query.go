@@ -159,6 +159,9 @@ func (s *System) Query(ctx context.Context, req SearchRequest) (*SearchResponse,
 	hstart := time.Now()
 	_, hsp := obs.StartSpan(ctx, "core.hydrate")
 	out := &SearchResponse{Info: qresp.Info, Pruning: qresp.Pruning}
+	if len(qresp.Results) > 0 {
+		out.Results = make([]Result, 0, len(qresp.Results))
+	}
 	for _, r := range qresp.Results {
 		res := s.resolve(keywords, r)
 		out.Results = append(out.Results, res)

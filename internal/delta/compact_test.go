@@ -214,6 +214,7 @@ func TestCompactorLoop(t *testing.T) {
 
 	c.MaybeKick() // 5 docs >= MaxDocs 3
 	waitRan(t, ran)
+	waitDone(t, func() bool { _, f := c.Runs(); return f == 1 })
 	if r, f := c.Runs(); r != 1 || f != 1 {
 		t.Fatalf("after failed cycle: runs=%d failures=%d", r, f)
 	}
@@ -224,6 +225,7 @@ func TestCompactorLoop(t *testing.T) {
 	fail.Store(false)
 	c.Kick()
 	waitRan(t, ran)
+	waitDone(t, func() bool { return !c.LastSuccess().IsZero() })
 	if r, f := c.Runs(); r != 2 || f != 1 {
 		t.Fatalf("after successful cycle: runs=%d failures=%d", r, f)
 	}
@@ -237,6 +239,17 @@ func TestCompactorLoop(t *testing.T) {
 	case <-ran:
 		t.Fatal("MaybeKick fired below threshold")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// waitDone waits for the compactor to record the cycle waitRan saw
+// start: Run signals ran before it returns, and the cycle's failure
+// count or success time is recorded after. A cycle that never records
+// leaves the assertions that follow to fail.
+func waitDone(t *testing.T, recorded func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !recorded() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -50,8 +50,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 // Acceptance: every Cursor operation over a borrowed list behaves
-// exactly like over the heap-decoded list — sequential walks, seeks,
-// and the top-k score bounds.
+// exactly like over the heap-decoded list — sequential walks, document
+// runs, seeks, and the top-k score bounds.
 func TestSegmentCursorDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 40; trial++ {
@@ -76,15 +76,34 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			if hc.RemainingMax() != bc.RemainingMax() {
 				t.Fatalf("trial %d: RemainingMax mismatch", trial)
 			}
-			d := int32(rng.Intn(docs + 2))
-			if hc.DocBound(d) != bc.DocBound(d) {
-				t.Fatalf("trial %d: DocBound(%d) mismatch", trial, d)
-			}
 			hc.Advance()
 			bc.Advance()
 		}
 		if bc.Valid() {
 			t.Fatal("borrowed cursor has extra postings")
+		}
+
+		// Document runs: heap, borrowed and plain cursors yield the same
+		// postings and the same per-document maximum.
+		hc, bc = NewCursor(heap), NewCursor(bor)
+		pc := NewListCursor(l)
+		for pc.Valid() {
+			pr, pm := pc.Run()
+			hr, hm := hc.Run()
+			br, bm := bc.Run()
+			if len(hr) != len(pr) || len(br) != len(pr) || hm != pm || bm != pm {
+				t.Fatalf("trial %d: run sizes %d/%d/%d or maxima %v/%v/%v differ",
+					trial, len(pr), len(hr), len(br), pm, hm, bm)
+			}
+			for j := range pr {
+				if !hr[j].ID.Equal(pr[j].ID) || !br[j].ID.Equal(pr[j].ID) ||
+					hr[j].Score != pr[j].Score || br[j].Score != pr[j].Score {
+					t.Fatalf("trial %d: run posting %d differs at %v", trial, j, pr[j].ID)
+				}
+			}
+		}
+		if hc.Valid() || bc.Valid() {
+			t.Fatal("compact cursor has postings after the plain one drained")
 		}
 
 		// Random seek sequences (non-decreasing targets).

@@ -11,7 +11,7 @@ import (
 // Cursor is a forward iterator over one posting list, the unit the
 // query phase's merge operates on. It works over either representation:
 // a CompactList (sequential front-code decoding with block skip
-// entries) or a plain List (index walking with binary-searched seeks),
+// entries) or a plain List (index walking with galloping seeks),
 // so a merge can mix prebuilt compact lists with on-demand built flat
 // ones.
 //
@@ -35,6 +35,11 @@ type Cursor struct {
 	// suffix maxima per block). Invalidated when the cursor is repointed.
 	suf     []float64
 	haveSuf bool
+
+	// run and runComps hold the postings Run decoded from a compact
+	// list: identifiers are subslices of runComps.
+	run      []Posting
+	runComps []int32
 
 	blocksSkipped int64
 }
@@ -78,11 +83,13 @@ func (cu *Cursor) Reset() {
 }
 
 // decode materializes posting cu.i into the scratch buffer (compact
-// mode). cu.off must already point at the posting's suffix.
+// mode), reusing the prefix it shares with the previous posting in
+// place. cu.off must already point at the posting's suffix.
 func (cu *Cursor) decode() {
 	c := cu.cl
 	if c.raw != nil {
-		cu.decodeBorrowed()
+		pl, sl, off := cu.borrowedHeader()
+		cu.cur = cu.borrowedSuffix(cu.cur[:pl], sl, off)
 		return
 	}
 	pl, sl := int(c.prefixLens[cu.i]), int(c.suffixLens[cu.i])
@@ -90,31 +97,52 @@ func (cu *Cursor) decode() {
 	cu.off += sl
 }
 
-// decodeBorrowed parses posting cu.i straight out of the borrowed
-// payload bytes: uvarint prefix and suffix lengths, the suffix
-// components, then the 8-byte score. The structure was fully validated
-// by BorrowSegment, so this path skips bounds and canonicality checks;
-// the one-byte varint fast path keeps it competitive with the heap
-// decoder's array reads (Dewey components are almost always < 128).
-func (cu *Cursor) decodeBorrowed() {
+// decodeTo appends posting cu.i's identifier to dst — the first
+// components it shares with prev, the previous posting's identifier,
+// then its own suffix — and advances cu.off past it (compact mode).
+func (cu *Cursor) decodeTo(dst []int32, prev xmltree.Dewey) []int32 {
+	c := cu.cl
+	if c.raw != nil {
+		pl, sl, off := cu.borrowedHeader()
+		return cu.borrowedSuffix(append(dst, prev[:pl]...), sl, off)
+	}
+	pl, sl := int(c.prefixLens[cu.i]), int(c.suffixLens[cu.i])
+	dst = append(append(dst, prev[:pl]...), c.comps[cu.off:cu.off+sl]...)
+	cu.off += sl
+	return dst
+}
+
+// borrowedHeader parses the uvarint prefix and suffix lengths of the
+// borrowed posting at cu.off and returns them with the offset of its
+// suffix. The structure was fully validated by BorrowSegment, so the
+// borrowed decoder skips bounds and canonicality checks; the one-byte
+// varint fast path keeps it competitive with the heap decoder's array
+// reads (Dewey components are almost always < 128).
+func (cu *Cursor) borrowedHeader() (pl, sl, off int) {
 	raw := cu.cl.raw
-	off := cu.off
-	pl, sl := uint64(raw[off]), uint64(raw[off+1])
+	off = cu.off
+	p, q := uint64(raw[off]), uint64(raw[off+1])
 	off += 2
-	if pl >= 0x80 {
+	if p >= 0x80 {
 		var n int
-		pl, n = binary.Uvarint(raw[off-2:])
+		p, n = binary.Uvarint(raw[off-2:])
 		off += n - 2
-		sl = uint64(raw[off])
+		q = uint64(raw[off])
 		off++
 	}
-	if sl >= 0x80 {
+	if q >= 0x80 {
 		var n int
-		sl, n = binary.Uvarint(raw[off-1:])
+		q, n = binary.Uvarint(raw[off-1:])
 		off += n - 1
 	}
-	cu.cur = cu.cur[:pl]
-	for j := uint64(0); j < sl; j++ {
+	return int(p), int(q), off
+}
+
+// borrowedSuffix appends the sl suffix components at off to dst, reads
+// the 8-byte score that follows them, and advances cu.off past it.
+func (cu *Cursor) borrowedSuffix(dst []int32, sl, off int) []int32 {
+	raw := cu.cl.raw
+	for j := 0; j < sl; j++ {
 		v := uint64(raw[off])
 		off++
 		if v >= 0x80 {
@@ -122,10 +150,11 @@ func (cu *Cursor) decodeBorrowed() {
 			v, n = binary.Uvarint(raw[off-1:])
 			off += n - 1
 		}
-		cu.cur = append(cu.cur, int32(v))
+		dst = append(dst, int32(v))
 	}
 	cu.score = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
 	cu.off = off + 8
+	return dst
 }
 
 // Valid reports whether the cursor is positioned on a posting.
@@ -202,10 +231,23 @@ func (cu *Cursor) SeekDoc(doc int32) bool {
 		return true
 	}
 	if cu.cl == nil {
-		// First posting at index > cu.i with DocID >= doc.
-		rest := cu.pl[cu.i+1:]
-		j := sort.Search(len(rest), func(j int) bool { return rest[j].ID[0] >= doc })
-		cu.i += 1 + j
+		// Gallop from the current position: the target is usually a
+		// few documents ahead, so probe i+1, i+2, i+4, ... until a
+		// posting reaches doc, then binary-search the last gap.
+		pl := cu.pl
+		lo, step := cu.i, 1 // pl[lo] is below doc
+		hi := lo + step
+		for hi < len(pl) && pl[hi].ID[0] < doc {
+			lo, step = hi, step*2
+			hi = lo + step
+		}
+		if hi > len(pl) {
+			hi = len(pl)
+		}
+		// First posting in (lo, hi] with DocID >= doc; hi itself when
+		// none before it (hi == len(pl) drains the cursor).
+		gap := pl[lo+1 : hi]
+		cu.i = lo + 1 + sort.Search(len(gap), func(j int) bool { return gap[j].ID[0] >= doc })
 		return cu.Valid()
 	}
 	c := cu.cl
@@ -264,37 +306,58 @@ func (cu *Cursor) RemainingMax() float64 {
 	return cu.suf[cu.i]
 }
 
-// DocBound returns an upper bound on the score of any posting at or
-// after the current position whose document component equals doc. For a
-// compact list it is the maximum block bound over the blocks that can
-// still hold postings of doc (block granularity: the bound may include
-// neighboring documents sharing a block); for a plain list it is the
-// exact maximum over doc's remaining postings. A cursor positioned past
-// doc (or drained) bounds at 0.
-func (cu *Cursor) DocBound(doc int32) float64 {
+// Run returns the current document's postings — from the current
+// position through the last posting of the same document — with their
+// maximum score (0 for a drained cursor), and leaves the cursor on the
+// next document's first posting. One pass serves both the merge and
+// the top-k document bound. A plain list yields a subslice of itself;
+// a compact cursor decodes the run into its scratch buffers, so the
+// run is valid only until the cursor's next Run, Reset, SetList or
+// SetCompact.
+func (cu *Cursor) Run() ([]Posting, float64) {
 	if !cu.Valid() {
-		return 0
+		return nil, 0
 	}
+	doc := cu.DocID()
+	max := 0.0
 	if cu.cl == nil {
-		bound := 0.0
-		for j := cu.i; j < len(cu.pl) && cu.pl[j].ID[0] <= doc; j++ {
-			if cu.pl[j].ID[0] == doc && cu.pl[j].Score > bound {
-				bound = cu.pl[j].Score
+		j := cu.i
+		for ; j < len(cu.pl) && cu.pl[j].ID[0] == doc; j++ {
+			if s := cu.pl[j].Score; s > max {
+				max = s
 			}
 		}
-		return bound
+		run := cu.pl[cu.i:j]
+		cu.i = j
+		return run, max
 	}
+	// Each posting is decoded straight into runComps, its prefix taken
+	// from the previous posting of the run. Earlier identifiers stay
+	// valid when runComps grows: they keep the old array, and nothing
+	// rewrites it before the next Run.
 	c := cu.cl
-	bound := 0.0
-	for b := cu.i / BlockSize; b < c.nblocks(); b++ {
-		// A later block whose first document is already past doc cannot
-		// contain doc's postings; the current block always may.
-		if b > cu.i/BlockSize && c.blockFirstDoc(b) > doc {
+	cu.runComps = append(cu.runComps[:0], cu.cur...)
+	cu.run = append(cu.run[:0], Posting{ID: cu.runComps[:len(cu.runComps):len(cu.runComps)], Score: cu.Score()})
+	if s := cu.run[0].Score; s > max {
+		max = s
+	}
+	for cu.i++; cu.i < c.n; cu.i++ {
+		if cu.i%BlockSize == 0 {
+			cu.off = c.blockPayloadOff(cu.i / BlockSize) // a restart point
+		}
+		start := len(cu.runComps)
+		cu.runComps = cu.decodeTo(cu.runComps, cu.run[len(cu.run)-1].ID)
+		if cu.runComps[start] != doc {
+			// The next document's first posting: the new position.
+			cu.cur = append(cu.cur[:0], cu.runComps[start:]...)
+			cu.runComps = cu.runComps[:start]
 			break
 		}
-		if m := c.blockMaxScore(b); m > bound {
-			bound = m
+		s := cu.Score()
+		cu.run = append(cu.run, Posting{ID: cu.runComps[start:len(cu.runComps):len(cu.runComps)], Score: s})
+		if s > max {
+			max = s
 		}
 	}
-	return bound
+	return cu.run, max
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"container/heap"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -14,9 +13,6 @@ import (
 // (reference_test.go), different machinery, built for the cache-miss
 // hot path (DESIGN.md §12):
 //
-//   - The next posting in global Dewey order comes from a loser tree
-//     over per-list cursors: O(log k) comparisons per posting instead
-//     of merger.next()'s O(k) scan.
 //   - Conjunctive semantics are exploited at document granularity.
 //     Every result lies inside a single document (a result's root path
 //     begins with a document component), so a document missing even
@@ -27,11 +23,15 @@ import (
 //     the postings in between. The rarest keyword therefore drives the
 //     pace, and the common keywords' postings in documents it never
 //     touches are never even decoded.
-//   - The XRANK stack reuses everything: entries (with their per
-//     keyword score and match buffers) stay allocated across pushes,
-//     pops, and — via a sync.Pool of whole merge states — across
-//     merges. Steady-state merging allocates only the results it
-//     returns.
+//   - Each aligned document is consumed as k short runs, one per list,
+//     merged by a min-scan over the run heads; a run's maximum score is
+//     the document's top-k bound for that list.
+//   - The XRANK stack is sparse (entries for posting elements and
+//     branch points only) and flat (per-entry rows in shared slices),
+//     and a match is an index into its keyword's run: identifiers are
+//     cloned only into emitted results. Its buffers, and the cursors',
+//     are reused across merges via a sync.Pool of whole merge states,
+//     so steady-state merging allocates only the results it returns.
 //
 // runDIL (reference_test.go) remains the reference implementation;
 // TestMergeEquivalence and FuzzMergeEquivalence in merge_test.go hold
@@ -71,29 +71,30 @@ func MergeCountersSnapshot() MergeCounters {
 	}
 }
 
-// fastEntry is one stack element of the pooled merge. Unlike the
-// reference merge's stackEntry, its score/match buffers (including
-// each Match's Dewey slice) are owned by the entry and reused across
-// pushes; identifiers are copied in and out rather than aliased.
-type fastEntry struct {
-	component    int32
-	childCovered bool
-	scores       []float64
-	matches      []Match
-}
-
-// mergeRun is the reusable state of one fast merge: cursors, the loser
-// tree, and the XRANK stack. Obtained from mergePool; holds no
-// references to caller data after release.
+// mergeRun is the reusable state of one fast merge: cursors, the
+// current document's runs, and the sparse XRANK stack. Obtained from
+// mergePool; holds no references to caller data after release.
+//
+// The stack holds entries only for posting elements and for branch
+// points (the depth at which a posting leaves the current path). An
+// element strictly between two entries has one child and no posting,
+// so it can neither emit nor be covered differently from that child;
+// pop folds it in by multiplying by decay once per skipped level. Per
+// entry state lives in flat rows indexed entry*k+kw.
 type mergeRun struct {
 	k       int
 	cursors []dil.Cursor
-	tree    []int // loser tree internal nodes 1..k-1: the loser's cursor index
-	win     []int // scratch winners used while (re)building the tree
-	winner  int   // cursor index holding the smallest current posting
-	stack   []fastEntry
-	depth   int // live prefix of stack; entries above keep their buffers
-	path    xmltree.Dewey
+	runs    [][]dil.Posting // runs[kw]: the current document's postings of list kw
+	pos     []int           // pos[kw]: next unconsumed posting of runs[kw]
+	heads   []xmltree.Dewey // heads[kw]: that posting's identifier, nil once runs[kw] is drained
+
+	depth   []int         // per entry: its element's depth (a prefix length of path)
+	covered []bool        // per entry: some descendant already covered all keywords
+	scores  []float64     // entry*k+kw: propagated best score of keyword kw
+	matches []int32       // entry*k+kw: index into runs[kw] of that score's posting
+	n       int           // live entries
+	path    xmltree.Dewey // the last posting's identifier, a view into its run
+
 	results []Result
 
 	// Top-k machinery (limit > 0): the running top-limit min-heap the
@@ -119,17 +120,19 @@ func (m *mergeRun) reset(k, limit int) {
 		m.cursors = append(m.cursors[:cap(m.cursors)], dil.Cursor{})
 	}
 	m.cursors = m.cursors[:k]
-	if cap(m.tree) < k {
-		m.tree = make([]int, k)
+	if cap(m.runs) < k {
+		m.runs, m.pos, m.heads = make([][]dil.Posting, k), make([]int, k), make([]xmltree.Dewey, k)
 	}
-	m.tree = m.tree[:k]
-	m.depth = 0
-	m.path = m.path[:0]
+	m.runs, m.pos, m.heads = m.runs[:k], m.pos[:k], m.heads[:k]
+	m.depth, m.covered = m.depth[:0], m.covered[:0]
+	m.scores, m.matches = m.scores[:0], m.matches[:0]
+	m.n = 0
+	m.path = nil
 	m.results = nil // handed to the caller; never reused
 	m.limit = limit
 	m.top = nil // handed to the caller; never reused
 	if limit > 0 {
-		m.top = make(topKHeap, 0, limit+1)
+		m.top = newTopKHeap(limit)
 	}
 	m.prune = false
 	m.docsSkipped = 0
@@ -137,71 +140,11 @@ func (m *mergeRun) reset(k, limit int) {
 	m.postings = 0
 }
 
-// less orders cursors by current posting: Dewey order, exhausted
-// cursors last, ties by cursor index (the order lists were given in,
-// matching the reference merger's scan).
-func (m *mergeRun) less(a, b int) bool {
-	ca, cb := &m.cursors[a], &m.cursors[b]
-	av, bv := ca.Valid(), cb.Valid()
-	if !av || !bv {
-		return av
-	}
-	if c := ca.Cur().Compare(cb.Cur()); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// build (re)builds the loser tree bottom-up in O(k): internal nodes
-// 1..k-1 with leaves at virtual positions k..2k-1 (leaf j holds cursor
-// j-k), so parent(x) = x/2 for every node. Each internal node stores
-// the loser of its subtree's final; the overall winner lands in
-// m.winner.
-func (m *mergeRun) build() {
-	k := m.k
-	if k == 1 {
-		m.winner = 0
-		return
-	}
-	if cap(m.win) < 2*k {
-		m.win = make([]int, 2*k)
-	}
-	m.win = m.win[:2*k]
-	for node := 2*k - 1; node >= k; node-- {
-		m.win[node] = node - k
-	}
-	for node := k - 1; node >= 1; node-- {
-		w, l := m.win[2*node], m.win[2*node+1]
-		if m.less(l, w) {
-			w, l = l, w
-		}
-		m.tree[node] = l
-		m.win[node] = w
-	}
-	m.winner = m.win[1]
-}
-
-// adjust replays the winner's path to the root after its cursor moved:
-// O(log k) comparisons against the stored losers.
-func (m *mergeRun) adjust() {
-	if m.k == 1 {
-		return
-	}
-	s := m.winner
-	for t := (s + m.k) / 2; t >= 1; t /= 2 {
-		if m.less(m.tree[t], s) {
-			s, m.tree[t] = m.tree[t], s
-		}
-	}
-	m.winner = s
-}
-
 // align zig-zag-seeks every cursor to the smallest document all lists
 // still share: each round seeks laggards to the largest current
 // document ID, which may raise the target again, until a fixed point.
 // False means some list is exhausted — under conjunctive semantics no
-// further document can produce a result. On success the loser tree is
-// rebuilt over the moved cursors.
+// further document can produce a result.
 func (m *mergeRun) align() bool {
 	target := int32(-1)
 	for i := range m.cursors {
@@ -227,190 +170,252 @@ func (m *mergeRun) align() bool {
 			}
 		}
 		if !raised {
-			break
+			return true
 		}
 	}
-	m.build()
-	return true
 }
 
-// push opens a stack entry for one more path component, reusing the
-// entry (and its buffers) left behind by an earlier pop.
-func (m *mergeRun) push(comp int32) {
-	if m.depth == len(m.stack) {
-		m.stack = append(m.stack, fastEntry{})
-	}
-	e := &m.stack[m.depth]
-	m.depth++
-	e.component = comp
-	e.childCovered = false
-	if len(e.scores) != m.k {
-		e.scores = make([]float64, m.k)
-		e.matches = make([]Match, m.k)
-	} else {
-		for i := range e.scores {
-			e.scores[i] = 0
-			e.matches[i].Score = 0
-			e.matches[i].ID = e.matches[i].ID[:0]
+// push opens an entry for the element at depth d with zeroed scores.
+// Match slots are left stale: a match is read only where its score is
+// positive, and every positive score is written with its match.
+func (m *mergeRun) push(d int) {
+	e := m.n
+	m.n++
+	if e == len(m.depth) {
+		m.depth = append(m.depth, 0)
+		m.covered = append(m.covered, false)
+		for i := 0; i < m.k; i++ {
+			m.scores = append(m.scores, 0)
+			m.matches = append(m.matches, 0)
 		}
 	}
-	m.path = append(m.path, comp)
+	m.depth[e], m.covered[e] = d, false
+	clear(m.scores[e*m.k : (e+1)*m.k])
 }
 
-// pop finalizes the deepest entry exactly as runDIL's pop does: emit
-// if it is a most-specific cover, then propagate decayed maxima to the
-// parent — copying identifiers into the parent's own buffers.
-func (m *mergeRun) pop(decay float64) {
-	e := &m.stack[m.depth-1]
+// pop finalizes the top entry exactly as runDIL's per-level pops would
+// finalize its element and the single-child elements above it: emit
+// if it is a most-specific cover, then fold its scores into the entry
+// at depth max(lcp, depth of the entry below). When the entry below
+// is shallower than lcp, a fresh branch entry at lcp takes the popped
+// entry's slot. With lcp 0 and nothing below (a document flush) there is
+// nothing to fold into.
+//
+// Each skipped level multiplies by decay and clamps to 0 whenever the
+// product is not > 0 — the same float operations and max tests the
+// per-level pops perform on zero-initialized intermediate entries, so
+// the result is bit-identical for any decay.
+func (m *mergeRun) pop(lcp int, decay float64) {
+	k := m.k
+	e := m.n - 1
+	row := m.scores[e*k : e*k+k]
 	all := true
-	for _, s := range e.scores {
+	for _, s := range row {
 		if s <= 0 {
 			all = false
 			break
 		}
 	}
-	if all && !e.childCovered {
-		total := 0.0
-		for _, s := range e.scores {
-			total += s
+	if all && !m.covered[e] {
+		m.emit(e, row)
+	}
+	covered := all || m.covered[e]
+	d := m.depth[e]
+	m.n--
+	var to int
+	switch {
+	case e > 0 && m.depth[e-1] >= lcp:
+		to = e - 1
+	case lcp > 0:
+		// A branch entry: zero scores, so the fold below is a plain
+		// overwrite and the match indices carry over in place.
+		to = e
+		m.n++
+		m.depth[e] = lcp
+		m.covered[e] = false
+	default:
+		return
+	}
+	if covered {
+		m.covered[to] = true
+	}
+	levels := d - m.depth[to]
+	dst := m.scores[to*k : to*k+k]
+	for i, v := range row {
+		if v <= 0 {
+			continue // a zero score folds to zero; dst already holds >= 0
 		}
-		// With a result limit, a candidate that cannot beat the current
-		// k-th best is dropped before its buffers are cloned. Ties are
-		// dropped too: results emit in ascending Dewey order, so a
-		// candidate tying the heap minimum is Dewey-larger than every
-		// retained result of that score and loses the final sort's
-		// tie-break — exactly the result sort+truncate would discard.
-		// (RDIL must keep ties because it consumes in score order; here
-		// the emission order decides them for us.)
-		if m.limit <= 0 || len(m.top) < m.limit || total > m.top[0].Score {
-			r := Result{
-				Root:       m.path.Clone(),
-				Score:      total,
-				PerKeyword: append([]float64(nil), e.scores...),
-				Matches:    make([]Match, m.k),
+		for l := 0; l < levels && v > 0; l++ {
+			if v *= decay; !(v > 0) {
+				v = 0
 			}
-			for i, em := range e.matches {
-				r.Matches[i] = Match{ID: em.ID.Clone(), Score: em.Score}
-			}
-			if m.limit > 0 {
-				heap.Push(&m.top, r)
-				if len(m.top) > m.limit {
-					heap.Pop(&m.top)
-				}
-			} else {
-				m.results = append(m.results, r)
-			}
+		}
+		if to == e {
+			dst[i] = v
+		} else if v > dst[i] {
+			dst[i] = v
+			m.matches[to*k+i] = m.matches[e*k+i]
 		}
 	}
-	if m.depth > 1 {
-		parent := &m.stack[m.depth-2]
-		if all || e.childCovered {
-			parent.childCovered = true
-		}
-		for i := range e.scores {
-			if p := e.scores[i] * decay; p > parent.scores[i] {
-				parent.scores[i] = p
-				parent.matches[i].Score = e.matches[i].Score
-				parent.matches[i].ID = append(parent.matches[i].ID[:0], e.matches[i].ID...)
-			}
-		}
-	}
-	m.depth--
-	m.path = m.path[:len(m.path)-1]
 }
 
-// apply feeds one posting to the stack (runDIL's loop body).
-func (m *mergeRun) apply(id xmltree.Dewey, score float64, kw int, decay float64) {
+// emit records entry e as a result, cloning its root and matches out
+// of the runs. With a result limit, a candidate that cannot beat the
+// current k-th best is dropped before anything is cloned. Ties are
+// dropped too: results emit in ascending Dewey order, so a candidate
+// tying the heap minimum is Dewey-larger than every retained result of
+// that score and loses the final sort's tie-break — exactly the result
+// sort+truncate would discard. (RDIL must keep ties because it
+// consumes in score order; here the emission order decides them.)
+func (m *mergeRun) emit(e int, row []float64) {
+	total := 0.0
+	for _, s := range row {
+		total += s
+	}
+	if m.limit > 0 && len(m.top) >= m.limit && !(total > m.top[0].Score) {
+		return
+	}
+	// The root and the match identifiers are cloned into one block,
+	// each a full slice of its own.
+	matches := m.matches[e*m.k : e*m.k+m.k]
+	root := m.path[:m.depth[e]]
+	n := len(root)
+	for i, j := range matches {
+		n += len(m.runs[i][j].ID)
+	}
+	ids := append(make(xmltree.Dewey, 0, n), root...)
+	r := Result{
+		Root:       ids[:len(root):len(root)],
+		Score:      total,
+		PerKeyword: append([]float64(nil), row...),
+		Matches:    make([]Match, m.k),
+	}
+	for i, j := range matches {
+		p := &m.runs[i][j]
+		start := len(ids)
+		ids = append(ids, p.ID...)
+		r.Matches[i] = Match{ID: ids[start:len(ids):len(ids)], Score: p.Score}
+	}
+	if m.limit > 0 {
+		heap.Push(&m.top, r)
+		if len(m.top) > m.limit {
+			heap.Pop(&m.top)
+		}
+	} else {
+		m.results = append(m.results, r)
+	}
+}
+
+// apply feeds posting j of runs[kw] to the stack (runDIL's loop body).
+func (m *mergeRun) apply(kw, j int, decay float64) {
+	p := &m.runs[kw][j]
+	id := p.ID
 	lcp := 0
 	for lcp < len(m.path) && lcp < len(id) && m.path[lcp] == id[lcp] {
 		lcp++
 	}
-	for m.depth > lcp {
-		m.pop(decay)
+	for m.n > 0 && m.depth[m.n-1] > lcp {
+		m.pop(lcp, decay)
 	}
-	for len(m.path) < len(id) {
-		m.push(id[len(m.path)])
+	if m.n == 0 || m.depth[m.n-1] < len(id) {
+		m.push(len(id))
 	}
-	e := &m.stack[m.depth-1]
-	if score > e.scores[kw] {
-		e.scores[kw] = score
-		e.matches[kw].Score = score
-		e.matches[kw].ID = append(e.matches[kw].ID[:0], id...)
+	m.path = id
+	if c := (m.n-1)*m.k + kw; p.Score > m.scores[c] {
+		m.scores[c] = p.Score
+		m.matches[c] = int32(j)
 	}
 	m.postings++
 }
 
-// run drives the merge: align on a shared document, drain its postings
-// through the loser tree into the stack, flush, repeat. With pruning
-// armed and the heap full, each aligned document is first tested
-// against the running threshold — the k-th best score so far — using
-// the block-max upper bounds, and skipped whole when it cannot qualify;
-// the merge terminates outright once even the lists' remaining maxima
-// cannot reach the threshold.
+// mergeDoc drains the current document's runs into the stack in
+// global Dewey order — a min-scan over the k run heads, ties to the
+// lower list index as in the reference merger — then flushes the
+// stack: every result lies inside one document.
+func (m *mergeRun) mergeDoc(decay float64) {
+	for {
+		best := -1
+		var bid xmltree.Dewey
+		for i, h := range m.heads {
+			if h != nil && (best < 0 || docLess(h, bid)) {
+				best, bid = i, h
+			}
+		}
+		if best < 0 {
+			break
+		}
+		j := m.pos[best]
+		m.apply(best, j, decay)
+		if j++; j < len(m.runs[best]) {
+			m.heads[best] = m.runs[best][j].ID
+		} else {
+			m.heads[best] = nil
+		}
+		m.pos[best] = j
+	}
+	for m.n > 0 {
+		m.pop(0, decay)
+	}
+	m.path = nil
+}
+
+// docLess reports whether a precedes b in Dewey order, for identifiers
+// of one document (component 0 is equal and skipped).
+func docLess(a, b xmltree.Dewey) bool {
+	n := min(len(a), len(b))
+	for i := 1; i < n; i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+// run drives the merge: align on a shared document, take each list's
+// run of it, merge the runs into the stack, repeat. With pruning armed
+// and the heap full, the merge terminates outright once even the
+// lists' remaining maxima cannot reach the threshold (the k-th best
+// score so far), and skips a document whose runs' maxima cannot.
 func (m *mergeRun) run(decay float64) {
 	for m.align() {
-		doc := m.cursors[m.winner].DocID()
-		if m.prune && len(m.top) == m.limit {
+		full := m.prune && len(m.top) == m.limit
+		if full {
 			// The threshold algebra (DESIGN.md §16): a result's score is
 			// Σ over keywords of max over its subtree's postings of
 			// NS·decay^dist. With decay ≤ 1 each keyword contributes at
 			// most its maximum raw posting score, so Σ of per-cursor
 			// maxima bounds every result the remaining postings can form.
 			// Bounds that only tie the threshold are prunable: the tying
-			// result would lose the ascending-Dewey tie-break (see pop).
-			thr := m.top[0].Score
+			// result would lose the ascending-Dewey tie-break (see emit).
 			remaining := 0.0
 			for i := range m.cursors {
 				remaining += m.cursors[i].RemainingMax()
 			}
-			if remaining <= thr {
+			if remaining <= m.top[0].Score {
 				m.earlyTerm = true
 				return
 			}
-			docBound := 0.0
-			for i := range m.cursors {
-				docBound += m.cursors[i].DocBound(doc)
-			}
-			if docBound <= thr {
-				m.docsSkipped++
-				if doc == math.MaxInt32 || !m.seekPast(doc) {
-					return
-				}
-				continue
-			}
 		}
-		for {
-			cu := &m.cursors[m.winner]
-			if !cu.Valid() || cu.DocID() != doc {
-				break
-			}
-			m.apply(cu.Cur(), cu.Score(), m.winner, decay)
-			cu.Advance()
-			m.adjust()
+		docBound := 0.0
+		for i := range m.cursors {
+			var max float64
+			m.runs[i], max = m.cursors[i].Run()
+			m.pos[i], m.heads[i] = 0, m.runs[i][0].ID
+			docBound += max
 		}
-		// The document's subtree is complete; emit and clear the stack
-		// before seeking to the next shared document.
-		for m.depth > 0 {
-			m.pop(decay)
+		if full && docBound <= m.top[0].Score {
+			m.docsSkipped++
+			continue
 		}
+		m.mergeDoc(decay)
 	}
 }
 
-// seekPast advances every cursor beyond doc without decoding its
-// postings. False means some list drained — the merge is done.
-func (m *mergeRun) seekPast(doc int32) bool {
-	for i := range m.cursors {
-		if !m.cursors[i].SeekDoc(doc + 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// runFast merges per-keyword lists with the loser-tree/zig-zag
-// machinery. compact[i], when non-nil, supplies list i in block form
-// (its cursor decodes lazily and skips via block entries); otherwise a
-// plain cursor over lists[i] is used, with binary-searched seeks.
+// runFast merges per-keyword lists with the zig-zag/run machinery.
+// compact[i], when non-nil, supplies list i in block form (its cursor
+// decodes lazily and skips via block entries); otherwise a plain
+// cursor over lists[i] is used, with galloping seeks. Both feed the
+// one merge path through Cursor.Run.
 //
 // limit <= 0 returns every result, unranked (the exhaustive merge).
 // limit > 0 returns the exact top-limit, sorted by descending score
@@ -418,8 +423,8 @@ func (m *mergeRun) seekPast(doc int32) bool {
 // truncating the exhaustive output — maintained in an in-merge heap;
 // when the decay is within [0, 1] (pruning is unsound otherwise: a
 // decay above 1 amplifies deep postings beyond their raw scores) the
-// merge additionally skips whole documents, and terminates, on the
-// block-max upper bounds.
+// merge additionally skips whole documents on their runs' maxima, and
+// terminates on the lists' remaining maxima.
 //
 // The second return carries this merge's posting/skip counts; the
 // process-wide totals are bumped as well.
@@ -479,6 +484,8 @@ func runFast(lists []dil.List, compact []*dil.CompactList, decay float64, limit 
 	for i := range m.cursors {
 		m.cursors[i].SetList(nil) // drop references to caller data
 	}
+	clear(m.runs)
+	clear(m.heads)
 	mergePool.Put(m)
 	mergeTotals.postings.Add(c.Postings)
 	mergeTotals.blocksSkipped.Add(c.BlocksSkipped)

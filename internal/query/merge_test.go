@@ -111,6 +111,24 @@ func checkEquivalence(t *testing.T, tag string, lists []dil.List, decay float64)
 	resultsEqual(t, tag+"/compact-rerun", want, RunCompactLists(cls, decay, 0))
 }
 
+// mergeDecays is the decay axis of the merge differentials. 0.5 is a
+// power of two, where decaying once per level and decaying a chain of
+// skipped levels cannot round differently; the others can. 0, 1, a
+// negative decay and one above 1 are the clamping and unsafe edges.
+var mergeDecays = []float64{0.5, 0.3, 0.7, 0.9, 0.123456789, 0, 1, -0.5, 1.5}
+
+// checkDecayEquivalence holds the fast merge to the reference at one
+// decay: the exhaustive merge (k = 0) and the top-k merge at k = 1, 10
+// and 100, over plain and compact lists, with exact float equality.
+func checkDecayEquivalence(t *testing.T, tag string, lists []dil.List, decay float64) {
+	t.Helper()
+	tag = fmt.Sprintf("%s/decay=%v", tag, decay)
+	checkEquivalence(t, tag, lists, decay)
+	for _, k := range []int{1, 10, 100} {
+		checkTopKEquivalence(t, fmt.Sprintf("%s/k=%d", tag, k), lists, decay, k)
+	}
+}
+
 func TestMergeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -122,7 +140,9 @@ func TestMergeEquivalence(t *testing.T) {
 		lists := genLists(rng, k, docs, maxDepth, baseSize, skew)
 		tag := fmt.Sprintf("seed=%d/k=%d/docs=%d/depth=%d/n=%d/skew=%v",
 			seed, k, docs, maxDepth, baseSize, skew)
-		checkEquivalence(t, tag, lists, 0.5)
+		for _, decay := range mergeDecays {
+			checkDecayEquivalence(t, tag, lists, decay)
+		}
 	}
 }
 
@@ -168,22 +188,28 @@ func TestMergeEquivalenceEdgeCases(t *testing.T) {
 }
 
 // FuzzMergeEquivalence drives the differential property from fuzzed
-// generator parameters; the seed corpus doubles as the bench-smoke
-// regression suite (run via -run without -fuzz).
+// generator parameters, decay included (an index into mergeDecays);
+// the seed corpus doubles as the bench-smoke regression suite (run via
+// -run without -fuzz).
 func FuzzMergeEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(10), uint8(4), uint16(200), true)
-	f.Add(int64(2), uint8(5), uint8(3), uint8(10), uint16(500), false)
-	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint16(1), false)
-	f.Add(int64(4), uint8(3), uint8(50), uint8(8), uint16(64), true)
-	f.Add(int64(5), uint8(4), uint8(2), uint8(6), uint16(900), true)
-	f.Fuzz(func(t *testing.T, seed int64, k, docs, maxDepth uint8, baseSize uint16, skew bool) {
+	f.Add(int64(1), uint8(2), uint8(10), uint8(4), uint16(200), true, uint8(0))
+	f.Add(int64(2), uint8(5), uint8(3), uint8(10), uint16(500), false, uint8(1))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint16(1), false, uint8(5))
+	f.Add(int64(4), uint8(3), uint8(50), uint8(8), uint16(64), true, uint8(2))
+	f.Add(int64(5), uint8(4), uint8(2), uint8(6), uint16(900), true, uint8(4))
+	// Ragged trees of depth 12 over few documents: long single-child
+	// chains between postings, at every decay of the axis.
+	for d := range mergeDecays {
+		f.Add(int64(6+d), uint8(2), uint8(3), uint8(11), uint16(400), d%2 == 0, uint8(d))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k, docs, maxDepth uint8, baseSize uint16, skew bool, decay uint8) {
 		kk := 1 + int(k)%6
 		dd := 1 + int(docs)%64
 		md := 1 + int(maxDepth)%12
 		n := 1 + int(baseSize)%1200
 		rng := rand.New(rand.NewSource(seed))
 		lists := genLists(rng, kk, dd, md, n, skew)
-		checkEquivalence(t, "fuzz", lists, 0.5)
+		checkDecayEquivalence(t, "fuzz", lists, mergeDecays[int(decay)%len(mergeDecays)])
 	})
 }
 

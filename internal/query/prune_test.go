@@ -132,23 +132,64 @@ func TestTopKUnsafeDecay(t *testing.T) {
 }
 
 // FuzzTopKEquivalence drives the top-k differential from fuzzed
-// (seed, k, offset, skew) tuples; offset is exercised through the
-// engine-style page(run(k+offset))[offset:] composition.
+// (seed, k, offset, skew, decay) tuples — decay indexes mergeDecays;
+// offset is exercised through the engine-style
+// page(run(k+offset))[offset:] composition.
 func FuzzTopKEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0), uint8(4), true, true)
-	f.Add(int64(2), uint8(10), uint8(3), uint8(2), false, true)
-	f.Add(int64(3), uint8(100), uint8(50), uint8(1), true, false)
-	f.Add(int64(4), uint8(3), uint8(1), uint8(5), false, false)
-	f.Fuzz(func(t *testing.T, seed int64, k, offset, nkw uint8, skew, heavy bool) {
+	f.Add(int64(1), uint8(1), uint8(0), uint8(4), true, true, uint8(0))
+	f.Add(int64(2), uint8(10), uint8(3), uint8(2), false, true, uint8(0))
+	f.Add(int64(3), uint8(100), uint8(50), uint8(1), true, false, uint8(0))
+	f.Add(int64(4), uint8(3), uint8(1), uint8(5), false, false, uint8(0))
+	for d := 1; d < len(mergeDecays); d++ {
+		f.Add(int64(10+d), uint8(10*d), uint8(d), uint8(d), d%2 == 0, d%3 != 0, uint8(d))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k, offset, nkw uint8, skew, heavy bool, decay uint8) {
 		kk := 1 + int(k)%128
 		off := int(offset) % 64
 		kws := 1 + int(nkw)%5
+		dc := mergeDecays[int(decay)%len(mergeDecays)]
 		rng := rand.New(rand.NewSource(seed))
 		lists := genScoredLists(rng, kws, 1+rng.Intn(40), 1+rng.Intn(8), 1+rng.Intn(400), skew, heavy)
-		want := page(topKReference(lists, 0.5, kk+off), off)
-		got := page(RunLists(lists, 0.5, kk+off), off)
-		resultsEqual(t, "fuzz/page", want, got)
+		want := page(topKReference(lists, dc, kk+off), off)
+		tag := fmt.Sprintf("fuzz/page/decay=%v", dc)
+		resultsEqual(t, tag+"/plain", want, page(RunLists(lists, dc, kk+off), off))
+		cls := make([]*dil.CompactList, len(lists))
+		for i, l := range lists {
+			cls[i] = dil.Compact(l)
+		}
+		resultsEqual(t, tag+"/compact", want, page(RunCompactLists(cls, dc, kk+off), off))
 	})
+}
+
+// The top-k heap must not be sized to the window: a query at the
+// deepest page allowed (k+offset = MaxK+MaxOffset) that retains one
+// result must not allocate the window's worth of heap slots.
+func TestTopKHeapNotWindowSized(t *testing.T) {
+	lists := []dil.List{
+		{{ID: xmltree.Dewey{0, 1}, Score: 0.5}},
+		{{ID: xmltree.Dewey{0, 2}, Score: 0.25}},
+	}
+	const limit = MaxK + MaxOffset
+	for _, c := range []struct {
+		name string
+		run  func() []Result
+	}{
+		{"merge", func() []Result { return RunLists(lists, 0.5, limit) }},
+		{"ranked", func() []Result { return RunRanked(lists, 0.5, limit) }},
+	} {
+		if n := len(c.run()); n != 1 {
+			t.Fatalf("%s: %d results, want 1", c.name, n)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+			t.Errorf("%s at limit %d: %d B/op, want < 64 KiB", c.name, limit, got)
+		}
+	}
 }
 
 // The pruning counters must move on a workload built for them: one

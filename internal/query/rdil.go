@@ -65,7 +65,7 @@ func RunRankedStats(lists []dil.List, decay float64, k int) ([]Result, RankedSta
 	r.init()
 
 	emitted := make(map[string]bool)
-	top := make(topKHeap, 0, k+1)
+	top := newTopKHeap(k)
 
 	for {
 		j := r.bestFrontier()
@@ -119,6 +119,13 @@ func RunRankedStats(lists []dil.List, decay float64, k int) ([]Result, RankedSta
 // retained result sits at the root; the final extraction order reversed
 // yields descending score with ascending-Dewey tie-break.
 type topKHeap []Result
+
+// newTopKHeap returns an empty heap for a top-limit window. It starts
+// small and grows on demand: limit reaches MaxK+MaxOffset, while most
+// merges retain a handful of results.
+func newTopKHeap(limit int) topKHeap {
+	return make(topKHeap, 0, min(limit+1, 64))
+}
 
 func (h topKHeap) Len() int      { return len(h) }
 func (h topKHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
