@@ -7,7 +7,8 @@
 #                      the shared-stage differential and isolation tests,
 #                      concurrent builds over one shared ontology side,
 #                      the side's OntoScore memo under concurrent reads,
-#                      and the shard metrics test repeated 50 times
+#                      the shard metrics test repeated 50 times, and the
+#                      pinned dirty read (a write mid-build) 20 times
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -23,7 +24,8 @@
 #                      cold build, one /search cache hit through
 #                      ServeHTTP, the dense OntoScore kernel against its
 #                      map-based reference plus one propagation per
-#                      strategy, and one delta rebase
+#                      strategy, one delta rebase, one dirty read and
+#                      one delta apply
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
@@ -105,6 +107,7 @@ race:
 		./cmd/xontoserve/...
 	$(GO) test -race -count=1 -run 'SharedStage|SharedSide|SideMemo' ./internal/ontoscore ./internal/dil ./internal/core
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
+	$(GO) test -race -count=20 -run '^TestDirtyReadPinnedToAcquiredState$$' ./internal/delta
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -130,7 +133,9 @@ bench:
 # build at 800 documents; then one /search
 # cache hit through ServeHTTP, with its allocations; then the dense
 # OntoScore kernel against its map-based reference and one propagation
-# per strategy, and one delta rebase at 1/8/32 pending documents.
+# per strategy, and one delta rebase at 1/8/32 pending documents, one
+# dirty read at 1/8/32 pending documents and one acked put at
+# 0/32/128/255 pending documents.
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
@@ -143,7 +148,7 @@ bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench '^BenchmarkSearchHit$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/ontoscore -run 'TestDenseMatchesReference' -count=1
 	$(GO) test ./internal/ontoscore -run '^$$' -bench '^BenchmarkCompute$$' -benchtime 1x -benchmem
-	$(GO) test ./internal/delta -run '^$$' -bench '^BenchmarkRebase$$' -benchtime 1x -benchmem
+	$(GO) test ./internal/delta -run '^$$' -bench '^(BenchmarkRebase|BenchmarkDirtyRead|BenchmarkApply)$$' -benchtime 1x -benchmem
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
@@ -247,7 +252,12 @@ obs: api-guard
 # is disabled rather than formatting into io.Discard. The DIL merge is
 # one sparse-stack path fed by document runs: no per-posting loser tree
 # (fastEntry, mergeRun.build/adjust/less) grows back beside it, and no
-# top-k heap is preallocated to the whole k+offset window.
+# top-k heap is preallocated to the whole k+offset window. A dirty read
+# is one build pinned to the state the query acquired: no Combine step
+# splices the delta into a second copy of the base list, no statistics
+# view or calibrator on a base builder follows the live state, and the
+# keyword build emits from the dense Dewey table in one pass (no node
+# pointer table, no counting pass).
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -270,11 +280,15 @@ api-guard:
 	if grep -nF 'slog.NewJSONHandler(io.Discard' --exclude='*_test.go' internal/obs/*.go; then fail=1; fi; \
 	if grep -nE 'type fastEntry|func \(m \*mergeRun\) (build|adjust|less)\(' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
 	if grep -nF 'make(topKHeap, 0, limit+1)' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
+	if grep -nF 'Combine(' --exclude='*_test.go' internal/query/*.go internal/delta/*.go; then fail=1; fi; \
+	if grep -nE 'type (liveStatsView|liveCalibrator)' --exclude='*_test.go' internal/delta/*.go; then fail=1; fi; \
+	if grep -nE 'nodes  *\[\]\*xmltree\.Node|b\.nodes\[' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
+	if grep -nF 'merge(text, sc, false' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cda"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/dil"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
@@ -70,9 +69,7 @@ func (e *deltaBenchEnv) liveSystem(tb testing.TB, dir string) (*core.System, *de
 	seg := delta.NewSegment(e.corpus, sys.Builder().LocalTextStats(), sys.Builder().Side(), delta.Config{
 		Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL,
 	})
-	seg.InstallBase(cfg.Strategy, func() *dil.Builder { return sys.Builder() })
-	seg.SetBaseProvider(func(ontoscore.Strategy) *dil.Builder { return sys.Builder() })
-	sys.SetOverlay(seg.Overlay(cfg.Strategy, -1))
+	sys.SetOverlay(seg.Overlay(cfg.Strategy, -1, nil))
 	sys.SetAuxDocs(seg)
 	wal, err := delta.OpenWAL(dir+"/delta.wal", tb.Logf)
 	if err != nil {

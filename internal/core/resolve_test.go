@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/dil"
 	"repro/internal/experiments"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
@@ -84,9 +83,7 @@ func TestResolvePathsMatchNodePath(t *testing.T) {
 	sys := env.Systems[st]
 	seg := delta.NewSegment(sys.Corpus(), sys.Builder().LocalTextStats(), sys.Builder().Side(),
 		delta.Config{Strategies: []ontoscore.Strategy{st}, DIL: sys.Config().DIL})
-	seg.InstallBase(st, func() *dil.Builder { return sys.Builder() })
-	seg.SetBaseProvider(func(ontoscore.Strategy) *dil.Builder { return sys.Builder() })
-	sys.SetOverlay(seg.Overlay(st, -1))
+	sys.SetOverlay(seg.Overlay(st, -1, nil))
 	sys.SetAuxDocs(seg)
 	docs := env.Corpus.Docs()
 	var body bytes.Buffer

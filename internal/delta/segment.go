@@ -103,12 +103,6 @@ type Segment struct {
 	cfg     Config
 	applyMu sync.Mutex
 	state   atomic.Pointer[segState]
-
-	// baseProvider returns the full-corpus base builder of a strategy;
-	// the delta builders' calibrators span it so their normalization
-	// divisors are corpus-global. Set once at wiring time (guarded by
-	// applyMu only because rebuilds read it there).
-	baseProvider func(ontoscore.Strategy) *dil.Builder
 }
 
 // NewSegment returns an empty segment over the base corpus, its
@@ -307,9 +301,9 @@ func (s *Segment) applyOp(next *segState, op Op) error {
 // rebuildBuilders reindexes the live delta documents into fresh
 // per-strategy builders over the state's ontology side — an applied
 // write runs the full-text stage over the delta documents and builds
-// no OntoScore computer. Each builder gets a statistics view and a
-// calibrator pinned to this state, so postings it produces are scored
-// against the state's own global picture.
+// no OntoScore computer. Each builder reads this state's statistics,
+// so postings it produces are scored against the state's own global
+// picture.
 func (s *Segment) rebuildBuilders(st *segState) {
 	st.builders = make(map[ontoscore.Strategy]*dil.Builder, len(s.cfg.Strategies))
 	if len(st.live) == 0 {
@@ -325,12 +319,8 @@ func (s *Segment) rebuildBuilders(st *segState) {
 		corpus.AddExisting(e.doc)
 	}
 	st.builders = dil.NewBuilders(corpus, st.side, s.cfg.Strategies, s.cfg.DIL)
-	for strat, b := range st.builders {
+	for _, b := range st.builders {
 		b.SetGlobalTextStatsView(stateStatsView{st})
-		if bp := s.baseProvider; bp != nil {
-			strat := strat
-			b.SetCalibrator(stateCalibrator{s: st, strategy: strat, base: func() *dil.Builder { return bp(strat) }})
-		}
 	}
 }
 

@@ -7,21 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dil"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
 
 // wireSegment attaches a fresh segment to a system, the way the
 // serving layer does: base statistics snapshot from the full-text
-// stage, live statistics view and calibrator on the base builder, base
-// provider for the delta builders' calibration, overlay on the query
-// engine, auxiliary documents for hydration.
+// stage, overlay on the query engine, auxiliary documents for
+// hydration.
 func wireSegment(sys *core.System, strat ontoscore.Strategy, cfg Config) *Segment {
 	seg := NewSegment(sys.Corpus(), sys.Builder().LocalTextStats(), sys.Builder().Side(), cfg)
-	seg.InstallBase(strat, func() *dil.Builder { return sys.Builder() })
-	seg.SetBaseProvider(func(ontoscore.Strategy) *dil.Builder { return sys.Builder() })
-	sys.SetOverlay(seg.Overlay(strat, -1))
+	sys.SetOverlay(seg.Overlay(strat, -1, nil))
 	sys.SetAuxDocs(seg)
 	return seg
 }

@@ -104,7 +104,8 @@ type stage struct {
 	side   *ontoscore.Side
 	params Params
 
-	nodes         []*xmltree.Node // DocKey -> node
+	ids           []xmltree.Dewey // DocKey -> the element's Dewey identifier
+	docs          []docSpan       // per document, in key order
 	textBase      *ir.Index       // elements as documents (bag model, BM25 stats)
 	posIx         *ir.Positional  // token positions: phrase tests and term frequencies
 	slot0         []int           // per system (side order): the system's first concept slot
@@ -124,10 +125,12 @@ type stage struct {
 // (stage 3). Code nodes may reference any ontology of the collection
 // (the paper's ontological systems collection O = {O1..Ok}).
 //
-// What a partitioned or delta-overlaid deployment installs on a builder
-// — the statistics overlay, the Calibrator, the global ElemRank
-// normalizer — is state of the view, never of the stage: setting it on
-// one builder leaves the builders of the other strategies untouched.
+// What a partitioned deployment installs on a builder — the statistics
+// overlay, the Calibrator, the global ElemRank normalizer — is state of
+// the view, never of the stage: setting it on one builder leaves the
+// builders of the other strategies untouched. A live delta installs
+// nothing: each dirty read builds through a view pinned to the state
+// it acquired (Pin).
 type Builder struct {
 	*stage
 	strategy ontoscore.Strategy
@@ -135,28 +138,24 @@ type Builder struct {
 	textIx   *ir.Index  // stage.textBase under this view's statistics overlay
 	ranksMax float64    // normalization factor for ranks (corpus-global when overridden)
 	calib    Calibrator // nil unless this builder is a corpus partition
+	live     *Live      // the live delta state this view is pinned to (Pin)
 }
 
 // Calibrator supplies corpus-global score-calibration facts to a
-// builder whose local view differs from the live corpus — a shard of a
-// partitioned deployment, or any builder once a delta segment overlays
-// live adds and tombstones (internal/delta). The paper's Section III
-// normalizes each keyword's IR scores by the maximum over the
-// keyword's containing set; that maximum is a global property of the
-// live corpus, so it is exchanged through the calibrator
-// (internal/shard implements one over all in-process shards,
-// internal/delta one over base plus delta minus tombstones). Combined
+// builder whose local view differs from the corpus — a shard of a
+// partitioned deployment. The paper's Section III normalizes each
+// keyword's IR scores by the maximum over the keyword's containing set;
+// that maximum is a global property of the corpus, so it is exchanged
+// through the calibrator (internal/shard implements one over all
+// in-process shards, internal/peer one over federated peers). Combined
 // with an ir.StatsView overlay on the text index, a builder produces
-// node scores bit-identical to a single-node builder over the live
-// corpus.
+// node scores bit-identical to a single-node builder over the corpus.
 type Calibrator interface {
 	// KeywordNorm returns the corpus-global normalization divisor for
 	// one keyword: the maximum raw BM25 score over the keyword's global
 	// containing set (see Builder.RawTextMax). A return <= 0 means "no
 	// global information; fall back to the local maximum". A positive
-	// return is authoritative: it replaces the local maximum even when
-	// smaller (tombstones can shrink the true containing set below
-	// what this builder still has indexed).
+	// return is authoritative: it replaces the local maximum.
 	KeywordNorm(keyword string) float64
 }
 
@@ -206,24 +205,18 @@ func (b *Builder) RawTextMax(keyword string) float64 {
 
 // RawTextMaxLive is RawTextMax restricted to live documents: elements
 // whose document the dead predicate reports true for are excluded from
-// the containing set (nil: every document is live). A delta segment
-// passes its tombstone set so the normalization divisor tracks
-// deletions before compaction folds them into a fresh base.
+// the containing set (nil: every document is live).
 func (b *Builder) RawTextMaxLive(keyword string, dead func(docID int32) bool) float64 {
+	return b.liveMax(b.rawTextScores(keyword), dead)
+}
+
+// liveMax is the maximum of raw scores over the elements of documents
+// dead does not report (nil: every document is live).
+func (b *Builder) liveMax(raw []ir.Scored, dead func(docID int32) bool) float64 {
 	max := 0.0
-	lastDoc, lastDead := int32(-1), false
-	for _, sd := range b.rawTextScores(keyword) {
-		if dead != nil {
-			// Keys run in Dewey order, so one document's elements are
-			// adjacent: ask once per document.
-			if doc := b.nodes[sd.Doc].ID.DocID(); doc != lastDoc {
-				lastDoc, lastDead = doc, dead(doc)
-			}
-			if lastDead {
-				continue
-			}
-		}
-		if sd.Score > max {
+	live := docFilter{docs: b.docs, drop: dead}
+	for _, sd := range raw {
+		if sd.Score > max && live.keeps(sd.Doc) {
 			max = sd.Score
 		}
 	}
@@ -305,6 +298,13 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 	s.refs = make([][]ir.DocKey, slots)
 	docs := slices.Clone(corpus.Docs())
 	slices.SortFunc(docs, func(a, b *xmltree.Document) int { return cmp.Compare(a.ID, b.ID) })
+	elements := 0
+	for _, doc := range docs {
+		elements += doc.Size()
+	}
+	s.ids = make([]xmltree.Dewey, 0, elements)
+	s.slotOf = make([]int32, 0, elements)
+	s.docs = make([]docSpan, 0, len(docs))
 	for _, doc := range docs {
 		s.indexDocument(doc)
 	}
@@ -313,9 +313,9 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 		if err != nil {
 			s.buildErr = err
 		} else {
-			s.ranks = make([]float64, len(s.nodes))
-			for key, n := range s.nodes {
-				s.ranks[key] = ranks.Rank(n.ID)
+			s.ranks = make([]float64, len(s.ids))
+			for key, id := range s.ids {
+				s.ranks[key] = ranks.Rank(id)
 			}
 			s.localRanksMax = ranks.Max()
 		}
@@ -330,8 +330,8 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 // concept of the collection — the concept's referencing keys.
 func (s *stage) indexDocument(doc *xmltree.Document) {
 	for _, n := range doc.Nodes() {
-		key := ir.DocKey(len(s.nodes))
-		s.nodes = append(s.nodes, n)
+		key := ir.DocKey(len(s.ids))
+		s.ids = append(s.ids, n.ID)
 		tokens := xmltree.Tokenize(xmltree.TextDescription(n, s.params.Text))
 		s.textBase.Add(key, tokens)
 		s.posIx.Add(key, tokens)
@@ -340,6 +340,38 @@ func (s *stage) indexDocument(doc *xmltree.Document) {
 			s.refs[slot] = append(s.refs[slot], key)
 		}
 	}
+	s.docs = append(s.docs, docSpan{id: doc.ID, end: ir.DocKey(len(s.ids))})
+}
+
+// docSpan is one document's run of element keys: its ID and the key
+// one past its last element.
+type docSpan struct {
+	id  int32
+	end ir.DocKey
+}
+
+// docFilter answers, over ascending element keys, whether an element's
+// document is kept, asking drop once per document (a document's
+// elements have adjacent keys). A nil drop keeps every document.
+type docFilter struct {
+	docs []docSpan
+	drop func(docID int32) bool
+	i    int
+	end  ir.DocKey
+	kept bool
+}
+
+func (f *docFilter) keeps(key ir.DocKey) bool {
+	if f.drop == nil {
+		return true
+	}
+	if key >= f.end {
+		for key >= f.docs[f.i].end {
+			f.i++
+		}
+		f.end, f.kept = f.docs[f.i].end, !f.drop(f.docs[f.i].id)
+	}
+	return f.kept
 }
 
 // conceptSlot resolves a code node to the slot of the concept it names,
@@ -384,9 +416,11 @@ func (b *Builder) Computer(systemID string) *ontoscore.Computer {
 // per ontological system.
 func (b *Builder) Vocabulary(hops int) []string {
 	set := make(map[string]bool)
-	for _, n := range b.nodes {
-		for _, tok := range xmltree.Tokenize(xmltree.TextDescription(n, b.params.Text)) {
-			set[tok] = true
+	for _, doc := range b.corpus.Docs() {
+		for _, n := range doc.Nodes() {
+			for _, tok := range xmltree.Tokenize(xmltree.TextDescription(n, b.params.Text)) {
+				set[tok] = true
+			}
 		}
 	}
 	for _, ont := range b.Collection().Ontologies() {
@@ -404,10 +438,12 @@ func (b *Builder) Vocabulary(hops int) []string {
 
 func (b *Builder) systemNeighborhoodTokens(ont *ontology.Ontology, hops int) []string {
 	frontier := make(map[ontology.ConceptID]bool)
-	for _, n := range b.nodes {
-		if ref, ok := n.OntoRef(); ok && ref.System == ont.SystemID {
-			if c, ok := ont.ByCode(ref.Code); ok {
-				frontier[c.ID] = true
+	for _, doc := range b.corpus.Docs() {
+		for _, n := range doc.Nodes() {
+			if ref, ok := n.OntoRef(); ok && ref.System == ont.SystemID {
+				if c, ok := ont.ByCode(ref.Code); ok {
+					frontier[c.ID] = true
+				}
 			}
 		}
 	}
@@ -437,37 +473,39 @@ func (b *Builder) systemNeighborhoodTokens(ont *ontology.Ontology, hops int) []s
 // textScores computes the normalized IR branch of NS for one keyword:
 // every element whose textual description contains the keyword (as a
 // contiguous phrase), in key order, scored by BM25 normalized over the
-// containing set.
+// containing set. When this builder's view differs from the live
+// corpus, the divisor is the GLOBAL maximum over the keyword's
+// containing set, exchanged through the calibrator (on a shard it is
+// always >= the local one).
 func (b *Builder) textScores(keyword string) []ir.Scored {
 	raw := b.rawTextScores(keyword)
-	if len(raw) == 0 {
-		return nil
+	norm := 0.0
+	if b.calib != nil && len(raw) > 0 {
+		norm = b.calib.KeywordNorm(keyword)
 	}
-	max := 0.0
-	for _, sd := range raw {
-		if sd.Score > max {
-			max = sd.Score
-		}
-	}
-	// When this builder's view differs from the live corpus, the
-	// normalization divisor is the GLOBAL maximum over the keyword's
-	// live containing set, exchanged through the calibrator. A positive
-	// answer is authoritative — with tombstones the true global maximum
-	// can be smaller than the stale local one (and on a shard it is
-	// always >= local, so this also covers the partition case).
-	if b.calib != nil {
-		if g := b.calib.KeywordNorm(keyword); g > 0 {
-			max = g
+	normalize(raw, norm)
+	return raw
+}
+
+// normalize divides raw scores by norm — or, when norm is not positive
+// (no global information), by their own maximum; every score becomes 1
+// when that is 0 too.
+func normalize(raw []ir.Scored, norm float64) {
+	if norm <= 0 {
+		norm = 0
+		for _, sd := range raw {
+			if sd.Score > norm {
+				norm = sd.Score
+			}
 		}
 	}
 	for i := range raw {
-		if max == 0 {
+		if norm == 0 {
 			raw[i].Score = 1
 		} else {
-			raw[i].Score /= max
+			raw[i].Score /= norm
 		}
 	}
-	return raw
 }
 
 // FPOntoResolve fires during ontology concept resolution on the
@@ -489,7 +527,7 @@ func (b *Builder) BuildKeyword(keyword string) List {
 // paper's evaluation. The span's onto attribute says whether the
 // OntoScores came from the side's memo or were propagated.
 func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
-	l, _ := b.buildKeyword(ctx, keyword, false)
+	l, _ := b.buildKeyword(ctx, keyword, false, false)
 	return l
 }
 
@@ -502,17 +540,55 @@ func (b *Builder) BuildKeywordE(keyword string) (List, error) {
 // BuildKeywordECtx is BuildKeywordE with span instrumentation (see
 // BuildKeywordCtx).
 func (b *Builder) BuildKeywordECtx(ctx context.Context, keyword string) (List, error) {
-	return b.buildKeyword(ctx, keyword, true)
+	return b.buildKeyword(ctx, keyword, true, false)
+}
+
+// BuildKeywordIR assembles the degraded, IR-only DIL of one keyword:
+// NS(v, w) = IRS(v, w), skipping the ontology branch entirely. This is
+// exactly what a StrategyNone (XRANK baseline) system computes, and it
+// is what searches fall back to when the ontology path's circuit
+// breaker is open.
+func (b *Builder) BuildKeywordIR(keyword string) List {
+	return b.BuildKeywordIRCtx(context.Background(), keyword)
+}
+
+// BuildKeywordIRCtx is BuildKeywordIR with span instrumentation; the
+// span carries ir_only=true so degraded builds are visible in traces.
+func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
+	l, _ := b.buildKeyword(ctx, keyword, false, true)
+	return l
 }
 
 // buildKeyword is the one keyword build: the OntoScores of every system
-// of the side, then the text scores, assembled. fallible hits the
-// FPOntoResolve failpoint before each system's scores are read, memo
-// hit or not.
-func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible bool) (List, error) {
+// of the side (none for an IR-only build), then the text scores,
+// assembled — over the live state when the builder is pinned to one
+// (Pin).
+func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (List, error) {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
 	defer sp.End()
+	var onto []ontoscore.Dense
+	var err error
+	if irOnly {
+		sp.SetAttr("ir_only", true)
+	} else if onto, err = b.ontoScores(ctx, sp, keyword, fallible); err != nil {
+		return nil, err
+	}
+	var l List
+	if b.live != nil {
+		l, err = b.assembleLive(ctx, sp, keyword, onto, fallible, irOnly)
+	} else {
+		l = b.assemble(b.textScoresCtx(ctx, keyword), onto)
+	}
+	sp.SetAttr("postings", len(l))
+	return l, err
+}
+
+// ontoScores reads the keyword's OntoScores on every system of the
+// side through its memo, tagging the build span sp with whether they
+// all came from the memo. fallible hits the FPOntoResolve failpoint
+// before each system's scores are read, memo hit or not.
+func (b *Builder) ontoScores(ctx context.Context, sp *obs.Span, keyword string, fallible bool) ([]ontoscore.Dense, error) {
 	onto := make([]ontoscore.Dense, len(b.slot0))
 	memo := true
 	for i, c := range b.side.Computers() {
@@ -534,30 +610,7 @@ func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible boo
 	default:
 		sp.SetAttr("onto", "propagated")
 	}
-	l := b.assemble(b.textScoresCtx(ctx, keyword), onto)
-	sp.SetAttr("postings", len(l))
-	return l, nil
-}
-
-// BuildKeywordIR assembles the degraded, IR-only DIL of one keyword:
-// NS(v, w) = IRS(v, w), skipping the ontology branch entirely. This is
-// exactly what a StrategyNone (XRANK baseline) system computes, and it
-// is what searches fall back to when the ontology path's circuit
-// breaker is open.
-func (b *Builder) BuildKeywordIR(keyword string) List {
-	return b.BuildKeywordIRCtx(context.Background(), keyword)
-}
-
-// BuildKeywordIRCtx is BuildKeywordIR with span instrumentation; the
-// span carries ir_only=true so degraded builds are visible in traces.
-func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
-	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
-	sp.SetAttr("keyword", keyword)
-	sp.SetAttr("ir_only", true)
-	l := b.assemble(b.textScoresCtx(ctx, keyword), nil)
-	sp.SetAttr("postings", len(l))
-	sp.End()
-	return l
+	return onto, nil
 }
 
 // textScoresCtx wraps textScores in a "dil.text_scores" span.
@@ -572,21 +625,38 @@ func (b *Builder) textScoresCtx(ctx context.Context, keyword string) []ir.Scored
 
 // assemble merges one keyword's text scores (in key order) with
 // alpha-scaled OntoScore postings (onto[i] for system i of the side)
-// into the final Dewey-ordered list: NS = max of the branches per
-// element, times the normalized ElemRank when configured, elements
-// scoring <= 0 dropped.
-//
-// Keys are Dewey-ordered by construction (see stage), so this is one
-// merge of two key-ordered sequences — the text postings and the code
-// elements of the scored concepts — with no map, no Dewey comparison
-// and no sort. The code elements come out of a bitset over the keys:
-// each scored concept — a dense index of its system, so its slot is
-// one addition away — marks the keys that reference it (resolved when
-// the stage was built), and reading the set back word by word yields
-// them in key order.
+// into the final Dewey-ordered list (see mark and emit). The list is
+// allocated once, at its exact length: lists are retained (the keyword
+// cache keeps them), so spare capacity would be resident memory.
 func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense) List {
+	sc, n := b.mark(text, onto)
+	out := b.emit(make(List, 0, n), text, sc, nil)
+	switch {
+	case len(out) == 0:
+		return nil
+	case len(out) < n: // an element scored <= 0
+		return append(make(List, 0, len(out)), out...)
+	}
+	return out
+}
+
+// mark records one keyword's ontology branch in a pooled scratch and
+// returns it with the size of the keyword's list: the union of the text
+// postings and the code elements of the scored concepts, before
+// elements scoring <= 0 (and documents a pinned build drops) leave it.
+//
+// Keys are Dewey-ordered by construction (see stage), so the list is
+// one merge of two key-ordered sequences — the text postings and the
+// code elements — with no map, no Dewey comparison and no sort. The
+// code elements come out of a bitset over the keys: each scored
+// concept — a dense index of its system, so its slot is one addition
+// away — marks the keys that reference it (resolved when the stage was
+// built), and reading the set back word by word yields them in key
+// order. An element references one concept at most, so no key is
+// marked twice.
+func (b *Builder) mark(text []ir.Scored, onto []ontoscore.Dense) (*scratch, int) {
 	sc := b.scratch.Get().(*scratch)
-	defer b.scratch.Put(sc)
+	n := 0
 	for i, scores := range onto {
 		for j, d := range scores.Idx {
 			slot := b.slot0[i] + int(d)
@@ -594,21 +664,15 @@ func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense) List {
 			for _, key := range b.refs[slot] {
 				sc.seen[key>>6] |= 1 << (key & 63)
 			}
+			n += len(b.refs[slot])
 		}
 	}
-	n := 0
-	b.merge(text, sc, false, func(ir.DocKey, float64) { n++ })
-	if n == 0 {
-		clear(sc.seen)
-		return nil
+	for _, sd := range text {
+		if sc.seen[sd.Doc>>6]&(1<<(sd.Doc&63)) == 0 {
+			n++
+		}
 	}
-	// Exact length: lists are retained (the keyword cache keeps them),
-	// so spare capacity would be resident memory.
-	out := make(List, 0, n)
-	b.merge(text, sc, true, func(key ir.DocKey, s float64) {
-		out = append(out, Posting{ID: b.nodes[key].ID, Score: s})
-	})
-	return out
+	return sc, n
 }
 
 // scratch is one build's working memory over a stage, pooled per
@@ -621,24 +685,25 @@ type scratch struct {
 }
 
 func (s *stage) newScratch() any {
-	return &scratch{seen: make([]uint64, (len(s.nodes)+63)/64), score: make([]float64, len(s.refs))}
+	return &scratch{seen: make([]uint64, (len(s.ids)+63)/64), score: make([]float64, len(s.refs))}
 }
 
-// merge walks the union of the text postings and the marked code
-// elements in key order, calling emit with every key's final node
-// score when it is positive. With drain set it clears the bitset as it
-// goes, leaving the scratch ready for the next build.
-func (b *Builder) merge(text []ir.Scored, sc *scratch, drain bool, emit func(ir.DocKey, float64)) {
+// emit walks the union of the text postings and the code elements
+// marked in sc in key order, appending to out every element's final
+// node score — NS, the max of the branches, times the normalized
+// ElemRank when configured — when it is positive and drop (nil: none)
+// does not report the element's document. It clears the bitset as it
+// goes and returns the scratch to the pool.
+func (b *Builder) emit(out List, text []ir.Scored, sc *scratch, drop func(docID int32) bool) List {
+	defer b.scratch.Put(sc)
+	live := docFilter{docs: b.docs, drop: drop}
 	w, bits := -1, uint64(0)
 	next := func() (ir.DocKey, bool) {
 		for bits == 0 {
 			if w++; w == len(sc.seen) {
 				return 0, false
 			}
-			bits = sc.seen[w]
-			if drain {
-				sc.seen[w] = 0
-			}
+			bits, sc.seen[w] = sc.seen[w], 0
 		}
 		key := ir.DocKey(w<<6 + mathbits.TrailingZeros64(bits))
 		bits &= bits - 1
@@ -667,10 +732,11 @@ func (b *Builder) merge(text []ir.Scored, sc *scratch, drain bool, emit func(ir.
 		if b.ranks != nil && b.ranksMax > 0 {
 			s *= b.ranks[key] / b.ranksMax
 		}
-		if s > 0 {
-			emit(key, s)
+		if s > 0 && live.keeps(key) {
+			out = append(out, Posting{ID: b.ids[key], Score: s})
 		}
 	}
+	return out
 }
 
 // Build runs the OntoScore and DIL stages for an entire vocabulary,

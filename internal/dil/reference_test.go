@@ -68,7 +68,7 @@ func (r *reference) build(b *Builder, keyword string, irOnly bool) List {
 			} else {
 				s /= max
 			}
-			id := b.nodes[key].ID
+			id := b.ids[key]
 			scores[id.String()] = s
 			ids[id.String()] = id
 		}
@@ -108,7 +108,7 @@ func referenceRawTextMaxLive(b *Builder, keyword string, dead func(int32) bool) 
 	}
 	max := 0.0
 	for _, key := range b.posIx.PhraseDocs(terms) {
-		if dead != nil && dead(b.nodes[key].ID.DocID()) {
+		if dead != nil && dead(b.ids[key].DocID()) {
 			continue
 		}
 		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
@@ -116,6 +116,17 @@ func referenceRawTextMaxLive(b *Builder, keyword string, dead func(int32) bool) 
 		}
 	}
 	return max
+}
+
+// liveOnly drops the postings of dead documents.
+func liveOnly(l List, dead func(int32) bool) List {
+	var out List
+	for _, p := range l {
+		if !dead(p.ID.DocID()) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func sameList(a, b List) bool {
@@ -187,8 +198,8 @@ func referenceKeywords(b *Builder, stride int) []string {
 		}
 	}
 	phrases := 0
-	for key := 0; key < len(b.nodes) && phrases < 8; key += len(b.nodes)/16 + 1 {
-		if toks := xmltree.Tokenize(xmltree.TextDescription(b.nodes[key], b.params.Text)); len(toks) >= 2 {
+	for key := 0; key < len(b.ids) && phrases < 8; key += len(b.ids)/16 + 1 {
+		if toks := xmltree.Tokenize(xmltree.TextDescription(b.corpus.NodeAt(b.ids[key]), b.params.Text)); len(toks) >= 2 {
 			out = append(out, toks[0]+" "+toks[1])
 			phrases++
 		}
@@ -227,9 +238,11 @@ func (c liveNorm) KeywordNorm(kw string) float64 { return c.b.RawTextMaxLive(kw,
 // map-based reference posting for posting, float for float: on the
 // experiment corpora (one of them registered in descending document
 // order), for the four strategies, single terms, phrases and absent
-// keywords, full and IR-only builds, with ElemRank off and on, and on
-// builders wired the way a shard (calibrator) and a delta segment
-// (global statistics view, tombstone-aware calibrator) wire them.
+// keywords, full and IR-only builds, with ElemRank off and on, on
+// builders wired the way a shard wires them (calibrator) and under a
+// global statistics view with a tombstone-aware calibrator — where a
+// build pinned to that live state (Pin) must also equal the reference
+// with the tombstoned documents' postings dropped.
 func TestAssembleMatchesReference(t *testing.T) {
 	small, smallColl := referenceCorpus(t, 300, 40)
 	medium, mediumColl := referenceCorpus(t, 2000, 300)
@@ -285,6 +298,18 @@ func TestAssembleMatchesReference(t *testing.T) {
 						}
 						if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
 							t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
+						}
+						if wiring != "delta" {
+							continue
+						}
+						// A build pinned to the same live state drops the
+						// tombstoned documents in its one pass.
+						p := builders[st].Pin(Live{Stats: global, Dead: dead})
+						if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(got, want) {
+							t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
+						}
+						if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(got, want) {
+							t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
 						}
 					}
 				}

@@ -38,11 +38,13 @@ func isContextErr(err error) bool {
 }
 
 // listResilient is the on-demand build path for builders with a
-// fallible ontology dependency. It returns the list, whether it is the
-// IR-only degraded form, and a context error if the caller gave up. The
-// sp parameter is the enclosing "query.keyword" span; this path tags it
-// with how the keyword was answered (cache, built).
-func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, fb FallibleKeywordBuilder) (dil.List, bool, error) {
+// fallible ontology dependency (b is a FallibleKeywordBuilder: the
+// engine's own, or the one a dirty overlay pinned). It returns the
+// list, whether it is the IR-only degraded form, and a context error if
+// the caller gave up. The sp parameter is the enclosing "query.keyword"
+// span; this path tags it with how the keyword was answered (cache,
+// built).
+func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (dil.List, bool, error) {
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
@@ -51,7 +53,7 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 	if !e.breaker.Allow() {
 		sp.SetAttr("source", "built")
 		sp.SetAttr("breaker_open", true)
-		l, err := e.listIR(ctx, kw, tag)
+		l, err := e.listIR(ctx, kw, tag, b)
 		return l, true, err
 	}
 	sp.SetAttr("source", "built")
@@ -62,7 +64,7 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 		var built dil.List
 		rerr := e.retry.Do(fctx, func() error {
 			var berr error
-			built, berr = e.buildE(fctx, fb, kw)
+			built, berr = buildE(fctx, b.(FallibleKeywordBuilder), kw)
 			if berr != nil && !isContextErr(berr) {
 				e.breaker.Failure()
 			}
@@ -85,15 +87,15 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 	// scoring rather than failing the query.
 	obs.Default().WarnContext(ctx, "keyword degraded to IR-only scoring",
 		"keyword", kw, "error", err.Error())
-	l, ferr := e.listIR(ctx, kw, tag)
+	l, ferr := e.listIR(ctx, kw, tag, b)
 	return l, true, ferr
 }
 
 // listIR builds (and, on a clean read, caches under a separate key) the
 // IR-only list of a keyword. Builders without an IR fallback yield no
 // list — the keyword reads as absent, which is still not an error.
-func (e *Engine) listIR(ctx context.Context, kw, tag string) (dil.List, error) {
-	irb, ok := e.builder.(IRKeywordBuilder)
+func (e *Engine) listIR(ctx context.Context, kw, tag string, b KeywordBuilder) (dil.List, error) {
+	irb, ok := b.(IRKeywordBuilder)
 	if !ok {
 		return nil, nil
 	}
@@ -105,7 +107,7 @@ func (e *Engine) listIR(ctx context.Context, kw, tag string) (dil.List, error) {
 		if l, ok := e.cached(tag, ckey); ok {
 			return l, nil
 		}
-		l := e.buildIR(fctx, irb, kw)
+		l := buildIR(fctx, irb, kw)
 		e.store(tag, ckey, l)
 		return l, nil
 	})

@@ -70,17 +70,17 @@ type (
 )
 
 // buildPlain invokes the builder's context-aware build when available.
-func (e *Engine) buildPlain(ctx context.Context, kw string) dil.List {
-	if cb, ok := e.builder.(CtxKeywordBuilder); ok {
+func buildPlain(ctx context.Context, b KeywordBuilder, kw string) dil.List {
+	if cb, ok := b.(CtxKeywordBuilder); ok {
 		return cb.BuildKeywordCtx(ctx, kw)
 	}
-	return e.builder.BuildKeyword(kw)
+	return b.BuildKeyword(kw)
 }
 
 // buildE invokes the fallible ontology-path build, context-aware when
 // available.
-func (e *Engine) buildE(ctx context.Context, fb FallibleKeywordBuilder, kw string) (dil.List, error) {
-	if cb, ok := e.builder.(CtxFallibleKeywordBuilder); ok {
+func buildE(ctx context.Context, fb FallibleKeywordBuilder, kw string) (dil.List, error) {
+	if cb, ok := fb.(CtxFallibleKeywordBuilder); ok {
 		return cb.BuildKeywordECtx(ctx, kw)
 	}
 	return fb.BuildKeywordE(kw)
@@ -88,8 +88,8 @@ func (e *Engine) buildE(ctx context.Context, fb FallibleKeywordBuilder, kw strin
 
 // buildIR invokes the degraded IR-only build, context-aware when
 // available.
-func (e *Engine) buildIR(ctx context.Context, irb IRKeywordBuilder, kw string) dil.List {
-	if cb, ok := e.builder.(CtxIRKeywordBuilder); ok {
+func buildIR(ctx context.Context, irb IRKeywordBuilder, kw string) dil.List {
+	if cb, ok := irb.(CtxIRKeywordBuilder); ok {
 		return cb.BuildKeywordIRCtx(ctx, kw)
 	}
 	return irb.BuildKeywordIR(kw)
@@ -189,7 +189,7 @@ func (e *Engine) Breaker() *resilience.Breaker { return e.breaker }
 type resolved struct {
 	list    dil.List
 	compact *dil.CompactList
-	delta   bool // true when a live delta overlay changed the list
+	delta   bool // true when built pinned to a dirty delta overlay
 }
 
 // n returns the posting count in whichever representation is present.
@@ -211,9 +211,6 @@ func (e *Engine) list(ctx context.Context, kw string, ov OverlayView, needList b
 	sp.SetAttr("keyword", kw)
 	defer sp.End()
 	r, degraded, err := e.listInner(ctx, sp, kw, ov, needList)
-	if err == nil && ov != nil {
-		r, degraded, err = e.combine(ctx, sp, kw, ov, r, degraded)
-	}
 	if degraded {
 		sp.SetAttr("degraded", true)
 	}
@@ -225,60 +222,27 @@ func (e *Engine) list(ctx context.Context, kw string, ov OverlayView, needList b
 	return r, degraded, err
 }
 
-// combine merges the live delta overlay into one keyword's resolved
-// base list. If the delta's ontology path fails, the whole keyword
-// degrades to IR-only scoring — base and delta postings must score
-// under the same NS function or their relative order would be
-// meaningless.
-func (e *Engine) combine(ctx context.Context, sp *obs.Span, kw string, ov OverlayView, r resolved, degraded bool) (resolved, bool, error) {
-	merged, changed, err := ov.Combine(ctx, kw, r.list, degraded)
-	if err != nil {
-		if isContextErr(err) || ctx.Err() != nil {
-			return resolved{}, false, err
-		}
-		e.breaker.Failure()
-		obs.Default().WarnContext(ctx, "keyword degraded to IR-only scoring (delta overlay)",
-			"keyword", kw, "error", err.Error())
-		base := r.list
-		if !degraded {
-			var tag string
-			if ov.Dirty() {
-				tag = versionTag(ov.Version())
-			}
-			var ferr error
-			if base, ferr = e.listIR(ctx, kw, tag); ferr != nil {
-				return resolved{}, false, ferr
-			}
-		}
-		r = resolved{list: base}
-		degraded = true
-		if merged, changed, err = ov.Combine(ctx, kw, base, true); err != nil {
-			return resolved{}, false, err
-		}
-	}
-	if changed {
-		r = resolved{list: merged, delta: true}
-		sp.SetAttr("delta", true)
-	}
-	return r, degraded, nil
-}
-
 func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView, needList bool) (resolved, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return resolved{}, false, err
 	}
 	// A dirty delta overlay invalidates prebuilt base lists: their
 	// baked-in scores predate the live collection statistics. Resolve
-	// through the builder instead, per read: a list built against one
-	// overlay state is valid for that state alone, so it bypasses the
-	// keyword LRU, and its flight key carries the state's version so
-	// concurrent reads of one state still build once. (The OntoScores
-	// behind it do not depend on the corpus; the ontology side memoizes
-	// them.)
+	// through the engine's builder pinned to the acquired state instead,
+	// per read: one pass over the base and the delta, scored against
+	// that state alone, so the list bypasses the keyword LRU, and its
+	// flight key carries the state's version so concurrent reads of one
+	// state still build once. (The OntoScores behind it do not depend on
+	// the corpus; the ontology side memoizes them.)
+	builder := e.builder
 	var tag string
 	if ov != nil && ov.Dirty() {
 		tag = versionTag(ov.Version())
 		sp.SetAttr("base_bypassed", true)
+		builder = nil
+		if b, ok := e.builder.(*dil.Builder); ok {
+			builder = ov.Pin(b)
+		}
 	}
 	if tag == "" {
 		cs, compactable := e.source.(CompactSource)
@@ -300,13 +264,13 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 			return r, false, nil
 		}
 	}
-	if e.builder == nil {
+	if builder == nil {
 		sp.SetAttr("source", "none")
 		return resolved{}, false, nil
 	}
-	if fb, ok := e.builder.(FallibleKeywordBuilder); ok {
-		l, degraded, err := e.listResilient(ctx, sp, kw, tag, fb)
-		return resolved{list: l}, degraded, err
+	if _, ok := builder.(FallibleKeywordBuilder); ok {
+		l, degraded, err := e.listResilient(ctx, sp, kw, tag, builder)
+		return resolved{list: l, delta: tag != ""}, degraded, err
 	}
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
@@ -318,7 +282,7 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 		if l, ok := e.cached(tag, ckey); ok { // raced with another build
 			return l, nil
 		}
-		l := e.buildPlain(fctx, kw)
+		l := buildPlain(fctx, builder, kw)
 		e.store(tag, ckey, l)
 		return l, nil
 	})
@@ -500,11 +464,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if e.overlay != nil {
 		ov = e.overlay.Acquire()
 	}
-	// RDIL's ranked access and the delta overlay's combine walk
-	// materialized lists. Only when neither is in play may a keyword
-	// resolve compact-only and stream zero-copy.
-	needList := req.Ranked || ov != nil
-	res, degraded, err := e.resolve(ctx, req.Keywords, ov, needList)
+	// RDIL's ranked access walks materialized lists; otherwise a keyword
+	// may resolve compact-only and stream zero-copy.
+	res, degraded, err := e.resolve(ctx, req.Keywords, ov, req.Ranked)
 	if err != nil {
 		return nil, err
 	}

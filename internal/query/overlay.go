@@ -1,10 +1,6 @@
 package query
 
-import (
-	"context"
-
-	"repro/internal/dil"
-)
+import "repro/internal/dil"
 
 // OverlayView is one consistent snapshot of a live delta overlay (see
 // internal/delta): the mutable delta segment that absorbs single
@@ -22,22 +18,18 @@ type OverlayView interface {
 	// at all. A dirty overlay invalidates every prebuilt base list —
 	// collection statistics and normalization divisors moved, so the
 	// baked-in scores are stale — and the engine resolves keywords
-	// through the builder instead (whose statistics views track the
-	// live state). A clean overlay (right after a compaction) restores
-	// the prebuilt fast path untouched.
+	// through the builder Pin returns instead. A clean overlay (right
+	// after a compaction) restores the prebuilt fast path untouched.
 	Dirty() bool
 
-	// Combine merges the live delta into one keyword's base posting
-	// list: tombstoned documents' postings are dropped and the delta
-	// documents' postings are merged in Dewey order. irOnly selects the
-	// delta's IR-only build so a degraded keyword stays degraded across
-	// base and delta alike. The changed return is false when the base
-	// list is already exact (no tombstones touch it and the delta has
-	// no postings for the keyword), letting the caller keep the
-	// compact form. An error means the delta's ontology path failed;
-	// the engine then degrades the whole keyword to IR-only scoring
-	// (Combine with irOnly=true cannot fail except via ctx).
-	Combine(ctx context.Context, keyword string, base dil.List, irOnly bool) (merged dil.List, changed bool, err error)
+	// Pin returns base — the engine's own builder — pinned to this
+	// view's state: statistics, normalization divisors and tombstones
+	// all read from the state the view acquired, whatever lands after,
+	// and each keyword build yields the whole live list, base and delta
+	// postings in Dewey order. The builder's ontology path can fail
+	// (FallibleKeywordBuilder); the engine then degrades the whole
+	// keyword, base and delta alike, to its IR-only build.
+	Pin(base *dil.Builder) *dil.Builder
 }
 
 // Overlay hands out consistent views of a live delta segment.

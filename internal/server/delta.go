@@ -104,12 +104,10 @@ func (s *Server) EnableDelta(cfg DeltaConfig) error {
 		Limits:     cfg.Ingest.Limits,
 		Owner:      owner,
 	})
-	seg.SetBaseProvider(s.baseBuilder)
 
 	// Open and replay the WAL before any serving-side wiring: a failed
 	// replay must leave the active generation exactly as it was, with no
-	// overlays or live statistics views referencing an abandoned,
-	// half-applied segment.
+	// overlays referencing an abandoned, half-applied segment.
 	wal, err := delta.OpenWAL(cfg.WALPath, s.logf)
 	if err != nil {
 		return err
@@ -177,27 +175,21 @@ func (s *Server) EnableDelta(cfg DeltaConfig) error {
 }
 
 // baseBuilder returns the ACTIVE generation's builder for a strategy:
-// the calibration authority for both the delta builders and (sharded)
-// every slot's builders. Reading through the atomic pointer keeps the
-// authority current across generation swaps.
+// the normalization authority of every shard slot's dirty reads.
+// Reading through the atomic pointer keeps the authority current
+// across generation swaps.
 func (s *Server) baseBuilder(st ontoscore.Strategy) *dil.Builder {
 	return s.gen.Load().systems[st].Builder()
 }
 
-// wireGeneration attaches the segment to a generation's systems: live
-// statistics views and calibrators on its builders, overlays on the
-// engines, auxiliary documents for hydration. The generation must not
-// be serving yet (construction time, before swap) — which is also why
-// the stats view and calibrator target THIS generation's own builders
-// instead of resolving through s.gen.Load(): during a reload the
-// atomic pointer still names the old, still-serving generation, and
-// installing there would race its lock-free query readers while
-// leaving the new generation's builders unwired.
+// wireGeneration attaches the segment to a generation's systems:
+// overlays on the engines (whose dirty reads pin the generation's own
+// builders, the normalization authority of an unsharded generation),
+// auxiliary documents for hydration. The generation must not be
+// serving yet (construction time, before swap).
 func (s *Server) wireGeneration(g *generation) {
 	for st, sys := range g.systems {
-		sys := sys
-		s.seg.InstallBase(st, func() *dil.Builder { return sys.Builder() })
-		sys.SetOverlay(s.seg.Overlay(st, -1))
+		sys.SetOverlay(s.seg.Overlay(st, -1, nil))
 		sys.SetAuxDocs(s.seg)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 
 	"repro/internal/dil"
-	"repro/internal/ir"
 	"repro/internal/ontoscore"
 	"repro/internal/query"
 	"repro/internal/xmltree"
@@ -12,33 +11,30 @@ import (
 
 // Live-delta wiring. A cluster overlaid by a delta segment
 // (internal/delta) serves single-document ingests without a rebuild:
-// every slot's builders read the segment's live collection-statistics
-// view and calibrator, every slot's engines merge the segment's
-// postings (filtered to the documents that slot owns), and hydration
-// of delta documents routes to the owning slot via the segment's own
-// owner records instead of the base owners map.
+// every slot's engines read the segment's overlay (filtered to the
+// documents that slot owns), whose dirty reads build through the slot's
+// builder pinned to the acquired state, and hydration of delta
+// documents routes to the owning slot via the segment's own owner
+// records instead of the base owners map.
 
 // DeltaOverlay is what the cluster needs from a live delta segment;
-// *delta.Segment satisfies it. The base-builder providers the cluster
-// hands to Calibrator return the FULL-corpus builder (the server
-// generation's): under a disjoint partition the full-corpus live
-// maximum equals the maximum over every slot's local maximum, so one
-// authority serves both the sharded and the single-node path — and
-// keeps them byte-identical.
+// *delta.Segment satisfies it. The norm provider the cluster hands to
+// Overlay returns the FULL-corpus builder (the server generation's):
+// under a disjoint partition the full-corpus live maximum equals the
+// maximum over every slot's local maximum, so one authority serves
+// both the sharded and the single-node path — and keeps them
+// byte-identical.
 type DeltaOverlay interface {
-	StatsView() ir.StatsView
-	Calibrator(st ontoscore.Strategy, base func() *dil.Builder) dil.Calibrator
-	Overlay(st ontoscore.Strategy, shard int) query.Overlay
+	Overlay(st ontoscore.Strategy, shard int, norm func() *dil.Builder) query.Overlay
 	AuxDoc(id int32) *xmltree.Document
 	OwnerOf(docID int32) int
 }
 
 // InstallDelta wires a live delta segment into every slot of the
-// cluster: live statistics views and calibrators on the builders,
-// slot-filtered overlays and auxiliary documents on the systems.
-// base returns the full-corpus builder of a strategy (the calibration
-// authority). Call before serving traffic; reloads re-wire new
-// generations automatically.
+// cluster: slot-filtered overlays and auxiliary documents on the
+// systems. base returns the full-corpus builder of a strategy (the
+// normalization authority). Call before serving traffic; reloads
+// re-wire new generations automatically.
 func (c *Cluster) InstallDelta(d DeltaOverlay, base func(st ontoscore.Strategy) *dil.Builder) {
 	if c.hasPeers() {
 		// Live ingest is a single-node/in-process feature: a delta
@@ -69,10 +65,7 @@ func (c *Cluster) installDelta(gens []*shardGen) {
 	for _, g := range gens {
 		for st, sys := range g.systems {
 			st := st
-			b := sys.Builder()
-			b.SetGlobalTextStatsView(c.delta.StatsView())
-			b.SetCalibrator(c.delta.Calibrator(st, func() *dil.Builder { return c.deltaBase(st) }))
-			sys.SetOverlay(c.delta.Overlay(st, g.shard))
+			sys.SetOverlay(c.delta.Overlay(st, g.shard, func() *dil.Builder { return c.deltaBase(st) }))
 			sys.SetAuxDocs(c.delta)
 		}
 	}

@@ -188,7 +188,7 @@ type Cluster struct {
 	reloadMu sync.Mutex
 
 	// delta, when non-nil, overlays every slot with a live segment
-	// (InstallDelta); deltaBase returns the full-corpus calibration
+	// (InstallDelta); deltaBase returns the full-corpus normalization
 	// authority per strategy. Written under reloadMu before traffic.
 	delta     DeltaOverlay
 	deltaBase func(st ontoscore.Strategy) *dil.Builder
