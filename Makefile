@@ -8,7 +8,8 @@
 #                      concurrent builds over one shared ontology side,
 #                      the side's OntoScore memo under concurrent reads,
 #                      the shard metrics test repeated 50 times, and the
-#                      pinned dirty read (a write mid-build) 20 times
+#                      pinned dirty read (a write mid-build) and two
+#                      readers coalesced on one dirty build 20 times each
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -53,9 +54,15 @@
 #   make bench-arena-report - regenerate BENCH_ARENA.json (cold start
 #                      mmap vs decode-to-heap at three corpus sizes,
 #                      plus steady-state query latency parity)
+#   make delta       - live-ingestion lane: vet + the WAL, crash-soak,
+#                      base+delta differential and compaction suites,
+#                      and the HTTP ingest surface, under -race
+#   make bench-delta-report - regenerate BENCH_DELTA.json (live-ingest
+#                      write and read costs)
 #   make obs         - observability lane: vet + race tests for internal/obs,
 #                      and the API guard (retired entry points and parallel
 #                      paths must not reappear in non-test code)
+#   make api-guard   - the API guard alone
 #   make trace-demo  - generate a small corpus and print one traced search
 #                      (the span tree with per-stage durations)
 
@@ -84,7 +91,7 @@ FUZZ_TIME ?= 10s
 .PHONY: check test race vet faults fuzz-smoke bench bench-smoke \
 	shard bench-shard-report federation \
 	bench-peer-report topk bench-topk-report arena bench-arena-report \
-	obs api-guard trace-demo
+	delta bench-delta-report obs api-guard trace-demo
 
 check: test vet race faults fuzz-smoke bench-smoke topk shard delta arena federation obs
 
@@ -107,7 +114,7 @@ race:
 		./cmd/xontoserve/...
 	$(GO) test -race -count=1 -run 'SharedStage|SharedSide|SideMemo' ./internal/ontoscore ./internal/dil ./internal/core
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
-	$(GO) test -race -count=20 -run '^TestDirtyReadPinnedToAcquiredState$$' ./internal/delta
+	$(GO) test -race -count=20 -run '^(TestDirtyReadPinnedToAcquiredState|TestDirtyReadCoalescedListNotRecycled)$$' ./internal/delta
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -257,7 +264,9 @@ obs: api-guard
 # splices the delta into a second copy of the base list, no statistics
 # view or calibrator on a base builder follows the live state, and the
 # keyword build emits from the dense Dewey table in one pass (no node
-# pointer table, no counting pass).
+# pointer table, no counting pass). Concept references are one CSR
+# table (no slice per concept slot), and element lengths one dense
+# array (no map keyed by element).
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -284,11 +293,13 @@ api-guard:
 	if grep -nE 'type (liveStatsView|liveCalibrator)' --exclude='*_test.go' internal/delta/*.go; then fail=1; fi; \
 	if grep -nE 'nodes  *\[\]\*xmltree\.Node|b\.nodes\[' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nF 'merge(text, sc, false' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
+	if grep -nE 'refs  *\[\]\[\]ir\.DocKey' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
+	if grep -nE 'docLen  *map\[' --exclude='*_test.go' internal/ir/*.go; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

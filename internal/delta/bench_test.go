@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -41,20 +42,27 @@ func BenchmarkRebase(b *testing.B) {
 // under a dirty overlay — 1, 8 and 32 pending documents plus one base
 // tombstone over BenchmarkRebase's 150-document base — the read every
 // query pays between a write and the next compaction: each keyword is
-// built pinned to the acquired state, base and delta in one pass.
+// built pinned to the acquired state, base and delta in one pass, into
+// an array the previous read recycled. With readers=2 two goroutines
+// read the same state concurrently; a list built once for both is left
+// to the collector.
 func BenchmarkDirtyRead(b *testing.B) {
 	const baseN = 150
 	fx := newFixture(b, baseN+31, 3)
 	cfg := core.DefaultConfig()
 	req := core.SearchRequest{Query: "asthma medications", K: 10}
-	for _, pending := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+	for _, c := range []struct{ pending, readers int }{{1, 1}, {8, 1}, {32, 1}, {8, 2}} {
+		name := fmt.Sprintf("pending=%d", c.pending)
+		if c.readers > 1 {
+			name += fmt.Sprintf(",readers=%d", c.readers)
+		}
+		b.Run(name, func(b *testing.B) {
 			sys := core.NewMulti(fx.baseCorpus(b, baseN), fx.coll, cfg)
 			seg := wireSegment(sys, cfg.Strategy, Config{Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL})
 			if err := seg.Apply(Op{Seq: 1, Kind: OpDelete, Name: fx.names[1]}); err != nil {
 				b.Fatal(err)
 			}
-			for i, name := range fx.names[baseN : baseN+pending] {
+			for i, name := range fx.names[baseN : baseN+c.pending] {
 				if err := seg.Apply(Op{Seq: uint64(i + 2), Kind: OpPut, Name: name, Body: fx.bodies[name]}); err != nil {
 					b.Fatal(err)
 				}
@@ -62,11 +70,20 @@ func BenchmarkDirtyRead(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if resp, err := sys.Query(ctx, req); err != nil || len(resp.Results) == 0 {
-					b.Fatalf("query: %d results, %v", len(resp.Results), err)
-				}
+			var wg sync.WaitGroup
+			for r := 0; r < c.readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; i < b.N; i += c.readers {
+						if resp, err := sys.Query(ctx, req); err != nil || len(resp.Results) == 0 {
+							b.Errorf("query: %+v, %v", resp, err)
+							return
+						}
+					}
+				}(r)
 			}
+			wg.Wait()
 		})
 	}
 }

@@ -3,13 +3,16 @@ package delta
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dil"
 	"repro/internal/faultinject"
 	"repro/internal/ontoscore"
+	"repro/internal/xmltree"
 )
 
 // A dirty read answers for the state it acquired. The first keyword
@@ -173,4 +176,135 @@ func TestPinnedListsInDeweyOrder(t *testing.T) {
 	}
 	replayScript(t, seg, fx, script)
 	check("after rebase")
+}
+
+// recycleState wires a dirty overlay over a 150-document base — one
+// base tombstone and eight pending documents — for the list-recycling
+// tests, whose keyword's pinned list is large enough that its array
+// dominates a read's allocations. It returns the system, its segment,
+// the script applied, and the base corpus.
+func recycleState(t *testing.T, fx *fixture, cfg core.Config) (*core.System, *Segment, []scriptOp, *xmltree.Corpus) {
+	t.Helper()
+	const baseN = 150
+	base := fx.baseCorpus(t, baseN)
+	sys := core.NewMulti(base, fx.coll, cfg)
+	seg := wireSegment(sys, cfg.Strategy, Config{Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL})
+	script := []scriptOp{{OpDelete, fx.names[1], ""}}
+	for _, name := range fx.names[baseN:] {
+		script = append(script, scriptOp{OpPut, name, name})
+	}
+	replayScript(t, seg, fx, script)
+	return sys, seg, script, base
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Two readers of one dirty state coalesce on one keyword's flight: the
+// first stalls on the ontology path, the second acquires the same state
+// and joins the build. Both answer for the acquired state, and the
+// leader does not recycle the list the follower received: the next
+// read finds no array to reuse and allocates its list's.
+func TestDirtyReadCoalescedListNotRecycled(t *testing.T) {
+	defer faultinject.DisableAll()
+	// One P: a sync.Pool keeps an array per P out of the other Ps'
+	// reach, so with more a recycled array could hide from the next read.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fx := newFixture(t, 158, 3)
+	cfg := core.DefaultConfig()
+	sys, _, script, base := recycleState(t, fx, cfg)
+	live, deltaID := trackScript(fx, len(base.Docs()), script)
+	acquired := core.NewMulti(referenceCorpus(t, fx, base, live, deltaID), fx.coll, cfg)
+	const kw = "medication"
+	req := core.SearchRequest{Query: kw, K: 10}
+	want, err := acquired.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) == 0 {
+		t.Fatal("the acquired state answers nothing; the test checks nothing")
+	}
+	list, err := acquired.Builder().BuildKeywordE(kw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	array := uint64(len(list)) * uint64(unsafe.Sizeof(dil.Posting{}))
+
+	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{Mode: faultinject.ModeLatency, Delay: 200 * time.Millisecond, Count: 1})
+	type answer struct {
+		resp *core.SearchResponse
+		err  error
+	}
+	done := make(chan answer, 2)
+	read := func() {
+		resp, err := sys.Query(context.Background(), req)
+		done <- answer{resp, err}
+	}
+	go read()
+	for {
+		if _, fired := faultinject.Counts(dil.FPOntoResolve); fired > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go read()
+	answers := []answer{<-done, <-done}
+	hits, _ := faultinject.Counts(dil.FPOntoResolve)
+	faultinject.Disable(dil.FPOntoResolve)
+	if systems := int64(len(sys.Builder().Side().Computers())); hits != systems {
+		t.Fatalf("the ontology path ran %d times for %d systems; the readers did not share one build", hits, systems)
+	}
+	for i, a := range answers {
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if !reflect.DeepEqual(a.resp.Results, want.Results) {
+			t.Fatalf("reader %d diverges from a rebuild of the state it acquired\n got: %+v\nwant: %+v", i, a.resp.Results, want.Results)
+		}
+	}
+	if got := allocated(func() {
+		if _, err := sys.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}); got < array {
+		t.Fatalf("the next read allocated %d B, under its list's array (%d B): the leader recycled a list a follower received", got, array)
+	}
+}
+
+// After one warm-up read, dirty reads of one state reuse their lists'
+// arrays: each allocates fewer bytes than one pinned list's array.
+func TestDirtyReadRecyclesLists(t *testing.T) {
+	fx := newFixture(t, 158, 3)
+	cfg := core.DefaultConfig()
+	sys, seg, _, _ := recycleState(t, fx, cfg)
+	const kw = "medication"
+	list, err := seg.Overlay(cfg.Strategy, -1, nil).Acquire().Pin(sys.Builder()).BuildKeywordE(kw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	array := int64(len(list)) * int64(unsafe.Sizeof(dil.Posting{}))
+	req := core.SearchRequest{Query: kw, K: 10}
+	ctx := context.Background()
+	read := func() {
+		if resp, err := sys.Query(ctx, req); err != nil || len(resp.Results) == 0 {
+			t.Fatalf("query: %v", err)
+		}
+	}
+	read()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			read()
+		}
+	})
+	t.Logf("%d postings (%d B); %d B/op, %d allocs/op", len(list), array, res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got >= array {
+		t.Fatalf("a dirty read allocates %d B, not under one pinned list's array (%d B)", got, array)
+	}
 }

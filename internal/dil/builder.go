@@ -91,9 +91,9 @@ func (s *BuildStats) AvgBytes() float64 {
 // computers, built once per collection and shared with every other
 // stage over it). The OntoScore strategy plays no part in it, so one
 // stage serves a Builder per strategy (NewBuilders). A stage is never
-// written after construction (its scratch pool hands each build memory
-// of its own), which is what makes its builders safe to use side by
-// side.
+// written after construction (its scratch and list pools hand each
+// build memory of its own), which is what makes its builders safe to
+// use side by side.
 //
 // Element keys are assigned in Dewey order: documents in ascending ID,
 // each document's nodes in document order. Every key-ordered sequence
@@ -109,11 +109,13 @@ type stage struct {
 	textBase      *ir.Index       // elements as documents (bag model, BM25 stats)
 	posIx         *ir.Positional  // token positions: phrase tests and term frequencies
 	slot0         []int           // per system (side order): the system's first concept slot
-	refs          [][]ir.DocKey   // per concept slot: referencing element keys, in key order
+	refStart      []int32         // per concept slot, plus one: the slot's first entry in refKeys
+	refKeys       []int32         // referencing element keys, slot after slot, each slot's in key order
 	slotOf        []int32         // DocKey -> the concept slot it references, -1 if none
 	ranks         []float64       // DocKey -> raw ElemRank; nil unless Params.ElemRank set
 	localRanksMax float64         // max of ranks
 	scratch       sync.Pool       // *scratch: per-build working memory
+	lists         listPool        // pinned lists' arrays (live.go)
 
 	fullTextTime time.Duration
 	buildErr     error
@@ -295,7 +297,6 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 		s.slot0 = append(s.slot0, slots)
 		slots += c.Concepts()
 	}
-	s.refs = make([][]ir.DocKey, slots)
 	docs := slices.Clone(corpus.Docs())
 	slices.SortFunc(docs, func(a, b *xmltree.Document) int { return cmp.Compare(a.ID, b.ID) })
 	elements := 0
@@ -308,6 +309,7 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 	for _, doc := range docs {
 		s.indexDocument(doc)
 	}
+	s.indexRefs(slots)
 	if params.ElemRank != nil {
 		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
 		if err != nil {
@@ -327,7 +329,7 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 
 // indexDocument appends one document's elements, in document order, to
 // the stage: text postings, positions, and — for code nodes naming a
-// concept of the collection — the concept's referencing keys.
+// concept of the collection — the concept slot referenced.
 func (s *stage) indexDocument(doc *xmltree.Document) {
 	for _, n := range doc.Nodes() {
 		key := ir.DocKey(len(s.ids))
@@ -336,11 +338,37 @@ func (s *stage) indexDocument(doc *xmltree.Document) {
 		s.textBase.Add(key, tokens)
 		s.posIx.Add(key, tokens)
 		s.slotOf = append(s.slotOf, s.conceptSlot(n))
-		if slot := s.slotOf[key]; slot >= 0 {
-			s.refs[slot] = append(s.refs[slot], key)
-		}
 	}
 	s.docs = append(s.docs, docSpan{id: doc.ID, end: ir.DocKey(len(s.ids))})
+}
+
+// indexRefs tabulates, once every element has its slot, each concept
+// slot's referencing keys as one CSR table: slot s's keys are
+// refKeys[refStart[s]:refStart[s+1]], filled in ascending key order.
+func (s *stage) indexRefs(slots int) {
+	s.refStart = make([]int32, slots+1)
+	for _, slot := range s.slotOf {
+		if slot >= 0 {
+			s.refStart[slot+1]++
+		}
+	}
+	for i := 1; i <= slots; i++ {
+		s.refStart[i] += s.refStart[i-1]
+	}
+	s.refKeys = make([]int32, s.refStart[slots])
+	next := slices.Clone(s.refStart[:slots])
+	for key, slot := range s.slotOf {
+		if slot >= 0 {
+			s.refKeys[next[slot]] = int32(key)
+			next[slot]++
+		}
+	}
+}
+
+// refsOf returns the keys of the elements referencing a concept slot,
+// in key order.
+func (s *stage) refsOf(slot int) []int32 {
+	return s.refKeys[s.refStart[slot]:s.refStart[slot+1]]
 }
 
 // docSpan is one document's run of element keys: its ID and the key
@@ -661,10 +689,11 @@ func (b *Builder) mark(text []ir.Scored, onto []ontoscore.Dense) (*scratch, int)
 		for j, d := range scores.Idx {
 			slot := b.slot0[i] + int(d)
 			sc.score[slot] = b.params.Alpha * scores.Score[j]
-			for _, key := range b.refs[slot] {
+			keys := b.refsOf(slot)
+			for _, key := range keys {
 				sc.seen[key>>6] |= 1 << (key & 63)
 			}
-			n += len(b.refs[slot])
+			n += len(keys)
 		}
 	}
 	for _, sd := range text {
@@ -685,7 +714,7 @@ type scratch struct {
 }
 
 func (s *stage) newScratch() any {
-	return &scratch{seen: make([]uint64, (len(s.ids)+63)/64), score: make([]float64, len(s.refs))}
+	return &scratch{seen: make([]uint64, (len(s.ids)+63)/64), score: make([]float64, len(s.refStart)-1)}
 }
 
 // emit walks the union of the text postings and the code elements

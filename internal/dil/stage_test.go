@@ -2,13 +2,16 @@ package dil
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/elemrank"
 	"repro/internal/ir"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
+	"repro/internal/xmltree"
 )
 
 type constCalibrator float64
@@ -108,5 +111,88 @@ func TestSharedStageMatchesPrivateStage(t *testing.T) {
 				t.Fatalf("%s %q: shared-stage list differs from private-stage list", st, kw)
 			}
 		}
+	}
+}
+
+// The concept-reference table lists, for every concept slot, the keys
+// of the elements whose code names that concept, in key order — on a
+// base stage and on a delta-shaped stage (documents numbered above the
+// base's, over the same ontology side) alike.
+func TestConceptRefsCSR(t *testing.T) {
+	corpus, coll := referenceCorpus(t, 60, 40)
+	side := ontoscore.NewSide(coll, DefaultParams().Onto)
+	docs := corpus.Docs()
+	delta := xmltree.NewCorpus()
+	for _, d := range docs[len(docs)/2:] {
+		delta.AddExisting(d)
+	}
+	for name, c := range map[string]*xmltree.Corpus{"base": corpus, "delta": delta} {
+		t.Run(name, func(t *testing.T) {
+			b := NewBuilders(c, side, []ontoscore.Strategy{ontoscore.StrategyGraph}, DefaultParams())[ontoscore.StrategyGraph]
+			slots := 0
+			for _, comp := range side.Computers() {
+				slots += comp.Concepts()
+			}
+			want := make([][]int32, slots)
+			refs := 0
+			for key, id := range b.ids {
+				if slot := b.conceptSlot(c.NodeAt(id)); slot >= 0 {
+					want[slot] = append(want[slot], int32(key))
+					refs++
+				}
+			}
+			if refs == 0 {
+				t.Fatal("no element references a concept; the test checks nothing")
+			}
+			if len(b.refStart) != slots+1 || len(b.refKeys) != refs {
+				t.Fatalf("table spans %d slots and %d keys, want %d and %d", len(b.refStart)-1, len(b.refKeys), slots, refs)
+			}
+			for slot := range want {
+				if got := b.refsOf(slot); !slices.Equal(got, want[slot]) {
+					t.Fatalf("slot %d lists %v, want %v", slot, got, want[slot])
+				}
+			}
+		})
+	}
+}
+
+// The list pool sizes arrays in power-of-two classes from minListClass
+// postings, allocates a list past the largest class exactly, hands a
+// recycled array back to the next build of its class, and ignores
+// arrays of no class's size.
+func TestListPoolClasses(t *testing.T) {
+	var p listPool
+	if l := p.get(0); l != nil {
+		t.Fatalf("get(0) = %v, want nil", l)
+	}
+	largest := minListClass << (listClasses - 1)
+	for _, c := range []struct{ n, capacity int }{
+		{1, minListClass}, {minListClass, minListClass}, {minListClass + 1, 2 * minListClass},
+		{largest, largest}, {largest + 1, largest + 1},
+	} {
+		if l := p.get(c.n); len(l) != 0 || cap(l) != c.capacity {
+			t.Fatalf("get(%d): len %d cap %d, want 0 and %d", c.n, len(l), cap(l), c.capacity)
+		}
+	}
+	odd := make(List, 0, 3000)
+	p.put(odd)
+	if l := p.get(3000); unsafe.SliceData(l) == unsafe.SliceData(odd) {
+		t.Fatal("an array of no class's size was pooled")
+	}
+	// A sync.Pool may drop what it is given (the race detector has it
+	// drop a quarter of puts), so reuse is asked of some attempt.
+	l := append(p.get(3000), Posting{Score: 1})
+	reused := false
+	for i := 0; i < 100 && !reused; i++ {
+		p.put(l)
+		r := p.get(2500)
+		reused = unsafe.SliceData(r) == unsafe.SliceData(l)
+		if len(r) != 0 {
+			t.Fatalf("a recycled array came back with %d postings", len(r))
+		}
+		l = r[:1]
+	}
+	if !reused {
+		t.Fatal("a recycled array was not handed to the next build of its class")
 	}
 }

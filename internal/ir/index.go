@@ -13,7 +13,9 @@ import (
 
 // DocKey identifies one scored unit. XOntoRank views every XML element
 // as a document (keyed by a dense element ordinal) and, separately,
-// every ontology concept as a document (keyed by its concept ID).
+// every ontology concept as a document (keyed by its concept ID, which
+// numbers the concepts from 1). Keys are small non-negative integers:
+// an Index tabulates document lengths densely by key.
 type DocKey int64
 
 // Posting records one document containing a term.
@@ -39,16 +41,29 @@ type Index struct {
 // table is the indexed data proper.
 type table struct {
 	postings map[string][]Posting
-	docLen   map[DocKey]int
+	docLen   []int32 // DocKey -> token length; -1 for a key never added
+	docs     int     // keys added
 	totalLen int64
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{table: &table{
-		postings: make(map[string][]Posting),
-		docLen:   make(map[DocKey]int),
-	}}
+	return &Index{table: &table{postings: make(map[string][]Posting)}}
+}
+
+// has reports whether doc was added.
+func (t *table) has(doc DocKey) bool {
+	return doc >= 0 && doc < DocKey(len(t.docLen)) && t.docLen[doc] >= 0
+}
+
+// register records a new key with length 0, growing the length table
+// to cover it (keys between the table's end and doc stay absent).
+func (t *table) register(doc DocKey) {
+	for DocKey(len(t.docLen)) <= doc {
+		t.docLen = append(t.docLen, -1)
+	}
+	t.docLen[doc] = 0
+	t.docs++
 }
 
 // Overlay returns an index over the same postings and document lengths
@@ -64,13 +79,14 @@ func (ix *Index) Overlay(v StatsView) *Index {
 // Add indexes a document as a bag of tokens. Callers normally add each
 // document once; a second Add with the same key extends the first (its
 // tokens accumulate into the same postings and length, and the document
-// still counts once toward N and each term's DF).
+// still counts once toward N and each term's DF). Document lengths are
+// tabulated densely by key, so the table spans the largest key added.
 func (ix *Index) Add(doc DocKey, tokens []string) {
-	_, repeated := ix.docLen[doc]
+	repeated := ix.has(doc)
+	if !repeated {
+		ix.register(doc)
+	}
 	if len(tokens) == 0 {
-		if !repeated {
-			ix.docLen[doc] = 0
-		}
 		return
 	}
 	counts := make(map[string]int, len(tokens))
@@ -92,7 +108,7 @@ func (ix *Index) Add(doc DocKey, tokens []string) {
 			ix.postings[t] = append(list, Posting{Doc: doc, TF: int32(c)})
 		}
 	}
-	ix.docLen[doc] += len(tokens)
+	ix.docLen[doc] += int32(len(tokens))
 	ix.totalLen += int64(len(tokens))
 }
 
@@ -102,7 +118,7 @@ func (ix *Index) N() int {
 	if ix.global != nil {
 		return ix.global.StatsN()
 	}
-	return len(ix.docLen)
+	return ix.docs
 }
 
 // DF is the document frequency of a term (collection-global when a
@@ -124,8 +140,14 @@ func (ix *Index) TF(term string, doc DocKey) int {
 	return 0
 }
 
-// DocLen returns the token length of a document.
-func (ix *Index) DocLen(doc DocKey) int { return ix.docLen[doc] }
+// DocLen returns the token length of a document (0 when it was never
+// added).
+func (ix *Index) DocLen(doc DocKey) int {
+	if !ix.has(doc) {
+		return 0
+	}
+	return int(ix.docLen[doc])
+}
 
 // AvgDocLen is the mean document length of the collection
 // (collection-global when a stats overlay is installed).
@@ -137,10 +159,10 @@ func (ix *Index) AvgDocLen() float64 {
 		}
 		return float64(ix.global.StatsTotalLen()) / float64(n)
 	}
-	if len(ix.docLen) == 0 {
+	if ix.docs == 0 {
 		return 0
 	}
-	return float64(ix.totalLen) / float64(len(ix.docLen))
+	return float64(ix.totalLen) / float64(ix.docs)
 }
 
 // Postings returns the postings of a term sorted by document key. The

@@ -66,23 +66,25 @@ func TestIndexAddAccumulates(t *testing.T) {
 // leave the index exactly as if each key had been added once with its
 // token lists concatenated — which takes only the new-key path of Add,
 // while the sequences with repeats take the repeated-key path too.
+type add struct {
+	doc    DocKey
+	tokens []string
+}
+
+var reAddCases = []struct {
+	name string
+	adds []add
+}{
+	{"no repeat", []add{{1, []string{"a", "b", "a"}}, {2, []string{"b"}}}},
+	{"adjacent repeat", []add{{1, []string{"a", "b"}}, {1, []string{"a", "c"}}, {2, []string{"a"}}}},
+	{"non-adjacent repeat", []add{{1, []string{"a", "b"}}, {2, []string{"a", "b", "b"}}, {1, []string{"b", "c"}}}},
+	{"empty then tokens", []add{{1, nil}, {2, []string{"a"}}, {1, []string{"a", "a"}}}},
+	{"tokens then empty", []add{{1, []string{"a"}}, {1, nil}, {2, nil}, {2, nil}}},
+	{"repeat after many", []add{{1, []string{"x"}}, {2, []string{"x"}}, {3, []string{"x"}}, {2, []string{"x", "y"}}, {3, []string{"y"}}, {1, []string{"x"}}}},
+}
+
 func TestIndexReAddSemantics(t *testing.T) {
-	type add struct {
-		doc    DocKey
-		tokens []string
-	}
-	cases := []struct {
-		name string
-		adds []add
-	}{
-		{"no repeat", []add{{1, []string{"a", "b", "a"}}, {2, []string{"b"}}}},
-		{"adjacent repeat", []add{{1, []string{"a", "b"}}, {1, []string{"a", "c"}}, {2, []string{"a"}}}},
-		{"non-adjacent repeat", []add{{1, []string{"a", "b"}}, {2, []string{"a", "b", "b"}}, {1, []string{"b", "c"}}}},
-		{"empty then tokens", []add{{1, nil}, {2, []string{"a"}}, {1, []string{"a", "a"}}}},
-		{"tokens then empty", []add{{1, []string{"a"}}, {1, nil}, {2, nil}, {2, nil}}},
-		{"repeat after many", []add{{1, []string{"x"}}, {2, []string{"x"}}, {3, []string{"x"}}, {2, []string{"x", "y"}}, {3, []string{"y"}}, {1, []string{"x"}}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range reAddCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := NewIndex(), NewIndex()
 			var order []DocKey
@@ -118,6 +120,78 @@ func TestIndexReAddSemantics(t *testing.T) {
 				if got.DocLen(doc) != want.DocLen(doc) {
 					t.Errorf("DocLen(%d) = %d, want %d", doc, got.DocLen(doc), want.DocLen(doc))
 				}
+			}
+		})
+	}
+}
+
+// mapLengths is the map-keyed length table the dense one replaced, kept
+// as the reference the dense table must answer exactly as.
+type mapLengths struct {
+	docLen   map[DocKey]int
+	totalLen int64
+}
+
+func (m *mapLengths) add(doc DocKey, tokens []string) {
+	m.docLen[doc] += len(tokens)
+	m.totalLen += int64(len(tokens))
+}
+
+func (m *mapLengths) avg() float64 {
+	if len(m.docLen) == 0 {
+		return 0
+	}
+	return float64(m.totalLen) / float64(len(m.docLen))
+}
+
+// The dense length table answers DocLen, N, AvgDocLen and LocalStats
+// exactly as the map did — for dense element keys from 0, for concept
+// IDs numbered from 1, for sparse keys, and for every repeated-Add
+// sequence — and an overlay still answers N and AvgDocLen from its
+// view while DocLen stays local.
+func TestDenseLengthsMatchMap(t *testing.T) {
+	words := []string{"a", "b", "c"}
+	seqs := map[string][]add{}
+	for _, tc := range reAddCases {
+		seqs["re-add/"+tc.name] = tc.adds
+	}
+	r := rand.New(rand.NewSource(1))
+	for name, first := range map[string]DocKey{"element keys": 0, "concept ids": 1} {
+		var adds []add
+		for k := first; k < first+200; k++ {
+			toks := make([]string, r.Intn(6))
+			for i := range toks {
+				toks[i] = words[r.Intn(len(words))]
+			}
+			adds = append(adds, add{k, toks})
+		}
+		seqs[name] = adds
+	}
+	seqs["sparse keys"] = []add{{7, []string{"a"}}, {3, nil}, {40, []string{"b", "b"}}, {3, []string{"c"}}}
+	for name, adds := range seqs {
+		t.Run(name, func(t *testing.T) {
+			got, want := NewIndex(), &mapLengths{docLen: map[DocKey]int{}}
+			maxKey := DocKey(0)
+			for _, a := range adds {
+				got.Add(a.doc, a.tokens)
+				want.add(a.doc, a.tokens)
+				maxKey = max(maxKey, a.doc)
+				if got.N() != len(want.docLen) || got.AvgDocLen() != want.avg() {
+					t.Fatalf("after Add(%d): N=%d avg=%v, want %d, %v", a.doc, got.N(), got.AvgDocLen(), len(want.docLen), want.avg())
+				}
+			}
+			for doc := DocKey(-1); doc <= maxKey+2; doc++ {
+				if got.DocLen(doc) != want.docLen[doc] {
+					t.Errorf("DocLen(%d) = %d, want %d", doc, got.DocLen(doc), want.docLen[doc])
+				}
+			}
+			s := got.LocalStats()
+			if s.N != len(want.docLen) || s.TotalLen != want.totalLen {
+				t.Errorf("LocalStats N=%d TotalLen=%d, want %d, %d", s.N, s.TotalLen, len(want.docLen), want.totalLen)
+			}
+			ov := got.Overlay(Stats{N: 1000, TotalLen: 3000})
+			if ov.N() != 1000 || ov.AvgDocLen() != 3 || ov.DocLen(maxKey) != want.docLen[maxKey] || ov.LocalStats().N != len(want.docLen) {
+				t.Errorf("overlay: N=%d avg=%v DocLen=%d LocalStats.N=%d", ov.N(), ov.AvgDocLen(), ov.DocLen(maxKey), ov.LocalStats().N)
 			}
 		})
 	}

@@ -25,7 +25,7 @@ type Stats struct {
 // map is a copy; mutating it does not affect the index.
 func (ix *Index) LocalStats() Stats {
 	s := Stats{
-		N:        len(ix.docLen),
+		N:        ix.docs,
 		TotalLen: ix.totalLen,
 		DF:       make(map[string]int, len(ix.postings)),
 	}

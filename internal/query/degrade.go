@@ -40,24 +40,25 @@ func isContextErr(err error) bool {
 // listResilient is the on-demand build path for builders with a
 // fallible ontology dependency (b is a FallibleKeywordBuilder: the
 // engine's own, or the one a dirty overlay pinned). It returns the
-// list, whether it is the IR-only degraded form, and a context error if
-// the caller gave up. The sp parameter is the enclosing "query.keyword"
-// span; this path tags it with how the keyword was answered (cache,
-// built).
-func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (dil.List, bool, error) {
+// list, whether it is the IR-only degraded form, whether the caller
+// owns it outright (a dirty list its own flight built, which no other
+// reader received), and a context error if the caller gave up. The sp
+// parameter is the enclosing "query.keyword" span; this path tags it
+// with how the keyword was answered (cache, built).
+func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (dil.List, bool, bool, error) {
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
-		return l, false, nil
+		return l, false, false, nil
 	}
 	if !e.breaker.Allow() {
 		sp.SetAttr("source", "built")
 		sp.SetAttr("breaker_open", true)
 		l, err := e.listIR(ctx, kw, tag, b)
-		return l, true, err
+		return l, true, false, err
 	}
 	sp.SetAttr("source", "built")
-	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
+	l, err, owned := e.flights.DoOwned(ctx, ckey, func(fctx context.Context) (dil.List, error) {
 		if l, ok := e.cached(tag, ckey); ok { // raced with another build
 			return l, nil
 		}
@@ -78,17 +79,17 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 		return built, nil
 	})
 	if err == nil {
-		return l, false, nil
+		return l, false, owned && tag != "", nil
 	}
 	if isContextErr(err) {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	// Ontology path down after retries: degrade this keyword to IR-only
 	// scoring rather than failing the query.
 	obs.Default().WarnContext(ctx, "keyword degraded to IR-only scoring",
 		"keyword", kw, "error", err.Error())
 	l, ferr := e.listIR(ctx, kw, tag, b)
-	return l, true, ferr
+	return l, true, false, ferr
 }
 
 // listIR builds (and, on a clean read, caches under a separate key) the

@@ -190,6 +190,7 @@ type resolved struct {
 	list    dil.List
 	compact *dil.CompactList
 	delta   bool // true when built pinned to a dirty delta overlay
+	owned   bool // a dirty list this read alone received: recycled after the merge
 }
 
 // n returns the posting count in whichever representation is present.
@@ -269,8 +270,8 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 		return resolved{}, false, nil
 	}
 	if _, ok := builder.(FallibleKeywordBuilder); ok {
-		l, degraded, err := e.listResilient(ctx, sp, kw, tag, builder)
-		return resolved{list: l, delta: tag != ""}, degraded, err
+		l, degraded, owned, err := e.listResilient(ctx, sp, kw, tag, builder)
+		return resolved{list: l, delta: tag != "", owned: owned}, degraded, err
 	}
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
@@ -470,6 +471,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.recycle(res)
 	resp := &Response{Info: Info{Degraded: len(degraded) > 0, DegradedKeywords: degraded}}
 	deltaMerged := false
 	for _, r := range res {
@@ -517,6 +519,25 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	msp.SetAttr("results", len(resp.Results))
 	msp.End()
 	return resp, nil
+}
+
+// recycle hands each dirty list the query owned outright back to the
+// stage it was built over (the engine's builder's: a pinned view shares
+// it), once the merge is done with it. Nothing the response holds
+// points into a list's array: the merge clones identifiers, and a
+// posting's identifier is the stage's, not memory of the list. Lists
+// another reader received, degraded IR-only lists and clean lists are
+// left to the collector.
+func (e *Engine) recycle(res []resolved) {
+	b, ok := e.builder.(*dil.Builder)
+	if !ok {
+		return
+	}
+	for _, r := range res {
+		if r.owned {
+			b.Recycle(r.list)
+		}
+	}
 }
 
 // page drops the first offset ranked results (the engine's one place
