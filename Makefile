@@ -9,7 +9,9 @@
 #                      the side's OntoScore memo under concurrent reads,
 #                      the shard metrics test repeated 50 times, and the
 #                      pinned dirty read (a write mid-build) and two
-#                      readers coalesced on one dirty build 20 times each
+#                      readers coalesced on one dirty build 20 times each,
+#                      and eight racing first hits of one cached /search
+#                      answer 20 times
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -23,7 +25,7 @@
 #                      build at 200/800/3200 documents, and the keyword
 #                      build against its map-based reference plus one
 #                      cold build, one /search cache hit through
-#                      ServeHTTP, the dense OntoScore kernel against its
+#                      ServeHTTP at k=10 and k=100, the dense OntoScore kernel against its
 #                      map-based reference plus one propagation per
 #                      strategy, one delta rebase, one dirty read and
 #                      one delta apply
@@ -115,6 +117,7 @@ race:
 	$(GO) test -race -count=1 -run 'SharedStage|SharedSide|SideMemo' ./internal/ontoscore ./internal/dil ./internal/core
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestDirtyReadPinnedToAcquiredState|TestDirtyReadCoalescedListNotRecycled)$$' ./internal/delta
+	$(GO) test -race -count=20 -run '^TestSearchMemoConcurrentHits$$' ./internal/server
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -138,8 +141,8 @@ bench:
 # 800-document benchmark corpus once more with allocations; then the
 # XOnto-DIL keyword build against its map-based reference and one cold
 # build at 800 documents; then one /search
-# cache hit through ServeHTTP, with its allocations; then the dense
-# OntoScore kernel against its map-based reference and one propagation
+# cache hit through ServeHTTP at k=10 and k=100, with its allocations;
+# then the dense OntoScore kernel against its map-based reference and one propagation
 # per strategy, and one delta rebase at 1/8/32 pending documents, one
 # dirty read at 1/8/32 pending documents and one acked put at
 # 0/32/128/255 pending documents.
@@ -266,7 +269,9 @@ obs: api-guard
 # keyword build emits from the dense Dewey table in one pass (no node
 # pointer table, no counting pass). Concept references are one CSR
 # table (no slice per concept slot), and element lengths one dense
-# array (no map keyed by element).
+# array (no map keyed by element). A /search body is spliced around
+# bytes encoding/json wrote once: no json.RawMessage in internal/server,
+# whose Marshal would re-scan them on every request.
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -286,6 +291,7 @@ api-guard:
 	if grep -nE '^func expand\(' --exclude='*_test.go' internal/ontoscore/*.go; then fail=1; fi; \
 	if grep -nE '\.(Compute|ComputeCtx)\(' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nE 'SetIndent\(|MarshalIndent\(' --exclude='*_test.go' internal/server/*.go; then fail=1; fi; \
+	if grep -nF 'json.RawMessage' --exclude='*_test.go' internal/server/*.go; then fail=1; fi; \
 	if grep -nF 'slog.NewJSONHandler(io.Discard' --exclude='*_test.go' internal/obs/*.go; then fail=1; fi; \
 	if grep -nE 'type fastEntry|func \(m \*mergeRun\) (build|adjust|less)\(' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
 	if grep -nF 'make(topKHeap, 0, limit+1)' --exclude='*_test.go' internal/query/*.go; then fail=1; fi; \
@@ -299,7 +305,7 @@ api-guard:
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cda"
 	"repro/internal/obs"
 )
 
@@ -105,9 +108,11 @@ func TestSearchTraceIDAlways(t *testing.T) {
 // response, its timing keys, and its per-result keys, for the plain
 // answer and each optional part. A change here is a wire-format change
 // and must bump the "v" field. Every body is compact JSON whose
-// Content-Length matches its length.
+// Content-Length matches its length, and is byte for byte what
+// encoding/json writes for its own decoded response: each shape is
+// asked three times (the miss, the render that stores the plain
+// shape's memo, and a memo hit), on a fresh server per shape.
 func TestSearchWireFormat(t *testing.T) {
-	s, _ := testServer(t)
 	const base = "degraded,info,k,pruning,query,results,strategy,timing,trace_id,v"
 	const result = "document,id,matches,path,score"
 	for _, tc := range []struct {
@@ -120,72 +125,168 @@ func TestSearchWireFormat(t *testing.T) {
 		{"trace", "&debug=trace", "degraded,info,k,pruning,query,results,strategy,timing,trace,trace_id,v", result},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := get(t, s, `/search?q=asthma+medications&k=3`+tc.params)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
+			s, _ := testServer(t)
+			for i := 0; i < 3; i++ {
+				checkWireFormat(t, s, tc.params, tc.top, tc.result)
 			}
-			body := rec.Body.Bytes()
-			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
-				t.Errorf("Content-Length = %q, body is %d bytes", cl, len(body))
-			}
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, body); err != nil {
-				t.Fatal(err)
-			}
-			if compact.Len() != len(body)-1 { // Encode's trailing newline
-				t.Errorf("body is not compact JSON: %d bytes, %d compacted", len(body), compact.Len())
-			}
-			var typed SearchResponse
-			if err := json.Unmarshal(body, &typed); err != nil {
-				t.Fatalf("body does not decode into SearchResponse: %v", err)
-			}
-			var raw map[string]json.RawMessage
-			if err := json.Unmarshal(body, &raw); err != nil {
-				t.Fatal(err)
-			}
-			if got := jsonKeys(raw); got != tc.top {
-				t.Errorf("top-level keys = %s, want %s", got, tc.top)
-			}
-			var pruning map[string]json.RawMessage
-			if err := json.Unmarshal(raw["pruning"], &pruning); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := jsonKeys(pruning), "blocks_skipped,docs_skipped,early_terminated,postings_scored"; got != want {
-				t.Errorf("pruning keys = %s, want %s", got, want)
-			}
-			var v int
-			if err := json.Unmarshal(raw["v"], &v); err != nil || v != 1 {
-				t.Errorf("v = %s, want 1", raw["v"])
-			}
-			var timing map[string]json.RawMessage
-			if err := json.Unmarshal(raw["timing"], &timing); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := jsonKeys(timing), "handler_us,hydrate_us,parse_us,search_us,total_us"; got != want {
-				t.Errorf("timing keys = %s, want %s", got, want)
-			}
-			var results []map[string]json.RawMessage
-			if err := json.Unmarshal(raw["results"], &results); err != nil {
-				t.Fatal(err)
-			}
-			if len(results) == 0 {
-				t.Fatal("no results to check the wire format of")
-			}
-			if got := jsonKeys(results[0]); got != tc.result {
-				t.Errorf("result keys = %s, want %s", got, tc.result)
-			}
-			var matches []map[string]json.RawMessage
-			if err := json.Unmarshal(results[0]["matches"], &matches); err != nil || len(matches) == 0 {
-				t.Fatalf("matches = %s", results[0]["matches"])
-			}
-			if got, want := jsonKeys(matches[0]), "id,keyword,path,score"; got != want {
-				t.Errorf("match keys = %s, want %s", got, want)
-			}
-			var total int64
-			if err := json.Unmarshal(timing["total_us"], &total); err != nil || total < 1 {
-				t.Errorf("total_us = %s, want >= 1", timing["total_us"])
+			stored := cachedOutcome(t, s, "asthma medications", 3).memo.load() != nil
+			if want := tc.params == ""; stored != want {
+				t.Errorf("memo stored = %v, want %v", stored, want)
 			}
 		})
+	}
+	t.Run("escaped queries", func(t *testing.T) {
+		s, _ := testServer(t)
+		for _, q := range []string{"asthma <b>", "asthma & medications", `"asthma" medications`,
+			"asthma\u2028medications", "asthma\xff"} {
+			for i := 0; i < 3; i++ {
+				checkSearchBody(t, s, "/search?q="+url.QueryEscape(q)+"&k=3", q)
+			}
+		}
+		if got := get(t, s, "/search?q=asthma%FF&k=3").Body.String(); !strings.Contains(got, `"query":"asthma\ufffd"`) {
+			t.Errorf("invalid UTF-8 byte not echoed as \\ufffd: %.80s", got)
+		}
+	})
+	t.Run("one key, two spellings", func(t *testing.T) {
+		s, _ := testServer(t)
+		for _, q := range []string{"Asthma", "asthma ", "Asthma", "asthma "} {
+			resp, _ := checkSearchBody(t, s, "/search?q="+url.QueryEscape(q)+"&k=3", q)
+			if resp.Query != q {
+				t.Errorf("query = %q, want the request's own %q", resp.Query, q)
+			}
+		}
+		if hits := s.svc.Stats().Snapshot().CacheHits; hits != 3 {
+			t.Errorf("cache hits = %d, want 3 (both spellings share one entry)", hits)
+		}
+		if cachedOutcome(t, s, "asthma", 3).memo.load() == nil {
+			t.Error("shared entry holds no memo after two hits")
+		}
+	})
+	t.Run("reload in between", func(t *testing.T) {
+		s, docs, ont := reloadFixture(t)
+		const q = "asthma theophylline"
+		path := "/search?q=" + url.QueryEscape(q) + "&k=10"
+		hasFig1 := func(resp SearchResponse) bool {
+			for _, r := range resp.Results {
+				if r.Document == "figure-1" {
+					return true
+				}
+			}
+			return false
+		}
+		for i := 0; i < 3; i++ {
+			if resp, _ := checkSearchBody(t, s, path, q); hasFig1(resp) {
+				t.Fatal("figure-1 present before it was ingested")
+			}
+		}
+		fig1, err := cda.GenerateFigure1(ont)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeDoc(t, docs, fig1)
+		if _, err := s.Reload(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if resp, _ := checkSearchBody(t, s, path, q); !hasFig1(resp) {
+				t.Fatalf("request %d after the reload served the old memo: figure-1 missing", i+1)
+			}
+		}
+	})
+}
+
+// checkSearchBody asks s for path, whose raw q is rawQ, and checks the
+// body is byte for byte what encoding/json writes for the response it
+// decodes to, with rawQ echoed as query and trace_id equal to the
+// X-Trace-Id header. It returns the decoded response.
+func checkSearchBody(t *testing.T, s *Server, path, rawQ string) (SearchResponse, []byte) {
+	t.Helper()
+	rec := get(t, s, path)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status = %d body = %s", path, rec.Code, rec.Body.String())
+	}
+	body := rec.Body.Bytes()
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Errorf("%s: Content-Length = %q, body is %d bytes", path, cl, len(body))
+	}
+	var resp SearchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("%s: body does not decode into SearchResponse: %v", path, err)
+	}
+	if resp.TraceID == "" || resp.TraceID != rec.Header().Get("X-Trace-Id") {
+		t.Errorf("%s: trace_id %q, X-Trace-Id %q", path, resp.TraceID, rec.Header().Get("X-Trace-Id"))
+	}
+	// Decoding maps an invalid UTF-8 byte to U+FFFD; the echo is of the
+	// raw q.
+	resp.Query = rawQ
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("%s: body differs from encoding/json's\n got: %s\nwant: %s", path, body, want.Bytes())
+	}
+	return resp, body
+}
+
+// checkWireFormat asks s for the asthma medications search with params
+// and checks its body (checkSearchBody) and its key sets against top
+// (top level) and result (first result).
+func checkWireFormat(t *testing.T, s *Server, params, top, result string) {
+	t.Helper()
+	_, body := checkSearchBody(t, s, `/search?q=asthma+medications&k=3`+params, "asthma medications")
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	if compact.Len() != len(body)-1 { // Encode's trailing newline
+		t.Errorf("body is not compact JSON: %d bytes, %d compacted", len(body), compact.Len())
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := jsonKeys(raw); got != top {
+		t.Errorf("top-level keys = %s, want %s", got, top)
+	}
+	var pruning map[string]json.RawMessage
+	if err := json.Unmarshal(raw["pruning"], &pruning); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jsonKeys(pruning), "blocks_skipped,docs_skipped,early_terminated,postings_scored"; got != want {
+		t.Errorf("pruning keys = %s, want %s", got, want)
+	}
+	var v int
+	if err := json.Unmarshal(raw["v"], &v); err != nil || v != 1 {
+		t.Errorf("v = %s, want 1", raw["v"])
+	}
+	var timing map[string]json.RawMessage
+	if err := json.Unmarshal(raw["timing"], &timing); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jsonKeys(timing), "handler_us,hydrate_us,parse_us,search_us,total_us"; got != want {
+		t.Errorf("timing keys = %s, want %s", got, want)
+	}
+	var results []map[string]json.RawMessage
+	if err := json.Unmarshal(raw["results"], &results); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) == 0 {
+		t.Fatal("no results to check the wire format of")
+	}
+	if got := jsonKeys(results[0]); got != result {
+		t.Errorf("result keys = %s, want %s", got, result)
+	}
+	var matches []map[string]json.RawMessage
+	if err := json.Unmarshal(results[0]["matches"], &matches); err != nil || len(matches) == 0 {
+		t.Fatalf("matches = %s", results[0]["matches"])
+	}
+	if got, want := jsonKeys(matches[0]), "id,keyword,path,score"; got != want {
+		t.Errorf("match keys = %s, want %s", got, want)
+	}
+	var total int64
+	if err := json.Unmarshal(timing["total_us"], &total); err != nil || total < 1 {
+		t.Errorf("total_us = %s, want >= 1", timing["total_us"])
 	}
 }
 

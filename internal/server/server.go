@@ -98,7 +98,14 @@ type SearchOutcome struct {
 	// Pruning reports the top-k merge's skipping work (summed across
 	// shards); for cache hits it describes the original execution.
 	Pruning query.PruneStats
+
+	// memo holds the rendered plain /search body once the outcome has
+	// been rendered twice (cacheable outcomes only; see writeSearch).
+	memo *renderMemo
 }
+
+// cacheable reports whether the result cache may keep the outcome.
+func (o SearchOutcome) cacheable() bool { return !o.Degraded && !o.Partial }
 
 // Searcher is the query surface a generation serves searches through:
 // *core.System single-node, *shard.Sharded when sharding is enabled.
@@ -185,7 +192,7 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 	}
 	s.gen.Start(newGeneration(1, corpus, coll, cfg), s.drained)
 	s.svc = serving.NewService(scfg, s.execSearch)
-	s.svc.SetCacheFilter(func(o SearchOutcome) bool { return !o.Degraded && !o.Partial })
+	s.svc.SetCacheFilter(SearchOutcome.cacheable)
 	s.svc.Instrument(s.reg, "xontorank_search")
 	s.reg.GaugeFunc("xontorank_generation",
 		"Active data-plane generation number (advances on each hot reload).",
@@ -323,7 +330,7 @@ func (s *Server) execSearch(ctx context.Context, req serving.Request) (SearchOut
 	if err != nil {
 		return SearchOutcome{}, err
 	}
-	return SearchOutcome{
+	out := SearchOutcome{
 		Results:          resp.Results,
 		Degraded:         resp.Info.Degraded,
 		DegradedKeywords: resp.Info.DegradedKeywords,
@@ -331,7 +338,11 @@ func (s *Server) execSearch(ctx context.Context, req serving.Request) (SearchOut
 		Shards:           resp.Shards,
 		Timing:           resp.Timing,
 		Pruning:          resp.Pruning,
-	}, nil
+	}
+	if out.cacheable() {
+		out.memo = new(renderMemo)
+	}
+	return out, nil
 }
 
 // statusWriter records the status code a handler writes so that
@@ -455,11 +466,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := respBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
-		// A struct of one string always encodes.
-		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encode response: " + err.Error()})
-		status = http.StatusInternalServerError
+		writeEncodeFailure(w, buf, err)
+		return
 	}
+	writeBody(w, status, buf)
+}
+
+// writeEncodeFailure answers the JSON 500 for a body encoding/json
+// rejected, in buf.
+func writeEncodeFailure(w http.ResponseWriter, buf *bytes.Buffer, err error) {
+	buf.Reset()
+	// A struct of one string always encodes.
+	_ = json.NewEncoder(buf).Encode(errorResponse{Error: "encode response: " + err.Error()})
+	writeBody(w, http.StatusInternalServerError, buf)
+}
+
+// writeBody writes buf as a length-prefixed JSON body and returns it to
+// respBufs.
+func writeBody(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -649,14 +673,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	offset = query.ClampOffset(offset)
-	withFragments := qv.Get("fragments") == "1"
-	withSnippets := qv.Get("snippets") == "1"
-	withGroups := qv.Get("group") == "1"
 	withTrace := qv.Get("debug") == "trace"
 
 	start := time.Now()
 	g := s.reqGen(r)
-	sys := s.searcher(g, strategy)
 	out, err := s.svc.Search(r.Context(), serving.Request{
 		Strategy: strategy.String(),
 		Query:    query.Normalize(q),
@@ -669,24 +689,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeServingError(w, err)
 		return
 	}
-	// No post-merge slicing: the merge already produced exactly the
-	// [offset, offset+k) window.
-	results := out.Results
-	resp := SearchResponse{
-		V:     1,
-		Query: q, Strategy: strategy.String(), K: k, Offset: offset,
-		Results:  make([]SearchResult, 0, len(results)),
-		Pruning:  out.Pruning,
-		Degraded: out.Degraded || out.Partial, DegradedKeywords: out.DegradedKeywords,
-		Partial: out.Partial, Shards: out.Shards,
-		Info:    query.Info{Degraded: out.Degraded, DegradedKeywords: out.DegradedKeywords},
-		Timing:  ResponseTiming{Timing: out.Timing, HandlerUS: time.Since(start).Microseconds()},
-		TraceID: obs.TraceID(r.Context()),
+	rep := searchReply{
+		query: q, strategy: strategy.String(), k: k, offset: offset,
+		sys:      s.searcher(g, strategy),
+		snippets: qv.Get("snippets") == "1", fragments: qv.Get("fragments") == "1", groups: qv.Get("group") == "1",
+		handlerUS: time.Since(start).Microseconds(),
+		traceID:   obs.TraceID(r.Context()),
 	}
 	if withTrace {
 		if root := obs.SpanFromContext(r.Context()).Root(); root != nil {
 			t := root.Tree()
-			resp.Trace = &t
+			rep.trace = &t
 		}
 	}
 	if warn := degradeWarning(out); warn != "" {
@@ -694,7 +707,47 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// fired; the machine-readable detail is in the JSON body.
 		w.Header().Set("Warning", warn)
 	}
-	for _, res := range results {
+	writeSearch(w, out, &rep)
+}
+
+// searchReply is one /search request's answer: the parameters its
+// middle depends on (all but the optional parts are in the result-cache
+// key) and the per-request parts spliced around it.
+type searchReply struct {
+	query     string
+	strategy  string
+	k, offset int
+	sys       Searcher
+
+	snippets, fragments, groups bool
+
+	handlerUS int64
+	traceID   string
+	trace     *obs.SpanTree
+}
+
+// plain reports whether the reply is the one shape whose middle is
+// memoized: no snippets, fragments, groups or trace.
+func (rep *searchReply) plain() bool {
+	return !rep.snippets && !rep.fragments && !rep.groups && rep.trace == nil
+}
+
+// response builds the body writeSearch cuts the middle from: query "",
+// handler_us 0, and no trace_id or trace.
+func (rep *searchReply) response(out SearchOutcome) SearchResponse {
+	// No post-merge slicing: the merge already produced exactly the
+	// [offset, offset+k) window.
+	resp := SearchResponse{
+		V:        1,
+		Strategy: rep.strategy, K: rep.k, Offset: rep.offset,
+		Results:  make([]SearchResult, 0, len(out.Results)),
+		Pruning:  out.Pruning,
+		Degraded: out.Degraded || out.Partial, DegradedKeywords: out.DegradedKeywords,
+		Partial: out.Partial, Shards: out.Shards,
+		Info:   query.Info{Degraded: out.Degraded, DegradedKeywords: out.DegradedKeywords},
+		Timing: ResponseTiming{Timing: out.Timing},
+	}
+	for _, res := range out.Results {
 		sr := SearchResult{
 			ID:       res.Root.String(),
 			Score:    res.Score,
@@ -710,15 +763,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				Keyword: m.Keyword, ID: m.ID.String(), Path: m.Path, Score: m.Score,
 			})
 		}
-		if withSnippets {
-			sr.Snippet = sys.Snippet(res)
+		if rep.snippets {
+			sr.Snippet = rep.sys.Snippet(res)
 		}
-		if withFragments {
-			sr.Fragment = sys.Fragment(res)
+		if rep.fragments {
+			sr.Fragment = rep.sys.Fragment(res)
 		}
 		resp.Results = append(resp.Results, sr)
 	}
-	if withGroups {
+	if rep.groups {
 		index := make(map[string]int)
 		for _, sr := range resp.Results {
 			gi, ok := index[sr.Path]
@@ -730,7 +783,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			resp.Groups[gi].Results = append(resp.Groups[gi].Results, sr)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // degradeWarning renders the single canonical Warning header value for

@@ -74,9 +74,13 @@ func NewCache[V any](capacity int, ttl time.Duration) *Cache[V] {
 		cap:    capacity,
 		now:    time.Now,
 	}
-	per := (capacity + n - 1) / n
+	// Split the capacity exactly: the first capacity%n shards hold one
+	// more entry, so the shards together hold at most capacity.
 	for i := range c.shards {
-		c.shards[i].cap = per
+		c.shards[i].cap = capacity / n
+		if i < capacity%n {
+			c.shards[i].cap++
+		}
 		c.shards[i].order = list.New()
 		c.shards[i].items = make(map[string]*list.Element)
 	}

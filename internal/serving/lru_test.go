@@ -133,3 +133,22 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("bound violated under concurrency: %d", n)
 	}
 }
+
+// The shards together hold exactly the capacity the cache reports:
+// splitting it by rounding up per shard would let NewCache(65) hold 80.
+func TestCacheHoldsAtMostCapacity(t *testing.T) {
+	const keys = 100_000
+	for _, capacity := range []int{64, 65, 100, 1000, 1024} {
+		c := NewCache[int](capacity, 0)
+		for i := 0; i < keys; i++ {
+			c.Set(fmt.Sprintf("k%d", i), i)
+		}
+		m := c.Metrics()
+		if m.Entries != capacity || m.Capacity != capacity {
+			t.Errorf("NewCache(%d) after %d keys: entries = %d, capacity = %d", capacity, keys, m.Entries, m.Capacity)
+		}
+		if want := int64(keys - capacity); m.Evictions != want {
+			t.Errorf("NewCache(%d): evictions = %d, want %d", capacity, m.Evictions, want)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func newFederation(t *testing.T, corpus *xmltree.Corpus, coll *ontology.Collecti
 	cfg.Peers = clients
 	cfg.Core = core.DefaultConfig()
 	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+		cfg.Logf = testLogf(t)
 	}
 	return New(views[0], testSide(coll), cfg), views[0]
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/cda"
@@ -53,9 +54,32 @@ func testCluster(t *testing.T, corpus *xmltree.Corpus, coll *ontology.Collection
 	t.Helper()
 	cfg.Core = core.DefaultConfig()
 	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+		cfg.Logf = testLogf(t)
 	}
 	return New(corpus, testSide(coll), cfg)
+}
+
+// testLogf forwards a cluster's log lines to t until the test's
+// cleanup runs. A shard leg abandoned by a returned search can release
+// a superseded generation, and log its drain, after the test is over;
+// t.Logf then would panic.
+func testLogf(t *testing.T) func(format string, args ...any) {
+	var (
+		mu   sync.Mutex
+		done bool
+	)
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
 }
 
 // testSide builds the collection's ontology side under the default
