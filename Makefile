@@ -32,35 +32,22 @@
 #   make shard       - sharded-serving lane: vet + the scatter-gather
 #                      suite under -race (equivalence, fault-injected
 #                      slow/failed shards, concurrent reload races)
-#   make bench-shard-report - regenerate BENCH_SHARD.json (shard count
-#                      vs p50/p99 latency under parallel load)
 #   make federation  - peer-federation lane: vet + the HTTP transport
 #                      suite under -race (loopback differential, chaos
 #                      under every peer.rpc failpoint, hedging, CLI
 #                      3-node end-to-end)
-#   make bench-peer-report - regenerate BENCH_PEER.json (federated
-#                      p50/p99 with and without hedging under an
-#                      injected slow-peer tail)
 #   make topk        - top-k pruning lane: the block-max differential
 #                      suite (equivalence, edge cases, unsafe decay,
 #                      paging windows, escape hatches, window-sized
 #                      heap) under -race, plus both merge fuzzers'
 #                      decay-axis seed corpora replayed in -run mode
-#   make bench-topk-report - regenerate BENCH_TOPK.json (block-max top-k
-#                      vs exhaustive merge at k in {1,10,100}; enforces
-#                      the >=5x bar on uniform conjunctions at k=10)
 #   make arena       - memory-mapped serving lane: vet + the arena
 #                      format/crash-soak suite, the mmap==heap
 #                      differentials (core, server, shard), and the
 #                      munmap-after-drain reload races under -race
-#   make bench-arena-report - regenerate BENCH_ARENA.json (cold start
-#                      mmap vs decode-to-heap at three corpus sizes,
-#                      plus steady-state query latency parity)
 #   make delta       - live-ingestion lane: vet + the WAL, crash-soak,
 #                      base+delta differential and compaction suites,
 #                      and the HTTP ingest surface, under -race
-#   make bench-delta-report - regenerate BENCH_DELTA.json (live-ingest
-#                      write and read costs)
 #   make obs         - observability lane: vet + race tests for internal/obs,
 #                      and the API guard (retired entry points and parallel
 #                      paths must not reappear in non-test code)
@@ -72,28 +59,25 @@ GO ?= go
 
 # Packages with failpoint-instrumented code or fault-injection tests.
 FAULT_PKGS = ./internal/faultinject/... ./internal/resilience/... \
-	./internal/store/... ./internal/dil/... ./internal/query/... \
+	./internal/dil/... ./internal/query/... \
 	./internal/ingest/... ./internal/server/... ./internal/shard/... \
 	./internal/delta/... ./internal/peer/... ./internal/arena/...
 
 # Native fuzz targets, as package:Target pairs (each gets FUZZ_TIME).
 FUZZ_TARGETS = \
 	./internal/xmltree:FuzzParseDewey \
-	./internal/xmltree:FuzzDecodeDewey \
 	./internal/xmltree:FuzzTokenize \
 	./internal/xmltree:FuzzParse \
 	./internal/cda:FuzzExtract \
 	./internal/ontology:FuzzLoad \
-	./internal/dil:FuzzDecodeCompact \
+	./internal/dil:FuzzBorrowSegment \
 	./internal/arena:FuzzArenaDecode \
 	./internal/query:FuzzMergeEquivalence \
 	./internal/query:FuzzTopKEquivalence
 FUZZ_TIME ?= 10s
 
 .PHONY: check test race vet faults fuzz-smoke bench bench-smoke \
-	shard bench-shard-report federation \
-	bench-peer-report topk bench-topk-report arena bench-arena-report \
-	delta bench-delta-report obs api-guard trace-demo
+	shard federation topk arena delta obs api-guard trace-demo
 
 check: test vet race faults fuzz-smoke bench-smoke topk shard delta arena federation obs
 
@@ -136,7 +120,8 @@ bench:
 # Quick confidence pass over the fast merge: the differential suite
 # against the reference merge (including the fuzz seed corpus, replayed
 # deterministically in -run mode, and the engine's default path on the
-# experiment corpora) and one short benchmark iteration of every merge
+# experiment corpora), the arena segment codec (round trip, cursor
+# differential, rejections, fuzz seeds) and one short benchmark iteration of every merge
 # shape, with the deep (served-like) shape and one System.Query over the
 # 800-document benchmark corpus once more with allocations; then the
 # XOnto-DIL keyword build against its map-based reference and one cold
@@ -148,7 +133,7 @@ bench:
 # 0/32/128/255 pending documents.
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineMatchesReference|FuzzMergeEquivalence' -count=1
-	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
+	$(GO) test ./internal/dil -run 'TestSegment|TestBorrowSegmentRejects|TestDecodeCompactRejects|FuzzBorrowSegment' -count=1
 	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
 	$(GO) test . -run '^$$' -bench 'DILMerge/keywords=3/deep' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench '^BenchmarkQueryMerge$$' -benchtime 1x -benchmem
@@ -171,9 +156,6 @@ topk:
 	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|TestEngineMatchesReference|FuzzTopKEquivalence|FuzzMergeEquivalence'
 	$(GO) test -race -count=1 ./internal/shard -run 'TestShardedPagingEquivalence'
 
-bench-topk-report:
-	BENCH_TOPK=1 $(GO) test . -run TestWriteTopKBenchReport -count=1 -v
-
 # The sharded-serving lane: scatter-gather equivalence against the
 # single-node systems, fault-injected slow/failed/breaker-open shards,
 # and the rolling-reload races — all under the race detector (the
@@ -182,9 +164,6 @@ shard:
 	$(GO) vet ./internal/shard/...
 	$(GO) test -race -count=1 ./internal/shard/...
 	$(GO) test -race -count=1 ./internal/server -run 'TestSharded|TestDegradeWarning|TestReadyzShardQuorum'
-
-bench-shard-report:
-	BENCH_SHARD=1 $(GO) test . -run TestWriteShardBenchReport -count=1 -v
 
 # The peer-federation lane: the HTTP shard transport end to end — the
 # wire protocol and torn/truncated-body handling, hedged requests with
@@ -200,9 +179,6 @@ federation:
 	$(GO) test -race -count=1 ./internal/resilience -run TestHalfOpenSingleProbeUnderConcurrency
 	$(GO) test -race -count=1 ./cmd/xontoserve -run 'TestFederation'
 
-bench-peer-report:
-	BENCH_PEER=1 $(GO) test . -run TestWriteBenchPeerReport -count=1 -v
-
 # The live-ingestion lane: WAL framing and torn-tail recovery,
 # kill-at-every-fsync crash soaks, the base+delta vs full-rebuild
 # differential across all four strategies, the compaction state
@@ -214,9 +190,6 @@ delta:
 	$(GO) test -race -count=1 ./internal/delta/...
 	$(GO) test -race -count=1 ./internal/server -run \
 		'TestLiveIngest|TestIngestValidation|TestAdminGate|TestDeltaWAL|TestCompaction|TestShardedDelta|TestReloadWithPendingWAL'
-
-bench-delta-report:
-	BENCH_DELTA=1 $(GO) test . -run TestWriteDeltaBenchReport -count=1 -v
 
 # The memory-mapped serving lane: the single-file format end to end
 # (round-trip, corruption and truncate-at-every-byte crash soaks,
@@ -233,9 +206,6 @@ arena:
 	$(GO) test -race -count=1 ./internal/core -run 'TestArena'
 	$(GO) test -race -count=1 ./internal/server -run 'TestArena|TestEnableArena'
 	$(GO) test -race -count=1 ./internal/shard -run 'TestShardedArena|TestFederatedArena'
-
-bench-arena-report:
-	BENCH_ARENA=1 $(GO) test . -run TestWriteArenaBenchReport -count=1 -v
 
 obs: api-guard
 	$(GO) vet ./internal/obs/...
@@ -271,7 +241,12 @@ obs: api-guard
 # table (no slice per concept slot), and element lengths one dense
 # array (no map keyed by element). A /search body is spliced around
 # bytes encoding/json wrote once: no json.RawMessage in internal/server,
-# whose Marshal would re-scan them on every request.
+# whose Marshal would re-scan them on every request. The XARN1 arena is
+# the one on-disk index format and its segment the one posting-list
+# codec: no internal/store, no SaveIndex/LoadIndex/LoadFrom or store
+# source, no DecodeList/DecodeCompact stream codec. Benchmarks are
+# plain go test -bench runs and bench/'s xontoload: no root BENCH_*.json
+# or *_report_test.go JSON writer.
 api-guard:
 	@fail=0; \
 	if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK|AddDocument)\(' \
@@ -301,11 +276,16 @@ api-guard:
 	if grep -nF 'merge(text, sc, false' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nE 'refs  *\[\]\[\]ir\.DocKey' --exclude='*_test.go' internal/dil/*.go; then fail=1; fi; \
 	if grep -nE 'docLen  *map\[' --exclude='*_test.go' internal/ir/*.go; then fail=1; fi; \
-	for d in internal/docstore internal/graphsearch; do \
+	if grep -rnE 'SaveIndex\(|LoadIndex\(|LoadFrom|NewStoreSource|DecodeList\(|DecodeCompact\(' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	for d in internal/docstore internal/graphsearch internal/store; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
+	for f in BENCH_*.json *_report_test.go; do \
+		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
+	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -1,11 +1,12 @@
 // Command xontorank is the command-line interface to the XOntoRank
-// system: generate a synthetic EMR corpus and ontology, build and
-// persist XOnto-DIL indexes, and run ontology-aware keyword searches.
+// system: generate a synthetic EMR corpus and ontology, build XOnto-DIL
+// indexes into memory-mapped arena files, and run ontology-aware
+// keyword searches.
 //
 // Usage:
 //
 //	xontorank gen    -out data -docs 200 -concepts 2000 -seed 1
-//	xontorank index  -data data -strategy Relationships -store data/index
+//	xontorank index  -data data -strategy Relationships -arena-dir data/arena
 //	xontorank search -data data -strategy Relationships -q '"bronchial structure" theophylline' -k 5
 //	xontorank stats  -data data
 package main
@@ -23,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -55,11 +55,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: xontorank <gen|index|search|stats> [flags]
+	fmt.Fprintln(os.Stderr, `usage: xontorank <gen|index|search|stats|verify> [flags]
   gen     generate a synthetic ontology and CDA corpus into a directory
-  index   build the XOnto-DIL index for a strategy and persist it
-          (-arena also writes a memory-mapped single-file arena;
-          "index verify <file.xarn>" checks an arena end to end)
+  index   build the XOnto-DIL index for a strategy and write it as a
+          memory-mapped single-file arena (xontoserve -mmap-index serves
+          it; "index verify <file.xarn>" checks an arena end to end)
   search  run a keyword query (quote phrases inside the query string)
   stats   print corpus and ontology statistics
   verify  check corpus/ontology referential integrity`)
@@ -172,14 +172,9 @@ func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	data := fs.String("data", "data", "data directory written by gen")
 	strategy := fs.String("strategy", "Relationships", "XRANK|Graph|Taxonomy|Relationships")
-	storeDir := fs.String("store", "", "index store directory (default <data>/index)")
-	arenaOut := fs.Bool("arena", false, "also write a single-file memory-mapped arena (xontoserve -mmap-index serves it)")
-	arenaDir := fs.String("arena-dir", "", "arena output directory with -arena (default <data>/arena)")
+	arenaDir := fs.String("arena-dir", "", "arena output directory; the file is <arena-dir>/<Strategy>.xarn (default <data>/arena)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *storeDir == "" {
-		*storeDir = filepath.Join(*data, "index")
 	}
 	if *arenaDir == "" {
 		*arenaDir = filepath.Join(*data, "arena")
@@ -192,34 +187,23 @@ func cmdIndex(args []string) error {
 	if err != nil {
 		return err
 	}
-	st, err := store.Open(*storeDir, store.Options{})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if err := sys.SaveIndex(st); err != nil {
-		return err
-	}
 	fmt.Printf("indexed %d keywords, %d postings, %.1f KB (full-text %v, ontoscore %v, dil %v)\n",
 		stats.Keywords, stats.TotalPostings, float64(stats.TotalBytes)/1024,
 		stats.FullTextTime, stats.OntoScoreTime, stats.DILTime)
-	if *arenaOut {
-		path := arena.FileFor(*arenaDir, sys.Config().Strategy.String())
-		if err := os.MkdirAll(*arenaDir, 0o755); err != nil {
-			return err
-		}
-		if err := sys.WriteArena(path, 1, core.CorpusFingerprint(sys.Corpus())); err != nil {
-			return err
-		}
-		a, err := arena.Open(path)
-		if err != nil {
-			return fmt.Errorf("arena written but does not open: %w", err)
-		}
-		fmt.Printf("arena %s: %d keywords, %d postings, %d bytes\n",
-			path, a.Len(), a.Postings(), a.MappedBytes())
-		a.Close()
+	path := arena.FileFor(*arenaDir, sys.Config().Strategy.String())
+	if err := os.MkdirAll(*arenaDir, 0o755); err != nil {
+		return err
 	}
-	return nil
+	if err := sys.WriteArena(path, 1, core.CorpusFingerprint(sys.Corpus())); err != nil {
+		return err
+	}
+	a, err := arena.Open(path)
+	if err != nil {
+		return fmt.Errorf("arena written but does not open: %w", err)
+	}
+	fmt.Printf("arena %s: %d keywords, %d postings, %d bytes\n",
+		path, a.Len(), a.Postings(), a.MappedBytes())
+	return a.Close()
 }
 
 // cmdIndexVerify checks an arena file end to end — superblock magic,
@@ -259,7 +243,6 @@ func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	data := fs.String("data", "data", "data directory written by gen")
 	strategy := fs.String("strategy", "Relationships", "XRANK|Graph|Taxonomy|Relationships")
-	storeDir := fs.String("store", "", "index store directory (optional; searches on demand if absent)")
 	q := fs.String("q", "", "keyword query; quote phrases with double quotes")
 	k := fs.Int("k", 5, "number of results (0 uses the configured default; capped at 1000)")
 	offset := fs.Int("offset", 0, "ranked results to skip before the k returned ones")
@@ -281,16 +264,6 @@ func cmdSearch(args []string) error {
 	sys, err := newSystem(*data, *strategy)
 	if err != nil {
 		return err
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		if err := sys.LoadIndex(st); err != nil {
-			return err
-		}
 	}
 	resp, err := sys.Query(context.Background(), core.SearchRequest{
 		Query:    *q,

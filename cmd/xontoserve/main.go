@@ -201,7 +201,7 @@ func newApp(fs *flag.FlagSet, args []string) *app {
 			"when compatible arenas exist, heap fallback otherwise (requires -data)")
 	fs.BoolVar(&a.arenaRebuild, "arena-rebuild", true,
 		"with -mmap-index, rebuild missing or stale arena files at startup, on reload, and after compaction "+
-			"(false: only pre-built files from `xontorank index -arena` are attached)")
+			"(false: only pre-built files, such as xontorank index writes, are attached)")
 	fs.BoolVar(&a.debug, "debug", false, "expose net/http/pprof under /debug/pprof/ (admin use only)")
 	fs.BoolVar(&a.jsonLog, "json-log", false, "emit structured JSON access/degradation logs on stderr (trace-correlated)")
 	fs.IntVar(&a.scfg.CacheCapacity, "cache-size", a.scfg.CacheCapacity, "query result cache capacity (entries)")

@@ -1,7 +1,7 @@
 // Persistent index: build the XOnto-DILs once, write them into a
 // single-file arena, then serve a fresh system zero-copy from the
 // memory-mapped file — nothing is rebuilt. This is the path
-// `xontorank index -arena` writes and `xontoserve -mmap-index` serves.
+// `xontorank index` writes and `xontoserve -mmap-index` serves.
 package main
 
 import (

@@ -54,6 +54,10 @@ const (
 	// FPMmap fires just before the file is mapped — a failing mmap
 	// mid-reload must leave the previous generation serving.
 	FPMmap = "arena.mmap"
+	// FPWrite fires once per segment in Write, before the segment is
+	// written — a disk-full write fails this way part-way through, and
+	// must leave the previous file under the final name intact.
+	FPWrite = "arena.write"
 )
 
 const (

@@ -270,3 +270,36 @@ func TestArenaFailpoints(t *testing.T) {
 	}
 	a.Close()
 }
+
+// Acceptance: a write that fails part-way — here at its second
+// segment, as a full disk would fail it — leaves the previous
+// generation under the final name, openable and intact, and leaves no
+// temp file behind.
+func TestWriteFailureKeepsPreviousArena(t *testing.T) {
+	defer faultinject.DisableAll()
+	path := writeArena(t, randomIndex(7, 6, 200), Meta{Generation: 1})
+
+	boom := errors.New("disk full")
+	faultinject.Enable(FPWrite, faultinject.Spec{After: 1, Count: 1, Mode: faultinject.ModeError, Err: boom})
+	err := Write(path, randomIndex(8, 6, 200), Meta{Generation: 2})
+	faultinject.Disable(FPWrite)
+	if !errors.Is(err, boom) {
+		t.Fatalf("generation-2 Write err = %v, want %v", err, boom)
+	}
+
+	a, err := Open(path)
+	if err != nil {
+		t.Fatalf("previous arena does not open after the failed write: %v", err)
+	}
+	gen := a.Generation()
+	a.Close()
+	if gen != 1 {
+		t.Fatalf("arena generation = %d after the failed write, want 1", gen)
+	}
+	if _, err := Verify(path, nil); err != nil {
+		t.Fatalf("previous arena fails Verify: %v", err)
+	}
+	if _, err := os.Stat(path + tmpSuffix); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+}

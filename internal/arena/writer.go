@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"repro/internal/dil"
+	"repro/internal/faultinject"
 )
 
 // tmpSuffix marks in-flight arena writes; CleanupStray removes
-// leftovers from crashes (same discipline as the store's compaction).
+// leftovers from crashes.
 const tmpSuffix = ".tmp"
 
 // Meta is the identity stamped into the superblock so readers can
@@ -85,6 +86,9 @@ func Write(path string, ix *dil.Index, meta Meta) error {
 		}
 		if cl.Len() == 0 {
 			continue
+		}
+		if err := faultinject.Hit(FPWrite); err != nil {
+			return err
 		}
 		scratch = cl.AppendSegment(scratch[:0])
 		crc := crc32.Checksum(scratch, crcTable)

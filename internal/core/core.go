@@ -16,7 +16,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/serving"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -255,28 +254,6 @@ func (s *System) Fragment(r Result) string {
 		return ""
 	}
 	return xmltree.XMLString(n)
-}
-
-// SaveIndex persists the in-memory DILs under the strategy-specific
-// prefix in the store.
-func (s *System) SaveIndex(st *store.Store) error {
-	return s.index.SaveTo(st, s.indexPrefix())
-}
-
-// LoadIndex replaces the in-memory DILs with those previously saved.
-func (s *System) LoadIndex(st *store.Store) error {
-	ix, err := dil.LoadFrom(st, s.indexPrefix())
-	if err != nil {
-		return err
-	}
-	for _, kw := range ix.Keywords() {
-		s.index.Set(kw, ix.List(kw))
-	}
-	return nil
-}
-
-func (s *System) indexPrefix() string {
-	return "dil/" + s.cfg.Strategy.String()
 }
 
 // Summary describes the system for reporting.

@@ -3,14 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/cda"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -119,34 +121,6 @@ func TestSearchConsistentBeforeAndAfterBuild(t *testing.T) {
 	}
 }
 
-func TestSaveLoadIndex(t *testing.T) {
-	s := buildSystem(t, ontoscore.StrategyGraph)
-	if _, err := s.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := s.SaveIndex(st); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := buildSystem(t, ontoscore.StrategyGraph)
-	if err := s2.LoadIndex(st); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Index().Postings() != s.Index().Postings() {
-		t.Errorf("postings after load: %d vs %d", s2.Index().Postings(), s.Index().Postings())
-	}
-	ra := searchQ(t, s, "cardiac arrest", 5)
-	rb := searchQ(t, s2, "cardiac arrest", 5)
-	if len(ra) != len(rb) {
-		t.Fatalf("results differ after load: %d vs %d", len(ra), len(rb))
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	s := buildSystem(t, ontoscore.StrategyNone)
 	if s.Corpus() == nil || s.Ontology() == nil || s.Builder() == nil || s.Index() == nil {
@@ -231,21 +205,40 @@ func TestSearchTopKMatchesSearch(t *testing.T) {
 
 func TestLoadIndexErrors(t *testing.T) {
 	s := buildSystem(t, ontoscore.StrategyGraph)
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Corrupt entry under this strategy's prefix.
-	if err := st.Put("dil/Graph/asthma", []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadIndex(st); err == nil {
-		t.Error("corrupt index loaded")
+	dir := t.TempDir()
+	path := arena.FileFor(dir, s.Config().Strategy.String())
+	fp := CorpusFingerprint(s.Corpus())
+	if err := s.WriteArena(path, 1, fp); err == nil {
+		t.Error("arena written before BuildIndex")
 	}
 	// Summary before any build omits index stats.
 	if strings.Contains(s.Summary(), "index:") {
 		t.Errorf("summary = %q", s.Summary())
+	}
+	if _, err := s.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteArena(path, 1, fp); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A torn write (superblock intact, table cut short) and a file too
+	// small to hold a superblock are both refused at open.
+	for name, b := range map[string][]byte{
+		"truncated": data[:len(data)/2],
+		"tiny":      data[:3],
+	} {
+		bad := filepath.Join(dir, name+arena.Ext)
+		if err := os.WriteFile(bad, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := arena.Open(bad); err == nil {
+			a.Close()
+			t.Errorf("%s: corrupt arena opened", name)
+		}
 	}
 }
 

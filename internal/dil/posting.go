@@ -10,10 +10,6 @@
 package dil
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -38,9 +34,11 @@ func (l List) IsSorted() bool {
 	return sort.SliceIsSorted(l, func(i, j int) bool { return l[i].ID.Compare(l[j].ID) < 0 })
 }
 
-// EncodedSize returns the size in bytes of the list's flat binary
-// encoding (AppendBinary), computed arithmetically — no buffer is
-// materialized.
+// EncodedSize returns the list's size in bytes as a flat varint
+// encoding would store it — a uvarint count, then per posting the
+// identifier's component count and components as uvarints and the
+// score as 8 bytes — computed arithmetically. BuildStats reports it as
+// the index size.
 func (l List) EncodedSize() int {
 	n := uvarintLen(uint64(len(l)))
 	for _, p := range l {
@@ -51,65 +49,6 @@ func (l List) EncodedSize() int {
 		n += 8
 	}
 	return n
-}
-
-// AppendBinary appends a compact binary encoding of the list: a uvarint
-// count followed by (Dewey, float64 bits) pairs.
-func (l List) AppendBinary(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(l)))
-	for _, p := range l {
-		buf = p.ID.AppendBinary(buf)
-		var f [8]byte
-		binary.LittleEndian.PutUint64(f[:], math.Float64bits(p.Score))
-		buf = append(buf, f[:]...)
-	}
-	return buf
-}
-
-// DecodeList decodes a list from either binary format: the legacy flat
-// encoding of AppendBinary, or the compact block encoding of
-// CompactList.AppendBinary (distinguished by its magic header, which
-// exceeds the flat format's length bound). Non-canonical varint
-// encodings are rejected (see xmltree.CanonicalUvarint), as are
-// postings with empty Dewey identifiers — no tree node has one, and
-// the query-phase merge requires at least the document component.
-func DecodeList(buf []byte) (List, error) {
-	if IsCompactEncoding(buf) {
-		c, err := DecodeCompact(buf)
-		if err != nil {
-			return nil, err
-		}
-		return c.List(), nil
-	}
-	n, sz, err := xmltree.CanonicalUvarint(buf)
-	if err != nil {
-		return nil, fmt.Errorf("dil: list header: %w", err)
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("dil: implausible list length %d", n)
-	}
-	off := sz
-	out := make(List, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, used, err := xmltree.DecodeDewey(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("dil: posting %d: %w", i, err)
-		}
-		if len(id) == 0 {
-			return nil, fmt.Errorf("dil: posting %d has empty identifier", i)
-		}
-		off += used
-		if off+8 > len(buf) {
-			return nil, errors.New("dil: truncated posting score")
-		}
-		score := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		out = append(out, Posting{ID: id, Score: score})
-	}
-	if off != len(buf) {
-		return nil, errors.New("dil: trailing bytes after list")
-	}
-	return out, nil
 }
 
 // Index is the in-memory XOnto-DIL index: one Dewey-ordered posting
@@ -175,15 +114,6 @@ func (ix *Index) Postings() int {
 	n := 0
 	for _, l := range ix.lists {
 		n += len(l)
-	}
-	return n
-}
-
-// EncodedSize sums the binary-encoded size of all lists.
-func (ix *Index) EncodedSize() int {
-	n := 0
-	for _, l := range ix.lists {
-		n += l.EncodedSize()
 	}
 	return n
 }

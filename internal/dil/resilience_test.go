@@ -1,0 +1,136 @@
+package dil
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"repro/internal/cda"
+	"repro/internal/faultinject"
+	"repro/internal/obs"
+	"repro/internal/ontology"
+	"repro/internal/ontoscore"
+	"repro/internal/xmltree"
+)
+
+// TestMain enforces the failpoint-leak contract for this package.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 {
+		if err := faultinject.CheckDisabled(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// figure1Builder wires the Figure 1 CDA document against the Figure 2
+// SNOMED fragment with the relationships strategy — ontology-enriched,
+// so the IR-only and full builds genuinely differ.
+func figure1Builder(t *testing.T) *Builder {
+	t.Helper()
+	ont := ontology.Figure2Fragment()
+	corpus := xmltree.NewCorpus()
+	doc, err := cda.GenerateFigure1(ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.Add(doc)
+	return NewBuilder(corpus, ont, ontoscore.StrategyRelationships, DefaultParams())
+}
+
+// The IR-only degraded build is byte-identical to the same builder with
+// the ontology branch empty — and never includes ontology-only
+// postings.
+func TestBuildKeywordIRMatchesTextOnly(t *testing.T) {
+	b := figure1Builder(t)
+	full := b.BuildKeyword("asthma")
+	ir := b.BuildKeywordIR("asthma")
+	if len(ir) == 0 {
+		t.Fatal("IR-only build empty for a textual keyword")
+	}
+	if len(ir) > len(full) {
+		t.Fatalf("IR-only build (%d postings) larger than full build (%d)", len(ir), len(full))
+	}
+	// Every IR posting appears in the full build with at least its score
+	// (equation (5) takes the max of the IR and ontology branches).
+	fullAt := make(map[string]float64, len(full))
+	for _, p := range full {
+		fullAt[p.ID.String()] = p.Score
+	}
+	for _, p := range ir {
+		fs, ok := fullAt[p.ID.String()]
+		if !ok || fs < p.Score {
+			t.Errorf("posting %s: full=%v ir=%v", p.ID, fs, p.Score)
+		}
+	}
+}
+
+// BuildKeywordE returns the same list as BuildKeyword when healthy and
+// surfaces injected ontology faults when not.
+func TestBuildKeywordE(t *testing.T) {
+	defer faultinject.DisableAll()
+	b := figure1Builder(t)
+	want := b.BuildKeyword("asthma")
+	got, err := b.BuildKeywordE("asthma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("BuildKeywordE differs from BuildKeyword")
+	}
+	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
+	if _, err := b.BuildKeywordE("asthma"); err == nil {
+		t.Fatal("BuildKeywordE ignored the armed ontology failpoint")
+	}
+	faultinject.Disable(FPOntoResolve)
+	// The non-fallible path is not failpoint-instrumented (bulk builds
+	// and experiments bypass the breaker boundary).
+	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
+	if l := b.BuildKeyword("asthma"); !reflect.DeepEqual(l, want) {
+		t.Fatal("BuildKeyword changed under an armed failpoint")
+	}
+	faultinject.Disable(FPOntoResolve)
+}
+
+// Builds read OntoScores through the side's memo: a keyword's third
+// build is a memo hit (the span says so), answers what the first
+// build did, and still hits FPOntoResolve — an armed failpoint fails
+// the fallible build on a memo hit exactly as on a propagation.
+func TestSideMemoFailpoint(t *testing.T) {
+	defer faultinject.DisableAll()
+	b := figure1Builder(t)
+	build := func() (List, string) {
+		t.Helper()
+		ctx, root := obs.NewTracer(4).StartRoot(context.Background(), "test")
+		l, err := b.BuildKeywordECtx(ctx, "asthma")
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		tree := root.Tree()
+		return l, fmt.Sprint(tree.Find("dil.build_keyword").Attrs["onto"])
+	}
+	want, src := build()
+	if src != "propagated" {
+		t.Fatalf("first build: onto=%s, want propagated", src)
+	}
+	if _, src = build(); src != "propagated" {
+		t.Fatalf("second build: onto=%s, want propagated (admitted, not yet served)", src)
+	}
+	got, src := build()
+	if src != "memo" {
+		t.Fatalf("third build: onto=%s, want memo", src)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("memo hit built a different list")
+	}
+	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
+	if _, err := b.BuildKeywordE("asthma"); err == nil {
+		t.Fatal("memo hit ignored the armed ontology failpoint")
+	}
+	faultinject.Disable(FPOntoResolve)
+}

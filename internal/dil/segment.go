@@ -8,11 +8,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Arena segment layout: the zero-copy sibling of the XCL1 stream
-// encoding. Where AppendBinary/DecodeCompact trade a minimal stream
-// for a full decode into heap arrays, a segment stores the skip table
-// *explicitly* so a CompactList can serve straight out of a mapped
-// byte range ("borrowed" mode) without materializing anything:
+// Arena segment layout: the one on-disk encoding of a posting list.
+// A segment stores the skip table *explicitly* so a CompactList can
+// serve straight out of a mapped byte range ("borrowed" mode) without
+// materializing anything:
 //
 //	header   n uint32 | nBlocks uint32            (little-endian)
 //	blocks   nBlocks × 24 bytes:
@@ -21,20 +20,19 @@ import (
 //	           firstDoc   uint32   document ID of the block's first posting
 //	           maxScore   float64  largest posting score in the block
 //	           tailMax    float64  suffix maximum over blocks b..end
-//	payload  per-posting bytes, byte-identical to the XCL1 body:
+//	payload  per-posting bytes:
 //	           uvarint prefixLen | uvarint suffixLen |
 //	           suffix components as uvarints | score as 8 LE bytes
 //
-// The payload bytes are exactly what AppendBinary writes after its
-// three-uvarint header, which is what makes the mmap and heap paths
+// The payload is the front coding the heap CompactList holds, written
+// out byte for byte, which is what makes the mmap and heap paths
 // provably serve the same postings: they decode the same bytes.
 //
 // A segment never contains an empty list (Index.Set drops empty
 // keywords), and the trailing CRC that protects a segment on disk is
 // owned by the arena file format, not by this layer: BorrowSegment
-// receives the CRC-stripped body and performs the same structural
-// validation DecodeCompact does, plus a cross-check of every skip-table
-// entry against the decoded postings.
+// receives the CRC-stripped body and validates its structure, including
+// a cross-check of every skip-table entry against the decoded postings.
 
 const (
 	segHeaderSize     = 8
@@ -90,11 +88,12 @@ func (c *CompactList) AppendSegment(buf []byte) []byte {
 // the backing bytes alive — and mapped — for as long as the list or
 // any Cursor over it is in use.
 //
-// Validation is as strict as DecodeCompact (canonical varints,
-// restart-point prefix 0, front-coding invariants, int32 component
-// bounds), and additionally proves every skip-table entry consistent
-// with the decoded postings: payload offsets, first documents, block
-// maxima, and tail maxima must all match exactly. A segment that
+// Validation checks canonical varints, restart-point prefix 0, the
+// front-coding invariants (a prefix never longer than the previous
+// identifier, a maximal shared prefix) and int32 component bounds, and
+// proves every skip-table entry consistent with the decoded postings:
+// payload offsets, first documents, block maxima, and tail maxima must
+// all match exactly. A segment that
 // passes is safe for the Cursor's unvalidated borrowed decode path.
 func BorrowSegment(seg []byte) (*CompactList, error) {
 	if len(seg) < segHeaderSize {

@@ -2,6 +2,7 @@ package dil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -36,15 +37,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if !listsEqual(b.List(), l) {
 			t.Fatalf("n=%d: borrowed List() does not reproduce the original", n)
 		}
-		// Re-encoding a borrowed list reproduces both formats.
+		// Re-encoding a borrowed list reproduces its segment.
 		if !bytes.Equal(b.AppendSegment(nil), Compact(l).AppendSegment(nil)) {
 			t.Fatalf("n=%d: borrowed AppendSegment differs", n)
-		}
-		if !bytes.Equal(b.AppendBinary(nil), Compact(l).AppendBinary(nil)) {
-			t.Fatalf("n=%d: borrowed AppendBinary differs", n)
-		}
-		if b.EncodedSize() != len(b.AppendBinary(nil)) {
-			t.Fatalf("n=%d: borrowed EncodedSize mismatch", n)
 		}
 	}
 }
@@ -159,4 +154,38 @@ func TestBorrowSegmentRejects(t *testing.T) {
 			t.Errorf("%s: corrupt segment accepted", tc.name)
 		}
 	}
+}
+
+// Acceptance: corrupt compact payloads — framed by a consistent skip
+// table, but not what Compact writes — are rejected, not mis-decoded.
+func TestDecodeCompactRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n       uint32
+		payload []byte
+	}{
+		// Posting 1 ("0.2") stored with prefix 0 and the full suffix;
+		// canonical would be prefix 1, suffix {2}.
+		{"non-canonical front coding", 2, appendScore(appendUvarints(
+			appendScore(appendUvarints(nil, 0, 2, 0, 1), 0.5), 0, 2, 0, 2), 0.25)},
+		{"empty identifier", 1, appendScore(appendUvarints(nil, 0, 0), 0.5)},
+		{"restart point with prefix", 1, appendScore(appendUvarints(nil, 1, 1, 0), 0.5)},
+		{"truncated score", 1, appendScore(appendUvarints(nil, 0, 2, 0, 1), 0.5)[:7]},
+	} {
+		if _, err := BorrowSegment(oneBlockSegment(tc.n, tc.payload)); err == nil {
+			t.Errorf("%s: corrupt segment accepted", tc.name)
+		}
+	}
+}
+
+// oneBlockSegment frames a single-block payload whose first posting
+// lies in document 0 and whose scores peak at 0.5.
+func oneBlockSegment(n uint32, payload []byte) []byte {
+	seg := binary.LittleEndian.AppendUint32(nil, n)
+	seg = binary.LittleEndian.AppendUint32(seg, 1)
+	seg = binary.LittleEndian.AppendUint32(seg, 0) // payloadOff
+	seg = binary.LittleEndian.AppendUint32(seg, 0) // firstDoc
+	seg = appendScore(seg, 0.5)                    // maxScore
+	seg = appendScore(seg, 0.5)                    // tailMax
+	return append(seg, payload...)
 }

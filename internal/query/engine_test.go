@@ -11,7 +11,6 @@ import (
 	"repro/internal/dil"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -266,48 +265,4 @@ func mathAbs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// End-to-end over the persistent index: the engine reads lists from the
-// store-backed source and answers identically to the in-memory index.
-func TestEngineOverPersistentIndex(t *testing.T) {
-	ont := ontology.Figure2Fragment()
-	corpus := xmltree.NewCorpus()
-	doc, err := cda.GenerateFigure1(ont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus.Add(doc)
-	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
-	ix, _, err := b.Build(b.Vocabulary(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kv, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv.Close()
-	if err := ix.SaveTo(kv, "dil/rel"); err != nil {
-		t.Fatal(err)
-	}
-	src := dil.NewStoreSource(kv, "dil/rel", 0)
-
-	mem := NewEngine(ix, nil, DefaultParams())
-	disk := NewEngine(src, nil, DefaultParams())
-	for _, q := range []string{"asthma medications", "theophylline", "bronchitis albuterol"} {
-		a := search(mem, ParseQuery(q), 10)
-		c := search(disk, ParseQuery(q), 10)
-		if len(a) != len(c) {
-			t.Fatalf("q %q: %d vs %d results", q, len(a), len(c))
-		}
-		for i := range a {
-			if !a[i].Root.Equal(c[i].Root) || a[i].Score != c[i].Score {
-				t.Errorf("q %q result %d differs", q, i)
-			}
-		}
-	}
-	if src.Err() != nil {
-		t.Errorf("source error: %v", src.Err())
-	}
 }

@@ -255,7 +255,7 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 }
 
 // AddReadyCheck registers a named dependency probe for /readyz (e.g.
-// the persistent store). Checks run on every /readyz request; an error
+// the data directory). Checks run on every /readyz request; an error
 // marks the server unready (503).
 func (s *Server) AddReadyCheck(name string, check func() error) {
 	s.readyMu.Lock()

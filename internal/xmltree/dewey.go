@@ -165,46 +165,6 @@ func (d Dewey) Distance(a Dewey) (int, bool) {
 	return len(d) - len(a), true
 }
 
-// AppendBinary appends a compact varint encoding of d to buf and returns
-// the extended slice. The encoding is a uvarint component count followed
-// by one uvarint per component.
-func (d Dewey) AppendBinary(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(d)))
-	for _, c := range d {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	return buf
-}
-
-// DecodeDewey decodes a Dewey identifier produced by AppendBinary from
-// the front of buf, returning the identifier and the number of bytes
-// consumed. Non-canonical (over-long) varint encodings are rejected so
-// that every accepted input re-encodes bit-identically — corrupt index
-// data cannot masquerade as valid.
-func DecodeDewey(buf []byte) (Dewey, int, error) {
-	n, sz, err := CanonicalUvarint(buf)
-	if err != nil {
-		return nil, 0, fmt.Errorf("xmltree: dewey length: %w", err)
-	}
-	if n > 1<<20 {
-		return nil, 0, fmt.Errorf("xmltree: implausible dewey length %d", n)
-	}
-	off := sz
-	d := make(Dewey, n)
-	for i := range d {
-		c, csz, err := CanonicalUvarint(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("xmltree: dewey component: %w", err)
-		}
-		if c > 1<<31-1 {
-			return nil, 0, fmt.Errorf("xmltree: dewey component %d overflows int32", c)
-		}
-		d[i] = int32(c)
-		off += csz
-	}
-	return d, off, nil
-}
-
 // CanonicalUvarint decodes a uvarint, rejecting truncated and
 // non-canonical (over-long) encodings; only the minimal encoding of
 // each value is accepted.

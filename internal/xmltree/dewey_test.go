@@ -96,33 +96,6 @@ func TestDeweyCommonPrefix(t *testing.T) {
 	}
 }
 
-func TestDeweyBinaryRoundTrip(t *testing.T) {
-	ds := []Dewey{{0}, {5, 0, 1, 2}, {1, 1000000, 3}, {2147483647}}
-	for _, d := range ds {
-		buf := d.AppendBinary(nil)
-		got, n, err := DecodeDewey(buf)
-		if err != nil {
-			t.Fatalf("decode %v: %v", d, err)
-		}
-		if n != len(buf) {
-			t.Errorf("decode %v consumed %d of %d bytes", d, n, len(buf))
-		}
-		if !got.Equal(d) {
-			t.Errorf("round trip %v -> %v", d, got)
-		}
-	}
-}
-
-func TestDecodeDeweyTruncated(t *testing.T) {
-	d := Dewey{1, 2, 3}
-	buf := d.AppendBinary(nil)
-	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeDewey(buf[:i]); err == nil {
-			t.Errorf("DecodeDewey on %d-byte prefix: want error", i)
-		}
-	}
-}
-
 func randomDewey(r *rand.Rand) Dewey {
 	n := 1 + r.Intn(6)
 	d := make(Dewey, n)
@@ -130,19 +103,6 @@ func randomDewey(r *rand.Rand) Dewey {
 		d[i] = int32(r.Intn(50))
 	}
 	return d
-}
-
-// Property: binary encoding round-trips for arbitrary identifiers.
-func TestQuickDeweyBinary(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDewey(r)
-		got, n, err := DecodeDewey(d.AppendBinary(nil))
-		return err == nil && got.Equal(d) && n == len(d.AppendBinary(nil))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: Compare defines a total order consistent with sort.

@@ -1,9 +1,6 @@
 package xmltree
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func FuzzParseDewey(f *testing.F) {
 	for _, s := range []string{"0", "1.2.3", "", "a", "1..2", "-1", "999999999999999999999"} {
@@ -18,25 +15,6 @@ func FuzzParseDewey(f *testing.F) {
 		back, err := ParseDewey(d.String())
 		if err != nil || !back.Equal(d) {
 			t.Fatalf("round trip %q -> %v -> %v (%v)", s, d, back, err)
-		}
-	})
-}
-
-func FuzzDecodeDewey(f *testing.F) {
-	f.Add([]byte{})
-	f.Add((Dewey{1, 2, 3}).AppendBinary(nil))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		d, n, err := DecodeDewey(buf)
-		if err != nil {
-			return
-		}
-		if n > len(buf) {
-			t.Fatalf("consumed %d of %d bytes", n, len(buf))
-		}
-		// Valid decodes must re-encode to the consumed prefix.
-		if got := d.AppendBinary(nil); !bytes.Equal(got, buf[:n]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", got, buf[:n])
 		}
 	})
 }
