@@ -10,8 +10,10 @@
 #                      the shard metrics test repeated 50 times, and the
 #                      pinned dirty read (a write mid-build) and two
 #                      readers coalesced on one dirty build 20 times each,
-#                      and eight racing first hits of one cached /search
-#                      answer 20 times
+#                      eight racing first hits of one cached /search
+#                      answer 20 times, and the dirty-read and delta
+#                      differential tests 5 times under the poison tag
+#                      (recycled list arrays overwritten when pooled)
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -102,6 +104,7 @@ race:
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestDirtyReadPinnedToAcquiredState|TestDirtyReadCoalescedListNotRecycled)$$' ./internal/delta
 	$(GO) test -race -count=20 -run '^TestSearchMemoConcurrentHits$$' ./internal/server
+	$(GO) test -race -tags poison -count=5 -run 'TestDirtyRead|TestPinnedListsInDeweyOrder|TestDifferential' ./internal/delta
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -244,7 +247,11 @@ obs: api-guard
 # whose Marshal would re-scan them on every request. The XARN1 arena is
 # the one on-disk index format and its segment the one posting-list
 # codec: no internal/store, no SaveIndex/LoadIndex/LoadFrom or store
-# source, no DecodeList/DecodeCompact stream codec. Benchmarks are
+# source, no DecodeList/DecodeCompact stream codec. A built list is one
+# representation, keyed postings a table resolves: no plain-list cursor
+# (NewListCursor), no Dewey sort on a list, no compact-only merge entry
+# point or block-score accessors, no heap list cache beside an arena,
+# and no uncalled size accessors (MemBytes, Cursor.Len). Benchmarks are
 # plain go test -bench runs and bench/'s xontoload: no root BENCH_*.json
 # or *_report_test.go JSON writer.
 api-guard:
@@ -278,6 +285,8 @@ api-guard:
 	if grep -nE 'docLen  *map\[' --exclude='*_test.go' internal/ir/*.go; then fail=1; fi; \
 	if grep -rnE 'SaveIndex\(|LoadIndex\(|LoadFrom|NewStoreSource|DecodeList\(|DecodeCompact\(' \
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if grep -rnE 'NewListCursor|RunCompactLists|BlockMaxScore|TailMaxScore|ArenaSourceCacheSize|func \(l List\) (Sort|IsSorted)\(|func \(c \*CompactList\) MemBytes\(|func \(cu \*Cursor\) Len\(' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch internal/store; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
@@ -285,7 +294,7 @@ api-guard:
 		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; benchmarks write no root reports)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -3,6 +3,7 @@ package xontorank
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dil"
@@ -10,24 +11,24 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Merge microbenchmarks over synthetic posting lists with controlled
-// shape: the merge over plain lists (fast) and over block-compressed
-// lists with skip entries (compact). The skewed shapes — one rare
-// keyword against common ones — are where document zig-zag skipping
-// pays; uniform shapes bound the merge's overhead when every posting
-// must be touched anyway; the deep shape looks like served lists, where
-// the XRANK stack's per-posting cost dominates.
+// Merge microbenchmarks over synthetic built lists with controlled
+// shape, each resolving its element keys through its own table. The
+// skewed shapes — one rare keyword against common ones — are where
+// document zig-zag skipping pays; uniform shapes bound the merge's
+// overhead when every posting must be touched anyway; the deep shape
+// looks like served lists, where the XRANK stack's per-posting cost
+// dominates.
 
 // mergeShapes are the workload shapes of BenchmarkDILMerge.
 var mergeShapes = []string{"skewed", "uniform", "deep"}
 
 // mergeWorkload builds k Dewey-sorted lists over a shared document
-// range. Skewed workloads make list 0 rare (few documents) and the
+// range, with the tables resolving their keys. Skewed workloads make list 0 rare (few documents) and the
 // rest dense; uniform workloads give every list the same density with
 // 3-level identifiers; deep workloads give every list about 16
 // postings per document at ragged depths 6–10, the shape (postings per
 // document, mean depth ≈ 8) traced on the served merge workload.
-func mergeWorkload(k int, shape string) []dil.List {
+func mergeWorkload(k int, shape string) ([]dil.List, []dil.IDs) {
 	const (
 		docs       = 5000
 		perDoc     = 4
@@ -42,8 +43,8 @@ func mergeWorkload(k int, shape string) []dil.List {
 		seed += 1000
 	}
 	rng := rand.New(rand.NewSource(seed))
-	build := func(docSet []int32, perDoc int) dil.List {
-		l := make(dil.List, 0, len(docSet)*perDoc)
+	build := func(docSet []int32, perDoc int) []dil.Entry {
+		l := make([]dil.Entry, 0, len(docSet)*perDoc)
 		for _, doc := range docSet {
 			for j := 0; j < perDoc; j++ {
 				id := xmltree.Dewey{doc, int32(j % 3), int32(rng.Intn(4))}
@@ -54,10 +55,10 @@ func mergeWorkload(k int, shape string) []dil.List {
 						id[d] = int32(rng.Intn(3))
 					}
 				}
-				l = append(l, dil.Posting{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
+				l = append(l, dil.Entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
 			}
 		}
-		l.Sort()
+		slices.SortFunc(l, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
 		return l
 	}
 	seq := func(n, limit int) []int32 {
@@ -67,7 +68,7 @@ func mergeWorkload(k int, shape string) []dil.List {
 		}
 		return set
 	}
-	lists := make([]dil.List, k)
+	lists := make([][]dil.Entry, k)
 	switch shape {
 	case "skewed":
 		lists[0] = build(seq(rareDocs, docs), perDoc)
@@ -83,7 +84,7 @@ func mergeWorkload(k int, shape string) []dil.List {
 			lists[i] = build(seq(uniDocs, uniDocs), uniPerDoc)
 		}
 	}
-	return lists
+	return keyAll(lists)
 }
 
 func b2i(b bool) int64 {
@@ -93,12 +94,20 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func compactAll(lists []dil.List) []*dil.CompactList {
-	cls := make([]*dil.CompactList, len(lists))
-	for i, l := range lists {
-		cls[i] = dil.Compact(l)
+// keyAll keys each Dewey-ordered list by position, with its
+// identifiers as its table.
+func keyAll(lists [][]dil.Entry) ([]dil.List, []dil.IDs) {
+	kl := make([]dil.List, len(lists))
+	tables := make([]dil.IDs, len(lists))
+	for i, es := range lists {
+		ids := make([]xmltree.Dewey, len(es))
+		kl[i] = make(dil.List, len(es))
+		for j, e := range es {
+			kl[i][j], ids[j] = dil.Posting{Key: int32(j), Doc: e.ID[0], Score: e.Score}, e.ID
+		}
+		tables[i] = dil.IDs{Base: ids}
 	}
-	return cls
+	return kl, tables
 }
 
 // BenchmarkDILMerge times the merge alone on skewed conjunctions (a
@@ -107,21 +116,16 @@ func compactAll(lists []dil.List) []*dil.CompactList {
 func BenchmarkDILMerge(b *testing.B) {
 	for _, k := range []int{2, 3, 5} {
 		for _, shape := range mergeShapes {
-			lists := mergeWorkload(k, shape)
-			cls := compactAll(lists)
-			want := len(query.RunLists(lists, 0.5, 0))
-			run := func(name string, merge func() []query.Result) {
-				b.Run(fmt.Sprintf("keywords=%d/%s/%s", k, shape, name), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if len(merge()) != want {
-							b.Fatalf("result count changed (want %d)", want)
-						}
+			lists, ids := mergeWorkload(k, shape)
+			want := len(query.RunLists(lists, ids, 0.5, 0))
+			b.Run(fmt.Sprintf("keywords=%d/%s/fast", k, shape), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if len(query.RunLists(lists, ids, 0.5, 0)) != want {
+						b.Fatalf("result count changed (want %d)", want)
 					}
-				})
-			}
-			run("fast", func() []query.Result { return query.RunLists(lists, 0.5, 0) })
-			run("compact", func() []query.Result { return query.RunCompactLists(cls, 0.5, 0) })
+				}
+			})
 		}
 	}
 }
@@ -129,38 +133,29 @@ func BenchmarkDILMerge(b *testing.B) {
 // disjointWorkload builds two lists on disjoint documents (odd vs
 // even): the merge emits nothing, isolating its own allocation
 // behavior from result construction.
-func disjointWorkload() []dil.List {
-	mk := func(base int32) dil.List {
-		l := make(dil.List, 0, 4096)
+func disjointWorkload() ([]dil.List, []dil.IDs) {
+	mk := func(base int32) []dil.Entry {
+		l := make([]dil.Entry, 0, 4096)
 		for doc := int32(0); doc < 2048; doc++ {
 			l = append(l,
-				dil.Posting{ID: xmltree.Dewey{base + 2*doc, 0, 1}, Score: 0.5},
-				dil.Posting{ID: xmltree.Dewey{base + 2*doc, 1}, Score: 0.25})
+				dil.Entry{ID: xmltree.Dewey{base + 2*doc, 0, 1}, Score: 0.5},
+				dil.Entry{ID: xmltree.Dewey{base + 2*doc, 1}, Score: 0.25})
 		}
 		return l
 	}
-	return []dil.List{mk(0), mk(1)}
+	return keyAll([][]dil.Entry{mk(0), mk(1)})
 }
 
 // BenchmarkDILMergeAllocs isolates steady-state allocation: with
 // disjoint documents the merge emits nothing, so after the pools warm
-// up the fast path must allocate nothing at all. (With results, the
-// only allocations left are the result values handed to the caller.)
+// up the merge must allocate nothing at all. (With results, the only
+// allocations left are the result values handed to the caller.)
 func BenchmarkDILMergeAllocs(b *testing.B) {
-	disjoint := disjointWorkload()
-	cls := compactAll(disjoint)
+	lists, ids := disjointWorkload()
 	b.Run("disjoint/fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(query.RunLists(disjoint, 0.5, 0)) != 0 {
-				b.Fatal("unexpected results")
-			}
-		}
-	})
-	b.Run("disjoint/compact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(query.RunCompactLists(cls, 0.5, 0)) != 0 {
+			if len(query.RunLists(lists, ids, 0.5, 0)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}

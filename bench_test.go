@@ -281,15 +281,18 @@ func BenchmarkRankedTopK(b *testing.B) {
 		builder.BuildKeyword("cardiac"),
 		builder.BuildKeyword("arrest"),
 	}
-	for _, l := range lists {
+	ids := []dil.IDs{builder.IDs(), builder.IDs()}
+	entries := make([][]dil.Entry, len(lists))
+	for i, l := range lists {
 		if len(l) == 0 {
 			b.Fatal("empty list")
 		}
+		entries[i] = builder.IDs().Entries(l)
 	}
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("DIL/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := query.RunLists(lists, 0.5, 0)
+				res := query.RunLists(lists, ids, 0.5, 0)
 				if len(res) == 0 {
 					b.Fatal("no results")
 				}
@@ -298,7 +301,7 @@ func BenchmarkRankedTopK(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("RDIL/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if len(query.RunRanked(lists, 0.5, k)) == 0 {
+				if len(query.RunRanked(entries, 0.5, k)) == 0 {
 					b.Fatal("no results")
 				}
 			}

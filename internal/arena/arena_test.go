@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,7 +20,7 @@ func randomIndex(seed int64, kws, maxN int) *dil.Index {
 	ix := dil.NewIndex()
 	for k := 0; k < kws; k++ {
 		n := 1 + rng.Intn(maxN)
-		l := make(dil.List, 0, n)
+		l := make([]dil.Entry, 0, n)
 		for i := 0; i < n; i++ {
 			depth := 1 + rng.Intn(6)
 			id := make(xmltree.Dewey, depth)
@@ -27,10 +28,15 @@ func randomIndex(seed int64, kws, maxN int) *dil.Index {
 			for j := 1; j < depth; j++ {
 				id[j] = int32(rng.Intn(4))
 			}
-			l = append(l, dil.Posting{ID: id, Score: rng.Float64()})
+			l = append(l, dil.Entry{ID: id, Score: rng.Float64()})
 		}
-		l.Sort()
-		ix.Set(kwName(k), l)
+		slices.SortFunc(l, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
+		keyed := make(dil.List, n)
+		ids := make([]xmltree.Dewey, n)
+		for i, e := range l {
+			keyed[i], ids[i] = dil.Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
+		}
+		ix.Set(kwName(k), dil.Compact(keyed, dil.IDs{Base: ids}))
 	}
 	return ix
 }
@@ -80,8 +86,8 @@ func TestArenaRoundTrip(t *testing.T) {
 		if !cl.Borrowed() {
 			t.Fatalf("keyword %q not served borrowed", kw)
 		}
-		want := ix.List(kw)
-		got := cl.List()
+		want := ix.Compact(kw).Entries()
+		got := cl.Entries()
 		if len(got) != len(want) {
 			t.Fatalf("keyword %q: %d postings, want %d", kw, len(got), len(want))
 		}

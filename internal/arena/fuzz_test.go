@@ -44,7 +44,7 @@ func FuzzArenaDecode(f *testing.F) {
 				continue // marked bad; must stay absent
 			}
 			// Force a full borrowed decode of every posting.
-			l := cl.List()
+			l := cl.Entries()
 			if len(l) != cl.Len() {
 				t.Fatalf("keyword %d: decoded %d postings, Len says %d", i, len(l), cl.Len())
 			}

@@ -77,14 +77,7 @@ func Write(path string, ix *dil.Index, meta Meta) error {
 	off := uint64(headerSize)
 	for _, kw := range keywords {
 		cl := ix.Compact(kw)
-		if cl == nil {
-			if l := ix.List(kw); len(l) > 0 {
-				cl = dil.Compact(l)
-			} else {
-				continue
-			}
-		}
-		if cl.Len() == 0 {
+		if cl == nil || cl.Len() == 0 {
 			continue
 		}
 		if err := faultinject.Hit(FPWrite); err != nil {

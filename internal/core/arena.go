@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/dil"
-	"repro/internal/serving"
 	"repro/internal/xmltree"
 )
 
@@ -14,11 +13,6 @@ import (
 // mapped file (UseArena) — postings stream zero-copy from the page
 // cache, nothing is decoded into heap at load, and cold start costs a
 // superblock parse instead of a full index decode.
-
-// ArenaSourceCacheSize bounds the per-system cache of lists
-// materialized out of an arena for the merge paths that need heap
-// lists (RDIL, legacy merge, delta overlays).
-const ArenaSourceCacheSize = 256
 
 // CorpusFingerprint is the corpus identity stamped into arena
 // superblocks (re-exported so callers outside core need not touch
@@ -89,36 +83,8 @@ func (s *System) ArenaCompatible(a *arena.Arena, globalFP uint64) error {
 // serve zero-copy from the mapping. The caller keeps ownership of the
 // arena's reference and must hold it for the system's serving
 // lifetime. Keywords the arena lacks still resolve through the
-// builder, and merge paths that need heap lists (RDIL, delta overlays)
-// materialize them through a bounded cache.
+// builder, and RDIL decodes the lists it reads per query.
 func (s *System) UseArena(a *arena.Arena) {
 	s.index = dil.NewIndex()
-	s.engine.SetSource(&arenaSource{
-		arena: a,
-		lists: serving.NewCache[dil.List](ArenaSourceCacheSize, 0),
-	})
-}
-
-// arenaSource adapts an arena to the engine's ListSource and
-// CompactSource faces. Compact is the hot path and is zero-copy; List
-// materializes (and caches) heap copies for the paths that walk plain
-// postings.
-type arenaSource struct {
-	arena *arena.Arena
-	lists *serving.Cache[dil.List] // sharded LRU; safe for concurrent use
-}
-
-func (as *arenaSource) Compact(kw string) *dil.CompactList { return as.arena.Compact(kw) }
-
-func (as *arenaSource) List(kw string) dil.List {
-	if l, ok := as.lists.Get(kw); ok {
-		return l
-	}
-	c := as.arena.Compact(kw)
-	if c == nil {
-		return nil
-	}
-	l := c.List() // heap copy: outlives the mapping
-	as.lists.Set(kw, l)
-	return l
+	s.engine.SetSource(a)
 }

@@ -161,7 +161,7 @@ func (s *System) BuildIndex() (*dil.BuildStats, error) {
 	}
 	// Swap lists into the engine-visible index.
 	for _, kw := range ix.Keywords() {
-		s.index.Set(kw, ix.List(kw))
+		s.index.Set(kw, ix.Compact(kw))
 	}
 	s.stats = stats
 	return stats, nil

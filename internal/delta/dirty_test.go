@@ -148,14 +148,22 @@ func TestPinnedListsInDeweyOrder(t *testing.T) {
 		}
 		view := seg.Overlay(cfg.Strategy, -1, nil).Acquire()
 		b := view.Pin(sys.Builder())
+		ids := b.IDs()
 		for _, kw := range sys.Builder().Vocabulary(0) {
 			list, err := b.BuildKeywordE(kw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < len(list); i++ {
-				if list[i-1].ID.Compare(list[i].ID) >= 0 {
-					t.Fatalf("%s %q: postings %v, %v out of Dewey order", label, kw, list[i-1].ID, list[i].ID)
+			for i, p := range list {
+				if id := ids.ID(p.Key); p.Doc != id[0] {
+					t.Fatalf("%s %q: posting %v carries document %d", label, kw, id, p.Doc)
+				}
+				if i == 0 {
+					continue
+				}
+				prev, cur := ids.ID(list[i-1].Key), ids.ID(p.Key)
+				if list[i-1].Key >= p.Key || prev.Compare(cur) >= 0 {
+					t.Fatalf("%s %q: postings %v, %v out of key or Dewey order", label, kw, prev, cur)
 				}
 			}
 		}

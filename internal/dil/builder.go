@@ -91,14 +91,15 @@ func (s *BuildStats) AvgBytes() float64 {
 // computers, built once per collection and shared with every other
 // stage over it). The OntoScore strategy plays no part in it, so one
 // stage serves a Builder per strategy (NewBuilders). A stage is never
-// written after construction (its scratch and list pools hand each
-// build memory of its own), which is what makes its builders safe to
-// use side by side.
+// written after construction (its scratch pool hands each build memory
+// of its own), which is what makes its builders safe to use side by
+// side.
 //
 // Element keys are assigned in Dewey order: documents in ascending ID,
 // each document's nodes in document order. Every key-ordered sequence
 // the stage produces — a term's postings, a concept's referencing
-// elements — is therefore already a Dewey-ordered posting sequence.
+// elements — is therefore already a Dewey-ordered posting sequence,
+// and the lists its builders emit name elements by key (IDs).
 type stage struct {
 	corpus *xmltree.Corpus
 	side   *ontoscore.Side
@@ -115,7 +116,6 @@ type stage struct {
 	ranks         []float64       // DocKey -> raw ElemRank; nil unless Params.ElemRank set
 	localRanksMax float64         // max of ranks
 	scratch       sync.Pool       // *scratch: per-build working memory
-	lists         listPool        // pinned lists' arrays (live.go)
 
 	fullTextTime time.Duration
 	buildErr     error
@@ -309,6 +309,7 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 	for _, doc := range docs {
 		s.indexDocument(doc)
 	}
+	packIDs(s.ids)
 	s.indexRefs(slots)
 	if params.ElemRank != nil {
 		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
@@ -340,6 +341,24 @@ func (s *stage) indexDocument(doc *xmltree.Document) {
 		s.slotOf = append(s.slotOf, s.conceptSlot(n))
 	}
 	s.docs = append(s.docs, docSpan{id: doc.ID, end: ir.DocKey(len(s.ids))})
+}
+
+// packIDs copies the identifiers into one array in key order and
+// repoints ids at the copies. A built list names its elements by key
+// and the merge resolves every posting it scores through ids, so a
+// list's identifiers, which ascend in key, are then read front to back
+// instead of from wherever each node's own identifier was allocated.
+func packIDs(ids []xmltree.Dewey) {
+	n := 0
+	for _, id := range ids {
+		n += len(id)
+	}
+	comps := make([]int32, 0, n)
+	for key, id := range ids {
+		at := len(comps)
+		comps = append(comps, id...)
+		ids[key] = comps[at:len(comps):len(comps)]
+	}
 }
 
 // indexRefs tabulates, once every element has its slot, each concept
@@ -420,6 +439,17 @@ func (s *stage) conceptSlot(n *xmltree.Node) int32 {
 		}
 	}
 	return -1
+}
+
+// IDs returns the table resolving the keys of the builder's lists: the
+// stage's, followed by the delta stage's when the builder is pinned to
+// a live state with pending documents (Pin).
+func (b *Builder) IDs() IDs {
+	t := IDs{Base: b.ids}
+	if b.live != nil && b.live.Delta != nil {
+		t.Delta = b.live.Delta.ids
+	}
+	return t
 }
 
 // Strategy returns the OntoScore strategy the builder indexes with.
@@ -653,12 +683,12 @@ func (b *Builder) textScoresCtx(ctx context.Context, keyword string) []ir.Scored
 
 // assemble merges one keyword's text scores (in key order) with
 // alpha-scaled OntoScore postings (onto[i] for system i of the side)
-// into the final Dewey-ordered list (see mark and emit). The list is
+// into the final key-ordered list (see mark and emit). The list is
 // allocated once, at its exact length: lists are retained (the keyword
 // cache keeps them), so spare capacity would be resident memory.
 func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense) List {
 	sc, n := b.mark(text, onto)
-	out := b.emit(make(List, 0, n), text, sc, nil)
+	out := b.emit(make(List, 0, n), 0, text, sc, nil)
 	switch {
 	case len(out) == 0:
 		return nil
@@ -718,14 +748,16 @@ func (s *stage) newScratch() any {
 }
 
 // emit walks the union of the text postings and the code elements
-// marked in sc in key order, appending to out every element's final
-// node score — NS, the max of the branches, times the normalized
-// ElemRank when configured — when it is positive and drop (nil: none)
-// does not report the element's document. It clears the bitset as it
-// goes and returns the scratch to the pool.
-func (b *Builder) emit(out List, text []ir.Scored, sc *scratch, drop func(docID int32) bool) List {
+// marked in sc in key order, appending to out every element — its key
+// offset by off, its document, and its final node score: NS, the max
+// of the branches, times the normalized ElemRank when configured —
+// when the score is positive and drop (nil: none) does not report the
+// element's document. It clears the bitset as it goes and returns the
+// scratch to the pool.
+func (b *Builder) emit(out List, off int32, text []ir.Scored, sc *scratch, drop func(docID int32) bool) List {
 	defer b.scratch.Put(sc)
 	live := docFilter{docs: b.docs, drop: drop}
+	doc := 0 // b.docs index of the last emitted key's document
 	w, bits := -1, uint64(0)
 	next := func() (ir.DocKey, bool) {
 		for bits == 0 {
@@ -762,7 +794,10 @@ func (b *Builder) emit(out List, text []ir.Scored, sc *scratch, drop func(docID 
 			s *= b.ranks[key] / b.ranksMax
 		}
 		if s > 0 && live.keeps(key) {
-			out = append(out, Posting{ID: b.ids[key], Score: s})
+			for key >= b.docs[doc].end {
+				doc++
+			}
+			out = append(out, Posting{Key: int32(key) + off, Doc: b.docs[doc].id, Score: s})
 		}
 	}
 	return out
@@ -789,7 +824,7 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 	type result struct {
 		i    int
 		stat KeywordStats
-		list List
+		list *CompactList
 	}
 	dilStart := time.Now()
 	workers := runtime.GOMAXPROCS(0)
@@ -816,10 +851,10 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 					stat: KeywordStats{
 						Keyword:  kw,
 						Postings: len(list),
-						Bytes:    list.EncodedSize(),
+						Bytes:    list.EncodedSize(b.IDs()),
 						Elapsed:  time.Since(start),
 					},
-					list: list,
+					list: Compact(list, b.IDs()),
 				}
 			}
 		}()
@@ -837,9 +872,7 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 	perKw := make([]KeywordStats, len(vocabulary))
 	for r := range out {
 		perKw[r.i] = r.stat
-		if len(r.list) > 0 {
-			ix.Set(vocabulary[r.i], r.list)
-		}
+		ix.Set(vocabulary[r.i], r.list)
 	}
 	stats.DILTime = time.Since(dilStart)
 	stats.PerKeyword = perKw

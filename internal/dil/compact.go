@@ -9,23 +9,24 @@ import (
 
 // Compact block-structured posting lists.
 //
-// A List is pointer-heavy: every posting carries its own Dewey slice
-// header and backing array, so a merge walks one small heap object per
-// posting. CompactList stores the same postings in flat arenas: all
-// Dewey components live in one []int32, front-coded against the
-// previous posting (a shared-prefix length plus the differing suffix),
-// and scores live in one []float64. Postings are grouped into
-// fixed-size blocks; the first posting of each block is stored in full
-// (a "restart point") so decoding can begin at any block boundary
-// without touching earlier postings. Each block carries a skip entry —
-// the arena offset of its restart point, the document ID of its first
-// posting, and the maximum posting score inside the block — which lets
-// the query phase's zig-zag merge jump whole blocks when seeking a
-// document, without decoding the postings in between (DESIGN.md §12).
+// A List names elements by key, which only the stage that built it
+// resolves. CompactList stores the same postings self-contained, with
+// their Dewey identifiers, in flat arenas — the form a prebuilt index
+// and the on-disk arena hold: all Dewey components live in one
+// []int32, front-coded against the previous posting (a shared-prefix
+// length plus the differing suffix), and scores live in one
+// []float64. Postings are grouped into fixed-size blocks; the first
+// posting of each block is stored in full (a "restart point") so
+// decoding can begin at any block boundary without touching earlier
+// postings. Each block carries a skip entry — the arena offset of its
+// restart point, the document ID of its first posting, and the maximum
+// posting score inside the block — which lets the query phase's
+// zig-zag merge jump whole blocks when seeking a document, without
+// decoding the postings in between (DESIGN.md §12).
 //
-// The representation is lossless: Compact(l).List() reproduces l
-// exactly, and the arena segment encoding (segment.go) round-trips
-// through AppendSegment / BorrowSegment bit-identically.
+// The representation is lossless: Compact(l, ids).Entries() equals
+// ids.Entries(l), and the arena segment encoding (segment.go)
+// round-trips through AppendSegment / BorrowSegment bit-identically.
 
 // BlockSize is the number of postings per block. 128 keeps skip
 // entries ~1% of postings while amortizing the restart-point cost.
@@ -109,14 +110,6 @@ func (c *CompactList) blockFirstDoc(b int) int32 {
 	return c.blocks[b].firstDoc
 }
 
-// blockMaxScore returns the largest posting score inside block b.
-func (c *CompactList) blockMaxScore(b int) float64 {
-	if c.raw != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(c.rawBlocks[b*segBlockEntrySize+8:]))
-	}
-	return c.blocks[b].maxScore
-}
-
 // blockTailMax returns the suffix maximum over blocks b..end.
 func (c *CompactList) blockTailMax(b int) float64 {
 	if c.raw != nil {
@@ -142,11 +135,11 @@ func (c *CompactList) buildTailMax() {
 	}
 }
 
-// Compact converts a Dewey-ordered list to its block-structured form.
-// Postings must have non-empty identifiers (every node has at least a
-// document component); an empty identifier panics, as it would in the
-// stack merge.
-func Compact(l List) *CompactList {
+// Compact converts a key-ordered list, whose keys ids resolves, to its
+// block-structured form. Postings must have non-empty identifiers
+// (every node has at least a document component); an empty identifier
+// panics, as it would in the stack merge.
+func Compact(l List, ids IDs) *CompactList {
 	c := &CompactList{
 		n:          len(l),
 		scores:     make([]float64, len(l)),
@@ -159,7 +152,8 @@ func Compact(l List) *CompactList {
 	c.blocks = make([]blockEntry, 0, (len(l)+BlockSize-1)/BlockSize)
 	var prev xmltree.Dewey
 	for i, p := range l {
-		if len(p.ID) == 0 {
+		id := ids.ID(p.Key)
+		if len(id) == 0 {
 			panic("dil: Compact on posting with empty Dewey identifier")
 		}
 		c.scores[i] = p.Score
@@ -169,11 +163,11 @@ func Compact(l List) *CompactList {
 			// new skip entry.
 			c.blocks = append(c.blocks, blockEntry{
 				compOff:  len(c.comps),
-				firstDoc: p.ID[0],
+				firstDoc: id[0],
 				maxScore: p.Score,
 			})
 		} else {
-			for prefix < len(prev) && prefix < len(p.ID) && prev[prefix] == p.ID[prefix] {
+			for prefix < len(prev) && prefix < len(id) && prev[prefix] == id[prefix] {
 				prefix++
 			}
 			b := &c.blocks[len(c.blocks)-1]
@@ -182,9 +176,9 @@ func Compact(l List) *CompactList {
 			}
 		}
 		c.prefixLens[i] = uint32(prefix)
-		c.suffixLens[i] = uint32(len(p.ID) - prefix)
-		c.comps = append(c.comps, p.ID[prefix:]...)
-		prev = p.ID
+		c.suffixLens[i] = uint32(len(id) - prefix)
+		c.comps = append(c.comps, id[prefix:]...)
+		prev = id
 	}
 	c.buildTailMax()
 	return c
@@ -196,50 +190,16 @@ func (c *CompactList) Len() int { return c.n }
 // Blocks returns the number of blocks (skip entries).
 func (c *CompactList) Blocks() int { return c.nblocks() }
 
-// BlockMaxScore returns the maximum posting score of block b (the
-// skip entry's score bound).
-func (c *CompactList) BlockMaxScore(b int) float64 { return c.blockMaxScore(b) }
-
-// TailMaxScore returns the maximum posting score in blocks b..end (the
-// suffix maximum of the block bounds): no posting at or after block b
-// scores above it.
-func (c *CompactList) TailMaxScore(b int) float64 { return c.blockTailMax(b) }
-
-// MemBytes estimates the resident size of the arenas, for stats. For a
-// borrowed list this is the size of the backing byte range, which is
-// mapped rather than heap-resident.
-func (c *CompactList) MemBytes() int {
-	if c.raw != nil {
-		return len(c.rawBlocks) + len(c.raw)
-	}
-	return 8*len(c.scores) + 4*len(c.prefixLens) + 4*len(c.suffixLens) +
-		4*len(c.comps) + 24*len(c.blocks) + 8*len(c.tailMax)
-}
-
-// List reconstructs the original posting list. The returned postings
-// own independent Dewey slices (heap-allocated even in borrowed mode,
-// so they outlive the backing segment).
-func (c *CompactList) List() List {
+// Entries decodes the list to its Dewey form — RDIL's random access
+// reads it. The entries own independent Dewey slices (heap-allocated
+// even in borrowed mode, so they outlive the backing segment).
+func (c *CompactList) Entries() []Entry {
 	if c.n == 0 {
 		return nil
 	}
-	if c.raw != nil {
-		out := make(List, 0, c.n)
-		cu := NewCursor(c)
-		for cu.Valid() {
-			out = append(out, Posting{ID: cu.Cur().Clone(), Score: cu.Score()})
-			cu.Advance()
-		}
-		return out
-	}
-	out := make(List, c.n)
-	var cur xmltree.Dewey
-	off := 0
-	for i := 0; i < c.n; i++ {
-		pl, sl := int(c.prefixLens[i]), int(c.suffixLens[i])
-		cur = append(cur[:pl], c.comps[off:off+sl]...)
-		off += sl
-		out[i] = Posting{ID: cur.Clone(), Score: c.scores[i]}
+	out := make([]Entry, 0, c.n)
+	for cu := NewCursor(c); cu.Valid(); cu.Advance() {
+		out = append(out, Entry{ID: cu.Cur().Clone(), Score: cu.Score()})
 	}
 	return out
 }

@@ -3,15 +3,33 @@ package dil
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/xmltree"
 )
 
+// keyed keys a Dewey-ordered entry list by position, with its
+// identifiers as the table: hand-built postings in the form a builder
+// emits.
+func keyed(es []Entry) (List, IDs) {
+	l := make(List, len(es))
+	ids := make([]xmltree.Dewey, len(es))
+	for i, e := range es {
+		l[i], ids[i] = Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
+	}
+	return l, IDs{Base: ids}
+}
+
+// sortEntries orders entries by Dewey identifier.
+func sortEntries(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int { return a.ID.Compare(b.ID) })
+}
+
 // randomList builds a sorted list of n postings over docs documents
 // with random ragged Dewey identifiers, including duplicates.
-func randomList(rng *rand.Rand, n, docs, maxDepth int) List {
-	l := make(List, 0, n)
+func randomList(rng *rand.Rand, n, docs, maxDepth int) []Entry {
+	l := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
 		depth := 1 + rng.Intn(maxDepth)
 		id := make(xmltree.Dewey, depth)
@@ -19,16 +37,16 @@ func randomList(rng *rand.Rand, n, docs, maxDepth int) List {
 		for j := 1; j < depth; j++ {
 			id[j] = int32(rng.Intn(4))
 		}
-		l = append(l, Posting{ID: id, Score: rng.Float64()})
+		l = append(l, Entry{ID: id, Score: rng.Float64()})
 		if rng.Intn(8) == 0 { // duplicate identifier, distinct score
-			l = append(l, Posting{ID: id.Clone(), Score: rng.Float64()})
+			l = append(l, Entry{ID: id.Clone(), Score: rng.Float64()})
 		}
 	}
-	l.Sort()
+	sortEntries(l)
 	return l
 }
 
-func listsEqual(a, b List) bool {
+func listsEqual(a, b []Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -40,21 +58,21 @@ func listsEqual(a, b List) bool {
 	return true
 }
 
-// Acceptance: Compact is lossless — List() reproduces the original
+// Acceptance: Compact is lossless — Entries() reproduces the original
 // postings exactly, across sizes spanning multiple blocks.
 func TestCompactRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 17} {
 		l := randomList(rng, n, 20, 8)
-		c := Compact(l)
+		c := Compact(keyed(l))
 		if c.Len() != len(l) {
 			t.Fatalf("n=%d: Len = %d, want %d", n, c.Len(), len(l))
 		}
 		if want := (len(l) + BlockSize - 1) / BlockSize; c.Blocks() != want {
 			t.Fatalf("n=%d: Blocks = %d, want %d", n, c.Blocks(), want)
 		}
-		if !listsEqual(c.List(), l) {
-			t.Fatalf("n=%d: List() does not reproduce the original", n)
+		if !listsEqual(c.Entries(), l) {
+			t.Fatalf("n=%d: Entries() does not reproduce the original", n)
 		}
 	}
 }
@@ -88,24 +106,26 @@ func appendScore(buf []byte, s float64) []byte {
 func TestCursorSeekDoc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// Sparse docs so some SeekDoc targets are absent.
-	l := make(List, 0, 6*BlockSize)
+	l := make([]Entry, 0, 6*BlockSize)
 	for doc := int32(0); doc < 200; doc += 2 {
 		for j := 0; j < 4; j++ {
-			l = append(l, Posting{
+			l = append(l, Entry{
 				ID:    xmltree.Dewey{doc, int32(j), int32(rng.Intn(3))},
 				Score: rng.Float64(),
 			})
 		}
 	}
-	l.Sort()
-	c := Compact(l)
+	sortEntries(l)
+	c := Compact(keyed(l))
 
-	for _, mode := range []string{"compact", "plain"} {
+	for _, mode := range []string{"compact", "keyed"} {
 		newCursor := func() Cursor {
 			if mode == "compact" {
 				return NewCursor(c)
 			}
-			return NewListCursor(l)
+			var cu Cursor
+			cu.SetList(keyed(l))
+			return cu
 		}
 		// Full sequential walk reproduces the list.
 		cu := newCursor()
@@ -162,16 +182,16 @@ func TestCursorSeekDoc(t *testing.T) {
 // jumps to the last block with firstDoc <= target would overshoot the
 // run's first postings at the tail of the previous block.
 func TestCursorSeekDocRunStraddlesBlock(t *testing.T) {
-	l := make(List, 0, 2*BlockSize)
+	l := make([]Entry, 0, 2*BlockSize)
 	// Docs 0..BlockSize-3 with one posting each, then doc 1000 with
 	// postings from index BlockSize-2 through the next block.
 	for doc := int32(0); doc < int32(BlockSize)-2; doc++ {
-		l = append(l, Posting{ID: xmltree.Dewey{doc, 0}, Score: 1})
+		l = append(l, Entry{ID: xmltree.Dewey{doc, 0}, Score: 1})
 	}
 	for j := int32(0); j < 10; j++ {
-		l = append(l, Posting{ID: xmltree.Dewey{1000, j}, Score: 1})
+		l = append(l, Entry{ID: xmltree.Dewey{1000, j}, Score: 1})
 	}
-	c := Compact(l)
+	c := Compact(keyed(l))
 	if c.Blocks() < 2 {
 		t.Fatalf("want >= 2 blocks, got %d", c.Blocks())
 	}
@@ -184,37 +204,10 @@ func TestCursorSeekDocRunStraddlesBlock(t *testing.T) {
 	}
 }
 
-// Acceptance (satellite): Index.Set never mutates the caller's slice —
-// an unsorted input is copied before sorting.
-func TestIndexSetDoesNotSortCallersSlice(t *testing.T) {
-	caller := List{
-		{ID: xmltree.Dewey{5}, Score: 1},
-		{ID: xmltree.Dewey{1}, Score: 2},
-		{ID: xmltree.Dewey{3}, Score: 3},
-	}
-	snapshot := append(List(nil), caller...)
-	ix := NewIndex()
-	ix.Set("kw", caller)
-	for i := range caller {
-		if !caller[i].ID.Equal(snapshot[i].ID) || caller[i].Score != snapshot[i].Score {
-			t.Fatalf("caller's slice mutated at %d: %v", i, caller[i])
-		}
-	}
-	if got := ix.List("kw"); !got.IsSorted() {
-		t.Fatal("stored list not sorted")
-	}
-	if ix.Compact("kw") == nil {
-		t.Fatal("Set did not build the compact form")
-	}
-	if got := ix.Compact("kw").List(); !got.IsSorted() || len(got) != 3 {
-		t.Fatalf("compact form wrong: %v", got)
-	}
-}
-
 // appendFlat writes the flat varint encoding List.EncodedSize measures:
 // a uvarint count, then per posting the identifier's component count
 // and components as uvarints and the score as 8 bytes.
-func appendFlat(buf []byte, l List) []byte {
+func appendFlat(buf []byte, l []Entry) []byte {
 	buf = appendUvarint(buf, uint64(len(l)))
 	for _, p := range l {
 		buf = appendUvarint(buf, uint64(len(p.ID)))
@@ -232,7 +225,8 @@ func TestEncodedSizeArithmetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 7, 300} {
 		l := randomList(rng, n, 1000000, 10) // large doc IDs exercise multi-byte varints
-		if got, want := l.EncodedSize(), len(appendFlat(nil, l)); got != want {
+		kl, ids := keyed(l)
+		if got, want := kl.EncodedSize(ids), len(appendFlat(nil, l)); got != want {
 			t.Fatalf("n=%d: EncodedSize = %d, want %d", n, got, want)
 		}
 	}

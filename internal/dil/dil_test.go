@@ -41,23 +41,45 @@ func bigCorpus(t *testing.T) (*xmltree.Corpus, *ontology.Ontology) {
 	return g.GenerateCorpus(), ont
 }
 
-func TestIndexSetSortsAndDropsEmpty(t *testing.T) {
+func TestIndexSetDropsEmpty(t *testing.T) {
 	ix := NewIndex()
-	ix.Set("kw", List{
-		{ID: xmltree.Dewey{0, 5}, Score: 1},
+	c := Compact(keyed([]Entry{
 		{ID: xmltree.Dewey{0, 1}, Score: 1},
-	})
-	l := ix.List("kw")
-	if !l.IsSorted() {
-		t.Error("Set did not sort")
+		{ID: xmltree.Dewey{0, 5}, Score: 1},
+	}))
+	ix.Set("kw", c)
+	if ix.Compact("kw") != c {
+		t.Error("Set did not install the list")
 	}
-	ix.Set("kw", nil)
-	if ix.Has("kw") {
+	ix.Set("kw", Compact(nil, IDs{}))
+	if ix.Compact("kw") != nil {
 		t.Error("empty list retained")
 	}
-	if ix.List("missing") != nil {
-		t.Error("missing list should be nil")
+	ix.Set("kw", c)
+	ix.Set("kw", nil)
+	if ix.Compact("kw") != nil || len(ix.Keywords()) != 0 {
+		t.Error("nil list retained")
 	}
+}
+
+// inDeweyOrder reports whether a built list's identifiers ascend
+// strictly, as its keys do.
+func inDeweyOrder(l List, ids IDs) bool {
+	for i := 1; i < len(l); i++ {
+		if l[i-1].Key >= l[i].Key || ids.ID(l[i-1].Key).Compare(ids.ID(l[i].Key)) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// postings counts an index's postings.
+func postings(ix *Index) int {
+	n := 0
+	for _, kw := range ix.Keywords() {
+		n += ix.Compact(kw).Len()
+	}
+	return n
 }
 
 func TestBuildKeywordTextMatch(t *testing.T) {
@@ -67,11 +89,11 @@ func TestBuildKeywordTextMatch(t *testing.T) {
 	if len(l) == 0 {
 		t.Fatal("no postings for a literal keyword")
 	}
-	if !l.IsSorted() {
+	if !inDeweyOrder(l, b.IDs()) {
 		t.Error("list not sorted")
 	}
 	// Every posting resolves to a node whose description contains it.
-	for _, p := range l {
+	for _, p := range b.IDs().Entries(l) {
 		n := corpus.NodeAt(p.ID)
 		if n == nil {
 			t.Fatalf("posting %v resolves to nothing", p.ID)
@@ -93,7 +115,7 @@ func TestBuildKeywordPhrase(t *testing.T) {
 	if len(l) == 0 {
 		t.Fatal("phrase keyword found nothing")
 	}
-	for _, p := range l {
+	for _, p := range b.IDs().Entries(l) {
 		if !xmltree.ContainsKeyword(corpus.NodeAt(p.ID), "vital signs") {
 			t.Errorf("node %v lacks phrase", p.ID)
 		}
@@ -120,7 +142,7 @@ func TestBuildKeywordOntological(t *testing.T) {
 		t.Fatal("Relationships found no postings for ontologically related phrase")
 	}
 	foundAsthma := false
-	for _, p := range l {
+	for _, p := range rel.IDs().Entries(l) {
 		n := corpus.NodeAt(p.ID)
 		ref, ok := n.OntoRef()
 		if !ok {
@@ -150,7 +172,7 @@ func TestEquation5MaxSemantics(t *testing.T) {
 	b := NewBuilder(corpus, ont, ontoscore.StrategyRelationships, DefaultParams())
 	l := b.BuildKeyword("asthma")
 	var asthmaScore float64
-	for _, p := range l {
+	for _, p := range b.IDs().Entries(l) {
 		n := corpus.NodeAt(p.ID)
 		if ref, ok := n.OntoRef(); ok && ref.Code == ontology.CodeAsthma {
 			asthmaScore = p.Score
@@ -207,12 +229,12 @@ func TestBuildFullIndex(t *testing.T) {
 	if stats.Keywords != len(vocab) {
 		t.Errorf("stats.Keywords = %d", stats.Keywords)
 	}
-	if stats.TotalPostings != ix.Postings() {
-		t.Errorf("postings mismatch: %d vs %d", stats.TotalPostings, ix.Postings())
+	if stats.TotalPostings != postings(ix) {
+		t.Errorf("postings mismatch: %d vs %d", stats.TotalPostings, postings(ix))
 	}
 	bytes := 0
 	for _, kw := range ix.Keywords() {
-		bytes += ix.List(kw).EncodedSize()
+		bytes += b.BuildKeyword(kw).EncodedSize(b.IDs())
 	}
 	if stats.TotalBytes != bytes {
 		t.Errorf("bytes mismatch: %d vs %d", stats.TotalBytes, bytes)
@@ -225,8 +247,8 @@ func TestBuildFullIndex(t *testing.T) {
 	}
 	// Consistency with single-keyword builds.
 	for _, kw := range []string{"asthma", "cardiac", "medications"} {
-		direct := b.BuildKeyword(kw)
-		stored := ix.List(kw)
+		direct := b.IDs().Entries(b.BuildKeyword(kw))
+		stored := ix.Compact(kw).Entries()
 		if len(direct) != len(stored) {
 			t.Fatalf("kw %q: %d direct vs %d stored", kw, len(direct), len(stored))
 		}
@@ -254,7 +276,7 @@ func TestStrategyPostingCountOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[s] = ix.Postings()
+		counts[s] = postings(ix)
 	}
 	if counts[ontoscore.StrategyGraph] <= counts[ontoscore.StrategyNone] {
 		t.Errorf("Graph (%d) should exceed XRANK (%d)", counts[ontoscore.StrategyGraph], counts[ontoscore.StrategyNone])

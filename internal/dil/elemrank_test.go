@@ -47,10 +47,10 @@ func TestElemRankIntegration(t *testing.T) {
 	// Every ranked score is <= the plain score for the same node (ranks
 	// are max-normalized to <= 1).
 	plainScores := make(map[string]float64, len(lp))
-	for _, p := range lp {
+	for _, p := range plain.IDs().Entries(lp) {
 		plainScores[p.ID.String()] = p.Score
 	}
-	for _, p := range lr {
+	for _, p := range ranked.IDs().Entries(lr) {
 		if base, ok := plainScores[p.ID.String()]; !ok || p.Score > base+1e-12 {
 			t.Errorf("posting %v: ranked %f vs plain %f", p.ID, p.Score, base)
 		}

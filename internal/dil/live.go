@@ -2,6 +2,7 @@ package dil
 
 import (
 	"context"
+	"math"
 	mathbits "math/bits"
 	"sync"
 	"unsafe"
@@ -22,7 +23,8 @@ type Live struct {
 	Dead func(docID int32) bool
 	// Delta indexes the state's delta documents under Stats (nil: none).
 	// Delta document IDs are assigned above every base ID, so its
-	// postings follow the base's in Dewey order.
+	// postings follow the base's in Dewey order, and a pinned list keys
+	// them after the base's elements (IDs).
 	Delta *Builder
 	// Owns keeps the delta documents the list serves — a shard slot's
 	// own (nil: all of them).
@@ -56,9 +58,10 @@ func (b *Builder) view(v ir.StatsView) *Builder {
 }
 
 // assembleLive is a pinned build's assembly: one array holding the
-// base postings of live documents, then the delta's, taken from the
-// stage's list pool (none when nothing is marked; an array whose
-// postings were all dropped goes straight back). The delta reads
+// base postings of live documents, then the delta's keyed after the
+// base's elements, taken from the list pool (none when nothing is
+// marked; an array whose postings were all dropped goes straight
+// back). The delta reads
 // the base's OntoScores unless its side is another one (a read on the
 // outgoing generation that acquired a state rebased onto the next
 // generation's side, whose concept numbering may differ).
@@ -79,41 +82,43 @@ func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string
 		dsc, dn = d.mark(dText, dOnto)
 		n += dn
 	}
-	out := b.emit(b.lists.get(n), text, sc, b.live.Dead)
+	out := b.emit(lists.get(n), 0, text, sc, b.live.Dead)
 	if d != nil {
-		out = d.emit(out, dText, dsc, b.dropDelta)
+		out = d.emit(out, int32(len(b.ids)), dText, dsc, b.dropDelta)
 	}
 	if len(out) == 0 {
-		b.lists.put(out)
+		lists.put(out)
 		return nil, nil
 	}
 	return out, nil
 }
 
 // Recycle hands a pinned list (one a builder's Pin view built) back to
-// the pool of the stage it was built over, for a later pinned build to
-// reuse its array. Call it only when nothing reads the list any more —
-// the engine does so after its merge, for a list no other reader
-// received. A list whose capacity is no size class's is ignored.
-func (b *Builder) Recycle(l List) { b.lists.put(l) }
+// the list pool, for a later pinned build to reuse its array. Call it
+// only when nothing reads the list any more — the engine does so after
+// its merge, for a list no other reader received. A list whose
+// capacity is no size class's is ignored.
+func Recycle(l List) { lists.put(l) }
 
 // A pinned list lives for one read, so its array is recycled instead
 // of being left to the collector. Arrays come in power-of-two size
 // classes from minListClass postings, so one array serves keywords of
 // nearby sizes; a list past the largest class is allocated exactly and
-// never pooled. The pool belongs to the stage: a recycled array's stale
-// postings still point at the Dewey identifiers of the stage's
-// generation, which it must not outlive. Each class is a sync.Pool, so
-// the collector takes back what reads stop recycling.
+// never pooled. A posting holds no pointer, so a recycled array pins
+// nothing and one pool serves every stage. Each class is a sync.Pool,
+// so the collector takes back what reads stop recycling.
 const (
 	minListClass = 1 << 10 // postings
 	listClasses  = 8       // up to 128 Ki postings
 )
 
-// listPool is a stage's free arrays, one pool per size class. A pool
-// holds the address of an array's first posting; the class gives its
+// listPool is the free arrays, one pool per size class. A pool holds
+// the address of an array's first posting; the class gives its
 // capacity.
 type listPool [listClasses]sync.Pool
+
+// lists is the process's pinned-list pool.
+var lists listPool
 
 // listClass returns the size class of an array of n postings, at least
 // listClasses past the largest.
@@ -139,9 +144,19 @@ func (p *listPool) get(n int) List {
 	return make(List, 0, minListClass<<c)
 }
 
-// put keeps l's array for reuse when its capacity is a class's.
+// put keeps l's array for reuse when its capacity is a class's. Built
+// with the poison tag, it first overwrites every record with a key no
+// table resolves, an invalid document and a NaN score, so a reader
+// that still holds the list fails loudly instead of ranking stale
+// postings.
 func (p *listPool) put(l List) {
 	if c := listClass(cap(l)); c < listClasses && cap(l) == minListClass<<c {
+		if poison {
+			l = l[:cap(l)]
+			for i := range l {
+				l[i] = Posting{Key: -1, Doc: -1, Score: math.NaN()}
+			}
+		}
 		p[c].Put(unsafe.SliceData(l))
 	}
 }

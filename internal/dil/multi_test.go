@@ -43,7 +43,7 @@ func TestMultiBuilderResolvesBothSystems(t *testing.T) {
 		t.Fatal("no postings")
 	}
 	viaLOINC := false
-	for _, p := range l {
+	for _, p := range b.IDs().Entries(l) {
 		n := corpus.NodeAt(p.ID)
 		if ref, ok := n.OntoRef(); ok && ref.System == ontology.LOINCSystemID {
 			viaLOINC = true
@@ -65,8 +65,8 @@ func TestMultiBuilderSingleEqualsMultiWithOneSystem(t *testing.T) {
 	single := NewBuilder(corpus, snomed, ontoscore.StrategyRelationships, DefaultParams())
 	multi := NewMultiBuilder(corpus, ontology.MustCollection(snomed), ontoscore.StrategyRelationships, DefaultParams())
 	for _, kw := range []string{"asthma", "bronchial structure", "theophylline"} {
-		a := single.BuildKeyword(kw)
-		b := multi.BuildKeyword(kw)
+		a := single.IDs().Entries(single.BuildKeyword(kw))
+		b := multi.IDs().Entries(multi.BuildKeyword(kw))
 		if len(a) != len(b) {
 			t.Fatalf("kw %q: %d vs %d postings", kw, len(a), len(b))
 		}
@@ -96,8 +96,8 @@ func TestMultiBuilderAddingSystemOnlyAdds(t *testing.T) {
 	without := NewMultiBuilder(corpus, ontology.MustCollection(snomed), ontoscore.StrategyGraph, DefaultParams())
 	with := NewMultiBuilder(corpus, ontology.MustCollection(snomed, ontology.LOINCFragment()), ontoscore.StrategyGraph, DefaultParams())
 	for _, kw := range []string{"medication", "asthma", "vital"} {
-		a := without.BuildKeyword(kw)
-		b := with.BuildKeyword(kw)
+		a := without.IDs().Entries(without.BuildKeyword(kw))
+		b := with.IDs().Entries(with.BuildKeyword(kw))
 		if len(b) < len(a) {
 			t.Fatalf("kw %q: postings shrank from %d to %d", kw, len(a), len(b))
 		}

@@ -2,11 +2,15 @@
 // (XOnto-DILs) and the Index Creation Module of the paper's Section V.
 //
 // A DIL maps a keyword to the list of XML nodes associated with it,
-// identified by Dewey ID and carrying the node score NS(v, w) of
-// equation (5): the maximum of the node's normalized IR score for the
-// keyword and (scaled by alpha) the OntoScore of the concept the node
-// references. Lists are kept in Dewey (document) order so the query
-// phase can merge them with XRANK's stack algorithm.
+// each carrying the node score NS(v, w) of equation (5): the maximum
+// of the node's normalized IR score for the keyword and (scaled by
+// alpha) the OntoScore of the concept the node references. A built
+// list names each node by its element key in the stage that built it
+// — a dense int32 assigned in Dewey order — so a posting is a
+// pointer-free 16-byte record, lists are in Dewey (document) order by
+// construction, and a node's Dewey ID is looked up in the stage's
+// table (IDs) only where it is read: the merge's per-document runs,
+// RDIL's random access and the block-structured form the arena writes.
 package dil
 
 import (
@@ -15,35 +19,69 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Posting is one entry of a Dewey inverted list.
+// Posting is one entry of a built list: the element's key, the ID of
+// its document — the identifier's first component, which the merge's
+// document zig-zag reads for every posting, kept in what would
+// otherwise be padding — and its node score. It holds no pointer, so
+// the collector never scans a list's array (TestPostingLayout pins
+// the layout).
 type Posting struct {
+	Key   int32
+	Doc   int32
+	Score float64
+}
+
+// List is a key-ordered — hence Dewey-ordered — posting list for one
+// keyword.
+type List []Posting
+
+// Entry is a posting resolved to its element's Dewey identifier: the
+// form the query phase's stack merge and RDIL read, and the one a
+// CompactList decodes to.
+type Entry struct {
 	ID    xmltree.Dewey
 	Score float64
 }
 
-// List is a Dewey-ordered posting list for one keyword.
-type List []Posting
-
-// Sort orders the list in document (Dewey) order.
-func (l List) Sort() {
-	sort.Slice(l, func(i, j int) bool { return l[i].ID.Compare(l[j].ID) < 0 })
+// IDs resolves the keys of the lists a builder emits to Dewey
+// identifiers: keys below len(Base) index the stage's table, and a
+// list pinned to a live state numbers its delta postings after them,
+// indexing Delta, the delta stage's table (Live). Both tables are
+// shared and read-only.
+type IDs struct {
+	Base  []xmltree.Dewey
+	Delta []xmltree.Dewey
 }
 
-// IsSorted reports whether the list is in Dewey order.
-func (l List) IsSorted() bool {
-	return sort.SliceIsSorted(l, func(i, j int) bool { return l[i].ID.Compare(l[j].ID) < 0 })
+// ID returns the Dewey identifier of an element key.
+func (t IDs) ID(key int32) xmltree.Dewey {
+	if uint(key) < uint(len(t.Base)) {
+		return t.Base[key]
+	}
+	return t.Delta[int(key)-len(t.Base)]
+}
+
+// Entries resolves a list to its Dewey form. The identifiers are the
+// table's, shared.
+func (t IDs) Entries(l List) []Entry {
+	out := make([]Entry, len(l))
+	for i, p := range l {
+		out[i] = Entry{ID: t.ID(p.Key), Score: p.Score}
+	}
+	return out
 }
 
 // EncodedSize returns the list's size in bytes as a flat varint
 // encoding would store it — a uvarint count, then per posting the
 // identifier's component count and components as uvarints and the
-// score as 8 bytes — computed arithmetically. BuildStats reports it as
-// the index size.
-func (l List) EncodedSize() int {
+// score as 8 bytes — computed arithmetically over the identifiers ids
+// resolves. BuildStats reports it as the index size.
+func (l List) EncodedSize(ids IDs) int {
 	n := uvarintLen(uint64(len(l)))
 	for _, p := range l {
-		n += uvarintLen(uint64(len(p.ID)))
-		for _, c := range p.ID {
+		id := ids.ID(p.Key)
+		n += uvarintLen(uint64(len(id)))
+		for _, c := range id {
 			n += uvarintLen(uint64(c))
 		}
 		n += 8
@@ -52,52 +90,31 @@ func (l List) EncodedSize() int {
 }
 
 // Index is the in-memory XOnto-DIL index: one Dewey-ordered posting
-// list per keyword, held both flat (the RDIL ranked-access path random
-// accesses postings) and compact (the DIL merge streams block cursors
-// and skips with the block entries).
+// list per keyword, in block-structured form — the DIL merge streams
+// block cursors and skips with the block entries, RDIL decodes it, and
+// the arena writer stores it as is.
 type Index struct {
-	lists   map[string]List
-	compact map[string]*CompactList
+	lists map[string]*CompactList
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{
-		lists:   make(map[string]List),
-		compact: make(map[string]*CompactList),
-	}
+	return &Index{lists: make(map[string]*CompactList)}
 }
 
-// Set installs (replacing) the list for a keyword and builds its
-// compact block form. If the list is not already in Dewey order it is
-// copied and the copy sorted, so the caller's slice is never mutated.
-func (ix *Index) Set(keyword string, l List) {
-	if !l.IsSorted() {
-		l = append(List(nil), l...)
-		l.Sort()
-	}
-	if len(l) == 0 {
+// Set installs (replacing) the list for a keyword; a nil or empty list
+// removes it.
+func (ix *Index) Set(keyword string, c *CompactList) {
+	if c == nil || c.Len() == 0 {
 		delete(ix.lists, keyword)
-		delete(ix.compact, keyword)
 		return
 	}
-	ix.lists[keyword] = l
-	ix.compact[keyword] = Compact(l)
+	ix.lists[keyword] = c
 }
 
-// List returns the posting list for a keyword (nil if absent). The
-// returned slice is shared; callers must not modify it.
-func (ix *Index) List(keyword string) List { return ix.lists[keyword] }
-
-// Compact returns the block-structured form of a keyword's list (nil
-// if absent). It is immutable and safe to share.
-func (ix *Index) Compact(keyword string) *CompactList { return ix.compact[keyword] }
-
-// Has reports whether the keyword has a list.
-func (ix *Index) Has(keyword string) bool {
-	_, ok := ix.lists[keyword]
-	return ok
-}
+// Compact returns a keyword's list (nil if absent). It is immutable
+// and safe to share.
+func (ix *Index) Compact(keyword string) *CompactList { return ix.lists[keyword] }
 
 // Keywords returns the indexed keywords, sorted.
 func (ix *Index) Keywords() []string {
@@ -107,13 +124,4 @@ func (ix *Index) Keywords() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Postings counts all postings across all keywords.
-func (ix *Index) Postings() int {
-	n := 0
-	for _, l := range ix.lists {
-		n += len(l)
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package dil
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -44,7 +45,7 @@ func newReference(corpus *xmltree.Corpus, params Params) *reference {
 	return r
 }
 
-func (r *reference) build(b *Builder, keyword string, irOnly bool) List {
+func (r *reference) build(b *Builder, keyword string, irOnly bool) []Entry {
 	scores := map[string]float64{}
 	ids := map[string]xmltree.Dewey{}
 	if terms := xmltree.Tokenize(keyword); len(terms) > 0 {
@@ -86,16 +87,16 @@ func (r *reference) build(b *Builder, keyword string, irOnly bool) List {
 			}
 		}
 	}
-	var out List
+	var out []Entry
 	for k, s := range scores {
 		if r.ranks != nil && b.ranksMax > 0 {
 			s *= r.ranks.Rank(ids[k]) / b.ranksMax
 		}
 		if s > 0 {
-			out = append(out, Posting{ID: ids[k], Score: s})
+			out = append(out, Entry{ID: ids[k], Score: s})
 		}
 	}
-	out.Sort()
+	sortEntries(out)
 	return out
 }
 
@@ -119,8 +120,8 @@ func referenceRawTextMaxLive(b *Builder, keyword string, dead func(int32) bool) 
 }
 
 // liveOnly drops the postings of dead documents.
-func liveOnly(l List, dead func(int32) bool) List {
-	var out List
+func liveOnly(l []Entry, dead func(int32) bool) []Entry {
+	var out []Entry
 	for _, p := range l {
 		if !dead(p.ID.DocID()) {
 			out = append(out, p)
@@ -129,7 +130,18 @@ func liveOnly(l List, dead func(int32) bool) List {
 	return out
 }
 
-func sameList(a, b List) bool {
+// sameList reports whether b's list resolves to the entries want, each
+// posting carrying its identifier's document.
+func sameList(b *Builder, l List, want []Entry) bool {
+	for _, p := range l {
+		if p.Doc != b.IDs().ID(p.Key)[0] {
+			return false
+		}
+	}
+	return sameEntries(b.IDs().Entries(l), want)
+}
+
+func sameEntries(a, b []Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -290,10 +302,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 					b := mk()
 					name := fmt.Sprintf("%s/rank=%v/%s/%s", cp.name, withRank, st, wiring)
 					for _, kw := range keywords {
-						if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(got, want) {
+						if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(b, got, want) {
 							t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 						}
-						if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(got, want) {
+						if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(b, got, want) {
 							t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
 						}
 						if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
@@ -305,10 +317,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 						// A build pinned to the same live state drops the
 						// tombstoned documents in its one pass.
 						p := builders[st].Pin(Live{Stats: global, Dead: dead})
-						if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(got, want) {
+						if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(p, got, want) {
 							t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 						}
-						if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(got, want) {
+						if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
 							t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
 						}
 					}
@@ -330,7 +342,11 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 	ref := newReference(b.corpus, b.params)
 	for _, kw := range vocab {
-		if got, want := ix.List(kw), ref.build(b, kw, false); !sameList(got, want) {
+		var got []Entry
+		if c := ix.Compact(kw); c != nil {
+			got = c.Entries()
+		}
+		if !sameEntries(got, ref.build(b, kw, false)) {
 			t.Fatalf("%q: Build list differs from reference", kw)
 		}
 	}
@@ -398,7 +414,7 @@ func TestSharedSideConcurrentBuilds(t *testing.T) {
 	}
 	wg.Wait()
 	for i, j := range jobs {
-		if !sameList(got[i], want[j]) {
+		if !slices.Equal(got[i], want[j]) {
 			t.Fatalf("stage %d %s %q: concurrent build differs from serial", j.stage, j.st, j.kw)
 		}
 	}

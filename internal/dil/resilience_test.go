@@ -47,8 +47,8 @@ func figure1Builder(t *testing.T) *Builder {
 // postings.
 func TestBuildKeywordIRMatchesTextOnly(t *testing.T) {
 	b := figure1Builder(t)
-	full := b.BuildKeyword("asthma")
-	ir := b.BuildKeywordIR("asthma")
+	full := b.IDs().Entries(b.BuildKeyword("asthma"))
+	ir := b.IDs().Entries(b.BuildKeywordIR("asthma"))
 	if len(ir) == 0 {
 		t.Fatal("IR-only build empty for a textual keyword")
 	}

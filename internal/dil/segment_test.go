@@ -8,9 +8,9 @@ import (
 )
 
 // borrow round-trips l through the segment encoding into borrowed mode.
-func borrow(t *testing.T, l List) *CompactList {
+func borrow(t *testing.T, l []Entry) *CompactList {
 	t.Helper()
-	seg := Compact(l).AppendSegment(nil)
+	seg := Compact(keyed(l)).AppendSegment(nil)
 	b, err := BorrowSegment(seg)
 	if err != nil {
 		t.Fatalf("BorrowSegment: %v", err)
@@ -31,14 +31,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 			continue
 		}
 		b := borrow(t, l)
-		if b.Len() != len(l) || b.Blocks() != Compact(l).Blocks() {
+		if b.Len() != len(l) || b.Blocks() != Compact(keyed(l)).Blocks() {
 			t.Fatalf("n=%d: Len/Blocks mismatch", n)
 		}
-		if !listsEqual(b.List(), l) {
-			t.Fatalf("n=%d: borrowed List() does not reproduce the original", n)
+		if !listsEqual(b.Entries(), l) {
+			t.Fatalf("n=%d: borrowed Entries() does not reproduce the original", n)
 		}
 		// Re-encoding a borrowed list reproduces its segment.
-		if !bytes.Equal(b.AppendSegment(nil), Compact(l).AppendSegment(nil)) {
+		if !bytes.Equal(b.AppendSegment(nil), Compact(keyed(l)).AppendSegment(nil)) {
 			t.Fatalf("n=%d: borrowed AppendSegment differs", n)
 		}
 	}
@@ -56,7 +56,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 		if len(l) == 0 {
 			continue
 		}
-		heap := Compact(l)
+		heap := Compact(keyed(l))
 		bor := borrow(t, l)
 
 		// Sequential walk.
@@ -78,10 +78,11 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			t.Fatal("borrowed cursor has extra postings")
 		}
 
-		// Document runs: heap, borrowed and plain cursors yield the same
+		// Document runs: heap, borrowed and keyed cursors yield the same
 		// postings and the same per-document maximum.
 		hc, bc = NewCursor(heap), NewCursor(bor)
-		pc := NewListCursor(l)
+		var pc Cursor
+		pc.SetList(keyed(l))
 		for pc.Valid() {
 			pr, pm := pc.Run()
 			hr, hm := hc.Run()
@@ -98,7 +99,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			}
 		}
 		if hc.Valid() || bc.Valid() {
-			t.Fatal("compact cursor has postings after the plain one drained")
+			t.Fatal("compact cursor has postings after the keyed one drained")
 		}
 
 		// Random seek sequences (non-decreasing targets).
@@ -129,7 +130,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 func TestBorrowSegmentRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	l := randomList(rng, 2*BlockSize+7, 10, 5)
-	seg := Compact(l).AppendSegment(nil)
+	seg := Compact(keyed(l)).AppendSegment(nil)
 	if _, err := BorrowSegment(seg); err != nil {
 		t.Fatalf("valid segment rejected: %v", err)
 	}

@@ -11,9 +11,9 @@ import (
 // Cursor is a forward iterator over one posting list, the unit the
 // query phase's merge operates on. It works over either representation:
 // a CompactList (sequential front-code decoding with block skip
-// entries) or a plain List (index walking with galloping seeks),
-// so a merge can mix prebuilt compact lists with on-demand built flat
-// ones.
+// entries) or a built List with the table resolving its keys (index
+// walking with galloping seeks), so a merge can mix prebuilt compact
+// lists with on-demand built ones.
 //
 // A fresh cursor is positioned on the first posting (Valid reports
 // whether one exists). Cur returns a view of the current identifier
@@ -22,8 +22,9 @@ import (
 // must copy it.
 type Cursor struct {
 	// exactly one of cl, pl is set
-	cl *CompactList
-	pl List
+	cl  *CompactList
+	pl  List
+	ids IDs // resolves pl's keys
 
 	i     int           // current posting index
 	off   int           // offset of the next suffix to decode (compact): a comps index for a heap list, a payload byte offset for a borrowed one
@@ -31,14 +32,15 @@ type Cursor struct {
 	score float64       // current posting's score (borrowed lists decode it inline)
 
 	// suf[i] is the maximum score of pl[i:], built lazily on the first
-	// RemainingMax call over a plain list (compact lists carry their
+	// RemainingMax call over a built list (compact lists carry their
 	// suffix maxima per block). Invalidated when the cursor is repointed.
 	suf     []float64
 	haveSuf bool
 
-	// run and runComps hold the postings Run decoded from a compact
-	// list: identifiers are subslices of runComps.
-	run      []Posting
+	// run holds the postings of the current document Run returned. Over
+	// a compact list their identifiers are subslices of runComps; over
+	// a built list, the table's.
+	run      []Entry
 	runComps []int32
 
 	blocksSkipped int64
@@ -51,24 +53,21 @@ func NewCursor(c *CompactList) Cursor {
 	return cur
 }
 
-// NewListCursor positions a cursor on the first posting of a plain
-// Dewey-ordered list.
-func NewListCursor(l List) Cursor {
-	return Cursor{pl: l}
-}
-
 // SetCompact repoints the cursor at a compact list and rewinds,
 // keeping the scratch buffer — pooled mergers reuse cursors across
 // runs without reallocating.
 func (cu *Cursor) SetCompact(c *CompactList) {
-	cu.cl, cu.pl = c, nil
+	cu.cl, cu.pl, cu.ids = c, nil, IDs{}
 	cu.haveSuf = false
 	cu.Reset()
 }
 
-// SetList repoints the cursor at a plain list and rewinds.
-func (cu *Cursor) SetList(l List) {
-	cu.cl, cu.pl = nil, l
+// SetList repoints the cursor at a built list, whose keys ids resolves,
+// and rewinds. It also drops the previous runs' identifiers, so a
+// pooled cursor keeps no table reachable.
+func (cu *Cursor) SetList(l List, ids IDs) {
+	cu.cl, cu.pl, cu.ids = nil, l, ids
+	clear(cu.run[:cap(cu.run)])
 	cu.haveSuf = false
 	cu.Reset()
 }
@@ -165,21 +164,13 @@ func (cu *Cursor) Valid() bool {
 	return cu.i < len(cu.pl)
 }
 
-// Len returns the total posting count of the underlying list.
-func (cu *Cursor) Len() int {
-	if cu.cl != nil {
-		return cu.cl.n
-	}
-	return len(cu.pl)
-}
-
 // Cur returns the current posting's Dewey identifier. The returned
 // slice is a view; it is invalidated by the next cursor movement.
 func (cu *Cursor) Cur() xmltree.Dewey {
 	if cu.cl != nil {
 		return cu.cur
 	}
-	return cu.pl[cu.i].ID
+	return cu.ids.ID(cu.pl[cu.i].Key)
 }
 
 // Score returns the current posting's node score.
@@ -198,7 +189,7 @@ func (cu *Cursor) DocID() int32 {
 	if cu.cl != nil {
 		return cu.cur[0]
 	}
-	return cu.pl[cu.i].ID[0]
+	return cu.pl[cu.i].Doc
 }
 
 // Advance moves to the next posting; false means the list is drained.
@@ -237,7 +228,7 @@ func (cu *Cursor) SeekDoc(doc int32) bool {
 		pl := cu.pl
 		lo, step := cu.i, 1 // pl[lo] is below doc
 		hi := lo + step
-		for hi < len(pl) && pl[hi].ID[0] < doc {
+		for hi < len(pl) && pl[hi].Doc < doc {
 			lo, step = hi, step*2
 			hi = lo + step
 		}
@@ -247,7 +238,7 @@ func (cu *Cursor) SeekDoc(doc int32) bool {
 		// First posting in (lo, hi] with DocID >= doc; hi itself when
 		// none before it (hi == len(pl) drains the cursor).
 		gap := pl[lo+1 : hi]
-		cu.i = lo + 1 + sort.Search(len(gap), func(j int) bool { return gap[j].ID[0] >= doc })
+		cu.i = lo + 1 + sort.Search(len(gap), func(j int) bool { return gap[j].Doc >= doc })
 		return cu.Valid()
 	}
 	c := cu.cl
@@ -281,7 +272,7 @@ func (cu *Cursor) BlocksSkipped() int64 { return cu.blocksSkipped }
 // RemainingMax returns an upper bound on the score of every posting at
 // or after the current position: the per-block suffix maximum for a
 // compact list, a lazily built (and cursor-cached) suffix-max array for
-// a plain one. A drained cursor bounds at 0.
+// a built one. A drained cursor bounds at 0.
 func (cu *Cursor) RemainingMax() float64 {
 	if !cu.Valid() {
 		return 0
@@ -310,25 +301,25 @@ func (cu *Cursor) RemainingMax() float64 {
 // position through the last posting of the same document — with their
 // maximum score (0 for a drained cursor), and leaves the cursor on the
 // next document's first posting. One pass serves both the merge and
-// the top-k document bound. A plain list yields a subslice of itself;
-// a compact cursor decodes the run into its scratch buffers, so the
-// run is valid only until the cursor's next Run, Reset, SetList or
-// SetCompact.
-func (cu *Cursor) Run() ([]Posting, float64) {
+// the top-k document bound. The run is the cursor's reusable buffer,
+// valid only until its next Run, Reset, SetList or SetCompact: a built
+// list's postings are resolved into it as views of the table's
+// identifiers, and a compact cursor decodes them into its scratch.
+func (cu *Cursor) Run() ([]Entry, float64) {
 	if !cu.Valid() {
 		return nil, 0
 	}
 	doc := cu.DocID()
 	max := 0.0
 	if cu.cl == nil {
-		j := cu.i
-		for ; j < len(cu.pl) && cu.pl[j].ID[0] == doc; j++ {
-			if s := cu.pl[j].Score; s > max {
-				max = s
+		pl, ids, run, i := cu.pl, cu.ids, cu.run[:0], cu.i
+		for ; i < len(pl) && pl[i].Doc == doc; i++ {
+			run = append(run, Entry{ID: ids.ID(pl[i].Key), Score: pl[i].Score})
+			if pl[i].Score > max {
+				max = pl[i].Score
 			}
 		}
-		run := cu.pl[cu.i:j]
-		cu.i = j
+		cu.run, cu.i = run, i
 		return run, max
 	}
 	// Each posting is decoded straight into runComps, its prefix taken
@@ -337,7 +328,7 @@ func (cu *Cursor) Run() ([]Posting, float64) {
 	// rewrites it before the next Run.
 	c := cu.cl
 	cu.runComps = append(cu.runComps[:0], cu.cur...)
-	cu.run = append(cu.run[:0], Posting{ID: cu.runComps[:len(cu.runComps):len(cu.runComps)], Score: cu.Score()})
+	cu.run = append(cu.run[:0], Entry{ID: cu.runComps[:len(cu.runComps):len(cu.runComps)], Score: cu.Score()})
 	if s := cu.run[0].Score; s > max {
 		max = s
 	}
@@ -354,7 +345,7 @@ func (cu *Cursor) Run() ([]Posting, float64) {
 			break
 		}
 		s := cu.Score()
-		cu.run = append(cu.run, Posting{ID: cu.runComps[start:len(cu.runComps):len(cu.runComps)], Score: s})
+		cu.run = append(cu.run, Entry{ID: cu.runComps[start:len(cu.runComps):len(cu.runComps)], Score: s})
 		if s > max {
 			max = s
 		}

@@ -13,6 +13,8 @@
 package expansion
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dil"
@@ -129,18 +131,19 @@ func containsToken(ont *ontology.Ontology, id ontology.ConceptID, keyword string
 
 // list assembles the expanded posting list of one keyword: the textual
 // DILs of every expansion term, max-merged per node with scores scaled
-// by the term weights.
+// by the term weights. Every term's list names nodes by the baseline
+// builder's keys, so the merged list is keyed by them too, and key
+// order is Dewey order.
 func (e *Engine) list(keyword string) dil.List {
 	if l, ok := e.cache[keyword]; ok {
 		return l
 	}
-	merged := make(map[string]dil.Posting)
+	merged := make(map[int32]dil.Posting)
 	for _, wt := range e.Expand(keyword) {
 		for _, p := range e.baseline.BuildKeyword(wt.Term) {
-			s := p.Score * wt.Weight
-			key := p.ID.String()
-			if prev, ok := merged[key]; !ok || s > prev.Score {
-				merged[key] = dil.Posting{ID: p.ID, Score: s}
+			p.Score *= wt.Weight
+			if prev, ok := merged[p.Key]; !ok || p.Score > prev.Score {
+				merged[p.Key] = p
 			}
 		}
 	}
@@ -148,7 +151,7 @@ func (e *Engine) list(keyword string) dil.List {
 	for _, p := range merged {
 		out = append(out, p)
 	}
-	out.Sort()
+	slices.SortFunc(out, func(a, b dil.Posting) int { return cmp.Compare(a.Key, b.Key) })
 	e.cache[keyword] = out
 	return out
 }
@@ -163,13 +166,14 @@ func (e *Engine) Search(keywords []query.Keyword, k int) []query.Result {
 		k = e.params.Query.K
 	}
 	lists := make([]dil.List, len(keywords))
+	ids := make([]dil.IDs, len(keywords))
 	for i, kw := range keywords {
-		lists[i] = e.list(string(kw))
+		lists[i], ids[i] = e.list(string(kw)), e.baseline.IDs()
 		if len(lists[i]) == 0 {
 			return nil
 		}
 	}
-	return query.RunLists(lists, e.params.Query.Decay, k)
+	return query.RunLists(lists, ids, e.params.Query.Decay, k)
 }
 
 // SearchQuery parses and answers a query string.

@@ -39,27 +39,24 @@ type Result struct {
 	Matches []Match
 }
 
-// RunLists merges per-keyword Dewey lists per equation (1), scored per
-// equations (2)-(4). It is the core merge step Engine.Query builds on,
-// exported for alternative front-ends (e.g. the query-expansion
-// baseline) that assemble their own posting lists.
+// RunLists merges per-keyword built lists — list i's keys resolved by
+// ids[i] — per equation (1), scored per equations (2)-(4). It is the
+// core merge step Engine.Query builds on, exported for alternative
+// front-ends (e.g. the query-expansion baseline) that assemble their
+// own posting lists.
 //
 // k > 0 returns the exact top-k, sorted by descending score with
 // ascending-Dewey tie-break, computed with block-max top-k pruning
 // (byte-identical to sorting and truncating the exhaustive output).
 // k <= 0 returns every result, unranked.
-func RunLists(lists []dil.List, decay float64, k int) []Result {
-	res, _ := runFast(lists, nil, decay, k)
-	return res
-}
-
-// RunCompactLists merges block-structured lists directly, decoding
-// lazily and skipping via block entries. The k contract matches
-// RunLists: k > 0 is the exact sorted top-k with block-max pruning,
-// k <= 0 every result unranked.
-func RunCompactLists(cls []*dil.CompactList, decay float64, k int) []Result {
-	res, _ := runFast(nil, cls, decay, k)
-	return res
+func RunLists(lists []dil.List, ids []dil.IDs, decay float64, k int) []Result {
+	var buf [8]resolved // up to eight keywords merge without allocating
+	res := buf[:0]
+	for i, l := range lists {
+		res = append(res, resolved{list: l, ids: ids[i]})
+	}
+	out, _ := runFast(res, decay, k)
+	return out
 }
 
 // sortResults orders results for presentation: descending score,

@@ -11,24 +11,20 @@ import (
 	"repro/internal/xmltree"
 )
 
-// ListSource supplies the XOnto-DIL of a keyword. *dil.Index satisfies
-// the read path; Engine optionally falls back to a builder for keywords
-// (typically phrases) not in the prebuilt index.
+// ListSource supplies the prebuilt XOnto-DIL of a keyword in its
+// block-structured form (nil if absent), which the DIL merge streams
+// and skips through by block without decoding (merge.go). *dil.Index
+// and *arena.Arena satisfy it; Engine optionally falls back to a
+// builder for keywords (typically phrases) not in the prebuilt index.
 type ListSource interface {
-	List(keyword string) dil.List
-}
-
-// CompactSource is the optional fast-merge face of a ListSource: a
-// source that can also hand out the block-structured form of a
-// keyword's list, letting the DIL merge skip whole blocks without
-// decoding (merge.go). *dil.Index satisfies it.
-type CompactSource interface {
 	Compact(keyword string) *dil.CompactList
 }
 
-// KeywordBuilder builds a DIL on demand; *dil.Builder satisfies it.
+// KeywordBuilder builds a DIL on demand; *dil.Builder satisfies it. Its
+// lists name elements by key, and IDs resolves the keys.
 type KeywordBuilder interface {
 	BuildKeyword(keyword string) dil.List
+	IDs() dil.IDs
 }
 
 // FallibleKeywordBuilder is a KeywordBuilder whose ontology path can
@@ -179,26 +175,32 @@ func (e *Engine) SetSource(source ListSource) { e.source = source }
 // /readyz and /metrics).
 func (e *Engine) Breaker() *resilience.Breaker { return e.breaker }
 
-// resolved is one keyword's resolved posting list. The compact form is
-// set only when the list came from a CompactSource (the prebuilt index
-// or a mapped arena); on-demand built lists merge through plain
-// cursors. When the merge path needs no materialized list (the fast
-// merge reads cursors), a compact source may resolve with list nil and
-// only compact set — postings then stream zero-copy from the source's
-// backing bytes and are never decoded into heap.
+// resolved is one keyword's resolved posting list: the source's
+// compact form (the prebuilt index or a mapped arena, whose postings
+// stream zero-copy from its backing bytes), or a built list with the
+// table resolving its keys.
 type resolved struct {
-	list    dil.List
 	compact *dil.CompactList
+	list    dil.List
+	ids     dil.IDs
 	delta   bool // true when built pinned to a dirty delta overlay
 	owned   bool // a dirty list this read alone received: recycled after the merge
 }
 
 // n returns the posting count in whichever representation is present.
 func (r resolved) n() int {
-	if r.list != nil || r.compact == nil {
-		return len(r.list)
+	if r.compact != nil {
+		return r.compact.Len()
 	}
-	return r.compact.Len()
+	return len(r.list)
+}
+
+// entries returns the list in Dewey form, for RDIL's random access.
+func (r resolved) entries() []dil.Entry {
+	if r.compact != nil {
+		return r.compact.Entries()
+	}
+	return r.ids.Entries(r.list)
 }
 
 // list resolves one keyword's posting list, building and caching it on
@@ -207,11 +209,11 @@ func (r resolved) n() int {
 // the ontology path failed or the breaker was open (see degrade.go).
 // Each resolution is recorded as a "query.keyword" span whose source
 // attribute says how it was answered (index, cache, built).
-func (e *Engine) list(ctx context.Context, kw string, ov OverlayView, needList bool) (resolved, bool, error) {
+func (e *Engine) list(ctx context.Context, kw string, ov OverlayView) (resolved, bool, error) {
 	ctx, sp := obs.StartSpan(ctx, "query.keyword")
 	sp.SetAttr("keyword", kw)
 	defer sp.End()
-	r, degraded, err := e.listInner(ctx, sp, kw, ov, needList)
+	r, degraded, err := e.listInner(ctx, sp, kw, ov)
 	if degraded {
 		sp.SetAttr("degraded", true)
 	}
@@ -223,7 +225,7 @@ func (e *Engine) list(ctx context.Context, kw string, ov OverlayView, needList b
 	return r, degraded, err
 }
 
-func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView, needList bool) (resolved, bool, error) {
+func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView) (resolved, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return resolved{}, false, err
 	}
@@ -246,37 +248,24 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 		}
 	}
 	if tag == "" {
-		cs, compactable := e.source.(CompactSource)
-		if !needList && compactable {
-			// Zero-copy path: the fast merge reads cursors directly, so a
-			// compact source (prebuilt index or mapped arena) resolves
-			// without materializing a heap list at all.
-			if c := cs.Compact(kw); c != nil {
-				sp.SetAttr("source", "index")
-				return resolved{compact: c}, false, nil
-			}
-		}
-		if l := e.source.List(kw); l != nil {
+		if c := e.source.Compact(kw); c != nil {
 			sp.SetAttr("source", "index")
-			r := resolved{list: l}
-			if compactable {
-				r.compact = cs.Compact(kw)
-			}
-			return r, false, nil
+			return resolved{compact: c}, false, nil
 		}
 	}
 	if builder == nil {
 		sp.SetAttr("source", "none")
 		return resolved{}, false, nil
 	}
+	ids := builder.IDs()
 	if _, ok := builder.(FallibleKeywordBuilder); ok {
 		l, degraded, owned, err := e.listResilient(ctx, sp, kw, tag, builder)
-		return resolved{list: l, delta: tag != "", owned: owned}, degraded, err
+		return resolved{list: l, ids: ids, delta: tag != "", owned: owned}, degraded, err
 	}
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
-		return resolved{list: l}, false, nil
+		return resolved{list: l, ids: ids}, false, nil
 	}
 	sp.SetAttr("source", "built")
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
@@ -287,7 +276,7 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 		e.store(tag, ckey, l)
 		return l, nil
 	})
-	return resolved{list: l}, false, err
+	return resolved{list: l, ids: ids}, false, err
 }
 
 // cached looks a built list up in the keyword LRU. Lists built under a
@@ -313,14 +302,14 @@ func (e *Engine) store(tag, ckey string, l dil.List) {
 // the keywords whose lists degraded to IR-only scoring. The whole stage
 // is one "query.resolve_keywords" span with a "query.keyword" child per
 // keyword.
-func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView, needList bool) ([]resolved, []string, error) {
+func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView) ([]resolved, []string, error) {
 	ctx, sp := obs.StartSpan(ctx, "query.resolve_keywords")
 	sp.SetAttr("keywords", len(keywords))
 	defer sp.End()
 	lists := make([]resolved, len(keywords))
 	degraded := make([]bool, len(keywords))
 	if len(keywords) == 1 {
-		l, deg, err := e.list(ctx, string(keywords[0]), ov, needList)
+		l, deg, err := e.list(ctx, string(keywords[0]), ov)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -333,7 +322,7 @@ func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView
 		wg.Add(1)
 		go func(i int, kw string) {
 			defer wg.Done()
-			lists[i], degraded[i], errs[i] = e.list(ctx, kw, ov, needList)
+			lists[i], degraded[i], errs[i] = e.list(ctx, kw, ov)
 		}(i, string(kw))
 	}
 	wg.Wait()
@@ -465,9 +454,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if e.overlay != nil {
 		ov = e.overlay.Acquire()
 	}
-	// RDIL's ranked access walks materialized lists; otherwise a keyword
-	// may resolve compact-only and stream zero-copy.
-	res, degraded, err := e.resolve(ctx, req.Keywords, ov, req.Ranked)
+	res, degraded, err := e.resolve(ctx, req.Keywords, ov)
 	if err != nil {
 		return nil, err
 	}
@@ -480,13 +467,10 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 			break
 		}
 	}
-	lists := make([]dil.List, len(res))
-	compact := make([]*dil.CompactList, len(res))
-	for i, r := range res {
+	for _, r := range res {
 		if r.n() == 0 {
 			return resp, nil
 		}
-		lists[i], compact[i] = r.list, r.compact
 	}
 
 	_, msp := obs.StartSpan(ctx, "query.dil_merge")
@@ -495,17 +479,22 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		msp.SetAttr("delta_merged", true)
 	}
 	if req.Ranked {
-		resp.Results = page(RunRanked(lists, e.params.Decay, n), offset)
+		// RDIL's ranked access reads the lists in Dewey form.
+		entries := make([][]dil.Entry, len(res))
+		for i, r := range res {
+			entries[i] = r.entries()
+		}
+		resp.Results = page(RunRanked(entries, e.params.Decay, n), offset)
 	} else {
 		var results []Result
 		var mc MergeCounters
 		if e.params.ExhaustiveMerge {
 			msp.SetAttr("merge", "fast-exhaustive")
-			results, mc = runFast(lists, compact, e.params.Decay, 0)
+			results, mc = runFast(res, e.params.Decay, 0)
 			results = rankTruncate(results, n)
 		} else {
 			msp.SetAttr("merge", "topk")
-			results, mc = runFast(lists, compact, e.params.Decay, n)
+			results, mc = runFast(res, e.params.Decay, n)
 		}
 		resp.Pruning = pruneStats(mc)
 		msp.SetAttr("postings", resp.Pruning.PostingsScored)
@@ -522,20 +511,15 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 }
 
 // recycle hands each dirty list the query owned outright back to the
-// stage it was built over (the engine's builder's: a pinned view shares
-// it), once the merge is done with it. Nothing the response holds
-// points into a list's array: the merge clones identifiers, and a
-// posting's identifier is the stage's, not memory of the list. Lists
-// another reader received, degraded IR-only lists and clean lists are
-// left to the collector.
+// list pool, once the merge is done with it. Nothing the response holds
+// points into a list's array: the merge clones identifiers, which are
+// the stage's table's, not memory of the list. Lists another reader
+// received, degraded IR-only lists and clean lists are left to the
+// collector.
 func (e *Engine) recycle(res []resolved) {
-	b, ok := e.builder.(*dil.Builder)
-	if !ok {
-		return
-	}
 	for _, r := range res {
 		if r.owned {
-			b.Recycle(r.list)
+			dil.Recycle(r.list)
 		}
 	}
 }

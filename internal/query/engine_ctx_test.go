@@ -10,12 +10,12 @@ import (
 
 	"repro/internal/dil"
 	"repro/internal/ontoscore"
-	"repro/internal/xmltree"
 )
 
 // slowBuilder counts builds and can block until released; safe for the
 // engine's parallel keyword resolution.
 type slowBuilder struct {
+	oneElement
 	calls atomic.Int64
 	gate  chan struct{} // nil = don't block
 }
@@ -25,7 +25,7 @@ func (b *slowBuilder) BuildKeyword(kw string) dil.List {
 	if b.gate != nil {
 		<-b.gate
 	}
-	return dil.List{{ID: xmltree.Dewey{0, 1}, Score: 1}}
+	return b.list()
 }
 
 // Parallel resolution must return the same results as a sequential
@@ -40,14 +40,15 @@ func TestSearchContextMatchesSearch(t *testing.T) {
 	for _, q := range queries {
 		kws := ParseQuery(q)
 		lists := make([]dil.List, len(kws))
+		ids := make([]dil.IDs, len(kws))
 		for i, kw := range kws {
-			r, _, err := e.list(context.Background(), string(kw), nil, true)
+			r, _, err := e.list(context.Background(), string(kw), nil)
 			if err != nil {
 				t.Fatalf("q %q keyword %q: %v", q, kw, err)
 			}
-			lists[i] = r.list
+			lists[i], ids[i] = r.list, r.ids
 		}
-		plain := RunLists(lists, DefaultParams().Decay, 10)
+		plain := RunLists(lists, ids, DefaultParams().Decay, 10)
 		ctxed, _, err := searchReq(context.Background(), e, Request{Keywords: kws, K: 10})
 		if err != nil {
 			t.Fatalf("q %q: %v", q, err)

@@ -168,11 +168,14 @@ func TestEngineCachesOnDemandKeywords(t *testing.T) {
 	}
 }
 
-type countingBuilder struct{ calls int }
+type countingBuilder struct {
+	oneElement
+	calls int
+}
 
 func (c *countingBuilder) BuildKeyword(string) dil.List {
 	c.calls++
-	return dil.List{{ID: xmltree.Dewey{0, 1}, Score: 1}}
+	return c.list()
 }
 
 // Property: every result's matches lie inside its subtree, scores are
@@ -182,7 +185,7 @@ func TestQuickResultInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([]dil.List, nk)
+		lists := make([][]dil.Entry, nk)
 		for k := range lists {
 			for i := 0; i < 1+r.Intn(8); i++ {
 				depth := 1 + r.Intn(4)
@@ -191,9 +194,9 @@ func TestQuickResultInvariants(t *testing.T) {
 				for j := 1; j <= depth; j++ {
 					id[j] = int32(r.Intn(3))
 				}
-				lists[k] = append(lists[k], dil.Posting{ID: id, Score: 0.1 + r.Float64()*0.9})
+				lists[k] = append(lists[k], dil.Entry{ID: id, Score: 0.1 + r.Float64()*0.9})
 			}
-			lists[k].Sort()
+			sortEntries(lists[k])
 		}
 		results := runDIL(lists, 0.5)
 		for i, a := range results {
@@ -224,7 +227,7 @@ func TestQuickDILMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([]dil.List, nk)
+		lists := make([][]dil.Entry, nk)
 		for k := range lists {
 			seen := map[string]bool{}
 			for i := 0; i < 1+r.Intn(6); i++ {
@@ -238,9 +241,9 @@ func TestQuickDILMatchesBruteForce(t *testing.T) {
 					continue
 				}
 				seen[id.String()] = true
-				lists[k] = append(lists[k], dil.Posting{ID: id, Score: 0.1 + r.Float64()*0.9})
+				lists[k] = append(lists[k], dil.Entry{ID: id, Score: 0.1 + r.Float64()*0.9})
 			}
-			lists[k].Sort()
+			sortEntries(lists[k])
 		}
 		want := bruteForce(lists, 0.5)
 		got := runDIL(lists, 0.5)

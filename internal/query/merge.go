@@ -84,7 +84,7 @@ func MergeCountersSnapshot() MergeCounters {
 type mergeRun struct {
 	k       int
 	cursors []dil.Cursor
-	runs    [][]dil.Posting // runs[kw]: the current document's postings of list kw
+	runs    [][]dil.Entry   // runs[kw]: the current document's postings of list kw
 	pos     []int           // pos[kw]: next unconsumed posting of runs[kw]
 	heads   []xmltree.Dewey // heads[kw]: that posting's identifier, nil once runs[kw] is drained
 
@@ -121,7 +121,7 @@ func (m *mergeRun) reset(k, limit int) {
 	}
 	m.cursors = m.cursors[:k]
 	if cap(m.runs) < k {
-		m.runs, m.pos, m.heads = make([][]dil.Posting, k), make([]int, k), make([]xmltree.Dewey, k)
+		m.runs, m.pos, m.heads = make([][]dil.Entry, k), make([]int, k), make([]xmltree.Dewey, k)
 	}
 	m.runs, m.pos, m.heads = m.runs[:k], m.pos[:k], m.heads[:k]
 	m.depth, m.covered = m.depth[:0], m.covered[:0]
@@ -411,11 +411,11 @@ func (m *mergeRun) run(decay float64) {
 	}
 }
 
-// runFast merges per-keyword lists with the zig-zag/run machinery.
-// compact[i], when non-nil, supplies list i in block form (its cursor
-// decodes lazily and skips via block entries); otherwise a plain
-// cursor over lists[i] is used, with galloping seeks. Both feed the
-// one merge path through Cursor.Run.
+// runFast merges per-keyword lists with the zig-zag/run machinery. A
+// list in block form gets a cursor that decodes lazily and skips via
+// block entries; a built list, one that resolves its keys through its
+// table and seeks by galloping. Both feed the one merge path through
+// Cursor.Run.
 //
 // limit <= 0 returns every result, unranked (the exhaustive merge).
 // limit > 0 returns the exact top-limit, sorted by descending score
@@ -428,36 +428,24 @@ func (m *mergeRun) run(decay float64) {
 //
 // The second return carries this merge's posting/skip counts; the
 // process-wide totals are bumped as well.
-func runFast(lists []dil.List, compact []*dil.CompactList, decay float64, limit int) ([]Result, MergeCounters) {
+func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounters) {
 	k := len(lists)
-	if k == 0 {
-		k = len(compact)
-	}
 	if k == 0 {
 		return nil, MergeCounters{}
 	}
-	isCompact := func(i int) bool {
-		return compact != nil && i < len(compact) && compact[i] != nil
-	}
-	for i := 0; i < k; i++ {
-		n := 0
-		if isCompact(i) {
-			n = compact[i].Len()
-		} else {
-			n = len(lists[i])
-		}
-		if n == 0 {
+	for _, l := range lists {
+		if l.n() == 0 {
 			return nil, MergeCounters{} // conjunctive semantics
 		}
 	}
 	m := mergePool.Get().(*mergeRun)
 	m.reset(k, limit)
 	m.prune = limit > 0 && decay >= 0 && decay <= 1
-	for i := 0; i < k; i++ {
-		if isCompact(i) {
-			m.cursors[i].SetCompact(compact[i])
+	for i, l := range lists {
+		if l.compact != nil {
+			m.cursors[i].SetCompact(l.compact)
 		} else {
-			m.cursors[i].SetList(lists[i])
+			m.cursors[i].SetList(l.list, l.ids)
 		}
 	}
 	m.run(decay)
@@ -482,7 +470,7 @@ func runFast(lists []dil.List, compact []*dil.CompactList, decay float64, limit 
 		m.top = nil
 	}
 	for i := range m.cursors {
-		m.cursors[i].SetList(nil) // drop references to caller data
+		m.cursors[i].SetList(nil, dil.IDs{}) // drop references to caller data
 	}
 	clear(m.runs)
 	clear(m.heads)

@@ -3,11 +3,60 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dil"
 	"repro/internal/xmltree"
 )
+
+// keyed keys a Dewey-ordered entry list by position, with its
+// identifiers as the table: hand-built postings in the form a builder
+// emits.
+func keyed(es []dil.Entry) (dil.List, dil.IDs) {
+	l := make(dil.List, len(es))
+	ids := make([]xmltree.Dewey, len(es))
+	for i, e := range es {
+		l[i], ids[i] = dil.Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
+	}
+	return l, dil.IDs{Base: ids}
+}
+
+// sortEntries orders entries by Dewey identifier.
+func sortEntries(es []dil.Entry) {
+	slices.SortFunc(es, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
+}
+
+// runLists merges Dewey-form lists through RunLists, each keyed by
+// position.
+func runLists(lists [][]dil.Entry, decay float64, k int) []Result {
+	kl := make([]dil.List, len(lists))
+	ids := make([]dil.IDs, len(lists))
+	for i, l := range lists {
+		kl[i], ids[i] = keyed(l)
+	}
+	return RunLists(kl, ids, decay, k)
+}
+
+// compactOf is a Dewey-form list's block-structured form.
+func compactOf(l []dil.Entry) *dil.CompactList { return dil.Compact(keyed(l)) }
+
+// runCompact merges block-structured lists.
+func runCompact(cls []*dil.CompactList, decay float64, k int) []Result {
+	res := make([]resolved, len(cls))
+	for i, c := range cls {
+		res[i] = resolved{compact: c}
+	}
+	out, _ := runFast(res, decay, k)
+	return out
+}
+
+// oneElement is a fake builder's table and list: one posting, on
+// element 0.1.
+type oneElement struct{}
+
+func (oneElement) IDs() dil.IDs   { return dil.IDs{Base: []xmltree.Dewey{{0, 1}}} }
+func (oneElement) list() dil.List { return dil.List{{Key: 0, Score: 1}} }
 
 // Differential testing of the fast merge (merge.go) against the
 // reference runDIL: identical roots, aggregate and per-keyword scores,
@@ -18,8 +67,8 @@ import (
 // are skewed (list i is roughly 4x sparser than list i-1 when skew is
 // set) so the zig-zag path is exercised, and identifiers collide often
 // enough to produce duplicates and ancestor/descendant pairs.
-func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) []dil.List {
-	lists := make([]dil.List, k)
+func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) [][]dil.Entry {
+	lists := make([][]dil.Entry, k)
 	for i := range lists {
 		size := baseSize
 		if skew {
@@ -27,7 +76,7 @@ func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) []dil.
 				size = size/4 + 1
 			}
 		}
-		l := make(dil.List, 0, size)
+		l := make([]dil.Entry, 0, size)
 		for j := 0; j < size; j++ {
 			depth := 1 + rng.Intn(maxDepth)
 			id := make(xmltree.Dewey, depth)
@@ -35,12 +84,12 @@ func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) []dil.
 			for d := 1; d < depth; d++ {
 				id[d] = int32(rng.Intn(3))
 			}
-			l = append(l, dil.Posting{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
+			l = append(l, dil.Entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
 			if rng.Intn(10) == 0 { // duplicate identifier, distinct score
-				l = append(l, dil.Posting{ID: id.Clone(), Score: float64(1+rng.Intn(1000)) / 1000})
+				l = append(l, dil.Entry{ID: id.Clone(), Score: float64(1+rng.Intn(1000)) / 1000})
 			}
 		}
-		l.Sort()
+		sortEntries(l)
 		lists[i] = l
 	}
 	return lists
@@ -96,19 +145,19 @@ func resultsEqual(t *testing.T, tag string, want, got []Result) {
 // fast merge over plain lists, and the fast merge over compact lists,
 // and requires identical output from all three. The reference emits in
 // document order, as does the fast path, so no re-sorting is needed.
-func checkEquivalence(t *testing.T, tag string, lists []dil.List, decay float64) {
+func checkEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64) {
 	t.Helper()
 	want := runDIL(lists, decay)
-	got := RunLists(lists, decay, 0)
+	got := runLists(lists, decay, 0)
 	resultsEqual(t, tag+"/plain", want, got)
 	cls := make([]*dil.CompactList, len(lists))
 	for i, l := range lists {
-		cls[i] = dil.Compact(l)
+		cls[i] = compactOf(l)
 	}
-	resultsEqual(t, tag+"/compact", want, RunCompactLists(cls, decay, 0))
+	resultsEqual(t, tag+"/compact", want, runCompact(cls, decay, 0))
 	// A second compact run through the pooled state must not be
 	// perturbed by buffer reuse.
-	resultsEqual(t, tag+"/compact-rerun", want, RunCompactLists(cls, decay, 0))
+	resultsEqual(t, tag+"/compact-rerun", want, runCompact(cls, decay, 0))
 }
 
 // mergeDecays is the decay axis of the merge differentials. 0.5 is a
@@ -120,7 +169,7 @@ var mergeDecays = []float64{0.5, 0.3, 0.7, 0.9, 0.123456789, 0, 1, -0.5, 1.5}
 // checkDecayEquivalence holds the fast merge to the reference at one
 // decay: the exhaustive merge (k = 0) and the top-k merge at k = 1, 10
 // and 100, over plain and compact lists, with exact float equality.
-func checkDecayEquivalence(t *testing.T, tag string, lists []dil.List, decay float64) {
+func checkDecayEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64) {
 	t.Helper()
 	tag = fmt.Sprintf("%s/decay=%v", tag, decay)
 	checkEquivalence(t, tag, lists, decay)
@@ -157,7 +206,7 @@ func TestMergeEquivalenceEdgeCases(t *testing.T) {
 		}
 		return id
 	}
-	cases := map[string][]dil.List{
+	cases := map[string][][]dil.Entry{
 		"single list":  {{{ID: d("0.1"), Score: 0.5}, {ID: d("1.2.3"), Score: 0.25}}},
 		"empty second": {{{ID: d("0.1"), Score: 0.5}}, {}},
 		"ancestor-descendant": {
@@ -217,20 +266,20 @@ func FuzzMergeEquivalence(f *testing.F) {
 // one rare keyword against a long common list over mostly-disjoint
 // documents should bypass whole blocks of the common list.
 func TestMergeCountersAndSkipping(t *testing.T) {
-	common := make(dil.List, 0, 40*dil.BlockSize)
+	common := make([]dil.Entry, 0, 40*dil.BlockSize)
 	for doc := int32(0); doc < 4000; doc++ {
 		common = append(common,
-			dil.Posting{ID: xmltree.Dewey{doc, 0, 1}, Score: 0.5},
-			dil.Posting{ID: xmltree.Dewey{doc, 1, 0}, Score: 0.25})
+			dil.Entry{ID: xmltree.Dewey{doc, 0, 1}, Score: 0.5},
+			dil.Entry{ID: xmltree.Dewey{doc, 1, 0}, Score: 0.25})
 	}
-	rare := dil.List{
+	rare := []dil.Entry{
 		{ID: xmltree.Dewey{100, 0}, Score: 1},
 		{ID: xmltree.Dewey{3900, 2}, Score: 1},
 	}
-	lists := []dil.List{rare, common}
+	lists := [][]dil.Entry{rare, common}
 	before := MergeCountersSnapshot()
-	cls := []*dil.CompactList{dil.Compact(rare), dil.Compact(common)}
-	got := RunCompactLists(cls, 0.5, 0)
+	cls := []*dil.CompactList{compactOf(rare), compactOf(common)}
+	got := runCompact(cls, 0.5, 0)
 	after := MergeCountersSnapshot()
 	resultsEqual(t, "skewed", runDIL(lists, 0.5), got)
 	merged := after.Postings - before.Postings

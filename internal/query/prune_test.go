@@ -20,7 +20,7 @@ import (
 // result set, ranked and truncated (rankTruncate is also what the
 // exhaustive escape hatch runs, so this pins every implementation to
 // one definition of "the top k").
-func topKReference(lists []dil.List, decay float64, k int) []Result {
+func topKReference(lists [][]dil.Entry, decay float64, k int) []Result {
 	return rankTruncate(runDIL(lists, decay), k)
 }
 
@@ -29,7 +29,7 @@ func topKReference(lists []dil.List, decay float64, k int) []Result {
 // shape that makes block-max bounds selective. Uniform scores leave
 // every block's max near the distribution max, so pruning barely fires
 // — both shapes must stay exact.
-func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavyTail bool) []dil.List {
+func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavyTail bool) [][]dil.Entry {
 	lists := genLists(rng, k, docs, maxDepth, baseSize, skew)
 	if !heavyTail {
 		return lists
@@ -52,18 +52,18 @@ func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavy
 // checkTopKEquivalence requires the pruned merge to match the
 // exhaustive reference for one (lists, k) pair, over both list
 // representations.
-func checkTopKEquivalence(t *testing.T, tag string, lists []dil.List, decay float64, k int) {
+func checkTopKEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64, k int) {
 	t.Helper()
 	want := topKReference(lists, decay, k)
-	resultsEqual(t, tag+"/plain", want, RunLists(lists, decay, k))
+	resultsEqual(t, tag+"/plain", want, runLists(lists, decay, k))
 	cls := make([]*dil.CompactList, len(lists))
 	for i, l := range lists {
-		cls[i] = dil.Compact(l)
+		cls[i] = compactOf(l)
 	}
-	resultsEqual(t, tag+"/compact", want, RunCompactLists(cls, decay, k))
+	resultsEqual(t, tag+"/compact", want, runCompact(cls, decay, k))
 	// Re-run through the pooled merge state: the top-k heap must not
 	// leak between runs.
-	resultsEqual(t, tag+"/compact-rerun", want, RunCompactLists(cls, decay, k))
+	resultsEqual(t, tag+"/compact-rerun", want, runCompact(cls, decay, k))
 }
 
 func TestTopKEquivalence(t *testing.T) {
@@ -98,7 +98,7 @@ func TestTopKEdgeCases(t *testing.T) {
 		}
 		return id
 	}
-	cases := map[string][]dil.List{
+	cases := map[string][][]dil.Entry{
 		"all-equal scores": {
 			{{ID: d("0.1"), Score: 0.5}, {ID: d("1.1"), Score: 0.5}, {ID: d("2.1"), Score: 0.5}},
 			{{ID: d("0.2"), Score: 0.5}, {ID: d("1.2"), Score: 0.5}, {ID: d("2.2"), Score: 0.5}},
@@ -152,12 +152,12 @@ func FuzzTopKEquivalence(f *testing.F) {
 		lists := genScoredLists(rng, kws, 1+rng.Intn(40), 1+rng.Intn(8), 1+rng.Intn(400), skew, heavy)
 		want := page(topKReference(lists, dc, kk+off), off)
 		tag := fmt.Sprintf("fuzz/page/decay=%v", dc)
-		resultsEqual(t, tag+"/plain", want, page(RunLists(lists, dc, kk+off), off))
+		resultsEqual(t, tag+"/plain", want, page(runLists(lists, dc, kk+off), off))
 		cls := make([]*dil.CompactList, len(lists))
 		for i, l := range lists {
-			cls[i] = dil.Compact(l)
+			cls[i] = compactOf(l)
 		}
-		resultsEqual(t, tag+"/compact", want, page(RunCompactLists(cls, dc, kk+off), off))
+		resultsEqual(t, tag+"/compact", want, page(runCompact(cls, dc, kk+off), off))
 	})
 }
 
@@ -165,7 +165,7 @@ func FuzzTopKEquivalence(f *testing.F) {
 // deepest page allowed (k+offset = MaxK+MaxOffset) that retains one
 // result must not allocate the window's worth of heap slots.
 func TestTopKHeapNotWindowSized(t *testing.T) {
-	lists := []dil.List{
+	lists := [][]dil.Entry{
 		{{ID: xmltree.Dewey{0, 1}, Score: 0.5}},
 		{{ID: xmltree.Dewey{0, 2}, Score: 0.25}},
 	}
@@ -174,7 +174,7 @@ func TestTopKHeapNotWindowSized(t *testing.T) {
 		name string
 		run  func() []Result
 	}{
-		{"merge", func() []Result { return RunLists(lists, 0.5, limit) }},
+		{"merge", func() []Result { return runLists(lists, 0.5, limit) }},
 		{"ranked", func() []Result { return RunRanked(lists, 0.5, limit) }},
 	} {
 		if n := len(c.run()); n != 1 {
@@ -197,22 +197,22 @@ func TestTopKHeapNotWindowSized(t *testing.T) {
 // k. Exactness is asserted alongside, so the skips are provably sound.
 func TestTopKPruneCounters(t *testing.T) {
 	const docs = 2000
-	mk := func(kwScale float64) dil.List {
-		l := make(dil.List, 0, docs)
+	mk := func(kwScale float64) []dil.Entry {
+		l := make([]dil.Entry, 0, docs)
 		for doc := int32(0); doc < docs; doc++ {
 			score := kwScale
 			if doc > 0 {
 				score = kwScale / float64(3+doc)
 			}
-			l = append(l, dil.Posting{ID: xmltree.Dewey{doc, 0}, Score: score})
+			l = append(l, dil.Entry{ID: xmltree.Dewey{doc, 0}, Score: score})
 		}
 		return l
 	}
-	lists := []dil.List{mk(1.0), mk(0.8)}
-	cls := []*dil.CompactList{dil.Compact(lists[0]), dil.Compact(lists[1])}
+	lists := [][]dil.Entry{mk(1.0), mk(0.8)}
+	cls := []*dil.CompactList{compactOf(lists[0]), compactOf(lists[1])}
 
 	before := MergeCountersSnapshot()
-	got := RunCompactLists(cls, 0.5, 1)
+	got := runCompact(cls, 0.5, 1)
 	after := MergeCountersSnapshot()
 	resultsEqual(t, "counters/topk", topKReference(lists, 0.5, 1), got)
 	if skipped := after.DocsSkipped - before.DocsSkipped; skipped == 0 {
@@ -232,8 +232,8 @@ func TestEngineExhaustiveMergeParam(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lists := genScoredLists(rng, 2, 30, 5, 400, true, true)
 	ix := dil.NewIndex()
-	ix.Set("alpha", lists[0])
-	ix.Set("beta", lists[1])
+	ix.Set("alpha", compactOf(lists[0]))
+	ix.Set("beta", compactOf(lists[1]))
 
 	pruned := NewEngine(ix, nil, DefaultParams())
 	p := DefaultParams()
@@ -270,8 +270,8 @@ func TestEnginePagingWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	lists := genScoredLists(rng, 2, 25, 5, 300, false, true)
 	ix := dil.NewIndex()
-	ix.Set("alpha", lists[0])
-	ix.Set("beta", lists[1])
+	ix.Set("alpha", compactOf(lists[0]))
+	ix.Set("beta", compactOf(lists[1]))
 	e := NewEngine(ix, nil, DefaultParams())
 	kws := []Keyword{"alpha", "beta"}
 

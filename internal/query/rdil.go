@@ -42,13 +42,13 @@ type RankedStats struct {
 // RunRanked answers a top-k query over the lists using ranked access
 // with early termination. Results are ordered by descending score with
 // Dewey tie-break, exactly matching the sorted output of RunLists.
-func RunRanked(lists []dil.List, decay float64, k int) []Result {
+func RunRanked(lists [][]dil.Entry, decay float64, k int) []Result {
 	res, _ := RunRankedStats(lists, decay, k)
 	return res
 }
 
 // RunRankedStats is RunRanked, additionally reporting access statistics.
-func RunRankedStats(lists []dil.List, decay float64, k int) ([]Result, RankedStats) {
+func RunRankedStats(lists [][]dil.Entry, decay float64, k int) ([]Result, RankedStats) {
 	var stats RankedStats
 	n := len(lists)
 	if n == 0 || k <= 0 {
@@ -146,7 +146,7 @@ func (h *topKHeap) Pop() any {
 
 // ranked holds the two orderings of each list.
 type ranked struct {
-	lists []dil.List // Dewey order (as stored in the index)
+	lists [][]dil.Entry // Dewey order
 	decay float64
 
 	byScore [][]int // per list: posting indices in descending-score order
@@ -168,7 +168,7 @@ func (r *ranked) init() {
 	}
 }
 
-func sortIdx(idx []int, l dil.List) {
+func sortIdx(idx []int, l []dil.Entry) {
 	sort.Slice(idx, func(i, j int) bool {
 		a, b := idx[i], idx[j]
 		if l[a].Score != l[b].Score {
@@ -200,7 +200,7 @@ func (r *ranked) bestFrontier() int {
 	return best
 }
 
-func (r *ranked) pop(j int) dil.Posting {
+func (r *ranked) pop(j int) dil.Entry {
 	p := r.lists[j][r.byScore[j][r.next[j]]]
 	r.next[j]++
 	return p
@@ -227,7 +227,7 @@ func (r *ranked) maxLCP(id xmltree.Dewey, j int) int {
 }
 
 // searchDewey finds the first index whose ID is >= id.
-func searchDewey(l dil.List, id xmltree.Dewey) int {
+func searchDewey(l []dil.Entry, id xmltree.Dewey) int {
 	lo, hi := 0, len(l)
 	for lo < hi {
 		mid := (lo + hi) / 2

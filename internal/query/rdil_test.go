@@ -16,7 +16,7 @@ import (
 )
 
 // rankViaDIL is the exhaustive reference: full merge, sort, truncate.
-func rankViaDIL(lists []dil.List, decay float64, k int) []Result {
+func rankViaDIL(lists [][]dil.Entry, decay float64, k int) []Result {
 	results := runDIL(lists, decay)
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Score != results[j].Score {
@@ -52,12 +52,12 @@ func assertSameResults(t *testing.T, want, got []Result) {
 }
 
 func TestRunRankedMatchesDILHandBuilt(t *testing.T) {
-	lists := []dil.List{
+	lists := [][]dil.Entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("0.1.2.3"), Score: 0.4}, {ID: d("1.0"), Score: 0.9}},
 		{{ID: d("0.0.1"), Score: 0.7}, {ID: d("0.1.2.4"), Score: 1}, {ID: d("1.1"), Score: 0.5}},
 	}
 	for _, l := range lists {
-		l.Sort()
+		sortEntries(l)
 	}
 	for _, k := range []int{1, 2, 3, 10} {
 		want := rankViaDIL(lists, 0.5, k)
@@ -70,11 +70,11 @@ func TestRunRankedDegenerate(t *testing.T) {
 	if got := RunRanked(nil, 0.5, 5); got != nil {
 		t.Error("nil lists answered")
 	}
-	lists := []dil.List{{{ID: d("0.0"), Score: 1}}, {}}
+	lists := [][]dil.Entry{{{ID: d("0.0"), Score: 1}}, {}}
 	if got := RunRanked(lists, 0.5, 5); got != nil {
 		t.Error("empty list answered")
 	}
-	one := []dil.List{{{ID: d("0.0"), Score: 1}}}
+	one := [][]dil.Entry{{{ID: d("0.0"), Score: 1}}}
 	if got := RunRanked(one, 0.5, 0); got != nil {
 		t.Error("k=0 answered")
 	}
@@ -90,7 +90,7 @@ func TestQuickRankedEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([]dil.List, nk)
+		lists := make([][]dil.Entry, nk)
 		for kwi := range lists {
 			seen := map[string]bool{}
 			for i := 0; i < 1+r.Intn(10); i++ {
@@ -107,12 +107,12 @@ func TestQuickRankedEquivalence(t *testing.T) {
 				// Quantized scores produce frequent exact ties,
 				// stressing the tie-break equivalence.
 				score := float64(1+r.Intn(8)) / 8
-				lists[kwi] = append(lists[kwi], dil.Posting{ID: id, Score: score})
+				lists[kwi] = append(lists[kwi], dil.Entry{ID: id, Score: score})
 			}
 			if len(lists[kwi]) == 0 {
 				return true // degenerate draw; skip
 			}
-			lists[kwi].Sort()
+			sortEntries(lists[kwi])
 		}
 		k := 1 + r.Intn(5)
 		want := rankViaDIL(lists, 0.5, k)
@@ -151,9 +151,9 @@ func TestRankedEarlyTermination(t *testing.T) {
 	}
 	corpus := g.GenerateCorpus()
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyGraph, dil.DefaultParams())
-	lists := []dil.List{
-		b.BuildKeyword("cardiac"),
-		b.BuildKeyword("arrest"),
+	lists := [][]dil.Entry{
+		b.IDs().Entries(b.BuildKeyword("cardiac")),
+		b.IDs().Entries(b.BuildKeyword("arrest")),
 	}
 	for _, l := range lists {
 		if len(l) == 0 {
@@ -177,12 +177,12 @@ func TestRankedEarlyTermination(t *testing.T) {
 func TestRankedMostSpecificExclusion(t *testing.T) {
 	// Root covers both keywords but a child does too; only the child is
 	// a result (matches TestRunDILExcludesNonSpecificAncestors).
-	lists := []dil.List{
+	lists := [][]dil.Entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("0.1"), Score: 1}},
 		{{ID: d("0.0.1"), Score: 1}},
 	}
 	for _, l := range lists {
-		l.Sort()
+		sortEntries(l)
 	}
 	got := RunRanked(lists, 0.5, 10)
 	if len(got) != 1 || got[0].Root.String() != "0.0" {
@@ -234,16 +234,16 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 func TestRunRankedFlatScoresMatchReference(t *testing.T) {
 	// Flat scores defeat ranked termination; the ranked merge must then
 	// drain the lists and still return the exact answer.
-	var lists []dil.List
+	var lists [][]dil.Entry
 	for kw := 0; kw < 2; kw++ {
-		var l dil.List
+		var l []dil.Entry
 		for i := 0; i < 40; i++ {
-			l = append(l, dil.Posting{
+			l = append(l, dil.Entry{
 				ID:    xmltree.Dewey{int32(i), int32(kw)},
 				Score: 0.5, // all tied: no early termination possible
 			})
 		}
-		l.Sort()
+		sortEntries(l)
 		lists = append(lists, l)
 	}
 	for _, k := range []int{1, 5, 100} {
@@ -256,12 +256,12 @@ func TestRunRankedFlatScoresMatchReference(t *testing.T) {
 		}
 	}
 	// Skewed scores: the ranked path terminates early and still matches.
-	skewed := []dil.List{
+	skewed := [][]dil.Entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("1.0"), Score: 0.1}, {ID: d("2.0"), Score: 0.05}},
 		{{ID: d("0.0.1"), Score: 0.9}, {ID: d("1.1"), Score: 0.1}, {ID: d("2.1"), Score: 0.05}},
 	}
 	for _, l := range skewed {
-		l.Sort()
+		sortEntries(l)
 	}
 	assertSameResults(t, rankViaDIL(skewed, 0.5, 1), RunRanked(skewed, 0.5, 1))
 }

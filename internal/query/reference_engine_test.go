@@ -31,19 +31,23 @@ func TestEngineMatchesReference(t *testing.T) {
 				sys := env.Systems[st]
 				params := sys.Config().Query
 				ix := dil.NewIndex()
+				entries := map[query.Keyword][]dil.Entry{}
+				b := sys.Builder()
 				for _, q := range queries {
 					for _, kw := range query.ParseQuery(q) {
-						if ix.List(string(kw)) == nil {
-							ix.Set(string(kw), sys.Builder().BuildKeyword(string(kw)))
+						if _, ok := entries[kw]; !ok {
+							l := b.BuildKeyword(string(kw))
+							entries[kw] = b.IDs().Entries(l)
+							ix.Set(string(kw), dil.Compact(l, b.IDs()))
 						}
 					}
 				}
 				e := query.NewEngine(ix, nil, params)
 				for _, q := range queries {
 					kws := query.ParseQuery(q)
-					lists := make([]dil.List, len(kws))
+					lists := make([][]dil.Entry, len(kws))
 					for i, kw := range kws {
-						lists[i] = ix.List(string(kw))
+						lists[i] = entries[kw]
 					}
 					for _, k := range []int{1, 10, 100} {
 						for _, offset := range []int{0, 5} {

@@ -23,13 +23,13 @@ type stackEntry struct {
 // merger performs the multi-way Dewey-order traversal of the keyword
 // lists.
 type merger struct {
-	lists [][]dil.Posting
+	lists [][]dil.Entry
 	pos   []int
 }
 
 // next returns the smallest unconsumed posting (by Dewey order) with
 // its keyword index, or ok=false when all lists are drained.
-func (m *merger) next() (p dil.Posting, kw int, ok bool) {
+func (m *merger) next() (p dil.Entry, kw int, ok bool) {
 	best := -1
 	for i := range m.lists {
 		if m.pos[i] >= len(m.lists[i]) {
@@ -41,7 +41,7 @@ func (m *merger) next() (p dil.Posting, kw int, ok bool) {
 		}
 	}
 	if best < 0 {
-		return dil.Posting{}, 0, false
+		return dil.Entry{}, 0, false
 	}
 	m.pos[best]++
 	return p, best, true
@@ -49,7 +49,7 @@ func (m *merger) next() (p dil.Posting, kw int, ok bool) {
 
 // runDIL merges the per-keyword lists and returns every result element
 // per equation (1), scored per equations (2)-(4).
-func runDIL(lists []dil.List, decay float64) []Result {
+func runDIL(lists [][]dil.Entry, decay float64) []Result {
 	n := len(lists)
 	if n == 0 {
 		return nil
@@ -60,7 +60,7 @@ func runDIL(lists []dil.List, decay float64) []Result {
 			// associations means no results
 		}
 	}
-	m := &merger{lists: make([][]dil.Posting, n), pos: make([]int, n)}
+	m := &merger{lists: make([][]dil.Entry, n), pos: make([]int, n)}
 	for i, l := range lists {
 		m.lists[i] = l
 	}

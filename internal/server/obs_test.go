@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -378,6 +379,8 @@ func TestMetricsPrometheus(t *testing.T) {
 		`path="/search"`,
 		"# TYPE query_merge_postings_total counter",
 		"# TYPE query_merge_blocks_skipped_total counter",
+		"# TYPE xontorank_go_gc_cpu_seconds_total counter",
+		"# TYPE xontorank_go_heap_live_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -392,6 +395,18 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	if count < 2 {
 		t.Errorf("latency histogram count = %d, want >= 2", count)
+	}
+	// The runtime gauges read the process: some heap is live, once a
+	// collection has run.
+	runtime.GC()
+	var live float64
+	for _, line := range strings.Split(get(t, s, `/metrics`).Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "xontorank_go_heap_live_bytes" {
+			live, _ = strconv.ParseFloat(f[1], 64)
+		}
+	}
+	if live <= 0 {
+		t.Errorf("xontorank_go_heap_live_bytes = %v after a collection, want > 0", live)
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime/debug"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,6 +180,19 @@ func New(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Config) *Se
 	return NewServing(corpus, coll, cfg, serving.DefaultConfig())
 }
 
+// runtimeMetric reads one runtime/metrics sample, a counter or gauge of
+// the Go runtime, at exposition time.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		if s[0].Value.Kind() == metrics.KindFloat64 {
+			return s[0].Value.Float64()
+		}
+		return float64(s[0].Value.Uint64())
+	}
+}
+
 // NewServing is New with explicit serving-layer bounds (cache size and
 // TTL, concurrency, queue wait, per-request deadline).
 func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Config, scfg serving.Config) *Server {
@@ -219,6 +233,12 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 	s.reg.CounterFunc("query_merge_early_terminations_total",
 		"Merges ended early because no remaining posting could reach the top k.",
 		func() float64 { return float64(query.MergeCountersSnapshot().EarlyTerminations) })
+	s.reg.CounterFunc("xontorank_go_gc_cpu_seconds_total",
+		"CPU time the Go runtime estimates it spent collecting garbage, over the process's life.",
+		runtimeMetric("/cpu/classes/gc/total:cpu-seconds"))
+	s.reg.GaugeFunc("xontorank_go_heap_live_bytes",
+		"Heap bytes the last garbage collection marked live.",
+		runtimeMetric("/gc/heap/live:bytes"))
 	s.mux.HandleFunc("/search", s.handleSearch)
 	s.mux.HandleFunc("/fragment", s.handleFragment)
 	s.mux.HandleFunc("/concepts", s.handleConcepts)
