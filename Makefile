@@ -11,9 +11,10 @@
 #                      pinned dirty read (a write mid-build) and two
 #                      readers coalesced on one dirty build 20 times each,
 #                      eight racing first hits of one cached /search
-#                      answer 20 times, and the dirty-read and delta
-#                      differential tests 5 times under the poison tag
-#                      (recycled list arrays overwritten when pooled)
+#                      answer 20 times, and those hits, the /search wire
+#                      format and the delta differentials 5 times under
+#                      the poison tag (response buffers overwritten as
+#                      they return to their pool)
 #   make vet         - static checks (staticcheck too, when installed)
 #   make faults      - fault-injection suite under -race (failpoint leak
 #                      check is enforced by each package's TestMain)
@@ -102,9 +103,9 @@ race:
 		./cmd/xontoserve/...
 	$(GO) test -race -count=1 -run 'SharedStage|SharedSide|SideMemo' ./internal/ontoscore ./internal/dil ./internal/core
 	$(GO) test -race -count=50 -run '^TestShardMetrics$$' ./internal/shard
-	$(GO) test -race -count=20 -run '^(TestDirtyReadPinnedToAcquiredState|TestDirtyReadCoalescedListNotRecycled)$$' ./internal/delta
+	$(GO) test -race -count=20 -run '^(TestDirtyReadPinnedToAcquiredState|TestDirtyReadCoalescedReaders)$$' ./internal/delta
 	$(GO) test -race -count=20 -run '^TestSearchMemoConcurrentHits$$' ./internal/server
-	$(GO) test -race -tags poison -count=5 -run 'TestDirtyRead|TestPinnedListsInDeweyOrder|TestDifferential' ./internal/delta
+	$(GO) test -race -tags poison -count=5 -run '^(TestSearchMemoConcurrentHits|TestSearchWireFormat|TestDifferential.*)$$' ./internal/server ./internal/delta
 
 faults:
 	$(GO) vet $(FAULT_PKGS)
@@ -251,7 +252,13 @@ obs: api-guard
 # representation, keyed postings a table resolves: no plain-list cursor
 # (NewListCursor), no Dewey sort on a list, no compact-only merge entry
 # point or block-score accessors, no heap list cache beside an arena,
-# and no uncalled size accessors (MemBytes, Cursor.Len). Benchmarks are
+# and no uncalled size accessors (MemBytes, Cursor.Len). Once built, a
+# list is block-coded (key deltas, a score dictionary per block) in the
+# keyword cache, the index and the arena alike: no front-coded Dewey
+# arrays (prefixLens, suffixLens, borrowedHeader), no built-list cursor
+# mode with its suffix-max array (haveSuf), and no pinned-list pool or
+# the ownership plumbing it needed (listPool, dil.Recycle, DoOwned).
+# Benchmarks are
 # plain go test -bench runs and bench/'s xontoload: no root BENCH_*.json
 # or *_report_test.go JSON writer.
 api-guard:
@@ -287,6 +294,8 @@ api-guard:
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
 	if grep -rnE 'NewListCursor|RunCompactLists|BlockMaxScore|TailMaxScore|ArenaSourceCacheSize|func \(l List\) (Sort|IsSorted)\(|func \(c \*CompactList\) MemBytes\(|func \(cu \*Cursor\) Len\(' \
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if grep -rnE 'prefixLens|suffixLens|borrowedHeader|haveSuf|listPool|DoOwned|dil\.Recycle|func Recycle\(' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch internal/store; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
@@ -294,7 +303,7 @@ api-guard:
 		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only; benchmarks write no root reports)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -11,7 +11,7 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Merge microbenchmarks over synthetic built lists with controlled
+// Merge microbenchmarks over synthetic encoded lists with controlled
 // shape, each resolving its element keys through its own table. The
 // skewed shapes — one rare keyword against common ones — are where
 // document zig-zag skipping pays; uniform shapes bound the merge's
@@ -23,12 +23,12 @@ import (
 var mergeShapes = []string{"skewed", "uniform", "deep"}
 
 // mergeWorkload builds k Dewey-sorted lists over a shared document
-// range, with the tables resolving their keys. Skewed workloads make list 0 rare (few documents) and the
+// range, encoded with the tables resolving their keys. Skewed workloads make list 0 rare (few documents) and the
 // rest dense; uniform workloads give every list the same density with
 // 3-level identifiers; deep workloads give every list about 16
 // postings per document at ragged depths 6–10, the shape (postings per
 // document, mean depth ≈ 8) traced on the served merge workload.
-func mergeWorkload(k int, shape string) ([]dil.List, []dil.IDs) {
+func mergeWorkload(k int, shape string) []*dil.CompactList {
 	const (
 		docs       = 5000
 		perDoc     = 4
@@ -95,19 +95,18 @@ func b2i(b bool) int64 {
 }
 
 // keyAll keys each Dewey-ordered list by position, with its
-// identifiers as its table.
-func keyAll(lists [][]dil.Entry) ([]dil.List, []dil.IDs) {
-	kl := make([]dil.List, len(lists))
-	tables := make([]dil.IDs, len(lists))
+// identifiers as its table, and encodes it.
+func keyAll(lists [][]dil.Entry) []*dil.CompactList {
+	out := make([]*dil.CompactList, len(lists))
 	for i, es := range lists {
 		ids := make([]xmltree.Dewey, len(es))
-		kl[i] = make(dil.List, len(es))
+		kl := make(dil.List, len(es))
 		for j, e := range es {
-			kl[i][j], ids[j] = dil.Posting{Key: int32(j), Doc: e.ID[0], Score: e.Score}, e.ID
+			kl[j], ids[j] = dil.Posting{Key: int32(j), Doc: e.ID[0], Score: e.Score}, e.ID
 		}
-		tables[i] = dil.IDs{Base: ids}
+		out[i] = dil.Compact(kl, dil.IDs{Base: ids})
 	}
-	return kl, tables
+	return out
 }
 
 // BenchmarkDILMerge times the merge alone on skewed conjunctions (a
@@ -116,12 +115,12 @@ func keyAll(lists [][]dil.Entry) ([]dil.List, []dil.IDs) {
 func BenchmarkDILMerge(b *testing.B) {
 	for _, k := range []int{2, 3, 5} {
 		for _, shape := range mergeShapes {
-			lists, ids := mergeWorkload(k, shape)
-			want := len(query.RunLists(lists, ids, 0.5, 0))
+			lists := mergeWorkload(k, shape)
+			want := len(query.RunLists(lists, 0.5, 0))
 			b.Run(fmt.Sprintf("keywords=%d/%s/fast", k, shape), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if len(query.RunLists(lists, ids, 0.5, 0)) != want {
+					if len(query.RunLists(lists, 0.5, 0)) != want {
 						b.Fatalf("result count changed (want %d)", want)
 					}
 				}
@@ -133,7 +132,7 @@ func BenchmarkDILMerge(b *testing.B) {
 // disjointWorkload builds two lists on disjoint documents (odd vs
 // even): the merge emits nothing, isolating its own allocation
 // behavior from result construction.
-func disjointWorkload() ([]dil.List, []dil.IDs) {
+func disjointWorkload() []*dil.CompactList {
 	mk := func(base int32) []dil.Entry {
 		l := make([]dil.Entry, 0, 4096)
 		for doc := int32(0); doc < 2048; doc++ {
@@ -151,11 +150,11 @@ func disjointWorkload() ([]dil.List, []dil.IDs) {
 // up the merge must allocate nothing at all. (With results, the only
 // allocations left are the result values handed to the caller.)
 func BenchmarkDILMergeAllocs(b *testing.B) {
-	lists, ids := disjointWorkload()
+	lists := disjointWorkload()
 	b.Run("disjoint/fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(query.RunLists(lists, ids, 0.5, 0)) != 0 {
+			if len(query.RunLists(lists, 0.5, 0)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}

@@ -277,22 +277,21 @@ func BenchmarkRankedTopK(b *testing.B) {
 	env := benchEnvironment(b)
 	sys := env.Systems[ontoscore.StrategyGraph]
 	builder := sys.Builder()
-	lists := []dil.List{
-		builder.BuildKeyword("cardiac"),
-		builder.BuildKeyword("arrest"),
+	lists := []*dil.CompactList{
+		dil.Compact(builder.BuildKeyword("cardiac"), builder.IDs()),
+		dil.Compact(builder.BuildKeyword("arrest"), builder.IDs()),
 	}
-	ids := []dil.IDs{builder.IDs(), builder.IDs()}
 	entries := make([][]dil.Entry, len(lists))
 	for i, l := range lists {
-		if len(l) == 0 {
+		if l.Len() == 0 {
 			b.Fatal("empty list")
 		}
-		entries[i] = builder.IDs().Entries(l)
+		entries[i] = l.Entries()
 	}
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("DIL/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := query.RunLists(lists, ids, 0.5, 0)
+				res := query.RunLists(lists, 0.5, 0)
 				if len(res) == 0 {
 					b.Fatal("no results")
 				}

@@ -197,7 +197,7 @@ func cmdIndex(args []string) error {
 	if err := sys.WriteArena(path, 1, core.CorpusFingerprint(sys.Corpus())); err != nil {
 		return err
 	}
-	a, err := arena.Open(path)
+	a, err := arena.Open(path, sys.Builder().IDs())
 	if err != nil {
 		return fmt.Errorf("arena written but does not open: %w", err)
 	}

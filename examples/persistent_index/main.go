@@ -56,12 +56,12 @@ func main() {
 		stats.Keywords, stats.TotalPostings, path)
 
 	// ---- Phase 2: a fresh system attaches the arena and serves. ----
-	a, err := arena.Open(path)
+	served := xontorank.New(corpus, ont, xontorank.DefaultConfig())
+	a, err := arena.Open(path, served.Builder().IDs())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer a.Close()
-	served := xontorank.New(corpus, ont, xontorank.DefaultConfig())
 	if err := served.ArenaCompatible(a, fp); err != nil {
 		log.Fatal(err)
 	}

@@ -1,14 +1,15 @@
 // Package arena implements the single-file memory-mapped index
-// segment: every keyword's compact posting list (dil segment layout)
-// in one immutable file behind a fixed superblock and a sorted
+// segment: every keyword's block-coded posting list (dil.CompactList
+// bytes) in one immutable file behind a fixed superblock and a sorted
 // per-keyword offset table, served zero-copy off the OS page cache.
 //
 // Layout (all integers little-endian; DESIGN.md §17 has the diagram):
 //
-//	superblock   96 bytes: magic "XARN1", endianness, version,
+//	superblock   104 bytes: magic "XARN1", endianness, version,
 //	             keyword/posting counts, generation and fingerprint
-//	             metadata, TOC location, file length, CRC32C
-//	segments     per keyword: dil segment bytes + CRC32C (4 bytes)
+//	             metadata, TOC location, file length, the number of
+//	             element keys the lists index, CRC32C
+//	segments     per keyword: the list's bytes + CRC32C (4 bytes)
 //	TOC          count uint32, then count × 24-byte entries
 //	             {nameOff, nameLen uint32; segOff, segLen uint64},
 //	             then the sorted keyword names, then CRC'd by the
@@ -20,8 +21,9 @@
 // segments, and that the recorded file length matches the real one
 // (any truncation fails cleanly here). Per-keyword segments are
 // verified lazily on first access: a CRC pass plus dil.BorrowSegment's
-// full structural validation, after which the CompactList serves
-// borrowed bytes with no further checks. A corrupt segment marks only
+// full structural validation against the stage's element table (the
+// keys a list names must lie inside it), after which the CompactList
+// serves borrowed bytes with no further checks. A corrupt segment marks only
 // its keyword bad (reads as absent, first error retained), mirroring
 // the lenient KV load path.
 //
@@ -63,15 +65,18 @@ const (
 const (
 	magic    = "XARN1"
 	endianLE = 1
-	// Version is the arena format version written and required.
-	Version      = 1
-	headerSize   = 96
+	// Version is the arena format version written and required. Version
+	// 2 stores block-coded keyed lists; a version-1 file (front-coded
+	// Dewey identifiers) is refused, and a server rebuilds it as it
+	// would a stale one.
+	Version      = 2
+	headerSize   = 104
 	tocEntrySize = 24
 
 	// minSegLen is the smallest well-formed segment: an 8-byte header,
-	// one 24-byte block entry, a 1-posting payload (>= 11 bytes), and
-	// the 4-byte CRC.
-	minSegLen = 8 + 24 + 11 + 4
+	// one 16-byte block entry, a 1-posting payload (a one-score
+	// dictionary and >= 3 posting bytes: 12), and the 4-byte CRC.
+	minSegLen = 8 + 16 + 12 + 4
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -87,6 +92,7 @@ type Header struct {
 	ConfigFP   uint64 // fingerprint of strategy + index parameters
 	Created    time.Time
 	FileLen    uint64
+	Keys       uint64 // element keys of the stage the lists index
 
 	tocOff, tocLen uint64
 }
@@ -107,8 +113,9 @@ func (h Header) appendTo(buf []byte) []byte {
 	binary.LittleEndian.PutUint64(b[64:], h.tocLen)
 	binary.LittleEndian.PutUint64(b[72:], uint64(h.Created.Unix()))
 	binary.LittleEndian.PutUint64(b[80:], h.FileLen)
-	// b[88:92] is the tocCRC, patched in by the writer.
-	binary.LittleEndian.PutUint32(b[92:], crc32.Checksum(b[:92], crcTable))
+	binary.LittleEndian.PutUint64(b[88:], h.Keys)
+	// b[96:100] is the tocCRC, patched in by the writer.
+	binary.LittleEndian.PutUint32(b[100:], crc32.Checksum(b[:100], crcTable))
 	return append(buf, b[:]...)
 }
 
@@ -131,6 +138,8 @@ type Arena struct {
 	names   []byte // sorted keyword names heap
 	count   int
 
+	ids dil.IDs // the stage's element table: resolves the lists' keys
+
 	refs   atomic.Int64
 	closed atomic.Bool
 
@@ -141,9 +150,25 @@ type Arena struct {
 	err error // first per-segment verification failure
 }
 
-// Open maps path and validates the superblock and offset table. The
-// returned arena holds one owner reference; release it with Close.
-func Open(path string) (*Arena, error) {
+// Open maps path, validates the superblock and offset table, and
+// checks that the lists index as many element keys as ids resolves —
+// the table of the stage the arena serves, which its lists' keys name
+// elements of. The returned arena holds one owner reference; release
+// it with Close.
+func Open(path string, ids dil.IDs) (*Arena, error) {
+	a, err := mapFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.bind(ids); err != nil {
+		a.Close()
+		return nil, fmt.Errorf("arena: %s: %w", path, err)
+	}
+	return a, nil
+}
+
+// mapFile maps path and validates the superblock and offset table.
+func mapFile(path string) (*Arena, error) {
 	if err := faultinject.Hit(FPLoad); err != nil {
 		return nil, fmt.Errorf("arena: open %s: %w", path, err)
 	}
@@ -181,8 +206,24 @@ func Open(path string) (*Arena, error) {
 // FromBytes builds an arena over an in-memory image (no file, no
 // mapping) — the fuzz target and tests use it to drive the exact
 // validation path Open runs.
-func FromBytes(data []byte) (*Arena, error) {
-	return newArena(data, nil)
+func FromBytes(data []byte, ids dil.IDs) (*Arena, error) {
+	a, err := newArena(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.bind(ids); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// bind installs the element table the arena's lists resolve through.
+func (a *Arena) bind(ids dil.IDs) error {
+	if uint64(ids.Len()) != a.hdr.Keys {
+		return fmt.Errorf("lists index %d element keys, the stage has %d (stale arena?)", a.hdr.Keys, ids.Len())
+	}
+	a.ids = ids
+	return nil
 }
 
 func newArena(data []byte, unmap func([]byte) error) (*Arena, error) {
@@ -219,12 +260,14 @@ func parseHeader(data []byte) (Header, error) {
 	if data[5] != endianLE {
 		return h, fmt.Errorf("unsupported endianness marker %d", data[5])
 	}
-	if got := binary.LittleEndian.Uint32(data[92:]); got != crc32.Checksum(data[:92], crcTable) {
-		return h, fmt.Errorf("superblock CRC mismatch")
-	}
+	// The version decides where the CRC sits, so it is read first: a
+	// file of another version is refused as such.
 	h.Version = binary.LittleEndian.Uint16(data[6:])
 	if h.Version != Version {
 		return h, fmt.Errorf("unsupported format version %d (want %d)", h.Version, Version)
+	}
+	if got := binary.LittleEndian.Uint32(data[100:]); got != crc32.Checksum(data[:100], crcTable) {
+		return h, fmt.Errorf("superblock CRC mismatch")
 	}
 	if hl := binary.LittleEndian.Uint32(data[8:]); hl != headerSize {
 		return h, fmt.Errorf("unsupported superblock length %d", hl)
@@ -239,6 +282,7 @@ func parseHeader(data []byte) (Header, error) {
 	h.tocLen = binary.LittleEndian.Uint64(data[64:])
 	h.Created = time.Unix(int64(binary.LittleEndian.Uint64(data[72:])), 0)
 	h.FileLen = binary.LittleEndian.Uint64(data[80:])
+	h.Keys = binary.LittleEndian.Uint64(data[88:])
 	if h.FileLen != uint64(len(data)) {
 		return h, fmt.Errorf("file is %d bytes, superblock records %d (truncated or grown)", len(data), h.FileLen)
 	}
@@ -250,7 +294,7 @@ func parseHeader(data []byte) (Header, error) {
 
 func parseTOC(data []byte, h Header) (entries, names []byte, err error) {
 	toc := data[h.tocOff:h.FileLen]
-	if got := binary.LittleEndian.Uint32(data[88:]); got != crc32.Checksum(toc, crcTable) {
+	if got := binary.LittleEndian.Uint32(data[96:]); got != crc32.Checksum(toc, crcTable) {
 		return nil, nil, fmt.Errorf("offset table CRC mismatch")
 	}
 	if len(toc) < 4 {
@@ -341,15 +385,13 @@ func (a *Arena) compactAt(i int) *dil.CompactList {
 	if a.states[i].Load() == segBad {
 		return nil
 	}
-	name, segOff, segLen := a.entryAt(i)
-	seg := a.data[segOff : segOff+segLen]
-	body := seg[:len(seg)-4]
-	if got := binary.LittleEndian.Uint32(seg[len(seg)-4:]); got != crc32.Checksum(body, crcTable) {
-		a.fail(i, fmt.Errorf("arena: keyword %q: segment CRC mismatch", name))
-		return nil
+	body, err := a.segment(i)
+	var cl *dil.CompactList
+	if err == nil {
+		cl, err = dil.BorrowSegment(body, a.ids)
 	}
-	cl, err := dil.BorrowSegment(body)
 	if err != nil {
+		name, _, _ := a.entryAt(i)
 		a.fail(i, fmt.Errorf("arena: keyword %q: %w", name, err))
 		return nil
 	}
@@ -358,6 +400,17 @@ func (a *Arena) compactAt(i int) *dil.CompactList {
 	a.lists[i].Store(cl)
 	a.states[i].Store(segOK)
 	return cl
+}
+
+// segment returns keyword i's list bytes once their CRC checks out.
+func (a *Arena) segment(i int) ([]byte, error) {
+	_, segOff, segLen := a.entryAt(i)
+	seg := a.data[segOff : segOff+segLen]
+	body := seg[:len(seg)-4]
+	if got := binary.LittleEndian.Uint32(seg[len(seg)-4:]); got != crc32.Checksum(body, crcTable) {
+		return nil, fmt.Errorf("segment CRC mismatch")
+	}
+	return body, nil
 }
 
 func (a *Arena) fail(i int, err error) {

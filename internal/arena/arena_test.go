@@ -1,12 +1,14 @@
 package arena
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dil"
@@ -14,29 +16,48 @@ import (
 	"repro/internal/xmltree"
 )
 
-// randomIndex builds kws keyword lists of up to maxN postings each.
+// testIDs is the element table every test list's keys index: 16
+// documents of 64 elements each, in Dewey order as a stage numbers
+// them.
+var testIDs = func() dil.IDs {
+	rng := rand.New(rand.NewSource(99))
+	var table []xmltree.Dewey
+	for doc := int32(0); doc < 16; doc++ {
+		els := []xmltree.Dewey{{doc}}
+		for len(els) < 64 {
+			id := make(xmltree.Dewey, 2+rng.Intn(5))
+			id[0] = doc
+			for j := 1; j < len(id); j++ {
+				id[j] = int32(rng.Intn(4))
+			}
+			els = append(els, id)
+		}
+		slices.SortFunc(els, func(a, b xmltree.Dewey) int { return a.Compare(b) })
+		table = append(table, slices.CompactFunc(els, xmltree.Dewey.Equal)...)
+	}
+	return dil.IDs{Base: table}
+}()
+
+// testKeys is testIDs' size, recorded in every test arena.
+var testKeys = uint64(testIDs.Len())
+
+// randomIndex builds kws keyword lists of up to maxN postings each,
+// keyed into testIDs.
 func randomIndex(seed int64, kws, maxN int) *dil.Index {
 	rng := rand.New(rand.NewSource(seed))
 	ix := dil.NewIndex()
 	for k := 0; k < kws; k++ {
-		n := 1 + rng.Intn(maxN)
-		l := make([]dil.Entry, 0, n)
-		for i := 0; i < n; i++ {
-			depth := 1 + rng.Intn(6)
-			id := make(xmltree.Dewey, depth)
-			id[0] = int32(rng.Intn(16))
-			for j := 1; j < depth; j++ {
-				id[j] = int32(rng.Intn(4))
-			}
-			l = append(l, dil.Entry{ID: id, Score: rng.Float64()})
+		keys := make([]int32, 1+rng.Intn(maxN))
+		for i := range keys {
+			keys[i] = int32(rng.Intn(testIDs.Len()))
 		}
-		slices.SortFunc(l, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
-		keyed := make(dil.List, n)
-		ids := make([]xmltree.Dewey, n)
-		for i, e := range l {
-			keyed[i], ids[i] = dil.Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		l := make(dil.List, len(keys))
+		for i, key := range keys {
+			l[i] = dil.Posting{Key: key, Doc: testIDs.ID(key)[0], Score: rng.Float64()}
 		}
-		ix.Set(kwName(k), dil.Compact(keyed, dil.IDs{Base: ids}))
+		ix.Set(kwName(k), dil.Compact(l, testIDs))
 	}
 	return ix
 }
@@ -58,9 +79,9 @@ func writeArena(t *testing.T, ix *dil.Index, meta Meta) string {
 // every keyword's postings identical to the in-memory index.
 func TestArenaRoundTrip(t *testing.T) {
 	ix := randomIndex(1, 40, 400)
-	meta := Meta{Generation: 7, CorpusFP: 11, GlobalFP: 13, ConfigFP: 17}
+	meta := Meta{Keys: testKeys, Generation: 7, CorpusFP: 11, GlobalFP: 13, ConfigFP: 17}
 	path := writeArena(t, ix, meta)
-	a, err := Open(path)
+	a, err := Open(path, testIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +103,6 @@ func TestArenaRoundTrip(t *testing.T) {
 		cl := a.Compact(kw)
 		if cl == nil {
 			t.Fatalf("keyword %q absent from arena (err %v)", kw, a.Err())
-		}
-		if !cl.Borrowed() {
-			t.Fatalf("keyword %q not served borrowed", kw)
 		}
 		want := ix.Compact(kw).Entries()
 		got := cl.Entries()
@@ -112,11 +130,31 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 }
 
+// Acceptance: an arena whose lists index another element table — a
+// different stage, or a file of the front-coded version 1 — is refused
+// at open, before any key is resolved.
+func TestOpenRefusesOtherTable(t *testing.T) {
+	path := writeArena(t, randomIndex(3, 4, 50), Meta{Keys: testKeys})
+	short := dil.IDs{Base: testIDs.Base[:len(testIDs.Base)-1]}
+	if a, err := Open(path, short); err == nil {
+		a.Close()
+		t.Fatal("arena opened against a table of another size")
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(img[6:], 1)
+	if _, err := FromBytes(img, testIDs); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 superblock: err = %v, want an unsupported-version refusal", err)
+	}
+}
+
 // Acceptance: the refcount drains the mapping exactly once, and
 // Acquire after drain refuses.
 func TestArenaRefcount(t *testing.T) {
-	path := writeArena(t, randomIndex(2, 4, 50), Meta{})
-	a, err := Open(path)
+	path := writeArena(t, randomIndex(2, 4, 50), Meta{Keys: testKeys})
+	a, err := Open(path, testIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +183,7 @@ func TestArenaRefcount(t *testing.T) {
 // or superblock bytes fail Open outright.
 func TestArenaCorruption(t *testing.T) {
 	ix := randomIndex(3, 6, 200)
-	path := writeArena(t, ix, Meta{})
+	path := writeArena(t, ix, Meta{Keys: testKeys})
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +193,13 @@ func TestArenaCorruption(t *testing.T) {
 	for _, off := range []int{0, 5, 6, 13, 60, 90, 95} {
 		mut := append([]byte(nil), img...)
 		mut[off] ^= 0xff
-		if _, err := FromBytes(mut); err == nil {
+		if _, err := FromBytes(mut, testIDs); err == nil {
 			t.Errorf("superblock byte %d flipped: still opened", off)
 		}
 	}
 
 	// Segment corruption: flip a byte inside the first segment's range.
-	a, err := FromBytes(img)
+	a, err := FromBytes(img, testIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +210,7 @@ func TestArenaCorruption(t *testing.T) {
 
 	mut := append([]byte(nil), img...)
 	mut[segOff+4] ^= 0xff
-	b, err := FromBytes(mut)
+	b, err := FromBytes(mut, testIDs)
 	if err != nil {
 		t.Fatalf("segment corruption must not fail Open: %v", err)
 	}
@@ -191,7 +229,7 @@ func TestArenaCorruption(t *testing.T) {
 	tocOff := len(img) - 10
 	mut = append([]byte(nil), img...)
 	mut[tocOff] ^= 0xff
-	if _, err := FromBytes(mut); err == nil {
+	if _, err := FromBytes(mut, testIDs); err == nil {
 		t.Error("TOC corruption not detected at open")
 	}
 }
@@ -202,7 +240,7 @@ func TestArenaCorruption(t *testing.T) {
 // detectable, so every prefix must fail.
 func TestArenaCrashSoakTruncation(t *testing.T) {
 	ix := randomIndex(4, 3, 60)
-	path := writeArena(t, ix, Meta{})
+	path := writeArena(t, ix, Meta{Keys: testKeys})
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +251,7 @@ func TestArenaCrashSoakTruncation(t *testing.T) {
 		if err := os.WriteFile(trunc, img[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		a, err := Open(trunc)
+		a, err := Open(trunc, testIDs)
 		if err == nil {
 			a.Close()
 			t.Fatalf("truncation to %d/%d bytes opened successfully", n, len(img))
@@ -223,7 +261,7 @@ func TestArenaCrashSoakTruncation(t *testing.T) {
 	if err := os.WriteFile(trunc, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Open(trunc)
+	a, err := Open(trunc, testIDs)
 	if err != nil {
 		t.Fatalf("full image failed to open: %v", err)
 	}
@@ -235,7 +273,7 @@ func TestArenaCrashSoakTruncation(t *testing.T) {
 func TestCleanupStray(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x"+Ext)
-	if err := Write(path, randomIndex(5, 2, 30), Meta{}); err != nil {
+	if err := Write(path, randomIndex(5, 2, 30), Meta{Keys: testKeys}); err != nil {
 		t.Fatal(err)
 	}
 	stray := path + tmpSuffix
@@ -260,17 +298,17 @@ func TestCleanupStray(t *testing.T) {
 // Acceptance: the arena.load and arena.mmap failpoints fail Open with
 // their injected error (the server's lenient-load path depends on it).
 func TestArenaFailpoints(t *testing.T) {
-	path := writeArena(t, randomIndex(6, 2, 30), Meta{})
+	path := writeArena(t, randomIndex(6, 2, 30), Meta{Keys: testKeys})
 	for _, fp := range []string{FPLoad, FPMmap} {
 		boom := errors.New("boom:" + fp)
 		faultinject.Enable(fp, faultinject.Spec{Mode: faultinject.ModeError, Err: boom})
-		_, err := Open(path)
+		_, err := Open(path, testIDs)
 		faultinject.Disable(fp)
 		if !errors.Is(err, boom) {
 			t.Fatalf("failpoint %s: Open err = %v, want %v", fp, err, boom)
 		}
 	}
-	a, err := Open(path)
+	a, err := Open(path, testIDs)
 	if err != nil {
 		t.Fatalf("Open after failpoints disarmed: %v", err)
 	}
@@ -283,17 +321,17 @@ func TestArenaFailpoints(t *testing.T) {
 // temp file behind.
 func TestWriteFailureKeepsPreviousArena(t *testing.T) {
 	defer faultinject.DisableAll()
-	path := writeArena(t, randomIndex(7, 6, 200), Meta{Generation: 1})
+	path := writeArena(t, randomIndex(7, 6, 200), Meta{Keys: testKeys, Generation: 1})
 
 	boom := errors.New("disk full")
 	faultinject.Enable(FPWrite, faultinject.Spec{After: 1, Count: 1, Mode: faultinject.ModeError, Err: boom})
-	err := Write(path, randomIndex(8, 6, 200), Meta{Generation: 2})
+	err := Write(path, randomIndex(8, 6, 200), Meta{Keys: testKeys, Generation: 2})
 	faultinject.Disable(FPWrite)
 	if !errors.Is(err, boom) {
 		t.Fatalf("generation-2 Write err = %v, want %v", err, boom)
 	}
 
-	a, err := Open(path)
+	a, err := Open(path, testIDs)
 	if err != nil {
 		t.Fatalf("previous arena does not open after the failed write: %v", err)
 	}

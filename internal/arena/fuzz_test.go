@@ -14,7 +14,7 @@ import (
 func FuzzArenaDecode(f *testing.F) {
 	// Seed with a small valid image plus targeted damage.
 	path := filepath.Join(f.TempDir(), "seed"+Ext)
-	if err := Write(path, randomIndex(42, 5, 120), Meta{Generation: 3}); err != nil {
+	if err := Write(path, randomIndex(42, 5, 120), Meta{Keys: testKeys, Generation: 3}); err != nil {
 		f.Fatal(err)
 	}
 	img, err := os.ReadFile(path)
@@ -33,7 +33,7 @@ func FuzzArenaDecode(f *testing.F) {
 	f.Add([]byte(magic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := FromBytes(data)
+		a, err := FromBytes(data, testIDs)
 		if err != nil {
 			return
 		}

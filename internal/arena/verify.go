@@ -2,6 +2,8 @@ package arena
 
 import (
 	"fmt"
+
+	"repro/internal/dil"
 )
 
 // KeywordStat is one keyword's verified segment, reported by Verify.
@@ -23,12 +25,13 @@ type VerifyReport struct {
 }
 
 // Verify opens path, validates superblock + offset table, then walks
-// every segment: CRC and full structural validation. each (optional)
-// receives one KeywordStat per verified keyword, in sorted order. The
-// first corrupt segment fails the pass with the offending keyword in
-// the error.
+// every segment: CRC and full structural validation, keys bounded by
+// the superblock's element count (no stage is needed to check a file).
+// each (optional) receives one KeywordStat per verified keyword, in
+// sorted order. The first corrupt segment fails the pass with the
+// offending keyword in the error.
 func Verify(path string, each func(KeywordStat)) (*VerifyReport, error) {
-	a, err := Open(path)
+	a, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -36,21 +39,25 @@ func Verify(path string, each func(KeywordStat)) (*VerifyReport, error) {
 	rep := &VerifyReport{Path: path, Header: a.Header(), Keywords: a.Len()}
 	for i := 0; i < a.Len(); i++ {
 		name, _, segLen := a.entryAt(i)
-		cl := a.compactAt(i)
-		if cl == nil {
-			return nil, a.Err()
+		body, err := a.segment(i)
+		var postings, blocks int
+		if err == nil {
+			postings, blocks, err = dil.ValidateSegment(body, int(min(a.hdr.Keys, 1<<31)))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("arena: keyword %q: %w", name, err)
 		}
 		st := KeywordStat{
 			Keyword:  string(name),
-			Postings: cl.Len(),
-			Blocks:   cl.Blocks(),
+			Postings: postings,
+			Blocks:   blocks,
 			Bytes:    int(segLen),
 		}
 		if each != nil {
 			each(st)
 		}
-		rep.TotalPostings += uint64(cl.Len())
-		rep.TotalBlocks += cl.Blocks()
+		rep.TotalPostings += uint64(postings)
+		rep.TotalBlocks += blocks
 		rep.TotalBytes += int64(segLen)
 	}
 	if rep.TotalPostings != a.Postings() {

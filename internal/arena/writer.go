@@ -31,6 +31,9 @@ type Meta struct {
 	GlobalFP uint64
 	// ConfigFP fingerprints the strategy and index parameters.
 	ConfigFP uint64
+	// Keys is the element count of the stage whose keys the lists name
+	// (dil.IDs.Len); Open refuses a table of another size.
+	Keys uint64
 }
 
 // Write materializes ix as a single arena file at path, atomically:
@@ -128,15 +131,16 @@ func Write(path string, ix *dil.Index, meta Meta) error {
 		CorpusFP:   meta.CorpusFP,
 		GlobalFP:   meta.GlobalFP,
 		ConfigFP:   meta.ConfigFP,
+		Keys:       meta.Keys,
 		Created:    time.Now(),
 		FileLen:    off + uint64(len(toc)),
 		tocOff:     off,
 		tocLen:     uint64(len(toc)),
 	}
 	hb := hdr.appendTo(nil)
-	binary.LittleEndian.PutUint32(hb[88:], crc32.Checksum(toc, crcTable))
+	binary.LittleEndian.PutUint32(hb[96:], crc32.Checksum(toc, crcTable))
 	// The tocCRC participates in the superblock CRC; recompute it.
-	binary.LittleEndian.PutUint32(hb[92:], crc32.Checksum(hb[:92], crcTable))
+	binary.LittleEndian.PutUint32(hb[100:], crc32.Checksum(hb[:100], crcTable))
 	if _, err := f.WriteAt(hb, 0); err != nil {
 		return err
 	}

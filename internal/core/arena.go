@@ -49,6 +49,7 @@ func (s *System) ArenaMeta(generation, globalFP uint64) arena.Meta {
 		CorpusFP:   s.corpus.Fingerprint(),
 		GlobalFP:   globalFP,
 		ConfigFP:   s.ConfigFingerprint(),
+		Keys:       uint64(s.builder.IDs().Len()),
 	}
 }
 

@@ -34,7 +34,7 @@ func mapArena(t *testing.T, sys *System, dir string) *arena.Arena {
 	if err := sys.WriteArena(path, 1, fp); err != nil {
 		t.Fatal(err)
 	}
-	a, err := arena.Open(path)
+	a, err := arena.Open(path, sys.Builder().IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestArenaCompatibleRejects(t *testing.T) {
 	if err := sys.WriteArena(path, 1, fp); err != nil {
 		t.Fatal(err)
 	}
-	a, err := arena.Open(path)
+	a, err := arena.Open(path, sys.Builder().IDs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,6 +180,10 @@ func (s *System) KeywordCacheMetrics() serving.CacheMetrics {
 	return s.engine.CacheMetrics()
 }
 
+// KeywordListBytes reports the encoded bytes of the lists the engine's
+// keyword cache holds (the server's xontorank_memory_bytes gauge).
+func (s *System) KeywordListBytes() int64 { return s.engine.KeywordListBytes() }
+
 // resolve hydrates one query result in a single walk: the root is
 // located from its document's root node while its tags are appended to
 // one buffer, which becomes Result.Path; each match — a descendant or

@@ -235,7 +235,7 @@ func TestLoadIndexErrors(t *testing.T) {
 		if err := os.WriteFile(bad, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if a, err := arena.Open(bad); err == nil {
+		if a, err := arena.Open(bad, s.Builder().IDs()); err == nil {
 			a.Close()
 			t.Errorf("%s: corrupt arena opened", name)
 		}

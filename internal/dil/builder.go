@@ -40,7 +40,7 @@ func DefaultParams() Params {
 }
 
 // KeywordStats records per-keyword creation cost — the raw material of
-// the paper's Table III.
+// the paper's Table III. Bytes is the list's encoded size (CompactList).
 type KeywordStats struct {
 	Keyword  string
 	Postings int
@@ -77,7 +77,8 @@ func (s *BuildStats) AvgPostings() float64 {
 	return float64(s.TotalPostings) / float64(s.Keywords)
 }
 
-// AvgBytes is the mean encoded list size per keyword.
+// AvgBytes is the mean encoded list size per keyword (Table III's
+// list size).
 func (s *BuildStats) AvgBytes() float64 {
 	if s.Keywords == 0 {
 		return 0
@@ -585,7 +586,7 @@ func (b *Builder) BuildKeyword(keyword string) List {
 // paper's evaluation. The span's onto attribute says whether the
 // OntoScores came from the side's memo or were propagated.
 func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
-	l, _ := b.buildKeyword(ctx, keyword, false, false)
+	l, _ := b.buildKeyword(ctx, keyword, false, false, nil)
 	return l
 }
 
@@ -598,7 +599,7 @@ func (b *Builder) BuildKeywordE(keyword string) (List, error) {
 // BuildKeywordECtx is BuildKeywordE with span instrumentation (see
 // BuildKeywordCtx).
 func (b *Builder) BuildKeywordECtx(ctx context.Context, keyword string) (List, error) {
-	return b.buildKeyword(ctx, keyword, true, false)
+	return b.buildKeyword(ctx, keyword, true, false, nil)
 }
 
 // BuildKeywordIR assembles the degraded, IR-only DIL of one keyword:
@@ -613,15 +614,33 @@ func (b *Builder) BuildKeywordIR(keyword string) List {
 // BuildKeywordIRCtx is BuildKeywordIR with span instrumentation; the
 // span carries ir_only=true so degraded builds are visible in traces.
 func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
-	l, _ := b.buildKeyword(ctx, keyword, false, true)
+	l, _ := b.buildKeyword(ctx, keyword, false, true, nil)
 	return l
+}
+
+// CompactKeyword is the build the query engine caches and merges: the
+// keyword's list as BuildKeywordCtx assembles it (BuildKeywordECtx's
+// when fallible, BuildKeywordIRCtx's when irOnly), block-coded as its
+// postings are emitted, so nothing but the encoding is allocated for
+// it (nil for an empty list).
+func (b *Builder) CompactKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (*CompactList, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.reset()
+	l, err := b.buildKeyword(ctx, keyword, fallible, irOnly, e)
+	if err != nil {
+		return nil, err
+	}
+	e.block = l
+	return e.finish(b.IDs()), nil
 }
 
 // buildKeyword is the one keyword build: the OntoScores of every system
 // of the side (none for an IR-only build), then the text scores,
 // assembled — over the live state when the builder is pinned to one
-// (Pin).
-func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (List, error) {
+// (Pin). With enc set the postings are encoded as they are emitted and
+// the list returned is the last, partial block (see sink).
+func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, irOnly bool, enc *encoder) (List, error) {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
 	defer sp.End()
@@ -634,11 +653,15 @@ func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, ir
 	}
 	var l List
 	if b.live != nil {
-		l, err = b.assembleLive(ctx, sp, keyword, onto, fallible, irOnly)
+		l, err = b.assembleLive(ctx, sp, keyword, onto, fallible, irOnly, enc)
 	} else {
-		l = b.assemble(b.textScoresCtx(ctx, keyword), onto)
+		l = b.assemble(b.textScoresCtx(ctx, keyword), onto, enc)
 	}
-	sp.SetAttr("postings", len(l))
+	n := len(l)
+	if enc != nil {
+		n += enc.n
+	}
+	sp.SetAttr("postings", n)
 	return l, err
 }
 
@@ -683,19 +706,23 @@ func (b *Builder) textScoresCtx(ctx context.Context, keyword string) []ir.Scored
 
 // assemble merges one keyword's text scores (in key order) with
 // alpha-scaled OntoScore postings (onto[i] for system i of the side)
-// into the final key-ordered list (see mark and emit). The list is
-// allocated once, at its exact length: lists are retained (the keyword
-// cache keeps them), so spare capacity would be resident memory.
-func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense) List {
+// into the final key-ordered list (see mark and emit).
+func (b *Builder) assemble(text []ir.Scored, onto []ontoscore.Dense, enc *encoder) List {
 	sc, n := b.mark(text, onto)
-	out := b.emit(make(List, 0, n), 0, text, sc, nil)
-	switch {
-	case len(out) == 0:
-		return nil
-	case len(out) < n: // an element scored <= 0
-		return append(make(List, 0, len(out)), out...)
+	return b.emit(sink(n, enc), 0, text, sc, nil, enc)
+}
+
+// sink returns what a build of at most n postings emits into: enc's
+// block, which emit encodes whenever it fills, or a list with room for
+// all of them (nil for none).
+func sink(n int, enc *encoder) List {
+	if enc != nil {
+		return enc.block
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return make(List, 0, n)
 }
 
 // mark records one keyword's ontology branch in a pooled scratch and
@@ -752,9 +779,10 @@ func (s *stage) newScratch() any {
 // offset by off, its document, and its final node score: NS, the max
 // of the branches, times the normalized ElemRank when configured —
 // when the score is positive and drop (nil: none) does not report the
-// element's document. It clears the bitset as it goes and returns the
-// scratch to the pool.
-func (b *Builder) emit(out List, off int32, text []ir.Scored, sc *scratch, drop func(docID int32) bool) List {
+// element's document. With enc set, out is enc's block, encoded and
+// emptied whenever it fills. It clears the bitset as it goes and
+// returns the scratch to the pool.
+func (b *Builder) emit(out List, off int32, text []ir.Scored, sc *scratch, drop func(docID int32) bool, enc *encoder) List {
 	defer b.scratch.Put(sc)
 	live := docFilter{docs: b.docs, drop: drop}
 	doc := 0 // b.docs index of the last emitted key's document
@@ -798,6 +826,10 @@ func (b *Builder) emit(out List, off int32, text []ir.Scored, sc *scratch, drop 
 				doc++
 			}
 			out = append(out, Posting{Key: int32(key) + off, Doc: b.docs[doc].id, Score: s})
+			if enc != nil && len(out) == BlockSize {
+				enc.encodeBlock(out)
+				out = out[:0]
+			}
 		}
 	}
 	return out
@@ -826,6 +858,7 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 		stat KeywordStats
 		list *CompactList
 	}
+	ids := b.IDs()
 	dilStart := time.Now()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(vocabulary) {
@@ -838,6 +871,8 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			e := encoders.Get().(*encoder)
+			defer encoders.Put(e)
 			for i := range in {
 				kw := vocabulary[i]
 				start := time.Now()
@@ -845,16 +880,18 @@ func (b *Builder) Build(vocabulary []string) (*Index, *BuildStats, error) {
 				for i, m := range maps {
 					onto[i] = m.Dense(kw)
 				}
-				list := b.assemble(b.textScores(kw), onto)
+				e.reset()
+				e.block = b.assemble(b.textScores(kw), onto, e)
+				list := e.finish(ids)
 				out <- result{
 					i: i,
 					stat: KeywordStats{
 						Keyword:  kw,
-						Postings: len(list),
-						Bytes:    list.EncodedSize(b.IDs()),
+						Postings: list.Len(),
+						Bytes:    list.Bytes(),
 						Elapsed:  time.Since(start),
 					},
-					list: Compact(list, b.IDs()),
+					list: list,
 				}
 			}
 		}()

@@ -100,8 +100,7 @@ func appendScore(buf []byte, s float64) []byte {
 	return buf
 }
 
-// Acceptance: cursors stream both representations identically, and
-// SeekDoc lands on the first posting of the target document — or the
+// Acceptance: a cursor streams the list, and SeekDoc lands on the first posting of the target document — or the
 // next document when the target is absent — while skipping blocks.
 func TestCursorSeekDoc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -118,57 +117,47 @@ func TestCursorSeekDoc(t *testing.T) {
 	sortEntries(l)
 	c := Compact(keyed(l))
 
-	for _, mode := range []string{"compact", "keyed"} {
-		newCursor := func() Cursor {
-			if mode == "compact" {
-				return NewCursor(c)
-			}
-			var cu Cursor
-			cu.SetList(keyed(l))
-			return cu
+	// Full sequential walk reproduces the list.
+	cu := NewCursor(c)
+	for i := 0; cu.Valid(); i++ {
+		if !cu.Cur().Equal(l[i].ID) || cu.Score() != l[i].Score {
+			t.Fatalf("posting %d = (%v, %v), want (%v, %v)",
+				i, cu.Cur(), cu.Score(), l[i].ID, l[i].Score)
 		}
-		// Full sequential walk reproduces the list.
-		cu := newCursor()
-		for i := 0; cu.Valid(); i++ {
-			if !cu.Cur().Equal(l[i].ID) || cu.Score() != l[i].Score {
-				t.Fatalf("%s: posting %d = (%v, %v), want (%v, %v)",
-					mode, i, cu.Cur(), cu.Score(), l[i].ID, l[i].Score)
-			}
-			cu.Advance()
-		}
+		cu.Advance()
+	}
 
-		for _, target := range []int32{0, 1, 2, 77, 100, 198, 199, 500} {
-			cu := newCursor()
-			ok := cu.SeekDoc(target)
-			// Reference: linear scan.
-			want := -1
-			for i, p := range l {
-				if p.ID[0] >= target {
-					want = i
-					break
-				}
-			}
-			if (want >= 0) != ok {
-				t.Fatalf("%s: SeekDoc(%d) ok = %v, want %v", mode, target, ok, want >= 0)
-			}
-			if ok && !cu.Cur().Equal(l[want].ID) {
-				t.Fatalf("%s: SeekDoc(%d) landed on %v, want %v", mode, target, cu.Cur(), l[want].ID)
+	for _, target := range []int32{0, 1, 2, 77, 100, 198, 199, 500} {
+		cu := NewCursor(c)
+		ok := cu.SeekDoc(target)
+		// Reference: linear scan.
+		want := -1
+		for i, p := range l {
+			if p.ID[0] >= target {
+				want = i
+				break
 			}
 		}
-
-		// Seeks never move backwards.
-		cu = newCursor()
-		cu.SeekDoc(100)
-		at := cu.Cur().Clone()
-		cu.SeekDoc(10)
-		if !cu.Cur().Equal(at) {
-			t.Fatalf("%s: SeekDoc moved backwards to %v", mode, cu.Cur())
+		if (want >= 0) != ok {
+			t.Fatalf("SeekDoc(%d) ok = %v, want %v", target, ok, want >= 0)
+		}
+		if ok && !cu.Cur().Equal(l[want].ID) {
+			t.Fatalf("SeekDoc(%d) landed on %v, want %v", target, cu.Cur(), l[want].ID)
 		}
 	}
 
-	// A long forward jump on the compact cursor must bypass whole
-	// blocks without decoding them.
-	cu := NewCursor(c)
+	// Seeks never move backwards.
+	cu = NewCursor(c)
+	cu.SeekDoc(100)
+	at := cu.Cur().Clone()
+	cu.SeekDoc(10)
+	if !cu.Cur().Equal(at) {
+		t.Fatalf("SeekDoc moved backwards to %v", cu.Cur())
+	}
+
+	// A long forward jump must bypass whole blocks without decoding
+	// them.
+	cu = NewCursor(c)
 	if !cu.SeekDoc(198) {
 		t.Fatal("SeekDoc(198) exhausted")
 	}
@@ -204,30 +193,55 @@ func TestCursorSeekDocRunStraddlesBlock(t *testing.T) {
 	}
 }
 
-// appendFlat writes the flat varint encoding List.EncodedSize measures:
-// a uvarint count, then per posting the identifier's component count
-// and components as uvarints and the score as 8 bytes.
-func appendFlat(buf []byte, l []Entry) []byte {
-	buf = appendUvarint(buf, uint64(len(l)))
-	for _, p := range l {
-		buf = appendUvarint(buf, uint64(len(p.ID)))
-		for _, c := range p.ID {
-			buf = appendUvarint(buf, uint64(c))
+// Acceptance: a list's scores come back bit for bit, whatever they
+// are — signed zeros, NaN and infinities included — and a block may
+// hold as many distinct scores as postings.
+func TestCompactScoresBitExact(t *testing.T) {
+	odd := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+	l := make(List, 0, 2*BlockSize+1)
+	for i := 0; i < cap(l); i++ {
+		s := float64(i) / 7 // 2*BlockSize+1 distinct scores
+		if i%9 == 0 {
+			s = odd[(i/9)%len(odd)]
 		}
-		buf = appendScore(buf, p.Score)
+		l = append(l, Posting{Key: int32(3 * i), Doc: int32(i / 5), Score: s})
 	}
-	return buf
+	c := Compact(l, IDs{Base: make([]xmltree.Dewey, 3*len(l))})
+	cu := NewCursor(c)
+	for i, p := range l {
+		if !cu.Valid() || cu.key != p.Key || cu.DocID() != p.Doc || math.Float64bits(cu.Score()) != math.Float64bits(p.Score) {
+			t.Fatalf("posting %d: (%d, %d, %v), want (%d, %d, %v)", i, cu.key, cu.DocID(), cu.Score(), p.Key, p.Doc, p.Score)
+		}
+		cu.Advance()
+	}
+	if cu.Valid() {
+		t.Fatal("cursor has postings past the list")
+	}
 }
 
-// Acceptance (satellite): the arithmetic EncodedSize matches the
-// materialized encoding length exactly.
-func TestEncodedSizeArithmetic(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 7, 300} {
-		l := randomList(rng, n, 1000000, 10) // large doc IDs exercise multi-byte varints
-		kl, ids := keyed(l)
-		if got, want := kl.EncodedSize(ids), len(appendFlat(nil, l)); got != want {
-			t.Fatalf("n=%d: EncodedSize = %d, want %d", n, got, want)
+// Acceptance (satellite): RemainingMax is one table read, and the
+// value it reads is the brute-force maximum over every posting from
+// the start of the cursor's block to the end of the list — at every
+// position of a multi-block list, so it also bounds the suffix from
+// the cursor on.
+func TestRemainingMaxIsBlockSuffixMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := randomList(rng, 5*BlockSize+9, 40, 4)
+	c := Compact(keyed(l))
+	cu := NewCursor(c)
+	for i := 0; cu.Valid(); i++ {
+		want := l[i-i%BlockSize].Score
+		for _, p := range l[i-i%BlockSize:] {
+			if p.Score > want {
+				want = p.Score
+			}
 		}
+		if got := cu.RemainingMax(); got != want {
+			t.Fatalf("position %d: RemainingMax = %v, want %v", i, got, want)
+		}
+		cu.Advance()
+	}
+	if cu.RemainingMax() != 0 {
+		t.Fatal("a drained cursor must bound at 0")
 	}
 }

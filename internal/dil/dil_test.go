@@ -234,7 +234,7 @@ func TestBuildFullIndex(t *testing.T) {
 	}
 	bytes := 0
 	for _, kw := range ix.Keywords() {
-		bytes += b.BuildKeyword(kw).EncodedSize(b.IDs())
+		bytes += len(Compact(b.BuildKeyword(kw), b.IDs()).AppendSegment(nil))
 	}
 	if stats.TotalBytes != bytes {
 		t.Errorf("bytes mismatch: %d vs %d", stats.TotalBytes, bytes)

@@ -2,10 +2,6 @@ package dil
 
 import (
 	"context"
-	"math"
-	mathbits "math/bits"
-	"sync"
-	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -57,15 +53,13 @@ func (b *Builder) view(v ir.StatsView) *Builder {
 	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(v), ranksMax: b.ranksMax}
 }
 
-// assembleLive is a pinned build's assembly: one array holding the
-// base postings of live documents, then the delta's keyed after the
-// base's elements, taken from the list pool (none when nothing is
-// marked; an array whose postings were all dropped goes straight
-// back). The delta reads
-// the base's OntoScores unless its side is another one (a read on the
-// outgoing generation that acquired a state rebased onto the next
-// generation's side, whose concept numbering may differ).
-func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string, onto []ontoscore.Dense, fallible, irOnly bool) (List, error) {
+// assembleLive is a pinned build's assembly (encoded as it goes with
+// enc set; see sink): the base postings of live documents, then the
+// delta's keyed after the base's elements. The delta reads the base's
+// OntoScores unless its side is another one (a read on the outgoing
+// generation that acquired a state rebased onto the next generation's
+// side, whose concept numbering may differ).
+func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string, onto []ontoscore.Dense, fallible, irOnly bool, enc *encoder) (List, error) {
 	d := b.live.Delta
 	dOnto := onto
 	if d != nil && !irOnly && d.side != b.side {
@@ -82,83 +76,11 @@ func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string
 		dsc, dn = d.mark(dText, dOnto)
 		n += dn
 	}
-	out := b.emit(lists.get(n), 0, text, sc, b.live.Dead)
+	out := b.emit(sink(n, enc), 0, text, sc, b.live.Dead, enc)
 	if d != nil {
-		out = d.emit(out, int32(len(b.ids)), dText, dsc, b.dropDelta)
-	}
-	if len(out) == 0 {
-		lists.put(out)
-		return nil, nil
+		out = d.emit(out, int32(len(b.ids)), dText, dsc, b.dropDelta, enc)
 	}
 	return out, nil
-}
-
-// Recycle hands a pinned list (one a builder's Pin view built) back to
-// the list pool, for a later pinned build to reuse its array. Call it
-// only when nothing reads the list any more — the engine does so after
-// its merge, for a list no other reader received. A list whose
-// capacity is no size class's is ignored.
-func Recycle(l List) { lists.put(l) }
-
-// A pinned list lives for one read, so its array is recycled instead
-// of being left to the collector. Arrays come in power-of-two size
-// classes from minListClass postings, so one array serves keywords of
-// nearby sizes; a list past the largest class is allocated exactly and
-// never pooled. A posting holds no pointer, so a recycled array pins
-// nothing and one pool serves every stage. Each class is a sync.Pool,
-// so the collector takes back what reads stop recycling.
-const (
-	minListClass = 1 << 10 // postings
-	listClasses  = 8       // up to 128 Ki postings
-)
-
-// listPool is the free arrays, one pool per size class. A pool holds
-// the address of an array's first posting; the class gives its
-// capacity.
-type listPool [listClasses]sync.Pool
-
-// lists is the process's pinned-list pool.
-var lists listPool
-
-// listClass returns the size class of an array of n postings, at least
-// listClasses past the largest.
-func listClass(n int) int {
-	if n <= minListClass {
-		return 0
-	}
-	return mathbits.Len(uint(n-1)) - mathbits.Len(minListClass-1)
-}
-
-// get returns an empty list with room for n postings (nil for none).
-func (p *listPool) get(n int) List {
-	if n == 0 {
-		return nil
-	}
-	c := listClass(n)
-	if c >= listClasses {
-		return make(List, 0, n)
-	}
-	if first, _ := p[c].Get().(*Posting); first != nil {
-		return unsafe.Slice(first, minListClass<<c)[:0]
-	}
-	return make(List, 0, minListClass<<c)
-}
-
-// put keeps l's array for reuse when its capacity is a class's. Built
-// with the poison tag, it first overwrites every record with a key no
-// table resolves, an invalid document and a NaN score, so a reader
-// that still holds the list fails loudly instead of ranking stale
-// postings.
-func (p *listPool) put(l List) {
-	if c := listClass(cap(l)); c < listClasses && cap(l) == minListClass<<c {
-		if poison {
-			l = l[:cap(l)]
-			for i := range l {
-				l[i] = Posting{Key: -1, Doc: -1, Score: math.NaN()}
-			}
-		}
-		p[c].Put(unsafe.SliceData(l))
-	}
 }
 
 // dropDelta reports the delta documents a pinned list leaves out:

@@ -9,8 +9,10 @@
 // — a dense int32 assigned in Dewey order — so a posting is a
 // pointer-free 16-byte record, lists are in Dewey (document) order by
 // construction, and a node's Dewey ID is looked up in the stage's
-// table (IDs) only where it is read: the merge's per-document runs,
-// RDIL's random access and the block-structured form the arena writes.
+// table (IDs) only where it is read: the merge's per-document runs
+// and RDIL's random access. Once built, a list is block-coded
+// (CompactList), the form the keyword cache, the index and the arena
+// hold.
 package dil
 
 import (
@@ -20,11 +22,10 @@ import (
 )
 
 // Posting is one entry of a built list: the element's key, the ID of
-// its document — the identifier's first component, which the merge's
-// document zig-zag reads for every posting, kept in what would
-// otherwise be padding — and its node score. It holds no pointer, so
-// the collector never scans a list's array (TestPostingLayout pins
-// the layout).
+// its document — the identifier's first component, which the block
+// coding stores as a delta where it changes — and its node score. It
+// holds no pointer, so the collector never scans a list's array
+// (TestPostingLayout pins the layout).
 type Posting struct {
 	Key   int32
 	Doc   int32
@@ -36,8 +37,7 @@ type Posting struct {
 type List []Posting
 
 // Entry is a posting resolved to its element's Dewey identifier: the
-// form the query phase's stack merge and RDIL read, and the one a
-// CompactList decodes to.
+// form the query phase's stack merge and RDIL read.
 type Entry struct {
 	ID    xmltree.Dewey
 	Score float64
@@ -52,6 +52,9 @@ type IDs struct {
 	Base  []xmltree.Dewey
 	Delta []xmltree.Dewey
 }
+
+// Len returns the number of keys the table resolves: its bound.
+func (t IDs) Len() int { return len(t.Base) + len(t.Delta) }
 
 // ID returns the Dewey identifier of an element key.
 func (t IDs) ID(key int32) xmltree.Dewey {
@@ -71,28 +74,10 @@ func (t IDs) Entries(l List) []Entry {
 	return out
 }
 
-// EncodedSize returns the list's size in bytes as a flat varint
-// encoding would store it — a uvarint count, then per posting the
-// identifier's component count and components as uvarints and the
-// score as 8 bytes — computed arithmetically over the identifiers ids
-// resolves. BuildStats reports it as the index size.
-func (l List) EncodedSize(ids IDs) int {
-	n := uvarintLen(uint64(len(l)))
-	for _, p := range l {
-		id := ids.ID(p.Key)
-		n += uvarintLen(uint64(len(id)))
-		for _, c := range id {
-			n += uvarintLen(uint64(c))
-		}
-		n += 8
-	}
-	return n
-}
-
 // Index is the in-memory XOnto-DIL index: one Dewey-ordered posting
-// list per keyword, in block-structured form — the DIL merge streams
-// block cursors and skips with the block entries, RDIL decodes it, and
-// the arena writer stores it as is.
+// list per keyword, block-coded — the DIL merge streams block cursors
+// and skips with the block table, RDIL decodes it, and the arena
+// writer stores its bytes as they are.
 type Index struct {
 	lists map[string]*CompactList
 }

@@ -1,6 +1,8 @@
 package dil
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -308,6 +310,9 @@ func TestAssembleMatchesReference(t *testing.T) {
 						if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(b, got, want) {
 							t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
 						}
+						if !encodedAsBuilt(t, b, kw) {
+							t.Fatalf("%s %q: CompactKeyword differs from the built list's encoding", name, kw)
+						}
 						if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
 							t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
 						}
@@ -323,6 +328,9 @@ func TestAssembleMatchesReference(t *testing.T) {
 						if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
 							t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
 						}
+						if !encodedAsBuilt(t, p, kw) {
+							t.Fatalf("%s %q: pinned CompactKeyword differs from the built list's encoding", name, kw)
+						}
 					}
 				}
 			}
@@ -332,6 +340,28 @@ func TestAssembleMatchesReference(t *testing.T) {
 
 // Builder.Build — the Table III path, OntoScore maps built up front —
 // assembles through the same kernel and lands on the same lists.
+// encodedAsBuilt reports whether CompactKeyword, which encodes the
+// postings as they are emitted, yields the encoding of the list
+// BuildKeyword (and BuildKeywordIR) returns.
+func encodedAsBuilt(t *testing.T, b *Builder, kw string) bool {
+	t.Helper()
+	for _, irOnly := range []bool{false, true} {
+		c, err := b.CompactKeyword(context.Background(), kw, false, irOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := b.BuildKeyword(kw)
+		if irOnly {
+			l = b.BuildKeywordIR(kw)
+		}
+		want := Compact(l, b.IDs())
+		if c.Len() != want.Len() || (c != nil && !bytes.Equal(c.AppendSegment(nil), want.AppendSegment(nil))) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestBuildMatchesReference(t *testing.T) {
 	corpus, coll := referenceCorpus(t, 300, 40)
 	b := NewMultiBuilder(descending(corpus), coll, ontoscore.StrategyRelationships, DefaultParams())

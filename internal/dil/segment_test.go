@@ -3,25 +3,26 @@ package dil
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/xmltree"
 )
 
-// borrow round-trips l through the segment encoding into borrowed mode.
-func borrow(t *testing.T, l []Entry) *CompactList {
+// borrowList round-trips l through its encoding into a list borrowing the
+// bytes.
+func borrowList(t *testing.T, l []Entry) *CompactList {
 	t.Helper()
-	seg := Compact(keyed(l)).AppendSegment(nil)
-	b, err := BorrowSegment(seg)
+	kl, ids := keyed(l)
+	b, err := BorrowSegment(Compact(kl, ids).AppendSegment(nil), ids)
 	if err != nil {
 		t.Fatalf("BorrowSegment: %v", err)
-	}
-	if !b.Borrowed() {
-		t.Fatal("BorrowSegment returned a non-borrowed list")
 	}
 	return b
 }
 
-// Acceptance: the segment encoding is lossless and the borrowed list
+// Acceptance: the encoding is lossless and the borrowed list
 // reproduces the original postings exactly.
 func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -30,7 +31,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if len(l) == 0 {
 			continue
 		}
-		b := borrow(t, l)
+		b := borrowList(t, l)
 		if b.Len() != len(l) || b.Blocks() != Compact(keyed(l)).Blocks() {
 			t.Fatalf("n=%d: Len/Blocks mismatch", n)
 		}
@@ -40,6 +41,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		// Re-encoding a borrowed list reproduces its segment.
 		if !bytes.Equal(b.AppendSegment(nil), Compact(keyed(l)).AppendSegment(nil)) {
 			t.Fatalf("n=%d: borrowed AppendSegment differs", n)
+		}
+		if p, bl, err := ValidateSegment(b.AppendSegment(nil), len(l)); err != nil || p != len(l) || bl != b.Blocks() {
+			t.Fatalf("n=%d: ValidateSegment = %d, %d, %v", n, p, bl, err)
 		}
 	}
 }
@@ -57,7 +61,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			continue
 		}
 		heap := Compact(keyed(l))
-		bor := borrow(t, l)
+		bor := borrowList(t, l)
 
 		// Sequential walk.
 		hc, bc := NewCursor(heap), NewCursor(bor)
@@ -78,13 +82,16 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			t.Fatal("borrowed cursor has extra postings")
 		}
 
-		// Document runs: heap, borrowed and keyed cursors yield the same
-		// postings and the same per-document maximum.
+		// Document runs: heap and borrowed cursors yield each
+		// document's postings and their maximum.
 		hc, bc = NewCursor(heap), NewCursor(bor)
-		var pc Cursor
-		pc.SetList(keyed(l))
-		for pc.Valid() {
-			pr, pm := pc.Run()
+		for at := 0; at < len(l); {
+			end, pm := at, 0.0
+			for ; end < len(l) && l[end].ID[0] == l[at].ID[0]; end++ {
+				pm = max(pm, l[end].Score)
+			}
+			pr := l[at:end]
+			at = end
 			hr, hm := hc.Run()
 			br, bm := bc.Run()
 			if len(hr) != len(pr) || len(br) != len(pr) || hm != pm || bm != pm {
@@ -99,7 +106,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			}
 		}
 		if hc.Valid() || bc.Valid() {
-			t.Fatal("compact cursor has postings after the keyed one drained")
+			t.Fatal("cursor has postings after the list's last document")
 		}
 
 		// Random seek sequences (non-decreasing targets).
@@ -125,13 +132,13 @@ func TestSegmentCursorDifferential(t *testing.T) {
 	}
 }
 
-// Acceptance: a segment whose skip table disagrees with its postings —
-// or whose structure is otherwise damaged — is rejected, never trusted.
+// Acceptance: a segment whose framing is damaged — or whose table
+// disagrees with its postings — is rejected, never trusted.
 func TestBorrowSegmentRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	l := randomList(rng, 2*BlockSize+7, 10, 5)
-	seg := Compact(keyed(l)).AppendSegment(nil)
-	if _, err := BorrowSegment(seg); err != nil {
+	kl, ids := keyed(randomList(rng, 2*BlockSize+7, 10, 5))
+	seg := Compact(kl, ids).AppendSegment(nil)
+	if _, err := BorrowSegment(seg, ids); err != nil {
 		t.Fatalf("valid segment rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -145,48 +152,99 @@ func TestBorrowSegmentRejects(t *testing.T) {
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
 		{"zero postings", func(b []byte) []byte { b[0], b[1], b[2], b[3] = 0, 0, 0, 0; return b }},
 		{"block count", func(b []byte) []byte { b[4]++; return b }},
-		{"block offset", func(b []byte) []byte { b[segHeaderSize]++; return b }},
+		{"block offset", func(b []byte) []byte { b[segHeaderSize+segBlockEntrySize]++; return b }},
 		{"block firstDoc", func(b []byte) []byte { b[segHeaderSize+4]++; return b }},
-		{"block maxScore", func(b []byte) []byte { b[segHeaderSize+8+6]++; return b }},
-		{"block tailMax", func(b []byte) []byte { b[segHeaderSize+16+6]++; return b }},
+		{"block tailMax", func(b []byte) []byte { b[segHeaderSize+segBlockEntrySize+8+6]++; return b }},
 	} {
 		mut := tc.mut(append([]byte(nil), seg...))
-		if _, err := BorrowSegment(mut); err == nil {
+		if _, err := BorrowSegment(mut, ids); err == nil {
 			t.Errorf("%s: corrupt segment accepted", tc.name)
 		}
 	}
 }
 
-// Acceptance: corrupt compact payloads — framed by a consistent skip
-// table, but not what Compact writes — are rejected, not mis-decoded.
-func TestDecodeCompactRejects(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		n       uint32
-		payload []byte
-	}{
-		// Posting 1 ("0.2") stored with prefix 0 and the full suffix;
-		// canonical would be prefix 1, suffix {2}.
-		{"non-canonical front coding", 2, appendScore(appendUvarints(
-			appendScore(appendUvarints(nil, 0, 2, 0, 1), 0.5), 0, 2, 0, 2), 0.25)},
-		{"empty identifier", 1, appendScore(appendUvarints(nil, 0, 0), 0.5)},
-		{"restart point with prefix", 1, appendScore(appendUvarints(nil, 1, 1, 0), 0.5)},
-		{"truncated score", 1, appendScore(appendUvarints(nil, 0, 2, 0, 1), 0.5)[:7]},
-	} {
-		if _, err := BorrowSegment(oneBlockSegment(tc.n, tc.payload)); err == nil {
-			t.Errorf("%s: corrupt segment accepted", tc.name)
-		}
-	}
+// rawBlock is one block of a hand-built segment: its table entry's
+// first document and tail maximum, and its payload bytes.
+type rawBlock struct {
+	firstDoc uint32
+	tailMax  float64
+	payload  []byte
 }
 
-// oneBlockSegment frames a single-block payload whose first posting
-// lies in document 0 and whose scores peak at 0.5.
-func oneBlockSegment(n uint32, payload []byte) []byte {
+// rawSegment frames hand-built blocks of n postings in all, with the
+// payload offsets the blocks' lengths give.
+func rawSegment(n uint32, blocks ...rawBlock) []byte {
 	seg := binary.LittleEndian.AppendUint32(nil, n)
-	seg = binary.LittleEndian.AppendUint32(seg, 1)
-	seg = binary.LittleEndian.AppendUint32(seg, 0) // payloadOff
-	seg = binary.LittleEndian.AppendUint32(seg, 0) // firstDoc
-	seg = appendScore(seg, 0.5)                    // maxScore
-	seg = appendScore(seg, 0.5)                    // tailMax
-	return append(seg, payload...)
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(len(blocks)))
+	off := 0
+	for _, b := range blocks {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(off))
+		seg = binary.LittleEndian.AppendUint32(seg, b.firstDoc)
+		seg = appendScore(seg, b.tailMax)
+		off += len(b.payload)
+	}
+	for _, b := range blocks {
+		seg = append(seg, b.payload...)
+	}
+	return seg
+}
+
+// dict starts a block payload with its score dictionary.
+func dict(scores ...float64) []byte {
+	b := []byte{byte(len(scores))}
+	for _, s := range scores {
+		b = appendScore(b, s)
+	}
+	return b
+}
+
+// Acceptance: payloads framed by a consistent table, but not what
+// Compact writes, are rejected, not mis-decoded — in particular a key
+// past the table is refused before IDs.ID could index with it.
+func TestDecodeCompactRejects(t *testing.T) {
+	// One posting, key 0 in document 0, score 0.5: the valid baseline.
+	one := func(p []byte) []byte { return rawSegment(1, rawBlock{0, 0.5, p}) }
+	valid := one(appendUvarints(dict(0.5), 0<<1|1, 0, 0))
+	ids := IDs{Base: make([]xmltree.Dewey, 4)}
+	if _, err := BorrowSegment(valid, ids); err != nil {
+		t.Fatalf("valid segment rejected: %v", err)
+	}
+	// Two blocks: 128 postings of document 0 at keys 0..127, then one
+	// whose key is delta-coded to 5 — below its predecessor's.
+	full := appendUvarints(dict(0.5), 0<<1|1, 0, 0)
+	for j := 1; j < BlockSize; j++ {
+		full = appendUvarints(full, 0, 0)
+	}
+	descending := rawSegment(BlockSize+1, rawBlock{0, 0.5, full},
+		rawBlock{0, 0.5, appendUvarints(dict(0.5), 5<<1|1, 0, 0)})
+	if _, err := BorrowSegment(descending, IDs{Base: make([]xmltree.Dewey, 2*BlockSize)}); err == nil {
+		t.Error("keys that do not ascend: corrupt segment accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		seg  []byte
+	}{
+		{"score index past the dictionary", one(appendUvarints(dict(0.5), 0<<1|1, 0, 1))},
+		{"dictionary larger than its block", one(appendUvarints(dict(0.5, 0.25), 0<<1|1, 0, 0))},
+		{"empty dictionary", one(appendUvarints(dict(), 0<<1|1, 0, 0))},
+		{"dictionary out of first-use order", rawSegment(2, rawBlock{0, 0.5,
+			appendUvarints(dict(0.5, 0.25), 0<<1|1, 0, 1, 0, 0)})},
+		{"repeated dictionary score", rawSegment(2, rawBlock{0, 0.5,
+			appendUvarints(dict(0.5, 0.5), 0<<1|1, 0, 0, 0, 1)})},
+		{"unused dictionary score", rawSegment(2, rawBlock{0, 0.5,
+			appendUvarints(dict(0.5, 0.25), 0<<1|1, 0, 0, 0, 0)})},
+		{"first posting without a document", one(appendUvarints(dict(0.5), 0<<1, 0))},
+		{"table firstDoc disagrees with the payload", rawSegment(1, rawBlock{3, 0.5,
+			appendUvarints(dict(0.5), 0<<1|1, 0, 0)})},
+		{"table tailMax disagrees with the payload", rawSegment(1, rawBlock{0, 0.75,
+			appendUvarints(dict(0.5), 0<<1|1, 0, 0)})},
+		{"key past the table", one(appendUvarints(dict(0.5), 4<<1|1, 0, 0))},
+		{"key overflows int32", one(appendUvarints(dict(0.5), (math.MaxInt32+1)<<1|1, 0, 0))},
+		{"non-canonical key varint", one(append(dict(0.5), 0x81, 0x00, 0, 0))},
+		{"truncated score index", one(appendUvarints(dict(0.5), 0<<1|1, 0))},
+	} {
+		if _, err := BorrowSegment(tc.seg, ids); err == nil {
+			t.Errorf("%s: corrupt segment accepted", tc.name)
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/elemrank"
 	"repro/internal/ir"
@@ -153,46 +152,5 @@ func TestConceptRefsCSR(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The list pool sizes arrays in power-of-two classes from minListClass
-// postings, allocates a list past the largest class exactly, hands a
-// recycled array back to the next build of its class, and ignores
-// arrays of no class's size.
-func TestListPoolClasses(t *testing.T) {
-	var p listPool
-	if l := p.get(0); l != nil {
-		t.Fatalf("get(0) = %v, want nil", l)
-	}
-	largest := minListClass << (listClasses - 1)
-	for _, c := range []struct{ n, capacity int }{
-		{1, minListClass}, {minListClass, minListClass}, {minListClass + 1, 2 * minListClass},
-		{largest, largest}, {largest + 1, largest + 1},
-	} {
-		if l := p.get(c.n); len(l) != 0 || cap(l) != c.capacity {
-			t.Fatalf("get(%d): len %d cap %d, want 0 and %d", c.n, len(l), cap(l), c.capacity)
-		}
-	}
-	odd := make(List, 0, 3000)
-	p.put(odd)
-	if l := p.get(3000); unsafe.SliceData(l) == unsafe.SliceData(odd) {
-		t.Fatal("an array of no class's size was pooled")
-	}
-	// A sync.Pool may drop what it is given (the race detector has it
-	// drop a quarter of puts), so reuse is asked of some attempt.
-	l := append(p.get(3000), Posting{Score: 1})
-	reused := false
-	for i := 0; i < 100 && !reused; i++ {
-		p.put(l)
-		r := p.get(2500)
-		reused = unsafe.SliceData(r) == unsafe.SliceData(l)
-		if len(r) != 0 {
-			t.Fatalf("a recycled array came back with %d postings", len(r))
-		}
-		l = r[:1]
-	}
-	if !reused {
-		t.Fatal("a recycled array was not handed to the next build of its class")
 	}
 }

@@ -64,7 +64,7 @@ func DefaultParams() Params {
 type Engine struct {
 	params   Params
 	baseline *dil.Builder // StrategyNone: textual postings only; its computers select the terms
-	cache    map[string]dil.List
+	cache    map[string]*dil.CompactList
 }
 
 // New prepares an expansion engine.
@@ -74,7 +74,7 @@ func New(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) *Engi
 	return &Engine{
 		params:   params,
 		baseline: dil.NewMultiBuilder(corpus, coll, ontoscore.StrategyNone, dilParams),
-		cache:    make(map[string]dil.List),
+		cache:    make(map[string]*dil.CompactList),
 	}
 }
 
@@ -134,7 +134,7 @@ func containsToken(ont *ontology.Ontology, id ontology.ConceptID, keyword string
 // by the term weights. Every term's list names nodes by the baseline
 // builder's keys, so the merged list is keyed by them too, and key
 // order is Dewey order.
-func (e *Engine) list(keyword string) dil.List {
+func (e *Engine) list(keyword string) *dil.CompactList {
 	if l, ok := e.cache[keyword]; ok {
 		return l
 	}
@@ -152,8 +152,9 @@ func (e *Engine) list(keyword string) dil.List {
 		out = append(out, p)
 	}
 	slices.SortFunc(out, func(a, b dil.Posting) int { return cmp.Compare(a.Key, b.Key) })
-	e.cache[keyword] = out
-	return out
+	l := dil.Compact(out, e.baseline.IDs())
+	e.cache[keyword] = l
+	return l
 }
 
 // Search answers a keyword query by expansion, returning up to k
@@ -165,15 +166,13 @@ func (e *Engine) Search(keywords []query.Keyword, k int) []query.Result {
 	if k <= 0 {
 		k = e.params.Query.K
 	}
-	lists := make([]dil.List, len(keywords))
-	ids := make([]dil.IDs, len(keywords))
+	lists := make([]*dil.CompactList, len(keywords))
 	for i, kw := range keywords {
-		lists[i], ids[i] = e.list(string(kw)), e.baseline.IDs()
-		if len(lists[i]) == 0 {
+		if lists[i] = e.list(string(kw)); lists[i].Len() == 0 {
 			return nil
 		}
 	}
-	return query.RunLists(lists, ids, e.params.Query.Decay, k)
+	return query.RunLists(lists, e.params.Query.Decay, k)
 }
 
 // SearchQuery parses and answers a query string.
@@ -186,7 +185,7 @@ func (e *Engine) SearchQuery(q string, k int) []query.Result {
 func (e *Engine) PostingVolume(keywords []query.Keyword) int {
 	n := 0
 	for _, kw := range keywords {
-		n += len(e.list(string(kw)))
+		n += e.list(string(kw)).Len()
 	}
 	return n
 }

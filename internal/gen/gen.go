@@ -86,7 +86,7 @@ func (s *Snapshot) AttachArena(sys *core.System, path string, globalFP uint64, r
 // openCompatibleArena opens and fingerprint-checks one arena file; on any
 // failure the mapping is released and the error returned.
 func openCompatibleArena(sys *core.System, path string, globalFP uint64) (*arena.Arena, error) {
-	a, err := arena.Open(path)
+	a, err := arena.Open(path, sys.Builder().IDs())
 	if err != nil {
 		return nil, err
 	}

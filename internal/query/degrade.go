@@ -37,35 +37,34 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// listResilient is the on-demand build path for builders with a
-// fallible ontology dependency (b is a FallibleKeywordBuilder: the
-// engine's own, or the one a dirty overlay pinned). It returns the
-// list, whether it is the IR-only degraded form, whether the caller
-// owns it outright (a dirty list its own flight built, which no other
-// reader received), and a context error if the caller gave up. The sp
-// parameter is the enclosing "query.keyword" span; this path tags it
-// with how the keyword was answered (cache, built).
-func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (dil.List, bool, bool, error) {
+// listResilient is the on-demand build path, around the builder's
+// fallible ontology dependency (b is the engine's own builder, or the
+// one a dirty overlay pinned). It returns the
+// list, whether it is the IR-only degraded form, and a context error if
+// the caller gave up. The sp parameter is the enclosing "query.keyword"
+// span; this path tags it with how the keyword was answered (cache,
+// built).
+func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (*dil.CompactList, bool, error) {
 	ckey := tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
 		sp.SetAttr("source", "cache")
-		return l, false, false, nil
+		return l, false, nil
 	}
 	if !e.breaker.Allow() {
 		sp.SetAttr("source", "built")
 		sp.SetAttr("breaker_open", true)
 		l, err := e.listIR(ctx, kw, tag, b)
-		return l, true, false, err
+		return l, true, err
 	}
 	sp.SetAttr("source", "built")
-	l, err, owned := e.flights.DoOwned(ctx, ckey, func(fctx context.Context) (dil.List, error) {
+	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (*dil.CompactList, error) {
 		if l, ok := e.cached(tag, ckey); ok { // raced with another build
 			return l, nil
 		}
-		var built dil.List
+		var built *dil.CompactList
 		rerr := e.retry.Do(fctx, func() error {
 			var berr error
-			built, berr = buildE(fctx, b.(FallibleKeywordBuilder), kw)
+			built, berr = b.CompactKeyword(fctx, kw, true, false)
 			if berr != nil && !isContextErr(berr) {
 				e.breaker.Failure()
 			}
@@ -79,36 +78,31 @@ func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string
 		return built, nil
 	})
 	if err == nil {
-		return l, false, owned && tag != "", nil
+		return l, false, nil
 	}
 	if isContextErr(err) {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	// Ontology path down after retries: degrade this keyword to IR-only
 	// scoring rather than failing the query.
 	obs.Default().WarnContext(ctx, "keyword degraded to IR-only scoring",
 		"keyword", kw, "error", err.Error())
 	l, ferr := e.listIR(ctx, kw, tag, b)
-	return l, true, false, ferr
+	return l, true, ferr
 }
 
 // listIR builds (and, on a clean read, caches under a separate key) the
-// IR-only list of a keyword. Builders without an IR fallback yield no
-// list — the keyword reads as absent, which is still not an error.
-func (e *Engine) listIR(ctx context.Context, kw, tag string, b KeywordBuilder) (dil.List, error) {
-	irb, ok := b.(IRKeywordBuilder)
-	if !ok {
-		return nil, nil
-	}
+// IR-only list of a keyword.
+func (e *Engine) listIR(ctx context.Context, kw, tag string, b KeywordBuilder) (*dil.CompactList, error) {
 	ckey := irCacheKey + tag + kw
 	if l, ok := e.cached(tag, ckey); ok {
 		return l, nil
 	}
-	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
+	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (*dil.CompactList, error) {
 		if l, ok := e.cached(tag, ckey); ok {
 			return l, nil
 		}
-		l := buildIR(fctx, irb, kw)
+		l, _ := b.CompactKeyword(fctx, kw, false, true)
 		e.store(tag, ckey, l)
 		return l, nil
 	})

@@ -39,8 +39,8 @@ type Result struct {
 	Matches []Match
 }
 
-// RunLists merges per-keyword built lists — list i's keys resolved by
-// ids[i] — per equation (1), scored per equations (2)-(4). It is the
+// RunLists merges per-keyword lists per equation (1), scored per
+// equations (2)-(4). It is the
 // core merge step Engine.Query builds on, exported for alternative
 // front-ends (e.g. the query-expansion baseline) that assemble their
 // own posting lists.
@@ -49,11 +49,11 @@ type Result struct {
 // ascending-Dewey tie-break, computed with block-max top-k pruning
 // (byte-identical to sorting and truncating the exhaustive output).
 // k <= 0 returns every result, unranked.
-func RunLists(lists []dil.List, ids []dil.IDs, decay float64, k int) []Result {
+func RunLists(lists []*dil.CompactList, decay float64, k int) []Result {
 	var buf [8]resolved // up to eight keywords merge without allocating
 	res := buf[:0]
-	for i, l := range lists {
-		res = append(res, resolved{list: l, ids: ids[i]})
+	for _, l := range lists {
+		res = append(res, resolved{list: l})
 	}
 	out, _ := runFast(res, decay, k)
 	return out

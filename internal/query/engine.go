@@ -11,84 +11,26 @@ import (
 	"repro/internal/xmltree"
 )
 
-// ListSource supplies the prebuilt XOnto-DIL of a keyword in its
-// block-structured form (nil if absent), which the DIL merge streams
-// and skips through by block without decoding (merge.go). *dil.Index
-// and *arena.Arena satisfy it; Engine optionally falls back to a
-// builder for keywords (typically phrases) not in the prebuilt index.
+// ListSource supplies the prebuilt XOnto-DIL of a keyword, block-coded
+// (nil if absent), which the DIL merge streams and skips through by
+// block without decoding (merge.go). *dil.Index and *arena.Arena
+// satisfy it; Engine optionally falls back to a builder for keywords
+// (typically phrases) not in the prebuilt index.
 type ListSource interface {
 	Compact(keyword string) *dil.CompactList
 }
 
-// KeywordBuilder builds a DIL on demand; *dil.Builder satisfies it. Its
-// lists name elements by key, and IDs resolves the keys.
+// KeywordBuilder builds a keyword's XOnto-DIL on demand;
+// *dil.Builder satisfies it. CompactKeyword returns the list
+// block-coded, the form the engine caches and merges. The list takes
+// the ontology path (equation (5)) unless irOnly asks for the XRANK
+// baseline, NS(v,w) = IRS(v,w), which the engine degrades a keyword to
+// when that path fails: with fallible set it may fail, and the engine
+// retries it under Params.Retry behind its circuit breaker. The build
+// receives the request context, so its spans (dil.build_keyword,
+// dil.text_scores, ontoscore.propagate) attach to the request's trace.
 type KeywordBuilder interface {
-	BuildKeyword(keyword string) dil.List
-	IDs() dil.IDs
-}
-
-// FallibleKeywordBuilder is a KeywordBuilder whose ontology path can
-// fail. When the engine's builder implements it, on-demand builds run
-// under the retry policy and circuit breaker, and failures degrade the
-// keyword to IR-only scoring instead of surfacing an error.
-// *dil.Builder satisfies it.
-type FallibleKeywordBuilder interface {
-	BuildKeywordE(keyword string) (dil.List, error)
-}
-
-// IRKeywordBuilder builds a DIL without consulting the ontology —
-// NS(v,w) = IRS(v,w), the XRANK baseline — used as the degraded
-// fallback when the ontology path is unavailable. *dil.Builder
-// satisfies it.
-type IRKeywordBuilder interface {
-	BuildKeywordIR(keyword string) dil.List
-}
-
-// Context-aware variants of the builder interfaces: when the engine's
-// builder implements them, on-demand builds receive the request
-// context, so build-stage spans (dil.build_keyword, dil.text_scores,
-// ontoscore.propagate) attach to the request's trace. *dil.Builder
-// satisfies all three.
-type (
-	// CtxKeywordBuilder is KeywordBuilder with context propagation.
-	CtxKeywordBuilder interface {
-		BuildKeywordCtx(ctx context.Context, keyword string) dil.List
-	}
-	// CtxFallibleKeywordBuilder is FallibleKeywordBuilder with context
-	// propagation.
-	CtxFallibleKeywordBuilder interface {
-		BuildKeywordECtx(ctx context.Context, keyword string) (dil.List, error)
-	}
-	// CtxIRKeywordBuilder is IRKeywordBuilder with context propagation.
-	CtxIRKeywordBuilder interface {
-		BuildKeywordIRCtx(ctx context.Context, keyword string) dil.List
-	}
-)
-
-// buildPlain invokes the builder's context-aware build when available.
-func buildPlain(ctx context.Context, b KeywordBuilder, kw string) dil.List {
-	if cb, ok := b.(CtxKeywordBuilder); ok {
-		return cb.BuildKeywordCtx(ctx, kw)
-	}
-	return b.BuildKeyword(kw)
-}
-
-// buildE invokes the fallible ontology-path build, context-aware when
-// available.
-func buildE(ctx context.Context, fb FallibleKeywordBuilder, kw string) (dil.List, error) {
-	if cb, ok := fb.(CtxFallibleKeywordBuilder); ok {
-		return cb.BuildKeywordECtx(ctx, kw)
-	}
-	return fb.BuildKeywordE(kw)
-}
-
-// buildIR invokes the degraded IR-only build, context-aware when
-// available.
-func buildIR(ctx context.Context, irb IRKeywordBuilder, kw string) dil.List {
-	if cb, ok := irb.(CtxIRKeywordBuilder); ok {
-		return cb.BuildKeywordIRCtx(ctx, kw)
-	}
-	return irb.BuildKeywordIR(kw)
+	CompactKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (*dil.CompactList, error)
 }
 
 // Params configure the query phase.
@@ -136,8 +78,8 @@ type Engine struct {
 	source  ListSource
 	builder KeywordBuilder
 
-	cache   *serving.Cache[dil.List] // on-demand keywords, bounded LRU
-	flights serving.Group[dil.List]  // dedup of concurrent builds
+	cache   *serving.Cache[*dil.CompactList] // on-demand keywords, bounded LRU
+	flights serving.Group[*dil.CompactList]  // dedup of concurrent builds
 
 	breaker *resilience.Breaker // guards the ontology build path
 	retry   resilience.RetryPolicy
@@ -156,7 +98,7 @@ func NewEngine(source ListSource, builder KeywordBuilder, params Params) *Engine
 		params:  params,
 		source:  source,
 		builder: builder,
-		cache:   serving.NewCache[dil.List](size, 0),
+		cache:   serving.NewCache[*dil.CompactList](size, 0),
 		breaker: resilience.NewBreaker(params.Breaker),
 		retry:   params.Retry,
 	}
@@ -164,6 +106,14 @@ func NewEngine(source ListSource, builder KeywordBuilder, params Params) *Engine
 
 // CacheMetrics reports the on-demand keyword cache counters.
 func (e *Engine) CacheMetrics() serving.CacheMetrics { return e.cache.Metrics() }
+
+// KeywordListBytes returns the encoded bytes of the lists the keyword
+// cache holds, summed entry by entry.
+func (e *Engine) KeywordListBytes() int64 {
+	var n int64
+	e.cache.Each(func(l *dil.CompactList) { n += int64(l.Bytes()) })
+	return n
+}
 
 // SetSource replaces the engine's list source. The server uses it to
 // repoint a system at a memory-mapped arena after construction; it
@@ -175,33 +125,16 @@ func (e *Engine) SetSource(source ListSource) { e.source = source }
 // /readyz and /metrics).
 func (e *Engine) Breaker() *resilience.Breaker { return e.breaker }
 
-// resolved is one keyword's resolved posting list: the source's
-// compact form (the prebuilt index or a mapped arena, whose postings
-// stream zero-copy from its backing bytes), or a built list with the
-// table resolving its keys.
+// resolved is one keyword's resolved posting list, block-coded: the
+// source's (the prebuilt index, or a mapped arena whose postings
+// stream zero-copy from its backing bytes) or a built one.
 type resolved struct {
-	compact *dil.CompactList
-	list    dil.List
-	ids     dil.IDs
-	delta   bool // true when built pinned to a dirty delta overlay
-	owned   bool // a dirty list this read alone received: recycled after the merge
+	list  *dil.CompactList
+	delta bool // true when built pinned to a dirty delta overlay
 }
 
-// n returns the posting count in whichever representation is present.
-func (r resolved) n() int {
-	if r.compact != nil {
-		return r.compact.Len()
-	}
-	return len(r.list)
-}
-
-// entries returns the list in Dewey form, for RDIL's random access.
-func (r resolved) entries() []dil.Entry {
-	if r.compact != nil {
-		return r.compact.Entries()
-	}
-	return r.ids.Entries(r.list)
-}
+// n returns the posting count.
+func (r resolved) n() int { return r.list.Len() }
 
 // list resolves one keyword's posting list, building and caching it on
 // demand. Concurrent requests for the same missing keyword build once.
@@ -250,38 +183,20 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 	if tag == "" {
 		if c := e.source.Compact(kw); c != nil {
 			sp.SetAttr("source", "index")
-			return resolved{compact: c}, false, nil
+			return resolved{list: c}, false, nil
 		}
 	}
 	if builder == nil {
 		sp.SetAttr("source", "none")
 		return resolved{}, false, nil
 	}
-	ids := builder.IDs()
-	if _, ok := builder.(FallibleKeywordBuilder); ok {
-		l, degraded, owned, err := e.listResilient(ctx, sp, kw, tag, builder)
-		return resolved{list: l, ids: ids, delta: tag != "", owned: owned}, degraded, err
-	}
-	ckey := tag + kw
-	if l, ok := e.cached(tag, ckey); ok {
-		sp.SetAttr("source", "cache")
-		return resolved{list: l, ids: ids}, false, nil
-	}
-	sp.SetAttr("source", "built")
-	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
-		if l, ok := e.cached(tag, ckey); ok { // raced with another build
-			return l, nil
-		}
-		l := buildPlain(fctx, builder, kw)
-		e.store(tag, ckey, l)
-		return l, nil
-	})
-	return resolved{list: l, ids: ids}, false, err
+	l, degraded, err := e.listResilient(ctx, sp, kw, tag, builder)
+	return resolved{list: l, delta: tag != ""}, degraded, err
 }
 
 // cached looks a built list up in the keyword LRU. Lists built under a
 // dirty overlay (a non-empty version tag) are never cached.
-func (e *Engine) cached(tag, ckey string) (dil.List, bool) {
+func (e *Engine) cached(tag, ckey string) (*dil.CompactList, bool) {
 	if tag != "" {
 		return nil, false
 	}
@@ -289,7 +204,7 @@ func (e *Engine) cached(tag, ckey string) (dil.List, bool) {
 }
 
 // store caches a built list unless it was built under a dirty overlay.
-func (e *Engine) store(tag, ckey string, l dil.List) {
+func (e *Engine) store(tag, ckey string, l *dil.CompactList) {
 	if tag == "" {
 		e.cache.Set(ckey, l)
 	}
@@ -458,7 +373,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer e.recycle(res)
 	resp := &Response{Info: Info{Degraded: len(degraded) > 0, DegradedKeywords: degraded}}
 	deltaMerged := false
 	for _, r := range res {
@@ -482,7 +396,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		// RDIL's ranked access reads the lists in Dewey form.
 		entries := make([][]dil.Entry, len(res))
 		for i, r := range res {
-			entries[i] = r.entries()
+			entries[i] = r.list.Entries()
 		}
 		resp.Results = page(RunRanked(entries, e.params.Decay, n), offset)
 	} else {
@@ -508,20 +422,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	msp.SetAttr("results", len(resp.Results))
 	msp.End()
 	return resp, nil
-}
-
-// recycle hands each dirty list the query owned outright back to the
-// list pool, once the merge is done with it. Nothing the response holds
-// points into a list's array: the merge clones identifiers, which are
-// the stage's table's, not memory of the list. Lists another reader
-// received, degraded IR-only lists and clean lists are left to the
-// collector.
-func (e *Engine) recycle(res []resolved) {
-	for _, r := range res {
-		if r.owned {
-			dil.Recycle(r.list)
-		}
-	}
 }
 
 // page drops the first offset ranked results (the engine's one place

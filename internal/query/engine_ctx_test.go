@@ -20,12 +20,12 @@ type slowBuilder struct {
 	gate  chan struct{} // nil = don't block
 }
 
-func (b *slowBuilder) BuildKeyword(kw string) dil.List {
+func (b *slowBuilder) CompactKeyword(context.Context, string, bool, bool) (*dil.CompactList, error) {
 	b.calls.Add(1)
 	if b.gate != nil {
 		<-b.gate
 	}
-	return b.list()
+	return b.list(), nil
 }
 
 // Parallel resolution must return the same results as a sequential
@@ -39,16 +39,15 @@ func TestSearchContextMatchesSearch(t *testing.T) {
 	}
 	for _, q := range queries {
 		kws := ParseQuery(q)
-		lists := make([]dil.List, len(kws))
-		ids := make([]dil.IDs, len(kws))
+		lists := make([]*dil.CompactList, len(kws))
 		for i, kw := range kws {
 			r, _, err := e.list(context.Background(), string(kw), nil)
 			if err != nil {
 				t.Fatalf("q %q keyword %q: %v", q, kw, err)
 			}
-			lists[i], ids[i] = r.list, r.ids
+			lists[i] = r.list
 		}
-		plain := RunLists(lists, ids, DefaultParams().Decay, 10)
+		plain := RunLists(lists, DefaultParams().Decay, 10)
 		ctxed, _, err := searchReq(context.Background(), e, Request{Keywords: kws, K: 10})
 		if err != nil {
 			t.Fatalf("q %q: %v", q, err)

@@ -173,9 +173,9 @@ type countingBuilder struct {
 	calls int
 }
 
-func (c *countingBuilder) BuildKeyword(string) dil.List {
+func (c *countingBuilder) CompactKeyword(context.Context, string, bool, bool) (*dil.CompactList, error) {
 	c.calls++
-	return c.list()
+	return c.list(), nil
 }
 
 // Property: every result's matches lie inside its subtree, scores are

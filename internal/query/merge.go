@@ -18,9 +18,9 @@ import (
 //     begins with a document component), so a document missing even
 //     one keyword can produce nothing. Between documents the merge
 //     zig-zags: each cursor seeks to the largest current document ID
-//     among all cursors, repeatedly, until they agree — and compact
-//     lists jump whole blocks via their skip entries without decoding
-//     the postings in between. The rarest keyword therefore drives the
+//     among all cursors, repeatedly, until they agree — and the
+//     cursors jump whole blocks on their lists' block tables without
+//     decoding the postings in between. The rarest keyword therefore drives the
 //     pace, and the common keywords' postings in documents it never
 //     touches are never even decoded.
 //   - Each aligned document is consumed as k short runs, one per list,
@@ -411,11 +411,9 @@ func (m *mergeRun) run(decay float64) {
 	}
 }
 
-// runFast merges per-keyword lists with the zig-zag/run machinery. A
-// list in block form gets a cursor that decodes lazily and skips via
-// block entries; a built list, one that resolves its keys through its
-// table and seeks by galloping. Both feed the one merge path through
-// Cursor.Run.
+// runFast merges per-keyword lists with the zig-zag/run machinery:
+// each list gets a cursor that decodes lazily, skips by the block
+// table, and feeds the merge its document runs (Cursor.Run).
 //
 // limit <= 0 returns every result, unranked (the exhaustive merge).
 // limit > 0 returns the exact top-limit, sorted by descending score
@@ -442,11 +440,7 @@ func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounter
 	m.reset(k, limit)
 	m.prune = limit > 0 && decay >= 0 && decay <= 1
 	for i, l := range lists {
-		if l.compact != nil {
-			m.cursors[i].SetCompact(l.compact)
-		} else {
-			m.cursors[i].SetList(l.list, l.ids)
-		}
+		m.cursors[i].Set(l.list)
 	}
 	m.run(decay)
 	var c MergeCounters
@@ -470,7 +464,7 @@ func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounter
 		m.top = nil
 	}
 	for i := range m.cursors {
-		m.cursors[i].SetList(nil, dil.IDs{}) // drop references to caller data
+		m.cursors[i].Set(nil) // drop references to caller data
 	}
 	clear(m.runs)
 	clear(m.heads)

@@ -30,33 +30,32 @@ func sortEntries(es []dil.Entry) {
 // runLists merges Dewey-form lists through RunLists, each keyed by
 // position.
 func runLists(lists [][]dil.Entry, decay float64, k int) []Result {
-	kl := make([]dil.List, len(lists))
-	ids := make([]dil.IDs, len(lists))
+	cls := make([]*dil.CompactList, len(lists))
 	for i, l := range lists {
-		kl[i], ids[i] = keyed(l)
+		cls[i] = compactOf(l)
 	}
-	return RunLists(kl, ids, decay, k)
+	return RunLists(cls, decay, k)
 }
 
-// compactOf is a Dewey-form list's block-structured form.
+// compactOf is a Dewey-form list keyed by position and encoded.
 func compactOf(l []dil.Entry) *dil.CompactList { return dil.Compact(keyed(l)) }
 
-// runCompact merges block-structured lists.
+// runCompact merges encoded lists the way the engine does.
 func runCompact(cls []*dil.CompactList, decay float64, k int) []Result {
 	res := make([]resolved, len(cls))
 	for i, c := range cls {
-		res[i] = resolved{compact: c}
+		res[i] = resolved{list: c}
 	}
 	out, _ := runFast(res, decay, k)
 	return out
 }
 
-// oneElement is a fake builder's table and list: one posting, on
-// element 0.1.
+// oneElement is a fake builder's list: one posting, on element 0.1.
 type oneElement struct{}
 
-func (oneElement) IDs() dil.IDs   { return dil.IDs{Base: []xmltree.Dewey{{0, 1}}} }
-func (oneElement) list() dil.List { return dil.List{{Key: 0, Score: 1}} }
+func (oneElement) list() *dil.CompactList {
+	return dil.Compact(dil.List{{Key: 0, Score: 1}}, dil.IDs{Base: []xmltree.Dewey{{0, 1}}})
+}
 
 // Differential testing of the fast merge (merge.go) against the
 // reference runDIL: identical roots, aggregate and per-keyword scores,
@@ -141,8 +140,8 @@ func resultsEqual(t *testing.T, tag string, want, got []Result) {
 	}
 }
 
-// checkEquivalence runs one workload through the reference merge, the
-// fast merge over plain lists, and the fast merge over compact lists,
+// checkEquivalence runs one workload through the reference merge and
+// the fast merge, entered through RunLists and as the engine enters it,
 // and requires identical output from all three. The reference emits in
 // document order, as does the fast path, so no re-sorting is needed.
 func checkEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64) {

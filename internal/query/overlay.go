@@ -27,8 +27,8 @@ type OverlayView interface {
 	// all read from the state the view acquired, whatever lands after,
 	// and each keyword build yields the whole live list, base and delta
 	// postings in Dewey order. The builder's ontology path can fail
-	// (FallibleKeywordBuilder); the engine then degrades the whole
-	// keyword, base and delta alike, to its IR-only build.
+	// (KeywordBuilder); the engine then degrades the whole keyword,
+	// base and delta alike, to its IR-only build.
 	Pin(base *dil.Builder) *dil.Builder
 }
 

@@ -50,8 +50,8 @@ func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavy
 }
 
 // checkTopKEquivalence requires the pruned merge to match the
-// exhaustive reference for one (lists, k) pair, over both list
-// representations.
+// exhaustive reference for one (lists, k) pair, entered through
+// RunLists and as the engine enters it.
 func checkTopKEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64, k int) {
 	t.Helper()
 	want := topKReference(lists, decay, k)

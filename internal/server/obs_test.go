@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/cda"
+	"repro/internal/dil"
 	"repro/internal/obs"
 )
 
@@ -407,6 +408,31 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	if live <= 0 {
 		t.Errorf("xontorank_go_heap_live_bytes = %v after a collection, want > 0", live)
+	}
+	// The keyword-list gauge is the exact encoded size of what the
+	// keyword caches hold: the lists of the keywords each strategy was
+	// asked (the default Relationships above, Graph here), rebuilt and
+	// encoded here.
+	get(t, s, `/search?q=asthma+theophylline&strategy=Graph`)
+	asked := map[string][]string{"Relationships": {"asthma", "medications"}, "Graph": {"asthma", "theophylline"}}
+	var want int
+	for st, sys := range s.gen.Load().systems {
+		b := sys.Builder()
+		for _, kw := range asked[st.String()] {
+			want += dil.Compact(b.BuildKeyword(kw), b.IDs()).Bytes()
+		}
+	}
+	if want == 0 {
+		t.Fatal("no keyword built a list; the gauge check checks nothing")
+	}
+	got := -1.0
+	for _, line := range strings.Split(get(t, s, `/metrics`).Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == `xontorank_memory_bytes{structure="keyword_lists"}` {
+			got, _ = strconv.ParseFloat(f[1], 64)
+		}
+	}
+	if got != float64(want) {
+		t.Errorf(`xontorank_memory_bytes{structure="keyword_lists"} = %v, want %d`, got, want)
 	}
 }
 

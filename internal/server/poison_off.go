@@ -1,6 +1,6 @@
 //go:build !poison
 
-package dil
+package server
 
 // poison is off: see poison.go.
 const poison = false

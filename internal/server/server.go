@@ -115,6 +115,7 @@ type Searcher interface {
 	Snippet(core.Result) string
 	Fragment(core.Result) string
 	KeywordCacheMetrics() serving.CacheMetrics
+	KeywordListBytes() int64
 }
 
 // Server answers HTTP requests against the active generation — an
@@ -239,6 +240,17 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 	s.reg.GaugeFunc("xontorank_go_heap_live_bytes",
 		"Heap bytes the last garbage collection marked live.",
 		runtimeMetric("/gc/heap/live:bytes"))
+	s.reg.GaugeFunc("xontorank_memory_bytes",
+		"Bytes the active generation keeps resident, by structure: keyword_lists is the encoded size of the lists its keyword caches hold.",
+		func() float64 {
+			var n int64
+			g := s.gen.Load()
+			for st := range g.systems {
+				n += s.searcher(g, st).KeywordListBytes()
+			}
+			return float64(n)
+		},
+		obs.Label{Key: "structure", Value: "keyword_lists"})
 	s.mux.HandleFunc("/search", s.handleSearch)
 	s.mux.HandleFunc("/fragment", s.handleFragment)
 	s.mux.HandleFunc("/concepts", s.handleConcepts)
@@ -511,8 +523,25 @@ func writeBody(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	// A failed write means the client is gone; there is no one to tell.
 	_, _ = w.Write(buf.Bytes())
 	if buf.Cap() <= maxPooledBody {
-		respBufs.Put(buf)
+		putRespBuf(buf)
 	}
+}
+
+// putRespBuf returns a response buffer to respBufs. Built with the
+// poison tag, it first fills the buffer's whole capacity with 0xFF, so
+// a body still read after its buffer went back — by a handler, or by a
+// memo that kept a view instead of a copy — comes out as invalid JSON
+// instead of another response's bytes.
+func putRespBuf(buf *bytes.Buffer) {
+	if poison {
+		buf.Reset()
+		b := buf.AvailableBuffer()
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+	respBufs.Put(buf)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

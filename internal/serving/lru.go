@@ -161,6 +161,19 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
+// Each calls fn with every cached value, expired or not, one shard at a
+// time under its lock: fn must not call back into the cache.
+func (c *Cache[V]) Each(fn func(V)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			fn(el.Value.(*cacheEntry[V]).val)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Purge drops every entry. Counters are kept.
 func (c *Cache[V]) Purge() {
 	for i := range c.shards {

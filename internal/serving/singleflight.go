@@ -25,7 +25,6 @@ type flight[V any] struct {
 	val     V
 	err     error
 	waiters int
-	joined  bool // another caller coalesced onto the flight (under Group.mu)
 	cancel  context.CancelFunc
 }
 
@@ -34,34 +33,17 @@ type flight[V any] struct {
 // follower — a caller that coalesced onto another caller's flight,
 // whether it received the result or abandoned while waiting — and
 // false for the leader that started the flight, even when followers
-// joined it (DoOwned tells a leader that). fn receives a context
+// joined it. fn receives a context
 // detached from any one caller's cancellation but canceled once every
 // waiter has abandoned; it must additionally bound its own lifetime
 // (the serving layer passes a deadline).
 func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error, bool) {
-	v, err, shared, _ := g.do(ctx, key, fn)
-	return v, err, shared
-}
-
-// DoOwned is Do for a caller that may reuse the result's memory once
-// it is done with it. The boolean reports whether the result is this
-// caller's alone: it led the flight and no other caller joined it —
-// not even one that then abandoned. A follower's is always false.
-func (g *Group[V]) DoOwned(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error, bool) {
-	v, err, _, owned := g.do(ctx, key, fn)
-	return v, err, owned
-}
-
-// do is Do and DoOwned: the result, whether the caller followed
-// another's flight, and whether it owns the result outright.
-func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error, bool, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flight[V])
 	}
 	if f, ok := g.calls[key]; ok {
 		f.waiters++
-		f.joined = true
 		g.mu.Unlock()
 		g.shared.Add(1)
 		return g.wait(ctx, key, f, true)
@@ -86,14 +68,11 @@ func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) 
 	return g.wait(ctx, key, f, false)
 }
 
-// wait returns the flight's result to one caller. A leader reading
-// f.joined after done needs no lock: followers join only while the
-// flight is in the map, under g.mu, and the flight's goroutine takes
-// g.mu to remove it before closing done.
-func (g *Group[V]) wait(ctx context.Context, key string, f *flight[V], shared bool) (V, error, bool, bool) {
+// wait returns the flight's result to one caller.
+func (g *Group[V]) wait(ctx context.Context, key string, f *flight[V], shared bool) (V, error, bool) {
 	select {
 	case <-f.done:
-		return f.val, f.err, shared, !shared && !f.joined
+		return f.val, f.err, shared
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.waiters--
@@ -110,7 +89,7 @@ func (g *Group[V]) wait(ctx context.Context, key string, f *flight[V], shared bo
 			g.mu.Unlock()
 		}
 		var zero V
-		return zero, ctx.Err(), shared, false
+		return zero, ctx.Err(), shared
 	}
 }
 

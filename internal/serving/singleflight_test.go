@@ -207,91 +207,3 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 	close(gate)
 	<-leaderDone
 }
-
-// DoOwned tells a leader whether anyone else joined its flight: a
-// flight nobody joined is the leader's alone; one a follower joined is
-// not — whether the follower received the result or abandoned while
-// waiting. A follower never owns the result, and Do's third return and
-// Shared count followers exactly as before.
-func TestSingleflightLeaderLearnsJoin(t *testing.T) {
-	var g Group[int]
-	if v, err, owned := g.DoOwned(context.Background(), "solo", func(context.Context) (int, error) { return 1, nil }); err != nil || v != 1 || !owned {
-		t.Fatalf("solo leader got (%d, %v, owned=%v), want (1, nil, true)", v, err, owned)
-	}
-	if _, _, shared := g.Do(context.Background(), "solo", func(context.Context) (int, error) { return 1, nil }); shared {
-		t.Fatal("solo Do reported shared")
-	}
-	for _, c := range []struct {
-		name      string
-		abandon   bool
-		followerO bool // the follower calls DoOwned rather than Do
-	}{
-		{"follower receives", false, false},
-		{"follower owned-variant receives", false, true},
-		{"follower abandons", true, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			before := g.Shared()
-			gate := make(chan struct{})
-			type out struct {
-				v     int
-				err   error
-				owned bool
-			}
-			leader := make(chan out, 1)
-			go func() {
-				v, err, owned := g.DoOwned(context.Background(), "k", func(context.Context) (int, error) {
-					<-gate
-					return 7, nil
-				})
-				leader <- out{v, err, owned}
-			}()
-			for g.InFlight() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			follower := make(chan out, 1)
-			go func() {
-				var o out
-				if c.followerO {
-					o.v, o.err, o.owned = g.DoOwned(ctx, "k", func(context.Context) (int, error) {
-						t.Error("the follower started a second flight")
-						return 0, nil
-					})
-				} else {
-					var shared bool
-					o.v, o.err, shared = g.Do(ctx, "k", func(context.Context) (int, error) {
-						t.Error("the follower started a second flight")
-						return 0, nil
-					})
-					if !shared {
-						t.Error("Do did not report the follower shared")
-					}
-				}
-				follower <- o
-			}()
-			for g.Shared() == before {
-				time.Sleep(time.Millisecond)
-			}
-			if c.abandon {
-				cancel()
-				if o := <-follower; o.err != context.Canceled || o.owned {
-					t.Fatalf("abandoning follower got (%d, %v, owned=%v)", o.v, o.err, o.owned)
-				}
-			}
-			close(gate)
-			if o := <-leader; o.err != nil || o.v != 7 || o.owned {
-				t.Fatalf("leader got (%d, %v, owned=%v), want (7, nil, false): a follower joined", o.v, o.err, o.owned)
-			}
-			if !c.abandon {
-				if o := <-follower; o.err != nil || o.v != 7 || o.owned {
-					t.Fatalf("follower got (%d, %v, owned=%v), want (7, nil, false)", o.v, o.err, o.owned)
-				}
-			}
-			if got := g.Shared() - before; got != 1 {
-				t.Fatalf("Shared moved by %d, want 1", got)
-			}
-		})
-	}
-}

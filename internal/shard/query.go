@@ -378,6 +378,18 @@ func (s *Sharded) Builder() *dil.Builder {
 	return g.systems[s.st].Builder()
 }
 
+// KeywordListBytes sums the encoded bytes the local shards' keyword
+// caches hold.
+func (s *Sharded) KeywordListBytes() int64 {
+	var n int64
+	live := s.c.pinLocal()
+	defer s.c.unpinLocal(live)
+	for _, g := range live {
+		n += g.systems[s.st].KeywordListBytes()
+	}
+	return n
+}
+
 // KeywordCacheMetrics aggregates the per-shard on-demand keyword cache
 // counters of the local shards (peers report their own).
 func (s *Sharded) KeywordCacheMetrics() serving.CacheMetrics {
