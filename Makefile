@@ -62,7 +62,6 @@ GO ?= go
 
 # Packages with failpoint-instrumented code or fault-injection tests.
 FAULT_PKGS = ./internal/faultinject/... ./internal/resilience/... \
-	./internal/dil/... ./internal/query/... \
 	./internal/ingest/... ./internal/server/... ./internal/shard/... \
 	./internal/delta/... ./internal/peer/... ./internal/arena/...
 
@@ -258,6 +257,13 @@ obs: api-guard
 # arrays (prefixLens, suffixLens, borrowedHeader), no built-list cursor
 # mode with its suffix-max array (haveSuf), and no pinned-list pool or
 # the ownership plumbing it needed (listPool, dil.Recycle, DoOwned).
+# The keyword build reads a frozen ontology side and cannot fail: no
+# ontology failpoint (FPOntoResolve), fallible build (BuildKeywordE),
+# retry/breaker wrapper (listResilient) or IR-only fallback cache
+# namespace (irCacheKey) grows back around it. ElemRank is out of the
+# serving stack: no builder normalizer (SetRanksMax), no ranks_max on
+# the peer wire, no internal/elemrank package, and nothing xontoserve
+# links may import one.
 # Benchmarks are
 # plain go test -bench runs and bench/'s xontoload: no root BENCH_*.json
 # or *_report_test.go JSON writer.
@@ -296,14 +302,17 @@ api-guard:
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
 	if grep -rnE 'prefixLens|suffixLens|borrowedHeader|haveSuf|listPool|DoOwned|dil\.Recycle|func Recycle\(' \
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
-	for d in internal/docstore internal/graphsearch internal/store; do \
+	if grep -rnE 'FPOntoResolve|irCacheKey|listResilient|BuildKeywordE\b|SetRanksMax|ranks_max' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if $(GO) list -deps ./cmd/xontoserve | grep -x 'repro/internal/elemrank'; then fail=1; fi; \
+	for d in internal/docstore internal/graphsearch internal/store internal/elemrank; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
 	for f in BENCH_*.json *_report_test.go; do \
 		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; benchmarks write no root reports)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; the keyword build has no failure path and no ElemRank; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -79,7 +79,6 @@ func main() {
 		ths := env.ThresholdAblation(experiments.AblationKeywords, []float64{0, 0.05, 0.1, 0.2})
 		decays := env.DecayAblation(experiments.AblationKeywords, []float64{0.3, 0.5, 0.7})
 		fmt.Println(experiments.RenderAblations(merged, ths, decays))
-		fmt.Println(env.ElemRankEffect().String())
 	}
 	if *all || *prf {
 		fmt.Println(env.PrecisionRecall(5, 10).String())

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cda"
-	"repro/internal/elemrank"
 	"repro/internal/ontology"
 	"repro/internal/xmltree"
 )
@@ -109,7 +108,7 @@ func cmdVerify(args []string) error {
 	// Summary.
 	edges := 0
 	for _, doc := range corpus.Docs() {
-		edges += len(elemrank.ExtractHyperlinks(doc))
+		edges += len(cda.ExtractHyperlinks(doc))
 	}
 	fmt.Printf("\n%s; %d resolvable references, %d references to systems outside the collection, %d hyperlink edges\n",
 		corpus.Stats(), known, unknownSystem, edges)

@@ -23,12 +23,8 @@
 //
 // The serving layer (internal/serving) is tuned with -cache-size,
 // -cache-ttl, -max-concurrent, -queue-wait, and -timeout; overload is
-// answered with 429 and deadline expiry with 504. The ontology path is
-// guarded by a per-strategy circuit breaker (-breaker-threshold,
-// -breaker-cooldown) with bounded retries (-retry-max); when it trips,
-// search degrades to IR-only ranking with "degraded": true instead of
-// failing. The process shuts down gracefully on SIGINT/SIGTERM,
-// draining in-flight requests.
+// answered with 429 and deadline expiry with 504. The process shuts
+// down gracefully on SIGINT/SIGTERM, draining in-flight requests.
 //
 // With -live-ingest, POST/DELETE /admin/ingest applies single-document
 // adds, replacements, and deletes without a rebuild: each operation is
@@ -65,7 +61,7 @@
 // Endpoints: /search, /fragment, /concepts, /ontoscore, /stats,
 // /metrics, /admin/reload, /admin/ingest (with -live-ingest), /healthz
 // (shallow liveness), /readyz (deep readiness: data directory
-// reachable, corpus loaded, breaker states, active generation, delta
+// reachable, corpus loaded, shard quorum, active generation, delta
 // lag), /shard/search + /shard/stats + /shard/fragment (with
 // -shard-role=peer) — see internal/server.
 package main
@@ -94,7 +90,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/peer"
-	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/serving"
 	"repro/internal/shard"
@@ -203,19 +198,13 @@ func newApp(fs *flag.FlagSet, args []string) *app {
 		"with -mmap-index, rebuild missing or stale arena files at startup, on reload, and after compaction "+
 			"(false: only pre-built files, such as xontorank index writes, are attached)")
 	fs.BoolVar(&a.debug, "debug", false, "expose net/http/pprof under /debug/pprof/ (admin use only)")
-	fs.BoolVar(&a.jsonLog, "json-log", false, "emit structured JSON access/degradation logs on stderr (trace-correlated)")
+	fs.BoolVar(&a.jsonLog, "json-log", false, "emit structured JSON access logs on stderr (trace-correlated)")
 	fs.IntVar(&a.scfg.CacheCapacity, "cache-size", a.scfg.CacheCapacity, "query result cache capacity (entries)")
 	fs.DurationVar(&a.scfg.CacheTTL, "cache-ttl", a.scfg.CacheTTL, "query result cache TTL (0 disables expiry)")
 	fs.IntVar(&a.scfg.MaxConcurrent, "max-concurrent", a.scfg.MaxConcurrent, "maximum concurrent search executions")
 	fs.DurationVar(&a.scfg.QueueWait, "queue-wait", a.scfg.QueueWait, "how long a request may wait for a slot before a 429")
 	fs.DurationVar(&a.scfg.Timeout, "timeout", a.scfg.Timeout, "per-search deadline before a 504")
 	fs.DurationVar(&a.shutdownGrace, "shutdown-grace", 10*time.Second, "drain time for in-flight requests on SIGINT/SIGTERM")
-	fs.IntVar(&a.ccfg.Query.Breaker.Threshold, "breaker-threshold", resilience.DefaultBreakerThreshold,
-		"ontology-path failures within the window that trip the breaker (search then degrades to IR-only)")
-	fs.DurationVar(&a.ccfg.Query.Breaker.Cooldown, "breaker-cooldown", resilience.DefaultBreakerCooldown,
-		"how long a tripped breaker stays open before probing the ontology path again")
-	fs.IntVar(&a.ccfg.Query.Retry.MaxAttempts, "retry-max", resilience.DefaultMaxAttempts,
-		"ontology-path build attempts (first call included) before a keyword degrades")
 	fs.BoolVar(&a.ccfg.Query.ExhaustiveMerge, "no-topk-prune", false,
 		"disable block-max top-k pruning: the fast merge scores every posting before ranking")
 	fs.Parse(args)
@@ -371,8 +360,6 @@ func (a *app) run(ctx context.Context) error {
 	}
 	a.logf("serving layer: cache=%d entries ttl=%v max-concurrent=%d queue-wait=%v timeout=%v",
 		a.scfg.CacheCapacity, a.scfg.CacheTTL, a.scfg.MaxConcurrent, a.scfg.QueueWait, a.scfg.Timeout)
-	a.logf("resilience: breaker-threshold=%d breaker-cooldown=%v retry-max=%d",
-		a.ccfg.Query.Breaker.Threshold, a.ccfg.Query.Breaker.Cooldown, a.ccfg.Query.Retry.MaxAttempts)
 
 	h := server.NewServing(corpus, coll, a.ccfg, a.scfg)
 	h.SetLogf(a.logf)

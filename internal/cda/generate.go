@@ -236,7 +236,7 @@ func (g *Generator) GenerateDocument(n int) *xmltree.Document {
 		dis.Preferred, prescribed[drugIdx].Preferred))
 	// The narrative cites the medication entry through an ID-IDREF
 	// reference (the CDA originalText idiom), giving the corpus the
-	// hyperlink edges ElemRank exploits.
+	// hyperlink edges `xontorank verify` counts.
 	ref := narrative.NewChild("reference")
 	ref.SetAttr("value", fmt.Sprintf("m%d", drugIdx))
 

@@ -26,9 +26,6 @@ func CorpusFingerprint(c *xmltree.Corpus) uint64 { return c.Fingerprint() }
 func (s *System) ConfigFingerprint() uint64 {
 	desc := fmt.Sprintf("%s|alpha=%v|onto=%+v|text=%+v|hops=%d",
 		s.cfg.Strategy, s.cfg.DIL.Alpha, s.cfg.DIL.Onto, s.cfg.DIL.Text, s.cfg.VocabularyHops)
-	if s.cfg.DIL.ElemRank != nil {
-		desc += fmt.Sprintf("|elemrank=%+v", *s.cfg.DIL.ElemRank)
-	}
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(desc); i++ {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/query"
-	"repro/internal/resilience"
 	"repro/internal/serving"
 	"repro/internal/xmltree"
 )
@@ -151,9 +150,6 @@ func (s *System) Index() *dil.Index { return s.index }
 // (corpus tokens plus the configured ontology neighborhood) and returns
 // the build statistics.
 func (s *System) BuildIndex() (*dil.BuildStats, error) {
-	if err := s.builder.Err(); err != nil {
-		return nil, err
-	}
 	vocab := s.builder.Vocabulary(s.cfg.VocabularyHops)
 	ix, stats, err := s.builder.Build(vocab)
 	if err != nil {
@@ -169,10 +165,6 @@ func (s *System) BuildIndex() (*dil.BuildStats, error) {
 
 // BuildStats returns the statistics of the last BuildIndex (nil before).
 func (s *System) BuildStats() *dil.BuildStats { return s.stats }
-
-// Breaker exposes the engine's ontology-path circuit breaker (for
-// readiness and metrics reporting).
-func (s *System) Breaker() *resilience.Breaker { return s.engine.Breaker() }
 
 // KeywordCacheMetrics reports the engine's bounded on-demand keyword
 // cache counters (exposed by the server's /metrics endpoint).

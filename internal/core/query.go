@@ -90,7 +90,9 @@ type SearchResponse struct {
 	// Results are ranked by descending score, resolved against the
 	// corpus.
 	Results []Result
-	// Info reports how the query was answered (degraded keywords).
+	// Info reports how the query was answered: Degraded is set only by
+	// a federated peer of an older release that scored part of its
+	// answer IR-only (internal/shard).
 	Info query.Info
 	// Timing is the per-stage latency breakdown.
 	Timing Timing
@@ -158,7 +160,7 @@ func (s *System) Query(ctx context.Context, req SearchRequest) (*SearchResponse,
 
 	hstart := time.Now()
 	_, hsp := obs.StartSpan(ctx, "core.hydrate")
-	out := &SearchResponse{Info: qresp.Info, Pruning: qresp.Pruning}
+	out := &SearchResponse{Pruning: qresp.Pruning}
 	if len(qresp.Results) > 0 {
 		out.Results = make([]Result, 0, len(qresp.Results))
 	}

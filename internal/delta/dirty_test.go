@@ -3,25 +3,101 @@ package delta
 import (
 	"context"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dil"
-	"repro/internal/faultinject"
+	"repro/internal/ir"
 	"repro/internal/ontoscore"
+	"repro/internal/query"
 	"repro/internal/xmltree"
 )
 
+// gatedOverlay serves a segment's views to a system with each pinned
+// build's state wrapped: the first build to read its statistics or ask
+// about a dead document closes entered and blocks until release is
+// closed (any other build doing so meanwhile waits too), and builds
+// counts the pinned builds that got that far — a reader that joined
+// another's build counts a pin but no build.
+type gatedOverlay struct {
+	seg      *Segment
+	strategy ontoscore.Strategy
+	entered  chan struct{}
+	release  chan struct{}
+	first    sync.Once
+	pins     atomic.Int64
+	builds   atomic.Int64
+}
+
+// gate installs a gatedOverlay over seg on sys, in place of the one
+// wireSegment installed.
+func gate(sys *core.System, seg *Segment, strategy ontoscore.Strategy) *gatedOverlay {
+	o := &gatedOverlay{seg: seg, strategy: strategy, entered: make(chan struct{}), release: make(chan struct{})}
+	sys.SetOverlay(o)
+	return o
+}
+
+func (o *gatedOverlay) Acquire() query.OverlayView {
+	return gatedView{o.seg.Overlay(o.strategy, -1, nil).Acquire().(*segView), o}
+}
+
+type gatedView struct {
+	*segView
+	o *gatedOverlay
+}
+
+// Pin pins base to the view's state, as segView.Pin does, with every
+// statistics read and dead-document test passing the build's gate
+// first. A build with any posting asks about a document (tombstones or
+// none), so every build that emits one reaches its gate.
+func (v gatedView) Pin(base *dil.Builder) *dil.Builder {
+	v.o.pins.Add(1)
+	g := &buildGate{o: v.o}
+	live := v.live()
+	dead := live.Dead
+	live.Dead = func(id int32) bool {
+		g.enter()
+		return dead != nil && dead(id)
+	}
+	live.Stats = gatedStats{live.Stats, g}
+	return base.Pin(live)
+}
+
+// buildGate is one pinned build's pass through the overlay's gate.
+type buildGate struct {
+	o    *gatedOverlay
+	once sync.Once
+}
+
+func (g *buildGate) enter() {
+	g.once.Do(func() {
+		g.o.builds.Add(1)
+		g.o.first.Do(func() {
+			close(g.o.entered)
+			<-g.o.release
+		})
+	})
+}
+
+type gatedStats struct {
+	ir.StatsView
+	g *buildGate
+}
+
+func (s gatedStats) StatsN() int             { s.g.enter(); return s.StatsView.StatsN() }
+func (s gatedStats) StatsTotalLen() int64    { s.g.enter(); return s.StatsView.StatsTotalLen() }
+func (s gatedStats) StatsDF(term string) int { s.g.enter(); return s.StatsView.StatsDF(term) }
+
 // A dirty read answers for the state it acquired. The first keyword
-// build of a query stalls on the ontology path; meanwhile a write
-// tombstones a base document. The answer must still be the acquired
-// state's — statistics, normalization divisors and tombstones alike —
-// not a list scored under the new state and merged with the old
-// delta.
+// build of a query blocks part way through (gatedOverlay); meanwhile a write tombstones a base document. The answer must still
+// be the acquired state's — statistics, normalization divisors and
+// tombstones alike — not a list scored under the new state and merged
+// with the old delta.
 func TestDirtyReadPinnedToAcquiredState(t *testing.T) {
-	defer faultinject.DisableAll()
 	fx := newFixture(t, 9, 7)
 	const baseN = 6
 	cfg := core.DefaultConfig()
@@ -34,7 +110,7 @@ func TestDirtyReadPinnedToAcquiredState(t *testing.T) {
 	acquired := core.NewMulti(referenceCorpus(t, fx, base, live, deltaID), fx.coll, cfg)
 
 	req := core.SearchRequest{Query: "asthma medications", K: 100}
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{Mode: faultinject.ModeLatency, Delay: 150 * time.Millisecond, Count: 1})
+	o := gate(sys, seg, cfg.Strategy)
 	type answer struct {
 		resp *core.SearchResponse
 		err  error
@@ -44,12 +120,7 @@ func TestDirtyReadPinnedToAcquiredState(t *testing.T) {
 		resp, err := sys.Query(context.Background(), req)
 		done <- answer{resp, err}
 	}()
-	for {
-		if _, fired := faultinject.Counts(dil.FPOntoResolve); fired > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-o.entered
 	if err := seg.Apply(Op{Seq: 4, Kind: OpDelete, Name: fx.names[3]}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +129,8 @@ func TestDirtyReadPinnedToAcquiredState(t *testing.T) {
 		t.Fatal("the query finished before the write landed; the test did not overlap them")
 	default:
 	}
+	close(o.release)
 	got := <-done
-	faultinject.Disable(dil.FPOntoResolve)
 	if got.err != nil {
 		t.Fatal(got.err)
 	}
@@ -72,57 +143,6 @@ func TestDirtyReadPinnedToAcquiredState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.resp.Results, want.Results) {
 		t.Fatalf("dirty read diverges from a rebuild of the state it acquired\n got: %+v\nwant: %+v", got.resp.Results, want.Results)
-	}
-}
-
-// When the ontology path fails under a dirty overlay, the keyword
-// degrades as a whole: base and delta postings both score IR-only, as
-// a StrategyNone system over the live corpus does.
-func TestDirtyReadDegradesWholeKeyword(t *testing.T) {
-	defer faultinject.DisableAll()
-	fx := newFixture(t, 9, 7)
-	const baseN = 6
-	cfg := core.DefaultConfig()
-	base := fx.baseCorpus(t, baseN)
-	sys := core.NewMulti(base, fx.coll, cfg)
-	seg := wireSegment(sys, cfg.Strategy, Config{Strategies: []ontoscore.Strategy{cfg.Strategy}, DIL: cfg.DIL})
-	n := fx.names
-	script := []scriptOp{
-		{OpPut, n[6], n[6]},
-		{OpPut, n[7], n[7]},
-		{OpDelete, n[3], ""},
-	}
-	replayScript(t, seg, fx, script)
-	live, deltaID := trackScript(fx, baseN, script)
-	irCfg := cfg
-	irCfg.Strategy = ontoscore.StrategyNone
-	irOnly := core.NewMulti(referenceCorpus(t, fx, base, live, deltaID), fx.coll, irCfg)
-
-	req := core.SearchRequest{Query: "patient", K: 100}
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{})
-	got, err := sys.Query(context.Background(), req)
-	faultinject.Disable(dil.FPOntoResolve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Info.Degraded || !reflect.DeepEqual(got.Info.DegradedKeywords, []string{"patient"}) {
-		t.Fatalf("info = %+v, want the keyword degraded", got.Info)
-	}
-	want, err := irOnly.Query(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDelta := 0
-	for _, r := range want.Results {
-		if r.Root.DocID() >= baseN {
-			fromDelta++
-		}
-	}
-	if fromDelta == 0 || fromDelta == len(want.Results) {
-		t.Fatalf("%d of %d results from delta documents; the test needs both sides", fromDelta, len(want.Results))
-	}
-	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Fatalf("degraded dirty read diverges from IR-only scoring of the live corpus\n got: %+v\nwant: %+v", got.Results, want.Results)
 	}
 }
 
@@ -149,10 +169,7 @@ func TestPinnedListsInDeweyOrder(t *testing.T) {
 		b := view.Pin(sys.Builder())
 		ids := b.IDs()
 		for _, kw := range sys.Builder().Vocabulary(0) {
-			list, err := b.BuildKeywordE(kw)
-			if err != nil {
-				t.Fatal(err)
-			}
+			list := b.BuildKeyword(kw)
 			for i, p := range list {
 				if id := ids.ID(p.Key); p.Doc != id[0] {
 					t.Fatalf("%s %q: posting %v carries document %d", label, kw, id, p.Doc)
@@ -205,14 +222,13 @@ func recycleState(t *testing.T, fx *fixture, cfg core.Config) (*core.System, *Se
 }
 
 // Two readers of one dirty state coalesce on one keyword's flight: the
-// first stalls on the ontology path, the second acquires the same state
-// and joins the build. Both answer for the acquired state from the one
+// first blocks inside its build, the second acquires the same state and
+// joins the build. Both answer for the acquired state from the one
 // encoded list the build returned.
 func TestDirtyReadCoalescedReaders(t *testing.T) {
-	defer faultinject.DisableAll()
 	fx := newFixture(t, 158, 3)
 	cfg := core.DefaultConfig()
-	sys, _, script, base := recycleState(t, fx, cfg)
+	sys, seg, script, base := recycleState(t, fx, cfg)
 	live, deltaID := trackScript(fx, len(base.Docs()), script)
 	acquired := core.NewMulti(referenceCorpus(t, fx, base, live, deltaID), fx.coll, cfg)
 	const kw = "medication"
@@ -224,7 +240,7 @@ func TestDirtyReadCoalescedReaders(t *testing.T) {
 	if len(want.Results) == 0 {
 		t.Fatal("the acquired state answers nothing; the test checks nothing")
 	}
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{Mode: faultinject.ModeLatency, Delay: 200 * time.Millisecond, Count: 1})
+	o := gate(sys, seg, cfg.Strategy)
 	type answer struct {
 		resp *core.SearchResponse
 		err  error
@@ -235,18 +251,18 @@ func TestDirtyReadCoalescedReaders(t *testing.T) {
 		done <- answer{resp, err}
 	}
 	go read()
-	for {
-		if _, fired := faultinject.Counts(dil.FPOntoResolve); fired > 0 {
-			break
-		}
+	<-o.entered
+	go read()
+	for o.pins.Load() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	go read()
+	// The second reader pinned the state; give it time to reach the
+	// first reader's flight before the build is let go.
+	time.Sleep(200 * time.Millisecond)
+	close(o.release)
 	answers := []answer{<-done, <-done}
-	hits, _ := faultinject.Counts(dil.FPOntoResolve)
-	faultinject.Disable(dil.FPOntoResolve)
-	if systems := int64(len(sys.Builder().Side().Computers())); hits != systems {
-		t.Fatalf("the ontology path ran %d times for %d systems; the readers did not share one build", hits, systems)
+	if builds := o.builds.Load(); builds != 1 {
+		t.Fatalf("%d pinned builds ran for two readers of one state; the readers did not share one build", builds)
 	}
 	for i, a := range answers {
 		if a.err != nil {
@@ -269,10 +285,7 @@ func TestDirtyReadRecyclesLists(t *testing.T) {
 	sys, seg, _, _ := recycleState(t, fx, cfg)
 	const kw = "medication"
 	pinned := seg.Overlay(cfg.Strategy, -1, nil).Acquire().Pin(sys.Builder())
-	list, err := pinned.BuildKeywordE(kw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := pinned.BuildKeyword(kw)
 	array := int64(len(list)) * int64(unsafe.Sizeof(dil.Posting{}))
 	encoded := int64(dil.Compact(list, pinned.IDs()).Bytes())
 	req := core.SearchRequest{Query: kw, K: 10}

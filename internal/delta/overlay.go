@@ -77,7 +77,10 @@ func (v *segView) Dirty() bool {
 }
 
 // Pin pins the engine's builder to the view's state.
-func (v *segView) Pin(base *dil.Builder) *dil.Builder {
+func (v *segView) Pin(base *dil.Builder) *dil.Builder { return base.Pin(v.live()) }
+
+// live is the view's state as a pinned build reads it.
+func (v *segView) live() dil.Live {
 	st := v.s
 	live := dil.Live{Stats: stateStatsView{st}, Delta: st.builders[v.o.strategy]}
 	if len(st.dead) > 0 {
@@ -92,5 +95,5 @@ func (v *segView) Pin(base *dil.Builder) *dil.Builder {
 	if v.o.norm != nil {
 		live.Norm = v.o.norm()
 	}
-	return base.Pin(live)
+	return live
 }

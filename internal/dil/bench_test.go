@@ -26,10 +26,7 @@ func BenchmarkBuildKeyword(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kw := sweep[(i/len(strategies))%len(sweep)]
-		c, err := builders[strategies[i%len(strategies)]].CompactKeyword(context.Background(), kw, true, false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := builders[strategies[i%len(strategies)]].CompactKeyword(context.Background(), kw)
 		postings += c.Len()
 	}
 	b.ReportMetric(float64(postings)/float64(b.N), "postings/op")

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/elemrank"
-	"repro/internal/faultinject"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/ontology"
@@ -26,12 +24,6 @@ type Params struct {
 	Alpha float64
 	Onto  ontoscore.Params
 	Text  xmltree.TextOptions
-	// ElemRank, when non-nil, incorporates XRANK's structural ElemRank
-	// into the node scores (paper Section V: "ElemRank could be
-	// incorporated"): each posting's NS is multiplied by the node's
-	// max-normalized ElemRank, so structurally authoritative elements —
-	// e.g. targets of CDA originalText references — rank higher.
-	ElemRank *elemrank.Params
 }
 
 // DefaultParams returns the paper's experimental settings (alpha 0.5).
@@ -106,20 +98,17 @@ type stage struct {
 	side   *ontoscore.Side
 	params Params
 
-	ids           []xmltree.Dewey // DocKey -> the element's Dewey identifier
-	docs          []docSpan       // per document, in key order
-	textBase      *ir.Index       // elements as documents (bag model, BM25 stats)
-	posIx         *ir.Positional  // token positions: phrase tests and term frequencies
-	slot0         []int           // per system (side order): the system's first concept slot
-	refStart      []int32         // per concept slot, plus one: the slot's first entry in refKeys
-	refKeys       []int32         // referencing element keys, slot after slot, each slot's in key order
-	slotOf        []int32         // DocKey -> the concept slot it references, -1 if none
-	ranks         []float64       // DocKey -> raw ElemRank; nil unless Params.ElemRank set
-	localRanksMax float64         // max of ranks
-	scratch       sync.Pool       // *scratch: per-build working memory
+	ids      []xmltree.Dewey // DocKey -> the element's Dewey identifier
+	docs     []docSpan       // per document, in key order
+	textBase *ir.Index       // elements as documents (bag model, BM25 stats)
+	posIx    *ir.Positional  // token positions: phrase tests and term frequencies
+	slot0    []int           // per system (side order): the system's first concept slot
+	refStart []int32         // per concept slot, plus one: the slot's first entry in refKeys
+	refKeys  []int32         // referencing element keys, slot after slot, each slot's in key order
+	slotOf   []int32         // DocKey -> the concept slot it references, -1 if none
+	scratch  sync.Pool       // *scratch: per-build working memory
 
 	fullTextTime time.Duration
-	buildErr     error
 }
 
 // Builder is the Index Creation Module: a view, for one OntoScore
@@ -129,19 +118,17 @@ type stage struct {
 // (the paper's ontological systems collection O = {O1..Ok}).
 //
 // What a partitioned deployment installs on a builder — the statistics
-// overlay, the Calibrator, the global ElemRank normalizer — is state of
-// the view, never of the stage: setting it on one builder leaves the
-// builders of the other strategies untouched. A live delta installs
-// nothing: each dirty read builds through a view pinned to the state
-// it acquired (Pin).
+// overlay and the Calibrator — is state of the view, never of the
+// stage: setting it on one builder leaves the builders of the other
+// strategies untouched. A live delta installs nothing: each dirty read
+// builds through a view pinned to the state it acquired (Pin).
 type Builder struct {
 	*stage
 	strategy ontoscore.Strategy
 
-	textIx   *ir.Index  // stage.textBase under this view's statistics overlay
-	ranksMax float64    // normalization factor for ranks (corpus-global when overridden)
-	calib    Calibrator // nil unless this builder is a corpus partition
-	live     *Live      // the live delta state this view is pinned to (Pin)
+	textIx *ir.Index  // stage.textBase under this view's statistics overlay
+	calib  Calibrator // nil unless this builder is a corpus partition
+	live   *Live      // the live delta state this view is pinned to (Pin)
 }
 
 // Calibrator supplies corpus-global score-calibration facts to a
@@ -184,19 +171,6 @@ func (b *Builder) SetGlobalTextStats(s ir.Stats) { b.textIx.SetGlobalStats(s) }
 // frozen snapshot (see ir.StatsView). The assignment is off-line only;
 // the view itself may answer from concurrently updated data.
 func (b *Builder) SetGlobalTextStatsView(v ir.StatsView) { b.textIx.SetGlobalStatsView(v) }
-
-// RanksMax reports the builder's ElemRank normalization factor (0 when
-// ElemRank is not configured).
-func (b *Builder) RanksMax() float64 { return b.ranksMax }
-
-// SetRanksMax overrides the ElemRank normalization factor with a
-// corpus-global maximum (partitioned deployments take the max across
-// shards). Off-line only.
-func (b *Builder) SetRanksMax(max float64) {
-	if max > 0 {
-		b.ranksMax = max
-	}
-}
 
 // RawTextMax computes the maximum raw (unnormalized) BM25 score over
 // this partition's containing set for one keyword — the partition's
@@ -244,10 +218,6 @@ func (b *Builder) rawTextScores(keyword string) []ir.Scored {
 // once, however many strategies' builders share it.
 func (b *Builder) FullTextTime() time.Duration { return b.fullTextTime }
 
-// Err reports a construction-time failure (ElemRank misconfiguration);
-// Build surfaces it, on-demand BuildKeyword treats ranks as absent.
-func (b *Builder) Err() error { return b.buildErr }
-
 // NewBuilder runs the full-text stage against a single ontology; it is
 // NewMultiBuilder over a one-element collection.
 func NewBuilder(corpus *xmltree.Corpus, ont *ontology.Ontology, strategy ontoscore.Strategy, params Params) *Builder {
@@ -277,7 +247,7 @@ func NewBuilders(corpus *xmltree.Corpus, side *ontoscore.Side, strategies []onto
 	s := newStage(corpus, side, params)
 	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
 	for _, st := range strategies {
-		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil), ranksMax: s.localRanksMax}
+		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil)}
 	}
 	return out
 }
@@ -312,18 +282,6 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 	}
 	packIDs(s.ids)
 	s.indexRefs(slots)
-	if params.ElemRank != nil {
-		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
-		if err != nil {
-			s.buildErr = err
-		} else {
-			s.ranks = make([]float64, len(s.ids))
-			for key, id := range s.ids {
-				s.ranks[key] = ranks.Rank(id)
-			}
-			s.localRanksMax = ranks.Max()
-		}
-	}
 	s.scratch.New = s.newScratch
 	s.fullTextTime = time.Since(start)
 	return s
@@ -567,11 +525,6 @@ func normalize(raw []ir.Scored, norm float64) {
 	}
 }
 
-// FPOntoResolve fires during ontology concept resolution on the
-// fallible build path (BuildKeywordE) — the query engine's circuit
-// breaker guards exactly this boundary.
-const FPOntoResolve = "dil.ontoscore"
-
 // BuildKeyword assembles the XOnto-DIL of one keyword: text postings
 // merged (by max, per equation (5)) with alpha-scaled OntoScore
 // postings on code nodes referencing associated concepts of any system.
@@ -586,53 +539,32 @@ func (b *Builder) BuildKeyword(keyword string) List {
 // paper's evaluation. The span's onto attribute says whether the
 // OntoScores came from the side's memo or were propagated.
 func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
-	l, _ := b.buildKeyword(ctx, keyword, false, false, nil)
-	return l
+	return b.buildKeyword(ctx, keyword, false, nil)
 }
 
-// BuildKeywordE is BuildKeyword with an error channel for the ontology
-// path; the query engine retries and circuit-breaks around it.
-func (b *Builder) BuildKeywordE(keyword string) (List, error) {
-	return b.BuildKeywordECtx(context.Background(), keyword)
-}
-
-// BuildKeywordECtx is BuildKeywordE with span instrumentation (see
-// BuildKeywordCtx).
-func (b *Builder) BuildKeywordECtx(ctx context.Context, keyword string) (List, error) {
-	return b.buildKeyword(ctx, keyword, true, false, nil)
-}
-
-// BuildKeywordIR assembles the degraded, IR-only DIL of one keyword:
+// BuildKeywordIR assembles the IR-only DIL of one keyword:
 // NS(v, w) = IRS(v, w), skipping the ontology branch entirely. This is
-// exactly what a StrategyNone (XRANK baseline) system computes, and it
-// is what searches fall back to when the ontology path's circuit
-// breaker is open.
+// exactly what a StrategyNone (XRANK baseline) system computes.
 func (b *Builder) BuildKeywordIR(keyword string) List {
 	return b.BuildKeywordIRCtx(context.Background(), keyword)
 }
 
 // BuildKeywordIRCtx is BuildKeywordIR with span instrumentation; the
-// span carries ir_only=true so degraded builds are visible in traces.
+// span carries ir_only=true.
 func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
-	l, _ := b.buildKeyword(ctx, keyword, false, true, nil)
-	return l
+	return b.buildKeyword(ctx, keyword, true, nil)
 }
 
 // CompactKeyword is the build the query engine caches and merges: the
-// keyword's list as BuildKeywordCtx assembles it (BuildKeywordECtx's
-// when fallible, BuildKeywordIRCtx's when irOnly), block-coded as its
+// keyword's list as BuildKeywordCtx assembles it, block-coded as its
 // postings are emitted, so nothing but the encoding is allocated for
 // it (nil for an empty list).
-func (b *Builder) CompactKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (*CompactList, error) {
+func (b *Builder) CompactKeyword(ctx context.Context, keyword string) *CompactList {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
 	e.reset()
-	l, err := b.buildKeyword(ctx, keyword, fallible, irOnly, e)
-	if err != nil {
-		return nil, err
-	}
-	e.block = l
-	return e.finish(b.IDs()), nil
+	e.block = b.buildKeyword(ctx, keyword, false, e)
+	return e.finish(b.IDs())
 }
 
 // buildKeyword is the one keyword build: the OntoScores of every system
@@ -640,20 +572,19 @@ func (b *Builder) CompactKeyword(ctx context.Context, keyword string, fallible, 
 // assembled — over the live state when the builder is pinned to one
 // (Pin). With enc set the postings are encoded as they are emitted and
 // the list returned is the last, partial block (see sink).
-func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, irOnly bool, enc *encoder) (List, error) {
+func (b *Builder) buildKeyword(ctx context.Context, keyword string, irOnly bool, enc *encoder) List {
 	ctx, sp := obs.StartSpan(ctx, "dil.build_keyword")
 	sp.SetAttr("keyword", keyword)
 	defer sp.End()
 	var onto []ontoscore.Dense
-	var err error
 	if irOnly {
 		sp.SetAttr("ir_only", true)
-	} else if onto, err = b.ontoScores(ctx, sp, keyword, fallible); err != nil {
-		return nil, err
+	} else {
+		onto = b.ontoScores(ctx, sp, keyword)
 	}
 	var l List
 	if b.live != nil {
-		l, err = b.assembleLive(ctx, sp, keyword, onto, fallible, irOnly, enc)
+		l = b.assembleLive(ctx, sp, keyword, onto, irOnly, enc)
 	} else {
 		l = b.assemble(b.textScoresCtx(ctx, keyword), onto, enc)
 	}
@@ -662,24 +593,16 @@ func (b *Builder) buildKeyword(ctx context.Context, keyword string, fallible, ir
 		n += enc.n
 	}
 	sp.SetAttr("postings", n)
-	return l, err
+	return l
 }
 
 // ontoScores reads the keyword's OntoScores on every system of the
 // side through its memo, tagging the build span sp with whether they
-// all came from the memo. fallible hits the FPOntoResolve failpoint
-// before each system's scores are read, memo hit or not.
-func (b *Builder) ontoScores(ctx context.Context, sp *obs.Span, keyword string, fallible bool) ([]ontoscore.Dense, error) {
+// all came from the memo.
+func (b *Builder) ontoScores(ctx context.Context, sp *obs.Span, keyword string) []ontoscore.Dense {
 	onto := make([]ontoscore.Dense, len(b.slot0))
 	memo := true
-	for i, c := range b.side.Computers() {
-		if fallible {
-			if err := faultinject.Hit(FPOntoResolve); err != nil {
-				err = fmt.Errorf("dil: resolving %q against system %s: %w", keyword, c.Ontology().SystemID, err)
-				sp.SetAttr("error", err.Error())
-				return nil, err
-			}
-		}
+	for i := range onto {
 		var hit bool
 		onto[i], hit = b.side.Scores(ctx, i, b.strategy, keyword)
 		memo = memo && hit
@@ -691,7 +614,7 @@ func (b *Builder) ontoScores(ctx context.Context, sp *obs.Span, keyword string, 
 	default:
 		sp.SetAttr("onto", "propagated")
 	}
-	return onto, nil
+	return onto
 }
 
 // textScoresCtx wraps textScores in a "dil.text_scores" span.
@@ -776,9 +699,8 @@ func (s *stage) newScratch() any {
 
 // emit walks the union of the text postings and the code elements
 // marked in sc in key order, appending to out every element — its key
-// offset by off, its document, and its final node score: NS, the max
-// of the branches, times the normalized ElemRank when configured —
-// when the score is positive and drop (nil: none) does not report the
+// offset by off, its document, and its final node score — NS, the max
+// of the branches — when the score is positive and drop (nil: none) does not report the
 // element's document. With enc set, out is enc's block, encoded and
 // emptied whenever it fills. It clears the bitset as it goes and
 // returns the scratch to the pool.
@@ -817,9 +739,6 @@ func (b *Builder) emit(out List, off int32, text []ir.Scored, sc *scratch, drop 
 			}
 			i++
 			code, more = next()
-		}
-		if b.ranks != nil && b.ranksMax > 0 {
-			s *= b.ranks[key] / b.ranksMax
 		}
 		if s > 0 && live.keeps(key) {
 			for key >= b.docs[doc].end {

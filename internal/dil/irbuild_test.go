@@ -3,29 +3,15 @@ package dil
 import (
 	"context"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/cda"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
-
-// TestMain enforces the failpoint-leak contract for this package.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 {
-		if err := faultinject.CheckDisabled(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 // figure1Builder wires the Figure 1 CDA document against the Figure 2
 // SNOMED fragment with the relationships strategy — ontology-enriched,
@@ -42,7 +28,7 @@ func figure1Builder(t *testing.T) *Builder {
 	return NewBuilder(corpus, ont, ontoscore.StrategyRelationships, DefaultParams())
 }
 
-// The IR-only degraded build is byte-identical to the same builder with
+// The IR-only build is byte-identical to the same builder with
 // the ontology branch empty — and never includes ontology-only
 // postings.
 func TestBuildKeywordIRMatchesTextOnly(t *testing.T) {
@@ -69,47 +55,15 @@ func TestBuildKeywordIRMatchesTextOnly(t *testing.T) {
 	}
 }
 
-// BuildKeywordE returns the same list as BuildKeyword when healthy and
-// surfaces injected ontology faults when not.
-func TestBuildKeywordE(t *testing.T) {
-	defer faultinject.DisableAll()
-	b := figure1Builder(t)
-	want := b.BuildKeyword("asthma")
-	got, err := b.BuildKeywordE("asthma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("BuildKeywordE differs from BuildKeyword")
-	}
-	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
-	if _, err := b.BuildKeywordE("asthma"); err == nil {
-		t.Fatal("BuildKeywordE ignored the armed ontology failpoint")
-	}
-	faultinject.Disable(FPOntoResolve)
-	// The non-fallible path is not failpoint-instrumented (bulk builds
-	// and experiments bypass the breaker boundary).
-	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
-	if l := b.BuildKeyword("asthma"); !reflect.DeepEqual(l, want) {
-		t.Fatal("BuildKeyword changed under an armed failpoint")
-	}
-	faultinject.Disable(FPOntoResolve)
-}
-
 // Builds read OntoScores through the side's memo: a keyword's third
-// build is a memo hit (the span says so), answers what the first
-// build did, and still hits FPOntoResolve — an armed failpoint fails
-// the fallible build on a memo hit exactly as on a propagation.
-func TestSideMemoFailpoint(t *testing.T) {
-	defer faultinject.DisableAll()
+// build is a memo hit (the span says so) and answers what the first
+// build did.
+func TestSideMemoHit(t *testing.T) {
 	b := figure1Builder(t)
 	build := func() (List, string) {
 		t.Helper()
 		ctx, root := obs.NewTracer(4).StartRoot(context.Background(), "test")
-		l, err := b.BuildKeywordECtx(ctx, "asthma")
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := b.BuildKeywordCtx(ctx, "asthma")
 		root.End()
 		tree := root.Tree()
 		return l, fmt.Sprint(tree.Find("dil.build_keyword").Attrs["onto"])
@@ -128,9 +82,4 @@ func TestSideMemoFailpoint(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("memo hit built a different list")
 	}
-	faultinject.Enable(FPOntoResolve, faultinject.Spec{})
-	if _, err := b.BuildKeywordE("asthma"); err == nil {
-		t.Fatal("memo hit ignored the armed ontology failpoint")
-	}
-	faultinject.Disable(FPOntoResolve)
 }

@@ -50,7 +50,7 @@ func (b *Builder) Pin(l Live) *Builder {
 
 // view is a calibrator-free view of b's stage under statistics v.
 func (b *Builder) view(v ir.StatsView) *Builder {
-	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(v), ranksMax: b.ranksMax}
+	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(v)}
 }
 
 // assembleLive is a pinned build's assembly (encoded as it goes with
@@ -59,14 +59,11 @@ func (b *Builder) view(v ir.StatsView) *Builder {
 // OntoScores unless its side is another one (a read on the outgoing
 // generation that acquired a state rebased onto the next generation's
 // side, whose concept numbering may differ).
-func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string, onto []ontoscore.Dense, fallible, irOnly bool, enc *encoder) (List, error) {
+func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string, onto []ontoscore.Dense, irOnly bool, enc *encoder) List {
 	d := b.live.Delta
 	dOnto := onto
 	if d != nil && !irOnly && d.side != b.side {
-		var err error
-		if dOnto, err = d.ontoScores(ctx, sp, keyword, fallible); err != nil {
-			return nil, err
-		}
+		dOnto = d.ontoScores(ctx, sp, keyword)
 	}
 	text, dText := b.liveTextScores(ctx, keyword)
 	sc, n := b.mark(text, onto)
@@ -80,7 +77,7 @@ func (b *Builder) assembleLive(ctx context.Context, sp *obs.Span, keyword string
 	if d != nil {
 		out = d.emit(out, int32(len(b.ids)), dText, dsc, b.dropDelta, enc)
 	}
-	return out, nil
+	return out
 }
 
 // dropDelta reports the delta documents a pinned list leaves out:

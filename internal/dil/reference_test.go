@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cda"
-	"repro/internal/elemrank"
 	"repro/internal/ir"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
@@ -21,18 +20,16 @@ import (
 // ir.Index.BM25 (term frequencies scanned off the bag index), the
 // ontology branch resolved per concept through string-keyed
 // (system, code) references collected from the corpus, everything
-// accumulated in a map keyed by Dewey identifier, ElemRank looked up by
-// identifier, and the result put in Dewey order with List.Sort. It
-// shares nothing with the kernel beyond the builder's indexes,
-// statistics overlay, calibrator and OntoScore computers. It holds what
-// it derives from the corpus alone: the code nodes by (system, code)
-// reference, and ElemRank by identifier.
+// accumulated in a map keyed by Dewey identifier, and the result put in
+// Dewey order with List.Sort. It shares nothing with the kernel beyond
+// the builder's indexes, statistics overlay, calibrator and OntoScore
+// computers. It holds what it derives from the corpus alone: the code
+// nodes by (system, code) reference.
 type reference struct {
 	byRef map[xmltree.OntoRef][]xmltree.Dewey
-	ranks elemrank.Ranks
 }
 
-func newReference(corpus *xmltree.Corpus, params Params) *reference {
+func newReference(corpus *xmltree.Corpus) *reference {
 	r := &reference{byRef: map[xmltree.OntoRef][]xmltree.Dewey{}}
 	for _, doc := range corpus.Docs() {
 		for _, n := range doc.Nodes() {
@@ -40,9 +37,6 @@ func newReference(corpus *xmltree.Corpus, params Params) *reference {
 				r.byRef[ref] = append(r.byRef[ref], n.ID)
 			}
 		}
-	}
-	if params.ElemRank != nil {
-		r.ranks, _ = elemrank.ComputeCorpus(corpus, *params.ElemRank)
 	}
 	return r
 }
@@ -91,9 +85,6 @@ func (r *reference) build(b *Builder, keyword string, irOnly bool) []Entry {
 	}
 	var out []Entry
 	for k, s := range scores {
-		if r.ranks != nil && b.ranksMax > 0 {
-			s *= r.ranks.Rank(ids[k]) / b.ranksMax
-		}
 		if s > 0 {
 			out = append(out, Entry{ID: ids[k], Score: s})
 		}
@@ -235,7 +226,7 @@ func tombstones(c *xmltree.Corpus) func(int32) bool {
 
 // freshView is a second, unwired view of b's strategy over b's stage.
 func freshView(b *Builder) *Builder {
-	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(nil), ranksMax: b.localRanksMax}
+	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(nil)}
 }
 
 // liveNorm is the calibrator a delta segment installs: the maximum raw
@@ -252,8 +243,7 @@ func (c liveNorm) KeywordNorm(kw string) float64 { return c.b.RawTextMaxLive(kw,
 // map-based reference posting for posting, float for float: on the
 // experiment corpora (one of them registered in descending document
 // order), for the four strategies, single terms, phrases and absent
-// keywords, full and IR-only builds, with ElemRank off and on, on
-// builders wired the way a shard wires them (calibrator) and under a
+// keywords, full and IR-only builds, on builders wired the way a shard wires them (calibrator) and under a
 // global statistics view with a tombstone-aware calibrator — where a
 // build pinned to that live state (Pin) must also equal the reference
 // with the tombstoned documents' postings dropped.
@@ -271,66 +261,60 @@ func TestAssembleMatchesReference(t *testing.T) {
 		{"medium", medium, mediumColl, 90},
 	}
 	for _, cp := range corpora {
-		for _, withRank := range []bool{false, true} {
-			params := DefaultParams()
-			if withRank {
-				er := elemrank.DefaultParams()
-				params.ElemRank = &er
+		params := DefaultParams()
+		side := ontoscore.NewSide(cp.coll, params.Onto)
+		builders := NewBuilders(cp.corpus, side, ontoscore.Strategies(), params)
+		keywords := referenceKeywords(builders[ontoscore.StrategyNone], cp.stride)
+		ref := newReference(cp.corpus)
+		dead := tombstones(cp.corpus)
+		global := builders[ontoscore.StrategyNone].LocalTextStats()
+		global.N += 97
+		global.TotalLen += 1234
+		for _, st := range ontoscore.Strategies() {
+			wirings := map[string]func() *Builder{
+				"plain": func() *Builder { return builders[st] },
+				"shard": func() *Builder {
+					b := freshView(builders[st])
+					b.SetCalibrator(constCalibrator(17.5))
+					return b
+				},
+				"delta": func() *Builder {
+					b := freshView(builders[st])
+					b.SetGlobalTextStats(global)
+					b.SetCalibrator(liveNorm{b: b, dead: dead})
+					return b
+				},
 			}
-			side := ontoscore.NewSide(cp.coll, params.Onto)
-			builders := NewBuilders(cp.corpus, side, ontoscore.Strategies(), params)
-			keywords := referenceKeywords(builders[ontoscore.StrategyNone], cp.stride)
-			ref := newReference(cp.corpus, params)
-			dead := tombstones(cp.corpus)
-			global := builders[ontoscore.StrategyNone].LocalTextStats()
-			global.N += 97
-			global.TotalLen += 1234
-			for _, st := range ontoscore.Strategies() {
-				wirings := map[string]func() *Builder{
-					"plain": func() *Builder { return builders[st] },
-					"shard": func() *Builder {
-						b := freshView(builders[st])
-						b.SetCalibrator(constCalibrator(17.5))
-						return b
-					},
-					"delta": func() *Builder {
-						b := freshView(builders[st])
-						b.SetGlobalTextStats(global)
-						b.SetCalibrator(liveNorm{b: b, dead: dead})
-						return b
-					},
-				}
-				for wiring, mk := range wirings {
-					b := mk()
-					name := fmt.Sprintf("%s/rank=%v/%s/%s", cp.name, withRank, st, wiring)
-					for _, kw := range keywords {
-						if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(b, got, want) {
-							t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
-						}
-						if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(b, got, want) {
-							t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
-						}
-						if !encodedAsBuilt(t, b, kw) {
-							t.Fatalf("%s %q: CompactKeyword differs from the built list's encoding", name, kw)
-						}
-						if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
-							t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
-						}
-						if wiring != "delta" {
-							continue
-						}
-						// A build pinned to the same live state drops the
-						// tombstoned documents in its one pass.
-						p := builders[st].Pin(Live{Stats: global, Dead: dead})
-						if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(p, got, want) {
-							t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
-						}
-						if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
-							t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
-						}
-						if !encodedAsBuilt(t, p, kw) {
-							t.Fatalf("%s %q: pinned CompactKeyword differs from the built list's encoding", name, kw)
-						}
+			for wiring, mk := range wirings {
+				b := mk()
+				name := fmt.Sprintf("%s/%s/%s", cp.name, st, wiring)
+				for _, kw := range keywords {
+					if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(b, got, want) {
+						t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
+					}
+					if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(b, got, want) {
+						t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
+					}
+					if !encodedAsBuilt(b, kw) {
+						t.Fatalf("%s %q: CompactKeyword differs from the built list's encoding", name, kw)
+					}
+					if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
+						t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
+					}
+					if wiring != "delta" {
+						continue
+					}
+					// A build pinned to the same live state drops the
+					// tombstoned documents in its one pass.
+					p := builders[st].Pin(Live{Stats: global, Dead: dead})
+					if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(p, got, want) {
+						t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
+					}
+					if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
+						t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
+					}
+					if !encodedAsBuilt(p, kw) {
+						t.Fatalf("%s %q: pinned CompactKeyword differs from the built list's encoding", name, kw)
 					}
 				}
 			}
@@ -338,30 +322,17 @@ func TestAssembleMatchesReference(t *testing.T) {
 	}
 }
 
-// Builder.Build — the Table III path, OntoScore maps built up front —
-// assembles through the same kernel and lands on the same lists.
 // encodedAsBuilt reports whether CompactKeyword, which encodes the
 // postings as they are emitted, yields the encoding of the list
-// BuildKeyword (and BuildKeywordIR) returns.
-func encodedAsBuilt(t *testing.T, b *Builder, kw string) bool {
-	t.Helper()
-	for _, irOnly := range []bool{false, true} {
-		c, err := b.CompactKeyword(context.Background(), kw, false, irOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := b.BuildKeyword(kw)
-		if irOnly {
-			l = b.BuildKeywordIR(kw)
-		}
-		want := Compact(l, b.IDs())
-		if c.Len() != want.Len() || (c != nil && !bytes.Equal(c.AppendSegment(nil), want.AppendSegment(nil))) {
-			return false
-		}
-	}
-	return true
+// BuildKeyword returns.
+func encodedAsBuilt(b *Builder, kw string) bool {
+	c := b.CompactKeyword(context.Background(), kw)
+	want := Compact(b.BuildKeyword(kw), b.IDs())
+	return c.Len() == want.Len() && (c == nil || bytes.Equal(c.AppendSegment(nil), want.AppendSegment(nil)))
 }
 
+// Builder.Build — the Table III path, OntoScore maps built up front —
+// assembles through the same kernel and lands on the same lists.
 func TestBuildMatchesReference(t *testing.T) {
 	corpus, coll := referenceCorpus(t, 300, 40)
 	b := NewMultiBuilder(descending(corpus), coll, ontoscore.StrategyRelationships, DefaultParams())
@@ -370,7 +341,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(b.corpus, b.params)
+	ref := newReference(b.corpus)
 	for _, kw := range vocab {
 		var got []Entry
 		if c := ix.Compact(kw); c != nil {

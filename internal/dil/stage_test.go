@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/elemrank"
 	"repro/internal/ir"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
@@ -17,21 +16,17 @@ type constCalibrator float64
 
 func (c constCalibrator) KeywordNorm(string) float64 { return float64(c) }
 
-// sharedBuilders builds the four strategies over one stage, with
-// ElemRank on so that SetRanksMax has something to move.
+// sharedBuilders builds the four strategies over one stage.
 func sharedBuilders(t *testing.T) (map[ontoscore.Strategy]*Builder, Params) {
 	t.Helper()
 	corpus, ont := bigCorpus(t)
 	params := DefaultParams()
-	er := elemrank.DefaultParams()
-	params.ElemRank = &er
 	return NewBuilders(corpus, ontoscore.NewSide(ontology.MustCollection(ont), params.Onto), ontoscore.Strategies(), params), params
 }
 
 // Builders from NewBuilders share the full-text stage and nothing a
 // deployment installs afterwards: while one builder gets a statistics
-// overlay, a calibrator and a global ElemRank normalizer, the other
-// three — answering cold keywords concurrently, so the race detector
+// overlay and a calibrator, the other three — answering cold keywords concurrently, so the race detector
 // sees any write that reaches shared state — keep their statistics and
 // their posting lists.
 func TestSharedStageOverlaysArePerBuilder(t *testing.T) {
@@ -41,12 +36,13 @@ func TestSharedStageOverlaysArePerBuilder(t *testing.T) {
 		vocab = vocab[:60]
 	}
 	type picture struct {
-		n, df    int
-		avg, max float64
-		lists    map[string]List
+		n, df int
+		avg   float64
+		calib Calibrator
+		lists map[string]List
 	}
 	snapshot := func(b *Builder) picture {
-		p := picture{n: b.textIx.N(), df: b.textIx.DF(vocab[0]), avg: b.textIx.AvgDocLen(), max: b.RanksMax(), lists: map[string]List{}}
+		p := picture{n: b.textIx.N(), df: b.textIx.DF(vocab[0]), avg: b.textIx.AvgDocLen(), calib: b.Calibrator(), lists: map[string]List{}}
 		for _, kw := range vocab {
 			p.lists[kw] = b.BuildKeyword(kw)
 		}
@@ -77,7 +73,6 @@ func TestSharedStageOverlaysArePerBuilder(t *testing.T) {
 	m := builders[mutated]
 	m.SetGlobalTextStats(ir.Stats{N: 10 * before[mutated].n, TotalLen: 7, DF: map[string]int{vocab[0]: 1}})
 	m.SetCalibrator(constCalibrator(1000))
-	m.SetRanksMax(50 * before[mutated].max)
 	wg.Wait()
 
 	for st, want := range before {
@@ -85,14 +80,14 @@ func TestSharedStageOverlaysArePerBuilder(t *testing.T) {
 			continue
 		}
 		if got := after[st]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s moved when %s was reconfigured: N %d→%d DF %d→%d avgdl %v→%v ranksMax %v→%v, lists equal: %v",
-				st, mutated, want.n, got.n, want.df, got.df, want.avg, got.avg, want.max, got.max,
+			t.Errorf("%s moved when %s was reconfigured: N %d→%d DF %d→%d avgdl %v→%v calibrator %v→%v, lists equal: %v",
+				st, mutated, want.n, got.n, want.df, got.df, want.avg, got.avg, want.calib, got.calib,
 				reflect.DeepEqual(got.lists, want.lists))
 		}
 	}
 	got := snapshot(m)
-	if got.n == before[mutated].n || got.max == before[mutated].max || reflect.DeepEqual(got.lists, before[mutated].lists) {
-		t.Errorf("%s did not take its own overlays: N=%d ranksMax=%v", mutated, got.n, got.max)
+	if got.n == before[mutated].n || got.calib == nil || reflect.DeepEqual(got.lists, before[mutated].lists) {
+		t.Errorf("%s did not take its own overlays: N=%d calibrator=%v", mutated, got.n, got.calib)
 	}
 }
 

@@ -312,24 +312,3 @@ func TestDensityAblationShape(t *testing.T) {
 		t.Error("rendering broken")
 	}
 }
-
-func TestElemRankEffect(t *testing.T) {
-	e := sharedEnv(t)
-	study := e.ElemRankEffect()
-	if study.ReferenceEdges == 0 {
-		t.Fatal("corpus has no reference edges")
-	}
-	if study.Queries == 0 {
-		t.Fatal("no queries compared")
-	}
-	if study.AvgKendall < 0 || study.AvgKendall > 1 {
-		t.Errorf("avg kendall = %f", study.AvgKendall)
-	}
-	// Weighting by structural rank must perturb at least some rankings.
-	if study.AvgKendall == 0 {
-		t.Error("ElemRank changed nothing despite reference edges")
-	}
-	if !strings.Contains(study.String(), "ElemRank") {
-		t.Error("rendering broken")
-	}
-}

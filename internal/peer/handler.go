@@ -129,7 +129,6 @@ func (h *Handler) WireGeneration(systems map[string]*core.System) {
 		if h.lastInstall != nil {
 			if sw, ok := h.lastInstall.Strategies[name]; ok {
 				sys.Builder().SetGlobalTextStats(ir.Stats{N: sw.N, TotalLen: sw.TotalLen, DF: sw.DF})
-				sys.Builder().SetRanksMax(sw.RanksMax)
 			}
 		}
 	}
@@ -301,12 +300,10 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := SearchResponseWire{
-		V:                APIVersion,
-		Results:          make([]ResultWire, 0, len(out.Results)),
-		Degraded:         out.Info.Degraded,
-		DegradedKeywords: out.Info.DegradedKeywords,
-		Generation:       snap.Generation,
-		ElapsedUS:        time.Since(start).Microseconds(),
+		V:          APIVersion,
+		Results:    make([]ResultWire, 0, len(out.Results)),
+		Generation: snap.Generation,
+		ElapsedUS:  time.Since(start).Microseconds(),
 	}
 	if p := out.Pruning; p != (query.PruneStats{}) {
 		resp.Pruning = &PruningWire{
@@ -376,14 +373,8 @@ func (h *Handler) handleStatsGet(w http.ResponseWriter, r *http.Request) {
 		Strategies: make(map[string]StrategyStatsWire, len(snap.Systems)),
 	}
 	for name, sys := range snap.Systems {
-		b := sys.Builder()
-		st := b.LocalTextStats()
-		resp.Strategies[name] = StrategyStatsWire{
-			N:        st.N,
-			TotalLen: st.TotalLen,
-			DF:       st.DF,
-			RanksMax: b.RanksMax(),
-		}
+		st := sys.Builder().LocalTextStats()
+		resp.Strategies[name] = StrategyStatsWire{N: st.N, TotalLen: st.TotalLen, DF: st.DF}
 	}
 	writeShaped(w, r, http.StatusOK, resp)
 }
@@ -422,7 +413,6 @@ func (h *Handler) handleStatsInstall(w http.ResponseWriter, r *http.Request) {
 		}
 		b := sys.Builder()
 		b.SetGlobalTextStats(ir.Stats{N: sw.N, TotalLen: sw.TotalLen, DF: sw.DF})
-		b.SetRanksMax(sw.RanksMax)
 		sys.PurgeKeywordCache()
 		h.table(name).reset()
 		installed++

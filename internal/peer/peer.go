@@ -9,7 +9,7 @@
 //	                       coordinator-resolved keyword norms in, the
 //	                       shard-local top-k out
 //	GET  /shard/stats    - the peer's local IR statistics (N, DF,
-//	                       total length, ElemRank max) per strategy;
+//	                       total length) per strategy;
 //	                       with ?keyword=w, the peer's local raw-BM25
 //	                       maximum for that keyword
 //	POST /shard/stats    - install the cluster-merged global statistics
@@ -116,23 +116,26 @@ type PruningWire struct {
 	EarlyTerminated bool  `json:"early_terminated"`
 }
 
-// SearchResponseWire is the /shard/search response body.
+// SearchResponseWire is the /shard/search response body. Degraded is
+// written only by peers of an older release, whose keyword builds
+// could fall back to IR-only scoring; this release never sets it.
 type SearchResponseWire struct {
-	V                int          `json:"v"`
-	Results          []ResultWire `json:"results"`
-	Degraded         bool         `json:"degraded,omitempty"`
-	DegradedKeywords []string     `json:"degradedKeywords,omitempty"`
-	Generation       uint64       `json:"generation"`
-	ElapsedUS        int64        `json:"elapsed_us"`
-	Pruning          *PruningWire `json:"pruning,omitempty"`
+	V          int          `json:"v"`
+	Results    []ResultWire `json:"results"`
+	Degraded   bool         `json:"degraded,omitempty"`
+	Generation uint64       `json:"generation"`
+	ElapsedUS  int64        `json:"elapsed_us"`
+	Pruning    *PruningWire `json:"pruning,omitempty"`
 }
 
 // StrategyStatsWire is one strategy's local statistics contribution.
+// Peers of an older release also carry a structural-rank normalizer
+// in it, which decoding ignores (no decoder here rejects unknown
+// fields); they read its absence as 0, which they ignored too.
 type StrategyStatsWire struct {
 	N        int            `json:"n"`
 	TotalLen int64          `json:"total_len"`
 	DF       map[string]int `json:"df"`
-	RanksMax float64        `json:"ranks_max"`
 }
 
 // StatsWire is the GET /shard/stats response: the peer's partition-

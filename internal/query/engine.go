@@ -2,11 +2,11 @@ package query
 
 import (
 	"context"
+	"strconv"
 	"sync"
 
 	"repro/internal/dil"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/serving"
 	"repro/internal/xmltree"
 )
@@ -22,15 +22,12 @@ type ListSource interface {
 
 // KeywordBuilder builds a keyword's XOnto-DIL on demand;
 // *dil.Builder satisfies it. CompactKeyword returns the list
-// block-coded, the form the engine caches and merges. The list takes
-// the ontology path (equation (5)) unless irOnly asks for the XRANK
-// baseline, NS(v,w) = IRS(v,w), which the engine degrades a keyword to
-// when that path fails: with fallible set it may fail, and the engine
-// retries it under Params.Retry behind its circuit breaker. The build
-// receives the request context, so its spans (dil.build_keyword,
-// dil.text_scores, ontoscore.propagate) attach to the request's trace.
+// block-coded, the form the engine caches and merges. The build reads
+// a frozen ontology side and cannot fail; it receives the request
+// context so that its spans (dil.build_keyword, dil.text_scores,
+// ontoscore.propagate) attach to the request's trace.
 type KeywordBuilder interface {
-	CompactKeyword(ctx context.Context, keyword string, fallible, irOnly bool) (*dil.CompactList, error)
+	CompactKeyword(ctx context.Context, keyword string) *dil.CompactList
 }
 
 // Params configure the query phase.
@@ -45,12 +42,6 @@ type Params struct {
 	// long-running server cannot grow without limit however many
 	// distinct phrases it is asked for.
 	CacheSize int
-	// Retry bounds the ontology-path build attempts before a keyword
-	// degrades to IR-only scoring (zero value: resilience defaults).
-	Retry resilience.RetryPolicy
-	// Breaker tunes the circuit breaker guarding the ontology path
-	// (zero value: resilience defaults).
-	Breaker resilience.BreakerConfig
 	// ExhaustiveMerge keeps the fast merge but disables block-max top-k
 	// pruning: every aligned document is scored and the top-k is taken
 	// by sort+truncate (xontoserve -no-topk-prune), so a suspected
@@ -81,9 +72,6 @@ type Engine struct {
 	cache   *serving.Cache[*dil.CompactList] // on-demand keywords, bounded LRU
 	flights serving.Group[*dil.CompactList]  // dedup of concurrent builds
 
-	breaker *resilience.Breaker // guards the ontology build path
-	retry   resilience.RetryPolicy
-
 	overlay Overlay // live delta overlay (nil when not serving deltas)
 }
 
@@ -99,8 +87,6 @@ func NewEngine(source ListSource, builder KeywordBuilder, params Params) *Engine
 		source:  source,
 		builder: builder,
 		cache:   serving.NewCache[*dil.CompactList](size, 0),
-		breaker: resilience.NewBreaker(params.Breaker),
-		retry:   params.Retry,
 	}
 }
 
@@ -121,10 +107,6 @@ func (e *Engine) KeywordListBytes() int64 {
 // arenas before a generation starts serving).
 func (e *Engine) SetSource(source ListSource) { e.source = source }
 
-// Breaker exposes the circuit breaker guarding the ontology path (for
-// /readyz and /metrics).
-func (e *Engine) Breaker() *resilience.Breaker { return e.breaker }
-
 // resolved is one keyword's resolved posting list, block-coded: the
 // source's (the prebuilt index, or a mapped arena whose postings
 // stream zero-copy from its backing bytes) or a built one.
@@ -138,29 +120,25 @@ func (r resolved) n() int { return r.list.Len() }
 
 // list resolves one keyword's posting list, building and caching it on
 // demand. Concurrent requests for the same missing keyword build once.
-// The degraded return is true when the list was built IR-only because
-// the ontology path failed or the breaker was open (see degrade.go).
-// Each resolution is recorded as a "query.keyword" span whose source
-// attribute says how it was answered (index, cache, built).
-func (e *Engine) list(ctx context.Context, kw string, ov OverlayView) (resolved, bool, error) {
+// The only possible error is the context's. Each resolution is recorded
+// as a "query.keyword" span whose source attribute says how it was
+// answered (index, cache, built).
+func (e *Engine) list(ctx context.Context, kw string, ov OverlayView) (resolved, error) {
 	ctx, sp := obs.StartSpan(ctx, "query.keyword")
 	sp.SetAttr("keyword", kw)
 	defer sp.End()
-	r, degraded, err := e.listInner(ctx, sp, kw, ov)
-	if degraded {
-		sp.SetAttr("degraded", true)
-	}
+	r, err := e.listInner(ctx, sp, kw, ov)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	} else {
 		sp.SetAttr("postings", r.n())
 	}
-	return r, degraded, err
+	return r, err
 }
 
-func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView) (resolved, bool, error) {
+func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView) (resolved, error) {
 	if err := ctx.Err(); err != nil {
-		return resolved{}, false, err
+		return resolved{}, err
 	}
 	// A dirty delta overlay invalidates prebuilt base lists: their
 	// baked-in scores predate the live collection statistics. Resolve
@@ -183,15 +161,50 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 	if tag == "" {
 		if c := e.source.Compact(kw); c != nil {
 			sp.SetAttr("source", "index")
-			return resolved{list: c}, false, nil
+			return resolved{list: c}, nil
 		}
 	}
 	if builder == nil {
 		sp.SetAttr("source", "none")
-		return resolved{}, false, nil
+		return resolved{}, nil
 	}
-	l, degraded, err := e.listResilient(ctx, sp, kw, tag, builder)
-	return resolved{list: l, delta: tag != ""}, degraded, err
+	l, err := e.build(ctx, sp, kw, tag, builder)
+	return resolved{list: l, delta: tag != ""}, err
+}
+
+// versionTag namespaces flight keys by delta-overlay state version.
+// Lists built while a delta is live are only valid for the exact state
+// they were scored against (collection statistics and normalization
+// divisors move on every ingest), so they are built per read and never
+// enter the keyword LRU; the tag only lets concurrent reads of one
+// state share a build. A non-empty tag is what marks a dirty read.
+func versionTag(v uint64) string {
+	return "\x00v" + strconv.FormatUint(v, 36) + "\x1f"
+}
+
+// build is the on-demand path (b is the engine's own builder, or the
+// one a dirty overlay pinned): the keyword LRU, then one build shared
+// by concurrent requests, cached on a clean read. Its only error is the
+// caller's context giving up; the build itself then completes in the
+// background and still populates the cache. The sp parameter is the
+// enclosing "query.keyword" span, tagged with how the keyword was
+// answered (cache, built).
+func (e *Engine) build(ctx context.Context, sp *obs.Span, kw, tag string, b KeywordBuilder) (*dil.CompactList, error) {
+	ckey := tag + kw
+	if l, ok := e.cached(tag, ckey); ok {
+		sp.SetAttr("source", "cache")
+		return l, nil
+	}
+	sp.SetAttr("source", "built")
+	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (*dil.CompactList, error) {
+		if l, ok := e.cached(tag, ckey); ok { // raced with another build
+			return l, nil
+		}
+		l := b.CompactKeyword(fctx, kw)
+		e.store(tag, ckey, l)
+		return l, nil
+	})
+	return l, err
 }
 
 // cached looks a built list up in the keyword LRU. Lists built under a
@@ -213,23 +226,21 @@ func (e *Engine) store(tag, ckey string, l *dil.CompactList) {
 // resolve gathers every keyword's posting list, one goroutine per
 // keyword for multi-keyword queries. It honors ctx: cancellation stops
 // the wait and returns the context error (in-flight builds complete in
-// the background and still populate the cache). The second return names
-// the keywords whose lists degraded to IR-only scoring. The whole stage
-// is one "query.resolve_keywords" span with a "query.keyword" child per
+// the background and still populate the cache). The whole stage is one
+// "query.resolve_keywords" span with a "query.keyword" child per
 // keyword.
-func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView) ([]resolved, []string, error) {
+func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView) ([]resolved, error) {
 	ctx, sp := obs.StartSpan(ctx, "query.resolve_keywords")
 	sp.SetAttr("keywords", len(keywords))
 	defer sp.End()
 	lists := make([]resolved, len(keywords))
-	degraded := make([]bool, len(keywords))
 	if len(keywords) == 1 {
-		l, deg, err := e.list(ctx, string(keywords[0]), ov)
+		l, err := e.list(ctx, string(keywords[0]), ov)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		lists[0], degraded[0] = l, deg
-		return lists, degradedKeywords(keywords, degraded), nil
+		lists[0] = l
+		return lists, nil
 	}
 	errs := make([]error, len(keywords))
 	var wg sync.WaitGroup
@@ -237,41 +248,26 @@ func (e *Engine) resolve(ctx context.Context, keywords []Keyword, ov OverlayView
 		wg.Add(1)
 		go func(i int, kw string) {
 			defer wg.Done()
-			lists[i], degraded[i], errs[i] = e.list(ctx, kw, ov)
+			lists[i], errs[i] = e.list(ctx, kw, ov)
 		}(i, string(kw))
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return lists, degradedKeywords(keywords, degraded), nil
+	return lists, nil
 }
 
-// degradedKeywords collects the (deduplicated, query-ordered) keywords
-// flagged degraded.
-func degradedKeywords(keywords []Keyword, flags []bool) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for i, d := range flags {
-		kw := string(keywords[i])
-		if d && !seen[kw] {
-			seen[kw] = true
-			out = append(out, kw)
-		}
-	}
-	return out
-}
-
-// Info reports how a search was answered.
+// Info reports how a search was answered: the /search body's info
+// object. The engine's lists are always ontology-aware; only a peer of
+// an older release, whose keyword builds could fall back to IR-only
+// scoring, answers with Degraded set (internal/shard).
 type Info struct {
-	// Degraded is true when at least one keyword's list fell back to
-	// IR-only scoring (NS(v,w) = IRS(v,w)) because the ontology path
-	// failed or its breaker was open.
+	// Degraded is true when part of the answer was scored IR-only
+	// (NS(v,w) = IRS(v,w)).
 	Degraded bool `json:"degraded"`
-	// DegradedKeywords names the affected keywords, in query order.
-	DegradedKeywords []string `json:"degraded_keywords,omitempty"`
 }
 
 // Request is the unified query-phase request, mirrored by the system
@@ -337,8 +333,6 @@ type Response struct {
 	// Results are ranked by descending score; ties break by Dewey order
 	// for determinism. The requested Offset is already applied.
 	Results []Result
-	// Info reports degradation (IR-only keywords).
-	Info Info
 	// Pruning reports the merge's top-k pruning work.
 	Pruning PruneStats
 }
@@ -369,11 +363,11 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if e.overlay != nil {
 		ov = e.overlay.Acquire()
 	}
-	res, degraded, err := e.resolve(ctx, req.Keywords, ov)
+	res, err := e.resolve(ctx, req.Keywords, ov)
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{Info: Info{Degraded: len(degraded) > 0, DegradedKeywords: degraded}}
+	resp := &Response{}
 	deltaMerged := false
 	for _, r := range res {
 		if r.delta {

@@ -20,12 +20,12 @@ type slowBuilder struct {
 	gate  chan struct{} // nil = don't block
 }
 
-func (b *slowBuilder) CompactKeyword(context.Context, string, bool, bool) (*dil.CompactList, error) {
+func (b *slowBuilder) CompactKeyword(context.Context, string) *dil.CompactList {
 	b.calls.Add(1)
 	if b.gate != nil {
 		<-b.gate
 	}
-	return b.list(), nil
+	return b.list()
 }
 
 // Parallel resolution must return the same results as a sequential
@@ -41,14 +41,14 @@ func TestSearchContextMatchesSearch(t *testing.T) {
 		kws := ParseQuery(q)
 		lists := make([]*dil.CompactList, len(kws))
 		for i, kw := range kws {
-			r, _, err := e.list(context.Background(), string(kw), nil)
+			r, err := e.list(context.Background(), string(kw), nil)
 			if err != nil {
 				t.Fatalf("q %q keyword %q: %v", q, kw, err)
 			}
 			lists[i] = r.list
 		}
 		plain := RunLists(lists, DefaultParams().Decay, 10)
-		ctxed, _, err := searchReq(context.Background(), e, Request{Keywords: kws, K: 10})
+		ctxed, err := searchReq(context.Background(), e, Request{Keywords: kws, K: 10})
 		if err != nil {
 			t.Fatalf("q %q: %v", q, err)
 		}
@@ -68,7 +68,7 @@ func TestSearchContextCanceled(t *testing.T) {
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, _, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err == nil || res != nil {
+	if res, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err == nil || res != nil {
 		t.Fatalf("canceled search = (%v, %v), want ctx error", res, err)
 	}
 }
@@ -81,7 +81,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, _, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err != context.DeadlineExceeded {
+	if _, err := searchReq(ctx, e, Request{Keywords: ParseQuery("foo bar"), K: 5}); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > time.Second {
@@ -90,7 +90,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	close(b.gate) // background builds finish and populate the cache
 	deadline := time.Now().Add(time.Second)
 	for {
-		res, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar"), K: 5})
+		res, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar"), K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestEngineConcurrentBuildDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if res, _, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar baz"), K: 5}); err != nil || len(res) == 0 {
+			if res, err := searchReq(context.Background(), e, Request{Keywords: ParseQuery("foo bar baz"), K: 5}); err != nil || len(res) == 0 {
 				t.Errorf("search = (%v, %v)", res, err)
 			}
 		}()

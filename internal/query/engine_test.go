@@ -15,19 +15,19 @@ import (
 )
 
 // searchReq is the package's test shorthand for Engine.Query: the
-// results and degradation info, or the context's error.
-func searchReq(ctx context.Context, e *Engine, req Request) ([]Result, Info, error) {
+// results, or the context's error.
+func searchReq(ctx context.Context, e *Engine, req Request) ([]Result, error) {
 	resp, err := e.Query(ctx, req)
 	if err != nil {
-		return nil, Info{}, err
+		return nil, err
 	}
-	return resp.Results, resp.Info, nil
+	return resp.Results, nil
 }
 
 // search returns the top-k results for keywords under a background
 // context (k <= 0 uses the engine default).
 func search(e *Engine, kws []Keyword, k int) []Result {
-	res, _, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k})
+	res, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k})
 	return res
 }
 
@@ -173,9 +173,9 @@ type countingBuilder struct {
 	calls int
 }
 
-func (c *countingBuilder) CompactKeyword(context.Context, string, bool, bool) (*dil.CompactList, error) {
+func (c *countingBuilder) CompactKeyword(context.Context, string) *dil.CompactList {
 	c.calls++
-	return c.list(), nil
+	return c.list()
 }
 
 // Property: every result's matches lie inside its subtree, scores are

@@ -26,9 +26,7 @@ type OverlayView interface {
 	// view's state: statistics, normalization divisors and tombstones
 	// all read from the state the view acquired, whatever lands after,
 	// and each keyword build yields the whole live list, base and delta
-	// postings in Dewey order. The builder's ontology path can fail
-	// (KeywordBuilder); the engine then degrades the whole keyword,
-	// base and delta alike, to its IR-only build.
+	// postings in Dewey order.
 	Pin(base *dil.Builder) *dil.Builder
 }
 

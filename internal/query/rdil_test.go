@@ -201,7 +201,7 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 	ranked := func(kws []Keyword, k int) []Result {
-		res, _, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k, Ranked: true})
+		res, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k, Ranked: true})
 		return res
 	}
 	for _, q := range []string{"asthma medications", `"bronchial structure" theophylline`, "theophylline"} {

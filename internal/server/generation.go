@@ -137,10 +137,10 @@ type ReloadStatus struct {
 // and atomically swaps it in: the old generation serves every request
 // admitted before the flip and is released once they finish; the
 // result cache is purged (entries are epoch-keyed, so this frees
-// memory rather than correctness); breaker and keyword-cache state
-// start fresh with the new generation's systems. Reload blocks on the
-// admin mutation gate, so it serializes with live ingests and
-// compaction cycles as well as with other reloads.
+// memory rather than correctness); keyword-cache state starts fresh
+// with the new generation's systems. Reload blocks on the admin
+// mutation gate, so it serializes with live ingests and compaction
+// cycles as well as with other reloads.
 func (s *Server) Reload(ctx context.Context) (*ReloadStatus, error) {
 	if s.reloader == nil {
 		return nil, errReloadNotConfigured

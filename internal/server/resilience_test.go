@@ -6,18 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cda"
 	"repro/internal/core"
-	"repro/internal/dil"
 	"repro/internal/faultinject"
 	"repro/internal/ontology"
-	"repro/internal/ontoscore"
-	"repro/internal/resilience"
 	"repro/internal/xmltree"
 )
 
@@ -32,26 +26,8 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *testClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *testClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// resilientServer builds a server whose breakers run on a test clock
-// and whose retries do not sleep, over the Figure 1 document.
-func resilientServer(t *testing.T) (*Server, *testClock) {
+// figure1Server builds a server over the Figure 1 document.
+func figure1Server(t *testing.T) *Server {
 	t.Helper()
 	ont := ontology.Figure2Fragment()
 	corpus := xmltree.NewCorpus()
@@ -60,111 +36,16 @@ func resilientServer(t *testing.T) (*Server, *testClock) {
 		t.Fatal(err)
 	}
 	corpus.Add(fig1)
-	clock := &testClock{t: time.Unix(1000, 0)}
-	cfg := core.DefaultConfig()
-	cfg.Query.Retry = resilience.RetryPolicy{MaxAttempts: 1, Jitter: -1}
-	cfg.Query.Breaker = resilience.BreakerConfig{
-		Threshold: 2,
-		Window:    time.Minute,
-		Cooldown:  10 * time.Second,
-		Clock:     clock.now,
-	}
-	s := New(corpus, ontology.MustCollection(ont), cfg)
+	s := New(corpus, ontology.MustCollection(ont), core.DefaultConfig())
 	s.SetLogf(t.Logf)
-	return s, clock
-}
-
-// The acceptance scenario: with the ontology failpoint forced open,
-// /search answers 200 with degraded:true, a Warning header, and
-// IR-only ranking identical to the XRANK baseline strategy; once the
-// fault clears and the cooldown passes, the breaker re-closes and
-// ontology-aware answers resume.
-func TestSearchDegradesAndRecovers(t *testing.T) {
-	defer faultinject.DisableAll()
-	s, clock := resilientServer(t)
-	const path = "/search?q=asthma+medications&strategy=Relationships"
-
-	// The same query through the XRANK baseline strategy is the expected
-	// degraded ranking (NS(v,w) = IRS(v,w)).
-	baseline := get(t, s, "/search?q=asthma+medications&strategy=XRANK")
-	var baseResp SearchResponse
-	if err := json.Unmarshal(baseline.Body.Bytes(), &baseResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(baseResp.Results) == 0 {
-		t.Fatal("baseline strategy found nothing")
-	}
-
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{})
-
-	rec := get(t, s, path)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/search with ontology down: %d, want 200\n%s", rec.Code, rec.Body.String())
-	}
-	if w := rec.Header().Get("Warning"); w == "" {
-		t.Error("degraded response missing Warning header")
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded {
-		t.Fatal("response not flagged degraded")
-	}
-	if !reflect.DeepEqual(resp.DegradedKeywords, []string{"asthma", "medications"}) {
-		t.Errorf("degradedKeywords = %v", resp.DegradedKeywords)
-	}
-	if !reflect.DeepEqual(resp.Results, baseResp.Results) {
-		t.Errorf("degraded ranking differs from XRANK baseline:\ngot  %+v\nwant %+v",
-			resp.Results, baseResp.Results)
-	}
-
-	// One more failing query trips the breaker (threshold 2).
-	get(t, s, "/search?q=patient&strategy=Relationships")
-	br := s.System(ontoscore.StrategyRelationships).Breaker()
-	if st := br.State(); st != resilience.Open {
-		t.Fatalf("breaker %v, want open", st)
-	}
-
-	// Degraded outcomes must not be cached: behind an open breaker the
-	// same query still reports degraded (a cache hit would too), but
-	// after recovery it must come back enriched, which a cached degraded
-	// entry would prevent.
-	faultinject.Disable(dil.FPOntoResolve)
-	clock.advance(11 * time.Second)
-
-	// A single-keyword query is the half-open probe (only one probe is
-	// admitted per round; a multi-keyword query would race its two
-	// keywords for the slot and still report degraded).
-	probe := get(t, s, "/search?q=asthma&strategy=Relationships")
-	if probe.Code != http.StatusOK {
-		t.Fatalf("probe /search: %d", probe.Code)
-	}
-	if st := br.State(); st != resilience.Closed {
-		t.Fatalf("breaker %v after successful probe, want closed", st)
-	}
-
-	rec = get(t, s, path)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("post-recovery /search: %d", rec.Code)
-	}
-	resp = SearchResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded {
-		t.Fatal("still degraded after recovery (stale cached degraded outcome?)")
-	}
-	if w := rec.Header().Get("Warning"); w != "" {
-		t.Errorf("healthy response carries Warning header %q", w)
-	}
+	return s
 }
 
 // A panicking handler is answered with a JSON 500 and the server keeps
 // serving; http.ErrAbortHandler is passed through untouched.
 func TestPanicRecovery(t *testing.T) {
 	defer faultinject.DisableAll()
-	s, _ := resilientServer(t)
+	s := figure1Server(t)
 	var logged []string
 	s.SetLogf(func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) })
 
@@ -204,10 +85,9 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // /healthz stays shallow; /readyz runs the registered dependency
-// checks and reports breaker state without failing on it.
+// checks, and a failing one makes the server unready.
 func TestReadyz(t *testing.T) {
-	defer faultinject.DisableAll()
-	s, _ := resilientServer(t)
+	s := figure1Server(t)
 
 	rec := get(t, s, "/readyz")
 	if rec.Code != http.StatusOK {
@@ -222,29 +102,6 @@ func TestReadyz(t *testing.T) {
 	}
 	if resp.Checks["corpus"] != "ok" {
 		t.Errorf("corpus check = %q", resp.Checks["corpus"])
-	}
-	for st, m := range resp.Breakers {
-		if m.State != "closed" {
-			t.Errorf("breaker %s = %q at startup", st, m.State)
-		}
-	}
-
-	// An open breaker degrades readiness info but keeps the server in
-	// rotation: it can still answer (IR-only).
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{})
-	get(t, s, "/search?q=asthma&strategy=Relationships")
-	get(t, s, "/search?q=patient&strategy=Relationships")
-	faultinject.Disable(dil.FPOntoResolve)
-	rec = get(t, s, "/readyz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/readyz with open breaker: %d, want 200 (degraded, not unready)", rec.Code)
-	}
-	resp = ReadyResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Ready || !resp.Degraded {
-		t.Fatalf("open breaker: %+v", resp)
 	}
 
 	// A failing dependency check makes the server unready.
@@ -265,38 +122,5 @@ func TestReadyz(t *testing.T) {
 	// that is merely waiting on a dependency.
 	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("/healthz: %d", rec.Code)
-	}
-}
-
-// The serving layer never caches degraded outcomes (the cache filter),
-// so recovery is visible immediately rather than after TTL expiry.
-func TestDegradedOutcomesNotCached(t *testing.T) {
-	defer faultinject.DisableAll()
-	s, _ := resilientServer(t)
-
-	faultinject.Enable(dil.FPOntoResolve, faultinject.Spec{Count: 1})
-	rec := get(t, s, "/search?q=asthma&strategy=Relationships")
-	var resp SearchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded {
-		t.Fatal("first query not degraded")
-	}
-	faultinject.Disable(dil.FPOntoResolve)
-
-	// The fault consumed its single shot; the very next identical query
-	// (breaker still closed — threshold is 2) must be healthy, not a
-	// cached degraded replay.
-	rec = get(t, s, "/search?q=asthma&strategy=Relationships")
-	resp = SearchResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded {
-		t.Fatal("degraded outcome was served from cache after recovery")
-	}
-	if m := s.Serving().Metrics(); m.Cache.Hits != 0 {
-		t.Errorf("cache hits = %d across the degraded/healthy pair, want 0", m.Cache.Hits)
 	}
 }

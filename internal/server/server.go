@@ -22,12 +22,12 @@
 // JSON errors. /metrics exposes the serving counters.
 //
 // Failure handling: every handler runs under panic recovery (a bug in
-// one request becomes a 500, not a dead process); ontology-path
-// failures degrade search to IR-only ranking, flagged with
+// one request becomes a 500, not a dead process); shards or peers that
+// do not answer degrade search to partial results, flagged with
 // "degraded": true and a Warning header rather than an error status;
 // /healthz is shallow liveness while /readyz runs deep checks
-// (registered dependencies, corpus loaded, per-strategy breaker
-// states, active generation, last-ingest summary).
+// (registered dependencies, corpus loaded, shard quorum, active
+// generation, last-ingest summary).
 //
 // Data plane: the corpus, collection, and per-strategy systems live in
 // an immutable generation behind an atomic pointer (see
@@ -68,7 +68,6 @@ import (
 	"repro/internal/ontoscore"
 	"repro/internal/peer"
 	"repro/internal/query"
-	"repro/internal/resilience"
 	"repro/internal/serving"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
@@ -80,13 +79,13 @@ const FPSearch = "server.search"
 
 // SearchOutcome is the unit one search execution produces and the
 // serving layer caches: the results plus how they were computed.
-// Degraded and partial outcomes (IR-only because the ontology path was
-// down; a subset of shards because some did not answer) are excluded
-// from the result cache so recovery is visible immediately.
+// Degraded and partial outcomes (part of the answer scored IR-only by a
+// peer of an older release; a subset of shards because some did not
+// answer) are excluded from the result cache so recovery is visible
+// immediately.
 type SearchOutcome struct {
-	Results          []core.Result
-	Degraded         bool
-	DegradedKeywords []string
+	Results  []core.Result
+	Degraded bool
 	// Partial is true when the search was answered by a subset of the
 	// cluster's shards (sharded serving only).
 	Partial bool
@@ -300,8 +299,8 @@ func (s *Server) AddReadyCheck(name string, check func() error) {
 func (s *Server) Serving() *serving.Service[SearchOutcome] { return s.svc }
 
 // System returns the active generation's prepared system for a
-// strategy (tests compare degraded serving output against direct
-// system searches).
+// strategy (tests compare serving output against direct system
+// searches).
 func (s *Server) System(st ontoscore.Strategy) *core.System { return s.gen.Load().systems[st] }
 
 // EnableSharding partitions the active corpus into cfg.Shards document
@@ -363,13 +362,12 @@ func (s *Server) execSearch(ctx context.Context, req serving.Request) (SearchOut
 		return SearchOutcome{}, err
 	}
 	out := SearchOutcome{
-		Results:          resp.Results,
-		Degraded:         resp.Info.Degraded,
-		DegradedKeywords: resp.Info.DegradedKeywords,
-		Partial:          resp.Partial,
-		Shards:           resp.Shards,
-		Timing:           resp.Timing,
-		Pruning:          resp.Pruning,
+		Results:  resp.Results,
+		Degraded: resp.Info.Degraded,
+		Partial:  resp.Partial,
+		Shards:   resp.Shards,
+		Timing:   resp.Timing,
+		Pruning:  resp.Pruning,
 	}
 	if out.cacheable() {
 		out.memo = new(renderMemo)
@@ -651,14 +649,12 @@ type SearchResponse struct {
 	// exhaustive execution or the ranked RDIL path).
 	Pruning query.PruneStats `json:"pruning"`
 	// Degraded is true when the answer is in any way less than the
-	// full ontology-aware one: the ontology path was unavailable and
-	// ranking fell back to IR-only scoring (NS(v,w) = IRS(v,w)), or —
-	// under sharded serving — some shards did not answer. The response
-	// carries one canonical Warning header naming every reason; the
-	// detail lives in DegradedKeywords, Partial, and Shards.
+	// full ontology-aware one: under sharded serving some shards did
+	// not answer, or a peer of an older release scored part of it
+	// IR-only (NS(v,w) = IRS(v,w)). The response carries one canonical
+	// Warning header naming every reason; the detail lives in Info,
+	// Partial, and Shards.
 	Degraded bool `json:"degraded"`
-	// DegradedKeywords names the keywords scored IR-only.
-	DegradedKeywords []string `json:"degradedKeywords,omitempty"`
 	// Partial is true when a subset of the cluster's shards answered
 	// (sharded serving only); results cover only those shards.
 	Partial bool `json:"partial,omitempty"`
@@ -667,8 +663,8 @@ type SearchResponse struct {
 	// Groups is present when group=1: the same results grouped by the
 	// element path of their roots, in order of each group's best hit.
 	Groups []SearchGroup `json:"groups,omitempty"`
-	// Info reports how the query was answered (mirrors Degraded /
-	// DegradedKeywords in the query engine's own schema).
+	// Info reports how the query was answered (Degraded here is the
+	// IR-only reason alone).
 	Info query.Info `json:"info"`
 	// Timing is the per-stage latency breakdown.
 	Timing ResponseTiming `json:"timing"`
@@ -791,9 +787,9 @@ func (rep *searchReply) response(out SearchOutcome) SearchResponse {
 		Strategy: rep.strategy, K: rep.k, Offset: rep.offset,
 		Results:  make([]SearchResult, 0, len(out.Results)),
 		Pruning:  out.Pruning,
-		Degraded: out.Degraded || out.Partial, DegradedKeywords: out.DegradedKeywords,
-		Partial: out.Partial, Shards: out.Shards,
-		Info:   query.Info{Degraded: out.Degraded, DegradedKeywords: out.DegradedKeywords},
+		Degraded: out.Degraded || out.Partial,
+		Partial:  out.Partial, Shards: out.Shards,
+		Info:   query.Info{Degraded: out.Degraded},
 		Timing: ResponseTiming{Timing: out.Timing},
 	}
 	for _, res := range out.Results {
@@ -838,7 +834,8 @@ func (rep *searchReply) response(out SearchOutcome) SearchResponse {
 // degradeWarning renders the single canonical Warning header value for
 // an outcome, joining every degrade reason that fired ("" when none
 // did). Deduplicating here — one producer for the header — keeps
-// multiple degrade paths (ontology fallback, partial shard answers)
+// multiple degrade paths (an older peer's IR-only answer, partial
+// shard answers)
 // from stacking repeated Warning values on one response.
 func degradeWarning(out SearchOutcome) string {
 	var reasons []string
@@ -1086,11 +1083,9 @@ type ReadyResponse struct {
 	Documents int `json:"documents"`
 	// Checks maps each registered dependency probe to "ok" or its error.
 	Checks map[string]string `json:"checks,omitempty"`
-	// Breakers reports each strategy's ontology-path breaker. An open
-	// breaker does NOT make the server unready — search still answers,
-	// degraded to IR-only — but Degraded is set so operators see it.
-	Breakers map[string]resilience.BreakerMetrics `json:"breakers"`
-	Degraded bool                                 `json:"degraded"`
+	// Degraded is set when a shard is not ready while the quorum still
+	// is: search answers, partially, so the server stays in rotation.
+	Degraded bool `json:"degraded"`
 	// Shards is the per-shard deep readiness report (sharded serving
 	// only): each shard's id, generation, breaker state, and manifest.
 	Shards []shard.Status `json:"shards,omitempty"`
@@ -1107,10 +1102,10 @@ type ReadyResponse struct {
 }
 
 // handleReadyz is deep readiness: every registered dependency check
-// must pass and the corpus must hold documents; otherwise 503. Breaker
-// state is reported (and flips Degraded) without failing readiness —
-// pulling a degraded-but-serving instance out of rotation would turn a
-// partial outage into a full one.
+// must pass and the corpus must hold documents; otherwise 503. A shard
+// that is not ready flips Degraded without failing readiness while the
+// quorum holds — pulling a degraded-but-serving instance out of
+// rotation would turn a partial outage into a full one.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	g := s.reqGen(r)
 	resp := ReadyResponse{
@@ -1118,7 +1113,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Generation: g.Num,
 		Documents:  g.corpus.Len(),
 		Checks:     make(map[string]string),
-		Breakers:   make(map[string]resilience.BreakerMetrics, len(g.systems)),
 		LastIngest: s.lastIngest.Load(),
 		Delta:      s.deltaStatus(),
 	}
@@ -1147,13 +1141,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			s.logf("server: readiness check %q failed: %v", c.name, err)
 		} else {
 			resp.Checks[c.name] = "ok"
-		}
-	}
-	for st, sys := range g.systems {
-		m := sys.Breaker().Metrics()
-		resp.Breakers[st.String()] = m
-		if m.State != resilience.Closed.String() {
-			resp.Degraded = true
 		}
 	}
 	if s.cluster != nil {

@@ -127,7 +127,8 @@ func TestShardedSearchPartialHTTP(t *testing.T) {
 }
 
 // degradeWarning is the single producer of the Warning header: every
-// degrade reason that fired lands in one canonical value.
+// degrade reason that fired lands in one canonical value, and the
+// result cache keeps only outcomes that fired none.
 func TestDegradeWarningDedup(t *testing.T) {
 	partialShards := []core.ShardStatus{{Shard: 0, State: "ok"}, {Shard: 1, State: "timeout"}}
 	cases := []struct {
@@ -146,6 +147,10 @@ func TestDegradeWarningDedup(t *testing.T) {
 	for _, c := range cases {
 		if got := degradeWarning(c.out); got != c.want {
 			t.Errorf("%s: %q, want %q", c.name, got, c.want)
+		}
+		// The result cache keeps exactly the outcomes with no warning.
+		if got := c.out.cacheable(); got != (c.want == "") {
+			t.Errorf("%s: cacheable = %v", c.name, got)
 		}
 	}
 }

@@ -212,7 +212,6 @@ func (s *Sharded) queryRemote(ctx context.Context, sl *slot, req core.SearchRequ
 
 	out := &core.SearchResponse{}
 	out.Info.Degraded = resp.Degraded
-	out.Info.DegradedKeywords = resp.DegradedKeywords
 	if p := resp.Pruning; p != nil {
 		out.Pruning = query.PruneStats{
 			PostingsScored:  p.PostingsScored,

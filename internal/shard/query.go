@@ -160,7 +160,6 @@ gather:
 		resp := answers[i]
 		out.Pruning.Merge(resp.Pruning)
 		out.Info.Degraded = out.Info.Degraded || resp.Info.Degraded
-		out.Info.DegradedKeywords = mergeKeywords(out.Info.DegradedKeywords, resp.Info.DegradedKeywords)
 		if len(resp.Results) > 0 {
 			lists = append(lists, resp.Results)
 		}
@@ -291,24 +290,6 @@ func (s *Sharded) queryShard(ctx context.Context, sl *slot, req core.SearchReque
 	stat.Results = len(resp.Results)
 	sp.SetAttr("results", len(resp.Results))
 	reply(resp)
-}
-
-// mergeKeywords unions degraded-keyword lists preserving first-seen
-// order.
-func mergeKeywords(acc, more []string) []string {
-	for _, kw := range more {
-		seen := false
-		for _, have := range acc {
-			if have == kw {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			acc = append(acc, kw)
-		}
-	}
-	return acc
 }
 
 // Snippet routes to the shard — or peer — owning the result's

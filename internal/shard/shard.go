@@ -308,40 +308,27 @@ func (c *Cluster) buildGen(id int, view *xmltree.Corpus) *shardGen {
 
 // exchangeStats merges every shard's local text-index statistics —
 // local generations and remote peers alike — and broadcasts the
-// collection-global snapshot (and the global element-rank normalizer)
-// back onto each local shard's builders and out to every peer over
-// POST /shard/stats. Run on local generations that are not serving
+// collection-global snapshot back onto each local shard's builders and
+// out to every peer over POST /shard/stats. Run on local generations that are not serving
 // yet — the overlay is installed while the indexes are cold.
 func (c *Cluster) exchangeStats(gens []*shardGen) {
 	remote := c.fetchPeerStats()
 	merged := make(map[string]peer.StrategyStatsWire, 4)
 	for _, st := range ontoscore.Strategies() {
 		parts := make([]ir.Stats, 0, len(gens)+len(remote))
-		ranksMax := 0.0
 		for _, g := range gens {
-			b := g.systems[st].Builder()
-			parts = append(parts, b.LocalTextStats())
-			if rm := b.RanksMax(); rm > ranksMax {
-				ranksMax = rm
-			}
+			parts = append(parts, g.systems[st].Builder().LocalTextStats())
 		}
 		for _, sw := range remote {
 			if s, ok := sw.Strategies[st.String()]; ok {
 				parts = append(parts, ir.Stats{N: s.N, TotalLen: s.TotalLen, DF: s.DF})
-				if s.RanksMax > ranksMax {
-					ranksMax = s.RanksMax
-				}
 			}
 		}
 		m := ir.MergeStats(parts...)
 		for _, g := range gens {
-			b := g.systems[st].Builder()
-			b.SetGlobalTextStats(m)
-			b.SetRanksMax(ranksMax)
+			g.systems[st].Builder().SetGlobalTextStats(m)
 		}
-		merged[st.String()] = peer.StrategyStatsWire{
-			N: m.N, TotalLen: m.TotalLen, DF: m.DF, RanksMax: ranksMax,
-		}
+		merged[st.String()] = peer.StrategyStatsWire{N: m.N, TotalLen: m.TotalLen, DF: m.DF}
 	}
 	c.pushPeerStats(merged)
 }
