@@ -199,7 +199,7 @@ delta:
 # stray-temp cleanup, load/mmap failpoints), the borrowed-bytes
 # cursor differential in internal/dil, and the mmap==heap byte-
 # identical differentials at every layer — core (all strategies,
-# DIL and RDIL), server (HTTP path, cold attach, delta overlay),
+# paging windows), server (HTTP path, cold attach, delta overlay),
 # shard (1/2/4-way, rolling reload) — with the generation-pinned
 # munmap-after-drain races under the race detector.
 arena:
@@ -263,7 +263,11 @@ obs: api-guard
 # namespace (irCacheKey) grows back around it. ElemRank is out of the
 # serving stack: no builder normalizer (SetRanksMax), no ranks_max on
 # the peer wire, no internal/elemrank package, and nothing xontoserve
-# links may import one.
+# links may import one. Serving has one top-k path, and the merge runs
+# on element keys: no RDIL (RunRanked) or Ranked option in core, query,
+# shard, peer, dil or the xontorank CLI, no Dewey-form posting
+# (dil.Entry, the Entries decoders, Cursor.Cur) and no Dewey compare of
+# run heads (docLess).
 # Benchmarks are
 # plain go test -bench runs and bench/'s xontoload: no root BENCH_*.json
 # or *_report_test.go JSON writer.
@@ -305,6 +309,8 @@ api-guard:
 	if grep -rnE 'FPOntoResolve|irCacheKey|listResilient|BuildKeywordE\b|SetRanksMax|ranks_max' \
 		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
 	if $(GO) list -deps ./cmd/xontoserve | grep -x 'repro/internal/elemrank'; then fail=1; fi; \
+	if grep -rnE 'dil\.Entry\b|RunRanked|\bRanked\b|docLess|func \((c \*CompactList|t IDs)\) Entries\(|func \(cu \*Cursor\) Cur\(' \
+		--include='*.go' --exclude='*_test.go' internal/core internal/query internal/shard internal/peer internal/dil cmd/xontorank; then fail=1; fi; \
 	for d in internal/docstore internal/graphsearch internal/store internal/elemrank; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
@@ -312,7 +318,7 @@ api-guard:
 		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; the keyword build has no failure path and no ElemRank; benchmarks write no root reports)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; the keyword build has no failure path and no ElemRank; serving has no RDIL and merges on keys; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -12,7 +12,7 @@ import (
 )
 
 // Merge microbenchmarks over synthetic encoded lists with controlled
-// shape, each resolving its element keys through its own table. The
+// shape, all resolving their element keys through one shared table. The
 // skewed shapes — one rare keyword against common ones — are where
 // document zig-zag skipping pays; uniform shapes bound the merge's
 // overhead when every posting must be touched anyway; the deep shape
@@ -23,7 +23,7 @@ import (
 var mergeShapes = []string{"skewed", "uniform", "deep"}
 
 // mergeWorkload builds k Dewey-sorted lists over a shared document
-// range, encoded with the tables resolving their keys. Skewed workloads make list 0 rare (few documents) and the
+// range, encoded with the table resolving their keys (keyAll). Skewed workloads make list 0 rare (few documents) and the
 // rest dense; uniform workloads give every list the same density with
 // 3-level identifiers; deep workloads give every list about 16
 // postings per document at ragged depths 6–10, the shape (postings per
@@ -43,8 +43,8 @@ func mergeWorkload(k int, shape string) []*dil.CompactList {
 		seed += 1000
 	}
 	rng := rand.New(rand.NewSource(seed))
-	build := func(docSet []int32, perDoc int) []dil.Entry {
-		l := make([]dil.Entry, 0, len(docSet)*perDoc)
+	build := func(docSet []int32, perDoc int) []entry {
+		l := make([]entry, 0, len(docSet)*perDoc)
 		for _, doc := range docSet {
 			for j := 0; j < perDoc; j++ {
 				id := xmltree.Dewey{doc, int32(j % 3), int32(rng.Intn(4))}
@@ -55,11 +55,11 @@ func mergeWorkload(k int, shape string) []*dil.CompactList {
 						id[d] = int32(rng.Intn(3))
 					}
 				}
-				l = append(l, dil.Entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
+				l = append(l, entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
 			}
 		}
-		slices.SortFunc(l, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
-		return l
+		slices.SortFunc(l, func(a, b entry) int { return a.ID.Compare(b.ID) })
+		return slices.CompactFunc(l, func(a, b entry) bool { return a.ID.Equal(b.ID) })
 	}
 	seq := func(n, limit int) []int32 {
 		set := make([]int32, n)
@@ -68,7 +68,7 @@ func mergeWorkload(k int, shape string) []*dil.CompactList {
 		}
 		return set
 	}
-	lists := make([][]dil.Entry, k)
+	lists := make([][]entry, k)
 	switch shape {
 	case "skewed":
 		lists[0] = build(seq(rareDocs, docs), perDoc)
@@ -94,17 +94,35 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// keyAll keys each Dewey-ordered list by position, with its
-// identifiers as its table, and encodes it.
-func keyAll(lists [][]dil.Entry) []*dil.CompactList {
+// entry is a posting in Dewey form: how the workloads are stated.
+type entry struct {
+	ID    xmltree.Dewey
+	Score float64
+}
+
+// keyAll keys Dewey-ordered lists, each holding an element once, into
+// one shared table of every listed element and all its ancestors, in
+// Dewey order as a stage numbers them, and encodes them.
+func keyAll(lists [][]entry) []*dil.CompactList {
+	var ids []xmltree.Dewey
+	for _, l := range lists {
+		for _, e := range l {
+			for n := 1; n <= len(e.ID); n++ {
+				ids = append(ids, e.ID[:n])
+			}
+		}
+	}
+	slices.SortFunc(ids, xmltree.Dewey.Compare)
+	ids = slices.CompactFunc(ids, xmltree.Dewey.Equal)
+	table := dil.IDs{Base: dil.NewKeys(ids)}
 	out := make([]*dil.CompactList, len(lists))
 	for i, es := range lists {
-		ids := make([]xmltree.Dewey, len(es))
 		kl := make(dil.List, len(es))
 		for j, e := range es {
-			kl[j], ids[j] = dil.Posting{Key: int32(j), Doc: e.ID[0], Score: e.Score}, e.ID
+			key, _ := slices.BinarySearchFunc(ids, e.ID, xmltree.Dewey.Compare)
+			kl[j] = dil.Posting{Key: int32(key), Doc: e.ID[0], Score: e.Score}
 		}
-		out[i] = dil.Compact(kl, dil.IDs{Base: ids})
+		out[i] = dil.Compact(kl, table)
 	}
 	return out
 }
@@ -133,16 +151,16 @@ func BenchmarkDILMerge(b *testing.B) {
 // even): the merge emits nothing, isolating its own allocation
 // behavior from result construction.
 func disjointWorkload() []*dil.CompactList {
-	mk := func(base int32) []dil.Entry {
-		l := make([]dil.Entry, 0, 4096)
+	mk := func(base int32) []entry {
+		l := make([]entry, 0, 4096)
 		for doc := int32(0); doc < 2048; doc++ {
 			l = append(l,
-				dil.Entry{ID: xmltree.Dewey{base + 2*doc, 0, 1}, Score: 0.5},
-				dil.Entry{ID: xmltree.Dewey{base + 2*doc, 1}, Score: 0.25})
+				entry{ID: xmltree.Dewey{base + 2*doc, 0, 1}, Score: 0.5},
+				entry{ID: xmltree.Dewey{base + 2*doc, 1}, Score: 0.25})
 		}
 		return l
 	}
-	return keyAll([][]dil.Entry{mk(0), mk(1)})
+	return keyAll([][]entry{mk(0), mk(1)})
 }
 
 // BenchmarkDILMergeAllocs isolates steady-state allocation: with

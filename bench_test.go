@@ -271,8 +271,9 @@ func BenchmarkServingParallelLoad(b *testing.B) {
 }
 
 // BenchmarkRankedTopK compares XRANK's two query algorithms on the same
-// lists: the exhaustive Dewey-order merge (DIL) vs ranked access with
-// early termination (RDIL), for small and large k.
+// lists: the serving top-k merge (DIL, query.RunLists) vs ranked access
+// with early termination (RDIL, internal/experiments), for small and
+// large k.
 func BenchmarkRankedTopK(b *testing.B) {
 	env := benchEnvironment(b)
 	sys := env.Systems[ontoscore.StrategyGraph]
@@ -281,26 +282,22 @@ func BenchmarkRankedTopK(b *testing.B) {
 		dil.Compact(builder.BuildKeyword("cardiac"), builder.IDs()),
 		dil.Compact(builder.BuildKeyword("arrest"), builder.IDs()),
 	}
-	entries := make([][]dil.Entry, len(lists))
-	for i, l := range lists {
+	for _, l := range lists {
 		if l.Len() == 0 {
 			b.Fatal("empty list")
 		}
-		entries[i] = l.Entries()
 	}
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("DIL/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := query.RunLists(lists, 0.5, 0)
-				if len(res) == 0 {
+				if len(query.RunLists(lists, 0.5, k)) == 0 {
 					b.Fatal("no results")
 				}
-				_ = k
 			}
 		})
 		b.Run(fmt.Sprintf("RDIL/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if len(query.RunRanked(entries, 0.5, k)) == 0 {
+				if len(experiments.RunRanked(lists, 0.5, k)) == 0 {
 					b.Fatal("no results")
 				}
 			}

@@ -247,7 +247,6 @@ func cmdSearch(args []string) error {
 	k := fs.Int("k", 5, "number of results (0 uses the configured default; capped at 1000)")
 	offset := fs.Int("offset", 0, "ranked results to skip before the k returned ones")
 	frag := fs.Bool("fragments", false, "print result XML fragments")
-	ranked := fs.Bool("ranked", false, "use the RDIL ranked-access algorithm (early termination)")
 	trace := fs.Bool("trace", false, "print the request's span tree with per-stage durations")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -270,7 +269,6 @@ func cmdSearch(args []string) error {
 		K:        *k,
 		Offset:   *offset,
 		Strategy: *strategy,
-		Ranked:   *ranked,
 		Trace:    *trace,
 	})
 	if err != nil {

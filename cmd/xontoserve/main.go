@@ -79,6 +79,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -462,6 +463,14 @@ func (a *app) run(ctx context.Context) error {
 		WriteTimeout: a.scfg.Timeout + 20*time.Second,
 		IdleTimeout:  120 * time.Second,
 	}
+
+	// Collect the set-up's garbage before serving. Ingest and the index
+	// build leave tens of MB of it, and left alone the first collection
+	// lands wherever set-up left the pacer, so each start pays it at a
+	// different point of its first requests. From a fresh collection the
+	// heap's next goal is twice what serving holds live, and when the
+	// collections come depends only on the requests served.
+	runtime.GC()
 
 	ln, err := net.Listen("tcp", a.addr)
 	if err != nil {

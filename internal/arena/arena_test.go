@@ -16,10 +16,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// testIDs is the element table every test list's keys index: 16
-// documents of 64 elements each, in Dewey order as a stage numbers
-// them.
-var testIDs = func() dil.IDs {
+// testTable is the element table every test list's keys index: 16
+// documents of at least 64 elements each, every element's ancestors
+// included, in Dewey order as a stage numbers them.
+var testTable = func() []xmltree.Dewey {
 	rng := rand.New(rand.NewSource(99))
 	var table []xmltree.Dewey
 	for doc := int32(0); doc < 16; doc++ {
@@ -30,13 +30,18 @@ var testIDs = func() dil.IDs {
 			for j := 1; j < len(id); j++ {
 				id[j] = int32(rng.Intn(4))
 			}
-			els = append(els, id)
+			for n := 2; n <= len(id); n++ {
+				els = append(els, id[:n])
+			}
 		}
 		slices.SortFunc(els, func(a, b xmltree.Dewey) int { return a.Compare(b) })
 		table = append(table, slices.CompactFunc(els, xmltree.Dewey.Equal)...)
 	}
-	return dil.IDs{Base: table}
+	return table
 }()
+
+// testIDs resolves testTable's keys.
+var testIDs = dil.IDs{Base: dil.NewKeys(slices.Clone(testTable))}
 
 // testKeys is testIDs' size, recorded in every test arena.
 var testKeys = uint64(testIDs.Len())
@@ -104,15 +109,10 @@ func TestArenaRoundTrip(t *testing.T) {
 		if cl == nil {
 			t.Fatalf("keyword %q absent from arena (err %v)", kw, a.Err())
 		}
-		want := ix.Compact(kw).Entries()
-		got := cl.Entries()
-		if len(got) != len(want) {
-			t.Fatalf("keyword %q: %d postings, want %d", kw, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].ID.Equal(want[i].ID) || got[i].Score != want[i].Score {
-				t.Fatalf("keyword %q posting %d differs", kw, i)
-			}
+		want := postingsOf(ix.Compact(kw))
+		got := postingsOf(cl)
+		if !slices.Equal(got, want) {
+			t.Fatalf("keyword %q: postings differ", kw)
 		}
 		postings += uint64(len(want))
 	}
@@ -135,7 +135,7 @@ func TestArenaRoundTrip(t *testing.T) {
 // at open, before any key is resolved.
 func TestOpenRefusesOtherTable(t *testing.T) {
 	path := writeArena(t, randomIndex(3, 4, 50), Meta{Keys: testKeys})
-	short := dil.IDs{Base: testIDs.Base[:len(testIDs.Base)-1]}
+	short := dil.IDs{Base: dil.NewKeys(slices.Clone(testTable[:len(testTable)-1]))}
 	if a, err := Open(path, short); err == nil {
 		a.Close()
 		t.Fatal("arena opened against a table of another size")
@@ -346,4 +346,14 @@ func TestWriteFailureKeepsPreviousArena(t *testing.T) {
 	if _, err := os.Stat(path + tmpSuffix); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
+}
+
+// postingsOf decodes a list's postings.
+func postingsOf(c *dil.CompactList) dil.List {
+	var out dil.List
+	for cu := dil.NewCursor(c); cu.Valid(); {
+		run, _ := cu.Run()
+		out = append(out, run...)
+	}
+	return out
 }

@@ -43,8 +43,12 @@ func FuzzArenaDecode(f *testing.F) {
 			if cl == nil {
 				continue // marked bad; must stay absent
 			}
-			// Force a full borrowed decode of every posting.
-			l := cl.Entries()
+			// Force a full borrowed decode of every posting, each key
+			// resolved through the table.
+			l := postingsOf(cl)
+			for _, p := range l {
+				cl.IDs().ID(p.Key)
+			}
 			if len(l) != cl.Len() {
 				t.Fatalf("keyword %d: decoded %d postings, Len says %d", i, len(l), cl.Len())
 			}

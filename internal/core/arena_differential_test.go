@@ -75,8 +75,8 @@ func sameResults(t *testing.T, label string, want, got []Result) {
 }
 
 // TestArenaDifferential: serving from a mapped arena is byte-identical
-// to serving from the decoded heap index, across every strategy, the
-// fast DIL merge and the ranked RDIL path, and paging windows.
+// to serving from the decoded heap index, across every strategy and
+// paging windows.
 func TestArenaDifferential(t *testing.T) {
 	dir := t.TempDir()
 	for _, st := range ontoscore.Strategies() {
@@ -94,19 +94,17 @@ func TestArenaDifferential(t *testing.T) {
 
 			ctx := context.Background()
 			for _, q := range arenaQueries {
-				for _, ranked := range []bool{false, true} {
-					for _, offset := range []int{0, 2} {
-						req := SearchRequest{Query: q, K: 10, Offset: offset, Ranked: ranked}
-						wr, err := heap.Query(ctx, req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gr, err := mapped.Query(ctx, req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, q, wr.Results, gr.Results)
+				for _, offset := range []int{0, 2} {
+					req := SearchRequest{Query: q, K: 10, Offset: offset}
+					wr, err := heap.Query(ctx, req)
+					if err != nil {
+						t.Fatal(err)
 					}
+					gr, err := mapped.Query(ctx, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, q, wr.Results, gr.Results)
 				}
 			}
 			if err := a.Err(); err != nil {

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dil"
 	"repro/internal/ontology"
@@ -268,12 +267,4 @@ func (s *System) Summary() string {
 			s.stats.FullTextTime+s.stats.OntoScoreTime+s.stats.DILTime)
 	}
 	return line
-}
-
-// Measure runs fn and returns its wall-clock duration; used by the
-// experiment harness.
-func Measure(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

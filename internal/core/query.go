@@ -35,10 +35,6 @@ type SearchRequest struct {
 	// A system is built for exactly one strategy; a mismatch is an
 	// error rather than a silent wrong answer.
 	Strategy string
-	// Ranked answers with XRANK's RDIL ranked-access algorithm:
-	// identical results, early termination — profitable for small k
-	// over long posting lists.
-	Ranked bool
 	// Explain attaches a text snippet per result (SearchResponse.Snippets).
 	Explain bool
 	// Trace attaches the span tree of this request's trace to the
@@ -151,7 +147,7 @@ func (s *System) Query(ctx context.Context, req SearchRequest) (*SearchResponse,
 	}
 
 	sstart := time.Now()
-	qresp, err := s.engine.Query(ctx, query.Request{Keywords: keywords, K: req.K, Offset: req.Offset, Ranked: req.Ranked})
+	qresp, err := s.engine.Query(ctx, query.Request{Keywords: keywords, K: req.K, Offset: req.Offset})
 	searchDur := time.Since(sstart)
 	if err != nil {
 		localRoot.End()

@@ -34,20 +34,18 @@ func TestSharedStageSystemsMatchIndependentSystems(t *testing.T) {
 				alone := core.New(env.Corpus, env.Ont, cfg)
 				for _, q := range queries {
 					for _, w := range windows {
-						for _, ranked := range []bool{false, true} {
-							req := core.SearchRequest{Query: q, K: w.k, Offset: w.offset, Ranked: ranked}
-							got, err := shared.Query(context.Background(), req)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := alone.Query(context.Background(), req)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got.Results, want.Results) || !reflect.DeepEqual(got.Info, want.Info) {
-								t.Fatalf("%s %q k=%d offset=%d ranked=%v: shared-stage system answers differently\n got %+v\nwant %+v",
-									st, q, w.k, w.offset, ranked, got.Results, want.Results)
-							}
+						req := core.SearchRequest{Query: q, K: w.k, Offset: w.offset}
+						got, err := shared.Query(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := alone.Query(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.Results, want.Results) || !reflect.DeepEqual(got.Info, want.Info) {
+							t.Fatalf("%s %q k=%d offset=%d: shared-stage system answers differently\n got %+v\nwant %+v",
+								st, q, w.k, w.offset, got.Results, want.Results)
 						}
 					}
 				}

@@ -24,8 +24,8 @@ func wireSegment(sys *core.System, strat ontoscore.Strategy, cfg Config) *Segmen
 
 // compareSearches asserts two systems answer every test query
 // identically — results (Dewey IDs, exact float scores, document
-// names, element paths, keyword matches) and snippets alike — over
-// both the DIL and the RDIL merge, at several (k, offset) windows so
+// names, element paths, keyword matches) and snippets alike — at
+// several (k, offset) windows so
 // the block-max top-k pruning stays exact under a delta overlay too
 // (overlaid keywords merge as plain lists; base-only keywords keep
 // their compact block bounds).
@@ -33,25 +33,23 @@ func compareSearches(t *testing.T, label string, got, want *core.System) {
 	t.Helper()
 	windows := []struct{ k, offset int }{{10, 0}, {1, 0}, {3, 2}}
 	for _, q := range testQueries {
-		for _, ranked := range []bool{false, true} {
-			for _, win := range windows {
-				req := core.SearchRequest{Query: q, K: win.k, Offset: win.offset, Ranked: ranked, Explain: true}
-				g, err := got.Query(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s: query %q: %v", label, q, err)
-				}
-				w, err := want.Query(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s: reference query %q: %v", label, q, err)
-				}
-				if !reflect.DeepEqual(g.Results, w.Results) {
-					t.Errorf("%s: query %q ranked=%v k=%d offset=%d: results diverge\n got: %+v\nwant: %+v",
-						label, q, ranked, win.k, win.offset, g.Results, w.Results)
-				}
-				if !reflect.DeepEqual(g.Snippets, w.Snippets) {
-					t.Errorf("%s: query %q ranked=%v k=%d offset=%d: snippets diverge\n got: %q\nwant: %q",
-						label, q, ranked, win.k, win.offset, g.Snippets, w.Snippets)
-				}
+		for _, win := range windows {
+			req := core.SearchRequest{Query: q, K: win.k, Offset: win.offset, Explain: true}
+			g, err := got.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: query %q: %v", label, q, err)
+			}
+			w, err := want.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: reference query %q: %v", label, q, err)
+			}
+			if !reflect.DeepEqual(g.Results, w.Results) {
+				t.Errorf("%s: query %q k=%d offset=%d: results diverge\n got: %+v\nwant: %+v",
+					label, q, win.k, win.offset, g.Results, w.Results)
+			}
+			if !reflect.DeepEqual(g.Snippets, w.Snippets) {
+				t.Errorf("%s: query %q k=%d offset=%d: snippets diverge\n got: %q\nwant: %q",
+					label, q, win.k, win.offset, g.Snippets, w.Snippets)
 			}
 		}
 	}

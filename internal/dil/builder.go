@@ -99,6 +99,7 @@ type stage struct {
 	params Params
 
 	ids      []xmltree.Dewey // DocKey -> the element's Dewey identifier
+	keys     *Keys           // ids with the tree shape the merge reads
 	docs     []docSpan       // per document, in key order
 	textBase *ir.Index       // elements as documents (bag model, BM25 stats)
 	posIx    *ir.Positional  // token positions: phrase tests and term frequencies
@@ -280,7 +281,7 @@ func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stag
 	for _, doc := range docs {
 		s.indexDocument(doc)
 	}
-	packIDs(s.ids)
+	s.keys = NewKeys(s.ids)
 	s.indexRefs(slots)
 	s.scratch.New = s.newScratch
 	s.fullTextTime = time.Since(start)
@@ -300,24 +301,6 @@ func (s *stage) indexDocument(doc *xmltree.Document) {
 		s.slotOf = append(s.slotOf, s.conceptSlot(n))
 	}
 	s.docs = append(s.docs, docSpan{id: doc.ID, end: ir.DocKey(len(s.ids))})
-}
-
-// packIDs copies the identifiers into one array in key order and
-// repoints ids at the copies. A built list names its elements by key
-// and the merge resolves every posting it scores through ids, so a
-// list's identifiers, which ascend in key, are then read front to back
-// instead of from wherever each node's own identifier was allocated.
-func packIDs(ids []xmltree.Dewey) {
-	n := 0
-	for _, id := range ids {
-		n += len(id)
-	}
-	comps := make([]int32, 0, n)
-	for key, id := range ids {
-		at := len(comps)
-		comps = append(comps, id...)
-		ids[key] = comps[at:len(comps):len(comps)]
-	}
 }
 
 // indexRefs tabulates, once every element has its slot, each concept
@@ -404,9 +387,9 @@ func (s *stage) conceptSlot(n *xmltree.Node) int32 {
 // stage's, followed by the delta stage's when the builder is pinned to
 // a live state with pending documents (Pin).
 func (b *Builder) IDs() IDs {
-	t := IDs{Base: b.ids}
+	t := IDs{Base: b.keys}
 	if b.live != nil && b.live.Delta != nil {
-		t.Delta = b.live.Delta.ids
+		t.Delta = b.live.Delta.keys
 	}
 	return t
 }
@@ -542,15 +525,10 @@ func (b *Builder) BuildKeywordCtx(ctx context.Context, keyword string) List {
 	return b.buildKeyword(ctx, keyword, false, nil)
 }
 
-// BuildKeywordIR assembles the IR-only DIL of one keyword:
-// NS(v, w) = IRS(v, w), skipping the ontology branch entirely. This is
-// exactly what a StrategyNone (XRANK baseline) system computes.
-func (b *Builder) BuildKeywordIR(keyword string) List {
-	return b.BuildKeywordIRCtx(context.Background(), keyword)
-}
-
-// BuildKeywordIRCtx is BuildKeywordIR with span instrumentation; the
-// span carries ir_only=true.
+// BuildKeywordIRCtx assembles the IR-only DIL of one keyword:
+// NS(v, w) = IRS(v, w), skipping the ontology branch entirely — what a
+// StrategyNone (XRANK baseline) system computes. Its span carries
+// ir_only=true.
 func (b *Builder) BuildKeywordIRCtx(ctx context.Context, keyword string) List {
 	return b.buildKeyword(ctx, keyword, true, nil)
 }

@@ -16,8 +16,8 @@ import (
 // all hold the same bytes, and one decoder (Cursor) reads them whether
 // they live on the heap or in a mapped file. Postings name elements by
 // key, as a built List does, and the list carries the table that
-// resolves them (IDs); only the merge's document runs, RDIL and the
-// build's emit ever look an identifier up.
+// resolves them (IDs); only the merge's returned results ever look an
+// identifier up.
 //
 // Layout (integers little-endian; DESIGN.md §28):
 //
@@ -120,18 +120,8 @@ func (c *CompactList) blockTailMax(b int) float64 {
 // it as the keyword's segment.
 func (c *CompactList) AppendSegment(buf []byte) []byte { return append(buf, c.data...) }
 
-// Entries decodes the list to its Dewey form — RDIL's random access
-// reads it. The identifiers are the table's, shared.
-func (c *CompactList) Entries() []Entry {
-	if c.Len() == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, c.n)
-	for cu := NewCursor(c); cu.Valid(); cu.Advance() {
-		out = append(out, Entry{ID: cu.Cur(), Score: cu.score})
-	}
-	return out
-}
+// IDs returns the table that resolves the list's keys.
+func (c *CompactList) IDs() IDs { return c.ids }
 
 // Compact encodes a key-ordered list, whose keys ids resolves, into a
 // list of its own exact-size bytes (nil for an empty list).

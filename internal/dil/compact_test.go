@@ -9,16 +9,49 @@ import (
 	"repro/internal/xmltree"
 )
 
+// Entry is a posting resolved to its element's Dewey identifier: the
+// form these tests state lists in.
+type Entry struct {
+	ID    xmltree.Dewey
+	Score float64
+}
+
+// Entries resolves a list to its Dewey form.
+func (t IDs) Entries(l List) []Entry {
+	out := make([]Entry, len(l))
+	for i, p := range l {
+		out[i] = Entry{ID: t.ID(p.Key), Score: p.Score}
+	}
+	return out
+}
+
+// Entries decodes the list to its Dewey form (nil for a nil list).
+func (c *CompactList) Entries() []Entry {
+	if c.Len() == 0 {
+		return nil
+	}
+	var l List
+	for cu := NewCursor(c); cu.Valid(); {
+		run, _ := cu.Run()
+		l = append(l, run...)
+	}
+	return c.ids.Entries(l)
+}
+
+// Cur returns the current posting's Dewey identifier.
+func (cu *Cursor) Cur() xmltree.Dewey { return cu.cl.ids.ID(cu.key) }
+
 // keyed keys a Dewey-ordered entry list by position, with its
 // identifiers as the table: hand-built postings in the form a builder
-// emits.
+// emits, for the codec, which reads no tree shape (the table has none;
+// NewKeys would want every ancestor).
 func keyed(es []Entry) (List, IDs) {
 	l := make(List, len(es))
 	ids := make([]xmltree.Dewey, len(es))
 	for i, e := range es {
 		l[i], ids[i] = Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
 	}
-	return l, IDs{Base: ids}
+	return l, IDs{Base: &Keys{ids: ids}}
 }
 
 // sortEntries orders entries by Dewey identifier.
@@ -206,7 +239,7 @@ func TestCompactScoresBitExact(t *testing.T) {
 		}
 		l = append(l, Posting{Key: int32(3 * i), Doc: int32(i / 5), Score: s})
 	}
-	c := Compact(l, IDs{Base: make([]xmltree.Dewey, 3*len(l))})
+	c := Compact(l, IDs{Base: &Keys{ids: make([]xmltree.Dewey, 3*len(l))}})
 	cu := NewCursor(c)
 	for i, p := range l {
 		if !cu.Valid() || cu.key != p.Key || cu.DocID() != p.Doc || math.Float64bits(cu.Score()) != math.Float64bits(p.Score) {

@@ -34,7 +34,7 @@ func figure1Builder(t *testing.T) *Builder {
 func TestBuildKeywordIRMatchesTextOnly(t *testing.T) {
 	b := figure1Builder(t)
 	full := b.IDs().Entries(b.BuildKeyword("asthma"))
-	ir := b.IDs().Entries(b.BuildKeywordIR("asthma"))
+	ir := b.IDs().Entries(b.BuildKeywordIRCtx(context.Background(), "asthma"))
 	if len(ir) == 0 {
 		t.Fatal("IR-only build empty for a textual keyword")
 	}

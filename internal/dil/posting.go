@@ -8,14 +8,15 @@
 // list names each node by its element key in the stage that built it
 // — a dense int32 assigned in Dewey order — so a posting is a
 // pointer-free 16-byte record, lists are in Dewey (document) order by
-// construction, and a node's Dewey ID is looked up in the stage's
-// table (IDs) only where it is read: the merge's per-document runs
-// and RDIL's random access. Once built, a list is block-coded
+// construction, and the stage's table (Keys) gives the tree shape the
+// merge needs by key; a node's Dewey ID is looked up only for the
+// results a query returns. Once built, a list is block-coded
 // (CompactList), the form the keyword cache, the index and the arena
 // hold.
 package dil
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/xmltree"
@@ -36,48 +37,105 @@ type Posting struct {
 // keyword.
 type List []Posting
 
-// Entry is a posting resolved to its element's Dewey identifier: the
-// form the query phase's stack merge and RDIL read.
-type Entry struct {
-	ID    xmltree.Dewey
-	Score float64
+// Keys is one stage's element table in key order: each element's
+// Dewey identifier, its parent's key (-1 for a document root) and the
+// last key of its subtree (its end). Keys follow Dewey order, so
+// element b lies in a's subtree exactly when a <= b <= end of a: the
+// merge finds common ancestors by integer compares, and reads an
+// identifier only for the results it returns.
+type Keys struct {
+	ids    []xmltree.Dewey
+	parent []int32
+	end    []int32
 }
 
-// IDs resolves the keys of the lists a builder emits to Dewey
-// identifiers: keys below len(Base) index the stage's table, and a
-// list pinned to a live state numbers its delta postings after them,
-// indexing Delta, the delta stage's table (Live). Both tables are
-// shared and read-only.
+// NewKeys takes a table of identifiers in Dewey order — documents in
+// ascending ID, each one's elements in document order, every ancestor
+// of an element present — packs them into one array and derives each
+// element's parent and subtree end in the same pass.
+func NewKeys(ids []xmltree.Dewey) *Keys {
+	n := 0
+	for _, id := range ids {
+		n += len(id)
+	}
+	comps := make([]int32, 0, n)
+	t := &Keys{ids: ids, parent: make([]int32, len(ids)), end: make([]int32, len(ids))}
+	var path []int32 // the keys of the current element's ancestors
+	for key, id := range ids {
+		at := len(comps)
+		comps = append(comps, id...)
+		ids[key] = comps[at:len(comps):len(comps)]
+		for len(path) >= len(id) {
+			t.end[path[len(path)-1]] = int32(key) - 1
+			path = path[:len(path)-1]
+		}
+		if len(path) != len(id)-1 {
+			panic(fmt.Sprintf("dil: element %v has no parent in the table", id))
+		}
+		t.parent[key] = -1
+		if len(path) > 0 {
+			t.parent[key] = path[len(path)-1]
+		}
+		path = append(path, int32(key))
+	}
+	for _, key := range path {
+		t.end[key] = int32(len(ids)) - 1
+	}
+	return t
+}
+
+// Len returns the number of elements (0 for a nil table).
+func (t *Keys) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.ids)
+}
+
+// Depth returns the element's depth: its identifier's length.
+func (t *Keys) Depth(key int32) int { return len(t.ids[key]) }
+
+// LCA returns the lowest common ancestor of elements a <= b of one
+// document, climbing from a until b lies in the subtree.
+func (t *Keys) LCA(a, b int32) int32 {
+	for b > t.end[a] {
+		a = t.parent[a]
+	}
+	return a
+}
+
+// IDs resolves the keys of the lists a builder emits: keys below
+// Base.Len() index the stage's table, and a list pinned to a live
+// state numbers its delta postings after them, indexing Delta, the
+// delta stage's table (Live). Both tables are shared and read-only, so
+// two IDs over the same tables compare equal.
 type IDs struct {
-	Base  []xmltree.Dewey
-	Delta []xmltree.Dewey
+	Base  *Keys
+	Delta *Keys
 }
 
 // Len returns the number of keys the table resolves: its bound.
-func (t IDs) Len() int { return len(t.Base) + len(t.Delta) }
+func (t IDs) Len() int { return t.Base.Len() + t.Delta.Len() }
+
+// Stage returns the table that holds key, and the key of its first
+// element.
+func (t IDs) Stage(key int32) (*Keys, int32) {
+	if n := t.Base.Len(); int(key) >= n {
+		return t.Delta, int32(n)
+	}
+	return t.Base, 0
+}
 
 // ID returns the Dewey identifier of an element key.
 func (t IDs) ID(key int32) xmltree.Dewey {
-	if uint(key) < uint(len(t.Base)) {
-		return t.Base[key]
-	}
-	return t.Delta[int(key)-len(t.Base)]
-}
-
-// Entries resolves a list to its Dewey form. The identifiers are the
-// table's, shared.
-func (t IDs) Entries(l List) []Entry {
-	out := make([]Entry, len(l))
-	for i, p := range l {
-		out[i] = Entry{ID: t.ID(p.Key), Score: p.Score}
-	}
-	return out
+	k, off := t.Stage(key)
+	return k.ids[key-off]
 }
 
 // Index is the in-memory XOnto-DIL index: one Dewey-ordered posting
 // list per keyword, block-coded — the DIL merge streams block cursors
-// and skips with the block table, RDIL decodes it, and the arena
-// writer stores its bytes as they are.
+// and skips with the block table, and the arena writer stores its
+// bytes as they are.
 type Index struct {
 	lists map[string]*CompactList
 }

@@ -292,7 +292,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 					if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(b, got, want) {
 						t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 					}
-					if got, want := b.BuildKeywordIR(kw), ref.build(b, kw, true); !sameList(b, got, want) {
+					if got, want := b.BuildKeywordIRCtx(context.Background(), kw), ref.build(b, kw, true); !sameList(b, got, want) {
 						t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
 					}
 					if !encodedAsBuilt(b, kw) {
@@ -310,7 +310,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 					if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(p, got, want) {
 						t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 					}
-					if got, want := p.BuildKeywordIR(kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
+					if got, want := p.BuildKeywordIRCtx(context.Background(), kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
 						t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
 					}
 					if !encodedAsBuilt(p, kw) {

@@ -90,7 +90,7 @@ func TestSegmentCursorDifferential(t *testing.T) {
 			for ; end < len(l) && l[end].ID[0] == l[at].ID[0]; end++ {
 				pm = max(pm, l[end].Score)
 			}
-			pr := l[at:end]
+			pr, first := l[at:end], at
 			at = end
 			hr, hm := hc.Run()
 			br, bm := bc.Run()
@@ -99,8 +99,8 @@ func TestSegmentCursorDifferential(t *testing.T) {
 					trial, len(pr), len(hr), len(br), pm, hm, bm)
 			}
 			for j := range pr {
-				if !hr[j].ID.Equal(pr[j].ID) || !br[j].ID.Equal(pr[j].ID) ||
-					hr[j].Score != pr[j].Score || br[j].Score != pr[j].Score {
+				want := Posting{Key: int32(first + j), Doc: pr[j].ID[0], Score: pr[j].Score}
+				if hr[j] != want || br[j] != want {
 					t.Fatalf("trial %d: run posting %d differs at %v", trial, j, pr[j].ID)
 				}
 			}
@@ -205,7 +205,7 @@ func TestDecodeCompactRejects(t *testing.T) {
 	// One posting, key 0 in document 0, score 0.5: the valid baseline.
 	one := func(p []byte) []byte { return rawSegment(1, rawBlock{0, 0.5, p}) }
 	valid := one(appendUvarints(dict(0.5), 0<<1|1, 0, 0))
-	ids := IDs{Base: make([]xmltree.Dewey, 4)}
+	ids := IDs{Base: &Keys{ids: make([]xmltree.Dewey, 4)}}
 	if _, err := BorrowSegment(valid, ids); err != nil {
 		t.Fatalf("valid segment rejected: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestDecodeCompactRejects(t *testing.T) {
 	}
 	descending := rawSegment(BlockSize+1, rawBlock{0, 0.5, full},
 		rawBlock{0, 0.5, appendUvarints(dict(0.5), 5<<1|1, 0, 0)})
-	if _, err := BorrowSegment(descending, IDs{Base: make([]xmltree.Dewey, 2*BlockSize)}); err == nil {
+	if _, err := BorrowSegment(descending, IDs{Base: &Keys{ids: make([]xmltree.Dewey, 2*BlockSize)}}); err == nil {
 		t.Error("keys that do not ascend: corrupt segment accepted")
 	}
 	for _, tc := range []struct {

@@ -3,8 +3,6 @@ package dil
 import (
 	"encoding/binary"
 	"math"
-
-	"repro/internal/xmltree"
 )
 
 // Cursor is a forward iterator over one CompactList, the unit the
@@ -24,9 +22,8 @@ type Cursor struct {
 	doc   int32
 	score float64
 
-	// run holds the postings of the current document Run returned,
-	// their identifiers views of the list's table.
-	run []Entry
+	// run holds the postings of the current document Run returned.
+	run []Posting
 
 	blocksSkipped int64
 }
@@ -39,12 +36,9 @@ func NewCursor(c *CompactList) Cursor {
 }
 
 // Set repoints the cursor at c (nil: none) and rewinds, keeping its
-// run buffer — pooled mergers reuse cursors across runs — but dropping
-// the previous run's identifiers, so a pooled cursor keeps no table
-// reachable.
+// run buffer: pooled mergers reuse cursors across runs.
 func (cu *Cursor) Set(c *CompactList) {
 	cu.cl = c
-	clear(cu.run[:cap(cu.run)])
 	cu.Reset()
 }
 
@@ -73,9 +67,6 @@ func uvarint(p []byte, off int) (uint64, int) {
 
 // Valid reports whether the cursor is positioned on a posting.
 func (cu *Cursor) Valid() bool { return cu.i < cu.cl.Len() }
-
-// Cur returns the current posting's Dewey identifier, the table's.
-func (cu *Cursor) Cur() xmltree.Dewey { return cu.cl.ids.ID(cu.key) }
 
 // Score returns the current posting's node score.
 func (cu *Cursor) Score() float64 { return cu.score }
@@ -204,20 +195,20 @@ func (cu *Cursor) RemainingMax() float64 {
 // maximum score (0 for a drained cursor), and leaves the cursor on the
 // next document's first posting. One pass serves both the merge and
 // the top-k document bound. The run is the cursor's reusable buffer,
-// valid only until its next Run, Reset or Set; its identifiers are
-// views of the list's table.
-func (cu *Cursor) Run() ([]Entry, float64) {
+// valid only until its next Run, Reset or Set. It names elements by
+// key: no identifier is looked up.
+func (cu *Cursor) Run() ([]Posting, float64) {
 	if !cu.Valid() {
 		return nil, 0
 	}
 	// Advance's decode, inline over locals: this loop reads every
 	// posting a merge scores.
 	c := cu.cl
-	p, ids := c.payload, c.ids
+	p := c.payload
 	i, off, dict, key, d, score := cu.i, cu.off, cu.dict, cu.key, cu.doc, cu.score
 	doc, run, max := d, cu.run[:0], 0.0
 	for {
-		run = append(run, Entry{ID: ids.ID(key), Score: score})
+		run = append(run, Posting{Key: key, Doc: d, Score: score})
 		if score > max {
 			max = score
 		}

@@ -1,21 +1,25 @@
-package query
+package experiments
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dil"
+	"repro/internal/query"
 	"repro/internal/xmltree"
 )
 
 // RDIL — XRANK's Ranked Dewey Inverted List algorithm, the top-k
-// counterpart of the Dewey-order merge in dilalgo.go. Each keyword's
-// postings are additionally ordered by descending score; the algorithm
-// consumes postings best-first, materializes the result containing each
-// posting directly (via longest-common-prefix probes into the
-// Dewey-ordered lists), and stops as soon as no undiscovered result can
-// beat the current k-th score.
+// counterpart of the Dewey-order merge in internal/query. It is beyond
+// the paper and serves no request: it is kept here, beside the other
+// experiments, as the ranked-access baseline BenchmarkRankedTopK
+// measures the merge against. Each keyword's postings are additionally
+// ordered by descending score; the algorithm consumes postings
+// best-first, materializes the result containing each posting directly
+// (via longest-common-prefix probes into the Dewey-ordered lists), and
+// stops as soon as no undiscovered result can beat the current k-th
+// score.
 //
 // Correctness rests on two facts about equation (1)'s result set:
 // results never nest, so every posting lies under at most one result,
@@ -28,8 +32,8 @@ import (
 // is final.
 //
 // RunRanked returns exactly the same top-k (scores and roots) as
-// ranking RunLists' output, typically after consuming only a fraction
-// of the postings — see RankedStats and BenchmarkRankedTopK.
+// query.RunLists, typically after consuming only a fraction of the
+// postings — see RankedStats and BenchmarkRankedTopK.
 
 // RankedStats reports the work RunRankedStats performed.
 type RankedStats struct {
@@ -41,31 +45,31 @@ type RankedStats struct {
 
 // RunRanked answers a top-k query over the lists using ranked access
 // with early termination. Results are ordered by descending score with
-// Dewey tie-break, exactly matching the sorted output of RunLists.
-func RunRanked(lists [][]dil.Entry, decay float64, k int) []Result {
+// Dewey tie-break, exactly matching query.RunLists.
+func RunRanked(lists []*dil.CompactList, decay float64, k int) []query.Result {
 	res, _ := RunRankedStats(lists, decay, k)
 	return res
 }
 
 // RunRankedStats is RunRanked, additionally reporting access statistics.
-func RunRankedStats(lists [][]dil.Entry, decay float64, k int) ([]Result, RankedStats) {
+func RunRankedStats(lists []*dil.CompactList, decay float64, k int) ([]query.Result, RankedStats) {
 	var stats RankedStats
 	n := len(lists)
 	if n == 0 || k <= 0 {
 		return nil, stats
 	}
-	for _, l := range lists {
-		if len(l) == 0 {
+	r := &ranked{lists: make([][]entry, n), decay: decay}
+	for i, l := range lists {
+		if l.Len() == 0 {
 			return nil, stats
 		}
-		stats.PostingsTotal += len(l)
+		r.lists[i] = entries(l)
+		stats.PostingsTotal += l.Len()
 	}
-
-	r := &ranked{lists: lists, decay: decay}
 	r.init()
 
 	emitted := make(map[string]bool)
-	top := newTopKHeap(k)
+	var top []query.Result // the best k so far, best first
 
 	for {
 		j := r.bestFrontier()
@@ -80,7 +84,7 @@ func RunRankedStats(lists [][]dil.Entry, decay float64, k int) ([]Result, Ranked
 			for i := range lists {
 				bound += r.frontierScore(i)
 			}
-			if bound < top[0].Score {
+			if bound < top[k-1].Score {
 				break
 			}
 		}
@@ -102,51 +106,46 @@ func RunRankedStats(lists [][]dil.Entry, decay float64, k int) ([]Result, Ranked
 		emitted[key] = true
 		stats.Emitted++
 		result := r.score(root)
-		heap.Push(&top, result)
-		if len(top) > k {
-			heap.Pop(&top)
+		at, _ := slices.BinarySearchFunc(top, result, func(a, b query.Result) int {
+			if a.Score != b.Score {
+				if a.Score > b.Score {
+					return -1
+				}
+				return 1
+			}
+			return a.Root.Compare(b.Root)
+		})
+		if top = slices.Insert(top, at, result); len(top) > k {
+			top = top[:k]
 		}
 	}
+	return top, stats
+}
 
-	out := make([]Result, len(top))
-	for i := len(top) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&top).(Result)
+// entry is a posting in Dewey form: ranked access reads each list whole,
+// its identifiers resolved.
+type entry struct {
+	ID    xmltree.Dewey
+	Score float64
+}
+
+// entries decodes a list to its Dewey form, resolving keys through the
+// list's table.
+func entries(c *dil.CompactList) []entry {
+	ids := c.IDs()
+	out := make([]entry, 0, c.Len())
+	for cu := dil.NewCursor(c); cu.Valid(); {
+		run, _ := cu.Run()
+		for _, p := range run {
+			out = append(out, entry{ID: ids.ID(p.Key), Score: p.Score})
+		}
 	}
-	return out, stats
-}
-
-// topKHeap is a min-heap on (score, reverse Dewey) so the weakest
-// retained result sits at the root; the final extraction order reversed
-// yields descending score with ascending-Dewey tie-break.
-type topKHeap []Result
-
-// newTopKHeap returns an empty heap for a top-limit window. It starts
-// small and grows on demand: limit reaches MaxK+MaxOffset, while most
-// merges retain a handful of results.
-func newTopKHeap(limit int) topKHeap {
-	return make(topKHeap, 0, min(limit+1, 64))
-}
-
-func (h topKHeap) Len() int      { return len(h) }
-func (h topKHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h topKHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Root.Compare(h[j].Root) > 0
-}
-func (h *topKHeap) Push(x any) { *h = append(*h, x.(Result)) }
-func (h *topKHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return out
 }
 
 // ranked holds the two orderings of each list.
 type ranked struct {
-	lists [][]dil.Entry // Dewey order
+	lists [][]entry // Dewey order
 	decay float64
 
 	byScore [][]int // per list: posting indices in descending-score order
@@ -168,7 +167,7 @@ func (r *ranked) init() {
 	}
 }
 
-func sortIdx(idx []int, l []dil.Entry) {
+func sortIdx(idx []int, l []entry) {
 	sort.Slice(idx, func(i, j int) bool {
 		a, b := idx[i], idx[j]
 		if l[a].Score != l[b].Score {
@@ -200,7 +199,7 @@ func (r *ranked) bestFrontier() int {
 	return best
 }
 
-func (r *ranked) pop(j int) dil.Entry {
+func (r *ranked) pop(j int) entry {
 	p := r.lists[j][r.byScore[j][r.next[j]]]
 	r.next[j]++
 	return p
@@ -227,7 +226,7 @@ func (r *ranked) maxLCP(id xmltree.Dewey, j int) int {
 }
 
 // searchDewey finds the first index whose ID is >= id.
-func searchDewey(l []dil.Entry, id xmltree.Dewey) int {
+func searchDewey(l []entry, id xmltree.Dewey) int {
 	lo, hi := 0, len(l)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -317,22 +316,22 @@ func (r *ranked) mostSpecific(root xmltree.Dewey) bool {
 
 // score computes the exact result for root per equations (2)-(4),
 // scanning each list's subtree range.
-func (r *ranked) score(root xmltree.Dewey) Result {
-	res := Result{
+func (r *ranked) score(root xmltree.Dewey) query.Result {
+	res := query.Result{
 		Root:       root,
 		PerKeyword: make([]float64, len(r.lists)),
-		Matches:    make([]Match, len(r.lists)),
+		Matches:    make([]query.Match, len(r.lists)),
 	}
 	for j := range r.lists {
 		lo, hi := r.subtreeRange(root, j)
 		best := 0.0
-		var bestMatch Match
+		var bestMatch query.Match
 		for i := lo; i < hi; i++ {
 			p := r.lists[j][i]
 			s := p.Score * math.Pow(r.decay, float64(len(p.ID)-len(root)))
 			if s > best {
 				best = s
-				bestMatch = Match{ID: p.ID.Clone(), Score: p.Score}
+				bestMatch = query.Match{ID: p.ID.Clone(), Score: p.Score}
 			}
 		}
 		res.PerKeyword[j] = best

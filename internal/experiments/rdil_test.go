@@ -1,10 +1,9 @@
-package query
+package experiments
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,25 +11,51 @@ import (
 	"repro/internal/dil"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
+	"repro/internal/query"
 	"repro/internal/xmltree"
 )
 
-// rankViaDIL is the exhaustive reference: full merge, sort, truncate.
-func rankViaDIL(lists [][]dil.Entry, decay float64, k int) []Result {
-	results := runDIL(lists, decay)
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Root.Compare(results[j].Root) < 0
-	})
-	if len(results) > k {
-		results = results[:k]
+// RDIL is held to the serving merge: query.RunLists at the same k is
+// the reference top-k (the merge itself is held to the reference
+// Dewey-order merge in internal/query).
+
+func d(s string) xmltree.Dewey {
+	id, err := xmltree.ParseDewey(s)
+	if err != nil {
+		panic(err)
 	}
-	return results
+	return id
 }
 
-func assertSameResults(t *testing.T, want, got []Result) {
+// keyLists keys Dewey-form lists into one shared table holding every
+// listed element and all its ancestors, in Dewey order, and encodes
+// them: hand-built lists in the form a stage's builder emits.
+func keyLists(lists [][]entry) []*dil.CompactList {
+	var ids []xmltree.Dewey
+	for _, l := range lists {
+		for _, e := range l {
+			for n := 1; n <= len(e.ID); n++ {
+				ids = append(ids, e.ID[:n])
+			}
+		}
+	}
+	slices.SortFunc(ids, xmltree.Dewey.Compare)
+	ids = slices.CompactFunc(ids, xmltree.Dewey.Equal)
+	table := dil.IDs{Base: dil.NewKeys(slices.Clone(ids))}
+	out := make([]*dil.CompactList, len(lists))
+	for i, l := range lists {
+		kl := make(dil.List, len(l))
+		for j, e := range l {
+			key, _ := slices.BinarySearchFunc(ids, e.ID, xmltree.Dewey.Compare)
+			kl[j] = dil.Posting{Key: int32(key), Doc: e.ID[0], Score: e.Score}
+		}
+		slices.SortFunc(kl, func(a, b dil.Posting) int { return int(a.Key - b.Key) })
+		out[i] = dil.Compact(kl, table)
+	}
+	return out
+}
+
+func assertSameResults(t *testing.T, want, got []query.Result) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("lengths differ: %d vs %d", len(want), len(got))
@@ -52,17 +77,12 @@ func assertSameResults(t *testing.T, want, got []Result) {
 }
 
 func TestRunRankedMatchesDILHandBuilt(t *testing.T) {
-	lists := [][]dil.Entry{
+	lists := keyLists([][]entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("0.1.2.3"), Score: 0.4}, {ID: d("1.0"), Score: 0.9}},
 		{{ID: d("0.0.1"), Score: 0.7}, {ID: d("0.1.2.4"), Score: 1}, {ID: d("1.1"), Score: 0.5}},
-	}
-	for _, l := range lists {
-		sortEntries(l)
-	}
+	})
 	for _, k := range []int{1, 2, 3, 10} {
-		want := rankViaDIL(lists, 0.5, k)
-		got := RunRanked(lists, 0.5, k)
-		assertSameResults(t, want, got)
+		assertSameResults(t, query.RunLists(lists, 0.5, k), RunRanked(lists, 0.5, k))
 	}
 }
 
@@ -70,11 +90,10 @@ func TestRunRankedDegenerate(t *testing.T) {
 	if got := RunRanked(nil, 0.5, 5); got != nil {
 		t.Error("nil lists answered")
 	}
-	lists := [][]dil.Entry{{{ID: d("0.0"), Score: 1}}, {}}
-	if got := RunRanked(lists, 0.5, 5); got != nil {
+	one := keyLists([][]entry{{{ID: d("0.0"), Score: 1}}})
+	if got := RunRanked([]*dil.CompactList{one[0], nil}, 0.5, 5); got != nil {
 		t.Error("empty list answered")
 	}
-	one := [][]dil.Entry{{{ID: d("0.0"), Score: 1}}}
 	if got := RunRanked(one, 0.5, 0); got != nil {
 		t.Error("k=0 answered")
 	}
@@ -84,14 +103,14 @@ func TestRunRankedDegenerate(t *testing.T) {
 	}
 }
 
-// Property: RunRanked returns exactly the reference top-k on random
+// Property: RunRanked returns exactly the merge's top-k on random
 // posting sets (decay 0.5 so both float paths are exact).
 func TestQuickRankedEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([][]dil.Entry, nk)
-		for kwi := range lists {
+		dewey := make([][]entry, nk)
+		for kwi := range dewey {
 			seen := map[string]bool{}
 			for i := 0; i < 1+r.Intn(10); i++ {
 				depth := r.Intn(5)
@@ -107,15 +126,15 @@ func TestQuickRankedEquivalence(t *testing.T) {
 				// Quantized scores produce frequent exact ties,
 				// stressing the tie-break equivalence.
 				score := float64(1+r.Intn(8)) / 8
-				lists[kwi] = append(lists[kwi], dil.Entry{ID: id, Score: score})
+				dewey[kwi] = append(dewey[kwi], entry{ID: id, Score: score})
 			}
-			if len(lists[kwi]) == 0 {
+			if len(dewey[kwi]) == 0 {
 				return true // degenerate draw; skip
 			}
-			sortEntries(lists[kwi])
 		}
+		lists := keyLists(dewey)
 		k := 1 + r.Intn(5)
-		want := rankViaDIL(lists, 0.5, k)
+		want := query.RunLists(lists, 0.5, k)
 		got := RunRanked(lists, 0.5, k)
 		if len(want) != len(got) {
 			return false
@@ -151,117 +170,88 @@ func TestRankedEarlyTermination(t *testing.T) {
 	}
 	corpus := g.GenerateCorpus()
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyGraph, dil.DefaultParams())
-	lists := [][]dil.Entry{
-		b.IDs().Entries(b.BuildKeyword("cardiac")),
-		b.IDs().Entries(b.BuildKeyword("arrest")),
+	lists := []*dil.CompactList{
+		dil.Compact(b.BuildKeyword("cardiac"), b.IDs()),
+		dil.Compact(b.BuildKeyword("arrest"), b.IDs()),
 	}
 	for _, l := range lists {
-		if len(l) == 0 {
+		if l.Len() == 0 {
 			t.Fatal("empty keyword list")
 		}
 	}
-	want := rankViaDIL(lists, 0.5, 1)
 	got, stats := RunRankedStats(lists, 0.5, 1)
-	assertSameResults(t, want, got)
+	assertSameResults(t, query.RunLists(lists, 0.5, 1), got)
 	if stats.PostingsConsumed >= stats.PostingsTotal {
 		t.Errorf("no early termination: consumed %d of %d", stats.PostingsConsumed, stats.PostingsTotal)
 	}
 	t.Logf("top-1 consumed %d of %d postings (%d candidates, %d emitted)",
 		stats.PostingsConsumed, stats.PostingsTotal, stats.Candidates, stats.Emitted)
 	// Large k degrades gracefully to the full answer.
-	wantAll := rankViaDIL(lists, 0.5, 1000)
-	gotAll := RunRanked(lists, 0.5, 1000)
-	assertSameResults(t, wantAll, gotAll)
+	assertSameResults(t, query.RunLists(lists, 0.5, 1000), RunRanked(lists, 0.5, 1000))
 }
 
 func TestRankedMostSpecificExclusion(t *testing.T) {
 	// Root covers both keywords but a child does too; only the child is
-	// a result (matches TestRunDILExcludesNonSpecificAncestors).
-	lists := [][]dil.Entry{
+	// a result.
+	lists := keyLists([][]entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("0.1"), Score: 1}},
 		{{ID: d("0.0.1"), Score: 1}},
-	}
-	for _, l := range lists {
-		sortEntries(l)
-	}
+	})
 	got := RunRanked(lists, 0.5, 10)
 	if len(got) != 1 || got[0].Root.String() != "0.0" {
 		t.Fatalf("results = %+v", got)
 	}
 }
 
-func TestEngineSearchRankedMatchesSearch(t *testing.T) {
-	ont := ontology.Figure2Fragment()
-	corpus := xmltree.NewCorpus()
-	doc, err := cda.GenerateFigure1(ont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus.Add(doc)
-	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
-	e := NewEngine(dil.NewIndex(), b, DefaultParams())
-	ranked := func(kws []Keyword, k int) []Result {
-		res, _ := searchReq(context.Background(), e, Request{Keywords: kws, K: k, Ranked: true})
-		return res
-	}
-	for _, q := range []string{"asthma medications", `"bronchial structure" theophylline`, "theophylline"} {
-		kws := ParseQuery(q)
-		for _, k := range []int{1, 3, 10} {
-			want := search(e, kws, k)
-			got := ranked(kws, k)
-			if len(want) != len(got) {
-				t.Fatalf("q=%q k=%d: %d vs %d results", q, k, len(want), len(got))
-			}
-			for i := range want {
-				if !want[i].Root.Equal(got[i].Root) || math.Abs(want[i].Score-got[i].Score) > 1e-12 {
-					t.Errorf("q=%q k=%d result %d differs", q, k, i)
-				}
-			}
-		}
-	}
-	if got := ranked(nil, 5); got != nil {
-		t.Error("empty ranked query answered")
-	}
-	if got := ranked(ParseQuery("zzznothing"), 5); got != nil {
-		t.Error("unknown keyword ranked query answered")
-	}
-	// Default k path.
-	if got := ranked(ParseQuery("asthma"), 0); len(got) > DefaultParams().K {
-		t.Error("default k exceeded")
-	}
-}
-
 func TestRunRankedFlatScoresMatchReference(t *testing.T) {
 	// Flat scores defeat ranked termination; the ranked merge must then
 	// drain the lists and still return the exact answer.
-	var lists [][]dil.Entry
+	var dewey [][]entry
 	for kw := 0; kw < 2; kw++ {
-		var l []dil.Entry
+		var l []entry
 		for i := 0; i < 40; i++ {
-			l = append(l, dil.Entry{
+			l = append(l, entry{
 				ID:    xmltree.Dewey{int32(i), int32(kw)},
 				Score: 0.5, // all tied: no early termination possible
 			})
 		}
-		sortEntries(l)
-		lists = append(lists, l)
+		dewey = append(dewey, l)
 	}
+	lists := keyLists(dewey)
 	for _, k := range []int{1, 5, 100} {
-		want := rankViaDIL(lists, 0.5, k)
 		got, stats := RunRankedStats(lists, 0.5, k)
-		assertSameResults(t, want, got)
+		assertSameResults(t, query.RunLists(lists, 0.5, k), got)
 		if k < 40 && stats.PostingsConsumed < stats.PostingsTotal-1 {
 			t.Errorf("k=%d: flat scores terminated early after %d of %d postings",
 				k, stats.PostingsConsumed, stats.PostingsTotal)
 		}
 	}
 	// Skewed scores: the ranked path terminates early and still matches.
-	skewed := [][]dil.Entry{
+	skewed := keyLists([][]entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("1.0"), Score: 0.1}, {ID: d("2.0"), Score: 0.05}},
 		{{ID: d("0.0.1"), Score: 0.9}, {ID: d("1.1"), Score: 0.1}, {ID: d("2.1"), Score: 0.05}},
+	})
+	assertSameResults(t, query.RunLists(skewed, 0.5, 1), RunRanked(skewed, 0.5, 1))
+}
+
+// The ranked window is not sized to k: a query at the deepest page
+// the engine allows that retains one result stays small.
+func TestRunRankedNotWindowSized(t *testing.T) {
+	lists := keyLists([][]entry{
+		{{ID: xmltree.Dewey{0, 1}, Score: 0.5}},
+		{{ID: xmltree.Dewey{0, 2}, Score: 0.25}},
+	})
+	const limit = query.MaxK + query.MaxOffset
+	if n := len(RunRanked(lists, 0.5, limit)); n != 1 {
+		t.Fatalf("%d results, want 1", n)
 	}
-	for _, l := range skewed {
-		sortEntries(l)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			RunRanked(lists, 0.5, limit)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Errorf("at limit %d: %d B/op, want < 64 KiB", limit, got)
 	}
-	assertSameResults(t, rankViaDIL(skewed, 0.5, 1), RunRanked(skewed, 0.5, 1))
 }

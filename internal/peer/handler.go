@@ -285,7 +285,6 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Keywords: keywords,
 		K:        req.K,
 		Offset:   req.Offset,
-		Ranked:   req.Ranked,
 		Explain:  req.Explain,
 	})
 	if err != nil {

@@ -24,52 +24,50 @@ func TestSearchWireEquivalence(t *testing.T) {
 
 	for _, st := range ontoscore.Strategies() {
 		sys := systems[st.String()]
-		for _, ranked := range []bool{false, true} {
-			keywords := query.ParseQuery("asthma medications")
-			want, err := sys.Query(context.Background(), core.SearchRequest{
-				Keywords: keywords, K: 10, Ranked: ranked, Explain: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		keywords := query.ParseQuery("asthma medications")
+		want, err := sys.Query(context.Background(), core.SearchRequest{
+			Keywords: keywords, K: 10, Explain: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			kws := make([]string, len(keywords))
-			for i, kw := range keywords {
-				kws[i] = string(kw)
+		kws := make([]string, len(keywords))
+		for i, kw := range keywords {
+			kws[i] = string(kw)
+		}
+		got, err := c.Search(context.Background(), &SearchRequestWire{
+			V: APIVersion, Strategy: st.String(), Keywords: kws,
+			K: 10, Explain: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", st, err)
+		}
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("%s: got %d results, want %d", st, len(got.Results), len(want.Results))
+		}
+		for i, wr := range got.Results {
+			ref := want.Results[i]
+			if wr.Root != ref.Root.String() {
+				t.Errorf("%s[%d]: root %s, want %s", st, i, wr.Root, ref.Root)
 			}
-			got, err := c.Search(context.Background(), &SearchRequestWire{
-				V: APIVersion, Strategy: st.String(), Keywords: kws,
-				K: 10, Ranked: ranked, Explain: true,
-			})
-			if err != nil {
-				t.Fatalf("%s ranked=%v: %v", st, ranked, err)
+			if wr.Score != ref.Score {
+				t.Errorf("%s[%d]: score %v, want %v", st, i, wr.Score, ref.Score)
 			}
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("%s ranked=%v: got %d results, want %d", st, ranked, len(got.Results), len(want.Results))
+			if wr.Document != ref.Document || wr.Path != ref.Path {
+				t.Errorf("%s[%d]: document/path mismatch", st, i)
 			}
-			for i, wr := range got.Results {
-				ref := want.Results[i]
-				if wr.Root != ref.Root.String() {
-					t.Errorf("%s[%d]: root %s, want %s", st, i, wr.Root, ref.Root)
+			if len(wr.Matches) != len(ref.Matches) {
+				t.Fatalf("%s[%d]: %d matches, want %d", st, i, len(wr.Matches), len(ref.Matches))
+			}
+			for j, m := range wr.Matches {
+				rm := ref.Matches[j]
+				if m.Keyword != rm.Keyword || m.ID != rm.ID.String() || m.Score != rm.Score {
+					t.Errorf("%s[%d] match %d: %+v vs %+v", st, i, j, m, rm)
 				}
-				if wr.Score != ref.Score {
-					t.Errorf("%s[%d]: score %v, want %v", st, i, wr.Score, ref.Score)
-				}
-				if wr.Document != ref.Document || wr.Path != ref.Path {
-					t.Errorf("%s[%d]: document/path mismatch", st, i)
-				}
-				if len(wr.Matches) != len(ref.Matches) {
-					t.Fatalf("%s[%d]: %d matches, want %d", st, i, len(wr.Matches), len(ref.Matches))
-				}
-				for j, m := range wr.Matches {
-					rm := ref.Matches[j]
-					if m.Keyword != rm.Keyword || m.ID != rm.ID.String() || m.Score != rm.Score {
-						t.Errorf("%s[%d] match %d: %+v vs %+v", st, i, j, m, rm)
-					}
-				}
-				if i < len(want.Snippets) && wr.Snippet != want.Snippets[i] {
-					t.Errorf("%s[%d]: snippet mismatch", st, i)
-				}
+			}
+			if i < len(want.Snippets) && wr.Snippet != want.Snippets[i] {
+				t.Errorf("%s[%d]: snippet mismatch", st, i)
 			}
 		}
 	}

@@ -79,7 +79,6 @@ type SearchRequestWire struct {
 	// field exists so a peer can also be queried directly as a paging
 	// search backend.
 	Offset  int  `json:"offset,omitempty"`
-	Ranked  bool `json:"ranked"`
 	Explain bool `json:"explain"`
 	// Norms are the coordinator-resolved cluster-global normalization
 	// divisors per keyword (the paper's per-keyword max raw BM25 over

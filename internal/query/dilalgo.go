@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sort"
-
 	"repro/internal/dil"
 	"repro/internal/xmltree"
 )
@@ -55,30 +53,6 @@ func RunLists(lists []*dil.CompactList, decay float64, k int) []Result {
 	for _, l := range lists {
 		res = append(res, resolved{list: l})
 	}
-	out, _ := runFast(res, decay, k)
+	out, _ := runFast(res, decay, k, 0, true)
 	return out
-}
-
-// sortResults orders results for presentation: descending score,
-// ascending-Dewey tie-break.
-func sortResults(results []Result) {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Root.Compare(results[j].Root) < 0
-	})
-}
-
-// rankTruncate converts an unranked exhaustive result set into the
-// sorted top-k (k <= 0: unranked pass-through, the exhaustive contract).
-func rankTruncate(results []Result, k int) []Result {
-	if k <= 0 {
-		return results
-	}
-	sortResults(results)
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results
 }

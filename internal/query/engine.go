@@ -8,7 +8,6 @@ import (
 	"repro/internal/dil"
 	"repro/internal/obs"
 	"repro/internal/serving"
-	"repro/internal/xmltree"
 )
 
 // ListSource supplies the prebuilt XOnto-DIL of a keyword, block-coded
@@ -43,10 +42,9 @@ type Params struct {
 	// distinct phrases it is asked for.
 	CacheSize int
 	// ExhaustiveMerge keeps the fast merge but disables block-max top-k
-	// pruning: every aligned document is scored and the top-k is taken
-	// by sort+truncate (xontoserve -no-topk-prune), so a suspected
-	// pruning regression can be bisected in production without giving
-	// up the loser-tree merge.
+	// pruning: every aligned document is scored (xontoserve
+	// -no-topk-prune), so a suspected pruning regression can be
+	// bisected in production without giving up the merge.
 	ExhaustiveMerge bool
 }
 
@@ -285,16 +283,10 @@ type Request struct {
 	// caller ever truncates after the merge. Negative means 0; above
 	// MaxOffset clamps.
 	Offset int
-	// Ranked selects XRANK's RDIL ranked-access algorithm (identical
-	// results, early termination — profitable for small k over long
-	// posting lists) instead of the sort-merge DIL algorithm.
-	Ranked bool
 }
 
 // PruneStats reports the block-max top-k pruning work of one query's
-// merge (zero-valued for the RDIL path, which has its own access
-// pattern). Under sharded serving the per-shard stats are
-// summed.
+// merge. Under sharded serving the per-shard stats are summed.
 type PruneStats struct {
 	// PostingsScored is how many postings the merge consumed.
 	PostingsScored int64 `json:"postings_scored"`
@@ -340,15 +332,15 @@ type Response struct {
 // Query is the single query-phase entry point. The only possible error is the
 // context's. The whole run is a "query.search" span: keyword
 // resolution (with per-keyword and build-stage children) followed by a
-// "query.dil_merge" span for the DIL (or RDIL) list merge.
+// "query.dil_merge" span for the DIL list merge.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if len(req.Keywords) == 0 {
 		return &Response{}, nil
 	}
 	k := clampWindowK(req.K, e.params.K)
 	offset := ClampOffset(req.Offset)
-	// The merge works toward the full offset+k prefix; the offset is
-	// sliced off before returning, so paging costs one deeper heap, not
+	// The merge works toward the full offset+k prefix and resolves only
+	// the results past the offset, so paging costs one deeper heap, not
 	// a post-merge truncation.
 	n := k + offset
 	ctx, sp := obs.StartSpan(ctx, "query.search")
@@ -356,7 +348,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if offset > 0 {
 		sp.SetAttr("offset", offset)
 	}
-	sp.SetAttr("ranked", req.Ranked)
 	defer sp.End()
 
 	var ov OverlayView
@@ -370,77 +361,27 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	resp := &Response{}
 	deltaMerged := false
 	for _, r := range res {
-		if r.delta {
-			deltaMerged = true
-			break
-		}
-	}
-	for _, r := range res {
 		if r.n() == 0 {
 			return resp, nil
 		}
+		deltaMerged = deltaMerged || r.delta
 	}
 
 	_, msp := obs.StartSpan(ctx, "query.dil_merge")
-	msp.SetAttr("algorithm", map[bool]string{false: "DIL", true: "RDIL"}[req.Ranked])
 	if deltaMerged {
 		msp.SetAttr("delta_merged", true)
 	}
-	if req.Ranked {
-		// RDIL's ranked access reads the lists in Dewey form.
-		entries := make([][]dil.Entry, len(res))
-		for i, r := range res {
-			entries[i] = r.list.Entries()
-		}
-		resp.Results = page(RunRanked(entries, e.params.Decay, n), offset)
-	} else {
-		var results []Result
-		var mc MergeCounters
-		if e.params.ExhaustiveMerge {
-			msp.SetAttr("merge", "fast-exhaustive")
-			results, mc = runFast(res, e.params.Decay, 0)
-			results = rankTruncate(results, n)
-		} else {
-			msp.SetAttr("merge", "topk")
-			results, mc = runFast(res, e.params.Decay, n)
-		}
-		resp.Pruning = pruneStats(mc)
-		msp.SetAttr("postings", resp.Pruning.PostingsScored)
-		msp.SetAttr("blocks_skipped", resp.Pruning.BlocksSkipped)
-		msp.SetAttr("docs_skipped", resp.Pruning.DocsSkipped)
-		if resp.Pruning.EarlyTerminated {
-			msp.SetAttr("early_terminated", true)
-		}
-		resp.Results = page(results, offset)
+	msp.SetAttr("merge", map[bool]string{false: "topk", true: "fast-exhaustive"}[e.params.ExhaustiveMerge])
+	var mc MergeCounters
+	resp.Results, mc = runFast(res, e.params.Decay, n, offset, !e.params.ExhaustiveMerge)
+	resp.Pruning = pruneStats(mc)
+	msp.SetAttr("postings", resp.Pruning.PostingsScored)
+	msp.SetAttr("blocks_skipped", resp.Pruning.BlocksSkipped)
+	msp.SetAttr("docs_skipped", resp.Pruning.DocsSkipped)
+	if resp.Pruning.EarlyTerminated {
+		msp.SetAttr("early_terminated", true)
 	}
 	msp.SetAttr("results", len(resp.Results))
 	msp.End()
 	return resp, nil
-}
-
-// page drops the first offset ranked results (the engine's one place
-// paging is applied; no serving-path caller slices after the merge).
-func page(results []Result, offset int) []Result {
-	if offset <= 0 {
-		return results
-	}
-	if offset >= len(results) {
-		return nil
-	}
-	return results[offset:]
-}
-
-// ResultNode resolves a result's root element in the corpus.
-func ResultNode(c *xmltree.Corpus, r Result) *xmltree.Node {
-	return c.NodeAt(r.Root)
-}
-
-// Fragment renders the result's subtree as indented XML (the paper's
-// Figure 4 presentation).
-func Fragment(c *xmltree.Corpus, r Result) string {
-	n := ResultNode(c, r)
-	if n == nil {
-		return ""
-	}
-	return xmltree.XMLString(n)
 }

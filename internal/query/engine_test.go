@@ -54,14 +54,14 @@ func TestFigure4AsthmaMedications(t *testing.T) {
 		t.Fatal("no results")
 	}
 	top := res[0]
-	n := ResultNode(corpus, top)
+	n := corpus.NodeAt(top.Root)
 	if n == nil {
 		t.Fatal("top result unresolvable")
 	}
 	if n.Tag != "Observation" {
 		t.Errorf("top result tag = %q (path %s)", n.Tag, n.Path())
 	}
-	frag := Fragment(corpus, top)
+	frag := xmltree.XMLString(corpus.NodeAt(top.Root))
 	if !strings.Contains(frag, "Asthma") || !strings.Contains(frag, "Medications") {
 		t.Errorf("fragment missing terms:\n%s", frag)
 	}
@@ -85,7 +85,7 @@ func TestIntroExampleBronchialStructure(t *testing.T) {
 		// The result tree must connect the Asthma node and the
 		// Theophylline node: both matches inside the returned subtree.
 		top := res[0]
-		root := ResultNode(corpus, top)
+		root := corpus.NodeAt(top.Root)
 		if root == nil {
 			t.Fatal("unresolvable result")
 		}
@@ -94,7 +94,7 @@ func TestIntroExampleBronchialStructure(t *testing.T) {
 				t.Errorf("%v match %d outside result subtree", s, i)
 			}
 		}
-		frag := Fragment(corpus, top)
+		frag := xmltree.XMLString(corpus.NodeAt(top.Root))
 		if !strings.Contains(frag, "Theophylline") {
 			t.Errorf("%v fragment lacks Theophylline:\n%s", s, frag)
 		}
@@ -185,7 +185,7 @@ func TestQuickResultInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([][]dil.Entry, nk)
+		lists := make([][]entry, nk)
 		for k := range lists {
 			for i := 0; i < 1+r.Intn(8); i++ {
 				depth := 1 + r.Intn(4)
@@ -194,7 +194,7 @@ func TestQuickResultInvariants(t *testing.T) {
 				for j := 1; j <= depth; j++ {
 					id[j] = int32(r.Intn(3))
 				}
-				lists[k] = append(lists[k], dil.Entry{ID: id, Score: 0.1 + r.Float64()*0.9})
+				lists[k] = append(lists[k], entry{ID: id, Score: 0.1 + r.Float64()*0.9})
 			}
 			sortEntries(lists[k])
 		}
@@ -227,7 +227,7 @@ func TestQuickDILMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nk := 2 + r.Intn(2)
-		lists := make([][]dil.Entry, nk)
+		lists := make([][]entry, nk)
 		for k := range lists {
 			seen := map[string]bool{}
 			for i := 0; i < 1+r.Intn(6); i++ {
@@ -241,7 +241,7 @@ func TestQuickDILMatchesBruteForce(t *testing.T) {
 					continue
 				}
 				seen[id.String()] = true
-				lists[k] = append(lists[k], dil.Entry{ID: id, Score: 0.1 + r.Float64()*0.9})
+				lists[k] = append(lists[k], entry{ID: id, Score: 0.1 + r.Float64()*0.9})
 			}
 			sortEntries(lists[k])
 		}

@@ -7,4 +7,7 @@ var (
 	RankTruncate = rankTruncate
 	Page         = page
 	ResultsEqual = resultsEqual
+	EntriesOf    = entriesOf
 )
+
+type Entry = entry

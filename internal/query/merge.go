@@ -1,7 +1,8 @@
 package query
 
 import (
-	"container/heap"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,12 +27,18 @@ import (
 //   - Each aligned document is consumed as k short runs, one per list,
 //     merged by a min-scan over the run heads; a run's maximum score is
 //     the document's top-k bound for that list.
-//   - The XRANK stack is sparse (entries for posting elements and
-//     branch points only) and flat (per-entry rows in shared slices),
-//     and a match is an index into its keyword's run: identifiers are
-//     cloned only into emitted results. Its buffers, and the cursors',
-//     are reused across merges via a sync.Pool of whole merge states,
-//     so steady-state merging allocates only the results it returns.
+//   - The merge runs on element keys. Keys number a stage's elements
+//     in Dewey order, so the run heads compare as integers, and the
+//     stage's table (dil.Keys) gives a posting's depth and its lowest
+//     common ancestor with the previous posting by climbing parent
+//     keys. The XRANK stack is sparse (entries for posting elements
+//     and branch points only) and flat (per-entry rows in shared
+//     slices); a candidate result is its root key, match keys and
+//     scores. Dewey identifiers are looked up only for the results
+//     returned — the page after the offset. The merge's buffers, and
+//     the cursors', are reused across merges via a sync.Pool of whole
+//     merge states, so steady-state merging allocates only the results
+//     it returns.
 //
 // runDIL (reference_test.go) remains the reference implementation;
 // TestMergeEquivalence and FuzzMergeEquivalence in merge_test.go hold
@@ -72,8 +79,9 @@ func MergeCountersSnapshot() MergeCounters {
 }
 
 // mergeRun is the reusable state of one fast merge: cursors, the
-// current document's runs, and the sparse XRANK stack. Obtained from
-// mergePool; holds no references to caller data after release.
+// current document's runs, the sparse XRANK stack and the candidate
+// results. Obtained from mergePool; holds no references to caller data
+// after release.
 //
 // The stack holds entries only for posting elements and for branch
 // points (the depth at which a posting leaves the current path). An
@@ -84,30 +92,44 @@ func MergeCountersSnapshot() MergeCounters {
 type mergeRun struct {
 	k       int
 	cursors []dil.Cursor
-	runs    [][]dil.Entry   // runs[kw]: the current document's postings of list kw
+	runs    [][]dil.Posting // runs[kw]: the current document's postings of list kw
 	pos     []int           // pos[kw]: next unconsumed posting of runs[kw]
-	heads   []xmltree.Dewey // heads[kw]: that posting's identifier, nil once runs[kw] is drained
+	heads   []int32         // heads[kw]: that posting's key, drained once runs[kw] is
 
-	depth   []int         // per entry: its element's depth (a prefix length of path)
-	covered []bool        // per entry: some descendant already covered all keywords
-	scores  []float64     // entry*k+kw: propagated best score of keyword kw
-	matches []int32       // entry*k+kw: index into runs[kw] of that score's posting
-	n       int           // live entries
-	path    xmltree.Dewey // the last posting's identifier, a view into its run
+	ids  dil.IDs   // the table every list's keys index
+	keys *dil.Keys // the current document's stage table
+	off  int32     // the key of keys' first element
+	last int32     // the last posting's key in keys, -1 at a document's start
 
-	results []Result
+	key     []int32   // per entry: its element's key in keys
+	depth   []int     // per entry: its element's depth
+	covered []bool    // per entry: some descendant already covered all keywords
+	scores  []float64 // entry*k+kw: propagated best score of keyword kw
+	matches []int32   // entry*k+kw: index into runs[kw] of that score's posting
+	n       int       // live entries
 
-	// Top-k machinery (limit > 0): the running top-limit min-heap the
-	// threshold is read from. The heap is allocated per merge — its
-	// entries are handed to the caller on extraction.
+	// The candidate results, one slot each: root key and score, and
+	// rows slot*k+kw of per-keyword scores, match keys and match node
+	// scores.
+	roots   []int32
+	totals  []float64
+	per     []float64
+	mkeys   []int32
+	mscores []float64
+
+	// Top-k machinery (limit > 0): a min-heap of the best limit slots,
+	// the weakest at the root, whose score is the threshold.
 	limit       int
-	top         topKHeap
+	top         []int32
 	prune       bool // bound-based skipping enabled (limit > 0, sane decay)
 	docsSkipped int64
 	earlyTerm   bool
 
 	postings int64
 }
+
+// drained is a run head past its run: above every element key.
+const drained = math.MaxInt32
 
 var mergePool = sync.Pool{New: func() any { return &mergeRun{} }}
 
@@ -121,23 +143,15 @@ func (m *mergeRun) reset(k, limit int) {
 	}
 	m.cursors = m.cursors[:k]
 	if cap(m.runs) < k {
-		m.runs, m.pos, m.heads = make([][]dil.Entry, k), make([]int, k), make([]xmltree.Dewey, k)
+		m.runs, m.pos, m.heads = make([][]dil.Posting, k), make([]int, k), make([]int32, k)
 	}
 	m.runs, m.pos, m.heads = m.runs[:k], m.pos[:k], m.heads[:k]
-	m.depth, m.covered = m.depth[:0], m.covered[:0]
+	m.key, m.depth, m.covered = m.key[:0], m.depth[:0], m.covered[:0]
 	m.scores, m.matches = m.scores[:0], m.matches[:0]
 	m.n = 0
-	m.path = nil
-	m.results = nil // handed to the caller; never reused
-	m.limit = limit
-	m.top = nil // handed to the caller; never reused
-	if limit > 0 {
-		m.top = newTopKHeap(limit)
-	}
-	m.prune = false
-	m.docsSkipped = 0
-	m.earlyTerm = false
-	m.postings = 0
+	m.roots, m.totals, m.per, m.mkeys, m.mscores = m.roots[:0], m.totals[:0], m.per[:0], m.mkeys[:0], m.mscores[:0]
+	m.limit, m.top = limit, m.top[:0]
+	m.prune, m.docsSkipped, m.earlyTerm, m.postings = false, 0, false, 0
 }
 
 // align zig-zag-seeks every cursor to the smallest document all lists
@@ -175,13 +189,15 @@ func (m *mergeRun) align() bool {
 	}
 }
 
-// push opens an entry for the element at depth d with zeroed scores.
-// Match slots are left stale: a match is read only where its score is
-// positive, and every positive score is written with its match.
-func (m *mergeRun) push(d int) {
+// push opens an entry for the element with key and depth d, with
+// zeroed scores. Match slots are left stale: a match is read only
+// where its score is positive, and every positive score is written
+// with its match.
+func (m *mergeRun) push(key int32, d int) {
 	e := m.n
 	m.n++
 	if e == len(m.depth) {
+		m.key = append(m.key, 0)
 		m.depth = append(m.depth, 0)
 		m.covered = append(m.covered, false)
 		for i := 0; i < m.k; i++ {
@@ -189,7 +205,7 @@ func (m *mergeRun) push(d int) {
 			m.matches = append(m.matches, 0)
 		}
 	}
-	m.depth[e], m.covered[e] = d, false
+	m.key[e], m.depth[e], m.covered[e] = key, d, false
 	clear(m.scores[e*m.k : (e+1)*m.k])
 }
 
@@ -197,15 +213,15 @@ func (m *mergeRun) push(d int) {
 // finalize its element and the single-child elements above it: emit
 // if it is a most-specific cover, then fold its scores into the entry
 // at depth max(lcp, depth of the entry below). When the entry below
-// is shallower than lcp, a fresh branch entry at lcp takes the popped
-// entry's slot. With lcp 0 and nothing below (a document flush) there is
-// nothing to fold into.
+// is shallower than lcp, a fresh branch entry for lca, the element at
+// depth lcp, takes the popped entry's slot. With lcp 0 and nothing
+// below (a document flush) there is nothing to fold into.
 //
 // Each skipped level multiplies by decay and clamps to 0 whenever the
 // product is not > 0 — the same float operations and max tests the
 // per-level pops perform on zero-initialized intermediate entries, so
 // the result is bit-identical for any decay.
-func (m *mergeRun) pop(lcp int, decay float64) {
+func (m *mergeRun) pop(lcp int, lca int32, decay float64) {
 	k := m.k
 	e := m.n - 1
 	row := m.scores[e*k : e*k+k]
@@ -231,8 +247,7 @@ func (m *mergeRun) pop(lcp int, decay float64) {
 		// overwrite and the match indices carry over in place.
 		to = e
 		m.n++
-		m.depth[e] = lcp
-		m.covered[e] = false
+		m.key[e], m.depth[e], m.covered[e] = lca, lcp, false
 	default:
 		return
 	}
@@ -259,68 +274,109 @@ func (m *mergeRun) pop(lcp int, decay float64) {
 	}
 }
 
-// emit records entry e as a result, cloning its root and matches out
-// of the runs. With a result limit, a candidate that cannot beat the
-// current k-th best is dropped before anything is cloned. Ties are
-// dropped too: results emit in ascending Dewey order, so a candidate
-// tying the heap minimum is Dewey-larger than every retained result of
-// that score and loses the final sort's tie-break — exactly the result
-// sort+truncate would discard. (RDIL must keep ties because it
-// consumes in score order; here the emission order decides them.)
+// emit records entry e as a candidate result: its root key, score and
+// row, and the key and node score of each match. With a result limit,
+// a candidate that cannot beat the current k-th best is dropped, and
+// one that can takes the weakest one's slot. Ties are dropped too:
+// results emit in ascending key (Dewey) order, so a candidate tying the
+// heap minimum is key-larger than every retained result of that score
+// and loses the final sort's tie-break — exactly the result
+// sort+truncate would discard.
 func (m *mergeRun) emit(e int, row []float64) {
 	total := 0.0
 	for _, s := range row {
 		total += s
 	}
-	if m.limit > 0 && len(m.top) >= m.limit && !(total > m.top[0].Score) {
-		return
-	}
-	// The root and the match identifiers are cloned into one block,
-	// each a full slice of its own.
-	matches := m.matches[e*m.k : e*m.k+m.k]
-	root := m.path[:m.depth[e]]
-	n := len(root)
-	for i, j := range matches {
-		n += len(m.runs[i][j].ID)
-	}
-	ids := append(make(xmltree.Dewey, 0, n), root...)
-	r := Result{
-		Root:       ids[:len(root):len(root)],
-		Score:      total,
-		PerKeyword: append([]float64(nil), row...),
-		Matches:    make([]Match, m.k),
-	}
-	for i, j := range matches {
-		p := &m.runs[i][j]
-		start := len(ids)
-		ids = append(ids, p.ID...)
-		r.Matches[i] = Match{ID: ids[start:len(ids):len(ids)], Score: p.Score}
-	}
-	if m.limit > 0 {
-		heap.Push(&m.top, r)
-		if len(m.top) > m.limit {
-			heap.Pop(&m.top)
+	k, slot := m.k, len(m.roots)
+	full := m.limit > 0 && len(m.top) == m.limit
+	if full {
+		if !(total > m.totals[m.top[0]]) {
+			return
 		}
+		slot = int(m.top[0])
 	} else {
-		m.results = append(m.results, r)
+		m.roots, m.totals = append(m.roots, 0), append(m.totals, 0)
+		m.per, m.mscores = append(m.per, row...), append(m.mscores, row...)
+		m.mkeys = append(m.mkeys, make([]int32, k)...)
+	}
+	m.roots[slot], m.totals[slot] = m.off+m.key[e], total
+	c := slot * k
+	copy(m.per[c:c+k], row)
+	for i, j := range m.matches[e*k : e*k+k] {
+		p := &m.runs[i][j]
+		m.mkeys[c+i], m.mscores[c+i] = p.Key, p.Score
+	}
+	switch {
+	case full:
+		m.down(0)
+	case m.limit > 0:
+		m.top = append(m.top, int32(slot))
+		m.up(len(m.top) - 1)
+	}
+}
+
+// ranked orders candidate slots for presentation: descending score,
+// ascending key (Dewey) tie-break. The heap keeps the weakest — the
+// last in this order — at its root.
+func (m *mergeRun) ranked(a, b int32) int {
+	if m.totals[a] != m.totals[b] {
+		if m.totals[a] > m.totals[b] {
+			return -1
+		}
+		return 1
+	}
+	return int(m.roots[a]) - int(m.roots[b])
+}
+
+// up and down restore the heap property of top from position i.
+func (m *mergeRun) up(i int) {
+	h := m.top
+	for i > 0 {
+		p := (i - 1) / 2
+		if m.ranked(h[i], h[p]) <= 0 {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (m *mergeRun) down(i int) {
+	h := m.top
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && m.ranked(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if m.ranked(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
 // apply feeds posting j of runs[kw] to the stack (runDIL's loop body).
+// The common prefix with the previous posting is the depth of their
+// lowest common ancestor.
 func (m *mergeRun) apply(kw, j int, decay float64) {
 	p := &m.runs[kw][j]
-	id := p.ID
-	lcp := 0
-	for lcp < len(m.path) && lcp < len(id) && m.path[lcp] == id[lcp] {
-		lcp++
+	key := p.Key - m.off
+	lca, lcp := int32(-1), 0
+	if m.last >= 0 {
+		lca = m.keys.LCA(m.last, key)
+		lcp = m.keys.Depth(lca)
 	}
 	for m.n > 0 && m.depth[m.n-1] > lcp {
-		m.pop(lcp, decay)
+		m.pop(lcp, lca, decay)
 	}
-	if m.n == 0 || m.depth[m.n-1] < len(id) {
-		m.push(len(id))
+	if d := m.keys.Depth(key); m.n == 0 || m.depth[m.n-1] < d {
+		m.push(key, d)
 	}
-	m.path = id
+	m.last = key
 	if c := (m.n-1)*m.k + kw; p.Score > m.scores[c] {
 		m.scores[c] = p.Score
 		m.matches[c] = int32(j)
@@ -329,16 +385,18 @@ func (m *mergeRun) apply(kw, j int, decay float64) {
 }
 
 // mergeDoc drains the current document's runs into the stack in
-// global Dewey order — a min-scan over the k run heads, ties to the
+// global key order — a min-scan over the k run heads, ties to the
 // lower list index as in the reference merger — then flushes the
-// stack: every result lies inside one document.
+// stack: every result lies inside one document, and so in one stage's
+// table.
 func (m *mergeRun) mergeDoc(decay float64) {
+	m.keys, m.off = m.ids.Stage(m.heads[0])
+	m.last = -1
 	for {
-		best := -1
-		var bid xmltree.Dewey
+		best, bk := -1, int32(drained)
 		for i, h := range m.heads {
-			if h != nil && (best < 0 || docLess(h, bid)) {
-				best, bid = i, h
+			if h < bk {
+				best, bk = i, h
 			}
 		}
 		if best < 0 {
@@ -347,28 +405,15 @@ func (m *mergeRun) mergeDoc(decay float64) {
 		j := m.pos[best]
 		m.apply(best, j, decay)
 		if j++; j < len(m.runs[best]) {
-			m.heads[best] = m.runs[best][j].ID
+			m.heads[best] = m.runs[best][j].Key
 		} else {
-			m.heads[best] = nil
+			m.heads[best] = drained
 		}
 		m.pos[best] = j
 	}
 	for m.n > 0 {
-		m.pop(0, decay)
+		m.pop(0, -1, decay)
 	}
-	m.path = nil
-}
-
-// docLess reports whether a precedes b in Dewey order, for identifiers
-// of one document (component 0 is equal and skipped).
-func docLess(a, b xmltree.Dewey) bool {
-	n := min(len(a), len(b))
-	for i := 1; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // run drives the merge: align on a shared document, take each list's
@@ -391,7 +436,7 @@ func (m *mergeRun) run(decay float64) {
 			for i := range m.cursors {
 				remaining += m.cursors[i].RemainingMax()
 			}
-			if remaining <= m.top[0].Score {
+			if remaining <= m.totals[m.top[0]] {
 				m.earlyTerm = true
 				return
 			}
@@ -400,10 +445,10 @@ func (m *mergeRun) run(decay float64) {
 		for i := range m.cursors {
 			var max float64
 			m.runs[i], max = m.cursors[i].Run()
-			m.pos[i], m.heads[i] = 0, m.runs[i][0].ID
+			m.pos[i], m.heads[i] = 0, m.runs[i][0].Key
 			docBound += max
 		}
-		if full && docBound <= m.top[0].Score {
+		if full && docBound <= m.totals[m.top[0]] {
 			m.docsSkipped++
 			continue
 		}
@@ -411,22 +456,57 @@ func (m *mergeRun) run(decay float64) {
 	}
 }
 
+// results resolves candidate slots, in order, to Results: the only
+// place the merge reads Dewey identifiers. The results share their
+// blocks — themselves, the identifiers, the per-keyword scores and the
+// matches — each result's slices full of their own.
+func (m *mergeRun) results(order []int32) []Result {
+	if len(order) == 0 {
+		return nil
+	}
+	k := m.k
+	ids := make(xmltree.Dewey, 0, 8*(k+1)*len(order))
+	clone := func(key int32) xmltree.Dewey {
+		at := len(ids)
+		ids = append(ids, m.ids.ID(key)...)
+		return ids[at:len(ids):len(ids)]
+	}
+	out := make([]Result, len(order))
+	per := make([]float64, len(order)*k)
+	matches := make([]Match, len(order)*k)
+	for i, s := range order {
+		c, r := int(s)*k, i*k
+		out[i] = Result{
+			Root:       clone(m.roots[s]),
+			Score:      m.totals[s],
+			PerKeyword: per[r : r+k : r+k],
+			Matches:    matches[r : r+k : r+k],
+		}
+		copy(out[i].PerKeyword, m.per[c:c+k])
+		for j := range out[i].Matches {
+			out[i].Matches[j] = Match{ID: clone(m.mkeys[c+j]), Score: m.mscores[c+j]}
+		}
+	}
+	return out
+}
+
 // runFast merges per-keyword lists with the zig-zag/run machinery:
 // each list gets a cursor that decodes lazily, skips by the block
 // table, and feeds the merge its document runs (Cursor.Run).
 //
-// limit <= 0 returns every result, unranked (the exhaustive merge).
-// limit > 0 returns the exact top-limit, sorted by descending score
-// with ascending-Dewey tie-break — byte-identical to sorting and
-// truncating the exhaustive output — maintained in an in-merge heap;
-// when the decay is within [0, 1] (pruning is unsound otherwise: a
-// decay above 1 amplifies deep postings beyond their raw scores) the
-// merge additionally skips whole documents on their runs' maxima, and
-// terminates on the lists' remaining maxima.
+// limit <= 0 returns every result, unranked, in document order.
+// limit > 0 returns the exact top-limit after the first offset results,
+// sorted by descending score with ascending-Dewey tie-break —
+// byte-identical to sorting and truncating every result — maintained
+// in an in-merge heap. With prune set and the decay within [0, 1]
+// (pruning is unsound otherwise: a decay above 1 amplifies deep
+// postings beyond their raw scores) the merge additionally skips whole
+// documents on their runs' maxima, and terminates on the lists'
+// remaining maxima.
 //
 // The second return carries this merge's posting/skip counts; the
 // process-wide totals are bumped as well.
-func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounters) {
+func runFast(lists []resolved, decay float64, limit, offset int, prune bool) ([]Result, MergeCounters) {
 	k := len(lists)
 	if k == 0 {
 		return nil, MergeCounters{}
@@ -438,8 +518,16 @@ func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounter
 	}
 	m := mergePool.Get().(*mergeRun)
 	m.reset(k, limit)
-	m.prune = limit > 0 && decay >= 0 && decay <= 1
+	m.prune = prune && limit > 0 && decay >= 0 && decay <= 1
+	// Every list of one merge indexes one table: the engine resolves a
+	// query's keywords from one stage (its index, arena or builder),
+	// and a dirty read pins all of them to the one state it acquired
+	// (overlay.go). Key order is Dewey order only within one table.
+	m.ids = lists[0].list.IDs()
 	for i, l := range lists {
+		if l.list.IDs() != m.ids {
+			panic("query: the lists of one merge index different element tables")
+		}
 		m.cursors[i].Set(l.list)
 	}
 	m.run(decay)
@@ -452,22 +540,21 @@ func runFast(lists []resolved, decay float64, limit int) ([]Result, MergeCounter
 	for i := range m.cursors {
 		c.BlocksSkipped += m.cursors[i].BlocksSkipped()
 	}
-	results := m.results
-	m.results = nil
+	order := m.top
 	if limit > 0 {
-		// Drain the heap back to front: descending score, Dewey tie-break
-		// ascending — the engine's presentation order.
-		results = make([]Result, len(m.top))
-		for i := len(m.top) - 1; i >= 0; i-- {
-			results[i] = heap.Pop(&m.top).(Result)
+		slices.SortFunc(order, m.ranked)
+	} else { // every candidate, in emission order
+		for s := range m.roots {
+			order = append(order, int32(s))
 		}
-		m.top = nil
 	}
+	results := m.results(order[min(max(offset, 0), len(order)):])
+	m.top = order[:0]
 	for i := range m.cursors {
 		m.cursors[i].Set(nil) // drop references to caller data
 	}
 	clear(m.runs)
-	clear(m.heads)
+	m.ids, m.keys = dil.IDs{}, nil
 	mergePool.Put(m)
 	mergeTotals.postings.Add(c.Postings)
 	mergeTotals.blocksSkipped.Add(c.BlocksSkipped)

@@ -1,44 +1,60 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/cda"
 	"repro/internal/dil"
+	"repro/internal/ontology"
+	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
 
-// keyed keys a Dewey-ordered entry list by position, with its
-// identifiers as the table: hand-built postings in the form a builder
-// emits.
-func keyed(es []dil.Entry) (dil.List, dil.IDs) {
-	l := make(dil.List, len(es))
-	ids := make([]xmltree.Dewey, len(es))
-	for i, e := range es {
-		l[i], ids[i] = dil.Posting{Key: int32(i), Doc: e.ID[0], Score: e.Score}, e.ID
+// compactAll keys Dewey-ordered lists into one shared table holding
+// every listed element and all its ancestors, in Dewey order, and
+// encodes them: hand-built lists in the form a stage's builder emits,
+// all indexing one table as the lists of one merge do. A list must not
+// repeat an element.
+func compactAll(lists [][]entry) []*dil.CompactList {
+	var ids []xmltree.Dewey
+	for _, l := range lists {
+		for _, e := range l {
+			for n := 1; n <= len(e.ID); n++ {
+				ids = append(ids, e.ID[:n])
+			}
+		}
 	}
-	return l, dil.IDs{Base: ids}
+	slices.SortFunc(ids, xmltree.Dewey.Compare)
+	ids = slices.CompactFunc(ids, xmltree.Dewey.Equal)
+	table := dil.IDs{Base: dil.NewKeys(ids)}
+	out := make([]*dil.CompactList, len(lists))
+	for i, l := range lists {
+		kl := make(dil.List, len(l))
+		for j, e := range l {
+			key, _ := slices.BinarySearchFunc(ids, e.ID, xmltree.Dewey.Compare)
+			kl[j] = dil.Posting{Key: int32(key), Doc: e.ID[0], Score: e.Score}
+			if j > 0 && kl[j].Key <= kl[j-1].Key {
+				panic(fmt.Sprintf("compactAll: list %d repeats or disorders %v", i, e.ID))
+			}
+		}
+		out[i] = dil.Compact(kl, table)
+	}
+	return out
 }
 
 // sortEntries orders entries by Dewey identifier.
-func sortEntries(es []dil.Entry) {
-	slices.SortFunc(es, func(a, b dil.Entry) int { return a.ID.Compare(b.ID) })
+func sortEntries(es []entry) {
+	slices.SortFunc(es, func(a, b entry) int { return a.ID.Compare(b.ID) })
 }
 
-// runLists merges Dewey-form lists through RunLists, each keyed by
-// position.
-func runLists(lists [][]dil.Entry, decay float64, k int) []Result {
-	cls := make([]*dil.CompactList, len(lists))
-	for i, l := range lists {
-		cls[i] = compactOf(l)
-	}
-	return RunLists(cls, decay, k)
+// runLists merges Dewey-form lists through RunLists.
+func runLists(lists [][]entry, decay float64, k int) []Result {
+	return RunLists(compactAll(lists), decay, k)
 }
-
-// compactOf is a Dewey-form list keyed by position and encoded.
-func compactOf(l []dil.Entry) *dil.CompactList { return dil.Compact(keyed(l)) }
 
 // runCompact merges encoded lists the way the engine does.
 func runCompact(cls []*dil.CompactList, decay float64, k int) []Result {
@@ -46,16 +62,18 @@ func runCompact(cls []*dil.CompactList, decay float64, k int) []Result {
 	for i, c := range cls {
 		res[i] = resolved{list: c}
 	}
-	out, _ := runFast(res, decay, k)
+	out, _ := runFast(res, decay, k, 0, true)
 	return out
 }
 
 // oneElement is a fake builder's list: one posting, on element 0.1.
 type oneElement struct{}
 
-func (oneElement) list() *dil.CompactList {
-	return dil.Compact(dil.List{{Key: 0, Score: 1}}, dil.IDs{Base: []xmltree.Dewey{{0, 1}}})
-}
+func (oneElement) list() *dil.CompactList { return oneElementList }
+
+// oneElementList is every fake list: one table for all the keywords a
+// query merges.
+var oneElementList = dil.Compact(dil.List{{Key: 1, Score: 1}}, dil.IDs{Base: dil.NewKeys([]xmltree.Dewey{{0}, {0, 1}})})
 
 // Differential testing of the fast merge (merge.go) against the
 // reference runDIL: identical roots, aggregate and per-keyword scores,
@@ -65,9 +83,10 @@ func (oneElement) list() *dil.CompactList {
 // genLists derives a k-list workload from a seeded generator. Sizes
 // are skewed (list i is roughly 4x sparser than list i-1 when skew is
 // set) so the zig-zag path is exercised, and identifiers collide often
-// enough to produce duplicates and ancestor/descendant pairs.
-func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) [][]dil.Entry {
-	lists := make([][]dil.Entry, k)
+// enough to produce ancestor/descendant pairs and elements shared
+// across lists. A list holds an element once, as a built list does.
+func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) [][]entry {
+	lists := make([][]entry, k)
 	for i := range lists {
 		size := baseSize
 		if skew {
@@ -75,7 +94,7 @@ func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) [][]di
 				size = size/4 + 1
 			}
 		}
-		l := make([]dil.Entry, 0, size)
+		l := make([]entry, 0, size)
 		for j := 0; j < size; j++ {
 			depth := 1 + rng.Intn(maxDepth)
 			id := make(xmltree.Dewey, depth)
@@ -83,13 +102,10 @@ func genLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew bool) [][]di
 			for d := 1; d < depth; d++ {
 				id[d] = int32(rng.Intn(3))
 			}
-			l = append(l, dil.Entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
-			if rng.Intn(10) == 0 { // duplicate identifier, distinct score
-				l = append(l, dil.Entry{ID: id.Clone(), Score: float64(1+rng.Intn(1000)) / 1000})
-			}
+			l = append(l, entry{ID: id, Score: float64(1+rng.Intn(1000)) / 1000})
 		}
 		sortEntries(l)
-		lists[i] = l
+		lists[i] = slices.CompactFunc(l, func(a, b entry) bool { return a.ID.Equal(b.ID) })
 	}
 	return lists
 }
@@ -144,15 +160,12 @@ func resultsEqual(t *testing.T, tag string, want, got []Result) {
 // the fast merge, entered through RunLists and as the engine enters it,
 // and requires identical output from all three. The reference emits in
 // document order, as does the fast path, so no re-sorting is needed.
-func checkEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64) {
+func checkEquivalence(t *testing.T, tag string, lists [][]entry, decay float64) {
 	t.Helper()
 	want := runDIL(lists, decay)
 	got := runLists(lists, decay, 0)
 	resultsEqual(t, tag+"/plain", want, got)
-	cls := make([]*dil.CompactList, len(lists))
-	for i, l := range lists {
-		cls[i] = compactOf(l)
-	}
+	cls := compactAll(lists)
 	resultsEqual(t, tag+"/compact", want, runCompact(cls, decay, 0))
 	// A second compact run through the pooled state must not be
 	// perturbed by buffer reuse.
@@ -168,7 +181,7 @@ var mergeDecays = []float64{0.5, 0.3, 0.7, 0.9, 0.123456789, 0, 1, -0.5, 1.5}
 // checkDecayEquivalence holds the fast merge to the reference at one
 // decay: the exhaustive merge (k = 0) and the top-k merge at k = 1, 10
 // and 100, over plain and compact lists, with exact float equality.
-func checkDecayEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64) {
+func checkDecayEquivalence(t *testing.T, tag string, lists [][]entry, decay float64) {
 	t.Helper()
 	tag = fmt.Sprintf("%s/decay=%v", tag, decay)
 	checkEquivalence(t, tag, lists, decay)
@@ -205,15 +218,15 @@ func TestMergeEquivalenceEdgeCases(t *testing.T) {
 		}
 		return id
 	}
-	cases := map[string][][]dil.Entry{
+	cases := map[string][][]entry{
 		"single list":  {{{ID: d("0.1"), Score: 0.5}, {ID: d("1.2.3"), Score: 0.25}}},
 		"empty second": {{{ID: d("0.1"), Score: 0.5}}, {}},
 		"ancestor-descendant": {
 			{{ID: d("0"), Score: 0.5}, {ID: d("0.1"), Score: 0.3}, {ID: d("0.1.2"), Score: 0.2}},
 			{{ID: d("0.1"), Score: 0.9}, {ID: d("0.2"), Score: 0.1}},
 		},
-		"duplicates": {
-			{{ID: d("0.1"), Score: 0.2}, {ID: d("0.1"), Score: 0.8}, {ID: d("0.1"), Score: 0.4}},
+		"shared elements": {
+			{{ID: d("0.1"), Score: 0.2}, {ID: d("0.1.0"), Score: 0.8}, {ID: d("0.1.1"), Score: 0.4}},
 			{{ID: d("0.1"), Score: 0.5}, {ID: d("0.1.0"), Score: 0.5}},
 		},
 		"disjoint docs": {
@@ -265,19 +278,19 @@ func FuzzMergeEquivalence(f *testing.F) {
 // one rare keyword against a long common list over mostly-disjoint
 // documents should bypass whole blocks of the common list.
 func TestMergeCountersAndSkipping(t *testing.T) {
-	common := make([]dil.Entry, 0, 40*dil.BlockSize)
+	common := make([]entry, 0, 40*dil.BlockSize)
 	for doc := int32(0); doc < 4000; doc++ {
 		common = append(common,
-			dil.Entry{ID: xmltree.Dewey{doc, 0, 1}, Score: 0.5},
-			dil.Entry{ID: xmltree.Dewey{doc, 1, 0}, Score: 0.25})
+			entry{ID: xmltree.Dewey{doc, 0, 1}, Score: 0.5},
+			entry{ID: xmltree.Dewey{doc, 1, 0}, Score: 0.25})
 	}
-	rare := []dil.Entry{
+	rare := []entry{
 		{ID: xmltree.Dewey{100, 0}, Score: 1},
 		{ID: xmltree.Dewey{3900, 2}, Score: 1},
 	}
-	lists := [][]dil.Entry{rare, common}
+	lists := [][]entry{rare, common}
 	before := MergeCountersSnapshot()
-	cls := []*dil.CompactList{compactOf(rare), compactOf(common)}
+	cls := compactAll(lists)
 	got := runCompact(cls, 0.5, 0)
 	after := MergeCountersSnapshot()
 	resultsEqual(t, "skewed", runDIL(lists, 0.5), got)
@@ -287,5 +300,57 @@ func TestMergeCountersAndSkipping(t *testing.T) {
 	}
 	if skipped := after.BlocksSkipped - before.BlocksSkipped; skipped == 0 {
 		t.Error("no blocks skipped on a 2-document rare list against a 4000-document common list")
+	}
+}
+
+// A dirty read merges lists pinned to one live state: base postings
+// keyed by the base stage, delta postings numbered after them in the
+// delta stage's table. The merge must resolve each document through
+// its own stage — results inside delta documents included — and agree
+// with the reference merge over the same lists in Dewey form.
+func TestMergePinnedBaseDelta(t *testing.T) {
+	ont, err := ontology.Generate(ontology.GenConfig{Seed: 4, ExtraConcepts: 150, SynonymProb: 0.3,
+		MultiParentProb: 0.1, RelationshipsPerDisorder: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cda.NewGenerator(cda.GenConfig{Seed: 4, NumDocuments: 30, ProblemsPerPatient: 3,
+		MedicationsPerPatient: 3, ProceduresPerPatient: 1}, ont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const firstDelta = 20
+	base, delta := xmltree.NewCorpus(), xmltree.NewCorpus()
+	for _, doc := range g.GenerateCorpus().Docs() {
+		if doc.ID < firstDelta {
+			base.AddExisting(doc)
+		} else {
+			delta.AddExisting(doc)
+		}
+	}
+	side := ontoscore.NewSide(ontology.MustCollection(ont), ontoscore.DefaultParams())
+	st := []ontoscore.Strategy{ontoscore.StrategyGraph}
+	b := dil.NewBuilders(base, side, st, dil.DefaultParams())[st[0]]
+	d := dil.NewBuilders(delta, side, st, dil.DefaultParams())[st[0]]
+	pinned := b.Pin(dil.Live{Stats: b.LocalTextStats(), Delta: d})
+	inDelta := 0
+	for _, q := range [][]string{{"asthma", "medications"}, {"cardiac", "arrest"}, {"patient", "problem"}} {
+		lists, cls := make([][]entry, len(q)), make([]*dil.CompactList, len(q))
+		for i, kw := range q {
+			lists[i] = entriesOf(pinned.IDs(), pinned.BuildKeyword(kw))
+			cls[i] = pinned.CompactKeyword(context.Background(), kw)
+		}
+		want := runDIL(lists, 0.5)
+		got := RunLists(cls, 0.5, 0)
+		resultsEqual(t, fmt.Sprint(q), want, got)
+		for _, r := range got {
+			if r.Root[0] >= firstDelta {
+				inDelta++
+			}
+		}
+		resultsEqual(t, fmt.Sprint(q, "/top-3"), rankTruncate(want, 3), RunLists(cls, 0.5, 3))
+	}
+	if inDelta == 0 {
+		t.Fatal("no result lies in a delta document")
 	}
 }

@@ -20,7 +20,7 @@ import (
 // result set, ranked and truncated (rankTruncate is also what the
 // exhaustive escape hatch runs, so this pins every implementation to
 // one definition of "the top k").
-func topKReference(lists [][]dil.Entry, decay float64, k int) []Result {
+func topKReference(lists [][]entry, decay float64, k int) []Result {
 	return rankTruncate(runDIL(lists, decay), k)
 }
 
@@ -29,7 +29,7 @@ func topKReference(lists [][]dil.Entry, decay float64, k int) []Result {
 // shape that makes block-max bounds selective. Uniform scores leave
 // every block's max near the distribution max, so pruning barely fires
 // — both shapes must stay exact.
-func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavyTail bool) [][]dil.Entry {
+func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavyTail bool) [][]entry {
 	lists := genLists(rng, k, docs, maxDepth, baseSize, skew)
 	if !heavyTail {
 		return lists
@@ -52,14 +52,11 @@ func genScoredLists(rng *rand.Rand, k, docs, maxDepth, baseSize int, skew, heavy
 // checkTopKEquivalence requires the pruned merge to match the
 // exhaustive reference for one (lists, k) pair, entered through
 // RunLists and as the engine enters it.
-func checkTopKEquivalence(t *testing.T, tag string, lists [][]dil.Entry, decay float64, k int) {
+func checkTopKEquivalence(t *testing.T, tag string, lists [][]entry, decay float64, k int) {
 	t.Helper()
 	want := topKReference(lists, decay, k)
 	resultsEqual(t, tag+"/plain", want, runLists(lists, decay, k))
-	cls := make([]*dil.CompactList, len(lists))
-	for i, l := range lists {
-		cls[i] = compactOf(l)
-	}
+	cls := compactAll(lists)
 	resultsEqual(t, tag+"/compact", want, runCompact(cls, decay, k))
 	// Re-run through the pooled merge state: the top-k heap must not
 	// leak between runs.
@@ -98,14 +95,14 @@ func TestTopKEdgeCases(t *testing.T) {
 		}
 		return id
 	}
-	cases := map[string][][]dil.Entry{
+	cases := map[string][][]entry{
 		"all-equal scores": {
 			{{ID: d("0.1"), Score: 0.5}, {ID: d("1.1"), Score: 0.5}, {ID: d("2.1"), Score: 0.5}},
 			{{ID: d("0.2"), Score: 0.5}, {ID: d("1.2"), Score: 0.5}, {ID: d("2.2"), Score: 0.5}},
 		},
 		"duplicate doc ids": {
-			{{ID: d("0.1"), Score: 0.9}, {ID: d("0.1"), Score: 0.4}, {ID: d("0.2"), Score: 0.3}},
-			{{ID: d("0.1.1"), Score: 0.8}, {ID: d("0.2"), Score: 0.7}, {ID: d("0.2"), Score: 0.2}},
+			{{ID: d("0.1"), Score: 0.9}, {ID: d("0.1.0"), Score: 0.4}, {ID: d("0.2"), Score: 0.3}},
+			{{ID: d("0.1.1"), Score: 0.8}, {ID: d("0.2"), Score: 0.7}, {ID: d("0.2.0"), Score: 0.2}},
 		},
 		"single posting":   {{{ID: d("3.1"), Score: 0.25}}},
 		"descending docs":  {{{ID: d("0.1"), Score: 1}, {ID: d("1.1"), Score: 0.5}, {ID: d("2.1"), Score: 0.25}}},
@@ -153,11 +150,7 @@ func FuzzTopKEquivalence(f *testing.F) {
 		want := page(topKReference(lists, dc, kk+off), off)
 		tag := fmt.Sprintf("fuzz/page/decay=%v", dc)
 		resultsEqual(t, tag+"/plain", want, page(runLists(lists, dc, kk+off), off))
-		cls := make([]*dil.CompactList, len(lists))
-		for i, l := range lists {
-			cls[i] = compactOf(l)
-		}
-		resultsEqual(t, tag+"/compact", want, page(runCompact(cls, dc, kk+off), off))
+		resultsEqual(t, tag+"/compact", want, page(runCompact(compactAll(lists), dc, kk+off), off))
 	})
 }
 
@@ -165,30 +158,23 @@ func FuzzTopKEquivalence(f *testing.F) {
 // deepest page allowed (k+offset = MaxK+MaxOffset) that retains one
 // result must not allocate the window's worth of heap slots.
 func TestTopKHeapNotWindowSized(t *testing.T) {
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: xmltree.Dewey{0, 1}, Score: 0.5}},
 		{{ID: xmltree.Dewey{0, 2}, Score: 0.25}},
 	}
 	const limit = MaxK + MaxOffset
-	for _, c := range []struct {
-		name string
-		run  func() []Result
-	}{
-		{"merge", func() []Result { return runLists(lists, 0.5, limit) }},
-		{"ranked", func() []Result { return RunRanked(lists, 0.5, limit) }},
-	} {
-		if n := len(c.run()); n != 1 {
-			t.Fatalf("%s: %d results, want 1", c.name, n)
+	cls := compactAll(lists)
+	if n := len(RunLists(cls, 0.5, limit)); n != 1 {
+		t.Fatalf("%d results, want 1", n)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			RunLists(cls, 0.5, limit)
 		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.run()
-			}
-		})
-		if got := res.AllocedBytesPerOp(); got >= 64<<10 {
-			t.Errorf("%s at limit %d: %d B/op, want < 64 KiB", c.name, limit, got)
-		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Errorf("at limit %d: %d B/op, want < 64 KiB", limit, got)
 	}
 }
 
@@ -197,19 +183,19 @@ func TestTopKHeapNotWindowSized(t *testing.T) {
 // k. Exactness is asserted alongside, so the skips are provably sound.
 func TestTopKPruneCounters(t *testing.T) {
 	const docs = 2000
-	mk := func(kwScale float64) []dil.Entry {
-		l := make([]dil.Entry, 0, docs)
+	mk := func(kwScale float64) []entry {
+		l := make([]entry, 0, docs)
 		for doc := int32(0); doc < docs; doc++ {
 			score := kwScale
 			if doc > 0 {
 				score = kwScale / float64(3+doc)
 			}
-			l = append(l, dil.Entry{ID: xmltree.Dewey{doc, 0}, Score: score})
+			l = append(l, entry{ID: xmltree.Dewey{doc, 0}, Score: score})
 		}
 		return l
 	}
-	lists := [][]dil.Entry{mk(1.0), mk(0.8)}
-	cls := []*dil.CompactList{compactOf(lists[0]), compactOf(lists[1])}
+	lists := [][]entry{mk(1.0), mk(0.8)}
+	cls := compactAll(lists)
 
 	before := MergeCountersSnapshot()
 	got := runCompact(cls, 0.5, 1)
@@ -232,8 +218,9 @@ func TestEngineExhaustiveMergeParam(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lists := genScoredLists(rng, 2, 30, 5, 400, true, true)
 	ix := dil.NewIndex()
-	ix.Set("alpha", compactOf(lists[0]))
-	ix.Set("beta", compactOf(lists[1]))
+	cls := compactAll(lists)
+	ix.Set("alpha", cls[0])
+	ix.Set("beta", cls[1])
 
 	pruned := NewEngine(ix, nil, DefaultParams())
 	p := DefaultParams()
@@ -270,8 +257,9 @@ func TestEnginePagingWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	lists := genScoredLists(rng, 2, 25, 5, 300, false, true)
 	ix := dil.NewIndex()
-	ix.Set("alpha", compactOf(lists[0]))
-	ix.Set("beta", compactOf(lists[1]))
+	cls := compactAll(lists)
+	ix.Set("alpha", cls[0])
+	ix.Set("beta", cls[1])
 	e := NewEngine(ix, nil, DefaultParams())
 	kws := []Keyword{"alpha", "beta"}
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dil"
 	"repro/internal/xmltree"
 )
 
@@ -45,7 +44,7 @@ func TestRunDILMostSpecific(t *testing.T) {
 	//             /      \
 	//      kw1@0.0.0   kw2@0.0.1
 	// The most specific element covering both keywords is 0.0.
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0.0"), Score: 1}},
 		{{ID: d("0.0.1"), Score: 1}},
 	}
@@ -70,7 +69,7 @@ func TestRunDILExcludesNonSpecificAncestors(t *testing.T) {
 	// kw1 and kw2 both under 0.0 (a result) AND kw1 again at 0.1.
 	// The root 0 also covers both but has a covering descendant, so
 	// only 0.0 is a result (equation (1)).
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0.0"), Score: 1}, {ID: d("0.1"), Score: 1}},
 		{{ID: d("0.0.1"), Score: 1}},
 	}
@@ -83,7 +82,7 @@ func TestRunDILExcludesNonSpecificAncestors(t *testing.T) {
 func TestRunDILSingleNodeBothKeywords(t *testing.T) {
 	// One node associated with both keywords is itself the most
 	// specific result, scored without decay.
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.2.1"), Score: 0.8}},
 		{{ID: d("0.2.1"), Score: 0.6}},
 	}
@@ -100,7 +99,7 @@ func TestRunDILSingleNodeBothKeywords(t *testing.T) {
 }
 
 func TestRunDILMultipleDocuments(t *testing.T) {
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0"), Score: 1}, {ID: d("3.1.0"), Score: 1}},
 		{{ID: d("0.1"), Score: 1}, {ID: d("3.1.1"), Score: 0.5}},
 	}
@@ -119,7 +118,7 @@ func TestRunDILMultipleDocuments(t *testing.T) {
 
 func TestRunDILNoCoverNoResult(t *testing.T) {
 	// Keywords in different documents: no element covers both.
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0"), Score: 1}},
 		{{ID: d("1.0"), Score: 1}},
 	}
@@ -127,7 +126,7 @@ func TestRunDILNoCoverNoResult(t *testing.T) {
 		t.Fatalf("results = %+v", res)
 	}
 	// Empty list for one keyword: conjunctive semantics.
-	if res := runDIL([][]dil.Entry{{{ID: d("0.0"), Score: 1}}, {}}, 0.5); res != nil {
+	if res := runDIL([][]entry{{{ID: d("0.0"), Score: 1}}, {}}, 0.5); res != nil {
 		t.Fatalf("results = %+v", res)
 	}
 	if res := runDIL(nil, 0.5); res != nil {
@@ -137,7 +136,7 @@ func TestRunDILNoCoverNoResult(t *testing.T) {
 
 func TestRunDILDecayDepth(t *testing.T) {
 	// kw1 at depth 3 below the cover, kw2 at depth 1.
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0.1.2.3"), Score: 1}},
 		{{ID: d("0.0.4"), Score: 1}},
 	}
@@ -158,7 +157,7 @@ func TestRunDILDecayDepth(t *testing.T) {
 func TestRunDILMaxAggregationPerKeyword(t *testing.T) {
 	// Two occurrences of kw1 under the cover at different depths; the
 	// shallower (less decayed) one must win equation (3)'s max.
-	lists := [][]dil.Entry{
+	lists := [][]entry{
 		{{ID: d("0.0.1.1"), Score: 1}, {ID: d("0.0.2"), Score: 0.9}},
 		{{ID: d("0.0.3"), Score: 1}},
 	}
@@ -179,7 +178,7 @@ func TestRunDILMaxAggregationPerKeyword(t *testing.T) {
 // candidates are all ancestors-or-self of postings; a result covers all
 // keywords with no covering proper descendant; scores follow
 // equations (2)-(4).
-func bruteForce(lists [][]dil.Entry, decay float64) map[string]float64 {
+func bruteForce(lists [][]entry, decay float64) map[string]float64 {
 	for _, l := range lists {
 		if len(l) == 0 {
 			return nil
@@ -255,11 +254,11 @@ func TestRunDILMatchesBruteForce(t *testing.T) {
 		{{"2.0.0.0.0"}, {"2.0.0.0.1"}, {"2.0.1"}},
 	}
 	for si, shape := range shapes {
-		lists := make([][]dil.Entry, len(shape))
+		lists := make([][]entry, len(shape))
 		for k, ids := range shape {
 			for i, s := range ids {
 				score := 0.3 + 0.1*float64((si+k+i)%7)
-				lists[k] = append(lists[k], dil.Entry{ID: d(s), Score: score})
+				lists[k] = append(lists[k], entry{ID: d(s), Score: score})
 			}
 			sortEntries(lists[k])
 		}

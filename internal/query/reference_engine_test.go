@@ -31,13 +31,13 @@ func TestEngineMatchesReference(t *testing.T) {
 				sys := env.Systems[st]
 				params := sys.Config().Query
 				ix := dil.NewIndex()
-				entries := map[query.Keyword][]dil.Entry{}
+				entries := map[query.Keyword][]query.Entry{}
 				b := sys.Builder()
 				for _, q := range queries {
 					for _, kw := range query.ParseQuery(q) {
 						if _, ok := entries[kw]; !ok {
 							l := b.BuildKeyword(string(kw))
-							entries[kw] = b.IDs().Entries(l)
+							entries[kw] = query.EntriesOf(b.IDs(), l)
 							ix.Set(string(kw), dil.Compact(l, b.IDs()))
 						}
 					}
@@ -45,7 +45,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				e := query.NewEngine(ix, nil, params)
 				for _, q := range queries {
 					kws := query.ParseQuery(q)
-					lists := make([][]dil.Entry, len(kws))
+					lists := make([][]query.Entry, len(kws))
 					for i, kw := range kws {
 						lists[i] = entries[kw]
 					}

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"sort"
+
 	"repro/internal/dil"
 	"repro/internal/xmltree"
 )
@@ -9,6 +11,48 @@ import (
 // with an O(k) scan per posting and freshly allocated stack entries. No
 // production path runs it; the merge, top-k and engine differentials
 // hold the loser-tree merge (merge.go) to its output.
+
+// entry is a posting in Dewey form: the reference merge's input.
+type entry struct {
+	ID    xmltree.Dewey
+	Score float64
+}
+
+// entriesOf resolves a built list to Dewey form through its table.
+func entriesOf(ids dil.IDs, l dil.List) []entry {
+	out := make([]entry, len(l))
+	for i, p := range l {
+		out[i] = entry{ID: ids.ID(p.Key), Score: p.Score}
+	}
+	return out
+}
+
+// rankTruncate ranks an exhaustive result set — descending score,
+// ascending-Dewey tie-break — and truncates it to the top k (k <= 0:
+// unranked pass-through).
+func rankTruncate(results []Result, k int) []Result {
+	if k <= 0 {
+		return results
+	}
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].Score != results[j].Score {
+			return results[i].Score > results[j].Score
+		}
+		return results[i].Root.Compare(results[j].Root) < 0
+	})
+	if len(results) > k {
+		results = results[:k]
+	}
+	return results
+}
+
+// page drops the first offset ranked results.
+func page(results []Result, offset int) []Result {
+	if offset >= len(results) {
+		return nil
+	}
+	return results[max(offset, 0):]
+}
 
 type stackEntry struct {
 	component int32
@@ -23,13 +67,13 @@ type stackEntry struct {
 // merger performs the multi-way Dewey-order traversal of the keyword
 // lists.
 type merger struct {
-	lists [][]dil.Entry
+	lists [][]entry
 	pos   []int
 }
 
 // next returns the smallest unconsumed posting (by Dewey order) with
 // its keyword index, or ok=false when all lists are drained.
-func (m *merger) next() (p dil.Entry, kw int, ok bool) {
+func (m *merger) next() (p entry, kw int, ok bool) {
 	best := -1
 	for i := range m.lists {
 		if m.pos[i] >= len(m.lists[i]) {
@@ -41,7 +85,7 @@ func (m *merger) next() (p dil.Entry, kw int, ok bool) {
 		}
 	}
 	if best < 0 {
-		return dil.Entry{}, 0, false
+		return entry{}, 0, false
 	}
 	m.pos[best]++
 	return p, best, true
@@ -49,7 +93,7 @@ func (m *merger) next() (p dil.Entry, kw int, ok bool) {
 
 // runDIL merges the per-keyword lists and returns every result element
 // per equation (1), scored per equations (2)-(4).
-func runDIL(lists [][]dil.Entry, decay float64) []Result {
+func runDIL(lists [][]entry, decay float64) []Result {
 	n := len(lists)
 	if n == 0 {
 		return nil
@@ -60,7 +104,7 @@ func runDIL(lists [][]dil.Entry, decay float64) []Result {
 			// associations means no results
 		}
 	}
-	m := &merger{lists: make([][]dil.Entry, n), pos: make([]int, n)}
+	m := &merger{lists: make([][]entry, n), pos: make([]int, n)}
 	for i, l := range lists {
 		m.lists[i] = l
 	}

@@ -80,7 +80,8 @@ func (c BreakerConfig) normalized() BreakerConfig {
 // over a sliding window. It is safe for concurrent use. Callers ask
 // Allow before the guarded operation and report Success or Failure
 // after; when Allow returns false the caller takes its fallback path
-// (for the query engine: IR-only scoring).
+// (for a shard slot or a peer: the leg is skipped and the answer is
+// partial).
 type Breaker struct {
 	cfg BreakerConfig
 

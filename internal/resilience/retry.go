@@ -1,10 +1,9 @@
 // Package resilience provides the failure-handling primitives of the
 // serving stack: bounded retry with exponential backoff and jitter, and
-// a circuit breaker with a sliding failure window. The query engine
-// composes the two around the ontology path (OntoScore computation on
-// on-demand DIL builds) so that ontology failures degrade search to
-// IR-only ranking — NS(v,w) = IRS(v,w), the XRANK baseline — instead of
-// failing requests.
+// a circuit breaker with a sliding failure window. They guard what
+// crosses a network: the peer client (internal/peer) retries and
+// breaks per peer, and a shard slot (internal/shard) breaks a failing
+// leg so that a search answers partial instead of waiting on it.
 package resilience
 
 import (

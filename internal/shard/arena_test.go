@@ -45,20 +45,18 @@ func TestShardedArenaDifferential(t *testing.T) {
 		}
 		for _, st := range ontoscore.Strategies() {
 			for _, q := range testQueries {
-				for _, ranked := range []bool{false, true} {
-					name := fmt.Sprintf("shards=%d/%s/%q/ranked=%v", shards, st, q, ranked)
-					req := core.SearchRequest{Query: q, K: 10, Ranked: ranked, Explain: true}
-					want, err := singles[st].Query(context.Background(), req)
+				name := fmt.Sprintf("shards=%d/%s/%q", shards, st, q)
+				req := core.SearchRequest{Query: q, K: 10, Explain: true}
+				want, err := singles[st].Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: single-node: %v", name, err)
+				}
+				for label, c := range map[string]*Cluster{"heap": plain, "mapped": mapped, "cold": cold} {
+					got, err := c.System(st).Query(context.Background(), req)
 					if err != nil {
-						t.Fatalf("%s: single-node: %v", name, err)
+						t.Fatalf("%s: %s cluster: %v", name, label, err)
 					}
-					for label, c := range map[string]*Cluster{"heap": plain, "mapped": mapped, "cold": cold} {
-						got, err := c.System(st).Query(context.Background(), req)
-						if err != nil {
-							t.Fatalf("%s: %s cluster: %v", name, label, err)
-						}
-						assertSameResults(t, name+"/"+label, want, got)
-					}
+					assertSameResults(t, name+"/"+label, want, got)
 				}
 			}
 		}

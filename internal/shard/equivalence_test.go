@@ -28,25 +28,23 @@ func TestShardedEquivalence(t *testing.T) {
 		cluster := testCluster(t, corpus, coll, Config{Shards: shards})
 		for _, st := range ontoscore.Strategies() {
 			for _, q := range testQueries {
-				for _, ranked := range []bool{false, true} {
-					name := fmt.Sprintf("shards=%d/%s/%q/ranked=%v", shards, st, q, ranked)
-					req := core.SearchRequest{Query: q, K: 10, Ranked: ranked, Explain: true}
-					want, err := singles[st].Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: single-node: %v", name, err)
-					}
-					got, err := cluster.System(st).Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: sharded: %v", name, err)
-					}
-					if got.Partial {
-						t.Errorf("%s: healthy cluster answered partial", name)
-					}
-					if len(got.Shards) != shards {
-						t.Errorf("%s: %d shard statuses, want %d", name, len(got.Shards), shards)
-					}
-					assertSameResults(t, name, want, got)
+				name := fmt.Sprintf("shards=%d/%s/%q", shards, st, q)
+				req := core.SearchRequest{Query: q, K: 10, Explain: true}
+				want, err := singles[st].Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: single-node: %v", name, err)
 				}
+				got, err := cluster.System(st).Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: sharded: %v", name, err)
+				}
+				if got.Partial {
+					t.Errorf("%s: healthy cluster answered partial", name)
+				}
+				if len(got.Shards) != shards {
+					t.Errorf("%s: %d shard statuses, want %d", name, len(got.Shards), shards)
+				}
+				assertSameResults(t, name, want, got)
 			}
 		}
 	}

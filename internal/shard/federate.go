@@ -180,7 +180,6 @@ func (s *Sharded) queryRemote(ctx context.Context, sl *slot, req core.SearchRequ
 		Keywords: kws,
 		K:        req.K,
 		Offset:   req.Offset,
-		Ranked:   req.Ranked,
 		Explain:  req.Explain,
 		Norms:    norms,
 	}

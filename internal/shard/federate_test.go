@@ -85,31 +85,29 @@ func TestFederatedEquivalence(t *testing.T) {
 		inproc := testCluster(t, corpus, coll, Config{Shards: 1 + peers})
 		for _, st := range ontoscore.Strategies() {
 			for _, q := range testQueries {
-				for _, ranked := range []bool{false, true} {
-					name := fmt.Sprintf("peers=%d/%s/%q/ranked=%v", peers, st, q, ranked)
-					req := core.SearchRequest{Query: q, K: 10, Ranked: ranked, Explain: true}
-					want, err := singles[st].Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: single-node: %v", name, err)
-					}
-					got, err := fed.System(st).Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: federated: %v", name, err)
-					}
-					if got.Partial {
-						t.Errorf("%s: healthy federation answered partial", name)
-					}
-					if len(got.Shards) != 1+peers {
-						t.Errorf("%s: %d slot statuses, want %d", name, len(got.Shards), 1+peers)
-					}
-					assertSameResults(t, name, want, got)
-
-					ip, err := inproc.System(st).Query(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: in-process sharded: %v", name, err)
-					}
-					assertSameResults(t, name+"/vs-inproc", ip, got)
+				name := fmt.Sprintf("peers=%d/%s/%q", peers, st, q)
+				req := core.SearchRequest{Query: q, K: 10, Explain: true}
+				want, err := singles[st].Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: single-node: %v", name, err)
 				}
+				got, err := fed.System(st).Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: federated: %v", name, err)
+				}
+				if got.Partial {
+					t.Errorf("%s: healthy federation answered partial", name)
+				}
+				if len(got.Shards) != 1+peers {
+					t.Errorf("%s: %d slot statuses, want %d", name, len(got.Shards), 1+peers)
+				}
+				assertSameResults(t, name, want, got)
+
+				ip, err := inproc.System(st).Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: in-process sharded: %v", name, err)
+				}
+				assertSameResults(t, name+"/vs-inproc", ip, got)
 			}
 		}
 	}
@@ -161,7 +159,7 @@ func TestFederatedReloadKeepsExchange(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"asthma", "asthma medications"} {
-		req := core.SearchRequest{Query: q, K: 10, Ranked: true, Explain: true}
+		req := core.SearchRequest{Query: q, K: 10, Explain: true}
 		want, err := single.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,6 @@ func (s *Sharded) Query(ctx context.Context, req core.SearchRequest) (*core.Sear
 	leg := core.SearchRequest{
 		Keywords: keywords,
 		K:        k + offset,
-		Ranked:   req.Ranked,
 		Explain:  req.Explain,
 	}
 

@@ -142,20 +142,6 @@ func (d Dewey) IsAncestorOrSelf(o Dewey) bool {
 	return d.Equal(o) || d.IsAncestorOf(o)
 }
 
-// CommonPrefix returns the longest common prefix of d and o — the Dewey
-// identifier of their lowest common ancestor.
-func (d Dewey) CommonPrefix(o Dewey) Dewey {
-	n := len(d)
-	if len(o) < n {
-		n = len(o)
-	}
-	i := 0
-	for i < n && d[i] == o[i] {
-		i++
-	}
-	return d[:i].Clone()
-}
-
 // Distance returns the number of containment edges between an ancestor a
 // and descendant d, and false if a is not an ancestor-or-self of d.
 func (d Dewey) Distance(a Dewey) (int, bool) {

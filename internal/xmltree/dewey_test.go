@@ -83,19 +83,6 @@ func TestDeweyAncestry(t *testing.T) {
 	}
 }
 
-func TestDeweyCommonPrefix(t *testing.T) {
-	a, _ := ParseDewey("1.0.2.3")
-	b, _ := ParseDewey("1.0.4")
-	want, _ := ParseDewey("1.0")
-	if got := a.CommonPrefix(b); !got.Equal(want) {
-		t.Errorf("CommonPrefix=%v want %v", got, want)
-	}
-	c, _ := ParseDewey("2.0")
-	if got := a.CommonPrefix(c); len(got) != 0 {
-		t.Errorf("CommonPrefix of disjoint docs = %v, want empty", got)
-	}
-}
-
 func randomDewey(r *rand.Rand) Dewey {
 	n := 1 + r.Intn(6)
 	d := make(Dewey, n)
@@ -140,11 +127,7 @@ func TestQuickDeweyAncestorOrder(t *testing.T) {
 		for i := 0; i < 1+r.Intn(4); i++ {
 			d = d.Child(int32(r.Intn(10)))
 		}
-		if !a.IsAncestorOf(d) || a.Compare(d) >= 0 {
-			return false
-		}
-		cp := a.CommonPrefix(d)
-		return cp.Equal(a) && cp.IsAncestorOrSelf(d)
+		return a.IsAncestorOf(d) && a.Compare(d) < 0 && !d.IsAncestorOrSelf(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

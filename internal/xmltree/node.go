@@ -144,16 +144,6 @@ func (n *Node) Size() int {
 	return total
 }
 
-// Depth is the number of containment edges from the tree root to n,
-// following parent links.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // Path renders the tag path from the root to n, e.g.
 // "ClinicalDocument/component/structuredBody".
 func (n *Node) Path() string {

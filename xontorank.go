@@ -47,8 +47,7 @@ type (
 	// SearchRequest is the unified request of System.Query — the sole
 	// search entry point: every former Search* method variant is one
 	// of its option combinations (K and Offset for the ranked window,
-	// Ranked for the RDIL algorithm, Explain for snippets, Trace for
-	// the span tree).
+	// Explain for snippets, Trace for the span tree).
 	SearchRequest = core.SearchRequest
 	// SearchResponse is what System.Query produces: resolved results,
 	// degradation info, a per-stage timing breakdown, and (on request)
