@@ -311,6 +311,9 @@ api-guard:
 	if $(GO) list -deps ./cmd/xontoserve | grep -x 'repro/internal/elemrank'; then fail=1; fi; \
 	if grep -rnE 'dil\.Entry\b|RunRanked|\bRanked\b|docLess|func \((c \*CompactList|t IDs)\) Entries\(|func \(cu \*Cursor\) Cur\(' \
 		--include='*.go' --exclude='*_test.go' internal/core internal/query internal/shard internal/peer internal/dil cmd/xontorank; then fail=1; fi; \
+	if grep -rnE 'ir\.Posting\b|NewPositional|NormalizedBM25|TFIDF|Pivoted|DocsContainingAll|SetGlobalTextStatsView|GlobalStatsView' \
+		--include='*.go' --exclude='*_test.go' .; then fail=1; fi; \
+	if [ -e internal/ir/pivoted.go ]; then echo "internal/ir/pivoted.go exists"; fail=1; fi; \
 	for d in internal/docstore internal/graphsearch internal/store internal/elemrank; do \
 		if [ -e $$d ]; then echo "$$d exists"; fail=1; fi; \
 	done; \
@@ -318,7 +321,7 @@ api-guard:
 		if [ -e "$$f" ]; then echo "$$f exists"; fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then \
-		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; the keyword build has no failure path and no ElemRank; serving has no RDIL and merges on keys; benchmarks write no root reports)"; \
+		echo "api-guard: a retired entry point or parallel path reappeared (use Query; writes go through internal/delta; generations use internal/gen; computers come from ontoscore.NewSide; builders read OntoScores through Side.Scores; responses are compact and spliced without json.RawMessage; the discard logger is disabled; the merge has one sparse-stack path and a heap that grows on demand; dirty reads build pinned, in one pass over a dense Dewey table; concept references and element lengths are dense tables; the arena is the one on-disk index format; built lists are keyed postings only, block-coded once built, with no list pool; the keyword build has no failure path and no ElemRank; serving has no RDIL and merges on keys; the full-text index is one positional ir.Index with BM25 its only scorer and one statistics setter; benchmarks write no root reports)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

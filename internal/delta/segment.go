@@ -148,24 +148,15 @@ func maxDocID(c *xmltree.Corpus) int32 {
 }
 
 // docContribution computes one document's contribution to the
-// collection statistics, tokenizing exactly as the builder's full-text
-// stage does: every element is one IR document (elements with no
-// tokens still count toward N).
+// collection statistics by indexing its elements as the builder's
+// full-text stage does: every element is one IR document, elements
+// with no tokens included.
 func docContribution(doc *xmltree.Document, text xmltree.TextOptions) ir.Stats {
-	s := ir.Stats{DF: map[string]int{}}
-	for _, n := range doc.Nodes() {
-		tokens := xmltree.Tokenize(xmltree.TextDescription(n, text))
-		s.N++
-		s.TotalLen += int64(len(tokens))
-		seen := map[string]bool{}
-		for _, t := range tokens {
-			if !seen[t] {
-				seen[t] = true
-				s.DF[t]++
-			}
-		}
+	ix := ir.NewIndex()
+	for i, n := range doc.Nodes() {
+		ix.Add(ir.DocKey(i), xmltree.Tokenize(xmltree.TextDescription(n, text)))
 	}
-	return s
+	return ix.LocalStats()
 }
 
 // ErrUnknownDocument reports a delete of a name that is neither a live
@@ -320,7 +311,7 @@ func (s *Segment) rebuildBuilders(st *segState) {
 	}
 	st.builders = dil.NewBuilders(corpus, st.side, s.cfg.Strategies, s.cfg.DIL)
 	for _, b := range st.builders {
-		b.SetGlobalTextStatsView(stateStatsView{st})
+		b.SetGlobalTextStats(stateStatsView{st})
 	}
 }
 

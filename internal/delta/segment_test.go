@@ -3,10 +3,13 @@ package delta
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dil"
+	"repro/internal/ir"
 	"repro/internal/ontoscore"
 	"repro/internal/xmltree"
 )
@@ -277,4 +280,43 @@ func TestApplyBuildsNoComputer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSide(next)
+}
+
+// A put's statistics follow the full-text stage's one tokenization and
+// DF rule: the summed contributions of a corpus's documents equal the
+// local statistics of a stage built over the corpus — N, total length
+// and every DF — under the default text options and without tag names,
+// with zero-token elements and repeated tokens among the elements.
+func TestDocContributionsSumToStageStats(t *testing.T) {
+	fx := newFixture(t, 12, 3)
+	corpus := fx.baseCorpus(t, len(fx.names))
+	edge := fx.parse(t, "edge.xml", []byte(`<doc><_ code="x"/><p>asthma asthma attack</p><empty/></doc>`))
+	corpus.Add(edge)
+	for name, text := range map[string]xmltree.TextOptions{"default": xmltree.DefaultTextOptions(), "no tags": {}} {
+		t.Run(name, func(t *testing.T) {
+			zero, repeated := false, false
+			for _, n := range edge.Nodes() {
+				toks := xmltree.Tokenize(xmltree.TextDescription(n, text))
+				zero = zero || len(toks) == 0
+				for i := range toks {
+					repeated = repeated || slices.Contains(toks[i+1:], toks[i])
+				}
+			}
+			if !zero || !repeated {
+				t.Fatalf("edge document lost its cases: zero-token element %v, repeated token %v", zero, repeated)
+			}
+			params := dil.DefaultParams()
+			params.Text = text
+			var parts []ir.Stats
+			for _, d := range corpus.Docs() {
+				parts = append(parts, docContribution(d, text))
+			}
+			side := ontoscore.NewSide(fx.coll, params.Onto)
+			want := dil.NewBuilders(corpus, side, []ontoscore.Strategy{ontoscore.StrategyNone}, params)[ontoscore.StrategyNone].LocalTextStats()
+			if got := ir.MergeStats(parts...); !reflect.DeepEqual(got, want) {
+				t.Errorf("summed contributions N=%d TotalLen=%d (%d terms), stage N=%d TotalLen=%d (%d terms)",
+					got.N, got.TotalLen, len(got.DF), want.N, want.TotalLen, len(want.DF))
+			}
+		})
+	}
 }

@@ -101,8 +101,7 @@ type stage struct {
 	ids      []xmltree.Dewey // DocKey -> the element's Dewey identifier
 	keys     *Keys           // ids with the tree shape the merge reads
 	docs     []docSpan       // per document, in key order
-	textBase *ir.Index       // elements as documents (bag model, BM25 stats)
-	posIx    *ir.Positional  // token positions: phrase tests and term frequencies
+	text     *ir.Index       // elements as documents: positions, lengths, BM25 statistics
 	slot0    []int           // per system (side order): the system's first concept slot
 	refStart []int32         // per concept slot, plus one: the slot's first entry in refKeys
 	refKeys  []int32         // referencing element keys, slot after slot, each slot's in key order
@@ -127,7 +126,7 @@ type Builder struct {
 	*stage
 	strategy ontoscore.Strategy
 
-	textIx *ir.Index  // stage.textBase under this view's statistics overlay
+	textIx *ir.Index  // stage.text under this view's statistics overlay
 	calib  Calibrator // nil unless this builder is a corpus partition
 	live   *Live      // the live delta state this view is pinned to (Pin)
 }
@@ -165,13 +164,10 @@ func (b *Builder) LocalTextStats() ir.Stats { return b.textIx.LocalStats() }
 
 // SetGlobalTextStats overlays corpus-global collection statistics on
 // the full-text index, so BM25 on this partition scores with global
-// IDF and average length. Off-line only, like SetCalibrator.
-func (b *Builder) SetGlobalTextStats(s ir.Stats) { b.textIx.SetGlobalStats(s) }
-
-// SetGlobalTextStatsView installs a live statistics view instead of a
-// frozen snapshot (see ir.StatsView). The assignment is off-line only;
-// the view itself may answer from concurrently updated data.
-func (b *Builder) SetGlobalTextStatsView(v ir.StatsView) { b.textIx.SetGlobalStatsView(v) }
+// IDF and average length: a frozen ir.Stats snapshot or a live view
+// (nil removes the overlay). The assignment is off-line only, like
+// SetCalibrator; a live view may answer from concurrently updated data.
+func (b *Builder) SetGlobalTextStats(v ir.StatsView) { b.textIx.SetGlobalStats(v) }
 
 // RawTextMax computes the maximum raw (unnormalized) BM25 score over
 // this partition's containing set for one keyword — the partition's
@@ -203,16 +199,16 @@ func (b *Builder) liveMax(raw []ir.Scored, dead func(docID int32) bool) float64 
 
 // rawTextScores is every element containing the keyword (as a
 // contiguous phrase), in key order, with its raw BM25 score. Candidates
-// and term frequencies both come from the positional index, which saw
-// the exact token streams the builder indexed (re-tokenizing the nodes
-// under default options would diverge when custom TextOptions are
+// and term frequencies both come from the text index's positions, which
+// saw the exact token streams the builder indexed (re-tokenizing the
+// nodes under default options would diverge when custom TextOptions are
 // configured).
 func (b *Builder) rawTextScores(keyword string) []ir.Scored {
 	terms := xmltree.Tokenize(keyword)
 	if len(terms) == 0 {
 		return nil
 	}
-	return b.textIx.PhraseBM25(b.params.Onto.BM25, b.posIx, terms)
+	return b.textIx.PhraseBM25(b.params.Onto.BM25, terms)
 }
 
 // FullTextTime is how long the builder's full-text stage took to run —
@@ -248,7 +244,7 @@ func NewBuilders(corpus *xmltree.Corpus, side *ontoscore.Side, strategies []onto
 	s := newStage(corpus, side, params)
 	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
 	for _, st := range strategies {
-		out[st] = &Builder{stage: s, strategy: st, textIx: s.textBase.Overlay(nil)}
+		out[st] = &Builder{stage: s, strategy: st, textIx: s.text.Overlay(nil)}
 	}
 	return out
 }
@@ -256,11 +252,10 @@ func NewBuilders(corpus *xmltree.Corpus, side *ontoscore.Side, strategies []onto
 func newStage(corpus *xmltree.Corpus, side *ontoscore.Side, params Params) *stage {
 	start := time.Now()
 	s := &stage{
-		corpus:   corpus,
-		side:     side,
-		params:   params,
-		textBase: ir.NewIndex(),
-		posIx:    ir.NewPositional(),
+		corpus: corpus,
+		side:   side,
+		params: params,
+		text:   ir.NewIndex(),
 	}
 	// Concept slots number the concepts of all systems densely, system
 	// after system, so one table covers the collection.
@@ -296,8 +291,7 @@ func (s *stage) indexDocument(doc *xmltree.Document) {
 		key := ir.DocKey(len(s.ids))
 		s.ids = append(s.ids, n.ID)
 		tokens := xmltree.Tokenize(xmltree.TextDescription(n, s.params.Text))
-		s.textBase.Add(key, tokens)
-		s.posIx.Add(key, tokens)
+		s.text.Add(key, tokens)
 		s.slotOf = append(s.slotOf, s.conceptSlot(n))
 	}
 	s.docs = append(s.docs, docSpan{id: doc.ID, end: ir.DocKey(len(s.ids))})

@@ -50,7 +50,7 @@ func (b *Builder) Pin(l Live) *Builder {
 
 // view is a calibrator-free view of b's stage under statistics v.
 func (b *Builder) view(v ir.StatsView) *Builder {
-	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(v)}
+	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.text.Overlay(v)}
 }
 
 // assembleLive is a pinned build's assembly (encoded as it goes with

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -16,59 +17,141 @@ import (
 )
 
 // reference is the map-based XOnto-DIL build the kernel replaced, kept
-// as its oracle: text candidates scored one at a time with
-// ir.Index.BM25 (term frequencies scanned off the bag index), the
-// ontology branch resolved per concept through string-keyed
-// (system, code) references collected from the corpus, everything
-// accumulated in a map keyed by Dewey identifier, and the result put in
-// Dewey order with List.Sort. It shares nothing with the kernel beyond
-// the builder's indexes, statistics overlay, calibrator and OntoScore
-// computers. It holds what it derives from the corpus alone: the code
-// nodes by (system, code) reference.
+// as its oracle: every element re-tokenized from its TextDescription,
+// text candidates found by a brute-force phrase scan of those tokens
+// and scored one at a time with BM25 written out from the formula (term
+// frequency counted in the tokens, statistics counted from them unless
+// a global view is given), the ontology branch resolved per concept
+// through string-keyed (system, code) references collected from the
+// corpus, everything accumulated in a map keyed by Dewey identifier,
+// and the result put in Dewey order. It shares nothing with the kernel
+// beyond the builder's calibrator and OntoScore computers: not its text
+// index, not its statistics.
 type reference struct {
-	byRef map[xmltree.OntoRef][]xmltree.Dewey
+	byRef   map[xmltree.OntoRef][]xmltree.Dewey
+	elems   []refElem
+	byToken map[string][]int // elements whose tokens hold the token
+	local   ir.Stats         // the corpus's statistics, counted from elems
 }
 
-func newReference(corpus *xmltree.Corpus) *reference {
-	r := &reference{byRef: map[xmltree.OntoRef][]xmltree.Dewey{}}
+// refElem is one element of the reference: its identifier and tokens.
+type refElem struct {
+	id     xmltree.Dewey
+	tokens []string
+}
+
+func newReference(corpus *xmltree.Corpus, text xmltree.TextOptions) *reference {
+	r := &reference{byRef: map[xmltree.OntoRef][]xmltree.Dewey{}, byToken: map[string][]int{}, local: ir.Stats{DF: map[string]int{}}}
 	for _, doc := range corpus.Docs() {
 		for _, n := range doc.Nodes() {
 			if ref, ok := n.OntoRef(); ok {
 				r.byRef[ref] = append(r.byRef[ref], n.ID)
 			}
+			toks := xmltree.Tokenize(xmltree.TextDescription(n, text))
+			r.local.N++
+			r.local.TotalLen += int64(len(toks))
+			seen := map[string]bool{}
+			for _, t := range toks {
+				if !seen[t] {
+					seen[t] = true
+					r.local.DF[t]++
+					r.byToken[t] = append(r.byToken[t], len(r.elems))
+				}
+			}
+			r.elems = append(r.elems, refElem{id: n.ID, tokens: toks})
 		}
 	}
 	return r
 }
 
-func (r *reference) build(b *Builder, keyword string, irOnly bool) []Entry {
+// textScores is every element holding the keyword's tokens
+// contiguously, with its raw BM25 score under stats (nil: the corpus's
+// own).
+func (r *reference) textScores(p ir.BM25Params, stats ir.StatsView, keyword string) map[int]float64 {
+	terms := xmltree.Tokenize(keyword)
+	if len(terms) == 0 {
+		return nil
+	}
+	if stats == nil {
+		stats = r.local
+	}
+	out := map[int]float64{}
+	for _, e := range r.byToken[terms[0]] {
+		if toks := r.elems[e].tokens; hasPhrase(toks, terms) {
+			out[e] = refBM25(p, stats, toks, terms)
+		}
+	}
+	return out
+}
+
+// hasPhrase reports whether toks holds phrase contiguously.
+func hasPhrase(toks, phrase []string) bool {
+	for i := 0; i+len(phrase) <= len(toks); i++ {
+		if slices.Equal(toks[i:i+len(phrase)], phrase) {
+			return true
+		}
+	}
+	return false
+}
+
+// refBM25 is the Robertson–Walker BM25 of one element's tokens against
+// terms under stats, written out from the formula: term frequency
+// counted in the tokens, IDF with the +1 smoothing, contributions
+// summed in term order.
+func refBM25(p ir.BM25Params, stats ir.StatsView, toks, terms []string) float64 {
+	n := float64(stats.StatsN())
+	if n == 0 || stats.StatsTotalLen() == 0 {
+		return 0
+	}
+	avg := float64(stats.StatsTotalLen()) / n
+	dl := float64(len(toks))
+	score := 0.0
+	for _, t := range terms {
+		f := 0.0
+		for _, tok := range toks {
+			if tok == t {
+				f++
+			}
+		}
+		if f == 0 {
+			continue
+		}
+		idf := 0.0
+		if df := float64(stats.StatsDF(t)); df > 0 {
+			idf = math.Log(1 + (n-df+0.5)/(df+0.5))
+		}
+		score += idf * (f * (p.K1 + 1)) / (f + p.K1*(1-p.B+p.B*dl/avg))
+	}
+	return score
+}
+
+// build is the reference list of one keyword on b's strategy, text
+// scored under stats (nil: the corpus's own statistics) and normalized
+// by b's calibrator when it has one.
+func (r *reference) build(b *Builder, stats ir.StatsView, keyword string, irOnly bool) []Entry {
 	scores := map[string]float64{}
 	ids := map[string]xmltree.Dewey{}
-	if terms := xmltree.Tokenize(keyword); len(terms) > 0 {
-		raw := map[ir.DocKey]float64{}
-		max := 0.0
-		for _, key := range b.posIx.PhraseDocs(terms) {
-			s := b.textIx.BM25(b.params.Onto.BM25, key, terms)
-			raw[key] = s
-			if s > max {
-				max = s
-			}
+	raw := r.textScores(b.params.Onto.BM25, stats, keyword)
+	max := 0.0
+	for _, s := range raw {
+		if s > max {
+			max = s
 		}
-		if b.calib != nil {
-			if g := b.calib.KeywordNorm(keyword); g > 0 {
-				max = g
-			}
+	}
+	if b.calib != nil && len(raw) > 0 {
+		if g := b.calib.KeywordNorm(keyword); g > 0 {
+			max = g
 		}
-		for key, s := range raw {
-			if max == 0 {
-				s = 1
-			} else {
-				s /= max
-			}
-			id := b.ids[key]
-			scores[id.String()] = s
-			ids[id.String()] = id
+	}
+	for e, s := range raw {
+		if max == 0 {
+			s = 1
+		} else {
+			s /= max
 		}
+		id := r.elems[e].id
+		scores[id.String()] = s
+		ids[id.String()] = id
 	}
 	if !irOnly {
 		for _, ont := range b.Collection().Ontologies() {
@@ -93,19 +176,16 @@ func (r *reference) build(b *Builder, keyword string, irOnly bool) []Entry {
 	return out
 }
 
-// referenceRawTextMaxLive is RawTextMaxLive the way it used to be
-// computed: BM25 per phrase document, tombstones asked per element.
-func referenceRawTextMaxLive(b *Builder, keyword string, dead func(int32) bool) float64 {
-	terms := xmltree.Tokenize(keyword)
-	if len(terms) == 0 {
-		return 0
-	}
+// rawTextMaxLive is RawTextMaxLive computed by the reference: the
+// maximum raw BM25 score under stats over the keyword's elements in
+// documents dead does not report.
+func (r *reference) rawTextMaxLive(b *Builder, stats ir.StatsView, keyword string, dead func(int32) bool) float64 {
 	max := 0.0
-	for _, key := range b.posIx.PhraseDocs(terms) {
-		if dead != nil && dead(b.ids[key].DocID()) {
+	for e, s := range r.textScores(b.params.Onto.BM25, stats, keyword) {
+		if dead != nil && dead(r.elems[e].id.DocID()) {
 			continue
 		}
-		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
+		if s > max {
 			max = s
 		}
 	}
@@ -209,7 +289,30 @@ func referenceKeywords(b *Builder, stride int) []string {
 			phrases++
 		}
 	}
+	// A phrase one of whose terms repeats in the element, so the terms'
+	// frequencies there differ.
+	for key := 0; key < len(b.ids); key++ {
+		if phrase := repeatingPhrase(xmltree.Tokenize(xmltree.TextDescription(b.corpus.NodeAt(b.ids[key]), b.params.Text))); phrase != "" {
+			out = append(out, phrase)
+			break
+		}
+	}
 	return append(out, "asthma medications", "bronchial structure", "zzznothing", "!!!")
+}
+
+// repeatingPhrase is the first two-token phrase of toks made of two
+// distinct tokens one of which occurs in toks again ("" if none).
+func repeatingPhrase(toks []string) string {
+	count := map[string]int{}
+	for _, t := range toks {
+		count[t]++
+	}
+	for i := 0; i+1 < len(toks); i++ {
+		if toks[i] != toks[i+1] && count[toks[i]]+count[toks[i+1]] > 2 {
+			return toks[i] + " " + toks[i+1]
+		}
+	}
+	return ""
 }
 
 // tombstones is a delta segment's dead-document predicate over every
@@ -226,7 +329,7 @@ func tombstones(c *xmltree.Corpus) func(int32) bool {
 
 // freshView is a second, unwired view of b's strategy over b's stage.
 func freshView(b *Builder) *Builder {
-	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.textBase.Overlay(nil)}
+	return &Builder{stage: b.stage, strategy: b.strategy, textIx: b.text.Overlay(nil)}
 }
 
 // liveNorm is the calibrator a delta segment installs: the maximum raw
@@ -265,40 +368,42 @@ func TestAssembleMatchesReference(t *testing.T) {
 		side := ontoscore.NewSide(cp.coll, params.Onto)
 		builders := NewBuilders(cp.corpus, side, ontoscore.Strategies(), params)
 		keywords := referenceKeywords(builders[ontoscore.StrategyNone], cp.stride)
-		ref := newReference(cp.corpus)
+		ref := newReference(cp.corpus, params.Text)
 		dead := tombstones(cp.corpus)
 		global := builders[ontoscore.StrategyNone].LocalTextStats()
 		global.N += 97
 		global.TotalLen += 1234
 		for _, st := range ontoscore.Strategies() {
-			wirings := map[string]func() *Builder{
-				"plain": func() *Builder { return builders[st] },
-				"shard": func() *Builder {
+			// Each wiring is a builder and the statistics its text
+			// scores read (nil: the corpus's own).
+			wirings := map[string]func() (*Builder, ir.StatsView){
+				"plain": func() (*Builder, ir.StatsView) { return builders[st], nil },
+				"shard": func() (*Builder, ir.StatsView) {
 					b := freshView(builders[st])
 					b.SetCalibrator(constCalibrator(17.5))
-					return b
+					return b, nil
 				},
-				"delta": func() *Builder {
+				"delta": func() (*Builder, ir.StatsView) {
 					b := freshView(builders[st])
 					b.SetGlobalTextStats(global)
 					b.SetCalibrator(liveNorm{b: b, dead: dead})
-					return b
+					return b, global
 				},
 			}
 			for wiring, mk := range wirings {
-				b := mk()
+				b, stats := mk()
 				name := fmt.Sprintf("%s/%s/%s", cp.name, st, wiring)
 				for _, kw := range keywords {
-					if got, want := b.BuildKeyword(kw), ref.build(b, kw, false); !sameList(b, got, want) {
+					if got, want := b.BuildKeyword(kw), ref.build(b, stats, kw, false); !sameList(b, got, want) {
 						t.Fatalf("%s %q: kernel build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 					}
-					if got, want := b.BuildKeywordIRCtx(context.Background(), kw), ref.build(b, kw, true); !sameList(b, got, want) {
+					if got, want := b.BuildKeywordIRCtx(context.Background(), kw), ref.build(b, stats, kw, true); !sameList(b, got, want) {
 						t.Fatalf("%s %q: IR-only build differs from reference", name, kw)
 					}
 					if !encodedAsBuilt(b, kw) {
 						t.Fatalf("%s %q: CompactKeyword differs from the built list's encoding", name, kw)
 					}
-					if got, want := b.RawTextMaxLive(kw, dead), referenceRawTextMaxLive(b, kw, dead); got != want {
+					if got, want := b.RawTextMaxLive(kw, dead), ref.rawTextMaxLive(b, stats, kw, dead); got != want {
 						t.Fatalf("%s %q: RawTextMaxLive %v, reference %v", name, kw, got, want)
 					}
 					if wiring != "delta" {
@@ -307,10 +412,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 					// A build pinned to the same live state drops the
 					// tombstoned documents in its one pass.
 					p := builders[st].Pin(Live{Stats: global, Dead: dead})
-					if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, kw, false), dead); !sameList(p, got, want) {
+					if got, want := p.BuildKeyword(kw), liveOnly(ref.build(b, stats, kw, false), dead); !sameList(p, got, want) {
 						t.Fatalf("%s %q: pinned build (%d postings) differs from reference (%d)", name, kw, len(got), len(want))
 					}
-					if got, want := p.BuildKeywordIRCtx(context.Background(), kw), liveOnly(ref.build(b, kw, true), dead); !sameList(p, got, want) {
+					if got, want := p.BuildKeywordIRCtx(context.Background(), kw), liveOnly(ref.build(b, stats, kw, true), dead); !sameList(p, got, want) {
 						t.Fatalf("%s %q: pinned IR-only build differs from reference", name, kw)
 					}
 					if !encodedAsBuilt(p, kw) {
@@ -341,13 +446,13 @@ func TestBuildMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(b.corpus)
+	ref := newReference(b.corpus, b.params.Text)
 	for _, kw := range vocab {
 		var got []Entry
 		if c := ix.Compact(kw); c != nil {
 			got = c.Entries()
 		}
-		if !sameEntries(got, ref.build(b, kw, false)) {
+		if !sameEntries(got, ref.build(b, nil, kw, false)) {
 			t.Fatalf("%q: Build list differs from reference", kw)
 		}
 	}

@@ -24,28 +24,10 @@ func (ix *Index) idf(term string) float64 {
 }
 
 // weight is one term's BM25 contribution: idf times the saturated,
-// length-normalized term frequency. Every scorer of this package sums
-// these in query-term order, so their results are bit-identical.
+// length-normalized term frequency. Both scorers sum these in
+// query-term order, so their results are bit-identical.
 func (p BM25Params) weight(idf, tf, dl, avg float64) float64 {
 	return idf * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
-}
-
-// BM25 scores one document against a bag of query terms.
-func (ix *Index) BM25(p BM25Params, doc DocKey, terms []string) float64 {
-	dl := float64(ix.DocLen(doc))
-	avg := ix.AvgDocLen()
-	if avg == 0 {
-		return 0
-	}
-	score := 0.0
-	for _, t := range terms {
-		tf := float64(ix.TF(t, doc))
-		if tf == 0 {
-			continue
-		}
-		score += p.weight(ix.idf(t), tf, dl, avg)
-	}
-	return score
 }
 
 // Scored is one document with its raw (unnormalized) score.
@@ -54,19 +36,15 @@ type Scored struct {
 	Score float64
 }
 
-// PhraseBM25 scores every document of px containing the phrase
-// contiguously, in ascending key order, with BM25 against the phrase's
-// terms under ix's statistics — bit-identical to BM25 on each of
-// px.PhraseDocs(phrase). Term frequencies come off px's positions, so
-// ix and px must have indexed the same token streams. A single term
-// walks its positional postings once and reads tf as the number of
-// positions: O(DF), where BM25's per-document TF scan makes a keyword
-// O(DF²).
-func (ix *Index) PhraseBM25(p BM25Params, px *Positional, phrase []string) []Scored {
+// PhraseBM25 scores every document containing the phrase contiguously,
+// in ascending key order, with BM25 against the phrase's terms —
+// BM25Docs on PhraseDocs(phrase). A single term walks its postings once
+// and reads tf as the number of positions: O(DF).
+func (ix *Index) PhraseBM25(p BM25Params, phrase []string) []Scored {
 	if len(phrase) != 1 {
-		return ix.BM25Positional(p, px, px.PhraseDocs(phrase), phrase)
+		return ix.BM25Docs(p, ix.PhraseDocs(phrase), phrase)
 	}
-	list := px.postings[phrase[0]]
+	list := ix.postings[phrase[0]]
 	if len(list) == 0 {
 		return nil
 	}
@@ -74,25 +52,24 @@ func (ix *Index) PhraseBM25(p BM25Params, px *Positional, phrase []string) []Sco
 	avg := ix.AvgDocLen()
 	if avg == 0 {
 		for i, pp := range list {
-			out[i].Doc = pp.Doc
+			out[i].Doc = pp.doc
 		}
 		return out
 	}
 	idf := ix.idf(phrase[0])
 	for i, pp := range list {
 		score := 0.0
-		score += p.weight(idf, float64(len(pp.Positions)), float64(ix.docLen[pp.Doc]), avg)
-		out[i] = Scored{Doc: pp.Doc, Score: score}
+		score += p.weight(idf, float64(len(pp.positions)), float64(ix.docLen[pp.doc]), avg)
+		out[i] = Scored{Doc: pp.doc, Score: score}
 	}
 	return out
 }
 
-// BM25Positional scores the given documents, in the given order,
-// against terms — bit-identical to BM25 on each — reading each term's
-// frequency off px's positions (a binary search per term and document)
-// instead of scanning ix's posting lists. ix and px must have indexed
-// the same token streams.
-func (ix *Index) BM25Positional(p BM25Params, px *Positional, docs []DocKey, terms []string) []Scored {
+// BM25Docs scores the given documents, in the given order, with BM25
+// against terms, reading each term's frequency off its positions (a
+// binary search per term and document). Every document must have been
+// added.
+func (ix *Index) BM25Docs(p BM25Params, docs []DocKey, terms []string) []Scored {
 	if len(docs) == 0 {
 		return nil
 	}
@@ -112,7 +89,7 @@ func (ix *Index) BM25Positional(p BM25Params, px *Positional, docs []DocKey, ter
 		dl := float64(ix.docLen[d])
 		score := 0.0
 		for j, t := range terms {
-			tf := float64(len(px.positionsIn(t, d)))
+			tf := float64(len(ix.positionsIn(t, d)))
 			if tf == 0 {
 				continue
 			}
@@ -121,64 +98,4 @@ func (ix *Index) BM25Positional(p BM25Params, px *Positional, docs []DocKey, ter
 		out[i] = Scored{Doc: d, Score: score}
 	}
 	return out
-}
-
-// BM25All computes the BM25 score of every document containing at least
-// one of the terms (conjunctive filtering is up to the caller).
-func (ix *Index) BM25All(p BM25Params, terms []string) map[DocKey]float64 {
-	out := make(map[DocKey]float64)
-	avg := ix.AvgDocLen()
-	if avg == 0 {
-		return out
-	}
-	for _, t := range terms {
-		idf := ix.idf(t)
-		if idf == 0 {
-			continue
-		}
-		for _, post := range ix.postings[t] {
-			tf := float64(post.TF)
-			dl := float64(ix.DocLen(post.Doc))
-			out[post.Doc] += p.weight(idf, tf, dl, avg)
-		}
-	}
-	return out
-}
-
-// NormalizedBM25 computes per-keyword normalized scores in [0, 1]: each
-// containing document's BM25 score divided by the collection maximum for
-// that term set. This is the normalization Section III requires of IRS.
-// Documents not containing any term are absent from the map.
-func (ix *Index) NormalizedBM25(p BM25Params, terms []string) map[DocKey]float64 {
-	raw := ix.BM25All(p, terms)
-	max := 0.0
-	for _, s := range raw {
-		if s > max {
-			max = s
-		}
-	}
-	if max == 0 {
-		return raw
-	}
-	for k, s := range raw {
-		raw[k] = s / max
-	}
-	return raw
-}
-
-// TFIDF scores one document with the classic lnc.ltc-style weighting
-// (log tf times idf); provided as the alternative IRS function the
-// paper's Section III allows ("popular IR functions [17], [19], [20]").
-func (ix *Index) TFIDF(doc DocKey, terms []string) float64 {
-	score := 0.0
-	n := float64(ix.N())
-	for _, t := range terms {
-		tf := float64(ix.TF(t, doc))
-		df := float64(ix.DF(t))
-		if tf == 0 || df == 0 {
-			continue
-		}
-		score += (1 + math.Log(tf)) * math.Log(n/df)
-	}
-	return score
 }

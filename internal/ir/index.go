@@ -1,15 +1,15 @@
 // Package ir implements the information-retrieval substrate of
-// XOntoRank: a bag-of-words inverted index over small "documents"
+// XOntoRank: one positional inverted index over small "documents"
 // (individual XML elements, or ontology concepts viewed as documents)
-// and the BM25 and TF-IDF scoring functions. The paper uses BM25
-// (Robertson-Walker) as its IRS function; scores are normalized to
-// [0, 1] per keyword, as Section III requires.
+// and BM25 scoring read off its positions. The paper uses BM25
+// (Robertson-Walker) as its IRS function; callers normalize the raw
+// scores to [0, 1] per keyword, as Section III requires. The index
+// answers phrase containment exactly from its positions — no
+// re-tokenization of the source — so the phrase test sees precisely
+// the tokens that were indexed.
 package ir
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // DocKey identifies one scored unit. XOntoRank views every XML element
 // as a document (keyed by a dense element ordinal) and, separately,
@@ -18,52 +18,44 @@ import (
 // an Index tabulates document lengths densely by key.
 type DocKey int64
 
-// Posting records one document containing a term.
-type Posting struct {
-	Doc DocKey
-	TF  int32
-}
-
-// Index is an in-memory inverted index with the collection statistics
-// BM25 needs (document frequencies, document lengths, average length).
-// The postings live in a table that every Overlay of the index shares;
-// the statistics overlay is per Index value.
+// Index is an in-memory positional inverted index with the collection
+// statistics BM25 needs (document frequencies, document lengths,
+// average length). The postings live in a table that every Overlay of
+// the index shares; the statistics overlay is per Index value.
 type Index struct {
 	*table
 
 	// global, when non-nil, overlays collection-wide statistics on a
-	// partition-local index so BM25-family scores match the unsharded
-	// corpus exactly (see SetGlobalStats / SetGlobalStatsView in
-	// stats.go).
+	// partition-local index so BM25 scores match the unsharded corpus
+	// exactly (see SetGlobalStats in stats.go).
 	global StatsView
 }
 
 // table is the indexed data proper.
 type table struct {
-	postings map[string][]Posting
-	docLen   []int32 // DocKey -> token length; -1 for a key never added
-	docs     int     // keys added
+	postings map[string][]posting // per term, in ascending key order
+	docLen   []int32              // DocKey -> token length; -1 for a key never added
+	docs     int                  // keys added
 	totalLen int64
+	// slab is the backing store a new posting's first position is carved
+	// from (capacity one, so a second occurrence in the document moves
+	// the posting's positions out): one allocation per slabSize postings
+	// instead of one per posting.
+	slab []int32
+}
+
+const slabSize = 1024
+
+// posting records one document's occurrence positions of a term,
+// ascending; their count is the term frequency.
+type posting struct {
+	doc       DocKey
+	positions []int32
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{table: &table{postings: make(map[string][]Posting)}}
-}
-
-// has reports whether doc was added.
-func (t *table) has(doc DocKey) bool {
-	return doc >= 0 && doc < DocKey(len(t.docLen)) && t.docLen[doc] >= 0
-}
-
-// register records a new key with length 0, growing the length table
-// to cover it (keys between the table's end and doc stay absent).
-func (t *table) register(doc DocKey) {
-	for DocKey(len(t.docLen)) <= doc {
-		t.docLen = append(t.docLen, -1)
-	}
-	t.docLen[doc] = 0
-	t.docs++
+	return &Index{table: &table{postings: make(map[string][]posting)}}
 }
 
 // Overlay returns an index over the same postings and document lengths
@@ -76,40 +68,34 @@ func (ix *Index) Overlay(v StatsView) *Index {
 	return &Index{table: ix.table, global: v}
 }
 
-// Add indexes a document as a bag of tokens. Callers normally add each
-// document once; a second Add with the same key extends the first (its
-// tokens accumulate into the same postings and length, and the document
-// still counts once toward N and each term's DF). Document lengths are
+// Add indexes a document's token sequence. Documents are added once
+// each, in ascending key order, which keeps every posting list sorted
+// by construction; a repeated or out-of-order key panics rather than
+// corrupting the binary searches silently. Document lengths are
 // tabulated densely by key, so the table spans the largest key added.
 func (ix *Index) Add(doc DocKey, tokens []string) {
-	repeated := ix.has(doc)
-	if !repeated {
-		ix.register(doc)
+	if doc < DocKey(len(ix.docLen)) {
+		panic("ir: Index.Add called with a repeated or out-of-order document key")
 	}
-	if len(tokens) == 0 {
-		return
+	for DocKey(len(ix.docLen)) < doc {
+		ix.docLen = append(ix.docLen, -1)
 	}
-	counts := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		counts[t]++
-	}
-	for t, c := range counts {
-		list := ix.postings[t]
-		// Only a key seen before can already have a posting in the list;
-		// a new key appends without looking (the scan made bulk indexing
-		// quadratic in the posting-list length).
-		i := -1
-		if repeated {
-			i = slices.IndexFunc(list, func(p Posting) bool { return p.Doc == doc })
-		}
-		if i >= 0 {
-			list[i].TF += int32(c)
-		} else {
-			ix.postings[t] = append(list, Posting{Doc: doc, TF: int32(c)})
-		}
-	}
-	ix.docLen[doc] += int32(len(tokens))
+	ix.docLen = append(ix.docLen, int32(len(tokens)))
+	ix.docs++
 	ix.totalLen += int64(len(tokens))
+	for pos, t := range tokens {
+		list := ix.postings[t]
+		if n := len(list); n > 0 && list[n-1].doc == doc {
+			list[n-1].positions = append(list[n-1].positions, int32(pos))
+			continue
+		}
+		if len(ix.slab) == cap(ix.slab) {
+			ix.slab = make([]int32, 0, slabSize)
+		}
+		i := len(ix.slab)
+		ix.slab = append(ix.slab, int32(pos))
+		ix.postings[t] = append(list, posting{doc: doc, positions: ix.slab[i : i+1 : i+1]})
+	}
 }
 
 // N is the number of indexed documents (collection-global when a stats
@@ -130,91 +116,79 @@ func (ix *Index) DF(term string) int {
 	return len(ix.postings[term])
 }
 
-// TF returns the term frequency of term in doc (0 if absent).
-func (ix *Index) TF(term string, doc DocKey) int {
-	for _, p := range ix.postings[term] {
-		if p.Doc == doc {
-			return int(p.TF)
-		}
-	}
-	return 0
-}
-
-// DocLen returns the token length of a document (0 when it was never
-// added).
-func (ix *Index) DocLen(doc DocKey) int {
-	if !ix.has(doc) {
-		return 0
-	}
-	return int(ix.docLen[doc])
-}
-
 // AvgDocLen is the mean document length of the collection
 // (collection-global when a stats overlay is installed).
 func (ix *Index) AvgDocLen() float64 {
+	n, total := ix.docs, ix.totalLen
 	if ix.global != nil {
-		n := ix.global.StatsN()
-		if n == 0 {
-			return 0
-		}
-		return float64(ix.global.StatsTotalLen()) / float64(n)
+		n, total = ix.global.StatsN(), ix.global.StatsTotalLen()
 	}
-	if ix.docs == 0 {
+	if n == 0 {
 		return 0
 	}
-	return float64(ix.totalLen) / float64(ix.docs)
+	return float64(total) / float64(n)
 }
 
-// Postings returns the postings of a term sorted by document key. The
-// returned slice is a copy.
-func (ix *Index) Postings(term string) []Posting {
-	src := ix.postings[term]
-	out := make([]Posting, len(src))
-	copy(out, src)
-	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
-	return out
+// positionsIn returns the term's positions in doc (nil if absent).
+func (ix *Index) positionsIn(term string, doc DocKey) []int32 {
+	list := ix.postings[term]
+	i := sort.Search(len(list), func(i int) bool { return list[i].doc >= doc })
+	if i < len(list) && list[i].doc == doc {
+		return list[i].positions
+	}
+	return nil
 }
 
-// Vocabulary returns every indexed term, sorted.
-func (ix *Index) Vocabulary() []string {
-	out := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+// ContainsPhrase reports whether doc contains the tokens contiguously.
+func (ix *Index) ContainsPhrase(doc DocKey, phrase []string) bool {
+	return ix.PhraseCount(doc, phrase) > 0
 }
 
-// DocsContainingAll returns the keys of documents containing every one
-// of the terms, sorted. Used for conjunctive candidate generation
-// before phrase verification.
-func (ix *Index) DocsContainingAll(terms []string) []DocKey {
-	if len(terms) == 0 {
-		return nil
+// PhraseCount counts the contiguous occurrences of the phrase in doc.
+func (ix *Index) PhraseCount(doc DocKey, phrase []string) int {
+	if len(phrase) == 0 {
+		return 0
 	}
-	// Start from the rarest term to keep intersections small.
-	rarest := terms[0]
-	for _, t := range terms[1:] {
-		if ix.DF(t) < ix.DF(rarest) {
-			rarest = t
-		}
-	}
-	var out []DocKey
-	for _, p := range ix.postings[rarest] {
-		all := true
-		for _, t := range terms {
-			if t == rarest {
-				continue
-			}
-			if ix.TF(t, p.Doc) == 0 {
-				all = false
+	count := 0
+	for _, s := range ix.positionsIn(phrase[0], doc) {
+		ok := true
+		for j := 1; j < len(phrase); j++ {
+			if !containsPos(ix.positionsIn(phrase[j], doc), s+int32(j)) {
+				ok = false
 				break
 			}
 		}
-		if all {
-			out = append(out, p.Doc)
+		if ok {
+			count++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return count
+}
+
+func containsPos(positions []int32, want int32) bool {
+	i := sort.Search(len(positions), func(i int) bool { return positions[i] >= want })
+	return i < len(positions) && positions[i] == want
+}
+
+// PhraseDocs returns the documents containing the phrase, sorted (the
+// rarest term's postings are, by construction). For a single-token
+// phrase this is the term's posting documents.
+func (ix *Index) PhraseDocs(phrase []string) []DocKey {
+	if len(phrase) == 0 {
+		return nil
+	}
+	// Iterate the rarest term's postings.
+	rarest := ix.postings[phrase[0]]
+	for _, t := range phrase[1:] {
+		if l := ix.postings[t]; len(l) < len(rarest) {
+			rarest = l
+		}
+	}
+	var out []DocKey
+	for _, p := range rarest {
+		if len(phrase) == 1 || ix.ContainsPhrase(p.doc, phrase) {
+			out = append(out, p.doc)
+		}
+	}
 	return out
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-func buildPositional() *Positional {
-	px := NewPositional()
+func buildPhraseIndex() *Index {
+	px := NewIndex()
 	px.Add(1, strings.Fields("bronchial structure of the lung"))
 	px.Add(2, strings.Fields("structure bronchial"))
 	px.Add(3, strings.Fields("bronchial bronchial structure structure"))
@@ -20,7 +20,7 @@ func buildPositional() *Positional {
 }
 
 func TestPhraseContainment(t *testing.T) {
-	px := buildPositional()
+	px := buildPhraseIndex()
 	cases := []struct {
 		doc    DocKey
 		phrase string
@@ -45,14 +45,14 @@ func TestPhraseContainment(t *testing.T) {
 }
 
 func TestPhraseCount(t *testing.T) {
-	px := buildPositional()
+	px := buildPhraseIndex()
 	if got := px.PhraseCount(3, []string{"bronchial", "structure"}); got != 1 {
 		t.Errorf("count = %d, want 1 (only positions 1,2 align)", got)
 	}
 	if got := px.PhraseCount(3, []string{"bronchial"}); got != 2 {
 		t.Errorf("single-token count = %d", got)
 	}
-	px2 := NewPositional()
+	px2 := NewIndex()
 	px2.Add(1, strings.Fields("a b a b a b"))
 	if got := px2.PhraseCount(1, []string{"a", "b"}); got != 3 {
 		t.Errorf("repeated phrase count = %d", got)
@@ -60,7 +60,7 @@ func TestPhraseCount(t *testing.T) {
 }
 
 func TestPhraseDocs(t *testing.T) {
-	px := buildPositional()
+	px := buildPhraseIndex()
 	got := px.PhraseDocs([]string{"bronchial", "structure"})
 	if !reflect.DeepEqual(got, []DocKey{1, 3}) {
 		t.Errorf("PhraseDocs = %v", got)
@@ -80,14 +80,18 @@ func TestPhraseDocs(t *testing.T) {
 }
 
 func TestAddOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-order Add did not panic")
-		}
-	}()
-	px := NewPositional()
-	px.Add(5, []string{"x"})
-	px.Add(2, []string{"x"})
+	for name, keys := range map[string][]DocKey{"descending": {5, 2}, "repeated": {5, 5}, "first below": {5, 0}} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) after Add(%d) did not panic", keys[1], keys[0])
+				}
+			}()
+			px := NewIndex()
+			px.Add(keys[0], []string{"x"})
+			px.Add(keys[1], []string{"y"})
+		})
+	}
 }
 
 // Property: ContainsPhrase agrees with the brute-force substring test
@@ -96,7 +100,7 @@ func TestQuickPhraseAgainstBruteForce(t *testing.T) {
 	words := []string{"a", "b", "c", "d"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		px := NewPositional()
+		px := NewIndex()
 		docs := make([][]string, 1+r.Intn(5))
 		for d := range docs {
 			n := r.Intn(12)
@@ -120,53 +124,6 @@ func TestQuickPhraseAgainstBruteForce(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: PhraseBM25 returns exactly px.PhraseDocs, in order, each
-// with the score BM25 gives it — bit for bit, with and without a
-// statistics overlay, for single terms (tf read as the position count)
-// and phrases (tf read per term off the positions), repeated terms
-// included; BM25Positional agrees on any document list.
-func TestQuickPhraseBM25MatchesBM25(t *testing.T) {
-	words := []string{"a", "b", "c", "d", "e"}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ix, px := NewIndex(), NewPositional()
-		for d := 0; d < 1+r.Intn(30); d++ {
-			toks := make([]string, r.Intn(10))
-			for i := range toks {
-				toks[i] = words[r.Intn(len(words))]
-			}
-			ix.Add(DocKey(d), toks)
-			px.Add(DocKey(d), toks)
-		}
-		if r.Intn(2) == 0 {
-			s := ix.LocalStats()
-			s.N += r.Intn(50)
-			s.TotalLen += int64(r.Intn(200))
-			s.DF["a"] += r.Intn(5)
-			ix = ix.Overlay(s)
-		}
-		phrase := make([]string, 1+r.Intn(3))
-		for i := range phrase {
-			phrase[i] = words[r.Intn(len(words))]
-		}
-		p := DefaultBM25()
-		docs := px.PhraseDocs(phrase)
-		got := ix.PhraseBM25(p, px, phrase)
-		if len(got) != len(docs) {
-			return false
-		}
-		for i, sd := range got {
-			if sd.Doc != docs[i] || sd.Score != ix.BM25(p, sd.Doc, phrase) {
-				return false
-			}
-		}
-		return reflect.DeepEqual(ix.BM25Positional(p, px, docs, phrase), got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -199,7 +156,7 @@ func TestPositionalMatchesNodeWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.AssignDewey()
-	px := NewPositional()
+	px := NewIndex()
 	nodes := doc.Nodes()
 	for i, n := range nodes {
 		px.Add(DocKey(i), xmltree.NodeTokens(n))

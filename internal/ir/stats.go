@@ -1,6 +1,6 @@
 package ir
 
-// Stats is a snapshot of the collection statistics BM25-family scoring
+// Stats is a snapshot of the collection statistics BM25 scoring
 // depends on: the document count, the total token length (their ratio
 // is the average document length), and per-term document frequencies.
 //
@@ -74,23 +74,11 @@ func (s Stats) StatsTotalLen() int64 { return s.TotalLen }
 func (s Stats) StatsDF(term string) int { return s.DF[term] }
 
 // SetGlobalStats overlays collection-global statistics on this index:
-// N, DF, and AvgDocLen answer from the overlay, while per-document
-// facts (TF, DocLen, postings) stay local. Pass a zero-N Stats to
-// remove the overlay. Not synchronized with concurrent readers — set
-// it while the index is being built, before it serves queries.
-func (ix *Index) SetGlobalStats(s Stats) {
-	if s.N == 0 {
-		ix.global = nil
-		return
-	}
-	ix.global = s
-}
-
-// SetGlobalStatsView installs an arbitrary statistics view (nil
-// removes it). Like SetGlobalStats this assignment itself is off-line
-// only, but the installed view may answer from live data.
-func (ix *Index) SetGlobalStatsView(v StatsView) { ix.global = v }
-
-// GlobalStatsView reports the installed overlay, snapshot or live view
-// (nil when none).
-func (ix *Index) GlobalStatsView() StatsView { return ix.global }
+// N, DF and AvgDocLen answer from v, while per-document facts (term
+// frequencies, lengths, postings) stay local; nil removes the overlay.
+// A plain Stats snapshot installs frozen statistics, a live view (see
+// internal/delta) answers from data that changes as documents are
+// ingested. The assignment itself is not synchronized with concurrent
+// readers — set it while the index is off-line, before it serves
+// queries.
+func (ix *Index) SetGlobalStats(v StatsView) { ix.global = v }

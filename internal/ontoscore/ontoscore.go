@@ -108,7 +108,6 @@ type Computer struct {
 	graph  *ontology.Frozen
 	params Params
 	index  *ir.Index
-	pos    *ir.Positional
 
 	flows     [StrategyRelationships + 1]flow // by strategy; StrategyNone empty
 	expanders sync.Pool                       // *expander
@@ -118,11 +117,9 @@ type Computer struct {
 // tabulates each strategy's transitions, and returns a ready computer.
 // Later mutations of the ontology are not reflected.
 func NewComputer(ont *ontology.Ontology, params Params) *Computer {
-	c := &Computer{ont: ont, graph: ontology.Freeze(ont), params: params, index: ir.NewIndex(), pos: ir.NewPositional()}
+	c := &Computer{ont: ont, graph: ontology.Freeze(ont), params: params, index: ir.NewIndex()}
 	for _, id := range ont.Concepts() {
-		tokens := tokenize(ont.TermText(id))
-		c.index.Add(ir.DocKey(id), tokens)
-		c.pos.Add(ir.DocKey(id), tokens)
+		c.index.Add(ir.DocKey(id), tokenize(ont.TermText(id)))
 	}
 	c.buildFlows()
 	c.expanders.New = c.newExpander
@@ -169,7 +166,7 @@ func (c *Computer) denseSeeds(keyword string) []denseItem {
 	for i, id := range containing {
 		keys[i] = ir.DocKey(id)
 	}
-	scored := c.index.BM25Positional(c.params.BM25, c.pos, keys, tokenize(keyword))
+	scored := c.index.BM25Docs(c.params.BM25, keys, tokenize(keyword))
 	seeds := make([]denseItem, len(scored))
 	max := 0.0
 	for i, sd := range scored {

@@ -128,10 +128,20 @@ func (h *Handler) WireGeneration(systems map[string]*core.System) {
 		sys.Builder().SetCalibrator(h.tableLocked(name))
 		if h.lastInstall != nil {
 			if sw, ok := h.lastInstall.Strategies[name]; ok {
-				sys.Builder().SetGlobalTextStats(ir.Stats{N: sw.N, TotalLen: sw.TotalLen, DF: sw.DF})
+				sys.Builder().SetGlobalTextStats(sw.overlay())
 			}
 		}
 	}
+}
+
+// overlay is the statistics overlay an installed body names for one
+// strategy: none when its N is 0, so an install that counts no
+// documents leaves the builder scoring on its own statistics.
+func (sw StrategyStatsWire) overlay() ir.StatsView {
+	if sw.N == 0 {
+		return nil
+	}
+	return ir.Stats{N: sw.N, TotalLen: sw.TotalLen, DF: sw.DF}
 }
 
 // tableLocked requires h.tabMu.
@@ -411,7 +421,7 @@ func (h *Handler) handleStatsInstall(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		b := sys.Builder()
-		b.SetGlobalTextStats(ir.Stats{N: sw.N, TotalLen: sw.TotalLen, DF: sw.DF})
+		b.SetGlobalTextStats(sw.overlay())
 		sys.PurgeKeywordCache()
 		h.table(name).reset()
 		installed++

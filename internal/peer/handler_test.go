@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +120,88 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if fixColl == nil {
 		t.Fatal("fixture collection missing")
+	}
+}
+
+// freshSystems builds one system per strategy over the shared fixture
+// corpus, apart from the shared fixture systems, so a test may install
+// statistics on them.
+func freshSystems(t *testing.T) map[string]*core.System {
+	t.Helper()
+	testSystems(t)
+	out := make(map[string]*core.System, 4)
+	for _, st := range ontoscore.Strategies() {
+		cfg := core.DefaultConfig()
+		cfg.Strategy = st
+		out[st.String()] = core.NewMulti(fixCorpus, fixColl, cfg)
+	}
+	return out
+}
+
+// rankings answers a few queries on every strategy: each result's root
+// and score, in rank order.
+func rankings(t *testing.T, systems map[string]*core.System) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for name, sys := range systems {
+		for _, q := range []string{"asthma medications", "bronchial structure", "theophylline"} {
+			resp, err := sys.Query(context.Background(), core.SearchRequest{Query: q, K: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range resp.Results {
+				out[name+"/"+q] = append(out[name+"/"+q], fmt.Sprintf("%s=%v", r.Root, r.Score))
+			}
+		}
+	}
+	return out
+}
+
+// TestInstallZeroNRemovesOverlay: an installed body whose N is 0 counts
+// no documents, so it removes the statistics overlay — at the install
+// and when WireGeneration re-applies it to a new generation — and the
+// answers equal those of builders that never had one.
+func TestInstallZeroNRemovesOverlay(t *testing.T) {
+	want := rankings(t, freshSystems(t))
+	systems := freshSystems(t)
+	h := NewHandler(HandlerConfig{Source: FixedSource(systems, 1), Logf: t.Logf})
+	h.WireGeneration(systems)
+	mux := http.NewServeMux()
+	h.Register(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	c, err := NewClient(srv.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	install := func(n int) {
+		t.Helper()
+		body := &InstallWire{V: APIVersion, Strategies: map[string]StrategyStatsWire{}}
+		for name, sys := range systems {
+			local := sys.Builder().LocalTextStats()
+			df := map[string]int{}
+			for term, d := range local.DF {
+				df[term] = d + 3
+			}
+			body.Strategies[name] = StrategyStatsWire{N: n, TotalLen: 7 * local.TotalLen, DF: df}
+		}
+		if _, err := c.InstallStats(context.Background(), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(10 * fixCorpus.Len())
+	if reflect.DeepEqual(rankings(t, systems), want) {
+		t.Fatal("a skewed install left every answer as it was; the check below would prove nothing")
+	}
+	install(0)
+	if got := rankings(t, systems); !reflect.DeepEqual(got, want) {
+		t.Errorf("after an install with N 0 the answers differ from builders without an overlay")
+	}
+	next := freshSystems(t)
+	h.WireGeneration(next)
+	if got := rankings(t, next); !reflect.DeepEqual(got, want) {
+		t.Errorf("a generation wired after an install with N 0 answers unlike builders without an overlay")
 	}
 }
 

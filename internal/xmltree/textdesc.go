@@ -82,14 +82,20 @@ func TextDescription(n *Node, opt TextOptions) string {
 // boundaries inside XML tag names (e.g. "SubstanceAdministration") are
 // also treated as separators so that tag vocabulary is searchable by its
 // natural words.
+//
+// The tokens are written, space-separated, into one buffer and returned
+// as slices of it, so a call allocates the buffer and the slice, not
+// one string per token.
 func Tokenize(text string) []string {
-	var tokens []string
 	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, cur.String())
-			cur.Reset()
+	cur.Grow(len(text))
+	open := false // the last token written may still grow
+	write := func(r rune) {
+		if !open && cur.Len() > 0 {
+			cur.WriteByte(' ')
 		}
+		open = true
+		cur.WriteRune(r)
 	}
 	// Two boundary signals keep acronym handling AND idempotence:
 	// prevInLower drives the classic camelCase split on the input
@@ -105,21 +111,23 @@ func Tokenize(text string) []string {
 			lower := unicode.ToLower(r)
 			outUpper := unicode.IsUpper(lower)
 			if unicode.IsUpper(r) && (prevInLower || (outUpper && prevOutLower)) {
-				flush()
+				open = false
 			}
-			cur.WriteRune(lower)
+			write(lower)
 			prevInLower = unicode.IsLower(r)
 			prevOutLower = unicode.IsLower(lower)
 		case unicode.IsDigit(r):
-			cur.WriteRune(r)
+			write(r)
 			prevInLower, prevOutLower = false, false
 		default:
-			flush()
+			open = false
 			prevInLower, prevOutLower = false, false
 		}
 	}
-	flush()
-	return tokens
+	if cur.Len() == 0 {
+		return nil
+	}
+	return strings.Split(cur.String(), " ")
 }
 
 // NodeTokens tokenizes the node's textual description under the default

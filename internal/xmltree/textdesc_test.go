@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -62,6 +63,62 @@ func TestQuickTokenizeIdempotent(t *testing.T) {
 		return reflect.DeepEqual(once, twice)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// referenceTokenize is Tokenize as it was written before the tokens
+// shared one buffer — one string built per token — kept as its oracle.
+func referenceTokenize(text string) []string {
+	var tokens []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			tokens = append(tokens, cur.String())
+			cur.Reset()
+		}
+	}
+	prevInLower, prevOutLower := false, false
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r):
+			lower := unicode.ToLower(r)
+			if unicode.IsUpper(r) && (prevInLower || (unicode.IsUpper(lower) && prevOutLower)) {
+				flush()
+			}
+			cur.WriteRune(lower)
+			prevInLower, prevOutLower = unicode.IsLower(r), unicode.IsLower(lower)
+		case unicode.IsDigit(r):
+			cur.WriteRune(r)
+			prevInLower, prevOutLower = false, false
+		default:
+			flush()
+			prevInLower, prevOutLower = false, false
+		}
+	}
+	flush()
+	return tokens
+}
+
+// Property: Tokenize returns exactly the reference's tokens — on random
+// strings, on strings of letters whose case mapping changes their
+// length or leaves them upper case, and on the camelCase cases above.
+func TestQuickTokenizeMatchesReference(t *testing.T) {
+	runes := []rune("aZ9 -_.\u0130\u023a\u03d4\u1e9e\u00dfÅé日本Ⅻ\t")
+	f := func(s string, picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteRune(runes[int(p)%len(runes)])
+		}
+		for _, in := range []string{s, b.String(), "HL7-CDA displayName SubstanceAdministration"} {
+			if got, want := Tokenize(in), referenceTokenize(in); !reflect.DeepEqual(got, want) {
+				t.Logf("Tokenize(%q) = %q, reference %q", in, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
